@@ -81,7 +81,7 @@ def _scrape_loop(url: str, stop: threading.Event, counts: dict) -> None:
 def _timed_run(fab, cases, serial_outputs) -> "tuple":
     """One fabric batch: (wall_s, all-results-bit-identical)."""
     t0 = time.perf_counter()
-    ids = [fab.submit(case.rx) for case in cases]
+    ids = [fab.offer(case.rx).task_id for case in cases]
     results = fab.drain(timeout=600)
     wall = time.perf_counter() - t0
     ok = all(
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         )
         with fab:
             t0 = time.perf_counter()
-            ids = [fab.submit(case.rx) for case in cases]
+            ids = [fab.offer(case.rx).task_id for case in cases]
             results = fab.drain(timeout=600)
             wall = time.perf_counter() - t0
             report = fab.report()

@@ -22,8 +22,9 @@ The sweep structure:
   :class:`~repro.runtime.BatchedModemRuntime` processes B copies of the
   packet per ``run_batch`` call (tier keys ``batched_b<B>``, throughput
   normalised per packet).  ``--min-batched-speedup`` gates the best
-  batched tier against the per-packet compiled tier — the CI regression
-  gate for the cross-packet batching work.
+  batched tier against the ``compiled`` tier (the same generated code,
+  one lane on a fresh core per region) — the CI regression gate for
+  the resident cross-packet batching work.
 
 Every warm run's cycle count and decoded bits are checked for equality
 against the cold run (the bit-exact contract; the exhaustive diff lives
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
         default=0.0,
         metavar="X",
         help="fail unless the best batched tier is at least X times the "
-        "warm per-packet compiled tier (0 disables the gate)",
+        "warm single-packet compiled tier (0 disables the gate)",
     )
     args = parser.parse_args(argv)
 
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
                 return 1
         if runtime.fallbacks:
             print(
-                "FAIL: batched B=%d needed %d per-packet fallbacks on a "
+                "FAIL: batched B=%d needed %d fresh-core fallbacks on a "
                 "uniform batch" % (b, runtime.fallbacks),
                 file=sys.stderr,
             )

@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     with fab:
         url = fab.obs_url
         print("telemetry at %s" % url)
-        ids = [fab.submit(case.rx) for case in cases]
+        ids = [fab.offer(case.rx).task_id for case in cases]
         results = fab.drain(timeout=600)
 
         # Give every worker at least two heartbeat periods, pumping so the

@@ -14,15 +14,16 @@ crash can orphan only a bounded, exactly-known set of packets.
 Backpressure (all shedding is accounted in the fabric counters):
 
 ``block``
-    ``submit`` pumps completions until a slot frees (or
+    ``offer`` pumps completions until a slot frees (or
     ``submit_timeout_s`` expires, raising :class:`SubmitTimeout`).
 ``drop``
-    ``submit`` returns ``None`` immediately and increments ``dropped``.
+    ``offer`` returns a shed outcome (``task_id is None``) immediately
+    and increments ``dropped``.
 ``deadline``
-    ``submit`` blocks only until the packet's deadline; packets that
-    cannot be accepted in time are rejected (``submit`` returns
-    ``None``), and an accepted packet whose deadline expires while it
-    is still queued resolves to a :class:`DeadlineExceeded` result.
+    ``offer`` blocks only until the packet's deadline; packets that
+    cannot be accepted in time are rejected (shed outcome), and an
+    accepted packet whose deadline expires while it is still queued
+    resolves to a :class:`DeadlineExceeded` result.
 
 Crash recovery: a dead worker is noticed via its sentinel (or a result
 pipe EOF), its buffered results are drained first, every still-orphaned
@@ -111,7 +112,7 @@ class DeadlineExceeded(FabricError):
     """An accepted packet's deadline expired while it was still queued.
 
     Stored as that task's result (and counted in ``rejected``), so every
-    task id :meth:`Fabric.submit` returns resolves in
+    task id :meth:`Fabric.offer` accepts resolves in
     :meth:`Fabric.results` — late-shed packets carry this sentinel
     instead of silently never appearing.
     """
@@ -362,24 +363,6 @@ class Fabric:
     # Submission and backpressure.
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        rx: np.ndarray,
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
-        deadline_s: Optional[float] = None,
-    ) -> Optional[int]:
-        """Offer one packet; returns its task id, or ``None`` if shed.
-
-        Shedding (``None``) happens only in ``drop`` and ``deadline``
-        modes and is counted in ``dropped`` / ``rejected``.  In
-        ``deadline`` mode an *accepted* packet can still expire while
-        queued; its id then resolves to a :class:`DeadlineExceeded`
-        sentinel in :meth:`results` (also counted in ``rejected``).
-        Callers that need the shed *reason* use :meth:`offer`.
-        """
-        return self.offer(rx, n_symbols, detect_hint, deadline_s).task_id
-
     def offer(
         self,
         rx: np.ndarray,
@@ -389,10 +372,14 @@ class Fabric:
     ) -> SubmitOutcome:
         """Offer one packet; returns a typed :class:`SubmitOutcome`.
 
-        Same semantics as :meth:`submit`, but a shed packet comes back
-        as ``SubmitOutcome(None, reason)`` with *reason* naming the
-        counter that took it (``"dropped"`` / ``"rejected"``) — no
-        string matching, no conflating the two shed paths.
+        An accepted packet's outcome carries its ``task_id``.  Shedding
+        happens only in ``drop`` and ``deadline`` modes: the packet then
+        comes back as ``SubmitOutcome(None, reason)`` with *reason*
+        naming the counter that took it (``"dropped"`` /
+        ``"rejected"``).  In ``deadline`` mode an *accepted* packet can
+        still expire while queued; its id then resolves to a
+        :class:`DeadlineExceeded` sentinel in :meth:`results` (also
+        counted in ``rejected``).
         """
         self._require_open()
         self._pump(0)

@@ -114,7 +114,7 @@ def scenario_accounting(results, truth) -> Dict[str, Dict[str, float]]:
 # ----------------------------------------------------------------------
 
 _COUNTER_HELP = {
-    "submitted": "Packets accepted by Fabric.submit().",
+    "submitted": "Packets accepted by Fabric.offer().",
     "completed": "Packet results recorded (including task errors).",
     "dropped": "Packets shed immediately in drop backpressure mode.",
     "rejected": "Packets shed by a deadline, at submit or while queued.",

@@ -152,9 +152,9 @@ def run_stream(
             delay = event.time_s - (time.perf_counter() - t0)
             if delay > 0:
                 time.sleep(delay)
-        task_id = fabric.submit(
+        task_id = fabric.offer(
             event.case.rx, n_symbols=n_symbols, detect_hint=detect_hint
-        )
+        ).task_id
         offered.append((task_id, event))
     return offered
 

@@ -16,11 +16,12 @@ What makes this safe:
   (including the parameter block) and per-lane ``patch_constants``
   immediate pools; the batch functions take both as structure-of-arrays
   arguments, so all lanes share one compile per kernel signature.
-* Divergence — differing data-dependent trip counts, per-lane faults —
-  is detected by the lockstep runner, which drops the affected lanes to
-  the ordinary per-packet compiled engines; any lane that still errors
-  is replayed from its pre-region image on the canonical
-  :meth:`SimReceiver._run_region` path, reproducing the per-packet
+* Divergence — differing data-dependent trip counts, or packets whose
+  pipelines request different regions — only splits the lanes into
+  smaller groups, each run through the generated code at its own width
+  (a single packet is a group of one).  A lane that faults is replayed
+  from its pre-region image on the canonical
+  :meth:`SimReceiver._run_region` path, reproducing the single-packet
   result or exception bit-identically.
 
 The speed comes from three resident structures, all per region id: the
@@ -33,7 +34,6 @@ cached by :class:`SimReceiver`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -59,8 +59,8 @@ from repro.sim.stats import ActivityStats, KernelProfile
 @dataclass
 class BatchPacketResult:
     """Per-packet outcome of a batched run: exactly one of *output* /
-    *error* is set; *fell_back* marks packets that needed any per-packet
-    region replay (fault or host-side error)."""
+    *error* is set; *fell_back* marks packets that needed any fresh-core
+    region replay (fault) or hit a host-side error."""
 
     output: Optional[ReceiverOutput] = None
     error: Optional[BaseException] = None
@@ -112,7 +112,7 @@ class BatchedModemRuntime:
         self.warmed_shapes: set = set()
         self.activity = ActivityStats()
         self.packets_run = 0
-        #: Packets that needed any per-packet replay (divergence/fault).
+        #: Packets that needed any fresh-core replay (fault) or errored.
         self.fallbacks = 0
         self._regions: Dict[tuple, _RegionLanes] = {}
 
@@ -172,7 +172,7 @@ class BatchedModemRuntime:
         Packets are bucketed by shape ``(n_samples, n_symbols)`` and each
         bucket is cut into chunks of at most :attr:`batch` lanes (the
         final chunk may be ragged); chunk results are bit-identical to
-        running each packet alone through the compiled tier.
+        running each packet alone on any interpreter tier.
         """
         packets = [np.atleast_2d(np.asarray(rx)) for rx in packets]
         results = [BatchPacketResult() for _ in packets]
@@ -235,35 +235,22 @@ class BatchedModemRuntime:
                 rid = (lane.request.name,) + tuple(lane.request.key)
                 groups.setdefault(rid, []).append(lane)
             # Same-shape packets request identical region sequences, so
-            # normally there is exactly one group; anything else is a
-            # divergence and runs per-packet.
+            # normally there is exactly one group; a divergent pipeline
+            # just forms its own (smaller) group on its region's cores.
             for rid, members in groups.items():
-                if len(groups) == 1 and len(members) > 1:
-                    responses = self._run_region_batch(rid, members, results)
-                else:
-                    # A single-lane chunk runs per-packet *by design*; only
-                    # divergence (several region groups) is a fallback.
-                    diverged = len(groups) > 1
-                    responses = [
-                        self._replay_region(lane, results, count=diverged)
-                        for lane in members
-                    ]
+                responses = self._run_region_batch(rid, members, results)
                 for lane, resp in zip(members, responses):
                     if resp is None:
                         continue  # lane errored; already recorded
                     step(lane, resp)
 
     def _replay_region(
-        self, lane: _Lane, results: List[BatchPacketResult], count: bool = True
+        self, lane: _Lane, results: List[BatchPacketResult]
     ) -> Optional[Tuple[RegionRun, bytearray]]:
-        """Canonical per-packet execution of one lane's pending region.
-
-        *count* is False when the per-packet path is taken by design
-        (a batch of one) rather than as a divergence/fault fallback.
-        """
+        """Replay a faulted lane's pending region alone, on a fresh core
+        (the canonical single-packet result or exception)."""
         req = lane.request
-        if count:
-            results[lane.index].fell_back = True
+        results[lane.index].fell_back = True
         try:
             return self.receiver._run_region(
                 req.name, req.image, req.build, key=req.key, patch=req.patch
@@ -303,8 +290,8 @@ class BatchedModemRuntime:
         for core, lane, lr, snap in zip(cores, members, lane_results, before):
             if lr.error is not None:
                 # Bit-identical fallback: replay this lane's region from
-                # its pre-region image on the per-packet path (also
-                # reproducing the canonical exception, if any).
+                # its pre-region image on a fresh core (also reproducing
+                # the canonical exception, if any).
                 responses.append(self._replay_region(lane, results))
                 continue
             delta = core.stats.delta_since(snap).validate()
@@ -319,7 +306,7 @@ class BatchedModemRuntime:
     @staticmethod
     def _reset_core(core: Core, program: Program, image: bytearray) -> None:
         """Reset a resident core to the exact state a fresh ``Core`` has
-        after the per-packet setup (image blit, I$ warm-up) — skipping
+        after the single-packet setup (image blit, I$ warm-up) — skipping
         ``load_configuration``, whose accounting the region snapshot
         excludes anyway."""
         core.rebind_program(program)
@@ -345,8 +332,8 @@ class BatchedModemRuntime:
         core.pc = 0
         core.halted = False
         core.kernel_log.clear()
-        # Warm the I$ exactly as the per-packet path does (ascending pc
-        # order determines the direct-mapped tag state).
+        # Warm the I$ exactly as the single-packet path does (ascending
+        # pc order determines the direct-mapped tag state).
         fetch = core.icache.fetch
         for pc in range(len(program.bundles)):
             fetch(pc)

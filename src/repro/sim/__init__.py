@@ -35,12 +35,11 @@ from repro.sim.program import (
     DstSel,
 )
 from repro.sim.core import Core, SimulationError
-from repro.sim.batch import BatchProgramRunner, LaneResult, run_batch
+from repro.sim.batch import BatchProgramRunner, LaneResult
 
 __all__ = [
     "BatchProgramRunner",
     "LaneResult",
-    "run_batch",
     "ActivityStats",
     "KernelProfile",
     "RegisterFile",

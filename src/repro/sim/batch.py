@@ -1,29 +1,34 @@
-"""Cross-packet lockstep batch driver for the compiled tier.
+"""The compiled tier: a lockstep runner over lane-batched generated code.
 
-:class:`BatchProgramRunner` advances several structurally-identical
+:class:`BatchProgramRunner` advances one or more
 :class:`~repro.sim.core.Core` instances ("lanes") to completion in
-lockstep, replicating :meth:`Core.run` bit-exactly while replacing the
-hot inner execution with the lane-batched functions emitted by
-:mod:`repro.sim.codegen` (:func:`~repro.sim.codegen.cga_batch_runner` /
+lockstep, replicating the interpreted :meth:`Core.run` loop bit-exactly
+while replacing the hot inner execution with the lane-batched functions
+emitted by :mod:`repro.sim.codegen`
+(:func:`~repro.sim.codegen.cga_batch_runner` /
 :func:`~repro.sim.codegen.vliw_batch_runner`): one Python frame advances
-every lane through a VLIW segment or a whole CGA steady-state window,
-amortizing interpreter overhead across the batch.
+every lane of a group through a VLIW segment or a whole CGA steady-state
+window.  It is the only executor of generated code: a single packet
+(``Core(interpreter="compiled").run()``) is a one-lane run.
 
 Lanes are expected to run ``patch_constants`` variants of one linked
 program — immediate *values* may differ per lane (delivered as per-lane
-imm pools), structure may not.  The driver does not trust that contract
+imm pools), structure may not.  The runner does not trust that contract
 blindly: every dispatch groups lanes by structural signature (and, for
-kernels, by resolved trip count), so lanes that diverge — different
-``pc``, different structure, different trips — simply drop out of the
-batch and are stepped through the ordinary per-packet compiled engines,
-which are bit-identical by the tier-3 contract.
+kernels, by resolved trip count), and each group runs through one call
+of the generated function at the group's width — so lanes that diverge
+(different ``pc``, structure or trip) simply form smaller groups, down
+to width 1.  The width is a call-time value, so one compile serves
+every width.  Only a segment or kernel the code generator refuses
+(:class:`~repro.sim.codegen.CodegenUnsupported`) runs on the decoded
+tier instead, which is bit-identical by the codegen contract.
 
 Faults are per-lane: a lane whose generated code raises (scratchpad
 bounds, VLIW runaway) is recorded in its :class:`LaneResult` and — when
-a ``fresh`` factory is provided — re-run per-packet from scratch, which
-reproduces the per-packet result or exception bit-identically (the
-batched fault leaves deferred counters unflushed, so the partial lane
-state is never reused).
+a ``fresh`` factory is provided — re-run from scratch on a fresh core,
+which reproduces the single-packet result or exception bit-identically
+(the batched fault leaves deferred counters unflushed, so the partial
+lane state is never reused).
 
 Tracing must be disabled on every lane: the batched code omits tracer
 hooks entirely (that is what makes it fast), so lockstep execution under
@@ -37,7 +42,6 @@ from typing import Callable, Dict, List, Optional
 from repro.sim import codegen
 from repro.sim.cga import CgaFault
 from repro.sim.core import MODE_SWITCH_CYCLES, Core, SimulationError
-from repro.sim.memory import MemoryError_
 from repro.sim.vliw import StopEvent, VliwFault
 
 MASK32 = 0xFFFFFFFF
@@ -47,7 +51,7 @@ _UNSET = object()
 
 class LaneResult:
     """Outcome of one lane: the core holding final state, the error (if
-    the lane faulted), and whether the per-packet fallback ran it."""
+    the lane faulted), and whether the fresh-core replay ran it."""
 
     __slots__ = ("core", "error", "fell_back")
 
@@ -66,7 +70,7 @@ class BatchProgramRunner:
     """Resident lockstep driver over a fixed set of lane slots.
 
     One runner instance is meant to live as long as its lane set (e.g.
-    the resident cores of one receiver region at one batch width): the
+    the resident cores of one receiver region, at any width): the
     per-lane signature/imm-pool caches are keyed by lane index and
     invalidated by program-object identity, so re-dispatching the same
     (or a freshly patched) program costs no signature walks after the
@@ -76,9 +80,9 @@ class BatchProgramRunner:
 
     def __init__(self, max_cycles: int = 10_000_000) -> None:
         self.max_cycles = max_cycles
-        #: (signature id, n) -> batch fn | None (codegen refused).
-        self._vliw_fns: Dict[tuple, object] = {}
-        #: (signature id, trip, n) -> trip-specialized batch fn | None.
+        #: signature id -> batch fn (any width) | None (codegen refused).
+        self._vliw_fns: Dict[int, object] = {}
+        #: (signature id, trip) -> trip-specialized batch fn | None.
         self._cga_fns: Dict[tuple, object] = {}
         #: (pc, lane) -> (bundles, signature id, imms, end_pc).
         self._vliw_lane: Dict[tuple, tuple] = {}
@@ -118,23 +122,22 @@ class BatchProgramRunner:
 
     # -- batch-function lookup ------------------------------------------
 
-    def _vliw_fn(self, core0: Core, pc: int, sid: int, n: int):
-        key = (sid, n)
-        fn = self._vliw_fns.get(key, _UNSET)
+    def _vliw_fn(self, core0: Core, pc: int, sid: int):
+        fn = self._vliw_fns.get(sid, _UNSET)
         if fn is _UNSET:
             try:
                 fn, _end = codegen.vliw_batch_runner(
                     core0.program.bundles, pc, core0.vliw.slot_fus,
                     core0.cdrf, core0.cprf, core0.scratchpad, core0.icache,
-                    VliwFault, n,
+                    VliwFault,
                 )
             except codegen.CodegenUnsupported:
                 fn = None
-            self._vliw_fns[key] = fn
+            self._vliw_fns[sid] = fn
         return fn
 
-    def _cga_fn(self, core0: Core, kernel0, sid: int, trip: int, n: int):
-        key = (sid, trip, n)
+    def _cga_fn(self, core0: Core, kernel0, sid: int, trip: int):
+        key = (sid, trip)
         fn = self._cga_fns.get(key, _UNSET)
         if fn is _UNSET:
             try:
@@ -142,7 +145,7 @@ class BatchProgramRunner:
                     kernel0, core0.arch, CgaFault,
                     cdrf_ports=(core0.cdrf.read_ports, core0.cdrf.write_ports),
                     cprf_ports=(core0.cprf.read_ports, core0.cprf.write_ports),
-                    n_lanes=n, trip=trip,
+                    trip=trip,
                 )
             except codegen.CodegenUnsupported:
                 fn = None
@@ -157,8 +160,8 @@ class BatchProgramRunner:
 
         *fresh*, when given, maps a lane index to a brand-new fully
         prepared core (pokes and memory applied, nothing run); a lane
-        that faults is then replayed per-packet on that core — the
-        canonical result or exception — and marked ``fell_back``.
+        that faults is then replayed alone on that core — the canonical
+        result or exception — and marked ``fell_back``.
         Without *fresh* the batched-path exception is recorded directly
         (mapped exactly as :meth:`Core.run` would map it).
         """
@@ -223,33 +226,30 @@ class BatchProgramRunner:
                 lane_imms[i] = imms
                 groups.setdefault((core.pc, sid), []).append(i)
             pending = []
-            convergent = len(groups) == 1
             for (pc, sid), lanes in groups.items():
-                fn = None
-                if convergent and len(lanes) > 1:
-                    core0 = results[lanes[0]].core
-                    try:
-                        fn = self._vliw_fn(core0, pc, sid, len(lanes))
-                    except VliwFault as exc:
-                        for i in lanes:
-                            fail(i, SimulationError(str(exc)))
-                        continue
+                core0 = results[lanes[0]].core
+                try:
+                    fn = self._vliw_fn(core0, pc, sid)
+                except VliwFault as exc:
+                    for i in lanes:
+                        fail(i, SimulationError(str(exc)))
+                    continue
                 if fn is None:
-                    self._vliw_individual(lanes, results, stop_ev, fail)
+                    self._vliw_decoded(lanes, results, stop_ev, fail)
                     continue
                 pending.extend(
                     self._vliw_batch_step(fn, lanes, lane_imms, results,
                                           stop_ev, fail))
         return stop_ev
 
-    def _vliw_individual(self, lanes, results, stop_ev, fail) -> None:
-        """Per-packet compiled stepping for divergent / unsupported /
-        singleton lanes: one full ``vliw.run`` to the next stop event."""
+    def _vliw_decoded(self, lanes, results, stop_ev, fail) -> None:
+        """Decoded-tier fallback for a segment codegen refused: one
+        full ``run_decoded`` per lane to its next stop event."""
         for i in lanes:
             core = results[i].core
             try:
-                stop, cycle = core.vliw.run(core.pc, core.cycle,
-                                            max_cycle=self.max_cycles)
+                stop, cycle = core.vliw.run_decoded(core.pc, core.cycle,
+                                                    max_cycle=self.max_cycles)
             except VliwFault as exc:
                 fail(i, SimulationError(str(exc)))
                 continue
@@ -332,35 +332,40 @@ class BatchProgramRunner:
                 core.stats.cga_cycles += MODE_SWITCH_CYCLES
                 core.cycle += MODE_SWITCH_CYCLES
                 continue
+            # Preload targets are structural but outside the signature:
+            # fault the lane here, before any preload side effect.
+            bad = next((p for p in kernel.preloads
+                        if p.fu not in core.local_rfs), None)
+            if bad is not None:
+                fail(i, CgaFault(
+                    "preload targets FU%d without a local RF" % bad.fu))
+                continue
             _kernel, sid, imms = self._lane_cga(i, kid, kernel)
             ginfo[i] = (kernel, imms)
             groups.setdefault((sid, trip), []).append(i)
-        convergent = len(groups) == 1
         for (sid, trip), lanes in groups.items():
-            fn = None
-            if convergent and len(lanes) > 1:
-                core0 = results[lanes[0]].core
-                try:
-                    fn = self._cga_fn(core0, ginfo[lanes[0]][0], sid, trip,
-                                      len(lanes))
-                except CgaFault as exc:
-                    for i in lanes:
-                        fail(i, exc)
-                    continue
+            core0 = results[lanes[0]].core
+            try:
+                fn = self._cga_fn(core0, ginfo[lanes[0]][0], sid, trip)
+            except CgaFault as exc:
+                for i in lanes:
+                    fail(i, exc)
+                continue
             if fn is None:
-                self._cga_individual(lanes, ginfo, results, fail)
+                self._cga_decoded(lanes, ginfo, results, fail)
                 continue
             self._cga_batch_step(fn, trip, lanes, ginfo, results, fail)
 
-    def _cga_individual(self, lanes, ginfo, results, fail) -> None:
-        """Per-packet compiled kernel execution (the engine applies
-        preloads and resolves the trip itself, exactly as in Core.run)."""
+    def _cga_decoded(self, lanes, ginfo, results, fail) -> None:
+        """Decoded-tier fallback for a kernel codegen refused (the
+        engine applies preloads and resolves the trip itself, exactly
+        as in Core.run)."""
         for i in lanes:
             core = results[i].core
             kernel = ginfo[i][0]
             start = core.cycle
             try:
-                end = core.cga.run(kernel, core.cycle)
+                end = core.cga.run_decoded(kernel, core.cycle)
             except Exception as exc:
                 fail(i, exc)
                 continue
@@ -370,26 +375,10 @@ class BatchProgramRunner:
             core.cycle += MODE_SWITCH_CYCLES
 
     def _cga_batch_step(self, fn, trip, lanes, ginfo, results, fail) -> None:
-        # Preload faults are structural; detect before mutating any lane
-        # so survivors can still run (per-packet) without double-applied
-        # preload side effects.
-        ready: List[int] = []
-        for i in lanes:
-            kernel = ginfo[i][0]
-            bad = next((p for p in kernel.preloads
-                        if p.fu not in results[i].core.local_rfs), None)
-            if bad is not None:
-                fail(i, CgaFault(
-                    "preload targets FU%d without a local RF" % bad.fu))
-            else:
-                ready.append(i)
-        if len(ready) != len(lanes):
-            self._cga_individual(ready, ginfo, results, fail)
-            return
         starts = []
         preload_cycles_s = []
         start_cycles = []
-        for i in ready:
+        for i in lanes:
             core = results[i].core
             kernel = ginfo[i][0]
             local_rfs = core.local_rfs
@@ -405,15 +394,15 @@ class BatchProgramRunner:
             pre = (len(kernel.preloads) + 1) // 2
             preload_cycles_s.append(pre)
             start_cycles.append(core.cycle + pre)
-        m = len(ready)
-        mcores = [results[i].core for i in ready]
+        m = len(lanes)
+        mcores = [results[i].core for i in lanes]
         ends = [0] * m
         faults: List[object] = [None] * m
         fn(
             [trip] * m,
             start_cycles,
             preload_cycles_s,
-            [ginfo[i][1] for i in ready],
+            [ginfo[i][1] for i in lanes],
             [c.cga._out_latch for c in mcores],
             [c.cdrf._regs for c in mcores],
             [c.cprf._regs for c in mcores],
@@ -422,7 +411,7 @@ class BatchProgramRunner:
             [c.stats for c in mcores],
             ends, faults,
         )
-        for k, i in enumerate(ready):
+        for k, i in enumerate(lanes):
             if faults[k] is not None:
                 fail(i, faults[k])
                 continue
@@ -433,10 +422,3 @@ class BatchProgramRunner:
             core.stats.cga_cycles += MODE_SWITCH_CYCLES
             core.cycle += MODE_SWITCH_CYCLES
 
-
-def run_batch(cores: List[Core],
-              fresh: Optional[Callable[[int], Core]] = None,
-              max_cycles: int = 10_000_000) -> List[LaneResult]:
-    """Convenience one-shot wrapper: drive *cores* to completion with a
-    throwaway :class:`BatchProgramRunner`."""
-    return BatchProgramRunner(max_cycles=max_cycles).run(cores, fresh=fresh)

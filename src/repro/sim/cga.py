@@ -37,7 +37,6 @@ from repro.isa.bits import MASK32, MASK64
 from repro.isa.opcodes import MAX_OP_LATENCY, OpGroup, group_of, latency_of
 from repro.isa.semantics import execute as exec_semantics
 from repro.sim import memops
-from repro.sim import codegen
 from repro.sim.decode import (
     COMMIT_RING_SLOTS,
     KIND_DATAFLOW,
@@ -56,7 +55,7 @@ class CgaFault(Exception):
     """Raised on illegal configurations (bad routing, port abuse, caps)."""
 
 
-#: Bound on the per-engine decoded/compiled kernel caches.  A long-lived
+#: Bound on the per-engine decoded kernel cache.  A long-lived
 #: process (a fabric worker) linking many ``patch_constants`` program
 #: variants used to pin every kernel it ever ran through the id-keyed
 #: decode cache; an LRU this size keeps every live receiver region hot
@@ -101,17 +100,9 @@ class CgaEngine:
         #: *live* id can never alias; a recycled id of a collected kernel
         #: is caught by the ``dk.kernel is not kernel`` check and evicted.
         self._decoded: OrderedDict = OrderedDict()
-        #: Compiled-runner LRU (tier 3), same keying and bound.  Values
-        #: are ``(kernel, fn, imms)``; ``fn is None`` marks a kernel the
-        #: generator refused (static port-pressure proof failed) so every
-        #: later run falls straight back to the decoded tier.
-        self._compiled: OrderedDict = OrderedDict()
         #: When False, :meth:`run` uses the reference interpreter
         #: (:meth:`run_reference`) instead of the decoded fast path.
         self.use_decoded = True
-        #: When True (and ``use_decoded``), :meth:`run` prefers the
-        #: generated straight-line runner from :mod:`repro.sim.codegen`.
-        self.use_compiled = False
 
     # ------------------------------------------------------------------
 
@@ -181,83 +172,16 @@ class CgaEngine:
     def run(self, kernel: CgaKernel, start_cycle: int) -> int:
         """Execute *kernel*; returns the physical cycle after completion.
 
-        Dispatches to the selected interpreter tier: the reference
-        interpreter, the decoded fast path (default), or the generated
-        straight-line runner.  All three are bit-identical in
-        architectural state, cycle counts and :class:`ActivityStats`
-        (``tests/sim/test_differential.py``).
+        Dispatches to the reference interpreter or the decoded fast path
+        (default).  The compiled tier does not come through here: it is
+        :class:`repro.sim.batch.BatchProgramRunner`, which calls
+        :meth:`run_decoded` only for kernels the code generator refuses.
+        All tiers are bit-identical in architectural state, cycle counts
+        and :class:`ActivityStats` (``tests/sim/test_differential.py``).
         """
         if not self.use_decoded:
             return self.run_reference(kernel, start_cycle)
-        if self.use_compiled:
-            return self.run_compiled(kernel, start_cycle)
         return self.run_decoded(kernel, start_cycle)
-
-    def run_compiled(self, kernel: CgaKernel, start_cycle: int) -> int:
-        """Tier-3 path: run the kernel's generated specialized function.
-
-        Falls back to :meth:`run_decoded` (permanently, per kernel) when
-        :mod:`repro.sim.codegen` cannot statically prove central-RF port
-        safety for this kernel.
-        """
-        trip = kernel.trip_count
-        if trip is None:
-            if kernel.trip_count_reg is None:
-                raise CgaFault("kernel %s has no trip count" % kernel.name)
-            trip = self.cdrf.peek(kernel.trip_count_reg) & MASK32
-        if trip <= 0:
-            return start_cycle
-        kid = id(kernel)
-        entry = self._compiled.get(kid)
-        if entry is not None and entry[0] is not kernel:
-            entry = None  # recycled id of a collected kernel
-        if entry is None:
-            try:
-                fn, imms = codegen.cga_runner(
-                    kernel,
-                    self.arch,
-                    CgaFault,
-                    cdrf_ports=(self.cdrf.read_ports, self.cdrf.write_ports),
-                    cprf_ports=(self.cprf.read_ports, self.cprf.write_ports),
-                )
-            except codegen.CodegenUnsupported:
-                fn = imms = None
-            entry = (kernel, fn, imms)
-            self._compiled[kid] = entry
-            if len(self._compiled) > KERNEL_CACHE_BOUND:
-                self._compiled.popitem(last=False)
-        else:
-            self._compiled.move_to_end(kid)
-        _, fn, imms = entry
-        if fn is None:
-            return self.run_decoded(kernel, start_cycle)
-
-        stats = self.stats
-        local_rfs = self.local_rfs
-        cdrf_peek = self.cdrf.peek
-        for preload in kernel.preloads:
-            if preload.fu not in local_rfs:
-                raise CgaFault("preload targets FU%d without a local RF" % preload.fu)
-            local_rfs[preload.fu].write(preload.lrf_index, cdrf_peek(preload.cdrf_reg))
-            stats.cdrf_reads += 1
-        preload_cycles = (len(kernel.preloads) + 1) // 2
-        start_cycle += preload_cycles
-        out_latch = self._out_latch
-        for i in range(len(out_latch)):
-            out_latch[i] = 0
-        return fn(
-            trip,
-            start_cycle,
-            preload_cycles,
-            imms,
-            out_latch,
-            self.cdrf._regs,
-            self.cprf._regs,
-            local_rfs,
-            stats,
-            self.scratchpad.timed_read,
-            self.scratchpad.timed_write,
-        )
 
     def run_decoded(self, kernel: CgaKernel, start_cycle: int) -> int:
         """Tier-2 path: the kernel is lowered once by

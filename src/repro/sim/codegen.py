@@ -11,6 +11,14 @@ replaced by per-operation shift registers whose commits are scheduled
 statically — plus straight-line runs of VLIW bundles (one generated
 function per branch-free segment).
 
+Every generated function is lane-batched: it advances ``B`` packets
+("lanes") per call through structure-of-arrays arguments, with the
+scratchpad and instruction-cache models inlined.  ``B`` is the length
+of those arguments, so one compile serves every width and a single
+packet is a batch of one.  :class:`repro.sim.batch.BatchProgramRunner`
+is the only caller; it groups lanes and calls the function once per
+group.
+
 Caching is two-level, exactly like the modulo-schedule cache in
 :mod:`repro.compiler.linker`:
 
@@ -28,12 +36,12 @@ Correctness contract: for every well-formed program the compiled tier
 produces bit-identical architectural state, cycle counts and
 :class:`~repro.sim.stats.ActivityStats` (per-cause stall counters
 included) to both the decoded and the reference tiers
-(``tests/sim/test_differential.py`` runs all three).  Central-RF port
+(``tests/sim/test_differential.py`` runs them all).  Central-RF port
 pressure, which the decoded tier checks dynamically through
 :class:`~repro.sim.regfile.RegisterFile`, is checked *statically* at
 generation time; a kernel or bundle whose worst case could overflow the
-ports raises :class:`CodegenUnsupported` and the engine silently falls
-back to the decoded tier for that kernel (keeping the dynamic check).
+ports raises :class:`CodegenUnsupported` and the runner falls back to
+the decoded tier for it (keeping the dynamic check).
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from repro.isa.opcodes import (
     latency_of,
     op_weight,
 )
-from repro.isa.semantics import DATAFLOW_GROUPS, UNARY_SIMD, handler_for, operand_count
+from repro.isa.semantics import DATAFLOW_GROUPS, handler_for, operand_count
 from repro.sim import memops
 from repro.sim.memory import MemoryError_
 from repro.sim.program import CgaKernel, DstKind, SrcKind, SrcSel, VliwBundle
@@ -64,7 +72,7 @@ from repro.trace.tracer import get_tracer
 
 class CodegenUnsupported(Exception):
     """The construct cannot be compiled with static port-pressure proof;
-    the engine falls back to the decoded tier (which checks dynamically)."""
+    the runner falls back to the decoded tier (which checks dynamically)."""
 
 
 #: Sentinel marking an empty shift-register slot in generated code.  It
@@ -74,7 +82,7 @@ _ABSENT = object()
 
 #: On-disk payload format version; bump when the generated-source shape
 #: or the call protocol of the generated functions changes.
-_DISK_FORMAT = 3
+_DISK_FORMAT = 4
 
 _SOURCE_CACHE: Dict[tuple, str] = {}
 _FN_CACHE: Dict[tuple, Callable] = {}
@@ -201,15 +209,14 @@ def _compiled_fn(key: tuple, source: str, fn_name: str, extra: Dict[str, object]
 
 
 # ----------------------------------------------------------------------
-# Inline memory model (batch mode only)
+# Inline memory model
 # ----------------------------------------------------------------------
 #
-# The per-packet tier reaches the scratchpad through bound methods
-# (``Scratchpad.timed_read``/``timed_write``); the lane-batched tier
-# inlines the same semantics — bounds check, per-bank busy clocks,
-# conflict accounting — against per-lane ``_mem``/``_bank_next_free``
-# views, so the geometry constants baked into the source must appear in
-# the batch cache keys.  Counter locals (``n_l1r``/``n_l1w``/``n_bc``/
+# The generated code inlines the semantics of ``Scratchpad.timed_read``/
+# ``timed_write`` — bounds check, per-bank busy clocks, conflict
+# accounting — against per-lane ``_mem``/``_bank_next_free`` views, so
+# the geometry constants baked into the source must appear in the cache
+# keys.  Counter locals (``n_l1r``/``n_l1w``/``n_bc``/
 # ``bc_stall``) are flushed to the lane's ActivityStats exactly once.
 
 
@@ -613,7 +620,6 @@ class _CgaGen:
 
     def __init__(self, kernel: CgaKernel, arch: CgaArchitecture, fault,
                  cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
-                 n_lanes: Optional[int] = None,
                  trip: Optional[int] = None) -> None:
         self.kernel = kernel
         self.arch = arch
@@ -622,9 +628,7 @@ class _CgaGen:
         self.cprf_ports = cprf_ports
         self.cdrf_mask = (1 << arch.cdrf.width) - 1
         self.cprf_mask = 1  # PredicateFile is 1-bit regardless of arch.cprf
-        self.n_lanes = n_lanes
-        self.batch = n_lanes is not None
-        #: Trip-count specialization (batch tier): with a concrete trip
+        #: Trip-count specialization: with a concrete trip
         #: the whole modulo schedule is compile-time, so the iteration
         #: loop splits into unrolled prologue/epilogue slots and a
         #: guard-free steady state.
@@ -948,12 +952,8 @@ class _CgaGen:
                 % (ind, base, off)
             )
         if rec.kind == "load":
-            if self.batch:
-                _emit_inline_read(lines, ind, "physical", info.size,
-                                  self.arch.l1.banks, self.arch.l1.bytes,
-                                  tally=tally)
-            else:
-                lines.append(ind + "raw, extra = timed_read(physical, addr, %d)" % info.size)
+            _emit_inline_read(lines, ind, "physical", info.size,
+                              self.arch.l1.banks, self.arch.l1.bytes, tally=tally)
             lines.append(ind + "stall_offset += extra")
             target = "w%d_%d" % (rec.oid, rec.n - 1)
             if info.size == 8:
@@ -967,17 +967,10 @@ class _CgaGen:
             sv = self._read_operand(lines, ind, rec, "src", 2, op.srcs[2], it_var, "c",
                                     it0=it0, tally=tally)
             mask = (1 << (info.size * 8)) - 1
-            if self.batch:
-                lines.append(ind + "v_st = (%s) & %d" % (sv, mask))
-                _emit_inline_write(lines, ind, "physical", info.size,
-                                   self.arch.l1.banks, self.arch.l1.bytes,
-                                   tally=tally)
-                lines.append(ind + "stall_offset += extra")
-            else:
-                lines.append(
-                    "%sstall_offset += timed_write(physical, addr, (%s) & %d, %d)"
-                    % (ind, sv, mask, info.size)
-                )
+            lines.append(ind + "v_st = (%s) & %d" % (sv, mask))
+            _emit_inline_write(lines, ind, "physical", info.size,
+                               self.arch.l1.banks, self.arch.l1.bytes, tally=tally)
+            lines.append(ind + "stall_offset += extra")
 
     def _emit_issue(self, lines: List[str], ind: str, rec: _CgaChain, it_var: str,
                     it0: Optional[bool] = None, tally=None) -> None:
@@ -1004,31 +997,21 @@ class _CgaGen:
 
     # -- whole-function assembly ---------------------------------------
 
-    def generate(self) -> str:
-        lines: List[str] = []
-        lines.append(
-            "def _cga_run(trip, start_cycle, preload_cycles, imms, out_latch, CD, CP,"
-            " local_rfs, stats, timed_read, timed_write):"
-        )
-        self._emit_lane(lines, "    ", "return %s")
-        return "\n".join(lines) + "\n"
-
     def generate_batch(self) -> str:
-        """Lane-batched variant: one function advancing ``n_lanes``
-        packets' steady-state windows back to back through
-        structure-of-arrays arguments, with the scratchpad model inlined
-        against per-lane byte views and bank clocks.  A lane that
-        faults lands its exception in ``faults[lane]`` — its partial
-        state is unusable (deferred counters are lost) and the caller
-        must re-run that lane per-packet from scratch — while the
-        remaining lanes complete normally."""
+        """One function advancing any number of packets' steady-state
+        windows back to back through structure-of-arrays arguments, with
+        the scratchpad model inlined against per-lane byte views and
+        bank clocks.  A lane that faults lands its exception in
+        ``faults[lane]`` — its partial state is unusable (deferred
+        counters are lost) and the caller must re-run that lane from
+        scratch — while the remaining lanes complete normally."""
         lines: List[str] = []
         w = lines.append
         w("def _cga_run_batch(trips, start_cycles, preload_cycles_s, imms_s,"
           " out_latch_s, CD_s, CP_s, local_rfs_s, mem_s, stats_s, ends, faults):")
         if self.has_load:
             w("    _fb = int.from_bytes")
-        w("    for _b in range(%d):" % self.n_lanes)
+        w("    for _b in range(len(trips)):")
         w("        try:")
         ind = "            "
         w(ind + "trip = trips[_b]")
@@ -1044,12 +1027,12 @@ class _CgaGen:
             w(ind + "_sp = mem_s[_b]")
             w(ind + "M = _sp._mem")
             w(ind + "BNF = _sp._bank_next_free")
-        self._emit_lane(lines, ind, "ends[_b] = %s")
+        self._emit_lane(lines, ind)
         w("        except _ME as exc:")
         w("            faults[_b] = exc")
         return "\n".join(lines) + "\n"
 
-    # -- trip-specialized emission (batch tier) ------------------------
+    # -- trip-specialized emission ------------------------------------
     #
     # When the batch driver groups lanes it already keys on the resolved
     # trip count, so the batch function may legally bake the trip into
@@ -1246,7 +1229,7 @@ class _CgaGen:
 
     # -- lane assembly --------------------------------------------------
 
-    def _emit_lane(self, lines: List[str], ind: str, result_tmpl: str) -> None:
+    def _emit_lane(self, lines: List[str], ind: str) -> None:
         k = self.kernel
         ii = k.ii
         k1 = k.stage_count - 1
@@ -1290,7 +1273,7 @@ class _CgaGen:
                 w(ind + "w%d_%d = _A" % (rec.oid, j))
         w(ind + "stall_offset = 0")
         w(ind + "n_cdrf_r = n_cdrf_w = n_cprf_r = n_cprf_w = n_lrf_r = n_lrf_w = n_itx = 0")
-        if self.batch and self.has_mem:
+        if self.has_mem:
             w(ind + "n_l1r = n_l1w = n_bc = bc_stall = 0")
         w(ind + "squashed = 0")
         w(ind + "pred_weight = 0")
@@ -1355,7 +1338,7 @@ class _CgaGen:
         w(ind + "stats.squashed_ops += squashed")
         w(ind + "stats.config_words += %d * total_logical" % k.context_words)
         w(ind + "stats.cga_cycles += preload_cycles + total_logical + drain + stall_offset")
-        if self.batch and self.has_mem:
+        if self.has_mem:
             w(ind + "stats.l1_reads += n_l1r")
             w(ind + "stats.l1_writes += n_l1w")
             w(ind + "stats.l1_bank_conflicts += n_bc")
@@ -1363,45 +1346,29 @@ class _CgaGen:
         w(ind + "stats.add_stall(_BC, stall_offset)")
         for fu in sorted(self.latch_fus):
             w(ind + "out_latch[%d] = l_%d" % (fu, fu))
-        w(ind + result_tmpl % "start_cycle + total_logical + stall_offset + drain")
-
-
-def cga_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
-               cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int]):
-    """Return ``(fn, imms)`` for *kernel* on *arch*.
-
-    ``fn`` is the compiled steady-state function (shared across
-    ``patch_constants`` variants through the structural cache key);
-    ``imms`` is this kernel's immediate pool to pass at call time.
-    Raises :class:`CodegenUnsupported` when the static port-pressure
-    proof fails, and *fault* for malformed kernels (same messages as the
-    decoded tier's ``decode_kernel``).
-    """
-    key = ("cga", arch.fingerprint(), cga_signature(kernel))
-
-    def gen() -> str:
-        return _CgaGen(kernel, arch, fault, cdrf_ports, cprf_ports).generate()
-
-    source = _cached_source(key, "cga", kernel.name, gen)
-    fn = _compiled_fn(key, source, "_cga_run", {})
-    return fn, cga_imms(kernel)
+        w(ind + "ends[_b] = start_cycle + total_logical + stall_offset + drain")
 
 
 def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
                      cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
-                     n_lanes: int, trip: Optional[int] = None):
+                     trip: Optional[int] = None):
     """Return the lane-batched steady-state function for *kernel*.
 
-    Same contracts as :func:`cga_runner`, but the compiled function
-    advances ``n_lanes`` packets per call through structure-of-arrays
-    arguments (``trips``, per-lane immediate pools, per-lane register
-    backing lists, per-lane scratchpads) and the batch width joins the
-    cache key — the L1 geometry it inlines is already covered by
-    ``arch.fingerprint()``.  Per-lane pools come from :func:`cga_imms`
-    of each ``patch_constants`` variant, so every lane shares this one
-    compile.  Lanes must have ``trip >= 1``; the caller filters the
-    rest.  Faulted lanes (``faults[lane]`` set) carry unusable partial
-    state and must be re-run per-packet from scratch.
+    The compiled function advances as many packets per call as its
+    structure-of-arrays arguments hold (``trips``, per-lane immediate
+    pools, per-lane register backing lists, per-lane scratchpads); a
+    single packet is a one-element batch.  The width is a call-time
+    value, not part of the source, so one compile serves every width;
+    the L1 geometry it inlines is covered by ``arch.fingerprint()``.
+    Per-lane pools come from :func:`cga_imms` of each
+    ``patch_constants`` variant, so every lane shares this one compile.
+    Lanes must have ``trip >= 1``; the caller filters the rest.
+    Faulted lanes (``faults[lane]`` set) carry unusable partial state
+    and must be re-run from scratch.
+
+    Raises :class:`CodegenUnsupported` when the static port-pressure
+    proof fails, and *fault* for malformed kernels (same messages as the
+    decoded tier's ``decode_kernel``).
 
     With *trip* (the batch driver groups lanes by resolved trip count
     anyway) the function is additionally specialized on the trip: the
@@ -1410,12 +1377,11 @@ def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
     key; trips per kernel come from a small fixed set (the region
     programs bake them in), so the key space stays bounded.
     """
-    key = ("cga-batch", arch.fingerprint(), int(n_lanes),
+    key = ("cga-batch", arch.fingerprint(),
            None if trip is None else int(trip), cga_signature(kernel))
 
     def gen() -> str:
         return _CgaGen(kernel, arch, fault, cdrf_ports, cprf_ports,
-                       n_lanes=int(n_lanes),
                        trip=None if trip is None else int(trip)).generate_batch()
 
     source = _cached_source(key, "cga-batch", kernel.name, gen)
@@ -1515,9 +1481,8 @@ class _VliwGen:
     """Emits the straight-line function of one branch-free segment."""
 
     def __init__(self, bundles, start_pc: int, end_pc: int, slot_fus,
-                 cdrf, cprf, fault, l1_geom: Optional[Tuple[int, int]] = None,
-                 icache_geom: Optional[Tuple[int, int, int]] = None,
-                 n_lanes: Optional[int] = None) -> None:
+                 cdrf, cprf, fault, l1_geom: Tuple[int, int],
+                 icache_geom: Tuple[int, int, int]) -> None:
         self.bundles = bundles
         self.start_pc = start_pc
         self.end_pc = end_pc
@@ -1526,10 +1491,8 @@ class _VliwGen:
         self.ports = (cdrf.read_ports, cdrf.write_ports,
                       cprf.read_ports, cprf.write_ports)
         self.fault = fault
-        self.l1_geom = l1_geom  # (n_banks, size_bytes); batch mode only
+        self.l1_geom = l1_geom  # (n_banks, size_bytes)
         self.icache_geom = icache_geom  # (n_lines, bundles_per_line, miss_penalty)
-        self.n_lanes = n_lanes
-        self.batch = n_lanes is not None
         self.pool, self.pool_index = _vliw_pool_map(bundles, start_pc, end_pc)
         self.wb_counter = 0
         groups = [group_of(inst.opcode)
@@ -1587,7 +1550,7 @@ class _VliwGen:
     # -- per-instruction issue emission --------------------------------
 
     def _emit_inst(self, lines: List[str], ind: str, pc: int, slot: int,
-                   inst, wb: Optional[dict], last_bundle: bool) -> None:
+                   inst, wb: Optional[dict]) -> None:
         group = group_of(inst.opcode)
         weight = op_weight(inst.opcode)
         fu = self.slot_fus[slot] if slot < len(self.slot_fus) else slot
@@ -1646,10 +1609,7 @@ class _VliwGen:
                     body + "addr = (((%s) & 4294967295) + ((%s) & 4294967295)) & 4294967295"
                     % (base, offx)
                 )
-            if self.batch:
-                _emit_inline_read(lines, body, "cycle", info.size, *self.l1_geom)
-            else:
-                lines.append(body + "raw, extra = timed_read(cycle, addr, %d)" % info.size)
+            _emit_inline_read(lines, body, "cycle", info.size, *self.l1_geom)
             if wb is None:
                 return
             target = wb["var"]
@@ -1674,15 +1634,10 @@ class _VliwGen:
             )
             sv = self._read(lines, body, pc, slot, 2, inst.srcs[2])
             mask = (1 << (info.size * 8)) - 1
-            if self.batch:
-                # The write's conflict delay is ignored in VLIW mode
-                # (same as the per-packet call discarding the return).
-                lines.append(body + "v_st = (%s) & %d" % (sv, mask))
-                _emit_inline_write(lines, body, "cycle", info.size, *self.l1_geom)
-            else:
-                lines.append(
-                    body + "timed_write(cycle, addr, (%s) & %d, %d)" % (sv, mask, info.size)
-                )
+            # The write's conflict delay is ignored in VLIW mode (the
+            # decoded tier discards ``timed_write``'s return the same way).
+            lines.append(body + "v_st = (%s) & %d" % (sv, mask))
+            _emit_inline_write(lines, body, "cycle", info.size, *self.l1_geom)
         elif group is OpGroup.BRANCH:
             latency = latency_of(inst.opcode)
             lines.append(body + "taken = True")
@@ -1723,25 +1678,15 @@ class _VliwGen:
 
     # -- whole-function assembly ---------------------------------------
 
-    def generate(self) -> str:
-        lines: List[str] = []
-        lines.append(
-            "def _vliw_run(start_cycle, max_cycle, imms, CD, CP, reg_ready, pred_ready,"
-            " icache_fetch, timed_read, timed_write, stats, tracer):"
-        )
-        self._emit_lane(lines, "    ")
-        lines.append("    return stop, next_pc, cycle")
-        return "\n".join(lines) + "\n"
-
     def generate_batch(self) -> str:
-        """Lane-batched variant of :meth:`generate`: structure-of-arrays
-        arguments, the scratchpad *and* the instruction cache inlined
-        (per-lane tag lists with compile-time line index/tag constants),
-        tracer hooks dropped — the batch driver requires tracing
-        disabled.  Per-lane results land in ``stops``/``next_pcs``/
-        ``cycles_out``; a faulting lane lands its exception in
-        ``faults[lane]`` (partial state unusable, re-run per-packet)
-        while the remaining lanes complete."""
+        """One function advancing any number of packets through the
+        segment: structure-of-arrays arguments, the scratchpad *and* the
+        instruction cache inlined (per-lane tag lists with compile-time
+        line index/tag constants), no tracer hooks — the lockstep
+        runner requires tracing disabled.  Per-lane results land in
+        ``stops``/``next_pcs``/``cycles_out``; a faulting lane lands its
+        exception in ``faults[lane]`` (partial state unusable, re-run
+        from scratch) while the remaining lanes complete."""
         lines: List[str] = []
         w = lines.append
         w("def _vliw_run_batch(start_cycles, max_cycle, imms_s, CD_s, CP_s,"
@@ -1749,7 +1694,7 @@ class _VliwGen:
           " stops, next_pcs, cycles_out, faults):")
         if self.has_load:
             w("    _fb = int.from_bytes")
-        w("    for _b in range(%d):" % self.n_lanes)
+        w("    for _b in range(len(start_cycles)):")
         w("        try:")
         ind = "            "
         w(ind + "start_cycle = start_cycles[_b]")
@@ -1773,17 +1718,9 @@ class _VliwGen:
         return "\n".join(lines) + "\n"
 
     def _emit_fetch(self, lines: List[str], bind: str, pc: int) -> None:
-        """Instruction fetch: a bound-method call per-packet, the cache
-        probe inlined with compile-time index/tag constants in batch
-        mode (``pc`` is a literal, so both are)."""
+        """Instruction fetch: the cache probe inlined with compile-time
+        index/tag constants (``pc`` is a literal, so both are)."""
         w = lines.append
-        if not self.batch:
-            w(bind + "miss = icache_fetch(%d, cycle)" % pc)
-            w(bind + "if miss:")
-            w(bind + "    add_stall(_IC, miss)")
-            w(bind + "    vliw_cycles += miss")
-            w(bind + "    cycle += miss")
-            return
         n_lines_, bundles_per_line, penalty = self.icache_geom
         line_addr = pc // bundles_per_line
         index = line_addr % n_lines_
@@ -1833,10 +1770,9 @@ class _VliwGen:
         w(ind + "vliw_ops = 0")
         w(ind + "squashed = 0")
         w(ind + "n_cdrf_r = n_cdrf_w = n_cprf_r = n_cprf_w = 0")
-        if self.batch:
-            if self.has_mem:
-                w(ind + "n_l1r = n_l1w = n_bc = bc_stall = 0")
-            w(ind + "n_ic_h = n_ic_m = 0")
+        if self.has_mem:
+            w(ind + "n_l1r = n_l1w = n_bc = bc_stall = 0")
+        w(ind + "n_ic_h = n_ic_m = 0")
         w(ind + "stop = None")
         w(ind + "next_pc = %d" % self.end_pc)
         last_pc = self.end_pc - 1
@@ -1890,10 +1826,6 @@ class _VliwGen:
                 w(bind + "    wait = need - cycle")
                 w(bind + "    add_stall(_IL, wait)")
                 w(bind + "    vliw_cycles += wait")
-                if not self.batch:
-                    w(bind + "    if tracer.enabled:")
-                    w(bind + "        tracer.instant('stall.interlock', cycle, cat='stall',"
-                      " args={'pc': %d, 'cycles': wait})" % pc)
                 w(bind + "    cycle = need")
             # Issue: pre-clear predicated writeback slots, then the
             # instructions in slot order; two-phase write-back follows.
@@ -1918,7 +1850,7 @@ class _VliwGen:
                     wbs.append(wb)
                     if wb["guarded"]:
                         w(bind + "%s = _A" % wb["var"])
-                self._emit_inst(lines, bind, pc, slot, inst, wb, pc == last_pc)
+                self._emit_inst(lines, bind, pc, slot, inst, wb)
             for wb in wbs:
                 sub = bind
                 if wb["guarded"]:
@@ -1942,10 +1874,6 @@ class _VliwGen:
             w(bind + "    dead = bl - 1")
             w(bind + "    add_stall(_BR, dead)")
             w(bind + "    vliw_cycles += dead")
-            if not self.batch:
-                w(bind + "    if tracer.enabled:")
-                w(bind + "        tracer.instant('stall.branch', cycle, cat='stall',"
-                  " args={'pc': %d, 'target': tgt, 'cycles': dead})" % last_pc)
             w(bind + "    cycle += dead")
             w(bind + "    next_pc = tgt")
         w(ind + "finally:")
@@ -1964,53 +1892,29 @@ class _VliwGen:
         w(ind + "    stats.cdrf_writes += n_cdrf_w")
         w(ind + "    stats.cprf_reads += n_cprf_r")
         w(ind + "    stats.cprf_writes += n_cprf_w")
-        if self.batch:
-            if self.has_mem:
-                w(ind + "    stats.l1_reads += n_l1r")
-                w(ind + "    stats.l1_writes += n_l1w")
-                w(ind + "    stats.l1_bank_conflicts += n_bc")
-                w(ind + "    stats.l1_conflict_stall_cycles += bc_stall")
-            w(ind + "    stats.icache_hits += n_ic_h")
-            w(ind + "    stats.icache_misses += n_ic_m")
-
-
-def vliw_runner(bundles, start_pc: int, slot_fus, cdrf, cprf, fault):
-    """Return ``(fn, imms)`` for the straight-line segment at *start_pc*.
-
-    Raises :class:`CodegenUnsupported` when the static port-pressure
-    proof fails (the engine pins a fallback-to-decoded marker), and
-    *fault* for malformed bundles (same messages as the decoded tier).
-    """
-    from repro.sim.vliw import StopEvent  # lazy: vliw.py imports this module
-
-    end_pc = vliw_segment_end(bundles, start_pc)
-    key = (
-        "vliw",
-        tuple(slot_fus),
-        (cdrf.width, cdrf.read_ports, cdrf.write_ports),
-        (cprf.read_ports, cprf.write_ports),
-        vliw_signature(bundles, start_pc, end_pc),
-    )
-
-    def gen() -> str:
-        return _VliwGen(bundles, start_pc, end_pc, slot_fus, cdrf, cprf, fault).generate()
-
-    source = _cached_source(key, "vliw", "pc%d" % start_pc, gen)
-    fn = _compiled_fn(key, source, "_vliw_run", {"_VF": fault, "_Stop": StopEvent})
-    return fn, tuple(_vliw_pool_map(bundles, start_pc, end_pc)[0])
+        if self.has_mem:
+            w(ind + "    stats.l1_reads += n_l1r")
+            w(ind + "    stats.l1_writes += n_l1w")
+            w(ind + "    stats.l1_bank_conflicts += n_bc")
+            w(ind + "    stats.l1_conflict_stall_cycles += bc_stall")
+        w(ind + "    stats.icache_hits += n_ic_h")
+        w(ind + "    stats.icache_misses += n_ic_m")
 
 
 def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
-                      scratchpad, icache, fault, n_lanes: int):
+                      scratchpad, icache, fault):
     """Return ``(fn, end_pc)`` — the lane-batched function for the
     straight-line segment at *start_pc* and the segment's exclusive end.
 
-    The batch width, the L1 geometry and the icache geometry all join
-    the cache key because the memory and instruction-cache models are
-    inlined into the generated source (the per-packet variant reaches
-    them through bound methods, so its key can omit them).  Per-lane
-    immediate pools come from the caller via ``_vliw_pool_map`` over
-    each lane's (possibly ``patch_constants``-patched) bundles.
+    The function serves any batch width (the width is the length of its
+    per-lane argument lists).  The L1 and icache geometry join the cache
+    key because the memory and instruction-cache models are inlined
+    into the generated source.  Per-lane immediate pools come
+    from the caller via :func:`vliw_imms` over each lane's (possibly
+    ``patch_constants``-patched) bundles.  Raises
+    :class:`CodegenUnsupported` when the static port-pressure proof
+    fails, and *fault* for malformed bundles (same messages as the
+    decoded tier).
     """
     from repro.sim.vliw import StopEvent  # lazy: vliw.py imports this module
 
@@ -2019,7 +1923,6 @@ def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
     icache_geom = (icache.n_lines, icache.bundles_per_line, icache.miss_penalty)
     key = (
         "vliw-batch",
-        int(n_lanes),
         tuple(slot_fus),
         (cdrf.width, cdrf.read_ports, cdrf.write_ports),
         (cprf.read_ports, cprf.write_ports),
@@ -2030,8 +1933,7 @@ def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
 
     def gen() -> str:
         return _VliwGen(bundles, start_pc, end_pc, slot_fus, cdrf, cprf, fault,
-                        l1_geom=l1_geom, icache_geom=icache_geom,
-                        n_lanes=int(n_lanes)).generate_batch()
+                        l1_geom=l1_geom, icache_geom=icache_geom).generate_batch()
 
     source = _cached_source(key, "vliw-batch", "pc%d" % start_pc, gen)
     fn = _compiled_fn(key, source, "_vliw_run_batch",
@@ -2043,3 +1945,10 @@ def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
 def vliw_imms(bundles, start_pc: int, end_pc: int) -> Tuple[int, ...]:
     """One lane's immediate pool for the segment, in canonical order."""
     return tuple(_vliw_pool_map(bundles, start_pc, end_pc)[0])
+
+
+# Aliases: the benchmark suite's span tracer (``benchmarks/suite/spans.py``)
+# wraps these two names as well as the batch runners, by attribute, and
+# the suite is kept unchanged so its runs stay comparable across commits.
+cga_runner = cga_batch_runner
+vliw_runner = vliw_batch_runner

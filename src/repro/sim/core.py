@@ -102,9 +102,13 @@ class Core:
         use_decoded = interpreter in ("decoded", "compiled")
         self.vliw.use_decoded = use_decoded
         self.cga.use_decoded = use_decoded
-        use_compiled = interpreter == "compiled"
-        self.vliw.use_compiled = use_compiled
-        self.cga.use_compiled = use_compiled
+        #: The compiled tier: this core as the single lane of its own
+        #: lockstep runner (generated code at width 1).
+        self._runner = None
+        if interpreter == "compiled":
+            from repro.sim.batch import BatchProgramRunner  # imports this module
+
+            self._runner = BatchProgramRunner()
         self.cycle = 0
         self.pc = 0
         self.halted = False
@@ -118,17 +122,17 @@ class Core:
 
         Used by the batched runtime to re-drive resident cores with
         ``patch_constants`` variants of a linked program.  The VLIW
-        engine's per-pc decode/compile caches hold immediate pools read
-        from the bundle objects, so they are dropped whenever the
-        program object actually changes; rebinding the same object is
-        free and keeps every cache warm.
+        engine's per-pc decode cache holds immediate pools read from the
+        bundle objects, so it is dropped whenever the program object
+        actually changes; rebinding the same object is free and keeps
+        every cache warm.  (Runner memos are identity-guarded and need
+        no reset.)
         """
         if program is self.program:
             return
         self.program = program
         self.vliw.bundles = program.bundles
         self.vliw._decoded = []
-        self.vliw._compiled = []
 
     def load_configuration(self, stall_core: bool = False) -> int:
         """DMA-preload all kernels' configuration contexts (accounting only).
@@ -153,10 +157,22 @@ class Core:
         return bus_cycles
 
     def run(self, max_cycles: int = 10_000_000) -> ActivityStats:
-        """Run the program to halt/end; returns the accumulated statistics."""
+        """Run the program to halt/end; returns the accumulated statistics.
+
+        The compiled tier runs this core as a one-lane batch on its own
+        :class:`~repro.sim.batch.BatchProgramRunner`.  Generated code has
+        no tracer hooks, so with tracing enabled it runs the decoded tier
+        instead (bit-identical, and it emits every event).
+        """
         from repro.sim.vliw import VliwFault
 
         tracer = self.tracer
+        if self._runner is not None and not tracer.enabled:
+            self._runner.max_cycles = max_cycles
+            (lane,) = self._runner.run([self])
+            if lane.error is not None:
+                raise lane.error
+            return self.stats.validate()
         while not self.halted:
             if self.cycle > max_cycles:
                 raise SimulationError(

@@ -24,7 +24,7 @@ from repro.isa.bits import MASK32
 from repro.isa.instruction import Imm, Instruction, PredReg, Reg
 from repro.isa.opcodes import Opcode, OpGroup, group_of, latency_of
 from repro.isa.semantics import execute as exec_semantics
-from repro.sim import codegen, memops
+from repro.sim import memops
 from repro.sim.decode import (
     KIND_BRANCH,
     KIND_DATAFLOW,
@@ -84,16 +84,9 @@ class VliwEngine:
         #: Lazily filled per-PC decoded-bundle cache (parallel to
         #: ``bundles``; rebuilt if the stream length changes).
         self._decoded: List[Optional[DecodedBundle]] = []
-        #: Per-PC compiled-segment cache (parallel to ``bundles``):
-        #: ``None`` = not tried, ``False`` = refused (decoded fallback),
-        #: else ``(fn, imms)`` covering the segment starting at that PC.
-        self._compiled: List[object] = []
         #: When False, :meth:`run` uses the reference interpreter
         #: (:meth:`run_reference`) instead of the decoded fast path.
         self.use_decoded = True
-        #: When True (and ``use_decoded``), :meth:`run` prefers compiled
-        #: straight-line segments (:mod:`repro.sim.codegen`).
-        self.use_compiled = False
 
     # ------------------------------------------------------------------
 
@@ -132,66 +125,15 @@ class VliwEngine:
     ) -> Tuple[StopEvent, int]:
         """Execute from *start_pc*; returns (stop event, cycle after stop).
 
-        Dispatches to the selected interpreter tier: the reference
-        per-cycle loop, the decoded fast path, or compiled straight-line
-        segments (which themselves fall back to decoded per segment when
-        codegen refuses a construct).  All tiers are bit-identical.
+        Dispatches to the reference per-cycle loop or the decoded fast
+        path.  The compiled tier does not come through here: it is
+        :class:`repro.sim.batch.BatchProgramRunner`, which calls
+        :meth:`run_decoded` only for segments the code generator
+        refuses.  All tiers are bit-identical.
         """
         if not self.use_decoded:
             return self.run_reference(start_pc, start_cycle, max_cycle)
-        if self.use_compiled:
-            return self.run_compiled(start_pc, start_cycle, max_cycle)
         return self.run_decoded(start_pc, start_cycle, max_cycle)
-
-    def run_compiled(
-        self, start_pc: int, start_cycle: int, max_cycle: Optional[int] = None
-    ) -> Tuple[StopEvent, int]:
-        """Compiled tier: one generated function per branch-free segment.
-
-        Each segment (straight-line bundles through the first branch or
-        control instruction) is compiled once via
-        :func:`repro.sim.codegen.vliw_runner` and cached per start PC; a
-        refused segment is pinned to the decoded tier.  Bit-identical to
-        :meth:`run_decoded` / :meth:`run_reference`.
-        """
-        bundles = self.bundles
-        n_bundles = len(bundles)
-        cache = self._compiled
-        if len(cache) != n_bundles:
-            cache = self._compiled = [None] * n_bundles
-        pc = start_pc
-        cycle = start_cycle
-        while 0 <= pc < n_bundles:
-            entry = cache[pc]
-            if entry is False:
-                return self.run_decoded(pc, cycle, max_cycle)
-            if entry is None:
-                try:
-                    entry = codegen.vliw_runner(
-                        bundles, pc, self.slot_fus, self.cdrf, self.cprf, VliwFault
-                    )
-                except codegen.CodegenUnsupported:
-                    cache[pc] = False
-                    return self.run_decoded(pc, cycle, max_cycle)
-                cache[pc] = entry
-            fn, imms = entry
-            stop, pc, cycle = fn(
-                cycle,
-                max_cycle,
-                imms,
-                self.cdrf._regs,
-                self.cprf._regs,
-                self._reg_ready,
-                self._pred_ready,
-                self.icache.fetch,
-                self.scratchpad.timed_read,
-                self.scratchpad.timed_write,
-                self.stats,
-                self.tracer,
-            )
-            if stop is not None:
-                return stop, cycle
-        return StopEvent("end", next_pc=pc), cycle
 
     def run_decoded(
         self, start_pc: int, start_cycle: int, max_cycle: Optional[int] = None

@@ -88,7 +88,7 @@ def test_batch_drain_coalesces_and_reports_occupancy():
     )
     with fab:
         packets = _packets(9)
-        ids = [fab.submit(rx) for rx in packets]
+        ids = [fab.offer(rx).task_id for rx in packets]
         results = fab.drain(timeout=30)
     assert sorted(results) == sorted(ids)
     widths = []
@@ -126,7 +126,7 @@ def test_batched_dispatch_reports_per_task_errors():
     with fab:
         packets = _packets(6)
         packets[3] = np.full((2, 400), -1.0)  # poison one mid-batch lane
-        ids = [fab.submit(rx) for rx in packets]
+        ids = [fab.offer(rx).task_id for rx in packets]
         results = fab.drain(timeout=30)
     assert sorted(results) == sorted(ids)
     for k, task_id in enumerate(ids):
@@ -144,7 +144,7 @@ def test_runner_without_batch_support_still_serves_batched_dispatches():
     fab = Fabric(workers=1, batch=4, queue_depth=16, runner_factory=_plain_factory)
     with fab:
         packets = _packets(8)
-        ids = [fab.submit(rx) for rx in packets]
+        ids = [fab.offer(rx).task_id for rx in packets]
         results = fab.drain(timeout=30)
     assert sorted(results) == sorted(ids)
     for task_id, rx in zip(ids, packets):
@@ -163,7 +163,7 @@ def test_mixed_shapes_never_share_a_dispatch():
         packets = [
             np.full((2, 400 + 16 * (k % 2)), float(k + 1)) for k in range(8)
         ]
-        ids = [fab.submit(rx) for rx in packets]
+        ids = [fab.offer(rx).task_id for rx in packets]
         results = fab.drain(timeout=30)
     for task_id, rx in zip(ids, packets):
         out = results[task_id]

@@ -49,7 +49,7 @@ def _assert_identical(fabric_out, serial_out):
 def test_fabric_results_bit_identical_to_serial(template, cases, serial_outputs):
     fab = Fabric(workers=2, template_runtime=template, queue_depth=4)
     with fab:
-        ids = [fab.submit(case.rx) for case in cases]
+        ids = [fab.offer(case.rx).task_id for case in cases]
         results = fab.drain(timeout=300)
     assert sorted(results) == sorted(ids)
     for task_id, serial_out in zip(ids, serial_outputs):
@@ -69,7 +69,7 @@ def test_sigkill_mid_stream_requeues_and_respawns(template, cases, serial_output
     is lost or duplicated."""
     fab = Fabric(workers=2, template_runtime=template, queue_depth=4)
     with fab:
-        ids = [fab.submit(case.rx) for case in cases]
+        ids = [fab.offer(case.rx).task_id for case in cases]
         time.sleep(0.5)  # let both workers get busy mid-stream
         os.kill(fab.worker_pids()[0], signal.SIGKILL)
         results = fab.drain(timeout=300)
@@ -104,7 +104,7 @@ def test_sigstop_watchdog_escalation_stays_bit_identical(
         watchdog_escalate=True,
     )
     with fab:
-        ids = [fab.submit(case.rx) for case in cases]
+        ids = [fab.offer(case.rx).task_id for case in cases]
         time.sleep(0.3)  # both workers busy mid-stream
         os.kill(fab.worker_pids()[0], signal.SIGSTOP)
         results = fab.drain(timeout=300)
@@ -133,7 +133,7 @@ def test_mixed_shapes_with_affinity_decode_correctly(template):
         workers=2, template_runtime=template, queue_depth=4, policy="shape_affinity"
     )
     with fab:
-        ids = [fab.submit(case.rx) for case in mixed]
+        ids = [fab.offer(case.rx).task_id for case in mixed]
         results = fab.drain(timeout=300)
     for task_id, case in zip(ids, mixed):
         assert float(np.mean(results[task_id].bits != case.bits)) == 0.0

@@ -50,7 +50,7 @@ def test_submit_drain_results_and_counters():
     fab = Fabric(workers=2, runner_factory=_fast_factory, queue_depth=4)
     with fab:
         packets = _packets(6)
-        ids = [fab.submit(rx) for rx in packets]
+        ids = [fab.offer(rx).task_id for rx in packets]
         results = fab.drain(timeout=30)
     assert sorted(results) == sorted(ids)
     for task_id, rx in zip(ids, packets):
@@ -67,7 +67,7 @@ def test_submit_drain_results_and_counters():
 def test_both_workers_share_the_load():
     fab = Fabric(workers=2, runner_factory=_slow_factory, queue_depth=4)
     with fab:
-        ids = [fab.submit(rx) for rx in _packets(4)]
+        ids = [fab.offer(rx).task_id for rx in _packets(4)]
         results = fab.drain(timeout=30)
     pids = {results[i]["pid"] for i in ids}
     assert len(pids) == 2, "round-robin should use both workers"
@@ -78,7 +78,7 @@ def test_drop_backpressure_sheds_with_accounting():
         workers=1, runner_factory=_slow_factory, queue_depth=1, backpressure="drop"
     )
     with fab:
-        ids = [fab.submit(rx) for rx in _packets(5)]
+        ids = [fab.offer(rx).task_id for rx in _packets(5)]
         accepted = [i for i in ids if i is not None]
         dropped = ids.count(None)
         assert dropped >= 3, ids  # depth 1 + one in flight at most
@@ -99,7 +99,7 @@ def test_deadline_backpressure_rejects_late_packets():
         deadline_s=0.05,
     )
     with fab:
-        ids = [fab.submit(rx) for rx in _packets(4)]
+        ids = [fab.offer(rx).task_id for rx in _packets(4)]
         accepted = [i for i in ids if i is not None]
         assert ids[0] is not None
         assert None in ids, "a 0.05s deadline cannot absorb 4 x 0.25s packets"
@@ -112,7 +112,7 @@ def test_deadline_backpressure_rejects_late_packets():
 def test_deadline_expiry_in_queue_leaves_a_sentinel_result():
     """An *accepted* packet whose deadline lapses while queued must still
     resolve in results() — as a DeadlineExceeded sentinel — so a caller
-    indexing the id submit() returned never KeyErrors."""
+    indexing the id offer() accepted never KeyErrors."""
     fab = Fabric(
         workers=1,
         runner_factory=_slow_factory,
@@ -121,10 +121,10 @@ def test_deadline_expiry_in_queue_leaves_a_sentinel_result():
         deadline_s=0.1,
     )
     with fab:
-        first = fab.submit(np.ones((2, 400)))  # dispatched immediately
+        first = fab.offer(np.ones((2, 400))).task_id  # dispatched immediately
         # Accepted (queue has room) but stuck behind the 0.25s packet in
         # flight, so its 0.1s deadline expires before it can dispatch.
-        second = fab.submit(np.ones((2, 400)))
+        second = fab.offer(np.ones((2, 400))).task_id
         assert first is not None and second is not None
         results = fab.drain(timeout=30)
     assert results[first]["sum"] == float(np.sum(np.ones((2, 400))))
@@ -145,7 +145,7 @@ def test_block_backpressure_completes_everything():
     )
     with fab:
         packets = _packets(6)
-        ids = [fab.submit(rx) for rx in packets]
+        ids = [fab.offer(rx).task_id for rx in packets]
         assert None not in ids
         results = fab.drain(timeout=30)
     assert len(results) == 6
@@ -163,11 +163,11 @@ def test_block_backpressure_times_out():
         submit_timeout_s=0.2,
     )
     with fab:
-        fab.submit(np.ones((2, 400)))  # occupies the only queue slot
+        fab.offer(np.ones((2, 400)))  # occupies the only queue slot
         # The worker needs 0.25s per packet but submission only waits
         # 0.2s, so the second offer must time out.
         with pytest.raises(SubmitTimeout, match="no queue space"):
-            fab.submit(np.ones((2, 400)))
+            fab.offer(np.ones((2, 400)))
         fab.drain(timeout=30)
 
 
@@ -175,7 +175,7 @@ def test_worker_crash_requeues_respawns_and_loses_nothing():
     fab = Fabric(workers=2, runner_factory=_slow_factory, queue_depth=4)
     with fab:
         packets = _packets(6)
-        ids = [fab.submit(rx) for rx in packets]
+        ids = [fab.offer(rx).task_id for rx in packets]
         time.sleep(0.3)  # let worker 0 get busy mid-stream
         victim = fab.worker_pids()[0]
         os.kill(victim, signal.SIGKILL)
@@ -200,7 +200,7 @@ def test_respawn_resets_shape_affinity_state():
         workers=2, runner_factory=_fast_factory, queue_depth=4, policy="shape_affinity"
     )
     with fab:
-        fab.submit(np.ones((2, 400)))
+        fab.offer(np.ones((2, 400)))
         fab.drain(timeout=30)
         victim = next(w for w in fab._workers if w.state.shapes)
         os.kill(victim.proc.pid, signal.SIGKILL)
@@ -210,7 +210,7 @@ def test_respawn_resets_shape_affinity_state():
         assert fab._counters["respawns"] == 1
         assert victim.state.shapes == set(), "stale shapes survive respawn"
         # The respawned slot still serves traffic.
-        task_id = fab.submit(np.ones((2, 400)))
+        task_id = fab.offer(np.ones((2, 400))).task_id
         results = fab.drain(timeout=30)
     assert results[task_id]["sum"] == float(np.sum(np.ones((2, 400))))
 
@@ -220,8 +220,8 @@ def test_task_error_is_recorded_and_worker_survives():
     with fab:
         poison = np.full((2, 400), -1.0)
         good = np.ones((2, 400))
-        bad_id = fab.submit(poison)
-        good_id = fab.submit(good)
+        bad_id = fab.offer(poison).task_id
+        good_id = fab.offer(good).task_id
         results = fab.drain(timeout=30)
     assert isinstance(results[bad_id], FabricTaskError)
     assert "poison packet" in str(results[bad_id])
@@ -238,8 +238,8 @@ def test_shape_affinity_routes_same_shape_to_same_worker():
     with fab:
         shape_a = [np.full((2, 400), 1.0) for _ in range(3)]
         shape_b = [np.full((2, 464), 2.0) for _ in range(3)]
-        ids_a = [fab.submit(rx) for rx in shape_a]
-        ids_b = [fab.submit(rx) for rx in shape_b]
+        ids_a = [fab.offer(rx).task_id for rx in shape_a]
+        ids_b = [fab.offer(rx).task_id for rx in shape_b]
         results = fab.drain(timeout=30)
     pids_a = {results[i]["pid"] for i in ids_a}
     pids_b = {results[i]["pid"] for i in ids_b}
@@ -253,13 +253,13 @@ def test_shape_affinity_routes_same_shape_to_same_worker():
 def test_graceful_shutdown_drains_then_stops_workers():
     fab = Fabric(workers=2, runner_factory=_slow_factory, queue_depth=4)
     fab.start()
-    ids = [fab.submit(rx) for rx in _packets(4)]
+    ids = [fab.offer(rx).task_id for rx in _packets(4)]
     fab.shutdown(drain=True, timeout=30)
     results = fab.results()
     assert sorted(results) == sorted(ids)
     assert all(not w.proc.is_alive() for w in fab._workers)
     with pytest.raises(FabricClosed):
-        fab.submit(np.ones((2, 400)))
+        fab.offer(np.ones((2, 400)))
 
 
 def test_lifecycle_and_config_validation():
@@ -273,4 +273,4 @@ def test_lifecycle_and_config_validation():
         Fabric(backpressure="deadline")
     fab = Fabric(workers=1, runner_factory=_fast_factory)
     with pytest.raises(FabricClosed, match="not started"):
-        fab.submit(np.ones((2, 400)))
+        fab.offer(np.ones((2, 400)))

@@ -69,9 +69,9 @@ def test_submit_timeout_carries_structured_fields():
         submit_timeout_s=0.2,
     )
     with fab:
-        fab.submit(np.ones((2, 400)))
+        fab.offer(np.ones((2, 400)))
         with pytest.raises(SubmitTimeout) as exc:
-            fab.submit(np.ones((2, 400)))
+            fab.offer(np.ones((2, 400)))
         fab.drain(timeout=30)
     err = exc.value
     assert err.timeout_s == 0.2
@@ -81,13 +81,14 @@ def test_submit_timeout_carries_structured_fields():
     assert "no queue space" in str(err)
 
 
-def test_submit_still_returns_plain_task_ids():
-    """Compat: submit() is offer().task_id — id or None, never an outcome."""
+def test_offer_task_id_is_plain_id_or_none():
+    """``offer().task_id`` — what every caller reads — is an int id or
+    None, never an outcome."""
     fab = Fabric(
         workers=1, runner_factory=_slow_factory, queue_depth=1, backpressure="drop"
     )
     with fab:
-        ids = [fab.submit(np.ones((2, 400))) for _ in range(4)]
+        ids = [fab.offer(np.ones((2, 400))).task_id for _ in range(4)]
         assert any(i is None for i in ids)
         assert all(i is None or isinstance(i, int) for i in ids)
         fab.drain(timeout=30)

@@ -13,8 +13,16 @@ import pytest
 import repro
 from repro.compiler.linker import _SCHEDULE_CACHE, configure_schedule_cache
 from repro.modem.receiver import SimReceiver
-from repro.runtime import BatchReceiver, ModemRuntime, WorkerCrashError, generate_packets
+from repro.runtime import (
+    BatchedModemRuntime,
+    BatchReceiver,
+    ModemRuntime,
+    WorkerCrashError,
+    generate_packets,
+    make_packet,
+)
 from repro.runtime import batch as batch_module
+from repro.sim import Core, codegen
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -119,11 +127,9 @@ def test_killed_pool_worker_raises_typed_crash_error(monkeypatch):
 
 
 def test_batched_runtime_ragged_chunk_is_not_a_fallback(cases):
-    """A trailing singleton chunk (N % B != 0) runs per-packet by
-    design; it must stay bit-identical to the per-packet compiled tier
-    and must NOT count toward the divergence ``fallbacks`` counter."""
-    from repro.runtime import BatchedModemRuntime
-
+    """A trailing singleton chunk (N % B != 0) runs on the resident
+    lane cores at width 1; it must stay bit-identical to the
+    single-packet tier and must NOT count toward ``fallbacks``."""
     subset = [case.rx for case in cases[:3]]
     serial = ModemRuntime()
     expected = [serial.run_packet(rx) for rx in subset]
@@ -133,6 +139,79 @@ def test_batched_runtime_ragged_chunk_is_not_a_fallback(cases):
         _assert_outputs_identical(out, ref)
     assert batched.packets_run == 3
     assert batched.fallbacks == 0, "ragged singleton chunk is not a fallback"
+
+
+#: Trailing-pad lengths of the mixed-shape serving traffic.
+MIXED_PADS = (0, 64, 160)
+
+
+@pytest.fixture(scope="module")
+def warm_mixed_runtime():
+    """A batched runtime warmed on every mixed-traffic shape at widths 1
+    and 4, counting each codegen entry-point call and each
+    ``CodegenUnsupported`` refusal made while warming."""
+    counts = {"calls": 0, "unsupported": 0}
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            counts["calls"] += 1
+            try:
+                return fn(*args, **kwargs)
+            except codegen.CodegenUnsupported:
+                counts["unsupported"] += 1
+                raise
+
+        return wrapped
+
+    runtime = BatchedModemRuntime(batch=4)
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("cga_batch_runner", "vliw_batch_runner"):
+            mp.setattr(codegen, name, counting(getattr(codegen, name)))
+        for pad in MIXED_PADS:
+            rx = make_packet(7, extra_pad=pad).rx
+            for width in (1, 4):
+                runtime.run_batch([rx] * width)
+    return runtime, counts
+
+
+def test_codegen_never_refuses_a_modem_region_program(warm_mixed_runtime):
+    """Every modem region program compiles at widths 1 and 4: the
+    runner's decoded-tier fallback is reachable only from hand-built
+    programs that break the static port-pressure proof."""
+    runtime, counts = warm_mixed_runtime
+    assert counts["calls"] > 0
+    assert counts["unsupported"] == 0
+    assert runtime.fallbacks == 0
+    for region in runtime._regions.values():
+        assert None not in region.runner._vliw_fns.values()
+        assert None not in region.runner._cga_fns.values()
+
+
+def test_warm_single_packet_batch_runs_on_resident_cores(warm_mixed_runtime, monkeypatch):
+    """A single packet on a warm batched runtime is a batch of one on the
+    resident lane cores: no ``Core`` is built, nothing compiles, nothing
+    falls back, and the result matches the reference interpreter."""
+    runtime, _ = warm_mixed_runtime
+    rx = make_packet(8, extra_pad=64).rx
+    built = []
+    original_init = Core.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Core, "__init__", counting_init)
+    before = codegen.codegen_stats()["compilations"]
+    (result,) = runtime.run_batch_results([rx])
+    compiled = codegen.codegen_stats()["compilations"] - before
+    monkeypatch.undo()
+    assert built == []
+    assert compiled == 0
+    assert result.error is None
+    assert result.fell_back is False
+    reference = ModemRuntime(interpreter="reference").run_packet(rx)
+    assert list(result.output.bits) == list(reference.bits)
+    assert result.output.stats.total_cycles == reference.stats.total_cycles
 
 
 def test_runtime_tracks_warmed_shapes(cases):

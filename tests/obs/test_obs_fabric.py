@@ -48,7 +48,7 @@ def _pump_until(fab, predicate, timeout_s=10.0):
 def test_heartbeats_flow_and_report_carries_them():
     fab = Fabric(workers=2, runner_factory=_factory, heartbeat_s=0.1)
     with fab:
-        ids = [fab.submit(rx) for rx in _packets(4)]
+        ids = [fab.offer(rx).task_id for rx in _packets(4)]
         fab.drain(timeout=30)
         assert _pump_until(
             fab,
@@ -69,7 +69,7 @@ def test_window_snapshot_tracks_recent_completions():
     fab = Fabric(workers=1, runner_factory=_factory, heartbeat_s=0.0, window_s=30.0)
     with fab:
         for rx in _packets(5):
-            fab.submit(rx)
+            fab.offer(rx)
         fab.drain(timeout=30)
         window = fab.report()["window"]
     assert window["window_s"] == 30.0
@@ -91,7 +91,7 @@ def test_healthz_over_http_reports_sigstopped_worker_within_two_intervals():
         obs_port=0,
     )
     with fab:
-        fab.submit(np.ones((2, 400)))
+        fab.offer(np.ones((2, 400)))
         fab.drain(timeout=30)
         assert _pump_until(
             fab, lambda: all(w["heartbeats"] > 0 for w in fab.report()["per_worker"])
@@ -147,7 +147,7 @@ def test_watchdog_escalation_converts_stuck_into_crash_recovery():
         queue_depth=8,
     )
     with fab:
-        ids = [fab.submit(rx) for rx in _packets(6)]
+        ids = [fab.offer(rx).task_id for rx in _packets(6)]
         # SIGSTOP a busy worker: tasks are in flight, only the beat stops.
         victim = fab.worker_pids()[0]
         os.kill(victim, signal.SIGSTOP)
@@ -175,7 +175,7 @@ def test_health_degrades_to_warn_when_nobody_pumps():
     interval = 0.1
     fab = Fabric(workers=1, runner_factory=_factory, heartbeat_s=interval)
     with fab:
-        fab.submit(np.ones((2, 400)))
+        fab.offer(np.ones((2, 400)))
         fab.drain(timeout=30)
         fab.poll(0.05)  # a fresh pump timestamp
         time.sleep(6 * interval)  # nobody pumps: beats pile up unread
@@ -204,7 +204,7 @@ def test_events_endpoint_and_shed_accounting():
         obs_port=0,
     )
     with fab:
-        ids = [fab.submit(rx) for rx in _packets(5)]
+        ids = [fab.offer(rx).task_id for rx in _packets(5)]
         dropped = ids.count(None)
         assert dropped >= 3
         fab.drain(timeout=30)
@@ -231,7 +231,7 @@ def test_obs_server_lifecycle_follows_the_fabric():
 def test_heartbeats_disabled_leaves_plain_liveness():
     fab = Fabric(workers=1, runner_factory=_factory, heartbeat_s=0.0)
     with fab:
-        fab.submit(np.ones((2, 400)))
+        fab.offer(np.ones((2, 400)))
         fab.drain(timeout=30)
         report = fab.report()
         health = fab.health()
@@ -246,7 +246,7 @@ def test_metrics_text_lints_clean_with_live_data():
     fab = Fabric(workers=2, runner_factory=_factory, heartbeat_s=0.1)
     with fab:
         for rx in _packets(4):
-            fab.submit(rx)
+            fab.offer(rx)
         fab.drain(timeout=30)
         _pump_until(
             fab, lambda: all(w["heartbeats"] > 0 for w in fab.report()["per_worker"])

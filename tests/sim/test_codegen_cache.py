@@ -71,22 +71,51 @@ def _template_program():
 
 @pytest.mark.parametrize("interpreter", ["decoded", "compiled"])
 def test_engine_kernel_caches_are_bounded(interpreter):
-    """A long-lived engine fed many ``patch_constants`` variants (the
-    fabric-worker pattern) must not pin every kernel it ever ran."""
+    """A long-lived core fed many ``patch_constants`` variants (the
+    fabric-worker pattern) must not pin every kernel it ever ran.
+
+    Decoded: the engine's kernel LRU stays within the bound.  Compiled:
+    the core's own lockstep runner memoizes per lane slot and per
+    structural signature, so its tables stop growing after the first
+    variant, and later variants compile nothing."""
     template = _template_program()
     core = Core(paper_core(), template, interpreter=interpreter)
     n = KERNEL_CACHE_BOUND * 2 + 8
+    if interpreter == "decoded":
+        for value in range(1, n + 1):
+            variant = patch_constants(template, {_SENTINEL: value})
+            end = core.cga.run(variant.kernels[0], core.cycle)
+            assert end > core.cycle
+            assert core.cdrf.peek(10) == 4 * value
+            core.cdrf.poke(10, 0)
+        assert len(core.cga._decoded) <= KERNEL_CACHE_BOUND
+        return
+
+    runner = core._runner
+    tables = (runner._vliw_lane, runner._cga_lane, runner._vliw_fns,
+              runner._cga_fns, runner._sig_ids)
+    compiled = []
+    sizes = None
     for value in range(1, n + 1):
         variant = patch_constants(template, {_SENTINEL: value})
-        end = core.cga.run(variant.kernels[0], core.cycle)
-        assert end > core.cycle
+        core.rebind_program(variant)
+        core.pc = 0
+        core.halted = False
+        start = core.cycle
+        before = codegen.codegen_stats()["compilations"]
+        core.run()
+        compiled.append(codegen.codegen_stats()["compilations"] - before)
+        assert core.cycle > start
         assert core.cdrf.peek(10) == 4 * value
         core.cdrf.poke(10, 0)
-    assert len(core.cga._decoded) <= KERNEL_CACHE_BOUND
-    assert len(core.cga._compiled) <= KERNEL_CACHE_BOUND
-    # Structural sharing still holds: N variants, at most one compile.
-    if interpreter == "compiled":
-        assert codegen.codegen_stats()["compilations"] <= 1
+        if sizes is None:
+            sizes = [len(table) for table in tables]
+    assert [len(table) for table in tables] == sizes
+    assert all(size <= KERNEL_CACHE_BOUND for size in sizes)
+    assert len(core.cga._decoded) == 0  # never fell back to decoded
+    # Structural sharing still holds: N variants, compiles only for the first.
+    assert compiled[0] >= 1
+    assert not any(compiled[1:])
 
 
 def test_recycled_kernel_id_is_not_a_stale_hit():

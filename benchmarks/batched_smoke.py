@@ -3,7 +3,7 @@
 
 Serves one same-shape packet burst through a 2-worker
 :class:`~repro.fabric.Fabric` in batch-drain mode (``batch`` > 1), with
-every worker forked from a warm :class:`~repro.runtime.BatchedModemRuntime`
+every worker forked from a warm :class:`~repro.runtime.ModemRuntime`
 template on the shared schedule/codegen cache directory, and asserts:
 
 * **zero compiles at worker spin-up** — ``spinup_schedule_misses`` and
@@ -44,7 +44,7 @@ import reporting
 from repro.compiler.linker import schedule_cache_stats
 from repro.fabric import Fabric
 from repro.obs.prom import lint_exposition
-from repro.runtime import BatchedModemRuntime, ModemRuntime, generate_packets
+from repro.runtime import ModemRuntime, generate_packets
 from repro.sim import codegen
 from repro.sim.stats import ActivityStats
 from repro.trace import schema_errors
@@ -104,10 +104,10 @@ def main(argv=None) -> int:
         print("FAIL: nonzero serial BER on clean channel: %r" % bers, file=sys.stderr)
         return 1
 
-    # Warm batched template: pays (or loads from disk) every schedule
+    # Warm lockstep template: pays (or loads from disk) every schedule
     # and codegen compile before any worker forks.
     compiles_before = codegen.codegen_stats()["compilations"]
-    template = BatchedModemRuntime(batch=args.batch, cache_dir=args.cache)
+    template = ModemRuntime(batch=args.batch, cache_dir=args.cache)
     t0 = time.perf_counter()
     template.run_batch([case.rx for case in cases[: args.batch]])
     warmup_wall = time.perf_counter() - t0

@@ -19,7 +19,7 @@ The sweep structure:
   numbers land in ``extra.tiers`` and the pairwise ratios in
   ``extra.speedups``;
 * a **batched** run per width B in {1, 4, 16}: a resident
-  :class:`~repro.runtime.BatchedModemRuntime` processes B copies of the
+  :class:`~repro.runtime.ModemRuntime` processes B copies of the
   packet per ``run_batch`` call (tier keys ``batched_b<B>``, throughput
   normalised per packet).  ``--min-batched-speedup`` gates the best
   batched tier against the ``compiled`` tier (the same generated code,
@@ -49,7 +49,7 @@ sys.path.insert(0, _HERE)
 
 import reporting
 from repro.eval import run_reference_modem
-from repro.runtime import BatchedModemRuntime, make_packet
+from repro.runtime import ModemRuntime, make_packet
 from repro.trace import schema_errors
 
 #: Batch widths swept by the batched compiled tier.
@@ -73,7 +73,7 @@ def timed_batched_run(batch):
     noise on shared runners).
     """
     case = make_packet(42, cfo_hz=50e3)
-    runtime = BatchedModemRuntime(batch=batch)
+    runtime = ModemRuntime(batch=batch)
     packets = [case.rx] * batch
     runtime.run_batch(packets)
     wall = None

@@ -7,7 +7,8 @@ and the hierarchical dataflow baseband architectures in PAPERS.md).
 ``repro.fabric`` models that serving layer in software:
 
 - :class:`Fabric` owns N worker processes, each a resident
-  :class:`~repro.runtime.ModemRuntime` forked from a pre-warmed parent
+  :class:`~repro.runtime.ModemRuntime` (running up to ``batch`` coalesced
+  same-shape packets per lockstep call) forked from a pre-warmed parent
   template so spin-up performs zero ``ModuloScheduler.schedule`` calls;
 - :class:`Dispatcher` routes packets with pluggable policies
   (``round_robin``, ``least_loaded``, ``shape_affinity``);

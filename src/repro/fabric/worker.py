@@ -6,13 +6,15 @@ Each worker is a forked process running :func:`worker_main`: it builds
 until it receives the ``None`` stop sentinel or the pipe closes.
 
 Fork inheritance is the warm-up mechanism: the fabric constructs and
-warms one **template** :class:`~repro.runtime.ModemRuntime` in the
-parent (hitting the persistent schedule cache), and every worker —
-including respawns after a crash — forks a copy of the fully *linked*
-template, so spin-up performs zero ``ModuloScheduler.schedule`` calls
-and zero region links for the warmed shapes.  The readiness message
-carries the child-side schedule-cache miss delta so the fabric report
-can prove it.
+warms one **template** :class:`~repro.runtime.ModemRuntime` (at the
+fabric's batch width) in the parent, hitting the persistent schedule
+and codegen caches, and every worker — including respawns after a
+crash — forks a copy of the fully *linked* template, so spin-up
+performs zero ``ModuloScheduler.schedule`` calls and zero region links
+for the warmed shapes.  The readiness message carries the child-side
+schedule-cache miss delta so the fabric report can prove it.  Every
+dispatch, single-task or coalesced, reaches the runtime through one
+``run_batch_results`` call.
 
 Heartbeats: with ``heartbeat_s > 0`` the worker runs a small daemon
 thread that periodically sends ``(MSG_HEARTBEAT, index, payload)`` up
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from repro.obs.heartbeat import heartbeat_payload
 
@@ -51,27 +53,13 @@ MSG_BYE = "bye"
 MSG_HEARTBEAT = "heartbeat"
 
 
-def default_runner_factory(
-    template: Optional[object],
-    runtime_kwargs: Optional[dict],
-    cache_dir: Optional[str],
-) -> Callable[[], object]:
+def default_runner_factory(template: object) -> Callable[[], object]:
     """The runner factory used when the fabric serves real modem packets.
 
-    Returns a zero-argument callable run *in the child*: it reuses the
-    forked *template* runtime when one exists (zero spin-up work) and
-    otherwise builds a fresh :class:`~repro.runtime.ModemRuntime`
-    against the persistent schedule cache.
+    Returns a zero-argument callable run *in the child*: it hands back
+    the forked copy of the warm *template* runtime (zero spin-up work).
     """
-
-    def build():
-        if template is not None:
-            return template
-        from repro.runtime import ModemRuntime
-
-        return ModemRuntime(cache_dir=cache_dir, **(runtime_kwargs or {}))
-
-    return build
+    return lambda: template
 
 
 def _schedule_misses() -> int:
@@ -120,7 +108,7 @@ def _heartbeat_loop(
 def _serve_batch(
     runner, send_lock, result_conn, task_ids, rxs, n_symbols, detect_hint
 ) -> None:
-    """Run one coalesced dispatch through the batched runtime.
+    """Run one dispatch through the runtime's ``run_batch_results``.
 
     Every task still gets its own result message (the parent's
     exactly-once accounting is per task id); the wall time of the whole
@@ -214,12 +202,13 @@ def worker_main(
             task_ids, rxs, n_symbols, detect_hint = msg
         else:
             task_ids, rxs, n_symbols, detect_hint = (msg[0],), [msg[1]], msg[2], msg[3]
-        if len(task_ids) > 1 and hasattr(runner, "run_batch_results"):
+        if hasattr(runner, "run_batch_results"):
             _serve_batch(
                 runner, send_lock, result_conn, task_ids, rxs, n_symbols, detect_hint
             )
             progress["task_seq"] += len(task_ids)
             continue
+        # Plain runners (test fakes with only run_packet): one at a time.
         for task_id, rx in zip(task_ids, rxs):
             t0 = time.perf_counter()
             try:

@@ -124,7 +124,7 @@ class RegionRequest:
     :meth:`SimReceiver._pipeline` yields these and receives
     ``(RegionRun, image)`` back; :meth:`SimReceiver.run_packet` answers
     with :meth:`SimReceiver._run_region` (the per-packet path), while
-    the batched runtime answers with lockstep lane execution.  The
+    the compiled runtime answers with lockstep lane execution.  The
     fields mirror ``_run_region``'s parameters exactly.
     """
 

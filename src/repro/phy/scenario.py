@@ -5,7 +5,7 @@ the default 4-tap profile).  Real basebands are qualified against a
 *matrix* of impairments — multipath profiles, carrier/Doppler offsets,
 IQ imbalance, front-end quantisation — which is also what the related
 baseband architectures in PAPERS.md benchmark against.  This module
-defines that matrix once so the golden modem, the batch runtime's
+defines that matrix once so the golden modem, the modem runtime's
 packet generator and the fabric's mixed-traffic stream all draw from a
 single scenario definition:
 

@@ -1,13 +1,20 @@
-"""Cross-packet batched execution of the compiled modem pipeline.
+"""The modem runtime: compile once, stream packets through resident programs.
 
-:class:`BatchedModemRuntime` is the serving-side surface of the batched
-compiled tier: it drives B packets' :meth:`SimReceiver._pipeline`
-generators in lockstep, region by region, executing each region's
-program across all B lanes with :class:`repro.sim.batch.BatchProgramRunner`
-(one Python frame per VLIW segment / CGA window for the whole batch)
-instead of once per packet.
+The paper's toolflow compiles a baseband program once and the control
+processor then streams every packet through the resident configuration,
+patching only packet-dependent constants.  :class:`ModemRuntime` is that
+split on top of :class:`repro.modem.receiver.SimReceiver`, whose region
+programs are pure functions of (architecture, seed, memory map, OFDM
+params, packet shape): the first packet of a shape links every region
+program (hitting the schedule cache), and every later packet of that
+shape only simulates.
 
-What makes this safe:
+On the ``compiled`` tier (the default) the runtime drives B packets'
+:meth:`SimReceiver._pipeline` generators in lockstep, region by region,
+executing each region's program across all B lanes with
+:class:`repro.sim.batch.BatchProgramRunner` (one Python frame per VLIW
+segment / CGA window for the whole batch); a single packet is a batch
+of one.  What makes this safe:
 
 * Region programs are pure functions of the packet *shape* — packets
   are bucketed by ``(n_samples, n_symbols)`` and only same-shape packets
@@ -30,6 +37,10 @@ traffic per packet — they are reset in place), the
 :class:`BatchProgramRunner` (cached batch functions plus per-lane
 signature/immediate pools), and the linked region programs already
 cached by :class:`SimReceiver`.
+
+On the ``decoded`` and ``reference`` tiers every packet runs through
+:meth:`SimReceiver.run_packet`, a fresh core per region: the oracle path
+the compiled tier is checked against.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ from repro.modem.receiver import (
 from repro.phy.params import PARAMS_20MHZ_2X2, OfdmParams
 from repro.sim import Core
 from repro.sim.batch import BatchProgramRunner
+from repro.sim.core import check_interpreter
 from repro.sim.program import Program, patch_constants
 from repro.sim.stats import ActivityStats, KernelProfile
 
@@ -90,8 +102,10 @@ class _Lane:
         self.done = False
 
 
-class BatchedModemRuntime:
-    """A resident receiver running B same-shape packets in lockstep."""
+class ModemRuntime:
+    """A resident receiver: links each shape's region programs once and
+    runs packets on them, up to :attr:`batch` same-shape packets per
+    lockstep call on the compiled tier."""
 
     def __init__(
         self,
@@ -99,35 +113,46 @@ class BatchedModemRuntime:
         params: OfdmParams = PARAMS_20MHZ_2X2,
         mem: MemoryMap = DEFAULT_MAP,
         seed: int = 0,
+        interpreter: str = "compiled",
         batch: int = 8,
         cache_dir: Optional[str] = None,
     ) -> None:
+        check_interpreter(interpreter)
         if cache_dir is not None:
             configure_schedule_cache(cache_dir)
-        self._kwargs = dict(
-            arch=arch, params=params, mem=mem, seed=seed, interpreter="compiled"
+        self.interpreter = interpreter
+        self.receiver = SimReceiver(
+            arch=arch, params=params, mem=mem, seed=seed, interpreter=interpreter
         )
-        self.receiver = SimReceiver(**self._kwargs)
         self.batch = max(1, int(batch))
+        #: Packet shapes ``(n_samples, n_symbols)`` this runtime has run
+        #: (== shapes whose region programs are linked and resident).
+        #: ``repro.fabric`` uses this to seed shape-affinity state for
+        #: workers forked from a warm template.
         self.warmed_shapes: set = set()
+        #: Cumulative activity across every packet this runtime has run.
+        #: Fabric worker heartbeats sample it (``host_cycles``, per-cause
+        #: stall attribution).
         self.activity = ActivityStats()
+        #: Packets run by this runtime instance.
         self.packets_run = 0
         #: Packets that needed any fresh-core replay (fault) or errored.
         self.fallbacks = 0
         self._regions: Dict[tuple, _RegionLanes] = {}
 
-    # -- ModemRuntime-compatible surface --------------------------------
-
     @property
     def compiled_programs(self) -> int:
+        """Region programs linked so far (grows only on new shapes)."""
         return self.receiver.compiled_programs
 
     @property
     def host_cycles(self) -> int:
+        """Total simulated cycles across every packet run so far."""
         return int(self.activity.total_cycles)
 
     @property
     def stall_causes(self) -> Dict[str, int]:
+        """Cumulative per-cause stall attribution (cause name -> cycles)."""
         return self.activity.stall_breakdown()
 
     def run_packet(
@@ -136,10 +161,11 @@ class BatchedModemRuntime:
         n_symbols: int = 2,
         detect_hint: Optional[int] = None,
     ) -> ReceiverOutput:
-        """Single-packet convenience: a batch of one."""
+        """Run one packet: a batch of one."""
         return self.run_batch([rx], n_symbols=n_symbols, detect_hint=detect_hint)[0]
 
     def warm_up(self, rx: np.ndarray, **kwargs) -> ReceiverOutput:
+        """Run one representative packet to link that shape's programs."""
         return self.run_packet(rx, **kwargs)
 
     # -- batched entry points -------------------------------------------
@@ -150,8 +176,8 @@ class BatchedModemRuntime:
         n_symbols: int = 2,
         detect_hint: Optional[int] = None,
     ) -> List[ReceiverOutput]:
-        """Process *packets* in lockstep batches; raises the first
-        per-packet error (after finishing the rest of the batch)."""
+        """Process *packets* (in lockstep batches on the compiled tier);
+        raises the first per-packet error after finishing the rest."""
         results = self.run_batch_results(
             packets, n_symbols=n_symbols, detect_hint=detect_hint
         )
@@ -172,18 +198,21 @@ class BatchedModemRuntime:
         Packets are bucketed by shape ``(n_samples, n_symbols)`` and each
         bucket is cut into chunks of at most :attr:`batch` lanes (the
         final chunk may be ragged); chunk results are bit-identical to
-        running each packet alone on any interpreter tier.
+        running each packet alone on any interpreter tier.  Off the
+        compiled tier each packet runs alone through
+        :meth:`SimReceiver.run_packet`.
         """
         packets = [np.atleast_2d(np.asarray(rx)) for rx in packets]
         results = [BatchPacketResult() for _ in packets]
         buckets: Dict[tuple, List[int]] = {}
         for i, rx in enumerate(packets):
             buckets.setdefault((int(rx.shape[1]), int(n_symbols)), []).append(i)
+        run_chunk = self._run_chunk if self.interpreter == "compiled" else self._run_each
         for shape, indices in buckets.items():
             self.warmed_shapes.add(shape)
             for lo in range(0, len(indices), self.batch):
                 chunk = indices[lo : lo + self.batch]
-                self._run_chunk(
+                run_chunk(
                     [packets[i] for i in chunk],
                     [results[i] for i in chunk],
                     n_symbols,
@@ -196,6 +225,23 @@ class BatchedModemRuntime:
             if result.fell_back:
                 self.fallbacks += 1
         return results
+
+    def _run_each(
+        self,
+        packets: List[np.ndarray],
+        results: List[BatchPacketResult],
+        n_symbols: int,
+        detect_hint: Optional[int],
+    ) -> None:
+        """Run each packet alone on fresh cores (decoded/reference tiers)."""
+        for rx, result in zip(packets, results):
+            try:
+                result.output = self.receiver.run_packet(
+                    rx, n_symbols=n_symbols, detect_hint=detect_hint
+                )
+            except Exception as exc:
+                result.error = exc
+                result.fell_back = True
 
     # -- lockstep chunk driver ------------------------------------------
 
@@ -337,3 +383,10 @@ class BatchedModemRuntime:
         fetch = core.icache.fetch
         for pc in range(len(program.bundles)):
             fetch(pc)
+
+
+#: The runtime's former batched-only name.  The serving benchmark's
+#: span recorder (``benchmarks/suite/spans.py``) wraps
+#: ``repro.runtime.batched.BatchedModemRuntime.run_batch_results`` by
+#: attribute path, so the alias must stay one object with the class.
+BatchedModemRuntime = ModemRuntime

@@ -1,4 +1,4 @@
-"""Reproducible multi-packet workloads for the batch runtime.
+"""Reproducible multi-packet workloads for the modem runtime.
 
 Packets are built exactly like the evaluation's reference packet
 (:func:`repro.eval.tables.run_reference_modem`): random payload bits,

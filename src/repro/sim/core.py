@@ -36,6 +36,19 @@ class SimulationError(Exception):
 #: Cycles to switch the shared register file and control between modes.
 MODE_SWITCH_CYCLES = 1
 
+#: The interpreter tiers a core can run (see :class:`Core`).
+INTERPRETERS = ("decoded", "reference", "compiled")
+
+
+def check_interpreter(interpreter: str) -> None:
+    """Raise ``ValueError`` unless *interpreter* names a tier in
+    :data:`INTERPRETERS`."""
+    if interpreter not in INTERPRETERS:
+        raise ValueError(
+            "interpreter must be %s or %r, got %r"
+            % (", ".join(map(repr, INTERPRETERS[:-1])), INTERPRETERS[-1], interpreter)
+        )
+
 
 class Core:
     """One hybrid CGA/VLIW processor instance."""
@@ -47,10 +60,7 @@ class Core:
         tracer: Optional[Tracer] = None,
         interpreter: str = "decoded",
     ) -> None:
-        if interpreter not in ("decoded", "reference", "compiled"):
-            raise ValueError(
-                "interpreter must be 'decoded', 'reference' or 'compiled'"
-            )
+        check_interpreter(interpreter)
         self.arch = arch
         self.program = program
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -120,7 +130,7 @@ class Core:
     def rebind_program(self, program: Program) -> None:
         """Point the core at *program* without rebuilding the machine.
 
-        Used by the batched runtime to re-drive resident cores with
+        Used by the modem runtime to re-drive resident cores with
         ``patch_constants`` variants of a linked program.  The VLIW
         engine's per-pc decode cache holds immediate pools read from the
         bundle objects, so it is dropped whenever the program object

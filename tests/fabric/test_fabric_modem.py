@@ -14,14 +14,18 @@ import numpy as np
 import pytest
 
 from repro.fabric import Fabric
+from repro.modem.receiver import SimReceiver
 from repro.runtime import ModemRuntime, generate_packets, make_packet
 
 
 @pytest.fixture(scope="module")
 def template():
-    """One warm parent-side runtime shared by every fabric in the module."""
+    """One warm parent-side runtime shared by every fabric in the module.
+
+    The decoded tier keeps each packet in flight long enough for the
+    crash tests to kill a worker mid-stream."""
     cases = generate_packets(1, base_seed=42, cfo_hz=50e3)
-    runtime = ModemRuntime()
+    runtime = ModemRuntime(interpreter="decoded")
     runtime.warm_up(cases[0].rx)
     return runtime
 
@@ -139,3 +143,15 @@ def test_mixed_shapes_with_affinity_decode_correctly(template):
         assert float(np.mean(results[task_id].bits != case.bits)) == 0.0
     report = fab.report()
     assert [w["shapes"] for w in report["per_worker"]] == [1, 1]
+
+
+def test_batch_drain_fabric_builds_its_template_on_the_requested_tier(cases):
+    """With no template given, the fabric builds one runtime kind at any
+    width: ``batch > 1`` still honours ``runtime_kwargs["interpreter"]``."""
+    fab = Fabric(workers=1, batch=4, runtime_kwargs={"interpreter": "decoded"})
+    with fab:
+        assert fab.template_runtime.interpreter == "decoded"
+        task_id = fab.offer(cases[0].rx).task_id
+        results = fab.drain(timeout=300)
+    solo = SimReceiver(interpreter="decoded").run_packet(cases[0].rx)
+    _assert_identical(results[task_id], solo)

@@ -1,7 +1,6 @@
-"""Batch runtime tests: bit-identity, throughput, pool and disk cache."""
+"""Modem runtime tests: bit-identity, throughput, tiers and disk cache."""
 
 import os
-import signal
 import subprocess
 import sys
 import textwrap
@@ -12,16 +11,8 @@ import pytest
 
 import repro
 from repro.compiler.linker import _SCHEDULE_CACHE, configure_schedule_cache
-from repro.modem.receiver import SimReceiver
-from repro.runtime import (
-    BatchedModemRuntime,
-    BatchReceiver,
-    ModemRuntime,
-    WorkerCrashError,
-    generate_packets,
-    make_packet,
-)
-from repro.runtime import batch as batch_module
+from repro.modem.receiver import MIN_PACKET_SAMPLES, SimReceiver
+from repro.runtime import ModemRuntime, generate_packets, make_packet
 from repro.sim import Core, codegen
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -51,26 +42,17 @@ def _assert_outputs_identical(a, b):
 
 def test_batch_bit_identical_to_per_packet_receivers(cases):
     subset = cases[:3]
-    batch = BatchReceiver()
-    batched = batch.run([case.rx for case in subset])
+    runtime = ModemRuntime()
+    batched = runtime.run_batch([case.rx for case in subset])
     assert len(batched) == len(subset)
     # The batch relinked nothing after the first packet: one program set.
-    programs_after_first = batch.runtime.compiled_programs
+    programs_after_first = runtime.compiled_programs
     for out, case in zip(batched, subset):
         assert float(np.mean(out.bits != case.bits)) == 0.0
-    assert batch.runtime.compiled_programs == programs_after_first
+    assert runtime.compiled_programs == programs_after_first
     for out, case in zip(batched, subset):
-        solo = SimReceiver().run_packet(case.rx)
+        solo = SimReceiver(interpreter="decoded").run_packet(case.rx)
         _assert_outputs_identical(out, solo)
-
-
-def test_fork_pool_matches_serial(cases):
-    subset = [case.rx for case in cases[:2]]
-    serial = BatchReceiver(workers=1).run(subset)
-    pooled = BatchReceiver(workers=2).run(subset)
-    assert len(pooled) == 2
-    for a, b in zip(serial, pooled):
-        _assert_outputs_identical(a, b)
 
 
 def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases):
@@ -79,15 +61,15 @@ def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases):
     _SCHEDULE_CACHE.clear()
     try:
         t0 = time.perf_counter()
-        cold_out = SimReceiver().run_packet(cases[0].rx)
+        cold_out = SimReceiver(interpreter="decoded").run_packet(cases[0].rx)
         t_cold = time.perf_counter() - t0
     finally:
         _SCHEDULE_CACHE.update(saved)
     assert float(np.mean(cold_out.bits != cases[0].bits)) == 0.0
 
-    batch = BatchReceiver()
+    runtime = ModemRuntime()
     t0 = time.perf_counter()
-    outputs = batch.run([case.rx for case in cases])
+    outputs = runtime.run_batch([case.rx for case in cases])
     t_batch = time.perf_counter() - t0
     assert len(outputs) == len(cases)
     for out, case in zip(outputs, cases):
@@ -97,43 +79,48 @@ def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases):
     assert len(cases) * t_cold >= 5 * t_batch, (t_cold, t_batch)
 
 
-def _noop_init(kwargs, cache_dir):
-    """Pool initializer stub: skip runtime construction in the workers."""
+def test_unknown_interpreter_is_rejected_at_construction():
+    """A misspelt tier fails when the runtime is built, not per packet."""
+    with pytest.raises(ValueError, match="interpreter must be"):
+        ModemRuntime(interpreter="fast")
 
 
-def _suicide_run(task):
-    """Pool task stub: packet 0's worker dies the way an OOM kill looks."""
-    index, rx, n_symbols, detect_hint = task
-    if index == 0:
-        os.kill(os.getpid(), signal.SIGKILL)
-    time.sleep(0.05)
-    return index, None, 0.0
-
-
-def test_killed_pool_worker_raises_typed_crash_error(monkeypatch):
-    """ISSUE satellite: a killed fork-pool worker used to hang the batch
-    (or die opaquely); it must now raise WorkerCrashError naming the
-    failed packet index."""
-    monkeypatch.setattr(batch_module, "_worker_init", _noop_init)
-    monkeypatch.setattr(batch_module, "_worker_run", _suicide_run)
-    batch = BatchReceiver(workers=2)
-    packets = [np.zeros((2, 400), dtype=np.complex128) for _ in range(3)]
-    with pytest.raises(WorkerCrashError) as excinfo:
-        batch.run(packets)
-    err = excinfo.value
-    assert err.packet_index == 0
-    assert 0 in err.pending_indices
-    assert "packet index 0" in str(err)
+def test_mixed_shapes_and_short_packet_keep_input_order(cases):
+    """One call with two interleaved shapes and one too-short packet:
+    results come back in input order, the short packet carries its
+    ValueError as a fallback, and every other packet matches the
+    decoded tier bit for bit."""
+    long_rx = make_packet(9, extra_pad=64).rx
+    short_rx = cases[0].rx[:, : MIN_PACKET_SAMPLES - 1]
+    packets = [cases[0].rx, long_rx, short_rx, cases[1].rx, make_packet(10, extra_pad=64).rx]
+    runtime = ModemRuntime(batch=4)
+    results = runtime.run_batch_results(packets)
+    assert len(results) == len(packets)
+    short = results[2]
+    assert short.output is None
+    assert isinstance(short.error, ValueError)
+    assert short.fell_back is True
+    for i, (rx, result) in enumerate(zip(packets, results)):
+        if i == 2:
+            continue
+        assert result.error is None, i
+        assert result.fell_back is False, i
+        solo = SimReceiver(interpreter="decoded").run_packet(rx)
+        assert list(result.output.bits) == list(solo.bits), i
+        assert result.output.stats == solo.stats, i
+        assert result.output.image == solo.image, i
+    assert runtime.fallbacks == 1
+    assert runtime.packets_run == len(packets) - 1
 
 
 def test_batched_runtime_ragged_chunk_is_not_a_fallback(cases):
     """A trailing singleton chunk (N % B != 0) runs on the resident
     lane cores at width 1; it must stay bit-identical to the
-    single-packet tier and must NOT count toward ``fallbacks``."""
+    decoded tier and must NOT count toward ``fallbacks``."""
     subset = [case.rx for case in cases[:3]]
-    serial = ModemRuntime()
+    serial = ModemRuntime(interpreter="decoded")
     expected = [serial.run_packet(rx) for rx in subset]
-    batched = BatchedModemRuntime(batch=2)  # chunks of 2 + 1
+    batched = ModemRuntime(batch=2)  # chunks of 2 + 1
     outputs = batched.run_batch(subset)
     for out, ref in zip(outputs, expected):
         _assert_outputs_identical(out, ref)
@@ -147,7 +134,7 @@ MIXED_PADS = (0, 64, 160)
 
 @pytest.fixture(scope="module")
 def warm_mixed_runtime():
-    """A batched runtime warmed on every mixed-traffic shape at widths 1
+    """A runtime warmed on every mixed-traffic shape at widths 1
     and 4, counting each codegen entry-point call and each
     ``CodegenUnsupported`` refusal made while warming."""
     counts = {"calls": 0, "unsupported": 0}
@@ -163,7 +150,7 @@ def warm_mixed_runtime():
 
         return wrapped
 
-    runtime = BatchedModemRuntime(batch=4)
+    runtime = ModemRuntime(batch=4)
     with pytest.MonkeyPatch.context() as mp:
         for name in ("cga_batch_runner", "vliw_batch_runner"):
             mp.setattr(codegen, name, counting(getattr(codegen, name)))
@@ -188,7 +175,7 @@ def test_codegen_never_refuses_a_modem_region_program(warm_mixed_runtime):
 
 
 def test_warm_single_packet_batch_runs_on_resident_cores(warm_mixed_runtime, monkeypatch):
-    """A single packet on a warm batched runtime is a batch of one on the
+    """A single packet on a warm runtime is a batch of one on the
     resident lane cores: no ``Core`` is built, nothing compiles, nothing
     falls back, and the result matches the reference interpreter."""
     runtime, _ = warm_mixed_runtime
@@ -224,16 +211,6 @@ def test_runtime_tracks_warmed_shapes(cases):
     assert runtime.warmed_shapes == {shape}
     runtime.run_packet(cases[1].rx)  # same shape: still one entry
     assert runtime.warmed_shapes == {shape}
-
-
-def test_run_timed_reports_per_packet_wall(cases):
-    batch = BatchReceiver()
-    subset = [case.rx for case in cases[:2]]
-    outputs, timings = batch.run_timed(subset)
-    assert len(outputs) == len(timings) == 2
-    assert all(dt > 0 for dt in timings)
-    for out, case in zip(outputs, cases[:2]):
-        assert float(np.mean(out.bits != case.bits)) == 0.0
 
 
 def test_fresh_process_with_warm_disk_cache_never_schedules(tmp_path, cases):

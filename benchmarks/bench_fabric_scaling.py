@@ -4,7 +4,8 @@
 Runs the same packet batch three ways:
 
 * a **serial baseline** on one warm :class:`~repro.runtime.ModemRuntime`
-  (per-packet wall times feed the latency percentiles);
+  on its default ``compiled`` tier (per-packet wall times feed the
+  latency percentiles);
 * a :class:`~repro.fabric.Fabric` at each ``--workers-list`` count, every
   worker forked from the same warm parent template (so spin-up performs
   zero ``ModuloScheduler.schedule`` calls — asserted from the report).
@@ -161,13 +162,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--out", default=None, metavar="DIR", help="report directory (default benchmarks/out)"
     )
-    parser.add_argument(
-        "--interpreter",
-        default="decoded",
-        choices=("decoded", "compiled", "reference"),
-        help="interpreter tier for the template runtime (default decoded); "
-        "'compiled' also exercises the shared on-disk codegen cache",
-    )
     parser.add_argument("--cfo", type=float, default=50e3, help="carrier offset in Hz")
     parser.add_argument("--seed", type=int, default=42, help="base packet seed")
     parser.add_argument(
@@ -203,7 +197,7 @@ def main(argv=None) -> int:
 
     cases = generate_packets(args.packets, base_seed=args.seed, cfo_hz=args.cfo)
 
-    template = ModemRuntime(cache_dir=args.cache, interpreter=args.interpreter)
+    template = ModemRuntime(cache_dir=args.cache)
     t0 = time.perf_counter()
     template.warm_up(cases[0].rx)
     warmup_wall = time.perf_counter() - t0

@@ -2,7 +2,7 @@
 """Simulator speed: host-side simulated cycles per second, per tier.
 
 Times the full reference-modem packet (the paper's profiled MIMO-OFDM
-workload) under the interpreter tiers and reports
+workload) under both interpreter tiers and reports
 ``host_cycles_per_sec`` — total simulated cycles divided by host wall
 seconds.  This is the per-PR trajectory metric of the simulator itself,
 separate from the modelled processor's numbers.
@@ -10,14 +10,13 @@ separate from the modelled processor's numbers.
 The sweep structure:
 
 * the **cold** run (the primary ``wall_s``/``host_cycles_per_sec``)
-  uses the decoded tier and includes the modulo-scheduler compile of
+  uses the compiled tier and includes the modulo-scheduler compile of
   every kernel, exactly what a fresh benchmark session pays;
-* a **warm** run per tier (``decoded`` and ``compiled`` always,
-  ``reference`` with ``--reference``) repeats the packet with the
-  process-wide schedule and codegen caches populated, isolating pure
-  simulation speed (best wall of three timed repetitions); per-tier
-  numbers land in ``extra.tiers`` and the pairwise ratios in
-  ``extra.speedups``;
+* a **warm** run per tier (``compiled`` always, ``reference`` with
+  ``--reference``) repeats the packet with the process-wide schedule
+  and codegen caches populated, isolating pure simulation speed (best
+  wall of three timed repetitions); per-tier numbers land in
+  ``extra.tiers`` and the pairwise ratios in ``extra.speedups``;
 * a **batched** run per width B in {1, 4, 16}: a resident
   :class:`~repro.runtime.ModemRuntime` processes B copies of the
   packet per ``run_batch`` call (tier keys ``batched_b<B>``, throughput
@@ -105,22 +104,22 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    run, wall = timed_run("decoded")
+    run, wall = timed_run("compiled")
     stats = run.output.stats
     cps = stats.total_cycles / wall
     print(
-        "decoded (cold, incl. compile): %d cycles in %.2fs -> %.0f cycles/s (ber=%g)"
+        "compiled (cold, incl. compile): %d cycles in %.2fs -> %.0f cycles/s (ber=%g)"
         % (stats.total_cycles, wall, cps, run.ber)
     )
 
-    tier_names = ["decoded", "compiled"]
+    tier_names = ["compiled"]
     if args.reference:
         tier_names.append("reference")
     tiers = {}
     for tier in tier_names:
-        # Prime the tier's process-wide caches (codegen for "compiled";
-        # decoded/schedule already warm from the cold run) so the timed
-        # runs measure steady-state simulation only; best of three
+        # Prime the tier's process-wide caches (schedule and codegen
+        # caches are already warm from the cold run) so the timed runs
+        # measure steady-state simulation only; best of three
         # repetitions rides out scheduler noise on shared runners.
         timed_run(tier)
         warm, warm_wall = timed_run(tier)
@@ -132,13 +131,13 @@ def main(argv=None) -> int:
         print("%s (warm): %.3fs -> %.0f cycles/s" % (tier, warm_wall, warm_cps))
         if warm.output.stats.total_cycles != stats.total_cycles:
             print(
-                "FAIL: cycle counts differ (%s tier vs cold decoded)" % tier,
+                "FAIL: cycle counts differ (%s tier vs cold compiled)" % tier,
                 file=sys.stderr,
             )
             return 1
         if list(warm.output.bits) != list(run.output.bits):
             print(
-                "FAIL: decoded bits differ (%s tier vs cold decoded)" % tier,
+                "FAIL: decoded bits differ (%s tier vs cold compiled)" % tier,
                 file=sys.stderr,
             )
             return 1
@@ -160,13 +159,13 @@ def main(argv=None) -> int:
         for out in outputs:
             if out.stats.total_cycles != stats.total_cycles:
                 print(
-                    "FAIL: cycle counts differ (batched B=%d vs cold decoded)" % b,
+                    "FAIL: cycle counts differ (batched B=%d vs cold compiled)" % b,
                     file=sys.stderr,
                 )
                 return 1
             if list(out.bits) != list(run.output.bits):
                 print(
-                    "FAIL: decoded bits differ (batched B=%d vs cold decoded)" % b,
+                    "FAIL: decoded bits differ (batched B=%d vs cold compiled)" % b,
                     file=sys.stderr,
                 )
                 return 1
@@ -186,8 +185,6 @@ def main(argv=None) -> int:
 
     speedups = {}
     for num, den in [
-        ("compiled", "decoded"),
-        ("decoded", "reference"),
         ("compiled", "reference"),
     ] + [("batched_b%d" % b, "compiled") for b in BATCH_WIDTHS]:
         if num in tiers and den in tiers:
@@ -215,11 +212,8 @@ def main(argv=None) -> int:
         )
 
     extra = {
-        "interpreter": "decoded",
+        "interpreter": "compiled",
         "ber": run.ber,
-        # Back-compat fields: the decoded tier's warm numbers.
-        "warm_wall_s": tiers["decoded"]["warm_wall_s"],
-        "warm_host_cycles_per_sec": tiers["decoded"]["warm_host_cycles_per_sec"],
         "tiers": tiers,
         "speedups": speedups,
     }

@@ -42,14 +42,15 @@ def run_reference_modem(
     snr_db: Optional[float] = None,
     channel: Optional[MimoChannel] = None,
     tracer: Optional[Tracer] = None,
-    interpreter: str = "decoded",
+    interpreter: str = "compiled",
 ) -> ReferenceRun:
     """Transmit one packet and run the full simulated receiver on it.
 
     With *tracer* the receiver emits its packet timeline into it, and the
     tracer is installed process-wide for the duration so the compiler's
     II-search events land in the same buffer.  *interpreter* selects the
-    simulator tier (``"decoded"`` fast path or ``"reference"``).
+    simulator tier (``"compiled"`` fast path or the ``"reference"``
+    oracle); a traced run takes the reference loop on either tier.
     """
     params = PARAMS_20MHZ_2X2
     rng = np.random.default_rng(seed)

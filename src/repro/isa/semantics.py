@@ -28,10 +28,11 @@ Dispatch structure
 Every opcode's semantics is one entry in a dict dispatch table
 (``_SCALAR32_TABLE``, ``_SIMD_TABLE``, ``_COMPARES``), so evaluating an
 op is one dict lookup plus one call instead of a walk down an if-chain.
-:func:`execute` remains the reference entry point (full operand
-validation on every call); the pre-decoded execution engines bind the
-per-opcode handler once via :func:`handler_for` and skip the per-call
-validation, which decode performs once per kernel.
+:func:`execute` is the entry point of the reference engines (full
+operand validation on every call); the code generator
+(:mod:`repro.sim.codegen`) binds per-opcode handlers via
+:func:`handler_for` into generated code and skips the per-call
+validation, which it performs once per kernel at generation time.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def execute(op: Opcode, srcs: Sequence[int]) -> int:
 
 
 # ----------------------------------------------------------------------
-# Pre-bound handlers for the decoded execution engines.
+# Pre-bound handlers for generated code.
 # ----------------------------------------------------------------------
 
 #: Groups whose opcodes :func:`execute` can evaluate (pure dataflow).
@@ -335,7 +336,7 @@ def handler_for(op: Opcode) -> Callable[..., int]:
     The handler takes :func:`operand_count` raw operand patterns as
     positional arguments and returns the raw result pattern — exactly
     what :func:`execute` would return for well-formed sources, minus the
-    per-call validation (which pre-decode performs once per kernel).
+    per-call validation (which code generation performs once per kernel).
     Raises :class:`ExecutionError` for opcodes with machine-state
     semantics (memory, branch, control).
     """

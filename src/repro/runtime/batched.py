@@ -38,7 +38,7 @@ traffic per packet — they are reset in place), the
 signature/immediate pools), and the linked region programs already
 cached by :class:`SimReceiver`.
 
-On the ``decoded`` and ``reference`` tiers every packet runs through
+On the ``reference`` tier every packet runs through
 :meth:`SimReceiver.run_packet`, a fresh core per region: the oracle path
 the compiled tier is checked against.
 """
@@ -233,7 +233,7 @@ class ModemRuntime:
         n_symbols: int,
         detect_hint: Optional[int],
     ) -> None:
-        """Run each packet alone on fresh cores (decoded/reference tiers)."""
+        """Run each packet alone on fresh cores (the reference tier)."""
         for rx, result in zip(packets, results):
             try:
                 result.output = self.receiver.run_packet(

@@ -20,8 +20,9 @@ of the generated function at the group's width — so lanes that diverge
 (different ``pc``, structure or trip) simply form smaller groups, down
 to width 1.  The width is a call-time value, so one compile serves
 every width.  Only a segment or kernel the code generator refuses
-(:class:`~repro.sim.codegen.CodegenUnsupported`) runs on the decoded
-tier instead, which is bit-identical by the codegen contract.
+(:class:`~repro.sim.codegen.CodegenUnsupported`) runs on the engines'
+interpreted ``run_reference`` loops instead, lane by lane, which are
+bit-identical by the codegen contract.
 
 Faults are per-lane: a lane whose generated code raises (scratchpad
 bounds, VLIW runaway) is recorded in its :class:`LaneResult` and — when
@@ -235,21 +236,21 @@ class BatchProgramRunner:
                         fail(i, SimulationError(str(exc)))
                     continue
                 if fn is None:
-                    self._vliw_decoded(lanes, results, stop_ev, fail)
+                    self._vliw_reference(lanes, results, stop_ev, fail)
                     continue
                 pending.extend(
                     self._vliw_batch_step(fn, lanes, lane_imms, results,
                                           stop_ev, fail))
         return stop_ev
 
-    def _vliw_decoded(self, lanes, results, stop_ev, fail) -> None:
-        """Decoded-tier fallback for a segment codegen refused: one
-        full ``run_decoded`` per lane to its next stop event."""
+    def _vliw_reference(self, lanes, results, stop_ev, fail) -> None:
+        """Fallback for a segment codegen refused: one full
+        ``run_reference`` per lane to its next stop event."""
         for i in lanes:
             core = results[i].core
             try:
-                stop, cycle = core.vliw.run_decoded(core.pc, core.cycle,
-                                                    max_cycle=self.max_cycles)
+                stop, cycle = core.vliw.run_reference(
+                    core.pc, core.cycle, max_cycle=self.max_cycles)
             except VliwFault as exc:
                 fail(i, SimulationError(str(exc)))
                 continue
@@ -352,20 +353,20 @@ class BatchProgramRunner:
                     fail(i, exc)
                 continue
             if fn is None:
-                self._cga_decoded(lanes, ginfo, results, fail)
+                self._cga_reference(lanes, ginfo, results, fail)
                 continue
             self._cga_batch_step(fn, trip, lanes, ginfo, results, fail)
 
-    def _cga_decoded(self, lanes, ginfo, results, fail) -> None:
-        """Decoded-tier fallback for a kernel codegen refused (the
-        engine applies preloads and resolves the trip itself, exactly
-        as in Core.run)."""
+    def _cga_reference(self, lanes, ginfo, results, fail) -> None:
+        """Fallback for a kernel codegen refused: ``run_reference`` per
+        lane (the engine applies preloads and resolves the trip itself,
+        exactly as in Core.run)."""
         for i in lanes:
             core = results[i].core
             kernel = ginfo[i][0]
             start = core.cycle
             try:
-                end = core.cga.run_decoded(kernel, core.cycle)
+                end = core.cga.run_reference(kernel, core.cycle)
             except Exception as exc:
                 fail(i, exc)
                 continue

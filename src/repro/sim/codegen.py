@@ -1,8 +1,7 @@
-"""Tier-3 interpreter: compile steady-state loops to specialized Python.
+"""The compiled tier: compile steady-state loops to specialized Python.
 
-The decoded tier (:mod:`repro.sim.decode`) removed per-cycle re-decoding
-but still pays one closure call per operand read and one per operation
-per simulated cycle.  This module removes the remaining dispatch: per
+The reference engines re-decode every operation on every simulated
+cycle.  This module removes that dispatch: per
 ``(kernel, architecture-fingerprint)`` it emits Python *source* for the
 whole CGA steady-state window — the ``II`` contexts unrolled into
 straight-line code with the output latches and hot counters as locals,
@@ -35,13 +34,13 @@ Caching is two-level, exactly like the modulo-schedule cache in
 Correctness contract: for every well-formed program the compiled tier
 produces bit-identical architectural state, cycle counts and
 :class:`~repro.sim.stats.ActivityStats` (per-cause stall counters
-included) to both the decoded and the reference tiers
-(``tests/sim/test_differential.py`` runs them all).  Central-RF port
-pressure, which the decoded tier checks dynamically through
-:class:`~repro.sim.regfile.RegisterFile`, is checked *statically* at
-generation time; a kernel or bundle whose worst case could overflow the
-ports raises :class:`CodegenUnsupported` and the runner falls back to
-the decoded tier for it (keeping the dynamic check).
+included) to the reference tier (``tests/sim/test_differential.py``
+runs both).  Central-RF port pressure, which the reference tier checks
+dynamically through :class:`~repro.sim.regfile.RegisterFile`, is
+checked *statically* at generation time; a kernel or bundle whose worst
+case could overflow the ports raises :class:`CodegenUnsupported` and
+the runner falls back to the reference loop for it (keeping the
+dynamic check).
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from repro.trace.tracer import get_tracer
 
 class CodegenUnsupported(Exception):
     """The construct cannot be compiled with static port-pressure proof;
-    the runner falls back to the decoded tier (which checks dynamically)."""
+    the runner falls back to the reference loop (which checks dynamically)."""
 
 
 #: Sentinel marking an empty shift-register slot in generated code.  It
@@ -305,7 +304,8 @@ def _iter_cga_ops(kernel: CgaKernel) -> Iterator[Tuple[int, int, int, object]]:
 
 def _pool_value(op, src_index: Optional[int], sel: SrcSel) -> int:
     """The runtime value of an IMM selection, with the mem-offset
-    pre-scaling the decoded tier applies (IMM offset, no phi init)."""
+    pre-scaling :func:`repro.sim.memops.effective_address` applies (IMM
+    offset, no phi init)."""
     value = sel.value & MASK64
     if (
         src_index == 1
@@ -643,7 +643,7 @@ class _CgaGen:
         self.has_mem = any(rec.kind != "dataflow" for rec in self.ops)
         self.has_load = any(rec.kind == "load" for rec in self.ops)
 
-    # -- validation + classification (mirrors decode.decode_op) --------
+    # -- validation + classification (once, at generation time) --------
 
     def _classify(self) -> None:
         arch, fault = self.arch, self.fault
@@ -733,11 +733,11 @@ class _CgaGen:
     def _check_port_pressure(self) -> None:
         """Static worst case per logical cycle vs. the central-RF ports.
 
-        The decoded tier enforces this dynamically (``RegisterFile``
+        The reference tier enforces this dynamically (``RegisterFile``
         raises ``PortOverflowError``); the compiled tier skips the
         per-access bookkeeping, which is only sound when no cycle *can*
         overflow.  Squashed operations read fewer ports, so counting
-        every site is conservative.  During the drain the decoded tier
+        every site is conservative.  During the drain the reference tier
         never calls ``begin_cycle``, so its port window spans the last
         logical cycle plus the whole drain — modelled the same here.
         """
@@ -784,7 +784,7 @@ class _CgaGen:
     def _base_read(self, lines: List[str], ind: str, sel: SrcSel, fu: int,
                    imm_slot: Optional[int], tally=None) -> str:
         """Statements for a source read's side effects; returns the value
-        expression.  Mirrors the decoded tier's reader closures.  With
+        expression.  Mirrors the reference tier's ``_read_src``.  With
         *tally*, unconditional access counts accumulate statically
         instead of emitting per-read increments."""
         kind = sel.kind
@@ -824,7 +824,7 @@ class _CgaGen:
 
         A phi (``sel.init is not None``) reads the initial immediate on
         iteration 0 without touching the base location (and without its
-        stats), exactly like the decoded reader.  *it0* resolves the
+        stats), exactly like the reference reader.  *it0* resolves the
         phi statically (trip-specialized emission): ``True`` means this
         slot is the op's iteration 0, ``None`` keeps the runtime test on
         *it_var*."""
@@ -1294,7 +1294,7 @@ class _CgaGen:
             w(ind + "    drain = %d" % d)
             self._emit_commit_writes(lines, ind + "    ", rec, "v", static_j=j)
         # Batched accounting for unpredicated ops (closed form in trip),
-        # then the stats flush the decoded tier performs per run.
+        # then the per-run stats flush.
         easy_fu: Dict[int, int] = {}
         easy_g: Dict[OpGroup, int] = {}
         easy_total = 0
@@ -1367,8 +1367,8 @@ def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
     and must be re-run from scratch.
 
     Raises :class:`CodegenUnsupported` when the static port-pressure
-    proof fails, and *fault* for malformed kernels (same messages as the
-    decoded tier's ``decode_kernel``).
+    proof fails, and *fault* for malformed kernels, found once at
+    generation time (the reference tier finds them while running).
 
     With *trip* (the batch driver groups lanes by resolved trip count
     anyway) the function is additionally specialized on the trip: the
@@ -1420,8 +1420,8 @@ def _iter_vliw_sites(bundles, start_pc: int, end_pc: int):
 
 
 def _vliw_imm_value(inst, src_index: int, operand) -> int:
-    """Runtime pool value of one VLIW immediate, with the decoded tier's
-    per-role transform: branch targets and CGA kernel ids stay raw,
+    """Runtime pool value of one VLIW immediate, with its per-role
+    transform: branch targets and CGA kernel ids stay raw,
     memory offsets are pre-scaled raw, everything else is encoded into
     64 bits two's-complement."""
     group = group_of(inst.opcode)
@@ -1635,7 +1635,7 @@ class _VliwGen:
             sv = self._read(lines, body, pc, slot, 2, inst.srcs[2])
             mask = (1 << (info.size * 8)) - 1
             # The write's conflict delay is ignored in VLIW mode (the
-            # decoded tier discards ``timed_write``'s return the same way).
+            # reference tier discards ``timed_write``'s return the same way).
             lines.append(body + "v_st = (%s) & %d" % (sv, mask))
             _emit_inline_write(lines, body, "cycle", info.size, *self.l1_geom)
         elif group is OpGroup.BRANCH:
@@ -1868,7 +1868,7 @@ class _VliwGen:
             w(bind + "vliw_cycles += 1")
             w(bind + "cycle += 1")
         # Terminator epilogue: the last bundle may have taken a branch
-        # (stop wins over a taken branch, exactly like the decoded loop).
+        # (stop wins over a taken branch, exactly like the reference loop).
         if has_branch:
             w(bind + "if stop is None and taken:")
             w(bind + "    dead = bl - 1")
@@ -1913,8 +1913,8 @@ def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
     from the caller via :func:`vliw_imms` over each lane's (possibly
     ``patch_constants``-patched) bundles.  Raises
     :class:`CodegenUnsupported` when the static port-pressure proof
-    fails, and *fault* for malformed bundles (same messages as the
-    decoded tier).
+    fails, and *fault* for malformed bundles, found once at generation
+    time (the reference tier finds them while running).
     """
     from repro.sim.vliw import StopEvent  # lazy: vliw.py imports this module
 

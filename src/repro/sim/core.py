@@ -6,6 +6,13 @@ completion: VLIW execution until a ``cga`` instruction hands a kernel to
 the array, back to VLIW at loop exit, until ``halt`` (sleep state; the
 host may resume) or the end of the instruction stream.
 
+Two interpreter tiers (:data:`INTERPRETERS`) execute that loop.
+``compiled``, the default, runs the core as a one-lane batch of
+generated code (:mod:`repro.sim.batch`).  ``reference`` runs the
+engines' interpreted loops: the oracle the compiled tier is checked
+against, and the loop every traced run takes, since generated code has
+no tracer hooks.
+
 Profiling regions (the rows of Table 2) are delimited with
 :meth:`region` /  via :class:`RegionProfiler`: statistics snapshots
 around a region yield per-kernel cycle counts and IPC.
@@ -36,8 +43,9 @@ class SimulationError(Exception):
 #: Cycles to switch the shared register file and control between modes.
 MODE_SWITCH_CYCLES = 1
 
-#: The interpreter tiers a core can run (see :class:`Core`).
-INTERPRETERS = ("decoded", "reference", "compiled")
+#: The interpreter tiers a core can run: the interpreted oracle and
+#: the generated-code fast path (see :class:`Core`).
+INTERPRETERS = ("reference", "compiled")
 
 
 def check_interpreter(interpreter: str) -> None:
@@ -58,7 +66,7 @@ class Core:
         arch: CgaArchitecture,
         program: Program,
         tracer: Optional[Tracer] = None,
-        interpreter: str = "decoded",
+        interpreter: str = "compiled",
     ) -> None:
         check_interpreter(interpreter)
         self.arch = arch
@@ -109,9 +117,6 @@ class Core:
             stats=self.stats,
             tracer=self.tracer,
         )
-        use_decoded = interpreter in ("decoded", "compiled")
-        self.vliw.use_decoded = use_decoded
-        self.cga.use_decoded = use_decoded
         #: The compiled tier: this core as the single lane of its own
         #: lockstep runner (generated code at width 1).
         self._runner = None
@@ -131,18 +136,12 @@ class Core:
         """Point the core at *program* without rebuilding the machine.
 
         Used by the modem runtime to re-drive resident cores with
-        ``patch_constants`` variants of a linked program.  The VLIW
-        engine's per-pc decode cache holds immediate pools read from the
-        bundle objects, so it is dropped whenever the program object
-        actually changes; rebinding the same object is free and keeps
-        every cache warm.  (Runner memos are identity-guarded and need
-        no reset.)
+        ``patch_constants`` variants of a linked program.  The runner's
+        memos are identity-guarded, so they need no reset: a new program
+        object misses them and the same object keeps them warm.
         """
-        if program is self.program:
-            return
         self.program = program
         self.vliw.bundles = program.bundles
-        self.vliw._decoded = []
 
     def load_configuration(self, stall_core: bool = False) -> int:
         """DMA-preload all kernels' configuration contexts (accounting only).
@@ -171,8 +170,8 @@ class Core:
 
         The compiled tier runs this core as a one-lane batch on its own
         :class:`~repro.sim.batch.BatchProgramRunner`.  Generated code has
-        no tracer hooks, so with tracing enabled it runs the decoded tier
-        instead (bit-identical, and it emits every event).
+        no tracer hooks, so with tracing enabled it runs the reference
+        loop instead (bit-identical, and it emits every event).
         """
         from repro.sim.vliw import VliwFault
 
@@ -190,7 +189,9 @@ class Core:
                 )
             segment_start = self.cycle
             try:
-                stop, cycle = self.vliw.run(self.pc, self.cycle, max_cycle=max_cycles)
+                stop, cycle = self.vliw.run_reference(
+                    self.pc, self.cycle, max_cycle=max_cycles
+                )
             except VliwFault as exc:
                 raise SimulationError(str(exc)) from exc
             self.cycle = cycle
@@ -214,7 +215,7 @@ class Core:
         self.stats.cga_cycles += MODE_SWITCH_CYCLES
         self.cycle += MODE_SWITCH_CYCLES
         start = self.cycle
-        self.cycle = self.cga.run(kernel, self.cycle)
+        self.cycle = self.cga.run_reference(kernel, self.cycle)
         self.kernel_log.append({"kernel": kernel.name, "cycles": self.cycle - start})
         # Mode switch out.
         self.stats.cga_cycles += MODE_SWITCH_CYCLES

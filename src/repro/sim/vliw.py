@@ -25,14 +25,6 @@ from repro.isa.instruction import Imm, Instruction, PredReg, Reg
 from repro.isa.opcodes import Opcode, OpGroup, group_of, latency_of
 from repro.isa.semantics import execute as exec_semantics
 from repro.sim import memops
-from repro.sim.decode import (
-    KIND_BRANCH,
-    KIND_DATAFLOW,
-    KIND_LOAD,
-    KIND_STORE,
-    DecodedBundle,
-    decode_bundle,
-)
 from repro.sim.icache import InstructionCache
 from repro.sim.memory import Scratchpad
 from repro.sim.program import VliwBundle
@@ -81,12 +73,6 @@ class VliwEngine:
         #: Scoreboard: register index -> cycle at which the value is usable.
         self._reg_ready: Dict[int, int] = {}
         self._pred_ready: Dict[int, int] = {}
-        #: Lazily filled per-PC decoded-bundle cache (parallel to
-        #: ``bundles``; rebuilt if the stream length changes).
-        self._decoded: List[Optional[DecodedBundle]] = []
-        #: When False, :meth:`run` uses the reference interpreter
-        #: (:meth:`run_reference`) instead of the decoded fast path.
-        self.use_decoded = True
 
     # ------------------------------------------------------------------
 
@@ -120,199 +106,17 @@ class VliwEngine:
 
     # ------------------------------------------------------------------
 
-    def run(
+    def run_reference(
         self, start_pc: int, start_cycle: int, max_cycle: Optional[int] = None
     ) -> Tuple[StopEvent, int]:
         """Execute from *start_pc*; returns (stop event, cycle after stop).
 
-        Dispatches to the reference per-cycle loop or the decoded fast
-        path.  The compiled tier does not come through here: it is
-        :class:`repro.sim.batch.BatchProgramRunner`, which calls
-        :meth:`run_decoded` only for segments the code generator
-        refuses.  All tiers are bit-identical.
-        """
-        if not self.use_decoded:
-            return self.run_reference(start_pc, start_cycle, max_cycle)
-        return self.run_decoded(start_pc, start_cycle, max_cycle)
-
-    def run_decoded(
-        self, start_pc: int, start_cycle: int, max_cycle: Optional[int] = None
-    ) -> Tuple[StopEvent, int]:
-        """Decoded fast path: each bundle is lowered once on first fetch
-        (:mod:`repro.sim.decode`) and replayed from the cache afterwards
-        — scoreboard source lists, branch targets, operand readers and
-        semantic handlers are all pre-resolved.  Bit-identical to
-        :meth:`run_reference`.  Raises :class:`VliwFault` when
-        *max_cycle* is exceeded (runaway loop protection).
-        """
-        bundles = self.bundles
-        n_bundles = len(bundles)
-        cache = self._decoded
-        if len(cache) != n_bundles:
-            cache = self._decoded = [None] * n_bundles
-        pc = start_pc
-        cycle = start_cycle
-        stats = self.stats
-        tracer = self.tracer
-        cdrf = self.cdrf
-        cprf = self.cprf
-        cdrf_begin = cdrf.begin_cycle
-        cprf_begin = cprf.begin_cycle
-        cprf_read = cprf.read
-        reg_ready = self._reg_ready
-        pred_ready = self._pred_ready
-        icache_fetch = self.icache.fetch
-        timed_read = self.scratchpad.timed_read
-        timed_write = self.scratchpad.timed_write
-        fu_ops = stats.fu_ops
-        op_groups = stats.op_groups
-        slot_fus = self.slot_fus
-        vliw_cycles = 0
-        vliw_ops = 0
-        squashed = 0
-        writebacks: List[Tuple[Optional[int], bool, int, int]] = []
-        try:
-            while 0 <= pc < n_bundles:
-                if max_cycle is not None and cycle > max_cycle:
-                    raise VliwFault("exceeded %d cycles in VLIW mode" % max_cycle)
-                db = cache[pc]
-                if db is None:
-                    db = decode_bundle(pc, bundles[pc], cdrf, cprf, slot_fus, VliwFault)
-                    cache[pc] = db
-                # Instruction fetch.
-                miss = icache_fetch(pc, cycle)
-                if miss:
-                    stats.add_stall(StallCause.ICACHE_MISS, miss)
-                    vliw_cycles += miss
-                    cycle += miss
-                # Scoreboard interlock over the hoisted source lists.
-                need = 0
-                for index in db.need_regs:
-                    ready = reg_ready.get(index, 0)
-                    if ready > need:
-                        need = ready
-                for index in db.need_preds:
-                    ready = pred_ready.get(index, 0)
-                    if ready > need:
-                        need = ready
-                if need > cycle:
-                    wait = need - cycle
-                    stats.add_stall(StallCause.INTERLOCK, wait)
-                    vliw_cycles += wait
-                    if tracer.enabled:
-                        tracer.instant(
-                            "stall.interlock",
-                            cycle,
-                            cat="stall",
-                            args={"pc": pc, "cycles": wait},
-                        )
-                    cycle = need
-                # Issue.
-                cdrf_begin()
-                cprf_begin()
-                taken = False
-                target = 0
-                branch_latency = 0
-                stop: Optional[StopEvent] = None
-                del writebacks[:]
-                for di in db.insts:
-                    pred_index = di.pred_index
-                    if pred_index is not None:
-                        if (cprf_read(pred_index) != 0) == di.pred_negate:
-                            squashed += 1
-                            continue
-                    weight = di.weight
-                    fu_ops[di.fu] += weight
-                    op_groups[di.group] += weight
-                    vliw_ops += weight
-                    kind = di.kind
-                    if kind == KIND_DATAFLOW:
-                        writebacks.append(
-                            (di.wb_index, di.wb_is_pred, di.compute(), cycle + di.latency)
-                        )
-                    elif kind == KIND_LOAD:
-                        base = di.base_reader() & MASK32
-                        off_reader = di.off_reader
-                        if off_reader is None:
-                            addr = (base + di.off_const) & MASK32
-                        else:
-                            addr = (base + (off_reader() & MASK32)) & MASK32
-                        raw, extra = timed_read(cycle, addr, di.mem_size)
-                        writebacks.append(
-                            (
-                                di.wb_index,
-                                di.wb_is_pred,
-                                di.load_convert(raw),
-                                cycle + di.latency + extra,
-                            )
-                        )
-                    elif kind == KIND_STORE:
-                        base = di.base_reader() & MASK32
-                        addr = (base + di.off_const) & MASK32
-                        timed_write(
-                            cycle, addr, di.store_reader() & di.store_mask, di.mem_size
-                        )
-                    elif kind == KIND_BRANCH:
-                        taken = True
-                        branch_latency = di.latency
-                        if di.target_reg is not None:
-                            target = cdrf.read(di.target_reg) & MASK32
-                        else:
-                            target = di.target_const
-                        if di.link_index is not None:
-                            cdrf.write(di.link_index, pc + 1)
-                            reg_ready[di.link_index] = cycle + di.latency
-                    else:  # control
-                        if di.opcode is Opcode.CGA:
-                            stop = StopEvent("cga", kernel_id=di.kernel_id, next_pc=pc + 1)
-                        elif di.opcode is Opcode.HALT:
-                            stop = StopEvent("halt", next_pc=pc + 1)
-                # Write-back phase (two-phase so intra-bundle reads see
-                # old values).
-                for wb_index, wb_is_pred, value, ready in writebacks:
-                    if wb_index is None:
-                        continue
-                    if wb_is_pred:
-                        cprf.write(wb_index, value & 1)
-                        pred_ready[wb_index] = ready
-                    else:
-                        cdrf.write(wb_index, value)
-                        reg_ready[wb_index] = ready
-                vliw_cycles += 1
-                cycle += 1
-                if stop is not None:
-                    return stop, cycle
-                if taken:
-                    dead = branch_latency - 1
-                    stats.add_stall(StallCause.BRANCH, dead)
-                    vliw_cycles += dead
-                    if tracer.enabled:
-                        tracer.instant(
-                            "stall.branch",
-                            cycle,
-                            cat="stall",
-                            args={"pc": pc, "target": target, "cycles": dead},
-                        )
-                    cycle += dead
-                    pc = target
-                else:
-                    pc += 1
-            return StopEvent("end", next_pc=pc), cycle
-        finally:
-            stats.vliw_cycles += vliw_cycles
-            stats.vliw_ops += vliw_ops
-            stats.squashed_ops += squashed
-
-    # ------------------------------------------------------------------
-
-    def run_reference(
-        self, start_pc: int, start_cycle: int, max_cycle: Optional[int] = None
-    ) -> Tuple[StopEvent, int]:
-        """Reference interpreter: the original per-cycle re-decoding loop.
-
-        Kept as the ground truth the decoded fast path is differentially
-        tested against.  Raises :class:`VliwFault` when *max_cycle* is
-        exceeded (runaway loop protection).
+        The interpreted loop: each bundle is re-decoded on every issue.
+        It is the oracle the compiled tier
+        (:class:`repro.sim.batch.BatchProgramRunner`) is checked against
+        and the runner's fallback for segments the code generator
+        refuses.  Raises :class:`VliwFault` when *max_cycle* is exceeded
+        (runaway loop protection).
         """
         pc = start_pc
         cycle = start_cycle

@@ -22,10 +22,10 @@ from repro.runtime import ModemRuntime, generate_packets, make_packet
 def template():
     """One warm parent-side runtime shared by every fabric in the module.
 
-    The decoded tier keeps each packet in flight long enough for the
+    The reference tier keeps each packet in flight long enough for the
     crash tests to kill a worker mid-stream."""
     cases = generate_packets(1, base_seed=42, cfo_hz=50e3)
-    runtime = ModemRuntime(interpreter="decoded")
+    runtime = ModemRuntime(interpreter="reference")
     runtime.warm_up(cases[0].rx)
     return runtime
 
@@ -148,10 +148,10 @@ def test_mixed_shapes_with_affinity_decode_correctly(template):
 def test_batch_drain_fabric_builds_its_template_on_the_requested_tier(cases):
     """With no template given, the fabric builds one runtime kind at any
     width: ``batch > 1`` still honours ``runtime_kwargs["interpreter"]``."""
-    fab = Fabric(workers=1, batch=4, runtime_kwargs={"interpreter": "decoded"})
+    fab = Fabric(workers=1, batch=4, runtime_kwargs={"interpreter": "reference"})
     with fab:
-        assert fab.template_runtime.interpreter == "decoded"
+        assert fab.template_runtime.interpreter == "reference"
         task_id = fab.offer(cases[0].rx).task_id
         results = fab.drain(timeout=300)
-    solo = SimReceiver(interpreter="decoded").run_packet(cases[0].rx)
+    solo = SimReceiver(interpreter="reference").run_packet(cases[0].rx)
     _assert_identical(results[task_id], solo)

@@ -1,5 +1,6 @@
 """Modem runtime tests: bit-identity, throughput, tiers and disk cache."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -10,10 +11,13 @@ import numpy as np
 import pytest
 
 import repro
+from repro.arch import paper_core
 from repro.compiler.linker import _SCHEDULE_CACHE, configure_schedule_cache
+from repro.eval import run_reference_modem
 from repro.modem.receiver import MIN_PACKET_SAMPLES, SimReceiver
 from repro.runtime import ModemRuntime, generate_packets, make_packet
-from repro.sim import Core, codegen
+from repro.sim import Core, Program, codegen
+from repro.sim.core import INTERPRETERS
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -51,7 +55,7 @@ def test_batch_bit_identical_to_per_packet_receivers(cases):
         assert float(np.mean(out.bits != case.bits)) == 0.0
     assert runtime.compiled_programs == programs_after_first
     for out, case in zip(batched, subset):
-        solo = SimReceiver(interpreter="decoded").run_packet(case.rx)
+        solo = SimReceiver(interpreter="reference").run_packet(case.rx)
         _assert_outputs_identical(out, solo)
 
 
@@ -61,7 +65,7 @@ def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases):
     _SCHEDULE_CACHE.clear()
     try:
         t0 = time.perf_counter()
-        cold_out = SimReceiver(interpreter="decoded").run_packet(cases[0].rx)
+        cold_out = SimReceiver().run_packet(cases[0].rx)
         t_cold = time.perf_counter() - t0
     finally:
         _SCHEDULE_CACHE.update(saved)
@@ -80,16 +84,29 @@ def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases):
 
 
 def test_unknown_interpreter_is_rejected_at_construction():
-    """A misspelt tier fails when the runtime is built, not per packet."""
-    with pytest.raises(ValueError, match="interpreter must be"):
-        ModemRuntime(interpreter="fast")
+    """A misspelt tier, or the retired ``decoded`` one, fails when the
+    runtime or core is built, not per packet."""
+    for tier in ("fast", "decoded"):
+        with pytest.raises(ValueError, match="interpreter must be"):
+            ModemRuntime(interpreter=tier)
+        with pytest.raises(ValueError, match="interpreter must be"):
+            Core(paper_core(), Program(bundles=[]), interpreter=tier)
+
+
+def test_default_tier_is_compiled():
+    """Core, SimReceiver, run_reference_modem and ModemRuntime share
+    one default tier."""
+    for fn in (Core.__init__, SimReceiver.__init__, run_reference_modem,
+               ModemRuntime.__init__):
+        assert inspect.signature(fn).parameters["interpreter"].default == "compiled"
+    assert INTERPRETERS == ("reference", "compiled")
 
 
 def test_mixed_shapes_and_short_packet_keep_input_order(cases):
     """One call with two interleaved shapes and one too-short packet:
     results come back in input order, the short packet carries its
     ValueError as a fallback, and every other packet matches the
-    decoded tier bit for bit."""
+    reference tier bit for bit."""
     long_rx = make_packet(9, extra_pad=64).rx
     short_rx = cases[0].rx[:, : MIN_PACKET_SAMPLES - 1]
     packets = [cases[0].rx, long_rx, short_rx, cases[1].rx, make_packet(10, extra_pad=64).rx]
@@ -105,7 +122,7 @@ def test_mixed_shapes_and_short_packet_keep_input_order(cases):
             continue
         assert result.error is None, i
         assert result.fell_back is False, i
-        solo = SimReceiver(interpreter="decoded").run_packet(rx)
+        solo = SimReceiver(interpreter="reference").run_packet(rx)
         assert list(result.output.bits) == list(solo.bits), i
         assert result.output.stats == solo.stats, i
         assert result.output.image == solo.image, i
@@ -116,9 +133,9 @@ def test_mixed_shapes_and_short_packet_keep_input_order(cases):
 def test_batched_runtime_ragged_chunk_is_not_a_fallback(cases):
     """A trailing singleton chunk (N % B != 0) runs on the resident
     lane cores at width 1; it must stay bit-identical to the
-    decoded tier and must NOT count toward ``fallbacks``."""
+    reference tier and must NOT count toward ``fallbacks``."""
     subset = [case.rx for case in cases[:3]]
-    serial = ModemRuntime(interpreter="decoded")
+    serial = ModemRuntime(interpreter="reference")
     expected = [serial.run_packet(rx) for rx in subset]
     batched = ModemRuntime(batch=2)  # chunks of 2 + 1
     outputs = batched.run_batch(subset)
@@ -163,7 +180,7 @@ def warm_mixed_runtime():
 
 def test_codegen_never_refuses_a_modem_region_program(warm_mixed_runtime):
     """Every modem region program compiles at widths 1 and 4: the
-    runner's decoded-tier fallback is reachable only from hand-built
+    runner's reference-loop fallback is reachable only from hand-built
     programs that break the static port-pressure proof."""
     runtime, counts = warm_mixed_runtime
     assert counts["calls"] > 0

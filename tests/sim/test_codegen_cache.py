@@ -1,8 +1,9 @@
 """Codegen-cache tests: LRU bounds, disk persistence, corruption healing.
 
-Mirrors ``tests/compiler/test_schedule_cache.py`` for the tier-3 source
-cache (`src/repro/sim/codegen.py`), plus the regression test for the
-``CgaEngine`` kernel-pinning leak the LRU bound fixes.
+Mirrors ``tests/compiler/test_schedule_cache.py`` for the compiled
+tier's source cache (`src/repro/sim/codegen.py`), plus regression tests
+that a long-lived core's runner memos neither grow with nor alias
+across ``patch_constants`` variants.
 """
 
 import glob
@@ -21,7 +22,6 @@ from repro.compiler.linker import ProgramLinker, configure_schedule_cache
 from repro.isa import Imm, Instruction, Opcode
 from repro.sim import CgaContext, CgaKernel, CgaOp, Core, DstSel, Program, SrcSel, VliwBundle
 from repro.sim import codegen
-from repro.sim.cga import KERNEL_CACHE_BOUND
 from repro.sim.program import DstKind, patch_constants
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -65,32 +65,20 @@ def _template_program():
 
 
 # ----------------------------------------------------------------------
-# Satellite: the kernel-pinning leak is bounded by an LRU now.
+# Runner memos: bounded, and identity-guarded against id() reuse.
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("interpreter", ["decoded", "compiled"])
-def test_engine_kernel_caches_are_bounded(interpreter):
+def test_engine_kernel_caches_are_bounded():
     """A long-lived core fed many ``patch_constants`` variants (the
     fabric-worker pattern) must not pin every kernel it ever ran.
 
-    Decoded: the engine's kernel LRU stays within the bound.  Compiled:
-    the core's own lockstep runner memoizes per lane slot and per
+    The core's own lockstep runner memoizes per lane slot and per
     structural signature, so its tables stop growing after the first
     variant, and later variants compile nothing."""
     template = _template_program()
-    core = Core(paper_core(), template, interpreter=interpreter)
-    n = KERNEL_CACHE_BOUND * 2 + 8
-    if interpreter == "decoded":
-        for value in range(1, n + 1):
-            variant = patch_constants(template, {_SENTINEL: value})
-            end = core.cga.run(variant.kernels[0], core.cycle)
-            assert end > core.cycle
-            assert core.cdrf.peek(10) == 4 * value
-            core.cdrf.poke(10, 0)
-        assert len(core.cga._decoded) <= KERNEL_CACHE_BOUND
-        return
-
+    core = Core(paper_core(), template, interpreter="compiled")
+    n = 40
     runner = core._runner
     tables = (runner._vliw_lane, runner._cga_lane, runner._vliw_fns,
               runner._cga_fns, runner._sig_ids)
@@ -111,24 +99,31 @@ def test_engine_kernel_caches_are_bounded(interpreter):
         if sizes is None:
             sizes = [len(table) for table in tables]
     assert [len(table) for table in tables] == sizes
-    assert all(size <= KERNEL_CACHE_BOUND for size in sizes)
-    assert len(core.cga._decoded) == 0  # never fell back to decoded
+    assert all(size <= 16 for size in sizes)
+    assert None not in runner._vliw_fns.values()  # never fell back
+    assert None not in runner._cga_fns.values()
     # Structural sharing still holds: N variants, compiles only for the first.
     assert compiled[0] >= 1
     assert not any(compiled[1:])
 
 
 def test_recycled_kernel_id_is_not_a_stale_hit():
-    """`id()` reuse after garbage collection must miss, not alias."""
+    """`id()` reuse after garbage collection must miss, not alias: the
+    runner's per-lane memos are identity-guarded, so a recycled variant
+    driven through ``rebind_program`` runs its own immediates."""
     template = _template_program()
-    core = Core(paper_core(), template, interpreter="decoded")
+    core = Core(paper_core(), template, interpreter="compiled")
     seen = []
-    for value in (5, 9):
+    for value in (5, 9, 5):
         variant = patch_constants(template, {_SENTINEL: value})
-        core.cga.run(variant.kernels[0], core.cycle)
+        core.rebind_program(variant)
+        core.pc = 0
+        core.halted = False
+        core.run()
         seen.append(core.cdrf.peek(10))
+        core.cdrf.poke(10, 0)
         del variant  # allow id() reuse for the next variant
-    assert seen == [20, 36]
+    assert seen == [20, 36, 20]
 
 
 # ----------------------------------------------------------------------

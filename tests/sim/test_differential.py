@@ -1,20 +1,19 @@
-"""Differential harness: every interpreter tier against the others.
+"""Differential harness: the fast path against the oracle.
 
 Every program here runs under ``Core(interpreter="reference")`` (the
-oracle), ``Core(interpreter="decoded")`` and
-``Core(interpreter="compiled")`` — a one-lane run of the lockstep
-runner (:mod:`repro.sim.batch`) over the generated code from
+oracle) and ``Core(interpreter="compiled")`` — a one-lane run of the
+lockstep runner (:mod:`repro.sim.batch`) over the generated code from
 ``cga_batch_runner`` / ``vliw_batch_runner`` — plus a multi-lane batch
 of the same runner, and the final machine state must be
 **bit-identical**: cycle counts, every register file, scratchpad
 memory, and the full :class:`~repro.sim.stats.ActivityStats` including
 per-cause stall counters.  This is the correctness contract of the
-pre-decode layer (`src/repro/sim/decode.py`) and of the code generator
-(`src/repro/sim/codegen.py`): lowering is an optimisation, never a
-semantic change.  The runner additionally proves its divergence story
-here: ragged widths, per-lane immediate pools, divergent groups run at
-their own widths, and mid-batch faults replayed on a fresh core
-bit-identically.
+code generator (`src/repro/sim/codegen.py`): compiling is an
+optimisation, never a semantic change.  The runner additionally proves
+its divergence story here: ragged widths, per-lane immediate pools,
+divergent groups run at their own widths, mid-batch faults replayed on
+a fresh core bit-identically, and the reference-loop fallback for
+programs the code generator refuses.
 """
 
 import pytest
@@ -50,41 +49,41 @@ def enter_and_halt(kernel_id=0):
     ]
 
 
-def assert_identical(decoded: Core, reference: Core) -> None:
+def assert_identical(left: Core, right: Core) -> None:
     """Assert bit-identical architectural state and statistics."""
-    assert decoded.cycle == reference.cycle, "cycle counts differ"
-    assert decoded.pc == reference.pc
-    assert decoded.halted == reference.halted
-    assert decoded.kernel_log == reference.kernel_log
-    n = decoded.cdrf.entries
-    assert [decoded.cdrf.peek(i) for i in range(n)] == [
-        reference.cdrf.peek(i) for i in range(n)
+    assert left.cycle == right.cycle, "cycle counts differ"
+    assert left.pc == right.pc
+    assert left.halted == right.halted
+    assert left.kernel_log == right.kernel_log
+    n = left.cdrf.entries
+    assert [left.cdrf.peek(i) for i in range(n)] == [
+        right.cdrf.peek(i) for i in range(n)
     ], "CDRF contents differ"
-    n = decoded.cprf.entries
-    assert [decoded.cprf.peek(i) for i in range(n)] == [
-        reference.cprf.peek(i) for i in range(n)
+    n = left.cprf.entries
+    assert [left.cprf.peek(i) for i in range(n)] == [
+        right.cprf.peek(i) for i in range(n)
     ], "CPRF contents differ"
-    assert set(decoded.local_rfs) == set(reference.local_rfs)
-    for fu, lrf in decoded.local_rfs.items():
-        ref = reference.local_rfs[fu]
+    assert set(left.local_rfs) == set(right.local_rfs)
+    for fu, lrf in left.local_rfs.items():
+        ref = right.local_rfs[fu]
         assert [lrf.peek(i) for i in range(lrf.entries)] == [
             ref.peek(i) for i in range(ref.entries)
         ], "local RF %d contents differ" % fu
-    assert bytes(decoded.scratchpad._mem) == bytes(
-        reference.scratchpad._mem
+    assert bytes(left.scratchpad._mem) == bytes(
+        right.scratchpad._mem
     ), "scratchpad contents differ"
     for name in _SCALAR_FIELDS:
-        assert getattr(decoded.stats, name) == getattr(reference.stats, name), (
-            "stats.%s differs: decoded=%r reference=%r"
-            % (name, getattr(decoded.stats, name), getattr(reference.stats, name))
+        assert getattr(left.stats, name) == getattr(right.stats, name), (
+            "stats.%s differs: %r vs %r"
+            % (name, getattr(left.stats, name), getattr(right.stats, name))
         )
     for name in _COUNTER_FIELDS:
-        dec = {k: v for k, v in getattr(decoded.stats, name).items() if v}
-        ref = {k: v for k, v in getattr(reference.stats, name).items() if v}
-        assert dec == ref, "stats.%s differs" % name
+        lhs = {k: v for k, v in getattr(left.stats, name).items() if v}
+        rhs = {k: v for k, v in getattr(right.stats, name).items() if v}
+        assert lhs == rhs, "stats.%s differs" % name
 
 
-INTERPRETERS = ("decoded", "reference", "compiled")
+INTERPRETERS = ("reference", "compiled")
 
 #: Lanes driven through the multi-lane batch by :func:`run_both`.
 BATCH_LANES = 3
@@ -328,7 +327,7 @@ def test_zero_trip_differential():
 
 
 def test_repeated_kernel_entry_uses_cache():
-    """Entering the same kernel twice exercises the decode cache."""
+    """Entering the same kernel twice reuses the runner's memos."""
     kernel, _, _ = k_accumulator()
     bundles = [
         VliwBundle((Instruction(Opcode.CGA, srcs=(Imm(0),)), None, None)),
@@ -549,9 +548,9 @@ def test_compiled_xcorr_differential():
 # ----------------------------------------------------------------------
 
 
-def _maker(program, pokes=(), mem=()):
+def _maker(program, pokes=(), mem=(), interpreter="compiled"):
     def make_core():
-        core = Core(paper_core(), program, interpreter="compiled")
+        core = Core(paper_core(), program, interpreter=interpreter)
         for reg, value in pokes:
             core.cdrf.poke(reg, value)
         for addr, value, size in mem:
@@ -642,7 +641,7 @@ def test_batched_divergent_trip_counts_fall_back_per_packet():
         assert lane.error is None and not lane.fell_back
         assert_identical(ref, lane.core)
     # trip 7 ran as a group of two, trip 3 alone (each through generated
-    # code, not the decoded fallback); trip 0 never enters.
+    # code, not the reference fallback); trip 0 never enters.
     assert sorted(trip for _sid, trip in runner._cga_fns) == [3, 7]
     assert all(fn is not None for fn in runner._cga_fns.values())
 
@@ -732,9 +731,10 @@ def test_batched_fault_without_fresh_records_error():
     assert results[1].error is None and results[2].error is None
 
 
-def test_compiled_core_with_tracer_runs_decoded_tier():
+def test_compiled_core_with_tracer_runs_reference_tier():
     """Generated code carries no tracer hooks, so a traced compiled core
-    runs the decoded tier: same state as untraced, every event emitted."""
+    runs the reference loop: same state as untraced, and exactly the
+    event list an explicit reference core emits."""
     bundles = [
         VliwBundle((
             Instruction(Opcode.ADD, srcs=(Imm(0), Imm(3)), dst=Reg(1)),
@@ -758,7 +758,104 @@ def test_compiled_core_with_tracer_runs_decoded_tier():
     traced = Core(paper_core(), program, tracer=tracer, interpreter="compiled")
     traced.run()
     assert_identical(untraced, traced)
+    ref_tracer = Tracer()
+    reference = Core(paper_core(), program, tracer=ref_tracer,
+                     interpreter="reference")
+    reference.run()
+    assert_identical(reference, traced)
+    assert tracer.events == ref_tracer.events
     names = {event.name for event in tracer.events}
     assert {"vliw", "cga:acc", "stall.branch"} <= names
     assert len(untraced._runner._vliw_fns) > 0
     assert len(traced._runner._vliw_fns) == 0  # the runner never ran
+
+
+# ----------------------------------------------------------------------
+# Codegen refusals: the runner falls back to the reference loop
+# ----------------------------------------------------------------------
+
+
+def refused_cga_program():
+    """A kernel codegen refuses: its central-RF read sites (2 + 3 + 3)
+    exceed the 6 CDRF read ports in the worst case.  The two stores are
+    guarded by complementary predicates, so at most 5 reads issue per
+    cycle and the reference loop runs it within the ports."""
+    add = CgaOp(
+        opcode=Opcode.ADD,
+        srcs=(SrcSel.cdrf(1), SrcSel.cdrf(2)),
+        dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),),
+    )
+    store_taken = CgaOp(
+        opcode=Opcode.ST_I,
+        srcs=(SrcSel.cdrf(4), SrcSel.cdrf(5), SrcSel.cdrf(6)),
+        pred=SrcSel.cprf(3),
+    )
+    store_squashed = CgaOp(
+        opcode=Opcode.ST_I,
+        srcs=(SrcSel.cdrf(7), SrcSel.cdrf(5), SrcSel.cdrf(6)),
+        pred=SrcSel.cprf(3),
+        pred_negate=True,
+    )
+    kernel = CgaKernel(
+        name="port_heavy", ii=1, stage_count=1,
+        contexts=[CgaContext(ops={0: add, 1: store_taken, 2: store_squashed})],
+        trip_count=4,
+    )
+    bundles = [
+        VliwBundle((Instruction(Opcode.PRED_SET, dst=PredReg(3)), None, None)),
+    ] + enter_and_halt()
+    pokes = [(1, 20), (2, 22), (4, 64), (5, 8), (6, 0xABCD), (7, 256)]
+    return Program(bundles=bundles, kernels={0: kernel}), pokes
+
+
+def refused_vliw_program():
+    """A segment codegen refuses: one bundle whose three predicate
+    combines read 3 guards + 6 predicate sources, over the 6 CPRF read
+    ports in the worst case.  Only one guard passes, so 5 reads issue."""
+    bundles = [
+        VliwBundle((
+            Instruction(Opcode.PRED_SET, dst=PredReg(1)),
+            Instruction(Opcode.PRED_CLEAR, dst=PredReg(2)),
+            Instruction(Opcode.ADD, srcs=(Imm(0), Imm(9)), dst=Reg(1)),
+        )),
+        VliwBundle(tuple(
+            Instruction(
+                Opcode.PRED_EQ, srcs=(PredReg(1), PredReg(2)), dst=PredReg(4 + slot),
+                pred=PredReg(1), pred_negate=slot != 0,
+            )
+            for slot in range(3)
+        )),
+        VliwBundle((
+            Instruction(Opcode.ADD, srcs=(Reg(1), Imm(1)), dst=Reg(2)),
+            None,
+            None,
+        )),
+        VliwBundle((Instruction(Opcode.HALT), None, None)),
+    ]
+    return Program(bundles=bundles), ()
+
+
+@pytest.mark.parametrize("build", [refused_cga_program, refused_vliw_program],
+                         ids=lambda b: b.__name__)
+def test_codegen_refusal_falls_back_to_reference(build):
+    """Codegen's static port-pressure proof refuses the program; the
+    runner runs it on the reference loop, one lane at a time, and both
+    the one-lane compiled core and a 3-lane batch stay bit-identical to
+    the reference tier."""
+    program, pokes = build()
+    make_core = _maker(program, pokes)
+    reference = _maker(program, pokes, interpreter="reference")()
+    reference.run()
+    compiled = make_core()
+    compiled.run()
+    assert_identical(reference, compiled)
+    runner = BatchProgramRunner()
+    assert_batched_identical(make_core, reference, runner=runner)
+    for core_runner in (compiled._runner, runner):
+        cga_fns = list(core_runner._cga_fns.values())
+        vliw_fns = list(core_runner._vliw_fns.values())
+        if build is refused_cga_program:
+            assert cga_fns == [None]
+            assert vliw_fns and None not in vliw_fns
+        else:
+            assert vliw_fns == [None]

@@ -1,8 +1,8 @@
-"""Tracing must stay zero-cost on the decoded fast path.
+"""Tracing must stay zero-cost on the default ``compiled`` tier.
 
-When no tracer is attached (``NULL_TRACER``), the decoded engines may
-consult the tracer only O(1) times per mode switch / kernel entry —
-never once per simulated cycle or per op.  The proof: run the same
+When no tracer is attached (``NULL_TRACER``), a core may consult the
+tracer only O(1) times per mode switch / kernel entry — never once per
+simulated cycle or per op.  The proof: run the same
 kernel at two trip counts an order of magnitude apart and require the
 *identical* number of tracer attribute lookups.
 """

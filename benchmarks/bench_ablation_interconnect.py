@@ -17,8 +17,9 @@ from repro.power import estimate_area
 
 
 def _schedule(arch, build, live_ins):
-    return ModuloScheduler(build(), arch).schedule(
-        live_in_regs=live_ins, trip_count=8
+    dfg = build()
+    return ModuloScheduler(dfg, arch).schedule().bind(
+        dfg, live_in_regs=live_ins, trip_count=8
     )
 
 

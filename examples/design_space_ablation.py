@@ -41,8 +41,9 @@ def main():
     for name, topo in VARIANTS:
         arch = paper_core(name="ablate-%s" % name, interconnect=topo)
         for kname, build, live_ins in KERNELS:
-            sched = ModuloScheduler(build(), arch)
-            result = sched.schedule(live_in_regs=live_ins, trip_count=8)
+            dfg = build()
+            plan = ModuloScheduler(dfg, arch).schedule()
+            result = plan.bind(dfg, live_in_regs=live_ins, trip_count=8)
             print(
                 "%-20s %-8s %4d %4d %6d %7d"
                 % (name, kname, result.mii, result.ii, result.n_moves,

@@ -35,6 +35,11 @@ class Interconnect:
         for src, dst in self.edges:
             if not (0 <= src < self.n_units and 0 <= dst < self.n_units):
                 raise ValueError("edge (%d, %d) out of range" % (src, dst))
+        succs: List[Set[int]] = [{fu} for fu in range(self.n_units)]
+        for src, dst in self.edges:
+            succs[src].add(dst)
+        # Not a field: equality, hashing and repr see only the edges.
+        object.__setattr__(self, "_successors", tuple(tuple(sorted(s)) for s in succs))
 
     def predecessors(self, fu: int) -> List[int]:
         """Units whose outputs unit *fu* can read (including itself)."""
@@ -44,9 +49,7 @@ class Interconnect:
 
     def successors(self, fu: int) -> List[int]:
         """Units that can read unit *fu*'s output (including itself)."""
-        succs = {dst for src, dst in self.edges if src == fu}
-        succs.add(fu)
-        return sorted(succs)
+        return list(self._successors[fu])
 
     def connected(self, src: int, dst: int) -> bool:
         """True when *dst* can read *src*'s output directly."""

@@ -26,7 +26,7 @@ Python-embedded kernel DSL standing in for the C frontend:
 
 from repro.compiler.dfg import Dfg, Node, NodeRef, Const, LiveIn, CompileError
 from repro.compiler.builder import KernelBuilder, VliwBuilder
-from repro.compiler.modulo import ModuloScheduler, ScheduleResult
+from repro.compiler.modulo import ModuloScheduler, SchedulePlan, ScheduleResult
 from repro.compiler.vliw_sched import schedule_vliw
 from repro.compiler.linker import ProgramLinker
 
@@ -40,6 +40,7 @@ __all__ = [
     "KernelBuilder",
     "VliwBuilder",
     "ModuloScheduler",
+    "SchedulePlan",
     "ScheduleResult",
     "schedule_vliw",
     "ProgramLinker",

@@ -111,6 +111,9 @@ class Dfg:
         self.live_ins: List[str] = []
         self.live_outs: List[str] = []
         self._next_id = 0
+        #: node id -> its (consumer, reference) pairs; built on first
+        #: :meth:`consumers` query, dropped by :meth:`add_node`.
+        self._consumers: Optional[Dict[int, Tuple[Tuple[Node, NodeRef], ...]]] = None
 
     # ------------------------------------------------------------------
 
@@ -130,6 +133,7 @@ class Dfg:
             self._check_operand(pred)
         self.nodes[node.node_id] = node
         self._next_id += 1
+        self._consumers = None
         if live_out is not None:
             if live_out in self.live_outs:
                 raise CompileError("duplicate live-out %r" % live_out)
@@ -156,17 +160,25 @@ class Dfg:
 
     # ------------------------------------------------------------------
 
-    def consumers(self, node_id: int) -> List[Tuple[Node, NodeRef]]:
-        """All (consumer node, reference) pairs reading *node_id*."""
-        out = []
-        for node in self.nodes.values():
-            refs = list(node.srcs)
-            if node.pred is not None:
-                refs.append(node.pred)
-            for ref in refs:
-                if isinstance(ref, NodeRef) and ref.node_id == node_id:
-                    out.append((node, ref))
-        return out
+    def consumers(self, node_id: int) -> Tuple[Tuple[Node, NodeRef], ...]:
+        """All (consumer node, reference) pairs reading *node_id*.
+
+        In node order, each consumer's sources before its guard.  The
+        index behind this is built once; nodes rewired in place (the
+        builders patch recurrence sources) must be rewired before the
+        first query.
+        """
+        if self._consumers is None:
+            index: Dict[int, List[Tuple[Node, NodeRef]]] = {}
+            for node in self.nodes.values():
+                refs = list(node.srcs)
+                if node.pred is not None:
+                    refs.append(node.pred)
+                for ref in refs:
+                    if isinstance(ref, NodeRef):
+                        index.setdefault(ref.node_id, []).append((node, ref))
+            self._consumers = {nid: tuple(pairs) for nid, pairs in index.items()}
+        return self._consumers.get(node_id, ())
 
     def validate(self) -> None:
         """Check structural invariants; raises :class:`CompileError`."""

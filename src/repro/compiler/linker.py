@@ -15,7 +15,9 @@ modes (the shared central register file):
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
 import os
 import pickle
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ from typing import Dict, List, Optional, Union
 from repro.arch.config import CgaArchitecture
 from repro.compiler.builder import PhysReg, VirtualReg, VliwBuilder, VliwSection
 from repro.compiler.dfg import CompileError, Dfg
-from repro.compiler.modulo import ModuloScheduler, ScheduleResult
+from repro.compiler.modulo import ModuloScheduler, SchedulePlan, ScheduleResult
 from repro.compiler.vliw_sched import RegisterMap, schedule_vliw
 from repro.isa.instruction import Imm, Instruction
 from repro.isa.opcodes import Opcode
@@ -32,24 +34,36 @@ from repro.sim.program import CgaKernel, Program, VliwBundle
 
 ValueSource = Union[int, PhysReg, VirtualReg]
 
-#: Modulo-scheduling results memoised across programs.  Kernels are
-#: structurally identified by their op stream plus the register calling
-#: convention and the architecture's structural fingerprint (NOT its
-#: name — same-name ablation variants must not alias); re-linking the
-#: same kernel (every packet, every region) then reuses the schedule,
+#: Modulo-schedule plans memoised across programs.  A plan is keyed by
+#: the loop body's structure (its op stream, NOT its name), the
+#: architecture's structural fingerprint (NOT its name — same-name
+#: ablation variants must not alias), ``max_ii``, the seed and a digest
+#: of the scheduler's own source.  Register conventions and trip counts
+#: are bound per call, so every kernel with the same loop body — every
+#: packet, region, batch width and FFT stage — reuses one search,
 #: exactly as a real toolflow caches object code.
-_SCHEDULE_CACHE: Dict[tuple, "ScheduleResult"] = {}
+_PLAN_CACHE: Dict[tuple, SchedulePlan] = {}
 
-#: Optional persistent second level of the schedule cache (a directory
-#: of pickled :class:`ScheduleResult` files), configured by
+#: Optional persistent second level of the plan cache (a directory of
+#: pickled :class:`SchedulePlan` files), configured by
 #: :func:`configure_schedule_cache` or the ``REPRO_SCHEDULE_CACHE``
 #: environment variable.  A warm directory lets a fresh process link
 #: every modem program without a single :meth:`ModuloScheduler.schedule`
 #: call.
 _DISK_CACHE_DIR: Optional[str] = None
 
-#: On-disk payload format version; bump when ScheduleResult changes shape.
-_DISK_FORMAT = 1
+#: On-disk payload format version; bump when SchedulePlan changes shape.
+_DISK_FORMAT = 2
+
+#: Modules whose source decides what a search returns; their digest is
+#: part of every key, so a changed scheduler never reads its parent's
+#: plans.
+_SEARCH_MODULES = (
+    "repro.compiler.modulo",
+    "repro.compiler.mrrg",
+    "repro.compiler.dfg",
+    "repro.isa.opcodes",
+)
 
 _CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0}
 
@@ -73,23 +87,36 @@ def schedule_cache_dir() -> Optional[str]:
 
 def clear_schedule_cache() -> None:
     """Drop the in-memory schedule cache (the disk cache is untouched)."""
-    _SCHEDULE_CACHE.clear()
+    _PLAN_CACHE.clear()
     for key in _CACHE_STATS:
         _CACHE_STATS[key] = 0
 
 
 def schedule_cache_stats() -> Dict[str, int]:
-    """Hit/miss counters since the last :func:`clear_schedule_cache`."""
+    """Hit/miss counters since the last :func:`clear_schedule_cache`.
+
+    Counted per linked kernel; ``misses`` is the number of searches.
+    """
     return dict(_CACHE_STATS)
 
 
+@functools.lru_cache(maxsize=None)
+def _compiler_fingerprint() -> str:
+    """Digest of the :data:`_SEARCH_MODULES` sources (once per process)."""
+    digest = hashlib.sha256()
+    for name in _SEARCH_MODULES:
+        with open(importlib.import_module(name).__file__, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()[:16]
+
+
 def _dfg_signature(dfg: Dfg) -> tuple:
-    sig = [dfg.name]
-    for nid in sorted(dfg.nodes):
-        node = dfg.nodes[nid]
-        sig.append((nid, node.opcode.value, tuple(map(repr, node.srcs)),
-                    node.live_out, repr(node.pred), node.pred_negate))
-    return tuple(sig)
+    """The loop body's structure; the DFG's name is not part of it."""
+    return tuple(
+        (nid, node.opcode.value, tuple(map(repr, node.srcs)),
+         node.live_out, repr(node.pred), node.pred_negate)
+        for nid, node in sorted(dfg.nodes.items())
+    )
 
 
 def _disk_cache_path(directory: str, key: tuple) -> str:
@@ -98,7 +125,7 @@ def _disk_cache_path(directory: str, key: tuple) -> str:
     return os.path.join(directory, digest + ".sched.pkl")
 
 
-def _load_disk_schedule(path: str, key: tuple) -> Optional[ScheduleResult]:
+def _load_disk_plan(path: str, key: tuple) -> Optional[SchedulePlan]:
     """Read one cache file; any corruption reads as a miss, never a crash."""
     try:
         with open(path, "rb") as fh:
@@ -112,20 +139,48 @@ def _load_disk_schedule(path: str, key: tuple) -> Optional[ScheduleResult]:
     # digest collision or a stale file degrades to a recompile.
     if payload.get("key") != key:
         return None
-    result = payload.get("result")
-    return result if isinstance(result, ScheduleResult) else None
+    plan = payload.get("plan")
+    return plan if isinstance(plan, SchedulePlan) else None
 
 
-def _store_disk_schedule(path: str, key: tuple, result: ScheduleResult) -> None:
+def _store_disk_plan(path: str, key: tuple, plan: SchedulePlan) -> None:
     """Atomic write (tmp + rename) so readers never see a torn file."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = "%s.tmp.%d" % (path, os.getpid())
         with open(tmp, "wb") as fh:
-            pickle.dump({"format": _DISK_FORMAT, "key": key, "result": result}, fh)
+            pickle.dump({"format": _DISK_FORMAT, "key": key, "plan": plan}, fh)
         os.replace(tmp, path)
     except OSError:
         pass  # a read-only or full disk must never fail compilation
+
+
+def _plan_cached(dfg: Dfg, arch: CgaArchitecture, max_ii: int, seed: int) -> SchedulePlan:
+    """The plan for *dfg*'s loop body: memory, then disk, then a search."""
+    key = (_compiler_fingerprint(), arch.fingerprint(), _dfg_signature(dfg), max_ii, seed)
+    directory = schedule_cache_dir()
+    plan = _PLAN_CACHE.get(key)
+    if plan is not None:
+        _CACHE_STATS["memory_hits"] += 1
+        # Write-through for caches enabled after the plan was computed,
+        # so a warm process can still populate the directory.
+        if directory is not None:
+            path = _disk_cache_path(directory, key)
+            if not os.path.exists(path):
+                _store_disk_plan(path, key, plan)
+        return plan
+    if directory is not None:
+        plan = _load_disk_plan(_disk_cache_path(directory, key), key)
+        if plan is not None:
+            _CACHE_STATS["disk_hits"] += 1
+            _PLAN_CACHE[key] = plan
+            return plan
+    _CACHE_STATS["misses"] += 1
+    plan = ModuloScheduler(dfg, arch, max_ii=max_ii, seed=seed).schedule()
+    _PLAN_CACHE[key] = plan
+    if directory is not None:
+        _store_disk_plan(_disk_cache_path(directory, key), key, plan)
+    return plan
 
 
 def _schedule_cached(
@@ -138,46 +193,9 @@ def _schedule_cached(
     static_trip: Optional[int],
     trip_reg: Optional[int],
 ) -> ScheduleResult:
-    key = (
-        arch.fingerprint(),
-        _dfg_signature(dfg),
-        tuple(sorted(live_in_regs.items())),
-        tuple(sorted(live_out_regs.items())),
-        static_trip,
-        trip_reg,
-        max_ii,
-        seed,
-    )
-    directory = schedule_cache_dir()
-    result = _SCHEDULE_CACHE.get(key)
-    if result is not None:
-        _CACHE_STATS["memory_hits"] += 1
-        # Write-through for caches enabled after the schedule was
-        # computed, so a warm process can still populate the directory.
-        if directory is not None:
-            path = _disk_cache_path(directory, key)
-            if not os.path.exists(path):
-                _store_disk_schedule(path, key, result)
-        return result
-    if directory is not None:
-        path = _disk_cache_path(directory, key)
-        result = _load_disk_schedule(path, key)
-        if result is not None:
-            _CACHE_STATS["disk_hits"] += 1
-            _SCHEDULE_CACHE[key] = result
-            return result
-    _CACHE_STATS["misses"] += 1
-    scheduler = ModuloScheduler(dfg, arch, max_ii=max_ii, seed=seed)
-    result = scheduler.schedule(
-        live_in_regs=live_in_regs,
-        live_out_regs=live_out_regs,
-        trip_count=static_trip,
-        trip_count_reg=trip_reg,
-    )
-    _SCHEDULE_CACHE[key] = result
-    if directory is not None:
-        _store_disk_schedule(_disk_cache_path(directory, key), key, result)
-    return result
+    """Search *dfg*'s loop body at most once; bind it on every call."""
+    plan = _plan_cached(dfg, arch, max_ii, seed)
+    return plan.bind(dfg, live_in_regs, live_out_regs, static_trip, trip_reg)
 
 
 @dataclass

@@ -16,9 +16,14 @@ placement and routing, in the spirit of Mei et al. (the paper's ref [6]):
 3. a few randomised restarts are attempted per II before giving up and
    growing II.
 
-The result is a :class:`~repro.sim.program.CgaKernel` directly
-executable by the simulator, plus scheduling metadata (II, stages,
-inserted moves, utilization).
+The search (:meth:`ModuloScheduler.schedule`) never reads register
+numbers, the kernel's name or its trip count: it returns a register-free
+:class:`SchedulePlan`.  :meth:`SchedulePlan.bind` then applies one
+caller's calling convention and yields a :class:`ScheduleResult` — a
+:class:`~repro.sim.program.CgaKernel` directly executable by the
+simulator, plus scheduling metadata (II, stages, inserted moves,
+utilization).  One plan therefore serves every kernel with the same
+loop body, whatever its registers.
 """
 
 from __future__ import annotations
@@ -93,6 +98,137 @@ class ScheduleResult:
     mii: int
 
 
+@dataclass
+class SchedulePlan:
+    """A register-free modulo schedule: what the search decided.
+
+    Placements, routing moves and operand resolutions depend only on
+    the loop body's structure, the architecture, ``max_ii`` and the
+    seed; live-ins and live-outs are still referred to by name.
+    :meth:`bind` applies one caller's calling convention.
+    """
+
+    ii: int
+    mii: int
+    stage_count: int
+    placements: Dict[int, _Placed]
+    moves: List[_Move]
+    resolutions: Dict[Tuple[int, object], _Resolution]
+    #: node id -> uid of the move that writes its live-out to the CDRF
+    liveout_moves: Dict[int, int]
+    #: (fu, entry, live-in name) local-RF preloads
+    preloads: List[Tuple[int, int, str]]
+    utilization: float
+
+    def bind(
+        self,
+        dfg: Dfg,
+        live_in_regs: Optional[Dict[str, int]] = None,
+        live_out_regs: Optional[Dict[str, int]] = None,
+        trip_count: Optional[int] = None,
+        trip_count_reg: Optional[int] = None,
+    ) -> ScheduleResult:
+        """The kernel for *dfg* (the loop body this plan was searched
+        for, under any name) with its named live values in the given
+        central registers."""
+        live_in_regs = live_in_regs or {}
+        live_out_regs = live_out_regs or {}
+        missing = [n for n in dfg.live_ins if n not in live_in_regs]
+        if missing:
+            raise CompileError("no central register for live-ins %r" % missing)
+        missing = [n for n in dfg.live_outs if n not in live_out_regs]
+        if missing:
+            raise CompileError("no central register for live-outs %r" % missing)
+
+        ii = self.ii
+        contexts = [CgaContext() for _ in range(ii)]
+
+        def src_sel(res: _Resolution, self_fu: int) -> SrcSel:
+            if res.kind == "imm":
+                return SrcSel.imm(res.value)
+            if res.kind.startswith("cdrf:"):
+                name = res.kind.split(":", 1)[1]
+                return SrcSel.cdrf(live_in_regs[name])
+            if res.kind.startswith("lrf:"):
+                return SrcSel.lrf(res.value)
+            if res.kind == "latch":
+                base = (
+                    SrcSel.self_() if res.read_fu == self_fu else SrcSel.wire(res.read_fu)
+                )
+                if res.init is not None:
+                    base = base.with_init(res.init)
+                return base
+            raise CompileError("unresolved operand (%s)" % res.kind)
+
+        for node in dfg.nodes.values():
+            p = self.placements[node.node_id]
+            phase, stage = p.time % ii, p.time // ii
+            srcs = tuple(
+                src_sel(self.resolutions[(node.node_id, i)], p.fu)
+                for i in range(len(node.srcs))
+            )
+            pred_sel = None
+            if node.pred is not None:
+                pred_sel = src_sel(self.resolutions[(node.node_id, "pred")], p.fu)
+            dsts: List[DstSel] = []
+            if node.live_out is not None and node.node_id not in self.liveout_moves:
+                dsts.append(
+                    DstSel(
+                        DstKind.CDRF,
+                        live_out_regs[node.live_out],
+                        last_iteration_only=True,
+                    )
+                )
+            contexts[phase].ops[p.fu] = CgaOp(
+                opcode=node.opcode,
+                srcs=srcs,
+                dsts=tuple(dsts),
+                stage=stage,
+                pred=pred_sel,
+                pred_negate=node.pred_negate,
+            )
+
+        for m in self.moves:
+            phase, stage = m.time % ii, m.time // ii
+            src = SrcSel.self_() if m.read_fu == m.fu else SrcSel.wire(m.read_fu)
+            dsts = [
+                DstSel(
+                    DstKind.CDRF,
+                    live_out_regs[dfg.nodes[nid].live_out],
+                    last_iteration_only=True,
+                )
+                for nid, uid in self.liveout_moves.items()
+                if uid == m.uid
+            ]
+            contexts[phase].ops[m.fu] = CgaOp(
+                opcode=MOVE_OPCODE,
+                srcs=(src, SrcSel.imm(0)),
+                dsts=tuple(dsts),
+                stage=stage,
+            )
+
+        kernel = CgaKernel(
+            name=dfg.name,
+            ii=ii,
+            stage_count=self.stage_count,
+            contexts=contexts,
+            trip_count=trip_count,
+            trip_count_reg=trip_count_reg,
+            preloads=[
+                Preload(fu, entry, live_in_regs[name]) for fu, entry, name in self.preloads
+            ],
+        )
+        return ScheduleResult(
+            kernel=kernel,
+            ii=ii,
+            stage_count=self.stage_count,
+            n_ops=len(self.placements),
+            n_moves=len(self.moves),
+            utilization=self.utilization,
+            mii=self.mii,
+        )
+
+
 class _RouteFail(Exception):
     pass
 
@@ -113,6 +249,8 @@ class ModuloScheduler:
         self.max_ii = max_ii
         self.restarts = restarts
         self.seed = seed
+        self._mem_capable = set(arch.fus_with_group(OpGroup.LDMEM))
+        self._vliw = {fu.index for fu in arch.vliw_fus}
 
     # ------------------------------------------------------------------
 
@@ -140,27 +278,12 @@ class ModuloScheduler:
         )
         return max(res_mii, self.dfg.recurrence_mii(), 1)
 
-    def schedule(
-        self,
-        live_in_regs: Optional[Dict[str, int]] = None,
-        live_out_regs: Optional[Dict[str, int]] = None,
-        trip_count: Optional[int] = None,
-        trip_count_reg: Optional[int] = None,
-    ) -> ScheduleResult:
-        """Schedule the DFG; returns the kernel and metadata.
+    def schedule(self) -> SchedulePlan:
+        """Search for a modulo schedule of the DFG; returns the plan.
 
-        *live_in_regs* / *live_out_regs* assign central registers to the
-        DFG's named live values (the linker's calling convention).
+        The search never reads the calling convention; bind the plan
+        with :meth:`SchedulePlan.bind` to get the executable kernel.
         """
-        live_in_regs = dict(live_in_regs or {})
-        live_out_regs = dict(live_out_regs or {})
-        missing = [n for n in self.dfg.live_ins if n not in live_in_regs]
-        if missing:
-            raise CompileError("no central register for live-ins %r" % missing)
-        missing = [n for n in self.dfg.live_outs if n not in live_out_regs]
-        if missing:
-            raise CompileError("no central register for live-outs %r" % missing)
-
         tracer = get_tracer()
         mii = self.min_ii()
         if tracer.enabled:
@@ -170,6 +293,9 @@ class ModuloScheduler:
                 cat="compiler",
                 args={"kernel": self.dfg.name, "mii": mii, "max_ii": self.max_ii},
             )
+        # Attempt-invariant analyses, computed once per search.
+        heights = self._heights()
+        _asap, alap = self.dfg.asap_alap()
         last_error: Optional[Exception] = None
         # Large DFGs take noticeably longer per attempt; fewer restarts
         # per II keeps compile times reasonable at a minor II cost.
@@ -178,10 +304,7 @@ class ModuloScheduler:
             for restart in range(restarts):
                 rng = random.Random(self.seed * 7919 + ii * 131 + restart)
                 try:
-                    result = self._attempt(
-                        ii, mii, rng, live_in_regs, live_out_regs,
-                        trip_count, trip_count_reg,
-                    )
+                    plan = self._attempt(ii, mii, rng, heights, alap)
                 except CompileError as exc:
                     last_error = exc
                     if tracer.enabled:
@@ -204,14 +327,14 @@ class ModuloScheduler:
                         cat="compiler",
                         args={
                             "kernel": self.dfg.name,
-                            "ii": result.ii,
-                            "mii": result.mii,
-                            "stages": result.stage_count,
-                            "moves": result.n_moves,
-                            "utilization": result.utilization,
+                            "ii": plan.ii,
+                            "mii": plan.mii,
+                            "stages": plan.stage_count,
+                            "moves": len(plan.moves),
+                            "utilization": plan.utilization,
                         },
                     )
-                return result
+                return plan
         if tracer.enabled:
             tracer.instant(
                 "modulo.unschedulable",
@@ -230,8 +353,8 @@ class ModuloScheduler:
 
     # ------------------------------------------------------------------
 
-    def _priority_order(self, rng: random.Random) -> List[Node]:
-        """Topological order by descending height with seeded jitter."""
+    def _heights(self) -> Dict[int, int]:
+        """Longest latency chain from each node over distance-0 edges."""
         heights: Dict[int, int] = {}
 
         def height(nid: int) -> int:
@@ -247,24 +370,29 @@ class ModuloScheduler:
 
         for nid in self.dfg.nodes:
             height(nid)
+        return heights
+
+    def _priority_order(self, rng: random.Random, heights: Dict[int, int]) -> List[Node]:
+        """Topological order by descending height with seeded jitter."""
         # Topological over distance-0 edges: node ids are already in
         # creation order, and distance-0 refs always point backwards, so
         # id order is a valid topological order.  Sort stably by height
         # descending within windows of the topological order: schedule
         # in id order but, among ready nodes, pick the tallest.
+        deps = {
+            nid: [
+                ref.node_id
+                for _key, ref in self._operands(node)
+                if isinstance(ref, NodeRef) and ref.distance == 0
+            ]
+            for nid, node in self.dfg.nodes.items()
+        }
         remaining = set(self.dfg.nodes)
         placed: set = set()
         order: List[Node] = []
         while remaining:
             ready = [
-                nid
-                for nid in remaining
-                if all(
-                    (not isinstance(s, NodeRef)) or s.distance == 1
-                    or s.node_id in placed
-                    for s in list(self.dfg.nodes[nid].srcs)
-                    + ([self.dfg.nodes[nid].pred] if self.dfg.nodes[nid].pred else [])
-                )
+                nid for nid in remaining if all(d in placed for d in deps[nid])
             ]
             if not ready:  # pragma: no cover - guarded by Dfg validation
                 raise CompileError("cyclic distance-0 dependences")
@@ -277,26 +405,24 @@ class ModuloScheduler:
 
     def _candidate_fus(self, node: Node, rng: random.Random) -> List[int]:
         fus = self.arch.fus_supporting(node.opcode)
-        mem_capable = set(self.arch.fus_with_group(OpGroup.LDMEM))
-        vliw = {fu.index for fu in self.arch.vliw_fus}
+        avoid_mem = node.group not in (OpGroup.LDMEM, OpGroup.STMEM)
+        needs_cdrf = node.live_out is not None or any(
+            isinstance(s, LiveIn) for s in node.srcs
+        )
 
         def klass(fu: int) -> int:
             # Prefer plain units, keep memory units for memory ops and
             # ported units for ops that need the central RF.
             score = 0
-            if node.group not in (OpGroup.LDMEM, OpGroup.STMEM) and fu in mem_capable:
+            if avoid_mem and fu in self._mem_capable:
                 score += 2
-            needs_cdrf = node.live_out is not None or any(
-                isinstance(s, LiveIn) for s in node.srcs
-            )
-            if needs_cdrf and fu in vliw:
+            if needs_cdrf and fu in self._vliw:
                 score -= 1  # being on a ported unit avoids extra moves
-            elif fu in vliw:
+            elif fu in self._vliw:
                 score += 1
             return score
 
-        ordered = sorted(fus, key=lambda fu: (klass(fu), rng.random()))
-        return ordered
+        return sorted(fus, key=lambda fu: (klass(fu), rng.random()))
 
     # ------------------------------------------------------------------
 
@@ -305,11 +431,9 @@ class ModuloScheduler:
         ii: int,
         mii: int,
         rng: random.Random,
-        live_in_regs: Dict[str, int],
-        live_out_regs: Dict[str, int],
-        trip_count: Optional[int],
-        trip_count_reg: Optional[int],
-    ) -> ScheduleResult:
+        heights: Dict[int, int],
+        alap: Dict[int, int],
+    ) -> SchedulePlan:
         mrrg = Mrrg(self.arch, ii)
         placements: Dict[int, _Placed] = {}
         moves: List[_Move] = []
@@ -317,17 +441,34 @@ class ModuloScheduler:
         liveout_moves: Dict[int, _Move] = {}  # node id -> final move with CDRF write
         move_uid = [10_000]
 
-        order = self._priority_order(rng)
+        order = self._priority_order(rng, heights)
         window = 2 * ii + 8
-        _asap, alap = self.dfg.asap_alap()
         for node in order:
             self._place_one(
                 node, ii, mrrg, placements, moves, resolutions, liveout_moves,
                 move_uid, window, rng, alap,
             )
-        return self._emit(
-            ii, mii, mrrg, placements, moves, resolutions, liveout_moves,
-            live_in_regs, live_out_regs, trip_count, trip_count_reg,
+        for node in self.dfg.nodes.values():
+            for i in range(len(node.srcs)):
+                if (node.node_id, i) not in resolutions:
+                    raise CompileError(
+                        "operand %d of node %d unresolved" % (i, node.node_id)
+                    )
+            if node.pred is not None and (node.node_id, "pred") not in resolutions:
+                raise CompileError("guard of node %d unresolved" % node.node_id)
+        max_time = max(
+            [p.time for p in placements.values()] + [m.time for m in moves], default=0
+        )
+        return SchedulePlan(
+            ii=ii,
+            mii=mii,
+            stage_count=max_time // ii + 1,
+            placements=placements,
+            moves=moves,
+            resolutions=resolutions,
+            liveout_moves={nid: m.uid for nid, m in liveout_moves.items()},
+            preloads=mrrg.preload_list(),
+            utilization=mrrg.utilization(),
         )
 
     def _operands(self, node: Node) -> List[Tuple[object, object]]:
@@ -547,7 +688,7 @@ class ModuloScheduler:
             n_moves, cur_fu, cur_avail, path = frontier.pop(0)
             if n_moves >= 3:
                 continue
-            for nxt_fu in sorted(ic.successors(cur_fu)):
+            for nxt_fu in ic.successors(cur_fu):
                 # Candidate re-latch times: as early as possible first.
                 t_lo = cur_avail
                 t_hi = min(cur_avail + ii - 1, read_time - MOVE_LATENCY)
@@ -627,125 +768,3 @@ class ModuloScheduler:
                 move_uid[0] += 1
                 return
         raise _RouteFail()
-
-    # ------------------------------------------------------------------
-
-    def _emit(
-        self,
-        ii: int,
-        mii: int,
-        mrrg: Mrrg,
-        placements: Dict[int, _Placed],
-        moves: List[_Move],
-        resolutions: Dict[Tuple[int, object], _Resolution],
-        liveout_moves: Dict[int, _Move],
-        live_in_regs: Dict[str, int],
-        live_out_regs: Dict[str, int],
-        trip_count: Optional[int],
-        trip_count_reg: Optional[int],
-    ) -> ScheduleResult:
-        max_time = 0
-        for p in placements.values():
-            max_time = max(max_time, p.time)
-        for m in moves:
-            max_time = max(max_time, m.time)
-        stage_count = max_time // ii + 1
-
-        contexts = [CgaContext() for _ in range(ii)]
-
-        def src_sel(res: _Resolution, self_fu: int) -> SrcSel:
-            if res.kind == "imm":
-                return SrcSel.imm(res.value)
-            if res.kind.startswith("cdrf:"):
-                name = res.kind.split(":", 1)[1]
-                return SrcSel.cdrf(live_in_regs[name])
-            if res.kind.startswith("lrf:"):
-                return SrcSel.lrf(res.value)
-            if res.kind == "latch":
-                base = (
-                    SrcSel.self_() if res.read_fu == self_fu else SrcSel.wire(res.read_fu)
-                )
-                if res.init is not None:
-                    base = base.with_init(res.init)
-                return base
-            raise CompileError("unresolved operand (%s)" % res.kind)
-
-        for node in self.dfg.nodes.values():
-            p = placements[node.node_id]
-            phase, stage = p.time % ii, p.time // ii
-            srcs = []
-            for i in range(len(node.srcs)):
-                res = resolutions.get((node.node_id, i))
-                if res is None:
-                    raise CompileError(
-                        "operand %d of node %d unresolved" % (i, node.node_id)
-                    )
-                srcs.append(src_sel(res, p.fu))
-            pred_sel = None
-            if node.pred is not None:
-                res = resolutions.get((node.node_id, "pred"))
-                if res is None:
-                    raise CompileError("guard of node %d unresolved" % node.node_id)
-                pred_sel = src_sel(res, p.fu)
-            dsts: List[DstSel] = []
-            if node.live_out is not None and node.node_id not in liveout_moves:
-                dsts.append(
-                    DstSel(
-                        DstKind.CDRF,
-                        live_out_regs[node.live_out],
-                        last_iteration_only=True,
-                    )
-                )
-            contexts[phase].ops[p.fu] = CgaOp(
-                opcode=node.opcode,
-                srcs=tuple(srcs),
-                dsts=tuple(dsts),
-                stage=stage,
-                pred=pred_sel,
-                pred_negate=node.pred_negate,
-            )
-
-        for m in moves:
-            phase, stage = m.time % ii, m.time // ii
-            src = SrcSel.self_() if m.read_fu == m.fu else SrcSel.wire(m.read_fu)
-            dsts = []
-            for nid, lom in liveout_moves.items():
-                if lom.uid == m.uid:
-                    name = self.dfg.nodes[nid].live_out
-                    dsts.append(
-                        DstSel(
-                            DstKind.CDRF,
-                            live_out_regs[name],
-                            last_iteration_only=True,
-                        )
-                    )
-            contexts[phase].ops[m.fu] = CgaOp(
-                opcode=MOVE_OPCODE,
-                srcs=(src, SrcSel.imm(0)),
-                dsts=tuple(dsts),
-                stage=stage,
-            )
-
-        preloads = [
-            Preload(fu, entry, live_in_regs[name.split(":", 1)[-1] if ":" in name else name])
-            for fu, entry, name in mrrg.preload_list()
-        ]
-
-        kernel = CgaKernel(
-            name=self.dfg.name,
-            ii=ii,
-            stage_count=stage_count,
-            contexts=contexts,
-            trip_count=trip_count,
-            trip_count_reg=trip_count_reg,
-            preloads=preloads,
-        )
-        return ScheduleResult(
-            kernel=kernel,
-            ii=ii,
-            stage_count=stage_count,
-            n_ops=len(placements),
-            n_moves=len(moves),
-            utilization=mrrg.utilization(),
-            mii=mii,
-        )

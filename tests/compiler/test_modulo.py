@@ -103,7 +103,7 @@ def test_schedule_respects_ii_lower_bound():
     # 20 adds + 20 stores = 40 ops over 16 units -> ResMII >= 3;
     # 20 stores over 4 memory units -> ResMII >= 5.
     assert sched.min_ii() >= 5
-    result = sched.schedule(trip_count=2)
+    result = sched.schedule().bind(dfg, trip_count=2)
     assert result.ii >= 5
 
 
@@ -127,7 +127,7 @@ def test_unschedulable_raises():
     acc = kb.accumulate(Opcode.ADD, 1, init=0, live_out="x")
     sched = ModuloScheduler(kb.finish(), paper_core(), max_ii=0)
     with pytest.raises(CompileError):
-        sched.schedule(live_out_regs={"x": 60}, trip_count=1)
+        sched.schedule()
 
 
 def test_missing_live_in_register_raises():
@@ -136,9 +136,10 @@ def test_missing_live_in_register_raises():
     i = kb.induction(0, 4)
     a = kb.add(base, i)
     kb.store(Opcode.ST_I, a, 0)
-    sched = ModuloScheduler(kb.finish(), paper_core())
-    with pytest.raises(CompileError):
-        sched.schedule(trip_count=1)  # no register for "base"
+    dfg = kb.finish()
+    plan = ModuloScheduler(dfg, paper_core()).schedule()
+    with pytest.raises(CompileError, match="no central register"):
+        plan.bind(dfg, trip_count=1)  # no register for "base"
 
 
 def test_sparser_interconnect_needs_same_or_higher_ii():
@@ -155,13 +156,13 @@ def test_sparser_interconnect_needs_same_or_higher_ii():
         kb.store(Opcode.ST_I, addr, w, offset=256)
         return kb.finish()
 
-    dense = ModuloScheduler(build(), paper_core()).schedule(
-        live_in_regs={"base": 60}, trip_count=4
-    )
-    sparse_arch = paper_core(interconnect=mesh_topology(4, 4))
-    sparse = ModuloScheduler(build(), sparse_arch).schedule(
-        live_in_regs={"base": 60}, trip_count=4
-    )
+    def schedule(arch):
+        dfg = build()
+        plan = ModuloScheduler(dfg, arch).schedule()
+        return plan.bind(dfg, live_in_regs={"base": 60}, trip_count=4)
+
+    dense = schedule(paper_core())
+    sparse = schedule(paper_core(interconnect=mesh_topology(4, 4)))
     assert sparse.ii >= dense.ii
     assert sparse.n_moves >= dense.n_moves
 

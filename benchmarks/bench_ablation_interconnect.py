@@ -11,7 +11,7 @@ paper's mesh-plus at measurable area cost.
 from repro.arch import paper_core
 from repro.arch.topology import full_topology, mesh_topology
 from repro.compiler import ModuloScheduler
-from repro.kernels.fshift import build_fshift_dfg
+from repro.kernels.fshift import build_fshift_pair_dfg
 from repro.kernels.sdm import build_sdm_dfg
 from repro.power import estimate_area
 
@@ -32,7 +32,7 @@ def test_interconnect_ablation(benchmark, capsys, bench_report):
         ),
     }
     kernels = [
-        ("fshift", build_fshift_dfg, {"src": 60, "dst": 61, "tab": 62}),
+        ("fshift", build_fshift_pair_dfg, {"src": 60, "dst": 61, "tab": 62}),
         ("sdm", build_sdm_dfg, {"ybase": 60, "wbase": 61, "xbase": 62}),
     ]
     results = {}

@@ -15,7 +15,7 @@ from repro.arch import paper_core
 from repro.arch.topology import full_topology, mesh_plus_topology, mesh_topology
 from repro.compiler import ModuloScheduler
 from repro.kernels.demod import build_demod_dfg
-from repro.kernels.fshift import build_fshift_dfg
+from repro.kernels.fshift import build_fshift_pair_dfg
 from repro.kernels.sdm import build_sdm_dfg
 from repro.power import estimate_area
 
@@ -26,7 +26,7 @@ VARIANTS = [
 ]
 
 KERNELS = [
-    ("fshift", build_fshift_dfg, {"src": 60, "dst": 61, "tab": 62}),
+    ("fshift", build_fshift_pair_dfg, {"src": 60, "dst": 61, "tab": 62}),
     ("sdm", build_sdm_dfg, {"ybase": 60, "wbase": 61, "xbase": 62}),
     ("demod", build_demod_dfg, {"src": 60, "dst": 61}),
 ]

@@ -96,6 +96,9 @@ class ScheduleResult:
     n_moves: int
     utilization: float
     mii: int
+    #: The two lower bounds MII is the larger of.
+    res_mii: int
+    rec_mii: int
 
 
 @dataclass
@@ -110,6 +113,8 @@ class SchedulePlan:
 
     ii: int
     mii: int
+    res_mii: int
+    rec_mii: int
     stage_count: int
     placements: Dict[int, _Placed]
     moves: List[_Move]
@@ -226,6 +231,8 @@ class SchedulePlan:
             n_moves=len(self.moves),
             utilization=self.utilization,
             mii=self.mii,
+            res_mii=self.res_mii,
+            rec_mii=self.rec_mii,
         )
 
 
@@ -256,6 +263,14 @@ class ModuloScheduler:
 
     def min_ii(self) -> int:
         """MII = max(ResMII, RecMII)."""
+        return max(self.res_mii(), self.rec_mii())
+
+    def rec_mii(self) -> int:
+        """RecMII: the bound the loop-carried dependence cycles set."""
+        return max(self.dfg.recurrence_mii(), 1)
+
+    def res_mii(self) -> int:
+        """ResMII: the bound unit, memory-port, divider and bank pressure set."""
         n_units = self.arch.n_units
         n_mem_units = len(self.arch.fus_with_group(OpGroup.LDMEM))
         n_div_units = len(self.arch.fus_with_group(OpGroup.DIV))
@@ -270,13 +285,12 @@ class ModuloScheduler:
             if node.is_load or node.is_store:
                 word_accesses += 2 if node.opcode in (Opcode.LD_Q, Opcode.ST_Q) else 1
         n_banks = self.arch.l1.banks
-        res_mii = max(
+        return max(
             -(-n_ops // n_units),
             -(-n_mem // max(n_mem_units, 1)) if n_mem else 1,
             -(-n_div // max(n_div_units, 1)) if n_div else 1,
             -(-word_accesses // n_banks) if word_accesses else 1,
         )
-        return max(res_mii, self.dfg.recurrence_mii(), 1)
 
     def schedule(self) -> SchedulePlan:
         """Search for a modulo schedule of the DFG; returns the plan.
@@ -285,7 +299,8 @@ class ModuloScheduler:
         with :meth:`SchedulePlan.bind` to get the executable kernel.
         """
         tracer = get_tracer()
-        mii = self.min_ii()
+        bounds = (self.res_mii(), self.rec_mii())
+        mii = max(bounds)
         if tracer.enabled:
             tracer.instant(
                 "modulo.search",
@@ -304,7 +319,7 @@ class ModuloScheduler:
             for restart in range(restarts):
                 rng = random.Random(self.seed * 7919 + ii * 131 + restart)
                 try:
-                    plan = self._attempt(ii, mii, rng, heights, alap)
+                    plan = self._attempt(ii, bounds, rng, heights, alap)
                 except CompileError as exc:
                     last_error = exc
                     if tracer.enabled:
@@ -429,7 +444,7 @@ class ModuloScheduler:
     def _attempt(
         self,
         ii: int,
-        mii: int,
+        bounds: Tuple[int, int],
         rng: random.Random,
         heights: Dict[int, int],
         alap: Dict[int, int],
@@ -461,7 +476,9 @@ class ModuloScheduler:
         )
         return SchedulePlan(
             ii=ii,
-            mii=mii,
+            mii=max(bounds),
+            res_mii=bounds[0],
+            rec_mii=bounds[1],
             stage_count=max_time // ii + 1,
             placements=placements,
             moves=moves,

@@ -34,6 +34,9 @@ class ReferenceRun:
     bits_tx: np.ndarray
     ber: float
     cfo_true_hz: float
+    #: The receiver that ran the packet (its linked programs and their
+    #: kernel schedules stay inspectable).
+    receiver: SimReceiver
 
 
 def run_reference_modem(
@@ -61,13 +64,16 @@ def run_reference_modem(
     noise = 0.001 * (rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32)))
     rx = np.concatenate([noise, rx, np.zeros((2, 64))], axis=1)
     previous = set_tracer(tracer) if tracer is not None else None
+    receiver = SimReceiver(seed=0, tracer=tracer, interpreter=interpreter)
     try:
-        output = SimReceiver(seed=0, tracer=tracer, interpreter=interpreter).run_packet(rx)
+        output = receiver.run_packet(rx)
     finally:
         if tracer is not None:
             set_tracer(previous)
     ber = float(np.mean(output.bits != bits))
-    return ReferenceRun(output=output, bits_tx=bits, ber=ber, cfo_true_hz=cfo_hz)
+    return ReferenceRun(
+        output=output, bits_tx=bits, ber=ber, cfo_true_hz=cfo_hz, receiver=receiver
+    )
 
 
 # ----------------------------------------------------------------------

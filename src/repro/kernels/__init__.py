@@ -2,26 +2,28 @@
 
 Every kernel of the paper's MIMO-OFDM profiling table is implemented as
 a compilable DFG (CGA-mode kernels) or a VLIW section builder (VLIW-mode
-kernels), matching the modes reported in Table 2:
+kernels), matching the modes reported in Table 2, except the three
+layout-only rows, whose work the consumers absorb by reading their
+inputs in place:
 
-================================  =======  =============================
+================================  =======  ==================================
 Kernel                            Mode     Module
-================================  =======  =============================
+================================  =======  ==================================
 acorr                             mixed    :mod:`repro.kernels.acorr`
 fshift                            CGA      :mod:`repro.kernels.fshift`
 xcorr                             CGA      :mod:`repro.kernels.xcorr`
 fft (reorder + stages)            CGA      :mod:`repro.kernels.fft`
-remove zero carriers              VLIW     :mod:`repro.kernels.vliw_kernels`
+remove zero carriers              fused    chanest reads the FFT grids
 freq offset estimation            CGA      :mod:`repro.kernels.sync`
 freq offset compensation          mixed    :mod:`repro.kernels.fshift`
-sample ordering / reordering      VLIW     :mod:`repro.kernels.vliw_kernels`
+sample ordering / reordering      fused    acorr/fshift read the ADC stream
 SDM processing                    CGA      :mod:`repro.kernels.sdm`
 equalize coeff calc               CGA      :mod:`repro.kernels.sdm`
-data shuffle                      VLIW     :mod:`repro.kernels.vliw_kernels`
+data shuffle                      CGA      :mod:`repro.kernels.sdm`
 tracking                          VLIW     :mod:`repro.kernels.vliw_kernels`
 comp                              CGA      :mod:`repro.kernels.comp`
 demod QAM64                       CGA      :mod:`repro.kernels.demod`
-================================  =======  =============================
+================================  =======  ==================================
 
 Data buffers use the packed complex layout of :mod:`repro.phy.fixed`:
 one 32-bit word per complex sample (re in the low 16 bits), so 64-bit

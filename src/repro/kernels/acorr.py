@@ -12,7 +12,8 @@ scaled energy and decides detection — which is what makes the paper's
 
 The same DFG with ``lag = 64`` is the correlation half of the
 ``freq offset estimation`` kernel (fine CFO from the long training
-field repetition).
+field repetition).  Packet detection runs :func:`build_acorr_adc_dfg`,
+the same accumulation over antenna 0 of the ADC stream read in place.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from repro.compiler.builder import KernelBuilder
 from repro.compiler.dfg import Dfg
 from repro.isa.opcodes import Opcode
+from repro.kernels.common import load_adc_antenna0
 
 
 def build_acorr_dfg(
@@ -44,12 +46,46 @@ def build_acorr_dfg(
     addr0 = kb.add(base, i)
     x0 = kb.load(Opcode.LD_Q, addr0)
     x1 = kb.load(Opcode.LD_Q, addr0, offset=lag_samples)  # 1 sample = 1 word
-    # x1 * conj(x0), packed, pre-scaled for accumulation headroom.
+    _accumulate_corr(kb, x0, x1, acc_shift)
+    # Energy of the base window from its own load, so the x0 value need
+    # not be held across the long cmul chain.
+    x0e = kb.load(Opcode.LD_Q, kb.add(base, i_e))
+    _accumulate_energy(kb, x0e, acc_shift)
+    return kb.finish()
+
+
+def build_acorr_adc_dfg(
+    lag_samples: int = 16, name: str = "acorr", acc_shift: int = 4
+) -> Dfg:
+    """:func:`build_acorr_dfg` over antenna 0 of the ADC stream, in place.
+
+    The stream holds (a0[k], a1[k]) pairs, one 64-bit word per sample
+    index.  Each packed (a0[n], a0[n+1]) operand is assembled from the
+    antenna-0 halves of two pairs, so the lanes, and with them the
+    saturating accumulators, see exactly what :func:`build_acorr_dfg`
+    sees on a deinterleaved copy.
+
+    Live-ins: ``base`` (byte address of the pair holding x[n] at the
+    window start).  Live-outs as :func:`build_acorr_dfg`.
+    """
+    kb = KernelBuilder(name)
+    base = kb.live_in("base")
+    i = kb.induction(0, 16)  # two sample pairs per iteration
+    addr = kb.add(base, i)
+    x0 = load_adc_antenna0(kb, addr, 0)
+    x1 = load_adc_antenna0(kb, addr, 2 * lag_samples)  # 1 pair = 2 words
+    _accumulate_corr(kb, x0, x1, acc_shift)
+    _accumulate_energy(kb, x0, acc_shift)
+    return kb.finish()
+
+
+def _accumulate_corr(kb: KernelBuilder, x0, x1, acc_shift: int) -> None:
+    """corr += x1 * conj(x0), packed, pre-scaled for accumulation headroom."""
     prod = kb.c4shiftr(kb.cmul(x1, kb.c4negb(x0)), acc_shift)
     kb.accumulate(Opcode.C4ADD, prod, init=0, live_out="corr")
-    # Energy of the base window: per-lane squares, accumulated (own
-    # load so the x0 value need not be held across the long cmul chain).
-    x0e = kb.load(Opcode.LD_Q, kb.add(base, i_e))
-    e = kb.c4shiftr(kb.d4prod(x0e, x0e), acc_shift)
+
+
+def _accumulate_energy(kb: KernelBuilder, x, acc_shift: int) -> None:
+    """energy += per-lane squares of *x*, pre-scaled like the correlation."""
+    e = kb.c4shiftr(kb.d4prod(x, x), acc_shift)
     kb.accumulate(Opcode.C4ADD, e, init=0, live_out="energy")
-    return kb.finish()

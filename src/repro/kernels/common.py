@@ -26,6 +26,20 @@ MASK_PAIR0 = 0x0000_0000_FFFF_FFFF  # keeps the first complex sample
 MASK_PAIR1 = 0xFFFF_FFFF_0000_0000  # keeps the second complex sample
 
 
+def load_adc_antenna0(kb: KernelBuilder, addr, offset: int = 0) -> NodeRef:
+    """Packed (a0[k], a0[k+1]) straight from the ADC stream.
+
+    The stream holds one 64-bit (a0[k], a1[k]) pair per sample index;
+    *addr* + 4*offset is the byte address of pair k.  A 32-bit load
+    fetches a pair's antenna-0 half with the upper word cleared, so
+    moving the second sample up takes one swap and one OR — the lanes
+    match a 64-bit load of a deinterleaved antenna-0 buffer.
+    """
+    first = kb.load(Opcode.LD_I, addr, offset=offset)
+    second = kb.load(Opcode.LD_I, addr, offset=offset + 2)
+    return kb.op(Opcode.C4OR, first, kb.c4swap32(second))
+
+
 def cmul_packed(kb: KernelBuilder, a, b) -> NodeRef:
     """Packed complex multiply (two samples at once); see builder.cmul."""
     return kb.cmul(a, b)

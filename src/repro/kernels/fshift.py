@@ -1,16 +1,25 @@
 """The ``fshift`` kernels: frequency translation of the sample stream.
 
-Two variants, matching the two Table 2 rows that use them:
+Four variants, matching the Table 2 rows that use them:
 
-* :func:`build_fshift_dfg` — table-based rotation (the plain ``fshift``
-  rows, pure CGA, high IPC): each iteration loads two samples and two
-  phasor-table entries, complex-multiplies and stores.  The phasor table
-  is precomputed (by the host or earlier VLIW code).
+* :func:`build_fshift_ant0_dfg` and :func:`build_fshift_pair_dfg` —
+  table-based rotation (the plain preamble ``fshift`` rows, pure CGA,
+  high IPC).  The first rotates antenna 0 only, two samples per
+  iteration (the sync region: timing and fine CFO use one antenna); the
+  second rotates one ADC sample pair (both antennas) per iteration and
+  stores each antenna's sample to its own buffer (the HT-LTF region).
+  The phasor tables are precomputed by the host.
 * :func:`build_cfo_rotate_dfg` — recursive-phasor rotation used by
   ``freq offset compensation`` (the "mixed" row): the per-sample phasor
   is advanced on the array by a loop-carried complex multiply, whose
   recurrence limits the achievable II — which is why the paper reports
   a visibly lower IPC (4.48) for this kernel.
+* :func:`build_gather_rotate_dfg` — the data-phase ``fshift`` row: a
+  table-driven gather (cyclic-prefix strip + bit reversal) straight out
+  of the ADC stream, fused with the rotation.
+
+The table-based variants read the ADC stream in place: antenna *a*'s
+sample *k* sits at ``RXIN + 8k + 4a``.
 """
 
 from __future__ import annotations
@@ -25,16 +34,22 @@ from repro.isa.opcodes import Opcode
 from repro.kernels.common import (
     MASK_EVEN,
     MASK_ODD,
+    load_adc_antenna0,
     pack_complex_word,
     pack_complex_words,
 )
 from repro.phy.fixed import q15
 
 
-def build_fshift_dfg(name: str = "fshift") -> Dfg:
-    """out[n] = x[n] * table[n] over packed pairs (two samples/iteration).
+def build_fshift_ant0_dfg(name: str = "fshift") -> Dfg:
+    """Rotate antenna 0 of the ADC stream in place (two samples/iteration).
 
-    Live-ins: ``src``, ``dst``, ``tab`` (byte base addresses).
+    out[n] = a0[n] * table[n]: each iteration assembles the packed
+    (a0[n], a0[n+1]) word from two ADC pairs, loads the matching packed
+    phasor word, complex-multiplies and stores one 64-bit word.
+
+    Live-ins: ``src`` (ADC stream at the first pair), ``dst``, ``tab``
+    (packed two-sample phasor table, :func:`phasor_table_words`).
     """
     kb = KernelBuilder(name)
     src = kb.live_in("src")
@@ -44,13 +59,42 @@ def build_fshift_dfg(name: str = "fshift") -> Dfg:
     # at different schedule times, and independent inductions let the
     # scheduler anchor each next to its consumer (hand-written DSP
     # kernels use separate address registers for the same reason).
-    i_src = kb.induction(0, 8)
+    i_src = kb.induction(0, 16)
     i_tab = kb.induction(0, 8)
     i_dst = kb.induction(0, 8)
-    x = kb.load(Opcode.LD_Q, kb.add(src, i_src))
+    x = load_adc_antenna0(kb, kb.add(src, i_src))
     ph = kb.load(Opcode.LD_Q, kb.add(tab, i_tab))
     y = kb.cmul(x, ph)
     kb.store(Opcode.ST_Q, kb.add(dst, i_dst), y)
+    return kb.finish()
+
+
+def build_fshift_pair_dfg(name: str = "fshift", delta_dst: int = 2048) -> Dfg:
+    """Rotate both antennas' samples as the ADC delivers them (one pair/iteration).
+
+    Each iteration loads one 64-bit ADC word ``(a0[k], a1[k])`` and the
+    duplicated phasor word ``(p[k], p[k])``, complex-multiplies them and
+    stores the antenna-0 half at ``dst + 4k`` and the swapped antenna-1
+    half at ``dst + delta_dst + 4k`` — so the rotate also splits the
+    stream per antenna, and no separate deinterleaving pass runs.
+
+    Live-ins: ``src`` (ADC stream at the first pair), ``dst`` (antenna-0
+    output; antenna 1 at +delta_dst), ``tab`` (duplicated phasor table,
+    :func:`phasor_pair_table_words`).
+    """
+    kb = KernelBuilder(name)
+    src = kb.live_in("src")
+    dst = kb.live_in("dst")
+    tab = kb.live_in("tab")
+    i_src = kb.induction(0, 8)
+    i_tab = kb.induction(0, 8)
+    i_dst = kb.induction(0, 4)
+    x = kb.load(Opcode.LD_Q, kb.add(src, i_src))
+    ph = kb.load(Opcode.LD_Q, kb.add(tab, i_tab))
+    y = kb.cmul(x, ph)
+    dst_addr = kb.add(dst, i_dst)
+    kb.store(Opcode.ST_I, dst_addr, y)
+    kb.store(Opcode.ST_I, dst_addr, kb.c4swap32(y), offset=delta_dst // 4)
     return kb.finish()
 
 
@@ -112,18 +156,19 @@ def build_cfo_rotate(
 
 
 def build_gather_rotate_dfg(
-    name: str = "gather_rotate", delta_src: int = 640, delta_dst: int = 256
+    name: str = "gather_rotate", delta_src: int = 4, delta_dst: int = 256
 ) -> Dfg:
-    """Fused CP-strip / bit-reversal gather + phasor rotation (two buffers).
+    """Fused CP-strip / bit-reversal gather + phasor rotation (two antennas).
 
     The data-phase ``fshift`` row: each iteration reads one sample
     offset from a table (which encodes cyclic-prefix stripping and the
-    FFT's bit-reversal in one permutation), loads that sample from both
-    antenna buffers, rotates both by the same table phasor and stores
-    them into the FFT working buffers — so the FFT proper starts at its
-    first butterfly stage.
+    FFT's bit-reversal in one permutation), loads that sample of both
+    antennas, rotates both by the same table phasor and stores them into
+    the FFT working buffers — so the FFT proper starts at its first
+    butterfly stage.
 
-    Live-ins: ``src`` (antenna-0 samples; antenna 1 at +delta_src),
+    Live-ins: ``src`` (antenna-0 samples; antenna 1 at +delta_src, 4 in
+    the ADC stream, where the table offsets step 8 bytes per sample),
     ``dst`` (FFT buffer 0; buffer 1 at +delta_dst), ``tab`` (byte-offset
     permutation), ``ph`` (32-bit phasor table, same permutation order).
     """
@@ -153,14 +198,27 @@ def build_gather_rotate_dfg(
 # ----------------------------------------------------------------------
 
 
+def _phasor_words(freq_hz, sample_rate_hz, n_samples, start_sample) -> np.ndarray:
+    n = np.arange(start_sample, start_sample + n_samples)
+    ph = np.exp(2j * np.pi * freq_hz * n / sample_rate_hz)
+    return pack_complex_words(q15(ph.real), q15(ph.imag)).astype(np.uint64)
+
+
 def phasor_table_words(
     freq_hz: float, sample_rate_hz: float, n_samples: int, start_sample: int = 0
 ) -> List[int]:
-    """Packed phasor table for the table-based fshift (two samples/word)."""
-    n = np.arange(start_sample, start_sample + n_samples)
-    ph = np.exp(2j * np.pi * freq_hz * n / sample_rate_hz)
-    packed = pack_complex_words(q15(ph.real), q15(ph.imag)).astype(np.uint64)
+    """Packed phasor table for :func:`build_fshift_ant0_dfg` (two samples/word)."""
+    packed = _phasor_words(freq_hz, sample_rate_hz, n_samples, start_sample)
     return (packed[0::2] | (packed[1::2] << np.uint64(32))).tolist()
+
+
+def phasor_pair_table_words(
+    freq_hz: float, sample_rate_hz: float, n_samples: int, start_sample: int = 0
+) -> List[int]:
+    """Phasor table for :func:`build_fshift_pair_dfg`: one 64-bit word
+    per sample, the sample's phasor in both halves (one per antenna)."""
+    packed = _phasor_words(freq_hz, sample_rate_hz, n_samples, start_sample)
+    return (packed | (packed << np.uint64(32))).tolist()
 
 
 def phasor_table_words32(

@@ -114,8 +114,8 @@ def build_eqcoef_dfg(name: str = "eq_coeff", wshift: int = W_SHIFT) -> Dfg:
 def build_chanest_dfg(name: str = "chanest") -> Dfg:
     """P-matrix channel combining for one receive antenna (row of H).
 
-    From the two HT-LTF spectra of antenna r (compacted to the 56 used
-    carriers) this computes, per carrier k,
+    From the two HT-LTF spectra of antenna r this computes, per used
+    carrier k,
 
         h_{r,0}[k] = (Y1[k] + Y2[k]) * Lsgn[k] * ltf_gain
         h_{r,1}[k] = (Y1[k] - Y2[k]) * Lsgn[k] * ltf_gain
@@ -126,8 +126,10 @@ def build_chanest_dfg(name: str = "chanest") -> Dfg:
     in the row-major H buffer (stride 16 bytes per carrier, row offset
     8*r), ready for ``equalize coeff calc``.
 
-    Live-ins: ``y1``, ``y2`` (compact spectra), ``sgn`` (sign table),
-    ``hout`` (H buffer base + 8*r).  Two carriers per iteration.
+    Live-ins: ``y1``, ``y2`` (the spectra at the first carrier of a run
+    of consecutive used bins — the receiver reads the FFT grids in
+    place, one call per run), ``sgn`` (sign table), ``hout`` (H buffer
+    base + 8*r).  Two carriers per iteration.
     """
     kb = KernelBuilder(name)
     y1b = kb.live_in("y1")

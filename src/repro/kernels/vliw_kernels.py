@@ -1,10 +1,11 @@
-"""The VLIW-mode kernels of Table 2: data movement and pilot tracking.
+"""The VLIW-mode code of Table 2: lane reductions and pilot tracking.
 
-``remove zero carriers``, ``sample ordering``, ``sample reordering`` and
-``data shuffle`` are layout transformations executed as rolled VLIW
-copy loops (their IPC of ~1.1-2.7 in the paper comes from load-use
-latencies and loop-control overhead on a 3-issue machine, which the
-list-scheduled loops here reproduce).  ``tracking`` computes the
+The paper runs ``remove zero carriers``, ``sample ordering`` and
+``sample reordering`` as VLIW copy loops.  Here no copy runs: the
+consumers read the ADC stream and the FFT grids in place (see
+:mod:`repro.modem.receiver`), and ``data shuffle`` is a CGA gather.
+What remains in VLIW mode is the reduction half of the "mixed"
+correlation kernels and ``tracking``, which computes the
 common-phase-error phasor from the four pilots with scalar arithmetic.
 """
 
@@ -14,162 +15,6 @@ from typing import Sequence
 
 from repro.compiler.builder import PhysReg, VliwBuilder
 from repro.isa.opcodes import Opcode
-
-
-def emit_copy_loop(
-    vb: VliwBuilder,
-    src_addr: int,
-    dst_addr: int,
-    n_words64: int,
-    unroll: int = 2,
-    src_stride: int = 8,
-    dst_stride: int = 8,
-) -> None:
-    """Copy *n_words64* 64-bit words with configurable strides.
-
-    With unit strides this is ``remove zero carriers`` run copying and
-    plain buffer moves; with non-unit strides it realises the
-    ``sample ordering`` / ``data shuffle`` interleaving patterns.
-    """
-    if n_words64 % unroll:
-        raise ValueError("unroll must divide the word count")
-    sp = vb.shared_reg("copy_sp")
-    dp = vb.shared_reg("copy_dp")
-    vb.op(Opcode.ADD, 0, src_addr, dst=sp)
-    vb.op(Opcode.ADD, 0, dst_addr, dst=dp)
-    with vb.counted_loop(n_words64 // unroll):
-        for u in range(unroll):
-            # Immediate offsets are in 32-bit words (scaled <<2).
-            x = vb.load(Opcode.LD_Q, sp, u * src_stride // 4)
-            vb.store(Opcode.ST_Q, dp, u * dst_stride // 4, x)
-        vb.op(Opcode.ADD, sp, unroll * src_stride, dst=_same(sp))
-        vb.op(Opcode.ADD, dp, unroll * dst_stride, dst=_same(dp))
-
-
-def _same(reg):
-    """Reuse a virtual register as its own destination (loop pointer)."""
-    return reg
-
-
-def emit_remove_zero_carriers(
-    vb: VliwBuilder, grid_addr: int, out_addr: int
-) -> None:
-    """Compact the 64-bin FFT grid to the 56 used bins.
-
-    The used spectrum is two contiguous runs — bins 1..28 and bins
-    36..63 — so the kernel is two 64-bit copy loops (bin k sits at byte
-    ``4k``; a 64-bit load at byte ``4`` pairs bins 1 and 2).
-    """
-    emit_copy_loop(vb, grid_addr + 4, out_addr, 14, unroll=2)
-    emit_copy_loop(vb, grid_addr + 36 * 4, out_addr + 28 * 4, 14, unroll=2)
-
-
-def emit_interleave(
-    vb: VliwBuilder,
-    src0_addr: int,
-    src1_addr: int,
-    dst_addr: int,
-    n_words64: int,
-) -> None:
-    """``sample ordering``: merge two antenna buffers word-by-word.
-
-    Produces dst = [a0, b0, a1, b1, ...] at 64-bit granularity — the
-    carrier-major layout the MIMO kernels consume.
-    """
-    p0 = vb.mov_imm(src0_addr)
-    p1 = vb.mov_imm(src1_addr)
-    dp = vb.mov_imm(dst_addr)
-    with vb.counted_loop(n_words64):
-        a = vb.load(Opcode.LD_Q, p0, 0)
-        b = vb.load(Opcode.LD_Q, p1, 0)
-        vb.store(Opcode.ST_Q, dp, 0, a)
-        vb.store(Opcode.ST_Q, dp, 2, b)
-        vb.op(Opcode.ADD, p0, 8, dst=_same(p0))
-        vb.op(Opcode.ADD, p1, 8, dst=_same(p1))
-        vb.op(Opcode.ADD, dp, 16, dst=_same(dp))
-
-
-def emit_deinterleave(
-    vb: VliwBuilder,
-    src_addr: int,
-    dst0_addr: int,
-    dst1_addr: int,
-    n_words64: int,
-) -> None:
-    """``sample reordering``: split a carrier-major buffer per stream."""
-    sp = vb.mov_imm(src_addr)
-    p0 = vb.mov_imm(dst0_addr)
-    p1 = vb.mov_imm(dst1_addr)
-    with vb.counted_loop(n_words64):
-        a = vb.load(Opcode.LD_Q, sp, 0)
-        b = vb.load(Opcode.LD_Q, sp, 2)
-        vb.store(Opcode.ST_Q, p0, 0, a)
-        vb.store(Opcode.ST_Q, p1, 0, b)
-        vb.op(Opcode.ADD, sp, 16, dst=_same(sp))
-        vb.op(Opcode.ADD, p0, 8, dst=_same(p0))
-        vb.op(Opcode.ADD, p1, 8, dst=_same(p1))
-
-
-def emit_gather_words(
-    vb: VliwBuilder, table_addr: int, src_addr: int, dst_addr: int, count: int
-) -> None:
-    """``data shuffle``: gather 32-bit samples through an offset table."""
-    tp = vb.mov_imm(table_addr)
-    base = vb.mov_imm(src_addr)
-    dp = vb.mov_imm(dst_addr)
-    with vb.counted_loop(count):
-        off = vb.load(Opcode.LD_I, tp, 0)
-        addr = vb.add(base, off)
-        x = vb.load(Opcode.LD_I, addr, 0)
-        vb.store(Opcode.ST_I, dp, 0, x)
-        vb.op(Opcode.ADD, tp, 4, dst=_same(tp))
-        vb.op(Opcode.ADD, dp, 4, dst=_same(dp))
-
-
-def emit_deinterleave_adc(
-    vb: VliwBuilder,
-    rx_addr: int,
-    ant0_addr: int,
-    ant1_addr: int,
-    n_pairs,
-    unroll: int = 2,
-) -> None:
-    """``sample ordering``: split the ADC-interleaved stream per antenna.
-
-    The front end delivers samples interleaved as (a0[k], a1[k]) pairs;
-    one 64-bit load fetches a pair, the low half goes to the antenna-0
-    buffer and the swapped high half to antenna 1.
-
-    *n_pairs* is a compile-time int, or a register (virtual/physical)
-    holding a positive pair count at run time — the runtime keeps the
-    packet-dependent tail length out of the linked program this way.
-    Register counts require a power-of-two *unroll* (the trip count is
-    derived by shift) and are rounded down to a multiple of *unroll*.
-    """
-    if isinstance(n_pairs, int):
-        if n_pairs % unroll:
-            raise ValueError("unroll must divide the pair count")
-        trips = n_pairs // unroll
-    else:
-        shift = unroll.bit_length() - 1
-        if unroll != 1 << shift:
-            raise ValueError("register pair counts require a power-of-two unroll")
-        trips = vb.op(Opcode.ASR, n_pairs, shift)
-    sp = vb.shared_reg("adc_sp")
-    p0 = vb.shared_reg("adc_p0")
-    p1 = vb.shared_reg("adc_p1")
-    vb.op(Opcode.ADD, 0, rx_addr, dst=sp)
-    vb.op(Opcode.ADD, 0, ant0_addr, dst=p0)
-    vb.op(Opcode.ADD, 0, ant1_addr, dst=p1)
-    with vb.counted_loop(trips):
-        for u in range(unroll):
-            x = vb.load(Opcode.LD_Q, sp, 2 * u)
-            hi = vb.op(Opcode.C4SWAP32, x)
-            vb.store(Opcode.ST_I, p0, u, x)
-            vb.store(Opcode.ST_I, p1, u, hi)
-        vb.op(Opcode.ADD, sp, 8 * unroll, dst=_same(sp))
-        vb.op(Opcode.ADD, p0, 4 * unroll, dst=_same(p0))
-        vb.op(Opcode.ADD, p1, 4 * unroll, dst=_same(p1))
 
 
 def emit_lane_reduce_mag(

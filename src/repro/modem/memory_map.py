@@ -3,7 +3,11 @@
 All addresses are byte offsets into the 64 KB L1.  Complex samples are
 one 32-bit word each (re low, im high); 64-bit SIMD accesses cover two
 samples.  Buffers are 16-byte aligned so that 64-bit accesses start on
-even bank pairs.
+even bank pairs; the phasor table is the one deliberate exception (see
+``PHTAB``).
+
+There are no per-antenna sample buffers and no compacted spectra: the
+kernels read the ADC stream (``RXIN``) and the FFT grids in place.
 """
 
 from __future__ import annotations
@@ -15,19 +19,21 @@ from dataclasses import dataclass
 class MemoryMap:
     """Byte addresses of every modem buffer."""
 
-    #: ADC-interleaved input stream: (a0[k], a1[k]) word pairs.
-    RXIN: int = 0x0000  # up to 1024 sample pairs = 8 KB
-    #: Deinterleaved per-antenna sample buffers.
-    ANT0: int = 0x2000  # up to 1024 samples = 4 KB
-    ANT1: int = 0x3000
+    #: ADC-interleaved input stream: (a0[k], a1[k]) word pairs.  Every
+    #: consumer reads it in place — antenna a's sample k sits at
+    #: ``RXIN + 8k + 4a`` — so no per-antenna copy exists.
+    RXIN: int = 0x0000  # up to 1024 sample pairs = 8 KB; 0x2000-0x3FFF free
     #: Rotated working buffers (coarse-CFO corrected regions).
     WORK0: int = 0x4000  # 512 samples
     WORK1: int = 0x4800
     #: Fine-corrected HT-LTF region, antenna buffers 640 B apart.
     CORR0: int = 0x5000  # 160 samples
     CORR1: int = 0x5280
-    #: Packed (2-sample) phasor table for the table-based fshift.
-    PHTAB: int = 0x5800  # up to 256 words = 2 KB
+    #: Phasor table of the table-based fshift kernels.  It sits 8 bytes
+    #: off the 16-byte grid on purpose: its 64-bit entries then claim
+    #: the other bank pair than the ADC words loaded in the same
+    #: iteration, instead of queueing behind them.
+    PHTAB: int = 0x5808  # up to 255 words
     #: 32-bit phasor table for the fused gather-rotate.
     PHTAB32: int = 0x6000  # up to 256 entries = 1 KB
     #: Cross-correlation reference (64 packed samples).
@@ -51,11 +57,6 @@ class MemoryMap:
     FFT3: int = 0x6D28
     #: Per-stage twiddle tables (5 stages x 16 x 8 B).
     TWID: int = 0x6E40
-    #: Compact spectra (4 x 56 words, padded to 256 B).
-    COMP0: int = 0x7200
-    COMP1: int = 0x7300
-    COMP2: int = 0x7400
-    COMP3: int = 0x7500
     #: Channel-combining sign table (28 words).
     SGN: int = 0x7600
     #: Channel estimate H (56 carriers x 16 B).
@@ -82,11 +83,6 @@ class MemoryMap:
     #: of baking them in as immediates, so one linked program serves
     #: every packet of the same shape.
     PARAM: int = 0x9100
-
-    @property
-    def ant_delta(self) -> int:
-        """Byte distance between the two antenna sample buffers."""
-        return self.ANT1 - self.ANT0
 
     @property
     def fft_pair_delta(self) -> int:

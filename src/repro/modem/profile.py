@@ -115,13 +115,13 @@ def table2_rows(output: ReceiverOutput) -> List[Table2Row]:
 def format_table2(rows: Sequence[Table2Row]) -> str:
     """Render measured-vs-paper Table 2 as fixed-width text."""
     lines = [
-        "%-9s %-26s %-7s %6s %7s %6s | %-9s %6s %7s"
+        "%-9s %-26s %-25s %6s %7s %6s | %-9s %6s %7s"
         % ("phase", "kernel", "mode", "IPC", "cycles", "stall", "paper", "IPC", "cycles")
     ]
-    lines.append("-" * 95)
+    lines.append("-" * 113)
     for row in rows:
         lines.append(
-            "%-9s %-26s %-7s %6.2f %7d %6d | %-9s %6s %7s"
+            "%-9s %-26s %-25s %6.2f %7d %6d | %-9s %6s %7s"
             % (
                 row.phase,
                 row.kernel,

@@ -6,6 +6,13 @@ packet.  The receiver is organised as a sequence of *regions*, one per
 Table 2 row; each region is a small program (VLIW glue + CGA kernels)
 executed on a core whose scratchpad carries the modem state forward.
 
+The kernels read their inputs where they already are: antenna *a*'s
+sample *k* at ``RXIN + 8k + 4a`` in the ADC stream, the used carriers
+as two bin runs of each FFT grid.  The paper's three layout-only rows
+(``sample ordering``, ``sample reordering``, ``remove zero carriers``)
+therefore run nothing: each keeps its Table 2 row as a zero-cycle
+:func:`fused_region` marked with the consumer that absorbed it.
+
 Host orchestration
 ------------------
 The processor is a slave in a multi-core platform (Section 2.A); the
@@ -34,10 +41,11 @@ import numpy as np
 from repro.arch import CgaArchitecture, paper_core
 from repro.compiler.builder import PhysReg
 from repro.compiler.linker import ProgramLinker
+from repro.compiler.modulo import ScheduleResult
 from repro.isa.bits import split_lanes, to_signed
 from repro.isa.opcodes import Opcode
 from repro.kernels import vliw_kernels
-from repro.kernels.acorr import build_acorr_dfg
+from repro.kernels.acorr import build_acorr_adc_dfg, build_acorr_dfg
 from repro.kernels.comp import build_comp_dfg
 from repro.kernels.demod import build_demod_dfg
 from repro.kernels.fft import (
@@ -51,9 +59,11 @@ from repro.kernels.fft import (
 )
 from repro.kernels.fshift import (
     build_cfo_rotate,
-    build_fshift_dfg,
+    build_fshift_ant0_dfg,
+    build_fshift_pair_dfg,
     build_gather_rotate_dfg,
     cfo_rotate_patch,
+    phasor_pair_table_words,
     phasor_table_words,
     phasor_table_words32,
     rotate_constants,
@@ -81,13 +91,19 @@ from repro.sim.program import Program, patch_constants
 from repro.sim.stats import ActivityStats, KernelProfile
 from repro.trace.tracer import NULL_TRACER, Tracer
 
-#: Hard floor on packet length: the receiver deinterleaves a 352-pair
-#: sync region and the tail pass needs at least one more sample pair
-#: (shorter inputs would drive the tail loop with a negative count).
+#: Samples of the STF/LTF sync region the detection search spans.
+_SYNC_SAMPLES = 352
+
+#: Hard floor on packet length: the 352-sample sync region plus the
+#: first HT-LTF sample pair.
 MIN_PACKET_SAMPLES = 354
 
-#: Per-antenna sample-buffer capacity (ANT1 - ANT0 bytes / 4).
-_ANT_CAPACITY = 1024
+#: ADC-stream capacity in sample pairs (the 8 KB RXIN buffer).
+_RXIN_CAPACITY = 1024
+
+#: The used carriers as contiguous bin runs (first bin, length): the
+#: FFT grids are read in place, one ``chanest`` call per run.
+_BIN_RUNS = ((1, 28), (36, 28))
 
 #: Furthest sample the detection autocorrelation reads past a candidate
 #: position: a 32-sample window at 64-bit granularity plus the 16-sample
@@ -98,23 +114,31 @@ _ACORR_SPAN = 48
 # host writes these before each region; region programs load them as
 # kernel live-ins / loop bounds, which is what makes the programs pure
 # functions of the packet *shape* and reusable across packets.
-_P_CAND = (0, 1, 2)  # acorr candidate base addresses
-_P_FSHIFT_SRC = 3  # coarse-rotate source (ANT0 + 4*ltf_guess)
+_P_CAND = (0, 1, 2)  # acorr candidate base addresses (RXIN + 8*pos)
+_P_FSHIFT_SRC = 3  # coarse-rotate source (RXIN + 8*ltf_guess)
 _P_ACORR2_BASE = 4  # fine-acorr base (WORK0 + 4*ltf1_rel)
 _P_CORDIC_X = 5  # fine correlation re (two's complement)
 _P_CORDIC_Y = 6  # fine correlation im
-_P_TAIL_PAIRS = 7  # tail deinterleave pair count (even)
-_P_FSHIFT2_SRC = (8, 9)  # HT-LTF rotate sources per antenna
-_P_DATA_SRC = 10  # data gather source (ANT0 + 4*data_start)
+_P_HT_SRC = 7  # HT-LTF rotate source (RXIN + 8*ht_start)
+_P_DATA_SRC = 8  # data gather source (RXIN + 8*data_start)
 
 
 @dataclass
 class RegionRun:
-    """One executed, profiled pipeline region (one Table 2 row)."""
+    """One profiled pipeline region (one Table 2 row)."""
 
     name: str
     profile: KernelProfile
     outputs: Dict[str, int] = field(default_factory=dict)
+
+
+def fused_region(name: str, into: str) -> RegionRun:
+    """A Table 2 row whose work another row's kernels absorbed.
+
+    Nothing is simulated for it: the row keeps its place in the table
+    with a zero-cycle profile marked "fused into *into*".
+    """
+    return RegionRun(name, KernelProfile(name, ActivityStats(), fused_into=into))
 
 
 @dataclass
@@ -194,9 +218,11 @@ class SimReceiver:
         #: zero, so the receiver advances the tracer's base after each
         #: region to keep one coherent packet timeline.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Compact-carrier order: bins 1..28 then 36..63 (runs the
-        #: remove-zero-carriers kernel produces).
-        self.compact_bins = list(range(1, 29)) + list(range(36, 64))
+        #: Compact-carrier order: bins 1..28 then 36..63 (the used-bin
+        #: runs, in the order the channel estimate stores them).
+        self.compact_bins = [
+            b for first, n in _BIN_RUNS for b in range(first, first + n)
+        ]
         #: Linked region programs (plus their host-visible register
         #: handles), keyed by (region id, packet shape).  Programs are
         #: pure functions of (architecture, seed, memory map, OFDM
@@ -205,6 +231,10 @@ class SimReceiver:
         #: configuration-immediate patching, so one link serves every
         #: packet of the same shape (the paper's compile-once flow).
         self._region_programs: Dict[tuple, Tuple[Program, Dict[str, object]]] = {}
+        #: Scheduling metadata (II, MII bounds, stages) of each linked
+        #: region program's kernels, in call order, keyed like
+        #: ``_region_programs``.
+        self.region_kernels: Dict[tuple, List[ScheduleResult]] = {}
 
     @property
     def compiled_programs(self) -> int:
@@ -227,6 +257,7 @@ class SimReceiver:
             handles = build(linker) or {}
             cached = (linker.link(), handles)
             self._region_programs[rid] = cached
+            self.region_kernels[rid] = linker.kernel_results
         return cached
 
     def _run_region(
@@ -324,9 +355,9 @@ class SimReceiver:
         return [4 * b for b in self.compact_bins]
 
     def _gather_table_words(self, payload_start: int) -> List[int]:
-        """CP-strip + bit-reversal byte offsets for one symbol."""
+        """CP-strip + bit-reversal byte offsets into the ADC stream."""
         rev = bit_reverse_indices(self.params.n_fft)
-        return [4 * (payload_start + int(r)) for r in rev]
+        return [8 * (payload_start + int(r)) for r in rev]
 
     def _twiddle_layout(self) -> List[Tuple[int, dict, int]]:
         """[(tw_addr, stage live-ins, half)] for the 5 generic stages."""
@@ -414,22 +445,21 @@ class SimReceiver:
         if n_samples < MIN_PACKET_SAMPLES:
             raise ValueError(
                 "packet too short: %d samples; the receive pipeline needs at "
-                "least %d (the 352-pair STF/LTF sync region plus one tail "
-                "sample pair)" % (n_samples, MIN_PACKET_SAMPLES)
+                "least %d (the 352-sample STF/LTF sync region plus the first "
+                "HT-LTF sample pair)" % (n_samples, MIN_PACKET_SAMPLES)
             )
-        if n_samples > _ANT_CAPACITY:
+        if n_samples > _RXIN_CAPACITY:
             raise ValueError(
-                "packet too long: %d samples exceed the %d-sample antenna "
-                "buffers" % (n_samples, _ANT_CAPACITY)
+                "packet too long: %d samples exceed the %d-pair ADC input "
+                "buffer" % (n_samples, _RXIN_CAPACITY)
             )
-        n_sync = min(352, n_samples)
-        max_hint = n_sync - 16 - _ACORR_SPAN
+        max_hint = _SYNC_SAMPLES - 16 - _ACORR_SPAN
         if not 0 <= detect_hint <= max_hint:
             raise ValueError(
                 "detect_hint %d out of range 0..%d: the candidate "
                 "autocorrelation windows read up to detect_hint + %d samples "
-                "of the %d-sample deinterleaved sync region"
-                % (detect_hint, max_hint, 16 + _ACORR_SPAN, n_sync)
+                "of the %d-sample sync region"
+                % (detect_hint, max_hint, 16 + _ACORR_SPAN, _SYNC_SAMPLES)
             )
         shape = (n_samples, n_symbols)
         rx_re, rx_im = q15(rx.real), q15(rx.imag)
@@ -455,28 +485,21 @@ class SimReceiver:
         run, image = yield RegionRequest("non-kernel code", image, build_init, key=shape)
         pre.append(run)
 
-        # -- sample ordering: deinterleave the sync region ------------------
-        def build_order(linker):
-            vliw_kernels.emit_deinterleave_adc(
-                linker.vliw(), mem.RXIN, mem.ANT0, mem.ANT1, n_sync, unroll=2
-            )
-            return {}
-
-        run, image = yield RegionRequest("sample ordering", image, build_order, key=shape)
-        pre.append(run)
+        # -- sample ordering: the consumers read the ADC stream in place ----
+        pre.append(fused_region("sample ordering", "acorr"))
 
         # -- acorr: packet detection (3 candidates) -------------------------
         window = 32
         candidates = [max(0, detect_hint - 16), detect_hint, detect_hint + 16]
         for ci, pos in enumerate(candidates):
-            self._write_param(image, _P_CAND[ci], mem.ANT0 + 4 * pos)
+            self._write_param(image, _P_CAND[ci], mem.RXIN + 8 * pos)
 
         def build_acorr(linker):
             handles = {}
             for ci in range(len(_P_CAND)):
                 base_r = self._load_param(linker.vliw(), _P_CAND[ci])
                 outs = linker.call_kernel(
-                    build_acorr_dfg(lag_samples=16, name="acorr_p%d" % ci),
+                    build_acorr_adc_dfg(lag_samples=16, name="acorr_p%d" % ci),
                     live_ins={"base": base_r},
                     trip_count=window // 2,
                 )
@@ -522,7 +545,7 @@ class SimReceiver:
         def build_fshift1(linker):
             src_r = self._load_param(linker.vliw(), _P_FSHIFT_SRC)
             linker.call_kernel(
-                build_fshift_dfg("fshift"),
+                build_fshift_ant0_dfg("fshift"),
                 live_ins={
                     "src": src_r,
                     "dst": mem.WORK0,
@@ -534,7 +557,7 @@ class SimReceiver:
 
         table = phasor_table_words(-coarse_cfo, fs, n_rot, start_sample=ltf_guess)
         self._write_words(image, mem.PHTAB, table, size=8)
-        self._write_param(image, _P_FSHIFT_SRC, mem.ANT0 + 4 * ltf_guess)
+        self._write_param(image, _P_FSHIFT_SRC, mem.RXIN + 8 * ltf_guess)
         run, image = yield RegionRequest("fshift", image, build_fshift1, key=("ltf",) + shape)
         pre.append(run)
 
@@ -618,46 +641,27 @@ class SimReceiver:
         fine_angle = to_signed(run.outputs["angle"], 32)
         fine_cfo = angle_q16_to_hz(fine_angle, 64, fs)
 
-        # -- sample reordering: deinterleave HT-LTFs + data symbols ---------
+        # -- sample reordering: the consumers read the ADC stream in place --
         ht_start = ltf1_start + 128
-        n_tail_pairs = min(n_samples, ht_start + 160 + 80 * n_symbols) - 352
-
-        def build_reorder2(linker):
-            vb = linker.vliw()
-            n_pairs_r = self._load_param(vb, _P_TAIL_PAIRS)
-            vliw_kernels.emit_deinterleave_adc(
-                vb,
-                mem.RXIN + 8 * 352,
-                mem.ANT0 + 4 * 352,
-                mem.ANT1 + 4 * 352,
-                n_pairs_r,
-                unroll=2,
-            )
-            return {}
-
-        self._write_param(image, _P_TAIL_PAIRS, (n_tail_pairs // 2) * 2)
-        run, image = yield RegionRequest("sample reordering", image, build_reorder2, key=shape)
-        pre.append(run)
+        pre.append(fused_region("sample reordering", "fshift"))
 
         # -- fshift: coarse rotate of both antennas' HT-LTF region ----------
         def build_fshift2(linker):
-            for ant, dst in enumerate([mem.WORK0, mem.WORK1]):
-                src_r = self._load_param(linker.vliw(), _P_FSHIFT2_SRC[ant])
-                linker.call_kernel(
-                    build_fshift_dfg("fshift_ht_a%d" % ant),
-                    live_ins={
-                        "src": src_r,
-                        "dst": dst,
-                        "tab": mem.PHTAB,
-                    },
-                    trip_count=80,
-                )
+            src_r = self._load_param(linker.vliw(), _P_HT_SRC)
+            linker.call_kernel(
+                build_fshift_pair_dfg("fshift_ht", delta_dst=mem.WORK1 - mem.WORK0),
+                live_ins={
+                    "src": src_r,
+                    "dst": mem.WORK0,
+                    "tab": mem.PHTAB,
+                },
+                trip_count=160,
+            )
             return {}
 
-        table = phasor_table_words(-coarse_cfo, fs, 160, start_sample=ht_start)
+        table = phasor_pair_table_words(-coarse_cfo, fs, 160, start_sample=ht_start)
         self._write_words(image, mem.PHTAB, table, size=8)
-        for ant, src in enumerate([mem.ANT0, mem.ANT1]):
-            self._write_param(image, _P_FSHIFT2_SRC[ant], src + 4 * ht_start)
+        self._write_param(image, _P_HT_SRC, mem.RXIN + 8 * ht_start)
         run, image = yield RegionRequest("fshift", image, build_fshift2, key=("ht",) + shape)
         pre.append(run)
 
@@ -710,39 +714,29 @@ class SimReceiver:
         run, image = yield RegionRequest("fft", image, build_fft_pre, key=("pre",) + shape)
         pre.append(run)
 
-        # -- remove zero carriers: compact the four spectra ------------------
-        def build_rzc(linker):
-            vb = linker.vliw()
-            # Grids: FFT0 = HT-LTF1 ant0, FFT1 = HT-LTF1 ant1,
-            #        FFT2 = HT-LTF2 ant0, FFT3 = HT-LTF2 ant1.
-            pairs = [
-                (mem.FFT0, mem.COMP0),  # y1 ant0
-                (mem.FFT2, mem.COMP1),  # y2 ant0
-                (mem.FFT1, mem.COMP2),  # y1 ant1
-                (mem.FFT3, mem.COMP3),  # y2 ant1
-            ]
-            for grid, comp in pairs:
-                vliw_kernels.emit_remove_zero_carriers(vb, grid, comp)
-            return {}
-
-        run, image = yield RegionRequest("remove zero carriers", image, build_rzc, key=shape)
-        pre.append(run)
+        # -- remove zero carriers: chanest reads the used-bin runs in place --
+        pre.append(fused_region("remove zero carriers", "SDM processing"))
 
         # -- SDM processing (preamble): P-matrix channel combining -----------
         def build_chanest(linker):
+            # Grids: FFT0 = HT-LTF1 ant0, FFT1 = HT-LTF1 ant1,
+            #        FFT2 = HT-LTF2 ant0, FFT3 = HT-LTF2 ant1.
             for ant, (y1, y2) in enumerate(
-                [(mem.COMP0, mem.COMP1), (mem.COMP2, mem.COMP3)]
+                [(mem.FFT0, mem.FFT2), (mem.FFT1, mem.FFT3)]
             ):
-                linker.call_kernel(
-                    build_chanest_dfg("chanest_a%d" % ant),
-                    live_ins={
-                        "y1": y1,
-                        "y2": y2,
-                        "sgn": mem.SGN,
-                        "hout": mem.HBUF + 8 * ant,
-                    },
-                    trip_count=28,
-                )
+                carrier = 0  # compact index of the run's first bin
+                for run_idx, (first, n_bins) in enumerate(_BIN_RUNS):
+                    linker.call_kernel(
+                        build_chanest_dfg("chanest_a%d_r%d" % (ant, run_idx)),
+                        live_ins={
+                            "y1": y1 + 4 * first,
+                            "y2": y2 + 4 * first,
+                            "sgn": mem.SGN + 4 * carrier,
+                            "hout": mem.HBUF + 8 * ant + 16 * carrier,
+                        },
+                        trip_count=n_bins // 2,
+                    )
+                    carrier += n_bins
             return {}
 
         run, image = yield RegionRequest(
@@ -779,7 +773,7 @@ class SimReceiver:
                 mem.GTAB0 if sym == 0 else mem.GTAB1,
                 rev_offsets[sym],
             )
-            indices = [data_start + off // 4 for off in rev_offsets[sym]]
+            indices = [data_start + off // 8 for off in rev_offsets[sym]]
             self._write_words(
                 image,
                 mem.PHTAB32 + 0x100 * sym,
@@ -792,7 +786,7 @@ class SimReceiver:
                 linker.call_kernel(
                     build_gather_rotate_dfg(
                         "gather_rotate_s%d" % sym,
-                        delta_src=mem.ant_delta,
+                        delta_src=4,
                         delta_dst=mem.fft_pair_delta,
                     ),
                     live_ins={
@@ -805,7 +799,7 @@ class SimReceiver:
                 )
             return {}
 
-        self._write_param(image, _P_DATA_SRC, mem.ANT0 + 4 * data_start)
+        self._write_param(image, _P_DATA_SRC, mem.RXIN + 8 * data_start)
         run, image = yield RegionRequest(
             "fshift", image, build_data_fshift, key=("data",) + shape
         )

@@ -238,12 +238,15 @@ class KernelProfile:
     ``mode`` is "CGA", "VLIW" or "mixed" following the paper's
     classification: CGA when nearly all cycles run on the array, VLIW
     when no loop was mapped, mixed when a mapped loop is accompanied by
-    significant VLIW pre/post-processing.
+    significant VLIW pre/post-processing.  A row whose work another
+    row's kernels absorbed carries ``fused_into`` and zero-cycle stats;
+    its mode reads "fused into <row>".
     """
 
     name: str
     stats: ActivityStats
     ii: Optional[int] = None
+    fused_into: Optional[str] = None
 
     @property
     def cycles(self) -> int:
@@ -258,6 +261,8 @@ class KernelProfile:
     @property
     def mode(self) -> str:
         """Paper-style mode classification of the region."""
+        if self.fused_into is not None:
+            return "fused into %s" % self.fused_into
         frac = self.stats.cga_fraction
         if frac >= 0.75:
             return "CGA"

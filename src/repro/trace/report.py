@@ -205,15 +205,15 @@ def render_fu_heatmap(report: dict) -> str:
 def render_kernels(report: dict) -> str:
     """Table-2-style kernel table with stall columns."""
     lines = [
-        "%-9s %-26s %-6s %6s %8s %8s %-16s"
+        "%-9s %-26s %-25s %6s %8s %8s %-16s"
         % ("phase", "kernel", "mode", "IPC", "cycles", "stalls", "top cause")
     ]
-    lines.append("-" * 86)
+    lines.append("-" * 105)
     for row in report["kernels"]:
         breakdown = row.get("stall_breakdown", {})
         top_cause = max(breakdown, key=breakdown.get) if any(breakdown.values()) else ""
         lines.append(
-            "%-9s %-26s %-6s %6.2f %8d %8d %-16s"
+            "%-9s %-26s %-25s %6.2f %8d %8d %-16s"
             % (
                 row["phase"],
                 row["kernel"],

@@ -7,7 +7,12 @@ from repro.compiler.linker import ProgramLinker
 from repro.kernels.acorr import build_acorr_dfg
 from repro.kernels.common import load_complex_array, store_complex_array
 from repro.kernels.demod import build_demod_dfg, labels_to_bits
-from repro.kernels.fshift import build_fshift_dfg, build_cfo_rotate, phasor_table_words, rotate_constants
+from repro.kernels.fshift import (
+    build_cfo_rotate,
+    build_fshift_ant0_dfg,
+    phasor_table_words,
+    rotate_constants,
+)
 from repro.kernels.xcorr import build_xcorr_dfg
 from repro.isa.bits import split_lanes
 from repro.phy.fixed import quantize_complex
@@ -43,12 +48,15 @@ class TestFshift:
         table = phasor_table_words(freq, fs, n)
 
         def setup(pad):
-            store_complex_array(pad, 0, re, im)
+            # ADC stream: antenna 0 in the low word of each 64-bit pair,
+            # antenna 1 (the negated samples) in the high word.
+            store_complex_array(pad, 0, np.stack([re, -re], 1).ravel(),
+                                np.stack([im, -im], 1).ravel())
             for k, w in enumerate(table):
                 pad.write_word(1024 + 8 * k, w, 8)
 
         core, outs, result = run_one_kernel(
-            build_fshift_dfg(),
+            build_fshift_ant0_dfg(),
             live_ins={"src": 0, "dst": 2048, "tab": 1024},
             trip=n // 2,
             setup_mem=setup,

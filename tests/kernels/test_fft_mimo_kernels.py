@@ -236,47 +236,6 @@ class TestVliwKernels:
         core.run()
         return core
 
-    def test_remove_zero_carriers(self, arch):
-        grid, out = 0, 512
-        mem = [(grid + 4 * k, 1000 + k, 4) for k in range(64)]
-        core = self.run_section(
-            arch, lambda vb: vliw_kernels.emit_remove_zero_carriers(vb, grid, out), mem
-        )
-        got = [core.scratchpad.read_word(out + 4 * k) for k in range(56)]
-        expected = [1000 + k for k in range(1, 29)] + [1000 + k for k in range(36, 64)]
-        assert got == expected
-        assert core.stats.cga_cycles == 0  # pure VLIW kernel
-
-    def test_interleave_deinterleave_roundtrip(self, arch):
-        a, b, merged, outa, outb = 0, 256, 512, 1024, 1280
-        n = 16
-        mem = [(a + 8 * k, (k << 32) | 1, 8) for k in range(n)] + [
-            (b + 8 * k, (k << 32) | 2, 8) for k in range(n)
-        ]
-
-        def build(vb):
-            vliw_kernels.emit_interleave(vb, a, b, merged, n)
-            vliw_kernels.emit_deinterleave(vb, merged, outa, outb, n)
-
-        core = self.run_section(arch, build, mem)
-        for k in range(n):
-            assert core.scratchpad.read_word(outa + 8 * k, 8) == ((k << 32) | 1)
-            assert core.scratchpad.read_word(outb + 8 * k, 8) == ((k << 32) | 2)
-        ipc = core.stats.vliw_ops / core.stats.vliw_cycles
-        assert 0.5 < ipc < 3.0  # paper's VLIW-mode kernels: 1.1 - 2.7
-
-    def test_gather_words(self, arch):
-        table, src, dst = 0, 256, 512
-        perm = [3, 0, 2, 1]
-        mem = [(table + 4 * k, 4 * perm[k], 4) for k in range(4)] + [
-            (src + 4 * k, 70 + k, 4) for k in range(4)
-        ]
-        core = self.run_section(
-            arch, lambda vb: vliw_kernels.emit_gather_words(vb, table, src, dst, 4), mem
-        )
-        got = [core.scratchpad.read_word(dst + 4 * k) for k in range(4)]
-        assert got == [70 + p for p in perm]
-
     def test_tracking_phasor(self, arch):
         grid = 0
         # Pilots at word offsets 3, 5 with signs +1, -1; rotated by 0.2

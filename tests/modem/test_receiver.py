@@ -4,11 +4,15 @@ The reference packet run takes a couple of minutes of simulation, so it
 is produced once per test session and shared.
 """
 
+import numpy as np
 import pytest
 
 from repro.eval import run_reference_modem
 from repro.modem.analysis import realtime_analysis
+from repro.modem.memory_map import DEFAULT_MAP
 from repro.modem.profile import format_table2, table2_rows
+from repro.modem.receiver import SimReceiver
+from repro.runtime import make_packet
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +67,19 @@ class TestProfiles:
 
     def test_mode_classification_matches_paper(self, run):
         by_name = {r.name: r for r in run.output.preamble_regions}
-        assert by_name["remove zero carriers"].profile.mode == "VLIW"
-        assert by_name["sample ordering"].profile.mode == "VLIW"
+        # The paper's VLIW copy rows are fused into their consumers,
+        # which read the ADC stream and the FFT grids in place: the rows
+        # stay in the table, marked, with nothing simulated for them.
+        for row, into in [
+            ("sample ordering", "acorr"),
+            ("sample reordering", "fshift"),
+            ("remove zero carriers", "SDM processing"),
+        ]:
+            profile = by_name[row].profile
+            assert profile.mode == "fused into %s" % into
+            assert profile.fused_into == into
+            assert profile.cycles == 0
+            assert profile.stats.total_ops == 0
         assert by_name["equalize coeff calc"].profile.mode == "CGA"
         assert by_name["fft"].profile.mode == "CGA"
         data = {r.name: r for r in run.output.data_regions}
@@ -104,3 +119,30 @@ class TestRealtime:
         assert report.preamble_us > report.preamble_elapsed_us
         text = report.summary()
         assert "100 Mbps+" in text or "Mbps" in text
+
+
+class TestSyncRegionReadsAdcStream:
+    """The sync-region rotate reads the ADC stream itself.
+
+    It used to read a per-antenna copy that held only the first 352
+    samples when it ran, so a fine-CFO window reaching sample 352 or
+    later correlated over zeros.  This mixed-stream packet (seq 22 of
+    ``mixed_scenario_stream(1.0, n_packets=40, base_seed=0)``) times its
+    first long symbol at 226, so the window ends at sample 353.
+    """
+
+    #: The packet's BER when its window tail read zeros.
+    BER_READING_ZEROS = 0.3245192307692308
+
+    def test_fine_cfo_window_holds_real_samples(self):
+        case = make_packet(1022, snr_db=25.0, scenario="indoor_multipath")
+        out = SimReceiver().run_packet(case.rx)
+        ltf_guess = out.detect_pos + 160
+        window_end = out.ltf1_start + 127  # fine acorr: 64-sample lag over 64
+        assert window_end >= 352
+        work0 = np.frombuffer(
+            out.image, dtype="<u4", count=192, offset=DEFAULT_MAP.WORK0
+        )
+        tail = work0[352 - ltf_guess : window_end - ltf_guess + 1]
+        assert len(tail) == window_end - 351 and np.all(tail != 0)
+        assert float(np.mean(out.bits != case.bits)) <= self.BER_READING_ZEROS

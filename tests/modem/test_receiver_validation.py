@@ -36,8 +36,8 @@ class TestPacketValidation:
             receiver.run_packet(rx, detect_hint=-1)
 
     def test_large_hint_raises(self, receiver):
-        # Hints past n_sync - 16 - 48 would index ANT0 beyond the
-        # deinterleaved sync region.
+        # Hints past 352 - 16 - 48 would run the candidate windows past
+        # the 352-sample sync region.
         rx = np.zeros((2, 400), dtype=np.complex128)
         with pytest.raises(ValueError, match="out of range"):
             receiver.run_packet(rx, detect_hint=289)

@@ -21,7 +21,7 @@ import pytest
 from repro.arch import paper_core
 from repro.compiler.linker import ProgramLinker
 from repro.isa import Imm, Instruction, Opcode, PredReg, Reg
-from repro.kernels.fshift import build_fshift_dfg, phasor_table_words
+from repro.kernels.fshift import build_fshift_pair_dfg, phasor_pair_table_words
 from repro.kernels.xcorr import build_xcorr_dfg
 from repro.phy.fixed import quantize_complex
 from repro.sim import (
@@ -478,18 +478,19 @@ def _compiled_program(build_dfg, live_ins, trip):
 
 
 def test_compiled_fshift_differential():
-    """The CFO-rotation kernel as produced by the modulo scheduler."""
+    """The two-antenna CFO-rotation kernel as produced by the modulo
+    scheduler (64-bit loads, 32-bit split stores)."""
     import numpy as np
 
     from repro.kernels.common import store_complex_array
 
-    n = 32
+    n = 32  # ADC words: 16 sample pairs
     rng = np.random.default_rng(7)
     x = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     re, im = quantize_complex(x)
-    table = phasor_table_words(50e3, 20e6, n)
+    table = phasor_pair_table_words(50e3, 20e6, n // 2)
     arch, program = _compiled_program(
-        build_fshift_dfg(),
+        build_fshift_pair_dfg(delta_dst=512),
         live_ins={"src": 0, "dst": 2048, "tab": 1024},
         trip=n // 2,
     )

@@ -23,6 +23,7 @@ placement attempt cheaply.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +38,23 @@ class _FuState:
     slots: Dict[int, int] = field(default_factory=dict)  # phase -> op uid
     commits: Dict[int, int] = field(default_factory=dict)  # phase -> window len
     lrf_alloc: Dict[str, int] = field(default_factory=dict)  # live-in -> entry
+    #: Bit p set: a commit lands at phase p (the keys of ``commits``).
+    cmask: int = 0
+    #: Bit p set: no commit may land at phase p (``cmask`` plus every
+    #: live window; windows only grow, so the union never shrinks).
+    blocked: int = 0
+
+
+@functools.lru_cache(maxsize=None)
+def _window_masks(ii: int) -> Tuple[Tuple[int, ...], ...]:
+    """``[phase][length]`` -> bits of phases ``phase+1 .. phase+length`` mod II."""
+    table = []
+    for phase in range(ii):
+        row = [0]
+        for d in range(1, ii):
+            row.append(row[-1] | 1 << (phase + d) % ii)
+        table.append(tuple(row))
+    return tuple(table)
 
 
 class _MrrgSnapshot:
@@ -71,6 +89,7 @@ class Mrrg:
             raise CompileError("II must be >= 1")
         self.arch = arch
         self.ii = ii
+        self._windows = _window_masks(ii)
         self.fus: List[_FuState] = [_FuState() for _ in range(arch.n_units)]
         self.cdrf_reads: Dict[int, int] = {}
         self.cdrf_writes: Dict[int, int] = {}
@@ -81,7 +100,10 @@ class Mrrg:
         """Deep snapshot for backtracking."""
         return _MrrgSnapshot(
             [
-                _FuState(dict(s.slots), dict(s.commits), dict(s.lrf_alloc))
+                _FuState(
+                    dict(s.slots), dict(s.commits), dict(s.lrf_alloc),
+                    s.cmask, s.blocked,
+                )
                 for s in self.fus
             ],
             dict(self.cdrf_reads),
@@ -93,19 +115,6 @@ class Mrrg:
         self.fus = snap.fus
         self.cdrf_reads = snap.cdrf_reads
         self.cdrf_writes = snap.cdrf_writes
-
-    # -- helpers -----------------------------------------------------------
-
-    def _phases_in_window(self, commit_phase: int, length: int):
-        """Phases strictly after *commit_phase* through +length, mod II."""
-        for d in range(1, length + 1):
-            yield (commit_phase + d) % self.ii
-
-    def _window_contains(self, commit_phase: int, length: int, phase: int) -> bool:
-        if length <= 0:
-            return False
-        delta = (phase - commit_phase) % self.ii
-        return 1 <= delta <= length
 
     # -- issue slots ---------------------------------------------------------
 
@@ -127,43 +136,39 @@ class Mrrg:
         The phase must be unused and must not fall inside any existing
         value's live window.
         """
-        phase = commit_time % self.ii
-        state = self.fus[fu]
-        if phase in state.commits:
-            return False
-        for c0, length in state.commits.items():
-            if self._window_contains(c0, length, phase):
-                return False
-        return True
+        return not self.fus[fu].blocked >> (commit_time % self.ii) & 1
 
     def claim_commit(self, fu: int, commit_time: int) -> None:
         if not self.commit_free(fu, commit_time):
             raise CompileError("commit conflict on FU%d" % fu)
-        self.fus[fu].commits[commit_time % self.ii] = 0
+        phase = commit_time % self.ii
+        state = self.fus[fu]
+        state.commits[phase] = 0
+        state.cmask |= 1 << phase
+        state.blocked |= 1 << phase
 
     def can_extend_window(self, fu: int, commit_time: int, slack: int) -> bool:
-        """Can the value committed at *commit_time* stay live *slack* cycles?"""
+        """Can the value committed at *commit_time* stay live *slack* cycles?
+
+        The producer may not be committed yet (placement in progress);
+        then only window-vs-other-commits feasibility is checked.
+        """
         if slack < 0 or slack > self.ii - 1:
             return False
         phase = commit_time % self.ii
         state = self.fus[fu]
-        current = state.commits.get(phase)
-        if current is None:
-            # The producer is not committed yet (placement in progress);
-            # only window-vs-other-commits feasibility can be checked.
-            pass
-        length = max(current or 0, slack)
-        for p in self._phases_in_window(phase, length):
-            if p in state.commits and p != phase:
-                return False
-        return True
+        length = max(state.commits.get(phase, 0), slack)
+        return not state.cmask & self._windows[phase][length]
 
     def extend_window(self, fu: int, commit_time: int, slack: int) -> None:
         if not self.can_extend_window(fu, commit_time, slack):
             raise CompileError("cannot extend latch window on FU%d" % fu)
         phase = commit_time % self.ii
         state = self.fus[fu]
-        state.commits[phase] = max(state.commits.get(phase, 0), slack)
+        length = max(state.commits.get(phase, 0), slack)
+        state.commits[phase] = length
+        state.cmask |= 1 << phase
+        state.blocked |= 1 << phase | self._windows[phase][length]
 
     # -- central RF ports -----------------------------------------------------
 

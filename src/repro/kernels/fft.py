@@ -1,139 +1,41 @@
-"""The ``fft`` kernel family: fixed-point radix-2 64-point FFT on the CGA.
+"""The ``fft`` kernel family: fixed-point radix-4 64-point FFT on the CGA.
 
 The transform is decomposed exactly as the hardware mapping would be:
 
-1. :func:`build_reorder_dfg` — bit-reversal gather through a
-   precomputed byte-offset table (data-dependent addressing: the loaded
-   offset feeds the sample load);
-2. :func:`build_stage1_dfg` — the half-distance-1 stage, whose
-   butterflies pair the two samples *inside* each packed word
-   (twiddle = 1);
-3. :func:`build_stage_dfg` — the generic stage for half >= 2: each
-   iteration processes one packed pair of butterflies, with group/slot
-   index arithmetic done on the array (shifts and masks from live-in
-   stage parameters, so one compiled kernel serves all five stages);
+1. :func:`build_reorder_pair_dfg` — base-4 digit-reversal gather of two
+   buffers through a precomputed byte-offset table (data-dependent
+   addressing: the loaded offset feeds the sample load);
+2. :func:`build_first_stage_pair_dfg` — the q = 1 stage, in place on
+   contiguous quads of both grids of a pair.  All its twiddles are W^0,
+   so it multiplies nothing: the butterfly legs are lane merges of the
+   two packed words of a quad;
+3. :func:`build_radix4_stage_dfg` — the generic twiddled stage
+   (q = 4, 16): each iteration processes one packed pair of radix-4
+   butterflies on one grid, with group/slot index arithmetic done on
+   the array (shifts and masks from live-in stage parameters, so one
+   compiled kernel serves every twiddled stage).
 
-Every butterfly applies the ``>> 1`` per-stage block scaling of the
-golden model (:mod:`repro.phy.fft`), so results match it bit for bit.
+Every butterfly applies the two ``>> 1`` scalings of the golden model
+(:mod:`repro.phy.fft`), so results match it bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.compiler.builder import KernelBuilder
 from repro.compiler.dfg import Const, Dfg
 from repro.isa.opcodes import Opcode
-from repro.kernels.common import MASK_PAIR0, pack_complex_word, pack_complex_words
-from repro.phy.fft import bit_reverse_indices, twiddles_q15
-
-
-def build_reorder_dfg(name: str = "fft_reorder") -> Dfg:
-    """Gather ``out[n] = in[table[n]]`` one complex sample per iteration.
-
-    Live-ins: ``src``, ``dst``, ``tab`` (table of byte offsets).
-    """
-    kb = KernelBuilder(name)
-    src = kb.live_in("src")
-    dst = kb.live_in("dst")
-    tab = kb.live_in("tab")
-    i_tab = kb.induction(0, 4)
-    i_dst = kb.induction(0, 4)
-    off = kb.load(Opcode.LD_I, kb.add(tab, i_tab))
-    x = kb.load(Opcode.LD_I, kb.add(src, off))
-    kb.store(Opcode.ST_I, kb.add(dst, i_dst), x)
-    return kb.finish()
-
-
-def build_stage1_dfg(name: str = "fft_stage1") -> Dfg:
-    """Stage with half = 1: butterfly between the two samples of a word.
-
-    ``out = ((x0 + W0*x1) >> 1, (x0 - W0*x1) >> 1)`` — the W^0 twiddle
-    multiply (by Q15 0.99997) goes through the same datapath as every
-    other stage so results match the golden model bit for bit.
-    Live-ins: ``buf`` (in-place).
-    """
-    kb = KernelBuilder(name)
-    buf = kb.live_in("buf")
-    w0 = pack_complex_word(32767, 0)
-    w0_pair = w0 | (w0 << 32)
-    i_ld = kb.induction(0, 8)
-    i_st = kb.induction(0, 8)
-    x = kb.load(Opcode.LD_Q, kb.add(buf, i_ld))
-    t = kb.cmul(x, Const(w0_pair))  # (W0*x0, W0*x1)
-    sw_t = kb.c4swap32(t)  # (W0*x1, W0*x0)
-    s = kb.c4shiftr(kb.c4add(x, sw_t), 1)  # pair0 = x0 + W0*x1
-    d = kb.c4shiftr(kb.c4sub(x, sw_t), 1)  # pair0 = x0 - W0*x1
-    lo = kb.op(Opcode.C4AND, s, Const(MASK_PAIR0))
-    hi = kb.c4swap32(kb.op(Opcode.C4AND, d, Const(MASK_PAIR0)))
-    out = kb.op(Opcode.C4OR, lo, hi)
-    kb.store(Opcode.ST_Q, kb.add(buf, i_st), out)
-    return kb.finish()
-
-
-def build_stage_dfg(name: str = "fft_stage") -> Dfg:
-    """Generic stage (half >= 2): one packed butterfly pair per iteration.
-
-    For pair index p with half h (samples):
-    ``g = p >> log2(h/2)``, ``j = p & (h/2 - 1)``,
-    ``addrA = buf + g*(2h*4) + j*8``, ``addrB = addrA + h*4``,
-    ``W = twiddle_table[p]`` (two twiddles packed),
-    ``t = B * W``; ``A' = (A + t) >> 1``; ``B' = (A - t) >> 1``.
-
-    Live-ins: ``buf``, ``tw`` (per-stage twiddle table, packed pairs),
-    ``gshift`` (log2(h/2)), ``jmask`` (h/2 - 1), ``gscale``
-    (log2(2h*4)), ``hbytes`` (h*4).
-    """
-    kb = KernelBuilder(name)
-    buf = kb.live_in("buf")
-    tw = kb.live_in("tw")
-    gshift = kb.live_in("gshift")
-    jmask = kb.live_in("jmask")
-    gscale = kb.live_in("gscale")
-    hbytes = kb.live_in("hbytes")
-
-    def addr_pair(p):
-        """Butterfly addresses (A, B) from a pair-index induction."""
-        g = kb.op(Opcode.LSR, p, gshift)
-        j = kb.op(Opcode.AND, p, jmask)
-        group_base = kb.op(Opcode.LSL, g, gscale)
-        addr_a = kb.add(kb.add(buf, group_base), kb.shl(j, 3))
-        addr_b = kb.add(addr_a, hbytes)
-        return addr_a, addr_b
-
-    # Separate index/address chains for the load side and the store
-    # side: their consumers are half a pipeline apart, and independent
-    # chains let the scheduler anchor each where it is used.
-    p_ld = kb.induction(0, 1)
-    p_st = kb.induction(0, 1)
-    p_tw = kb.induction(0, 1)
-    la, lb = addr_pair(p_ld)
-    sa, sb = addr_pair(p_st)
-    a = kb.load(Opcode.LD_Q, la)
-    b = kb.load(Opcode.LD_Q, lb)
-    w = kb.load(Opcode.LD_Q, kb.add(tw, kb.shl(p_tw, 3)))
-    t = kb.cmul(b, w)
-    a_out = kb.c4shiftr(kb.c4add(a, t), 1)
-    b_out = kb.c4shiftr(kb.c4sub(a, t), 1)
-    kb.store(Opcode.ST_Q, sa, a_out)
-    kb.store(Opcode.ST_Q, sb, b_out)
-    return kb.finish()
-
-
-# ----------------------------------------------------------------------
-# Loop-merged pair variants: the paper processes "two symbols in
-# parallel" by merging the per-symbol loops; these kernels transform two
-# equal-length buffers separated by a constant byte offset (``delta``)
-# in one invocation, halving the software-pipeline fill overhead.
-# ----------------------------------------------------------------------
+from repro.kernels.common import MASK_PAIR0, MASK_PAIR1, pack_complex_words
+from repro.phy.fft import digit_reverse_indices, twiddles_q15
 
 
 def build_reorder_pair_dfg(
     name: str = "fft_reorder2", delta_src: int = 256, delta_dst: int = 256
 ) -> Dfg:
-    """Bit-reversal gather of two buffers at once.
+    """Digit-reversal gather of two buffers at once.
 
     The source buffers sit *delta_src* bytes apart (e.g. two antenna
     sample buffers), the destination FFT buffers *delta_dst* apart.
@@ -154,74 +56,110 @@ def build_reorder_pair_dfg(
     return kb.finish()
 
 
-def build_stage1_pair_dfg(name: str = "fft_stage1x2", delta: int = 256) -> Dfg:
-    """Half-distance-1 stage of two buffers at once."""
+def _merge(kb: KernelBuilder, lo, hi):
+    """``(lo's first sample, hi's second sample)`` of two packed words."""
+    return kb.op(
+        Opcode.C4OR,
+        kb.op(Opcode.C4AND, lo, Const(MASK_PAIR0)),
+        kb.op(Opcode.C4AND, hi, Const(MASK_PAIR1)),
+    )
+
+
+def _minus_j(kb: KernelBuilder, x):
+    """``-j * x`` on both packed samples: (im, -re)."""
+    return kb.c4negb(kb.c4swap16(x))
+
+
+def build_first_stage_pair_dfg(name: str = "fft_r4_first_x2", delta: int = 256) -> Dfg:
+    """The q = 1 radix-4 stage of two buffers *delta* bytes apart.
+
+    Each iteration transforms one contiguous quad ``(a, b), (c, d)`` of
+    each buffer in place; no twiddles::
+
+        (t0, t2) = (lo + hi) >> 1      (t1, t3) = (lo - hi) >> 1
+        p = (t0, t1)                   q = (t2, -j*t3)
+        (y0, y1) = (p + q) >> 1        (y2, y3) = (p - q) >> 1
+
+    Live-ins: ``buf`` (in-place).
+    """
     kb = KernelBuilder(name)
     buf = kb.live_in("buf")
-    w0 = pack_complex_word(32767, 0)
-    w0_pair = w0 | (w0 << 32)
 
-    def butterfly(addr):
-        x = kb.load(Opcode.LD_Q, addr)
-        t = kb.cmul(x, Const(w0_pair))
-        sw_t = kb.c4swap32(t)
-        s = kb.c4shiftr(kb.c4add(x, sw_t), 1)
-        d = kb.c4shiftr(kb.c4sub(x, sw_t), 1)
-        lo = kb.op(Opcode.C4AND, s, Const(MASK_PAIR0))
-        hi = kb.c4swap32(kb.op(Opcode.C4AND, d, Const(MASK_PAIR0)))
-        return kb.op(Opcode.C4OR, lo, hi)
+    def butterfly(addr, offset):
+        lo = kb.load(Opcode.LD_Q, addr, offset=offset)
+        hi = kb.load(Opcode.LD_Q, addr, offset=offset + 2)
+        s = kb.c4shiftr(kb.c4add(lo, hi), 1)  # (t0, t2)
+        d = kb.c4shiftr(kb.c4sub(lo, hi), 1)  # (t1, t3)
+        p = _merge(kb, s, kb.c4swap32(d))  # (t0, t1)
+        q = _merge(kb, kb.c4swap32(s), _minus_j(kb, d))  # (t2, -j*t3)
+        return kb.c4shiftr(kb.c4add(p, q), 1), kb.c4shiftr(kb.c4sub(p, q), 1)
 
-    i_ld = kb.induction(0, 8)
-    i_st = kb.induction(0, 8)
+    i_ld = kb.induction(0, 16)
+    i_st = kb.induction(0, 16)
     la = kb.add(buf, i_ld)
-    out0 = butterfly(la)
-    out1 = butterfly(kb.add(la, Const(delta)))
     sa = kb.add(buf, i_st)
-    kb.store(Opcode.ST_Q, sa, out0)
-    kb.store(Opcode.ST_Q, kb.add(sa, Const(delta)), out1)
+    for offset in (0, delta // 4):
+        out_lo, out_hi = butterfly(la, offset)
+        kb.store(Opcode.ST_Q, sa, out_lo, offset=offset)
+        kb.store(Opcode.ST_Q, sa, out_hi, offset=offset + 2)
     return kb.finish()
 
 
-def build_stage_pair_dfg(name: str = "fft_stagex2", delta: int = 256) -> Dfg:
-    """Generic stage (half >= 2) of two buffers at once."""
+def build_radix4_stage_dfg(name: str = "fft_r4_stage") -> Dfg:
+    """Twiddled radix-4 stage: one packed butterfly pair per iteration.
+
+    For pair index p at quarter size q (samples):
+    ``g = p >> log2(q/2)``, ``j = p & (q/2 - 1)``,
+    ``addrA = buf + g*(4q*4) + j*8`` and legs B, C, D at ``+q*4`` steps;
+    ``W_k = tw[8k + p]`` (k = 0..2, two twiddles packed per word) for
+    legs B, C, D.
+
+    Live-ins: ``buf``, ``tw`` (the stage's 3 x 8-word twiddle table),
+    ``gshift`` (log2(q/2)), ``jmask`` (q/2 - 1), ``gscale``
+    (log2(4q*4)), ``qbytes`` (q*4).
+    """
     kb = KernelBuilder(name)
     buf = kb.live_in("buf")
     tw = kb.live_in("tw")
     gshift = kb.live_in("gshift")
     jmask = kb.live_in("jmask")
     gscale = kb.live_in("gscale")
-    hbytes = kb.live_in("hbytes")
+    qbytes = kb.live_in("qbytes")
 
-    def addr_pair(p):
+    def leg_addrs(p):
+        """The four leg addresses from a pair-index induction."""
         g = kb.op(Opcode.LSR, p, gshift)
         j = kb.op(Opcode.AND, p, jmask)
         group_base = kb.op(Opcode.LSL, g, gscale)
-        addr_a = kb.add(kb.add(buf, group_base), kb.shl(j, 3))
-        addr_b = kb.add(addr_a, hbytes)
-        return addr_a, addr_b
+        addrs = [kb.add(kb.add(buf, group_base), kb.shl(j, 3))]
+        for _ in range(3):
+            addrs.append(kb.add(addrs[-1], qbytes))
+        return addrs
 
-    def butterfly(a, b, w):
-        t = kb.cmul(b, w)
-        a_out = kb.c4shiftr(kb.c4add(a, t), 1)
-        b_out = kb.c4shiftr(kb.c4sub(a, t), 1)
-        return a_out, b_out
-
+    # Separate index/address chains for the load side and the store
+    # side: their consumers are half a pipeline apart, and independent
+    # chains let the scheduler anchor each where it is used.
     p_ld = kb.induction(0, 1)
     p_st = kb.induction(0, 1)
     p_tw = kb.induction(0, 1)
-    la, lb = addr_pair(p_ld)
-    sa, sb = addr_pair(p_st)
-    w = kb.load(Opcode.LD_Q, kb.add(tw, kb.shl(p_tw, 3)))
-    a0 = kb.load(Opcode.LD_Q, la)
-    b0 = kb.load(Opcode.LD_Q, lb)
-    a1 = kb.load(Opcode.LD_Q, kb.add(la, Const(delta)))
-    b1 = kb.load(Opcode.LD_Q, kb.add(lb, Const(delta)))
-    a0_out, b0_out = butterfly(a0, b0, w)
-    a1_out, b1_out = butterfly(a1, b1, w)
-    kb.store(Opcode.ST_Q, sa, a0_out)
-    kb.store(Opcode.ST_Q, sb, b0_out)
-    kb.store(Opcode.ST_Q, kb.add(sa, Const(delta)), a1_out)
-    kb.store(Opcode.ST_Q, kb.add(sb, Const(delta)), b1_out)
+    a, b, c, d = [kb.load(Opcode.LD_Q, addr) for addr in leg_addrs(p_ld)]
+    tw_addr = kb.add(tw, kb.shl(p_tw, 3))
+    b, c, d = [
+        kb.cmul(x, kb.load(Opcode.LD_Q, tw_addr, offset=16 * k))
+        for k, x in enumerate((b, c, d))
+    ]
+    t0 = kb.c4shiftr(kb.c4add(a, c), 1)
+    t1 = kb.c4shiftr(kb.c4sub(a, c), 1)
+    t2 = kb.c4shiftr(kb.c4add(b, d), 1)
+    u = _minus_j(kb, kb.c4shiftr(kb.c4sub(b, d), 1))
+    outs = (
+        kb.c4shiftr(kb.c4add(t0, t2), 1),
+        kb.c4shiftr(kb.c4add(t1, u), 1),
+        kb.c4shiftr(kb.c4sub(t0, t2), 1),
+        kb.c4shiftr(kb.c4sub(t1, u), 1),
+    )
+    for addr, y in zip(leg_addrs(p_st), outs):
+        kb.store(Opcode.ST_Q, addr, y)
     return kb.finish()
 
 
@@ -231,45 +169,36 @@ def build_stage_pair_dfg(name: str = "fft_stagex2", delta: int = 256) -> Dfg:
 
 
 def reorder_table_words(n: int = 64) -> List[int]:
-    """Byte offsets of the bit-reversal gather."""
-    return [int(k) * 4 for k in bit_reverse_indices(n)]
+    """Byte offsets of the digit-reversal gather."""
+    return [int(k) * 4 for k in digit_reverse_indices(n)]
 
 
-def stage_params(n: int, half: int) -> dict:
-    """Live-in values of the generic stage kernel for one stage."""
-    if half < 2 or half & (half - 1):
-        raise ValueError("half must be a power of two >= 2")
-    pairs_per_group = half // 2
-    return {
-        "gshift": int(np.log2(pairs_per_group)),
-        "jmask": pairs_per_group - 1,
-        "gscale": int(np.log2(2 * half * 4)),
-        "hbytes": half * 4,
-    }
+def twiddled_stages(n: int = 64) -> List[Tuple[int, dict, List[int]]]:
+    """``(q, live-ins, twiddle words)`` of each twiddled stage, q = 4 .. n/4.
 
-
-def stage_twiddle_words(n: int, half: int, inverse: bool = False) -> List[int]:
-    """Packed per-pair twiddle table for one stage.
-
-    Pair p covers butterflies (2j, 2j+1) of its group, using twiddles
-    ``W^(2j*step)`` and ``W^((2j+1)*step)`` with ``step = n / (2*half)``.
+    A stage's table holds 3 legs x n/8 pairs of packed twiddles, leg
+    major: pair p of leg k (B, C, D) packs ``W^((k+1)*j*step)`` for the
+    pair's two butterflies j, with ``step = n / (4q)``.
     """
-    tw_re, tw_im = twiddles_q15(n, inverse)
-    step = n // (2 * half)
-    pairs = n // 4  # butterfly pairs per stage
-    j = (np.arange(pairs) % (half // 2)) * 2
-    w0 = pack_complex_words(tw_re[j * step], tw_im[j * step]).astype(np.uint64)
-    w1 = pack_complex_words(tw_re[(j + 1) * step], tw_im[(j + 1) * step]).astype(
-        np.uint64
-    )
-    return (w0 | (w1 << np.uint64(32))).tolist()
-
-
-def all_stage_halves(n: int = 64) -> List[int]:
-    """Halves of the generic stages: 2, 4, ..., n/2."""
+    tw_re, tw_im = twiddles_q15(n)
+    pairs = np.arange(n // 8)
     out = []
-    half = 2
-    while half <= n // 2:
-        out.append(half)
-        half *= 2
+    q = 4
+    while q < n:
+        step = n // (4 * q)
+        j0 = (pairs % (q // 2)) * 2
+        words: List[int] = []
+        for k in (1, 2, 3):
+            e0, e1 = k * j0 * step, k * (j0 + 1) * step
+            w0 = pack_complex_words(tw_re[e0], tw_im[e0]).astype(np.uint64)
+            w1 = pack_complex_words(tw_re[e1], tw_im[e1]).astype(np.uint64)
+            words += (w0 | (w1 << np.uint64(32))).tolist()
+        live_ins = {
+            "gshift": (q // 2).bit_length() - 1,
+            "jmask": q // 2 - 1,
+            "gscale": (16 * q).bit_length() - 1,
+            "qbytes": 4 * q,
+        }
+        out.append((q, live_ins, words))
+        q *= 4
     return out

@@ -15,7 +15,7 @@ Four variants, matching the Table 2 rows that use them:
   recurrence limits the achievable II — which is why the paper reports
   a visibly lower IPC (4.48) for this kernel.
 * :func:`build_gather_rotate_dfg` — the data-phase ``fshift`` row: a
-  table-driven gather (cyclic-prefix strip + bit reversal) straight out
+  table-driven gather (cyclic-prefix strip + digit reversal) straight out
   of the ADC stream, fused with the rotation.
 
 The table-based variants read the ADC stream in place: antenna *a*'s
@@ -158,11 +158,11 @@ def build_cfo_rotate(
 def build_gather_rotate_dfg(
     name: str = "gather_rotate", delta_src: int = 4, delta_dst: int = 256
 ) -> Dfg:
-    """Fused CP-strip / bit-reversal gather + phasor rotation (two antennas).
+    """Fused CP-strip / digit-reversal gather + phasor rotation (two antennas).
 
     The data-phase ``fshift`` row: each iteration reads one sample
     offset from a table (which encodes cyclic-prefix stripping and the
-    FFT's bit-reversal in one permutation), loads that sample of both
+    FFT's digit-reversal in one permutation), loads that sample of both
     antennas, rotates both by the same table phasor and stores them into
     the FFT working buffers — so the FFT proper starts at its first
     butterfly stage.

@@ -75,12 +75,18 @@ def emit_tracking(
         vb.op(op, acc_im, im, dst=acc_im)
     # Normalise to a Q15 unit phasor.  Equalised pilots sit at +-1 in
     # the detector's Q(W_SHIFT) format, so the 4-pilot sum is about
-    # 4 << W_SHIFT; multiplying by 32640/2^10 maps that onto ~0.996 Q15
-    # (staying just inside the int16 range so the pack cannot wrap).
+    # 4 << W_SHIFT; multiplying by 32640/2^10 maps that onto ~0.996 Q15.
     vb.op(Opcode.MUL, acc_re, 32640, dst=t)
     vb.op(Opcode.ASR, t, 10, dst=re)  # avg_re
     vb.op(Opcode.MUL, acc_im, 32640, dst=t)
     vb.op(Opcode.ASR, t, 10, dst=im)  # avg_im
+    # Clamp to +-32767: a pilot sum just 4 LSBs above 4 << W_SHIFT would
+    # otherwise wrap the 16-bit lane, a 180-degree phasor error.
+    over = vb.shared_reg("trk_pred")
+    for v in (re, im):
+        for cmp, bound in ((Opcode.PRED_GT, 32767), (Opcode.PRED_LT, -32767)):
+            vb.op(cmp, v, bound, dst=over)
+            vb.op(Opcode.ADD, 0, bound, dst=v, pred=over)
     # Conjugate for the correction rotation, then pack (re, -im).
     vb.op(Opcode.SUB, 0, im, dst=im)
     vb.op(Opcode.AND, re, 0xFFFF, dst=re)

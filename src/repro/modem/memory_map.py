@@ -40,10 +40,10 @@ class MemoryMap:
     XCREF: int = 0x6400
     #: CORDIC arctangent table.
     ATAN: int = 0x6500
-    #: Gather tables: CP-strip + bit-reversal for the data symbols.
+    #: Gather tables: CP-strip + digit-reversal for the data symbols.
     GTAB0: int = 0x6600  # symbol 0 (64 entries)
     GTAB1: int = 0x6700  # symbol 1
-    #: Plain bit-reversal byte-offset table (64 entries).
+    #: Plain base-4 digit-reversal byte-offset table (64 entries).
     RTAB: int = 0x6800
     #: Used-carrier byte offsets within a 64-bin grid (56 entries).
     BINTAB: int = 0x6900
@@ -55,7 +55,8 @@ class MemoryMap:
     FFT1: int = 0x6B08
     FFT2: int = 0x6C20
     FFT3: int = 0x6D28
-    #: Per-stage twiddle tables (5 stages x 16 x 8 B).
+    #: Twiddle tables of the two twiddled radix-4 stages (q = 4, 16):
+    #: 2 stages x 24 x 8 B, each 3 legs (B, C, D) x 8 packed pairs.
     TWID: int = 0x6E40
     #: Channel-combining sign table (28 words).
     SGN: int = 0x7600

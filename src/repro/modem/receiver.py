@@ -49,13 +49,11 @@ from repro.kernels.acorr import build_acorr_adc_dfg, build_acorr_dfg
 from repro.kernels.comp import build_comp_dfg
 from repro.kernels.demod import build_demod_dfg
 from repro.kernels.fft import (
-    all_stage_halves,
-    bit_reverse_indices,
+    build_first_stage_pair_dfg,
+    build_radix4_stage_dfg,
     build_reorder_pair_dfg,
-    build_stage1_pair_dfg,
-    build_stage_pair_dfg,
-    stage_params,
-    stage_twiddle_words,
+    reorder_table_words,
+    twiddled_stages,
 )
 from repro.kernels.fshift import (
     build_cfo_rotate,
@@ -83,6 +81,7 @@ from repro.kernels.sync import (
 from repro.kernels.xcorr import build_xcorr_dfg
 from repro.modem.memory_map import DEFAULT_MAP, MemoryMap
 from repro.phy import preamble as phy_preamble
+from repro.phy.fft import digit_reverse_indices
 from repro.phy.fixed import q15
 from repro.phy.params import PARAMS_20MHZ_2X2, OfdmParams
 from repro.phy.ofdm import PILOT_POLARITY, PILOT_VALUES
@@ -223,6 +222,13 @@ class SimReceiver:
         self.compact_bins = [
             b for first, n in _BIN_RUNS for b in range(first, first + n)
         ]
+        #: [(tw_addr, q, stage live-ins, twiddle words)] per twiddled FFT
+        #: stage, the tables packed back to back from ``TWID``.
+        self._fft_stages: List[Tuple[int, int, dict, List[int]]] = []
+        tw_addr = mem.TWID
+        for q, live_ins, words in twiddled_stages(params.n_fft):
+            self._fft_stages.append((tw_addr, q, live_ins, words))
+            tw_addr += 8 * len(words)
         #: Linked region programs (plus their host-visible register
         #: handles), keyed by (region id, packet shape).  Programs are
         #: pure functions of (architecture, seed, memory map, OFDM
@@ -355,42 +361,32 @@ class SimReceiver:
         return [4 * b for b in self.compact_bins]
 
     def _gather_table_words(self, payload_start: int) -> List[int]:
-        """CP-strip + bit-reversal byte offsets into the ADC stream."""
-        rev = bit_reverse_indices(self.params.n_fft)
+        """CP-strip + digit-reversal byte offsets into the ADC stream."""
+        rev = digit_reverse_indices(self.params.n_fft)
         return [8 * (payload_start + int(r)) for r in rev]
 
-    def _twiddle_layout(self) -> List[Tuple[int, dict, int]]:
-        """[(tw_addr, stage live-ins, half)] for the 5 generic stages."""
-        out = []
-        offset = 0
-        for half in all_stage_halves(self.params.n_fft):
-            addr = self.mem.TWID + offset
-            out.append((addr, stage_params(self.params.n_fft, half), half))
-            offset += 8 * (self.params.n_fft // 4)
-        return out
-
     def _write_twiddles(self, image: bytearray) -> None:
-        for addr, _params, half in self._twiddle_layout():
-            self._write_words(
-                image, addr, stage_twiddle_words(self.params.n_fft, half), size=8
-            )
+        for tw_addr, _q, _live_ins, words in self._fft_stages:
+            self._write_words(image, tw_addr, words, size=8)
 
     # ------------------------------------------------------------------
-    # FFT region helper: stage1 + 5 generic stages on one buffer pair.
+    # FFT region helper: first stage on the buffer pair, then each
+    # twiddled stage once per buffer.
     # ------------------------------------------------------------------
 
     def _emit_fft_stages(self, linker: ProgramLinker, buf: int) -> None:
         n = self.params.n_fft
         delta = self.mem.fft_pair_delta
         linker.call_kernel(
-            build_stage1_pair_dfg(delta=delta), live_ins={"buf": buf}, trip_count=n // 2
+            build_first_stage_pair_dfg(delta=delta), live_ins={"buf": buf}, trip_count=n // 4
         )
-        for tw_addr, params, half in self._twiddle_layout():
-            linker.call_kernel(
-                build_stage_pair_dfg("fft_stagex2_h%d" % half, delta=delta),
-                live_ins={"buf": buf, "tw": tw_addr, **params},
-                trip_count=n // 4,
-            )
+        for tw_addr, q, live_ins, _words in self._fft_stages:
+            for grid in range(2):
+                linker.call_kernel(
+                    build_radix4_stage_dfg("fft_r4_q%d_g%d" % (q, grid)),
+                    live_ins={"buf": buf + grid * delta, "tw": tw_addr, **live_ins},
+                    trip_count=n // 8,
+                )
 
     # ------------------------------------------------------------------
     # The packet pipeline.
@@ -468,7 +464,7 @@ class SimReceiver:
         self._write_words(image, mem.RXIN, _interleave_words(rx_re, rx_im))
         self._write_words(image, mem.ATAN, atan_table_q16(14))
         self._write_words(image, mem.XCREF, self._ltf_ref_words(), size=8)
-        self._write_words(image, mem.RTAB, [4 * int(r) for r in bit_reverse_indices(64)])
+        self._write_words(image, mem.RTAB, reorder_table_words(self.params.n_fft))
         self._write_words(image, mem.BINTAB, self._bin_table_words())
         self._write_words(image, mem.SGN, self._sign_table_words(), size=8)
         self._write_twiddles(image)
@@ -763,7 +759,7 @@ class SimReceiver:
         data_start = ht_start + 160
         total_cfo = coarse_cfo + fine_cfo
 
-        # -- fshift: fused gather (CP strip + bit reversal) and rotation -----
+        # -- fshift: fused gather (CP strip + digit reversal) and rotation -----
         rev_offsets = {
             sym: self._gather_table_words(80 * sym + 16) for sym in range(n_symbols)
         }

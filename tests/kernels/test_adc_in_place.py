@@ -11,7 +11,6 @@ import pytest
 from repro.arch import paper_core
 from repro.compiler.linker import ProgramLinker
 from repro.kernels.acorr import build_acorr_adc_dfg, build_acorr_dfg
-from repro.kernels.fft import bit_reverse_indices
 from repro.kernels.fshift import (
     build_fshift_ant0_dfg,
     build_fshift_pair_dfg,
@@ -21,6 +20,7 @@ from repro.kernels.fshift import (
     phasor_table_words32,
 )
 from repro.kernels.sdm import build_chanest_dfg
+from repro.phy.fft import digit_reverse_indices
 from repro.sim import Core
 from repro.sim.core import INTERPRETERS
 
@@ -137,7 +137,7 @@ def test_two_run_chanest_equals_chanest_on_compacted_spectra(interpreter):
 def test_gather_rotate_from_adc_equals_antenna_buffer_version(interpreter):
     image = adc_image(np.random.default_rng(4), 160)
     start, ph = 80 + 16, 0x2800
-    rev = [start + int(r) for r in bit_reverse_indices(64)]
+    rev = [start + int(r) for r in digit_reverse_indices(64)]
     write(image, TAB, [8 * k for k in rev], 4)
     write(image, TAB + 0x100, [4 * k for k in rev], 4)
     write(image, ph, phasor_table_words32(75e3, 20e6, rev), 4)

@@ -12,13 +12,11 @@ from repro.kernels.common import (
     store_complex_array,
 )
 from repro.kernels.fft import (
-    all_stage_halves,
-    build_reorder_dfg,
-    build_stage1_dfg,
-    build_stage_dfg,
+    build_first_stage_pair_dfg,
+    build_radix4_stage_dfg,
+    build_reorder_pair_dfg,
     reorder_table_words,
-    stage_params,
-    stage_twiddle_words,
+    twiddled_stages,
 )
 from repro.kernels.sdm import W_SHIFT, build_eqcoef_dfg, build_sdm_dfg
 from repro.kernels.sync import (
@@ -32,6 +30,7 @@ from repro.isa.bits import to_signed
 from repro.phy.fft import fft_fixed
 from repro.phy.fixed import q15, quantize_complex
 from repro.sim import Core
+from repro.sim.core import INTERPRETERS
 
 
 @pytest.fixture(scope="module")
@@ -40,62 +39,84 @@ def arch():
 
 
 class TestFftKernels:
-    """Full 64-point FFT: reorder + stage1 + 5 generic stages."""
+    """Full 64-point FFT of a grid pair, wired as the receiver wires it:
+    digit-reverse gather, first stage, and two twiddled stages per grid."""
 
-    def _run_fft(self, arch, re, im):
+    SRC, GRID, TAB, TW = 0, 0x1000, 0x2000, 0x2400
+    DELTA_SRC, DELTA = 0x400, 264
+
+    def _run_fft(self, arch, signals, interpreter):
         n = 64
-        buf_in, buf, tab_addr, tw_addr = 0, 512, 4096, 5120
         linker = ProgramLinker(arch)
-        reorder = build_reorder_dfg()
         linker.call_kernel(
-            reorder, live_ins={"src": buf_in, "dst": buf, "tab": tab_addr}, trip_count=n
+            build_reorder_pair_dfg(delta_src=self.DELTA_SRC, delta_dst=self.DELTA),
+            live_ins={"src": self.SRC, "dst": self.GRID, "tab": self.TAB},
+            trip_count=n,
         )
-        linker.call_kernel(build_stage1_dfg(), live_ins={"buf": buf}, trip_count=n // 2)
-        stage_dfg = build_stage_dfg()
-        tw_tables = {}
-        offset = 0
-        for half in all_stage_halves(n):
-            params = stage_params(n, half)
-            words = stage_twiddle_words(n, half)
-            tw_tables[half] = (tw_addr + offset, words)
-            linker.call_kernel(
-                build_stage_dfg("fft_stage_h%d" % half),
-                live_ins={
-                    "buf": buf,
-                    "tw": tw_addr + offset,
-                    **params,
-                },
-                trip_count=n // 4,
-            )
-            offset += 8 * len(words)
-        program = linker.link()
-        core = Core(arch, program)
-        store_complex_array(core.scratchpad, buf_in, re, im)
+        linker.call_kernel(
+            build_first_stage_pair_dfg(delta=self.DELTA),
+            live_ins={"buf": self.GRID},
+            trip_count=n // 4,
+        )
+        stages = twiddled_stages(n)
+        for s, (q, params, words) in enumerate(stages):
+            for grid in range(2):
+                linker.call_kernel(
+                    build_radix4_stage_dfg("fft_r4_q%d_g%d" % (q, grid)),
+                    live_ins={
+                        "buf": self.GRID + grid * self.DELTA,
+                        "tw": self.TW + 8 * len(words) * s,
+                        **params,
+                    },
+                    trip_count=n // 8,
+                )
+        core = Core(arch, linker.link(), interpreter=interpreter)
+        for grid, (re, im) in enumerate(signals):
+            store_complex_array(core.scratchpad, self.SRC + grid * self.DELTA_SRC, re, im)
         for k, byte_off in enumerate(reorder_table_words(n)):
-            core.scratchpad.write_word(tab_addr + 4 * k, byte_off, 4)
-        for half, (addr, words) in tw_tables.items():
+            core.scratchpad.write_word(self.TAB + 4 * k, byte_off, 4)
+        for s, (_q, _params, words) in enumerate(stages):
             for k, w in enumerate(words):
-                core.scratchpad.write_word(addr + 8 * k, w, 8)
+                core.scratchpad.write_word(self.TW + 8 * (len(words) * s + k), w, 8)
         core.run()
-        return core, load_complex_array(core.scratchpad, buf, n)
+        outs = [
+            load_complex_array(core.scratchpad, self.GRID + grid * self.DELTA, n)
+            for grid in range(2)
+        ]
+        return core, outs
 
     def test_fft64_matches_fixed_point_golden(self, arch):
+        """Bit-exact on both simulator tiers."""
         rng = np.random.default_rng(11)
-        x = 0.25 * (rng.normal(size=64) + 1j * rng.normal(size=64))
-        re, im = quantize_complex(x)
-        core, (got_re, got_im) = self._run_fft(arch, re, im)
-        exp_re, exp_im = fft_fixed(re, im)
-        assert np.array_equal(got_re, exp_re)
-        assert np.array_equal(got_im, exp_im)
+        signals = [
+            quantize_complex(amp * (rng.normal(size=64) + 1j * rng.normal(size=64)))
+            for amp in (0.25, 0.7)
+        ]
+        for interpreter in INTERPRETERS:
+            _core, outs = self._run_fft(arch, signals, interpreter)
+            for (re, im), (got_re, got_im) in zip(signals, outs):
+                exp_re, exp_im = fft_fixed(re, im)
+                assert np.array_equal(got_re, exp_re), interpreter
+                assert np.array_equal(got_im, exp_im), interpreter
+
+    def test_fft64_full_scale_saturates_like_golden(self, arch):
+        """Full-scale corners exercise the adders' saturation."""
+        full = np.full(64, 32767, dtype=np.int16)
+        signals = [(full, full), (-full - 1, full)]
+        _core, outs = self._run_fft(arch, signals, "compiled")
+        for (re, im), (got_re, got_im) in zip(signals, outs):
+            exp_re, exp_im = fft_fixed(re, im)
+            assert np.array_equal(got_re, exp_re)
+            assert np.array_equal(got_im, exp_im)
 
     def test_fft64_single_tone(self, arch):
         n, k0 = 64, 3
         t = np.arange(n)
-        x = 0.4 * np.exp(2j * np.pi * k0 * t / n)
-        re, im = quantize_complex(x)
-        core, (got_re, got_im) = self._run_fft(arch, re, im)
-        mags = got_re.astype(np.int64) ** 2 + got_im.astype(np.int64) ** 2
-        assert int(np.argmax(mags)) == k0
+        tone = quantize_complex(0.4 * np.exp(2j * np.pi * k0 * t / n))
+        core, outs = self._run_fft(arch, [tone, tone], "compiled")
+        for got_re, got_im in outs:
+            mags = got_re.astype(np.int64) ** 2 + got_im.astype(np.int64) ** 2
+            assert int(np.argmax(mags)) == k0
         # CGA-dominated region.
         assert core.stats.cga_fraction > 0.7
 
@@ -264,3 +285,20 @@ class TestVliwKernels:
         assert got_phase == pytest.approx(phase, abs=0.01)
         # Both packed halves equal.
         assert (word >> 32) == (word & 0xFFFFFFFF)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tracking_phasor_saturates_instead_of_wrapping(self, arch, sign):
+        """Four pilots a few LSBs above unit amplitude (sum 1032 > 1027)
+        clamp to +-32767; a wrapped lane would flip the phasor by 180°."""
+        mem = [(4 * k, pack_complex_word(sign * 258, 0), 4) for k in range(4)]
+        out_reg = PhysReg(45)
+
+        def build(vb):
+            vliw_kernels.emit_tracking(
+                vb, 0, [0, 4, 8, 12], [1, 1, 1, 1], out_reg, scratch_addr=1000
+            )
+
+        core = self.run_section(arch, build, mem)
+        word = core.cdrf.peek(45)
+        assert to_signed(word & 0xFFFF, 16) == sign * 32767
+        assert to_signed((word >> 16) & 0xFFFF, 16) == 0

@@ -68,19 +68,19 @@ PREAMBLE_CYCLES = [
     ("non-kernel code", 2), ("sample ordering", 0), ("acorr", 302),
     ("fshift", 313), ("xcorr", 1490), ("acorr", 101),
     ("freq offset estimation", 118), ("sample reordering", 0),
-    ("fshift", 502), ("freq offset compensation", 1307), ("fft", 3451),
+    ("fshift", 502), ("freq offset compensation", 1307), ("fft", 2387),
     ("remove zero carriers", 0), ("SDM processing", 385),
     ("equalize coeff calc", 1224),
 ]
 DATA_CYCLES = [
-    ("fshift", 737), ("fft", 2911), ("data shuffle", 421),
-    ("SDM processing", 613), ("tracking", 79), ("comp", 281),
+    ("fshift", 737), ("fft", 1847), ("data shuffle", 421),
+    ("SDM processing", 613), ("tracking", 89), ("comp", 281),
     ("demod QAM64", 267),
 ]
 
-#: Distinct loop-body structures among the receiver's 66 kernels: a
-#: cold link searches each once (the FFT stages and the per-stream
-#: variants differ only in names and registers).  The preamble rotates
+#: Distinct loop-body structures among the receiver's 62 kernels: a
+#: cold link searches each once (the twiddled FFT stages and the
+#: per-stream variants differ only in names and registers).  The preamble rotates
 #: use two structures — antenna 0 alone for the sync region, the
 #: two-antenna pair rotate for the HT-LTFs — where one served both
 #: before the copy passes were fused into their consumers.

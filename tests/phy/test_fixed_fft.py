@@ -18,7 +18,7 @@ from repro.phy.fixed import (
     unpack_complex_array,
     unpack_complex_pair,
 )
-from repro.phy.fft import bit_reverse_indices, fft_fixed, fft_float, ifft_fixed
+from repro.phy.fft import digit_reverse_indices, fft_fixed, fft_float, ifft_fixed
 
 i16 = st.integers(min_value=-(1 << 15), max_value=(1 << 15) - 1)
 
@@ -73,11 +73,19 @@ def test_odd_length_pack_rejected():
         pack_complex_array([1], [2])
 
 
-def test_bit_reverse_indices_8():
-    assert list(bit_reverse_indices(8)) == [0, 4, 2, 6, 1, 5, 3, 7]
+def test_digit_reverse_indices_16():
+    assert list(digit_reverse_indices(16)) == [
+        0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15,
+    ]
 
 
-@pytest.mark.parametrize("n", [8, 16, 64])
+def test_digit_reverse_indices_64_is_an_involution():
+    rev = digit_reverse_indices(64)
+    assert list(rev[rev]) == list(range(64))
+    assert rev[1] == 16 and rev[2] == 32 and rev[4] == 4 and rev[63] == 63
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
 def test_fft_fixed_matches_float_reference(n):
     rng = np.random.default_rng(42)
     x = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.2
@@ -128,8 +136,10 @@ def test_ifft_then_fft_recovers_scaled_input():
 def test_fft_rejects_bad_lengths():
     with pytest.raises(ValueError):
         fft_fixed(np.zeros(12, dtype=np.int16), np.zeros(12, dtype=np.int16))
+    with pytest.raises(ValueError, match="power of four"):
+        fft_fixed(np.zeros(8, dtype=np.int16), np.zeros(8, dtype=np.int16))
     with pytest.raises(ValueError):
-        fft_fixed(np.zeros(8, dtype=np.int16), np.zeros(4, dtype=np.int16))
+        fft_fixed(np.zeros(16, dtype=np.int16), np.zeros(4, dtype=np.int16))
 
 
 @settings(max_examples=20)
@@ -144,3 +154,79 @@ def test_fft_linearity_on_basis(k):
     got = complex_from_q15(out_re, out_im)
     ref = 0.5 * np.exp(-2j * np.pi * k * np.arange(n) / n) / n
     assert np.max(np.abs(got - ref)) < 5e-3
+
+
+# ----------------------------------------------------------------------
+# Radix-4 vs radix-2 accuracy.  The radix-2 network below is the
+# receiver's former FFT, kept here only as the accuracy baseline: one
+# ``>> 1`` per stage, W^0 multiplied like every other twiddle.
+# ----------------------------------------------------------------------
+
+
+def radix2_fft_fixed(re, im):
+    """Q15 radix-2 DIT FFT (bit-reversed input), output scaled by 1/N."""
+    n = len(re)
+    bits = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    re, im = np.asarray(re, np.int16)[rev], np.asarray(im, np.int16)[rev]
+    w = np.exp(-2j * np.pi * np.arange(n // 2) / n)
+    tw_re, tw_im = q15(w.real), q15(w.imag)
+    half = 1
+    while half < n:
+        xr, xi = re.reshape(-1, 2, half), im.reshape(-1, 2, half)
+        j = np.arange(half) * (n // (2 * half))
+        br, bi = cmul_q15(xr[:, 1, :], xi[:, 1, :], tw_re[j], tw_im[j])
+        ar, ai = xr[:, 0, :].astype(np.int32), xi[:, 0, :].astype(np.int32)
+        br, bi = br.astype(np.int32), bi.astype(np.int32)
+        re = np.stack(
+            [np.clip(ar + br, -32768, 32767) >> 1, np.clip(ar - br, -32768, 32767) >> 1], 1
+        ).astype(np.int16).reshape(n)
+        im = np.stack(
+            [np.clip(ai + bi, -32768, 32767) >> 1, np.clip(ai - bi, -32768, 32767) >> 1], 1
+        ).astype(np.int16).reshape(n)
+        half *= 2
+    return re, im
+
+
+def sqnr_db(fft, re, im):
+    """SQNR of a fixed-point FFT against the float FFT of the same input."""
+    ref = fft_float(complex_from_q15(re, im))
+    err = complex_from_q15(*fft(re, im)) - ref
+    return 10 * np.log10(np.sum(np.abs(ref) ** 2) / np.sum(np.abs(err) ** 2))
+
+
+#: Input RMS amplitudes (per real part): from a few LSBs of headroom
+#: loss up to where the adders saturate for both networks.
+AMPLITUDES = (0.02, 0.05, 0.1, 0.2, 0.35)
+#: Allowed per-example SQNR shortfall of radix-4 against radix-2.  Over
+#: 10,000 seeded buffers at these amplitudes the worst shortfall was
+#: 0.46 dB (median: radix-4 1.1 dB better).
+SQNR_DELTA_DB = 1.0
+
+
+def _buffer(seed, amp):
+    rng = np.random.default_rng([seed, 9])
+    return quantize_complex(amp * (rng.normal(size=64) + 1j * rng.normal(size=64)))
+
+
+def test_radix2_baseline_matches_float_reference():
+    re, im = _buffer(0, 0.2)
+    got = complex_from_q15(*radix2_fft_fixed(re, im))
+    assert np.max(np.abs(got - fft_float(complex_from_q15(re, im)))) < 0.01
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(AMPLITUDES))
+def test_radix4_sqnr_no_worse_than_radix2(seed, amp):
+    re, im = _buffer(seed, amp)
+    assert sqnr_db(fft_fixed, re, im) >= sqnr_db(radix2_fft_fixed, re, im) - SQNR_DELTA_DB
+
+
+@pytest.mark.parametrize("amp", AMPLITUDES)
+def test_radix4_median_sqnr_at_least_radix2(amp):
+    r4 = [sqnr_db(fft_fixed, *_buffer(seed, amp)) for seed in range(40)]
+    r2 = [sqnr_db(radix2_fft_fixed, *_buffer(seed, amp)) for seed in range(40)]
+    assert np.median(r4) >= np.median(r2)

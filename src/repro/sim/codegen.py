@@ -29,7 +29,9 @@ Caching is two-level, exactly like the modulo-schedule cache in
 * a persistent directory of pickled sources living next to the schedule
   cache (``configure_schedule_cache`` / ``REPRO_SCHEDULE_CACHE``), with
   the same atomic-write and corruption-reads-as-miss discipline, so a
-  fresh process or a forked fabric worker performs zero codegen.
+  fresh process or a forked fabric worker performs zero codegen.  Its
+  keys add a digest of the generator's own source, so a directory
+  written by another version of the generator reads as a miss.
 
 Correctness contract: for every well-formed program the compiled tier
 produces bit-identical architectural state, cycle counts and
@@ -45,7 +47,9 @@ dynamic check).
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
 import os
 import pickle
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -79,9 +83,16 @@ class CodegenUnsupported(Exception):
 #: never the sentinel), so identity checks are safe.
 _ABSENT = object()
 
-#: On-disk payload format version; bump when the generated-source shape
-#: or the call protocol of the generated functions changes.
-_DISK_FORMAT = 4
+#: Modules whose source decides what a generated function computes; their
+#: digest is part of every on-disk key (mirroring the schedule cache's
+#: ``_SEARCH_MODULES``), so a persistent cache directory written by
+#: another version of the generator never serves it stale source.
+_GENERATOR_MODULES = (
+    "repro.sim.codegen",
+    "repro.isa.semantics",
+    "repro.sim.memops",
+    "repro.isa.opcodes",
+)
 
 _SOURCE_CACHE: Dict[tuple, str] = {}
 _FN_CACHE: Dict[tuple, Callable] = {}
@@ -110,6 +121,16 @@ def clear_codegen_cache() -> None:
 # ----------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _generator_fingerprint() -> str:
+    """Digest of the :data:`_GENERATOR_MODULES` sources (once per process)."""
+    digest = hashlib.sha256()
+    for name in _GENERATOR_MODULES:
+        with open(importlib.import_module(name).__file__, "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()[:16]
+
+
 def _disk_path(directory: str, key: tuple) -> str:
     """Content-addressed file name: SHA-256 of the key's canonical repr."""
     digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
@@ -124,9 +145,7 @@ def _load_disk_source(path: str, key: tuple) -> Optional[str]:
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
             ImportError, IndexError, MemoryError, ValueError, TypeError):
         return None
-    if not isinstance(payload, dict) or payload.get("format") != _DISK_FORMAT:
-        return None
-    if payload.get("key") != key:
+    if not isinstance(payload, dict) or payload.get("key") != key:
         return None
     source = payload.get("source")
     return source if isinstance(source, str) else None
@@ -138,28 +157,30 @@ def _store_disk_source(path: str, key: tuple, source: str) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = "%s.tmp.%d" % (path, os.getpid())
         with open(tmp, "wb") as fh:
-            pickle.dump({"format": _DISK_FORMAT, "key": key, "source": source}, fh)
+            pickle.dump({"key": key, "source": source}, fh)
         os.replace(tmp, path)
     except OSError:
         pass  # a read-only or full disk must never fail execution
 
 
 def _cached_source(key: tuple, kind: str, label: str, generate: Callable[[], str]) -> str:
-    """Two-level lookup of generated source; mirrors ``_schedule_cached``."""
+    """Two-level lookup of generated source; mirrors ``_schedule_cached``.
+    The disk level's key also carries :func:`_generator_fingerprint`."""
     from repro.compiler.linker import schedule_cache_dir
 
     directory = schedule_cache_dir()
+    disk_key = (_generator_fingerprint(),) + key
     source = _SOURCE_CACHE.get(key)
     if source is not None:
         _STATS["memory_hits"] += 1
         if directory is not None:
-            path = _disk_path(directory, key)
+            path = _disk_path(directory, disk_key)
             if not os.path.exists(path):
-                _store_disk_source(path, key, source)
+                _store_disk_source(path, disk_key, source)
         return source
     if directory is not None:
-        path = _disk_path(directory, key)
-        source = _load_disk_source(path, key)
+        path = _disk_path(directory, disk_key)
+        source = _load_disk_source(path, disk_key)
         if source is not None:
             _STATS["disk_hits"] += 1
             _SOURCE_CACHE[key] = source
@@ -176,7 +197,7 @@ def _cached_source(key: tuple, kind: str, label: str, generate: Callable[[], str
         )
     _SOURCE_CACHE[key] = source
     if directory is not None:
-        _store_disk_source(_disk_path(directory, key), key, source)
+        _store_disk_source(_disk_path(directory, disk_key), disk_key, source)
     return source
 
 
@@ -344,6 +365,25 @@ def cga_imms(kernel: CgaKernel) -> Tuple[int, ...]:
     return tuple(_cga_pool_map(kernel)[0])
 
 
+#: SIMD opcodes that return their first operand when the second is 0.
+#: The scheduler's routing moves (``MOVE_OPCODE``, ``c4add x, 0``) are
+#: the common case; the generator emits such an op as a plain copy.
+_IDENTITY_WITH_ZERO = frozenset({Opcode.C4ADD, Opcode.C4SUB, Opcode.C4OR, Opcode.C4XOR})
+
+
+def _zero_site(op) -> bool:
+    """Is *op*'s second source the non-phi immediate of an identity-with-zero
+    opcode?  Its zero-ness decides the emitted code, so the signature
+    records it; every other immediate value stays out of the key."""
+    return (op.opcode in _IDENTITY_WITH_ZERO and len(op.srcs) == 2
+            and op.srcs[1].kind is SrcKind.IMM and op.srcs[1].init is None)
+
+
+def _is_identity(op) -> bool:
+    """Does *op* return exactly its first operand (e.g. a routing move)?"""
+    return _zero_site(op) and op.srcs[1].value & MASK64 == 0
+
+
 def _sel_sig(sel: Optional[SrcSel]) -> Optional[tuple]:
     if sel is None:
         return None
@@ -356,12 +396,18 @@ def _sel_sig(sel: Optional[SrcSel]) -> Optional[tuple]:
 
 def cga_signature(kernel: CgaKernel) -> tuple:
     """Structural identity of a kernel: everything except immediate and
-    phi-init *values* (pooled), the trip count, preloads and the name."""
+    phi-init *values* (pooled), the trip count, preloads and the name.
+    The one value-dependent bit is whether an identity-with-zero site
+    (:func:`_zero_site`) holds 0, so a hit stays valid under
+    ``patch_constants``."""
     ctxs = []
     for ctx in kernel.contexts:
         ops = []
         for fu in sorted(ctx.ops):
             op = ctx.ops[fu]
+            srcs = tuple(_sel_sig(s) for s in op.srcs)
+            if _zero_site(op):
+                srcs += (op.srcs[1].value & MASK64 == 0,)
             ops.append(
                 (
                     fu,
@@ -369,7 +415,7 @@ def cga_signature(kernel: CgaKernel) -> tuple:
                     op.stage,
                     op.pred_negate,
                     _sel_sig(op.pred),
-                    tuple(_sel_sig(s) for s in op.srcs),
+                    srcs,
                     tuple((d.kind.value, d.index, d.last_iteration_only) for d in op.dsts),
                 )
             )
@@ -919,15 +965,19 @@ class _CgaGen:
                 names.append(self._read_operand(lines, ind, rec, "src", i, sel,
                                                 it_var, name, it0=it0, tally=tally))
             target = "w%d_%d" % (rec.oid, rec.n - 1)
-            if rec.group in (OpGroup.SIMD1, OpGroup.SIMD2):
+            if _is_identity(op):
+                lines.append(ind + "%s = %s" % (target, names[0]))
+            elif rec.group in (OpGroup.SIMD1, OpGroup.SIMD2):
+                # Templates reuse their operands, so a subscripted read
+                # is copied to a local once; plain locals are used as is.
                 a = names[0]
-                if a != "a":
+                if "[" in a:
                     lines.append(ind + "a = %s" % a)
                     a = "a"
                 b = None
                 if arity == 2:
                     b = names[1]
-                    if b != "b":
+                    if "[" in b:
                         lines.append(ind + "b = %s" % b)
                         b = "b"
                 _emit_simd(lines, ind, op.opcode, target, a, b)

@@ -20,6 +20,7 @@ from repro.arch import paper_core, small_test_core
 from repro.compiler import KernelBuilder
 from repro.compiler.linker import ProgramLinker, configure_schedule_cache
 from repro.isa import Imm, Instruction, Opcode
+from repro.runtime import ModemRuntime, make_packet
 from repro.sim import CgaContext, CgaKernel, CgaOp, Core, DstSel, Program, SrcSel, VliwBundle
 from repro.sim import codegen
 from repro.sim.program import DstKind, patch_constants
@@ -199,6 +200,44 @@ def test_stale_key_in_artifact_is_a_miss(tmp_path):
     codegen.clear_codegen_cache()
     _run_compiled(_template_program())
     assert codegen.codegen_stats()["compilations"] >= 1
+
+
+def test_artifact_of_another_generator_is_a_miss(tmp_path, monkeypatch):
+    """The disk key carries a digest of the generator's own source, so a
+    directory written by another version of the code generator reads
+    as a miss instead of serving stale source."""
+    configure_schedule_cache(str(tmp_path))
+    real = codegen._generator_fingerprint()
+    monkeypatch.setattr(codegen, "_generator_fingerprint", lambda: "0" * 16)
+    _run_compiled(_template_program())
+    written = codegen.codegen_stats()["compilations"]
+    assert written >= 1
+    assert len(glob.glob(str(tmp_path / "*.codegen.pkl"))) == written
+
+    monkeypatch.setattr(codegen, "_generator_fingerprint", lambda: real)
+    codegen.clear_codegen_cache()
+    _run_compiled(_template_program())
+    stats = codegen.codegen_stats()
+    assert stats["disk_hits"] == 0
+    assert stats["compilations"] == written
+    # Both generations now sit side by side; the current one hits.
+    assert len(glob.glob(str(tmp_path / "*.codegen.pkl"))) == 2 * written
+    codegen.clear_codegen_cache()
+    _run_compiled(_template_program())
+    assert codegen.codegen_stats()["disk_hits"] == written
+
+
+def test_cold_start_warm_up_compilation_count():
+    """Recording zero-ness of identity-with-zero immediates in the
+    signature splits no served kernel: a ``ModemRuntime(batch=4)``
+    warm-up on the serving suite's ``cold_start`` shape (736 samples,
+    50 kHz CFO, 30 dB), widths 1..4, still generates 99 functions."""
+    rx = make_packet(1, cfo_hz=50e3, snr_db=30.0).rx
+    assert rx.shape == (2, 736)
+    runtime = ModemRuntime(batch=4)
+    for width in range(1, 5):
+        runtime.run_batch([rx] * width)
+    assert codegen.codegen_stats()["compilations"] == 99
 
 
 # ----------------------------------------------------------------------

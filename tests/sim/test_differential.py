@@ -17,6 +17,8 @@ programs the code generator refuses.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import paper_core
 from repro.compiler.linker import ProgramLinker
@@ -368,6 +370,147 @@ def test_patched_constants_differential():
     # The first variant's compiles cover the rest: only the immediate
     # pool differs, so variants 2 and 3 compile nothing.
     assert compiled[1:] == [0, 0]
+
+
+# ----------------------------------------------------------------------
+# Identity rewrite: c4add/c4sub/c4or/c4xor with a zero immediate (every
+# routing move the scheduler places) compile to a plain copy.
+# ----------------------------------------------------------------------
+
+IDENTITY_OPCODES = (Opcode.C4ADD, Opcode.C4SUB, Opcode.C4OR, Opcode.C4XOR)
+
+#: 16-bit lanes at the saturation edges, plus arbitrary ones.
+_LANE = st.one_of(
+    st.sampled_from([0, 1, 0x7FFE, 0x7FFF, 0x8000, 0x8001, 0xFFFF]),
+    st.integers(0, 0xFFFF),
+)
+_WORD = st.lists(_LANE, min_size=4, max_size=4).map(
+    lambda lanes: sum(lane << (16 * i) for i, lane in enumerate(lanes))
+)
+
+
+def k_zero_imm(opcode, stream_init, stream_step, phi_init, pred_negate, trip):
+    """*opcode* with a zero immediate in the three operand situations:
+
+    * FU0, unpredicated, first operand a wire from FU3's saturating
+      ``c4add`` stream (so the copied value changes every iteration);
+    * FU1, first operand a phi: *phi_init* on iteration 0, CDRF r20 after;
+    * FU2, predicated on FU5's toggling latch, first operand CDRF r21.
+    """
+    zero = SrcSel.imm(0)
+    ops0 = {
+        3: CgaOp(opcode=Opcode.C4ADD,
+                 srcs=(SrcSel.self_().with_init(stream_init), SrcSel.imm(stream_step))),
+        5: CgaOp(opcode=Opcode.XOR, srcs=(SrcSel.self_().with_init(1), SrcSel.imm(1))),
+    }
+    ops1 = {
+        0: CgaOp(opcode=opcode, srcs=(SrcSel.wire(3), zero),
+                 dsts=(DstSel(DstKind.CDRF, 10),), stage=1),
+        1: CgaOp(opcode=opcode, srcs=(SrcSel.cdrf(20).with_init(phi_init), zero),
+                 dsts=(DstSel(DstKind.CDRF, 11),), stage=1),
+        2: CgaOp(opcode=opcode, srcs=(SrcSel.cdrf(21), zero),
+                 dsts=(DstSel(DstKind.CDRF, 12),), pred=SrcSel.wire(5),
+                 pred_negate=pred_negate, stage=1),
+    }
+    return CgaKernel(
+        name="zero_imm", ii=2, stage_count=2,
+        contexts=[CgaContext(ops=ops0), CgaContext(ops=ops1)],
+        trip_count=trip,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    opcode=st.sampled_from(IDENTITY_OPCODES),
+    words=st.lists(_WORD, min_size=5, max_size=5),
+    pred_negate=st.booleans(),
+    trip=st.integers(1, 6),
+)
+def test_zero_immediate_identity_differential(opcode, words, pred_negate, trip):
+    stream_init, stream_step, phi_init, r20, r21 = words
+    kernel = k_zero_imm(opcode, stream_init, stream_step, phi_init, pred_negate, trip)
+    program = Program(bundles=enter_and_halt(), kernels={0: kernel})
+    core = run_both(program, pokes=[(20, r20), (21, r21)])
+    assert core.cdrf.peek(11) == (phi_init if trip == 1 else r20)
+
+
+def _c4add_sentinel_program(sentinel):
+    op = CgaOp(
+        opcode=Opcode.C4ADD,
+        srcs=(SrcSel.cdrf(20), SrcSel.imm(sentinel)),
+        dsts=(DstSel(DstKind.CDRF, 10),),
+    )
+    kernel = CgaKernel(
+        name="c4add_patched", ii=1, stage_count=1,
+        contexts=[CgaContext(ops={0: op})], trip_count=3,
+    )
+    return Program(bundles=enter_and_halt(), kernels={0: kernel})
+
+
+def test_zero_patched_immediate_gets_its_own_function():
+    """A ``patch_constants`` sentinel in an identity site: the variant
+    patched to 0 compiles to a copy, the nonzero one keeps the
+    saturating add, so one batch holding both runs two generated
+    functions and each lane matches its reference run."""
+    from repro.sim import codegen
+    from repro.sim.program import patch_constants
+
+    sentinel = 0xDEAD03
+    template = _c4add_sentinel_program(sentinel)
+    values = (0, 0x0001_7FFF_8000_FFFF)
+    variants = [patch_constants(template, {sentinel: v}) for v in values]
+    word = 0x8000_7FFF_FFFF_0001
+    references = []
+    for variant in variants:
+        core = _maker(variant, pokes=[(20, word)], interpreter="reference")()
+        core.run()
+        references.append(core)
+    lanes = [_maker(variant, pokes=[(20, word)])() for variant in variants]
+    runner = BatchProgramRunner()
+    results = runner.run(lanes)
+    for lane, ref in zip(results, references):
+        assert lane.error is None and not lane.fell_back
+        assert_identical(ref, lane.core)
+    assert references[0].cdrf.peek(10) == word
+    assert references[1].cdrf.peek(10) != word
+    fns = list(runner._cga_fns.values())
+    assert len(fns) == 2 and None not in fns and fns[0] is not fns[1]
+    sigs = [codegen.cga_signature(v.kernels[0]) for v in variants]
+    assert sigs[0] != sigs[1]
+    # Any other nonzero value shares the nonzero variant's signature.
+    other = patch_constants(template, {sentinel: 7}).kernels[0]
+    assert codegen.cga_signature(other) == sigs[1]
+
+
+def test_fft_stage_routes_moves_without_saturating_adds():
+    """The linked twiddled FFT stage carries the SWAR saturating add/sub
+    template (one ``o4`` overflow mask each) for its non-move
+    ``c4add``/``c4sub`` ops only: its routing moves are plain copies."""
+    from repro.kernels.fft import build_radix4_stage_dfg, twiddled_stages
+    from repro.sim import codegen
+    from repro.sim.program import SrcKind
+
+    arch = paper_core()
+    linker = ProgramLinker(arch)
+    q, params, _words = twiddled_stages(64)[0]
+    linker.call_kernel(build_radix4_stage_dfg("fft_r4_q%d_g0" % q),
+                       live_ins={"buf": 0x1000, "tw": 0x2400, **params},
+                       trip_count=8)
+    program = linker.link()
+    (kernel,) = program.kernels.values()
+    assert kernel.name == "fft_r4_q4_g0"
+    ops = [op for ctx in kernel.contexts for op in ctx.ops.values()]
+    moves = [op for op in ops
+             if op.opcode is Opcode.C4ADD and op.srcs[1].kind is SrcKind.IMM
+             and op.srcs[1].init is None and op.srcs[1].value == 0]
+    addsub = [op for op in ops if op.opcode in (Opcode.C4ADD, Opcode.C4SUB)]
+    assert moves and len(addsub) > len(moves)
+    core = Core(arch, program)
+    ports = ((core.cdrf.read_ports, core.cdrf.write_ports),
+             (core.cprf.read_ports, core.cprf.write_ports))
+    source = codegen._CgaGen(kernel, arch, CgaFault, *ports).generate_batch()
+    swar = [line for line in source.splitlines() if line.strip().startswith("o4 = ")]
+    assert len(swar) == len(addsub) - len(moves)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@
 Measures the compile-once / run-many split of ``repro.runtime``:
 
 * a warm-up packet links every region program (and, with ``--cache``,
-  populates or consumes the persistent schedule and codegen caches);
+  populates or consumes the persistent schedule and codegen caches;
+  the report records both caches' counters, ``schedule_cache`` and
+  ``codegen_cache``);
 * a timed series of same-shape packets then runs serially on the
   resident programs, one ``run_packet`` call each, and
   ``packets_per_sec`` is the throughput trajectory metric.  Multi-worker
@@ -35,6 +37,7 @@ import numpy as np
 import reporting
 from repro.compiler.linker import schedule_cache_stats
 from repro.runtime import ModemRuntime, generate_packets
+from repro.sim.codegen import codegen_stats
 from repro.sim.stats import ActivityStats
 from repro.trace import schema_errors
 
@@ -111,6 +114,7 @@ def main(argv=None) -> int:
         "compiled_programs": runtime.compiled_programs,
         "cache_dir": args.cache,
         "schedule_cache": schedule_cache_stats(),
+        "codegen_cache": codegen_stats(),
     }
     path = reporting.write_bench_report(
         "modem_throughput", out_dir=args.out, wall_s=wall, stats=merged, extra=extra

@@ -15,15 +15,13 @@ modes (the shared central register file):
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import importlib
-import os
-import pickle
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.arch.config import CgaArchitecture
+from repro.cache import ArtifactCache
+# Re-exported: callers configure the shared cache directory here.
+from repro.cache import configure_schedule_cache, schedule_cache_dir  # noqa: F401
 from repro.compiler.builder import PhysReg, VirtualReg, VliwBuilder, VliwSection
 from repro.compiler.dfg import CompileError, Dfg
 from repro.compiler.modulo import ModuloScheduler, SchedulePlan, ScheduleResult
@@ -37,59 +35,26 @@ ValueSource = Union[int, PhysReg, VirtualReg]
 #: Modulo-schedule plans memoised across programs.  A plan is keyed by
 #: the loop body's structure (its op stream, NOT its name), the
 #: architecture's structural fingerprint (NOT its name — same-name
-#: ablation variants must not alias), ``max_ii``, the seed and a digest
-#: of the scheduler's own source.  Register conventions and trip counts
-#: are bound per call, so every kernel with the same loop body — every
-#: packet, region, batch width and FFT stage — reuses one search,
-#: exactly as a real toolflow caches object code.
-_PLAN_CACHE: Dict[tuple, SchedulePlan] = {}
-
-#: Optional persistent second level of the plan cache (a directory of
-#: pickled :class:`SchedulePlan` files), configured by
-#: :func:`configure_schedule_cache` or the ``REPRO_SCHEDULE_CACHE``
-#: environment variable.  A warm directory lets a fresh process link
-#: every modem program without a single :meth:`ModuloScheduler.schedule`
-#: call.
-_DISK_CACHE_DIR: Optional[str] = None
-
-#: On-disk payload format version; bump when SchedulePlan changes shape.
-_DISK_FORMAT = 2
-
-#: Modules whose source decides what a search returns; their digest is
-#: part of every key, so a changed scheduler never reads its parent's
-#: plans.
-_SEARCH_MODULES = (
-    "repro.compiler.modulo",
-    "repro.compiler.mrrg",
-    "repro.compiler.dfg",
-    "repro.isa.opcodes",
+#: ablation variants must not alias), ``max_ii`` and the seed; the disk
+#: level adds a digest of the modules whose source decides what a search
+#: returns, so a changed scheduler never reads its parent's plans.
+#: Register conventions and trip counts are bound per call, so every
+#: kernel with the same loop body — every packet, region, batch width
+#: and FFT stage — reuses one search, exactly as a real toolflow caches
+#: object code.  A warm directory lets a fresh process link every modem
+#: program without a single :meth:`ModuloScheduler.schedule` call.
+_PLANS = ArtifactCache(
+    ".sched.pkl",
+    ("repro.compiler.modulo", "repro.compiler.mrrg", "repro.compiler.dfg",
+     "repro.isa.opcodes"),
+    SchedulePlan,
+    "misses",
 )
-
-_CACHE_STATS = {"memory_hits": 0, "disk_hits": 0, "misses": 0}
-
-
-def configure_schedule_cache(directory: Optional[str]) -> Optional[str]:
-    """Set (or with ``None`` unset) the persistent schedule-cache directory."""
-    global _DISK_CACHE_DIR
-    _DISK_CACHE_DIR = os.fspath(directory) if directory is not None else None
-    return _DISK_CACHE_DIR
-
-
-def schedule_cache_dir() -> Optional[str]:
-    """The active persistent cache directory, if any.
-
-    The explicit :func:`configure_schedule_cache` setting wins; the
-    ``REPRO_SCHEDULE_CACHE`` environment variable provides the default
-    so worker processes and benchmark subprocesses inherit the cache.
-    """
-    return _DISK_CACHE_DIR or os.environ.get("REPRO_SCHEDULE_CACHE") or None
 
 
 def clear_schedule_cache() -> None:
     """Drop the in-memory schedule cache (the disk cache is untouched)."""
-    _PLAN_CACHE.clear()
-    for key in _CACHE_STATS:
-        _CACHE_STATS[key] = 0
+    _PLANS.clear()
 
 
 def schedule_cache_stats() -> Dict[str, int]:
@@ -97,17 +62,7 @@ def schedule_cache_stats() -> Dict[str, int]:
 
     Counted per linked kernel; ``misses`` is the number of searches.
     """
-    return dict(_CACHE_STATS)
-
-
-@functools.lru_cache(maxsize=None)
-def _compiler_fingerprint() -> str:
-    """Digest of the :data:`_SEARCH_MODULES` sources (once per process)."""
-    digest = hashlib.sha256()
-    for name in _SEARCH_MODULES:
-        with open(importlib.import_module(name).__file__, "rb") as fh:
-            digest.update(fh.read())
-    return digest.hexdigest()[:16]
+    return dict(_PLANS.stats)
 
 
 def _dfg_signature(dfg: Dfg) -> tuple:
@@ -117,70 +72,6 @@ def _dfg_signature(dfg: Dfg) -> tuple:
          node.live_out, repr(node.pred), node.pred_negate)
         for nid, node in sorted(dfg.nodes.items())
     )
-
-
-def _disk_cache_path(directory: str, key: tuple) -> str:
-    """Content-addressed file name: SHA-256 of the key's canonical repr."""
-    digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-    return os.path.join(directory, digest + ".sched.pkl")
-
-
-def _load_disk_plan(path: str, key: tuple) -> Optional[SchedulePlan]:
-    """Read one cache file; any corruption reads as a miss, never a crash."""
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError, MemoryError, ValueError, TypeError):
-        return None
-    if not isinstance(payload, dict) or payload.get("format") != _DISK_FORMAT:
-        return None
-    # The full key is stored and compared, so a (vanishingly unlikely)
-    # digest collision or a stale file degrades to a recompile.
-    if payload.get("key") != key:
-        return None
-    plan = payload.get("plan")
-    return plan if isinstance(plan, SchedulePlan) else None
-
-
-def _store_disk_plan(path: str, key: tuple, plan: SchedulePlan) -> None:
-    """Atomic write (tmp + rename) so readers never see a torn file."""
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "wb") as fh:
-            pickle.dump({"format": _DISK_FORMAT, "key": key, "plan": plan}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # a read-only or full disk must never fail compilation
-
-
-def _plan_cached(dfg: Dfg, arch: CgaArchitecture, max_ii: int, seed: int) -> SchedulePlan:
-    """The plan for *dfg*'s loop body: memory, then disk, then a search."""
-    key = (_compiler_fingerprint(), arch.fingerprint(), _dfg_signature(dfg), max_ii, seed)
-    directory = schedule_cache_dir()
-    plan = _PLAN_CACHE.get(key)
-    if plan is not None:
-        _CACHE_STATS["memory_hits"] += 1
-        # Write-through for caches enabled after the plan was computed,
-        # so a warm process can still populate the directory.
-        if directory is not None:
-            path = _disk_cache_path(directory, key)
-            if not os.path.exists(path):
-                _store_disk_plan(path, key, plan)
-        return plan
-    if directory is not None:
-        plan = _load_disk_plan(_disk_cache_path(directory, key), key)
-        if plan is not None:
-            _CACHE_STATS["disk_hits"] += 1
-            _PLAN_CACHE[key] = plan
-            return plan
-    _CACHE_STATS["misses"] += 1
-    plan = ModuloScheduler(dfg, arch, max_ii=max_ii, seed=seed).schedule()
-    _PLAN_CACHE[key] = plan
-    if directory is not None:
-        _store_disk_plan(_disk_cache_path(directory, key), key, plan)
-    return plan
 
 
 def _schedule_cached(
@@ -194,7 +85,9 @@ def _schedule_cached(
     trip_reg: Optional[int],
 ) -> ScheduleResult:
     """Search *dfg*'s loop body at most once; bind it on every call."""
-    plan = _plan_cached(dfg, arch, max_ii, seed)
+    key = (arch.fingerprint(), _dfg_signature(dfg), max_ii, seed)
+    plan = _PLANS.get(
+        key, lambda: ModuloScheduler(dfg, arch, max_ii=max_ii, seed=seed).schedule())
     return plan.bind(dfg, live_in_regs, live_out_regs, static_trip, trip_reg)
 
 

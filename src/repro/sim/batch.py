@@ -19,10 +19,13 @@ kernels, by resolved trip count), and each group runs through one call
 of the generated function at the group's width — so lanes that diverge
 (different ``pc``, structure or trip) simply form smaller groups, down
 to width 1.  The width is a call-time value, so one compile serves
-every width.  Only a segment or kernel the code generator refuses
-(:class:`~repro.sim.codegen.CodegenUnsupported`) runs on the engines'
-interpreted ``run_reference`` loops instead, lane by lane, which are
-bit-identical by the codegen contract.
+every width; a kernel's function is specialized on the group's
+resolved trip count.  Only a segment or kernel the code generator
+refuses (:class:`~repro.sim.codegen.CodegenUnsupported`: a port-pressure
+bound it cannot prove statically, or a kernel that would unroll too
+many prologue/epilogue slots) runs on the engines' interpreted
+``run_reference`` loops instead, lane by lane, which are bit-identical
+by the codegen contract.
 
 Faults are per-lane: a lane whose generated code raises (scratchpad
 bounds, VLIW runaway) is recorded in its :class:`LaneResult` and — when
@@ -76,7 +79,10 @@ class BatchProgramRunner:
     invalidated by program-object identity, so re-dispatching the same
     (or a freshly patched) program costs no signature walks after the
     first packet — the 27% of warm per-packet time the profile blamed on
-    pool/signature recomputation.
+    pool/signature recomputation.  Batch functions are cached per
+    signature, and for kernels per ``(signature, trip)``: every CGA
+    window runs the function :func:`~repro.sim.codegen.cga_batch_runner`
+    specialized on its group's resolved trip count.
     """
 
     def __init__(self, max_cycles: int = 10_000_000) -> None:

@@ -18,20 +18,14 @@ packet is a batch of one.  :class:`repro.sim.batch.BatchProgramRunner`
 is the only caller; it groups lanes and calls the function once per
 group.
 
-Caching is two-level, exactly like the modulo-schedule cache in
-:mod:`repro.compiler.linker`:
-
-* an in-memory source + compiled-function cache keyed by the structural
-  kernel/segment signature and :meth:`CgaArchitecture.fingerprint` (the
-  signature excludes immediate *values*, so ``patch_constants`` variants
-  share one compiled artifact and differ only in the immediate pool
-  passed at call time);
-* a persistent directory of pickled sources living next to the schedule
-  cache (``configure_schedule_cache`` / ``REPRO_SCHEDULE_CACHE``), with
-  the same atomic-write and corruption-reads-as-miss discipline, so a
-  fresh process or a forked fabric worker performs zero codegen.  Its
-  keys add a digest of the generator's own source, so a directory
-  written by another version of the generator reads as a miss.
+Generated sources live in the two-level :class:`repro.cache.ArtifactCache`
+shared with the modulo-schedule cache, keyed by the structural
+kernel/segment signature and the architecture geometry the source
+inlines (the signature excludes immediate *values*, so
+``patch_constants`` variants share one compiled artifact and differ only
+in the immediate pool passed at call time).  A warm cache directory
+lets a fresh process or a forked fabric worker perform zero codegen.
+Compiled functions are memoised per process next to it.
 
 Correctness contract: for every well-formed program the compiled tier
 produces bit-identical architectural state, cycle counts and
@@ -47,14 +41,10 @@ dynamic check).
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import importlib
-import os
-import pickle
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.config import CgaArchitecture
+from repro.cache import ArtifactCache
 from repro.isa.bits import MASK64
 from repro.isa.instruction import Imm, PredReg, Reg
 from repro.isa.opcodes import (
@@ -83,20 +73,19 @@ class CodegenUnsupported(Exception):
 #: never the sentinel), so identity checks are safe.
 _ABSENT = object()
 
-#: Modules whose source decides what a generated function computes; their
-#: digest is part of every on-disk key (mirroring the schedule cache's
-#: ``_SEARCH_MODULES``), so a persistent cache directory written by
-#: another version of the generator never serves it stale source.
-_GENERATOR_MODULES = (
-    "repro.sim.codegen",
-    "repro.isa.semantics",
-    "repro.sim.memops",
-    "repro.isa.opcodes",
+#: Generated sources, keyed by the structural kernel/segment signature
+#: and the architecture geometry the source inlines.  The disk level
+#: adds a digest of the modules whose source decides what a generated
+#: function computes, so a directory written by another version of the
+#: generator never serves it stale source.
+_SOURCES = ArtifactCache(
+    ".codegen.pkl",
+    ("repro.sim.codegen", "repro.isa.semantics", "repro.sim.memops",
+     "repro.isa.opcodes"),
+    str,
+    "compilations",
 )
-
-_SOURCE_CACHE: Dict[tuple, str] = {}
 _FN_CACHE: Dict[tuple, Callable] = {}
-_STATS = {"compilations": 0, "memory_hits": 0, "disk_hits": 0}
 
 
 def codegen_stats() -> Dict[str, int]:
@@ -105,100 +94,31 @@ def codegen_stats() -> Dict[str, int]:
     ``compilations`` counts source *generations* (the expensive step a
     warm disk cache eliminates); memory/disk hits count reuses.
     """
-    return dict(_STATS)
+    return dict(_SOURCES.stats)
 
 
 def clear_codegen_cache() -> None:
     """Drop the in-memory source/function caches (disk is untouched)."""
-    _SOURCE_CACHE.clear()
+    _SOURCES.clear()
     _FN_CACHE.clear()
-    for key in _STATS:
-        _STATS[key] = 0
-
-
-# ----------------------------------------------------------------------
-# Persistent second level, sharing the schedule-cache directory.
-# ----------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _generator_fingerprint() -> str:
-    """Digest of the :data:`_GENERATOR_MODULES` sources (once per process)."""
-    digest = hashlib.sha256()
-    for name in _GENERATOR_MODULES:
-        with open(importlib.import_module(name).__file__, "rb") as fh:
-            digest.update(fh.read())
-    return digest.hexdigest()[:16]
-
-
-def _disk_path(directory: str, key: tuple) -> str:
-    """Content-addressed file name: SHA-256 of the key's canonical repr."""
-    digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-    return os.path.join(directory, digest + ".codegen.pkl")
-
-
-def _load_disk_source(path: str, key: tuple) -> Optional[str]:
-    """Read one cache file; any corruption reads as a miss, never a crash."""
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError, MemoryError, ValueError, TypeError):
-        return None
-    if not isinstance(payload, dict) or payload.get("key") != key:
-        return None
-    source = payload.get("source")
-    return source if isinstance(source, str) else None
-
-
-def _store_disk_source(path: str, key: tuple, source: str) -> None:
-    """Atomic write (tmp + rename) so readers never see a torn file."""
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = "%s.tmp.%d" % (path, os.getpid())
-        with open(tmp, "wb") as fh:
-            pickle.dump({"key": key, "source": source}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # a read-only or full disk must never fail execution
 
 
 def _cached_source(key: tuple, kind: str, label: str, generate: Callable[[], str]) -> str:
-    """Two-level lookup of generated source; mirrors ``_schedule_cached``.
-    The disk level's key also carries :func:`_generator_fingerprint`."""
-    from repro.compiler.linker import schedule_cache_dir
+    """The generated source for *key*; a generation is traced."""
 
-    directory = schedule_cache_dir()
-    disk_key = (_generator_fingerprint(),) + key
-    source = _SOURCE_CACHE.get(key)
-    if source is not None:
-        _STATS["memory_hits"] += 1
-        if directory is not None:
-            path = _disk_path(directory, disk_key)
-            if not os.path.exists(path):
-                _store_disk_source(path, disk_key, source)
+    def compute() -> str:
+        source = generate()
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.instant(
+                "codegen.compile.%s" % kind,
+                tracer.tick(),
+                cat="codegen",
+                args={"name": label, "source_lines": source.count("\n")},
+            )
         return source
-    if directory is not None:
-        path = _disk_path(directory, disk_key)
-        source = _load_disk_source(path, disk_key)
-        if source is not None:
-            _STATS["disk_hits"] += 1
-            _SOURCE_CACHE[key] = source
-            return source
-    source = generate()
-    _STATS["compilations"] += 1
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.instant(
-            "codegen.compile.%s" % kind,
-            tracer.tick(),
-            cat="codegen",
-            args={"name": label, "source_lines": source.count("\n")},
-        )
-    _SOURCE_CACHE[key] = source
-    if directory is not None:
-        _store_disk_source(_disk_path(directory, disk_key), disk_key, source)
-    return source
+
+    return _SOURCES.get(key, compute)
 
 
 def _base_namespace() -> Dict[str, object]:
@@ -666,7 +586,7 @@ class _CgaGen:
 
     def __init__(self, kernel: CgaKernel, arch: CgaArchitecture, fault,
                  cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
-                 trip: Optional[int] = None) -> None:
+                 trip: int) -> None:
         self.kernel = kernel
         self.arch = arch
         self.fault = fault
@@ -674,11 +594,9 @@ class _CgaGen:
         self.cprf_ports = cprf_ports
         self.cdrf_mask = (1 << arch.cdrf.width) - 1
         self.cprf_mask = 1  # PredicateFile is 1-bit regardless of arch.cprf
-        #: Trip-count specialization: with a concrete trip
-        #: the whole modulo schedule is compile-time, so the iteration
-        #: loop splits into unrolled prologue/epilogue slots and a
-        #: guard-free steady state.
-        self.trip = trip if (trip is not None and trip >= 1) else None
+        #: The trip count (>= 1) makes the whole modulo schedule
+        #: compile-time (see :meth:`_plan`).
+        self.trip = trip
         self.pool, self.pool_index = _cga_pool_map(kernel)
         self.latch_fus = set()
         self.lrf_fus = set()
@@ -863,32 +781,17 @@ class _CgaGen:
         return "imm_%d" % imm_slot
 
     def _read_operand(self, lines: List[str], ind: str, rec: _CgaChain,
-                      role: str, i: Optional[int], sel: SrcSel,
-                      it_var: str, name: str, it0: Optional[bool] = None,
+                      role: str, i: Optional[int], sel: SrcSel, it0: bool,
                       tally=None) -> str:
-        """Emit one operand read (phi-aware); returns a value expression.
+        """Emit one operand read; returns a value expression.
 
-        A phi (``sel.init is not None``) reads the initial immediate on
-        iteration 0 without touching the base location (and without its
-        stats), exactly like the reference reader.  *it0* resolves the
-        phi statically (trip-specialized emission): ``True`` means this
-        slot is the op's iteration 0, ``None`` keeps the runtime test on
-        *it_var*."""
+        A phi (``sel.init is not None``) read in the op's iteration 0
+        (*it0*) yields the initial immediate without touching the base
+        location (and without its stats), exactly like the reference
+        reader."""
         imm_slot, init_slot = self.pool_index[(rec.ci, rec.fu, role, i)]
-        if sel.init is not None:
-            if it0 is not None:
-                if it0:
-                    return "imm_%d" % init_slot
-                return self._base_read(lines, ind, sel, rec.fu, imm_slot,
-                                       tally=tally)
-            lines.append(ind + "if %s == 0:" % it_var)
-            lines.append(ind + "    %s = imm_%d" % (name, init_slot))
-            lines.append(ind + "else:")
-            sub: List[str] = []
-            expr = self._base_read(sub, ind + "    ", sel, rec.fu, imm_slot)
-            lines.extend(sub)
-            lines.append(ind + "    %s = %s" % (name, expr))
-            return name
+        if sel.init is not None and it0:
+            return "imm_%d" % init_slot
         return self._base_read(lines, ind, sel, rec.fu, imm_slot, tally=tally)
 
     # -- commit emission -----------------------------------------------
@@ -916,54 +819,27 @@ class _CgaGen:
             lines.append(ind + "CP[%d] = %s & %d" % (dst.index, val, self.cprf_mask))
 
     def _emit_commit_writes(self, lines: List[str], ind: str, rec: _CgaChain,
-                            val: str, static_j: Optional[int] = None) -> None:
-        """Latch write-back plus destination writes for one commit.  In
-        the main loop ``last_iteration_only`` is a runtime comparison on
-        the committing iteration; in the drain (*static_j* given) the
-        committing iteration is ``trip + <static offset>``, making the
-        check compile-time."""
+                            val: str, last: bool, tally=None) -> None:
+        """Latch write-back plus destination writes for one commit;
+        *last* says statically whether the committing iteration is the
+        last one, which decides the ``last_iteration_only`` writes."""
         lines.append(ind + "l_%d = %s" % (rec.fu, val))
-        dsts = rec.op.dsts
-        if static_j is None:
-            if any(d.last_iteration_only for d in dsts):
-                lines.append(ind + "itc = iter_slot - %d" % (rec.delta + rec.stage))
-            for d in dsts:
-                sub = ind
-                if d.last_iteration_only:
-                    lines.append(ind + "if itc == last_iter:")
-                    sub = ind + "    "
-                self._emit_dst(lines, sub, rec, d, val)
-        else:
-            # Register j holds the value issued in slot trip+K1-delta+j,
-            # i.e. iteration trip + K1 - delta + j - stage; it is the
-            # last iteration exactly when j == stage + delta - stages.
-            keep = rec.stage + rec.delta - self.kernel.stage_count
-            for d in dsts:
-                if d.last_iteration_only and static_j != keep:
-                    continue
-                self._emit_dst(lines, ind, rec, d, val)
-
-    def _emit_commit(self, lines: List[str], ind: str, rec: _CgaChain) -> None:
-        oid, n = rec.oid, rec.n
-        lines.append(ind + "v = w%d_0" % oid)
-        for j in range(n - 1):
-            lines.append(ind + "w%d_%d = w%d_%d" % (oid, j, oid, j + 1))
-        lines.append(ind + "w%d_%d = _A" % (oid, n - 1))
-        lines.append(ind + "if v is not _A:")
-        self._emit_commit_writes(lines, ind + "    ", rec, "v")
+        for d in rec.op.dsts:
+            if d.last_iteration_only and not last:
+                continue
+            self._emit_dst(lines, ind, rec, d, val, tally=tally)
 
     # -- issue emission ------------------------------------------------
 
-    def _emit_execute(self, lines: List[str], ind: str, rec: _CgaChain, it_var: str,
-                      it0: Optional[bool] = None, tally=None) -> None:
+    def _emit_execute(self, lines: List[str], ind: str, rec: _CgaChain, it0: bool,
+                      tally=None) -> None:
         op = rec.op
         if rec.kind == "dataflow":
             arity = operand_count(op.opcode)
             names = []
             for i, sel in enumerate(op.srcs):
-                name = "ab"[i] if i < 2 else "x%d" % i
                 names.append(self._read_operand(lines, ind, rec, "src", i, sel,
-                                                it_var, name, it0=it0, tally=tally))
+                                                it0, tally=tally))
             target = "w%d_%d" % (rec.oid, rec.n - 1)
             if _is_identity(op):
                 lines.append(ind + "%s = %s" % (target, names[0]))
@@ -986,8 +862,8 @@ class _CgaGen:
                 lines.append(ind + "%s = %s" % (target, _SCALAR_EXPR[op.opcode](use[0], use[1])))
             return
         info = memops.mem_info(op.opcode)
-        base = self._read_operand(lines, ind, rec, "src", 0, op.srcs[0], it_var, "a",
-                                  it0=it0, tally=tally)
+        base = self._read_operand(lines, ind, rec, "src", 0, op.srcs[0], it0,
+                                  tally=tally)
         off_sel = op.srcs[1]
         off_slot, _ = self.pool_index[(rec.ci, rec.fu, "src", 1)]
         if off_sel.kind is SrcKind.IMM and off_sel.init is None:
@@ -995,8 +871,8 @@ class _CgaGen:
                 "%saddr = (((%s) & 4294967295) + imm_%d) & 4294967295" % (ind, base, off_slot)
             )
         else:
-            off = self._read_operand(lines, ind, rec, "src", 1, off_sel, it_var, "b",
-                                     it0=it0, tally=tally)
+            off = self._read_operand(lines, ind, rec, "src", 1, off_sel, it0,
+                                     tally=tally)
             lines.append(
                 "%saddr = (((%s) & 4294967295) + ((%s) & 4294967295)) & 4294967295"
                 % (ind, base, off)
@@ -1014,16 +890,16 @@ class _CgaGen:
             else:
                 lines.append(ind + "%s = raw & %d" % (target, (1 << (info.size * 8)) - 1))
         else:  # store: no latch, no commit chain
-            sv = self._read_operand(lines, ind, rec, "src", 2, op.srcs[2], it_var, "c",
-                                    it0=it0, tally=tally)
+            sv = self._read_operand(lines, ind, rec, "src", 2, op.srcs[2], it0,
+                                    tally=tally)
             mask = (1 << (info.size * 8)) - 1
             lines.append(ind + "v_st = (%s) & %d" % (sv, mask))
             _emit_inline_write(lines, ind, "physical", info.size,
                                self.arch.l1.banks, self.arch.l1.bytes, tally=tally)
             lines.append(ind + "stall_offset += extra")
 
-    def _emit_issue(self, lines: List[str], ind: str, rec: _CgaChain, it_var: str,
-                    it0: Optional[bool] = None, tally=None) -> None:
+    def _emit_issue(self, lines: List[str], ind: str, rec: _CgaChain, it0: bool,
+                    tally=None) -> None:
         op = rec.op
         body = ind
         body_tally = tally
@@ -1031,7 +907,7 @@ class _CgaGen:
             # The predicate read itself is unconditional; the op body is
             # data-dependent, so its accounting stays inline.
             pexpr = self._read_operand(lines, ind, rec, "pred", None, op.pred,
-                                       it_var, "pv", it0=it0, tally=tally)
+                                       it0, tally=tally)
             if op.pred_negate:
                 lines.append(ind + "if (%s) & 1:" % pexpr)
             else:
@@ -1043,7 +919,7 @@ class _CgaGen:
             lines.append(body + "n_fu%d += %d" % (rec.fu, rec.weight))
             lines.append(body + "n_g_%s += %d" % (rec.group.name, rec.weight))
             lines.append(body + "pred_weight += %d" % rec.weight)
-        self._emit_execute(lines, body, rec, it_var, it0=it0, tally=body_tally)
+        self._emit_execute(lines, body, rec, it0, tally=body_tally)
 
     # -- whole-function assembly ---------------------------------------
 
@@ -1082,30 +958,34 @@ class _CgaGen:
         w("            faults[_b] = exc")
         return "\n".join(lines) + "\n"
 
-    # -- trip-specialized emission ------------------------------------
+    # -- slot emission -------------------------------------------------
     #
-    # When the batch driver groups lanes it already keys on the resolved
-    # trip count, so the batch function may legally bake the trip into
-    # the source.  With a concrete trip the entire modulo schedule is
-    # compile-time: which stages are active, whether a latch chain holds
-    # a value, whether an operand is in its phi iteration and whether a
-    # ``last_iteration_only`` write fires all become functions of the
-    # slot index alone.  The iteration space then splits into unrolled
-    # prologue/epilogue slots (each emitted with its static schedule
-    # state) around a guard-free steady-state loop, and every
-    # statically-known access count is hoisted out of the loop into one
-    # closed-form adjustment (``tally``).
+    # The batch runner groups lanes by resolved trip count, so the batch
+    # function bakes the trip into the source.  With a concrete trip the
+    # entire modulo schedule is compile-time: which stages are active,
+    # whether a latch chain holds a value, whether an operand is in its
+    # phi iteration and whether a ``last_iteration_only`` write fires all
+    # become functions of the slot index alone.  The iteration space
+    # then splits into unrolled prologue/epilogue slots (each emitted
+    # with its static schedule state) around a guard-free steady-state
+    # loop, and every statically-known access count is hoisted out of the
+    # loop into one closed-form adjustment (``tally``).
 
     _TALLY_KEYS = ("n_cdrf_r", "n_cdrf_w", "n_cprf_r", "n_cprf_w",
                    "n_lrf_r", "n_lrf_w", "n_itx", "n_l1r", "n_l1w")
 
-    def _spec_plan(self) -> Optional[Tuple[int, int, int]]:
+    #: Most prologue + epilogue slots a kernel may unroll; the modem's
+    #: kernels unroll at most 18.
+    _MAX_UNROLLED_SLOTS = 192
+
+    def _plan(self) -> Tuple[int, int, int]:
         """``(T, lo, hi)``: total slots and the inclusive steady-state
         window where every op issues, every chain commits a present
         value, no phi initializes and no last-iteration write fires.
-        ``None`` when specialization isn't worthwhile."""
-        if not self.ops:
-            return None
+
+        Raises :class:`CodegenUnsupported` when more than
+        :attr:`_MAX_UNROLLED_SLOTS` slots would unroll, bounding the
+        generated code for degenerate shapes."""
         trip = self.trip
         T = trip + self.kernel.stage_count - 1
         lo, hi = 0, T - 1
@@ -1120,8 +1000,12 @@ class _CgaGen:
                     hi = min(hi, trip - 2 + rec.delta + rec.stage)
         if lo > hi:
             lo, hi = T, T - 1  # no steady window: everything unrolls
-        if lo + (T - 1 - hi) > 192:
-            return None  # bound generated-code size for degenerate shapes
+        unrolled = lo + (T - 1 - hi)
+        if unrolled > self._MAX_UNROLLED_SLOTS:
+            raise CodegenUnsupported(
+                "kernel %s: %d unrolled slots exceed %d"
+                % (self.kernel.name, unrolled, self._MAX_UNROLLED_SLOTS)
+            )
         return (T, lo, hi)
 
     def _issue_active(self, rec: _CgaChain, I: int) -> bool:
@@ -1136,17 +1020,8 @@ class _CgaGen:
         upper = min(rec.stage + self.trip - 1, last_t)
         return upper >= lower
 
-    def _emit_commit_writes_spec(self, lines: List[str], ind: str,
-                                 rec: _CgaChain, val: str,
-                                 lastonly_now: bool, tally) -> None:
-        lines.append(ind + "l_%d = %s" % (rec.fu, val))
-        for d in rec.op.dsts:
-            if d.last_iteration_only and not lastonly_now:
-                continue
-            self._emit_dst(lines, ind, rec, d, val, tally=tally)
-
-    def _emit_commit_spec(self, lines: List[str], ind: str, rec: _CgaChain,
-                          I: Optional[int], tally) -> None:
+    def _emit_commit(self, lines: List[str], ind: str, rec: _CgaChain,
+                     I: Optional[int], tally) -> None:
         """Commit phase of one chain at a static slot (*I*) or in the
         steady state (``I is None``): presence, shift liveness and the
         last-iteration check are all compile-time; predicated chains
@@ -1156,14 +1031,14 @@ class _CgaGen:
         steady = I is None
         present = steady or (rec.stage + rec.delta <= I
                              <= rec.stage + rec.delta + trip - 1)
-        lastonly_now = (not steady) and I == trip - 1 + rec.delta + rec.stage
+        last = (not steady) and I == trip - 1 + rec.delta + rec.stage
         # The tail register need not be cleared when the next write to it
         # (this slot's issue, or next slot's when the issue context
         # precedes the commit context) deterministically lands first.
         if rec.q > rec.ci:
             ov_slot = (0 if steady else I) + 1
             overwrite = rec.op.pred is None and (
-                (steady and self._spec_hi + 1 <= rec.stage + trip - 1)
+                (steady and self._hi + 1 <= rec.stage + trip - 1)
                 or (not steady and self._issue_active(rec, ov_slot)))
         else:
             overwrite = rec.op.pred is None and (
@@ -1171,8 +1046,7 @@ class _CgaGen:
         w = lines.append
         if rec.op.pred is None:
             if present:
-                self._emit_commit_writes_spec(lines, ind, rec, "w%d_0" % oid,
-                                              lastonly_now, tally)
+                self._emit_commit_writes(lines, ind, rec, "w%d_0" % oid, last, tally)
             for j in range(n - 1):
                 w(ind + "w%d_%d = w%d_%d" % (oid, j, oid, j + 1))
             if not overwrite:
@@ -1185,11 +1059,10 @@ class _CgaGen:
             w(ind + "w%d_%d = _A" % (oid, n - 1))
             if present:
                 w(ind + "if v is not _A:")
-                self._emit_commit_writes_spec(lines, ind + "    ", rec, "v",
-                                              lastonly_now, None)
+                self._emit_commit_writes(lines, ind + "    ", rec, "v", last)
 
-    def _emit_slot_spec(self, lines: List[str], ind: str, I: Optional[int],
-                        tally) -> None:
+    def _emit_slot(self, lines: List[str], ind: str, I: Optional[int],
+                   tally) -> None:
         ii = self.kernel.ii
         steady = I is None
         w = lines.append
@@ -1201,7 +1074,7 @@ class _CgaGen:
             if not live and not active:
                 continue
             for rec in live:
-                self._emit_commit_spec(lines, ind, rec, I, tally)
+                self._emit_commit(lines, ind, rec, I, tally)
             if any(r.kind != "dataflow" for r in active):
                 if steady:
                     w(ind + "physical = start_cycle + iter_slot * %d + %d"
@@ -1211,23 +1084,22 @@ class _CgaGen:
                       % (I * ii + p))
             for rec in active:
                 it0 = False if steady else (I == rec.stage)
-                self._emit_issue(lines, ind, rec, "iter_slot", it0=it0,
-                                 tally=tally)
+                self._emit_issue(lines, ind, rec, it0, tally=tally)
 
-    def _emit_body_spec(self, lines: List[str], ind: str,
-                        plan: Tuple[int, int, int]) -> Dict[str, int]:
+    def _emit_body(self, lines: List[str], ind: str,
+                   plan: Tuple[int, int, int]) -> Dict[str, int]:
         T, lo, hi = plan
-        self._spec_hi = hi
+        self._hi = hi
         tally = dict.fromkeys(self._TALLY_KEYS, 0)
         w = lines.append
         for I in range(min(lo, T)):
             w(ind + "# slot %d" % I)
-            self._emit_slot_spec(lines, ind, I, tally)
+            self._emit_slot(lines, ind, I, tally)
         if lo <= hi:
             steady = dict.fromkeys(self._TALLY_KEYS, 0)
             w(ind + "for iter_slot in range(%d, %d):" % (lo, hi + 1))
             mark = len(lines)
-            self._emit_slot_spec(lines, ind + "    ", None, steady)
+            self._emit_slot(lines, ind + "    ", None, steady)
             if len(lines) == mark:
                 w(ind + "    pass")
             count = hi - lo + 1
@@ -1235,47 +1107,8 @@ class _CgaGen:
                 tally[key] += steady[key] * count
         for I in range(max(lo, hi + 1), T):
             w(ind + "# slot %d" % I)
-            self._emit_slot_spec(lines, ind, I, tally)
+            self._emit_slot(lines, ind, I, tally)
         return tally
-
-    def _emit_body_generic(self, lines: List[str], ind: str) -> None:
-        """The runtime-guarded iteration loop (dynamic trip count)."""
-        k = self.kernel
-        ii = k.ii
-        k1 = k.stage_count - 1
-        w = lines.append
-        w(ind + "for iter_slot in range(trip + %d):" % k1)
-        bind = ind + "    "
-        loop_mark = len(lines)
-        for p in range(ii):
-            commits = self.by_commit.get(p, [])
-            issues = self.by_issue.get(p, [])
-            if not commits and not issues:
-                continue
-            w(bind + "# context %d" % p)
-            for rec in commits:
-                self._emit_commit(lines, bind, rec)
-            if any(r.kind != "dataflow" for r in issues):
-                w(bind + "physical = start_cycle + iter_slot * %d + %d + stall_offset" % (ii, p))
-            idx = 0
-            while idx < len(issues):
-                stage = issues[idx].stage
-                run = [issues[idx]]
-                idx += 1
-                while idx < len(issues) and issues[idx].stage == stage:
-                    run.append(issues[idx])
-                    idx += 1
-                if stage == 0:
-                    w(bind + "if iter_slot <= last_iter:")
-                    it_var = "iter_slot"
-                else:
-                    w(bind + "it_s = iter_slot - %d" % stage)
-                    w(bind + "if 0 <= it_s <= last_iter:")
-                    it_var = "it_s"
-                for rec in run:
-                    self._emit_issue(lines, bind + "    ", rec, it_var)
-        if len(lines) == loop_mark:
-            w(bind + "pass")
 
     # -- lane assembly --------------------------------------------------
 
@@ -1284,7 +1117,7 @@ class _CgaGen:
         ii = k.ii
         k1 = k.stage_count - 1
         w = lines.append
-        plan = self._spec_plan() if self.trip is not None else None
+        plan = self._plan()
         n_imms = len(self.pool)
         if n_imms == 1:
             w(ind + "imm_0 = imms[0]")
@@ -1309,11 +1142,8 @@ class _CgaGen:
             w(ind + " = ".join("n_fu%d" % fu for fu in pred_fus) + " = 0")
         if pred_groups:
             w(ind + " = ".join("n_g_%s" % g for g in pred_groups) + " = 0")
-        if plan is not None:
-            # The driver passes matching trips; the baked value wins.
-            w(ind + "trip = %d" % self.trip)
-        else:
-            w(ind + "last_iter = trip - 1")
+        # The runner passes matching trips; the baked value wins.
+        w(ind + "trip = %d" % self.trip)
         for fu in sorted(self.latch_fus):
             w(ind + "l_%d = 0" % fu)
         for rec in self.ops:
@@ -1328,13 +1158,10 @@ class _CgaGen:
         w(ind + "squashed = 0")
         w(ind + "pred_weight = 0")
         w(ind + "drain = 0")
-        if plan is not None:
-            tally = self._emit_body_spec(lines, ind, plan)
-            for name in self._TALLY_KEYS:
-                if tally[name]:
-                    w(ind + "%s += %d" % (name, tally[name]))
-        else:
-            self._emit_body_generic(lines, ind)
+        tally = self._emit_body(lines, ind, plan)
+        for name in self._TALLY_KEYS:
+            if tally[name]:
+                w(ind + "%s += %d" % (name, tally[name]))
         entries = self._drain_entries()
         if entries:
             w(ind + "# drain: commits still in flight past the last context")
@@ -1342,7 +1169,11 @@ class _CgaGen:
             w(ind + "v = w%d_%d" % (rec.oid, j))
             w(ind + "if v is not _A:")
             w(ind + "    drain = %d" % d)
-            self._emit_commit_writes(lines, ind + "    ", rec, "v", static_j=j)
+            # Register j holds the value issued in slot trip+K1-delta+j,
+            # i.e. iteration trip + K1 - delta + j - stage; it is the
+            # last iteration exactly when j == stage + delta - stages.
+            last = j == rec.stage + rec.delta - k.stage_count
+            self._emit_commit_writes(lines, ind + "    ", rec, "v", last)
         # Batched accounting for unpredicated ops (closed form in trip),
         # then the per-run stats flush.
         easy_fu: Dict[int, int] = {}
@@ -1401,38 +1232,36 @@ class _CgaGen:
 
 def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
                      cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
-                     trip: Optional[int] = None):
-    """Return the lane-batched steady-state function for *kernel*.
+                     trip: int):
+    """Return the lane-batched steady-state function for *kernel* at
+    trip count *trip* (>= 1).
 
     The compiled function advances as many packets per call as its
-    structure-of-arrays arguments hold (``trips``, per-lane immediate
-    pools, per-lane register backing lists, per-lane scratchpads); a
-    single packet is a one-element batch.  The width is a call-time
-    value, not part of the source, so one compile serves every width;
-    the L1 geometry it inlines is covered by ``arch.fingerprint()``.
-    Per-lane pools come from :func:`cga_imms` of each
-    ``patch_constants`` variant, so every lane shares this one compile.
-    Lanes must have ``trip >= 1``; the caller filters the rest.
-    Faulted lanes (``faults[lane]`` set) carry unusable partial state
-    and must be re-run from scratch.
+    structure-of-arrays arguments hold (``trips``, all equal to *trip*,
+    per-lane immediate pools, register backing lists and scratchpads); a
+    single packet is a one-element batch.  The width is a call-time value, not part of the
+    source, so one compile serves every width; the L1 geometry it
+    inlines is covered by ``arch.fingerprint()``.  Per-lane pools come
+    from :func:`cga_imms` of each ``patch_constants`` variant, so every
+    lane shares this one compile.  Faulted lanes (``faults[lane]`` set)
+    carry unusable partial state and must be re-run from scratch.
+
+    The function is specialized on *trip* (the batch runner groups
+    lanes by resolved trip count anyway): the schedule guards disappear
+    into unrolled prologue/epilogue slots around a guard-free
+    steady-state loop.  The trip joins the cache key; trips per kernel
+    come from a small fixed set (the region programs bake them in), so
+    the key space stays bounded.
 
     Raises :class:`CodegenUnsupported` when the static port-pressure
-    proof fails, and *fault* for malformed kernels, found once at
-    generation time (the reference tier finds them while running).
-
-    With *trip* (the batch driver groups lanes by resolved trip count
-    anyway) the function is additionally specialized on the trip: the
-    schedule guards disappear into unrolled prologue/epilogue slots
-    around a guard-free steady-state loop.  The trip joins the cache
-    key; trips per kernel come from a small fixed set (the region
-    programs bake them in), so the key space stays bounded.
+    proof fails or more than 192 prologue + epilogue slots would unroll,
+    and *fault* for malformed kernels, found once at generation time
+    (the reference tier finds them while running).
     """
-    key = ("cga-batch", arch.fingerprint(),
-           None if trip is None else int(trip), cga_signature(kernel))
+    key = ("cga-batch", arch.fingerprint(), trip, cga_signature(kernel))
 
     def gen() -> str:
-        return _CgaGen(kernel, arch, fault, cdrf_ports, cprf_ports,
-                       trip=None if trip is None else int(trip)).generate_batch()
+        return _CgaGen(kernel, arch, fault, cdrf_ports, cprf_ports, trip).generate_batch()
 
     source = _cached_source(key, "cga-batch", kernel.name, gen)
     return _compiled_fn(key, source, "_cga_run_batch", {"_ME": MemoryError_})

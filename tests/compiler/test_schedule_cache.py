@@ -9,16 +9,15 @@ import pytest
 from repro.arch import small_test_core
 from repro.arch.topology import mesh_topology
 from repro.compiler import KernelBuilder
-from repro.compiler import linker as linker_module
 from repro.compiler.builder import PhysReg
 from repro.compiler.linker import (
-    _PLAN_CACHE,
+    _PLANS,
     ProgramLinker,
     clear_schedule_cache,
     configure_schedule_cache,
     schedule_cache_stats,
 )
-from repro.compiler.modulo import ModuloScheduler
+from repro.compiler.modulo import ModuloScheduler, SchedulePlan
 from repro.isa import Opcode
 from repro.sim.program import SrcKind
 
@@ -49,7 +48,7 @@ def counted_schedule(monkeypatch):
 @pytest.fixture(autouse=True)
 def _isolated_cache():
     """Protect the process-wide cache from, and for, other tests."""
-    saved = dict(_PLAN_CACHE)
+    saved = dict(_PLANS.memory)
     clear_schedule_cache()
     configure_schedule_cache(None)
     try:
@@ -57,7 +56,7 @@ def _isolated_cache():
     finally:
         configure_schedule_cache(None)
         clear_schedule_cache()
-        _PLAN_CACHE.update(saved)
+        _PLANS.memory.update(saved)
 
 
 def test_fingerprint_stable_and_name_independent():
@@ -277,7 +276,7 @@ def test_format_1_payload_reads_as_a_miss(tmp_path, counted_schedule):
     assert schedule_cache_stats()["misses"] == 1
     assert program_b.kernels[0] == program.kernels[0]
     with open(path, "rb") as fh:
-        assert pickle.load(fh)["format"] == linker_module._DISK_FORMAT == 2
+        assert isinstance(pickle.load(fh)["value"], SchedulePlan)
 
 
 def test_compiler_change_reads_a_warm_directory_as_a_miss(tmp_path, monkeypatch,
@@ -290,7 +289,7 @@ def test_compiler_change_reads_a_warm_directory_as_a_miss(tmp_path, monkeypatch,
     assert len(glob.glob(str(tmp_path / "*.sched.pkl"))) == 1
     assert len(counted_schedule) == 1
 
-    monkeypatch.setattr(linker_module, "_compiler_fingerprint", lambda: "changed")
+    monkeypatch.setattr(_PLANS, "fingerprint", lambda: "changed")
     clear_schedule_cache()
     _link_once(arch)
     assert schedule_cache_stats() == {"memory_hits": 0, "disk_hits": 0, "misses": 1}

@@ -13,7 +13,7 @@ import pytest
 import repro
 from repro.arch import paper_core
 from repro.compiler import modulo
-from repro.compiler.linker import _PLAN_CACHE, configure_schedule_cache
+from repro.compiler.linker import _PLANS, configure_schedule_cache
 from repro.eval import run_reference_modem
 from repro.modem.receiver import MIN_PACKET_SAMPLES, SimReceiver
 from repro.runtime import ModemRuntime, generate_packets, make_packet
@@ -98,14 +98,14 @@ def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases, monkeypatch):
         return search(self)
 
     monkeypatch.setattr(modulo.ModuloScheduler, "schedule", counted)
-    saved = dict(_PLAN_CACHE)
-    _PLAN_CACHE.clear()
+    saved = dict(_PLANS.memory)
+    _PLANS.memory.clear()
     try:
         t0 = time.perf_counter()
         cold_out = SimReceiver().run_packet(cases[0].rx)
         t_cold = time.perf_counter() - t0
     finally:
-        _PLAN_CACHE.update(saved)
+        _PLANS.memory.update(saved)
     assert float(np.mean(cold_out.bits != cases[0].bits)) == 0.0
     assert len(searches) == DISTINCT_KERNEL_STRUCTURES, searches
     assert [(r.name, r.profile.cycles) for r in cold_out.preamble_regions] == PREAMBLE_CYCLES
@@ -183,6 +183,49 @@ def test_batched_runtime_ragged_chunk_is_not_a_fallback(cases):
         _assert_outputs_identical(out, ref)
     assert batched.packets_run == 3
     assert batched.fallbacks == 0, "ragged singleton chunk is not a fallback"
+
+
+def test_faulted_lane_replays_its_region_on_a_fresh_core(cases, monkeypatch):
+    """A fault in one lane of a 4-lane batch: that packet's region is
+    replayed alone on a fresh core and the packet still matches the
+    reference tier, while its sibling lanes finish in the batch."""
+    from repro.sim.batch import BatchProgramRunner
+    from repro.sim.memory import MemoryError_
+
+    faulty = 2
+    injected = []
+    replays = []
+    batch_step = BatchProgramRunner._cga_batch_step
+    replay = ModemRuntime._replay_region
+
+    def faulting_step(self, fn, trip, lanes, ginfo, results, fail):
+        def fn_with_fault(*args):
+            fn(*args)
+            if not injected and faulty in lanes:
+                faults = args[-1]
+                faults[lanes.index(faulty)] = MemoryError_("injected lane fault")
+                injected.append(faulty)
+
+        batch_step(self, fn_with_fault, trip, lanes, ginfo, results, fail)
+
+    def counted_replay(self, lane, results):
+        replays.append(lane.index)
+        return replay(self, lane, results)
+
+    monkeypatch.setattr(BatchProgramRunner, "_cga_batch_step", faulting_step)
+    monkeypatch.setattr(ModemRuntime, "_replay_region", counted_replay)
+    packets = [case.rx for case in cases[:4]]
+    runtime = ModemRuntime(batch=4)
+    results = runtime.run_batch_results(packets)
+    assert injected == [faulty] and replays == [faulty]
+    assert runtime.fallbacks == 1
+    for i, (rx, result) in enumerate(zip(packets, results)):
+        assert result.error is None, i
+        assert result.fell_back is (i == faulty), i
+        reference = SimReceiver(interpreter="reference").run_packet(rx)
+        assert list(result.output.bits) == list(reference.bits), i
+        assert result.output.stats == reference.stats, i
+        assert result.output.image == reference.image, i
 
 
 #: Trailing-pad lengths of the mixed-shape serving traffic.

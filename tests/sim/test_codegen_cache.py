@@ -33,9 +33,9 @@ _SENTINEL = 0xBEEF01
 @pytest.fixture(autouse=True)
 def _isolated_caches():
     """Protect the process-wide codegen/schedule caches across tests."""
-    saved_src = dict(codegen._SOURCE_CACHE)
+    saved_src = dict(codegen._SOURCES.memory)
     saved_fn = dict(codegen._FN_CACHE)
-    saved_stats = dict(codegen._STATS)
+    saved_stats = dict(codegen._SOURCES.stats)
     codegen.clear_codegen_cache()
     configure_schedule_cache(None)
     try:
@@ -43,9 +43,9 @@ def _isolated_caches():
     finally:
         configure_schedule_cache(None)
         codegen.clear_codegen_cache()
-        codegen._SOURCE_CACHE.update(saved_src)
+        codegen._SOURCES.memory.update(saved_src)
         codegen._FN_CACHE.update(saved_fn)
-        codegen._STATS.update(saved_stats)
+        codegen._SOURCES.stats.update(saved_stats)
 
 
 def _template_program():
@@ -207,14 +207,13 @@ def test_artifact_of_another_generator_is_a_miss(tmp_path, monkeypatch):
     directory written by another version of the code generator reads
     as a miss instead of serving stale source."""
     configure_schedule_cache(str(tmp_path))
-    real = codegen._generator_fingerprint()
-    monkeypatch.setattr(codegen, "_generator_fingerprint", lambda: "0" * 16)
+    monkeypatch.setattr(codegen._SOURCES, "fingerprint", lambda: "0" * 16)
     _run_compiled(_template_program())
     written = codegen.codegen_stats()["compilations"]
     assert written >= 1
     assert len(glob.glob(str(tmp_path / "*.codegen.pkl"))) == written
 
-    monkeypatch.setattr(codegen, "_generator_fingerprint", lambda: real)
+    monkeypatch.undo()
     codegen.clear_codegen_cache()
     _run_compiled(_template_program())
     stats = codegen.codegen_stats()
@@ -281,8 +280,8 @@ def test_fresh_process_with_warm_cache_never_schedules_or_compiles(tmp_path):
             raise AssertionError("codegen generated source despite warm disk cache")
 
         modulo.ModuloScheduler.schedule = _no_schedule
-        codegen._CgaGen.generate = _no_codegen
-        codegen._VliwGen.generate = _no_codegen
+        codegen._CgaGen.generate_batch = _no_codegen
+        codegen._VliwGen.generate_batch = _no_codegen
 
         import test_codegen_cache as t
         from repro.arch import small_test_core

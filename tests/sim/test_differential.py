@@ -483,34 +483,53 @@ def test_zero_patched_immediate_gets_its_own_function():
 
 
 def test_fft_stage_routes_moves_without_saturating_adds():
-    """The linked twiddled FFT stage carries the SWAR saturating add/sub
-    template (one ``o4`` overflow mask each) for its non-move
-    ``c4add``/``c4sub`` ops only: its routing moves are plain copies."""
+    """The linked twiddled FFT stage, generated at trip 8 (the trip the
+    receiver links it with): every issue site of a routing move is a
+    plain copy, and the SWAR saturating add/sub template (one ``o4``
+    overflow mask each) is emitted once per issue site of a non-move
+    ``c4add``/``c4sub``."""
+    import re
+
     from repro.kernels.fft import build_radix4_stage_dfg, twiddled_stages
     from repro.sim import codegen
-    from repro.sim.program import SrcKind
 
+    trip = 8
     arch = paper_core()
     linker = ProgramLinker(arch)
     q, params, _words = twiddled_stages(64)[0]
     linker.call_kernel(build_radix4_stage_dfg("fft_r4_q%d_g0" % q),
                        live_ins={"buf": 0x1000, "tw": 0x2400, **params},
-                       trip_count=8)
+                       trip_count=trip)
     program = linker.link()
     (kernel,) = program.kernels.values()
-    assert kernel.name == "fft_r4_q4_g0"
-    ops = [op for ctx in kernel.contexts for op in ctx.ops.values()]
-    moves = [op for op in ops
-             if op.opcode is Opcode.C4ADD and op.srcs[1].kind is SrcKind.IMM
-             and op.srcs[1].init is None and op.srcs[1].value == 0]
-    addsub = [op for op in ops if op.opcode in (Opcode.C4ADD, Opcode.C4SUB)]
-    assert moves and len(addsub) > len(moves)
+    assert kernel.name == "fft_r4_q4_g0" and kernel.trip_count == trip
     core = Core(arch, program)
     ports = ((core.cdrf.read_ports, core.cdrf.write_ports),
              (core.cprf.read_ports, core.cprf.write_ports))
-    source = codegen._CgaGen(kernel, arch, CgaFault, *ports).generate_batch()
-    swar = [line for line in source.splitlines() if line.strip().startswith("o4 = ")]
-    assert len(swar) == len(addsub) - len(moves)
+    gen = codegen._CgaGen(kernel, arch, CgaFault, *ports, trip)
+    lines = [line.strip() for line in gen.generate_batch().splitlines()]
+    n_slots, lo, hi = gen._plan()
+    unrolled = [i for i in range(n_slots) if not lo <= i <= hi]
+
+    def issue_sites(rec):
+        """Slots emitting *rec*'s issue: its unrolled active slots plus
+        the steady-state loop body."""
+        return (sum(rec.stage <= i < rec.stage + trip for i in unrolled)
+                + (1 if lo <= hi else 0))
+
+    moves = [rec for rec in gen.ops if codegen._is_identity(rec.op)]
+    addsub = [rec for rec in gen.ops
+              if rec.op.opcode in (Opcode.C4ADD, Opcode.C4SUB) and rec not in moves]
+    assert moves and addsub
+    for rec in moves:
+        target = "w%d_%d = " % (rec.oid, rec.n - 1)
+        copies = [line[len(target):] for line in lines
+                  if line.startswith(target) and line != target + "_A"]
+        assert len(copies) == issue_sites(rec)
+        for operand in copies:
+            assert re.fullmatch(r"l_\d+|imm_\d+|(CD|CP|L\d+)\[\d+\]", operand), operand
+    swar = [line for line in lines if line.startswith("o4 = ")]
+    assert len(swar) == sum(issue_sites(rec) for rec in addsub) == 51
 
 
 # ----------------------------------------------------------------------
@@ -979,13 +998,32 @@ def refused_vliw_program():
     return Program(bundles=bundles), ()
 
 
-@pytest.mark.parametrize("build", [refused_cga_program, refused_vliw_program],
-                         ids=lambda b: b.__name__)
+def deep_pipeline_program():
+    """A kernel codegen refuses for code size: its one op sits at stage
+    193, so 194 prologue slots would unroll before the steady state,
+    over the 192-slot bound."""
+    acc = CgaOp(
+        opcode=Opcode.ADD,
+        srcs=(SrcSel.self_().with_init(3), SrcSel.imm(5)),
+        dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),),
+        stage=193,
+    )
+    kernel = CgaKernel(
+        name="deep_pipeline", ii=1, stage_count=194,
+        contexts=[CgaContext(ops={0: acc})], trip_count=4,
+    )
+    return Program(bundles=enter_and_halt(), kernels={0: kernel}), ()
+
+
+@pytest.mark.parametrize(
+    "build", [refused_cga_program, deep_pipeline_program, refused_vliw_program],
+    ids=lambda b: b.__name__)
 def test_codegen_refusal_falls_back_to_reference(build):
-    """Codegen's static port-pressure proof refuses the program; the
-    runner runs it on the reference loop, one lane at a time, and both
-    the one-lane compiled core and a 3-lane batch stay bit-identical to
-    the reference tier."""
+    """Codegen refuses the program (the static port-pressure proof
+    fails, or a kernel would unroll too many slots); the runner runs it
+    on the reference loop, one lane at a time, and both the one-lane
+    compiled core and a 3-lane batch stay bit-identical to the
+    reference tier."""
     program, pokes = build()
     make_core = _maker(program, pokes)
     reference = _maker(program, pokes, interpreter="reference")()
@@ -998,7 +1036,7 @@ def test_codegen_refusal_falls_back_to_reference(build):
     for core_runner in (compiled._runner, runner):
         cga_fns = list(core_runner._cga_fns.values())
         vliw_fns = list(core_runner._vliw_fns.values())
-        if build is refused_cga_program:
+        if build is not refused_vliw_program:
             assert cga_fns == [None]
             assert vliw_fns and None not in vliw_fns
         else:

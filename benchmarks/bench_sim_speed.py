@@ -29,6 +29,13 @@ The sweep structure:
   one lane on a fresh core per region) — the CI regression gate for
   the resident cross-packet batching work.
 
+``extra.generated_bytecodes_per_packet`` is a noise-free host-cost
+figure: the bytecodes executed in frames of generated code (code
+filename starting ``<repro.sim.codegen``), counted with ``sys.settrace``
+opcode events over one warm 4-lane batch and divided by 4.  Wall time
+on a shared host cannot resolve a code-generator change below ~10%;
+this count can.  It is reported, not gated.
+
 Every warm run's cycle count and decoded bits are checked for equality
 against the cold run (the bit-exact contract; the exhaustive diff lives
 in ``tests/sim/test_differential.py``).
@@ -58,6 +65,12 @@ from repro.trace import schema_errors
 #: Batch widths swept by the batched compiled tier.
 BATCH_WIDTHS = (1, 4, 16)
 
+#: Batch width of the generated-bytecode count.
+BYTECODE_BATCH = 4
+
+#: ``co_filename`` prefix of every function the code generator emits.
+GENERATED_FILENAME = "<repro.sim.codegen"
+
 
 def ns_per_op(wall, stats_list):
     """Host nanoseconds per executed CGA + VLIW operation."""
@@ -70,6 +83,30 @@ def timed_run(interpreter):
     run = run_reference_modem(seed=42, cfo_hz=50e3, snr_db=None, interpreter=interpreter)
     wall = time.perf_counter() - t0
     return run, wall
+
+
+def generated_bytecodes(fn):
+    """Run *fn* and return the bytecodes executed in generated frames."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        if frame.f_code.co_filename.startswith(GENERATED_FILENAME):
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return count
 
 
 def timed_batched_run(batch):
@@ -91,7 +128,7 @@ def timed_batched_run(batch):
         outputs = runtime.run_batch(packets)
         rep = time.perf_counter() - t0
         wall = rep if wall is None else min(wall, rep)
-    return runtime, outputs, wall
+    return runtime, packets, outputs, wall
 
 
 def main(argv=None) -> int:
@@ -161,8 +198,14 @@ def main(argv=None) -> int:
 
     # Batched compiled tier: one resident runtime per width, the same
     # bit-exact contract as the per-packet tiers for every lane.
+    bytecodes_per_packet = None
     for b in BATCH_WIDTHS:
-        runtime, outputs, wall_b = timed_batched_run(b)
+        runtime, packets, outputs, wall_b = timed_batched_run(b)
+        if b == BYTECODE_BATCH:
+            total = generated_bytecodes(lambda: runtime.run_batch(packets))
+            bytecodes_per_packet = total // b
+            print("generated bytecodes per packet (warm B=%d): %d"
+                  % (b, bytecodes_per_packet))
         cycles_b = sum(out.stats.total_cycles for out in outputs)
         cps_b = cycles_b / wall_b
         ns_b = ns_per_op(wall_b, [out.stats for out in outputs])
@@ -231,6 +274,7 @@ def main(argv=None) -> int:
         "ber": run.ber,
         "tiers": tiers,
         "speedups": speedups,
+        "generated_bytecodes_per_packet": bytecodes_per_packet,
     }
 
     path = reporting.write_bench_report(

@@ -382,12 +382,20 @@ class BatchProgramRunner:
             core.cycle += MODE_SWITCH_CYCLES
 
     def _cga_batch_step(self, fn, trip, lanes, ginfo, results, fail) -> None:
+        ready = []
         starts = []
         preload_cycles_s = []
         start_cycles = []
         for i in lanes:
             core = results[i].core
             kernel = ginfo[i][0]
+            pre = (len(kernel.preloads) + 1) // 2
+            if max(core.scratchpad._bank_next_free) > core.cycle + pre:
+                # The generated code assumes every bank is idle at the
+                # kernel's first cycle (see ``codegen.cga_batch_runner``).
+                self._cga_reference([i], ginfo, results, fail)
+                continue
+            ready.append(i)
             local_rfs = core.local_rfs
             cdrf_peek = core.cdrf.peek
             for preload in kernel.preloads:
@@ -398,9 +406,11 @@ class BatchProgramRunner:
             for j in range(len(out_latch)):
                 out_latch[j] = 0
             starts.append(core.cycle)
-            pre = (len(kernel.preloads) + 1) // 2
             preload_cycles_s.append(pre)
             start_cycles.append(core.cycle + pre)
+        if not ready:
+            return
+        lanes = ready
         m = len(lanes)
         mcores = [results[i].core for i in lanes]
         ends = [0] * m

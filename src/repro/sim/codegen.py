@@ -41,6 +41,7 @@ dynamic check).
 
 from __future__ import annotations
 
+import struct
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.config import CgaArchitecture
@@ -132,6 +133,8 @@ def _base_namespace() -> Dict[str, object]:
     ns["_BR"] = StallCause.BRANCH
     ns["_divs"] = handler_for(Opcode.DIV)
     ns["_divu"] = handler_for(Opcode.DIV_U)
+    ns["_P8"] = struct.Struct("<Q").pack
+    ns["_U4"] = struct.Struct("<4h").unpack
     return ns
 
 
@@ -183,7 +186,15 @@ def _emit_arbitrate(lines: List[str], ind: str, cycle_var: str,
         lines.append(ind + "        extra = d2")
 
 
-def _emit_bounds_check(lines: List[str], ind: str, size: int, mem_bytes: int) -> None:
+def _emit_access(lines: List[str], ind: str, cycle_var: str, size: int,
+                 n_banks: int, mem_bytes: int, idle: bool) -> bool:
+    """Bounds check plus bank arbitration of one access; returns whether
+    it can stall, with its delay left in ``extra``.
+
+    *idle* says every bank clock is at or below *cycle_var*.  The access
+    is then served at *cycle_var* and only writes the clocks it claims,
+    unless it is a 64-bit access on a 1-bank L1, whose second word
+    queues behind its first."""
     # ``addr`` is pre-masked to 32 bits at every call site, so only the
     # upper bound can fail (same observable behaviour as ``_check``).
     lines.append(ind + "if addr + %d > %d:" % (size, mem_bytes))
@@ -191,38 +202,50 @@ def _emit_bounds_check(lines: List[str], ind: str, size: int, mem_bytes: int) ->
         ind + "    raise _ME('scratchpad access [%%d, %%d) outside %d bytes'"
         " %% (addr, addr + %d))" % (mem_bytes, size)
     )
-
-
-def _emit_inline_read(lines: List[str], ind: str, cycle_var: str, size: int,
-                      n_banks: int, mem_bytes: int, tally=None) -> None:
-    """Inline ``Scratchpad.timed_read``: leaves ``raw`` and ``extra``.
-
-    With *tally* (a counter dict), statically-known access counts are
-    accumulated there instead of emitting per-access increments."""
-    _emit_bounds_check(lines, ind, size, mem_bytes)
+    if idle and size <= 4:
+        lines.append(ind + "BNF[(addr >> 2) %% %d] = %s + 1" % (n_banks, cycle_var))
+        return False
+    if idle and n_banks >= 2:
+        lines.append(ind + "bank = (addr >> 2) %% %d" % n_banks)
+        lines.append(ind + "BNF[bank] = BNF[(bank + 1) %% %d] = %s + 1"
+                     % (n_banks, cycle_var))
+        return False
     _emit_arbitrate(lines, ind, cycle_var, "addr", n_banks, True)
     if size == 8:
         _emit_arbitrate(lines, ind, cycle_var, "addr + 4", n_banks, False)
+    return True
+
+
+def _emit_inline_read(lines: List[str], ind: str, cycle_var: str, size: int,
+                      n_banks: int, mem_bytes: int, tally=None,
+                      idle: bool = False) -> bool:
+    """Inline ``Scratchpad.timed_read``: leaves ``raw`` and, when it
+    returns True, the bank-conflict delay in ``extra``
+    (see :func:`_emit_access`).
+
+    With *tally* (a counter dict), statically-known access counts are
+    accumulated there instead of emitting per-access increments."""
+    stalls = _emit_access(lines, ind, cycle_var, size, n_banks, mem_bytes, idle)
     if tally is None:
         lines.append(ind + "n_l1r += %d" % (1 if size <= 4 else 2))
     else:
         tally["n_l1r"] += 1 if size <= 4 else 2
     lines.append(ind + "raw = _fb(M[addr:addr + %d], 'little')" % size)
+    return stalls
 
 
 def _emit_inline_write(lines: List[str], ind: str, cycle_var: str, size: int,
-                       n_banks: int, mem_bytes: int, tally=None) -> None:
-    """Inline ``Scratchpad.timed_write`` of pre-masked ``v_st``; leaves
-    ``extra`` (the bank-conflict delay) for callers that account it."""
-    _emit_bounds_check(lines, ind, size, mem_bytes)
-    _emit_arbitrate(lines, ind, cycle_var, "addr", n_banks, True)
-    if size == 8:
-        _emit_arbitrate(lines, ind, cycle_var, "addr + 4", n_banks, False)
+                       n_banks: int, mem_bytes: int, tally=None,
+                       idle: bool = False) -> bool:
+    """Inline ``Scratchpad.timed_write`` of pre-masked ``v_st``; when it
+    returns True, leaves the bank-conflict delay in ``extra``."""
+    stalls = _emit_access(lines, ind, cycle_var, size, n_banks, mem_bytes, idle)
     if tally is None:
         lines.append(ind + "n_l1w += %d" % (1 if size <= 4 else 2))
     else:
         tally["n_l1w"] += 1 if size <= 4 else 2
     lines.append(ind + "M[addr:addr + %d] = v_st.to_bytes(%d, 'little')" % (size, size))
+    return stalls
 
 
 # ----------------------------------------------------------------------
@@ -350,8 +373,9 @@ def cga_signature(kernel: CgaKernel) -> tuple:
 # Expression templates reproduce :mod:`repro.isa.semantics` bit-exactly
 # with the dispatch and the lane split/pack allocations removed.  The
 # SIMD lane identities (C4AND == full-width AND, the C4SHIFTL raw-bit
-# form, arithmetic-shift C4SHIFTR) are proven equivalent to the lifted
-# reference forms in the differential suite.
+# form, the SWAR C4SHIFTR, the struct lane unpack) are checked against
+# the lifted reference forms in ``tests/sim/test_lane_templates.py``
+# and the differential suite.
 
 
 def _sx(expr: str) -> str:
@@ -417,6 +441,13 @@ _LANE2_MASK = 0x0000FFFF00000000
 #: Per-lane sign bits / low-15-bit masks for the SWAR q15 add/sub path.
 _SIGN4 = 0x8000800080008000
 _LOW4 = 0x7FFF7FFF7FFF7FFF
+#: One in each lane's LSB: ``m * _LANES1`` replicates a 16-bit mask ``m``.
+_LANES1 = 0x0001000100010001
+
+#: Lane-wise ops whose template unpacks both operands into signed
+#: lanes with one ``_U4(_P8(x))`` call each; ``_P8`` packs 64 bits, so
+#: they need operands no wider than that.
+_UNPACKED = frozenset({Opcode.C4MAX, Opcode.C4MIN, Opcode.D4PROD, Opcode.C4PROD})
 
 
 def _lane_s(x: str, i: int) -> str:
@@ -474,8 +505,14 @@ def _emit_swar_addsub(lines: List[str], ind: str, op: Opcode, target: str, a: st
     lines.append("%s%s = f4" % (ind, target))
 
 
-def _emit_simd(lines: List[str], ind: str, op: Opcode, target: str, a: str, b: Optional[str]) -> None:
-    """Emit ``target = <simd result>`` for raw 64-bit operand vars."""
+def _emit_simd(lines: List[str], ind: str, op: Opcode, target: str, a: str,
+               b: Optional[str], word_bits: int) -> None:
+    """Emit ``target = <simd result>`` for raw operand vars at most
+    *word_bits* wide (the widest register an operand can come from)."""
+    if op in _UNPACKED and word_bits > 64:
+        raise CodegenUnsupported(
+            "%s template needs operands of at most 64 bits, not %d"
+            % (op.value, word_bits))
     if op is Opcode.C4AND:
         lines.append("%s%s = %s & %s" % (ind, target, a, b))
     elif op is Opcode.C4OR:
@@ -490,13 +527,14 @@ def _emit_simd(lines: List[str], ind: str, op: Opcode, target: str, a: str, b: O
             " | ((((%s >> 48) << sh) & 65535) << 48)" % (ind, target, a, a, a, a)
         )
     elif op is Opcode.C4SHIFTR:
+        # SWAR arithmetic shift: shift the whole word, keep each lane's
+        # low ``16 - sh`` bits, then fill its top ``sh`` bits with copies
+        # of its sign (the sign bit times ``2**sh - 1``, moved up by one).
         lines.append("%ssh = %s & 15" % (ind, b))
-        for i in range(4):
-            lines.append("%sa%d = %s" % (ind, i, _lane_s(a, i)))
         lines.append(
-            "%s%s = ((a0 >> sh) & 65535) | (((a1 >> sh) & 65535) << 16)"
-            " | (((a2 >> sh) & 65535) << 32) | (((a3 >> sh) & 65535) << 48)"
-            % (ind, target)
+            "%s%s = ((%s >> sh) & ((65535 >> sh) * %d))"
+            " | (((((%s) & %d) >> sh) * ((1 << sh) - 1)) << 1)"
+            % (ind, target, a, _LANES1, a, _SIGN4)
         )
     elif op is Opcode.C4SWAP32:
         lines.append(
@@ -518,10 +556,9 @@ def _emit_simd(lines: List[str], ind: str, op: Opcode, target: str, a: str, b: O
         )
     elif op in (Opcode.C4ADD, Opcode.C4SUB):
         _emit_swar_addsub(lines, ind, op, target, a, b)
-    elif op in (Opcode.C4MAX, Opcode.C4MIN, Opcode.D4PROD, Opcode.C4PROD):
-        for i in range(4):
-            lines.append("%sa%d = %s" % (ind, i, _lane_s(a, i)))
-            lines.append("%sb%d = %s" % (ind, i, _lane_s(b, i)))
+    elif op in _UNPACKED:
+        lines.append("%sa0, a1, a2, a3 = _U4(_P8(%s))" % (ind, a))
+        lines.append("%sb0, b1, b2, b3 = _U4(_P8(%s))" % (ind, b))
         if op is Opcode.C4MAX:
             lines.append(
                 "%s%s = ((a0 if a0 > b0 else b0) & 65535)"
@@ -594,6 +631,11 @@ class _CgaGen:
         self.cprf_ports = cprf_ports
         self.cdrf_mask = (1 << arch.cdrf.width) - 1
         self.cprf_mask = 1  # PredicateFile is 1-bit regardless of arch.cprf
+        #: The widest value an operand can hold: loads, immediates and
+        #: op results are at most 64 bits; register files may be wider.
+        self.word_bits = max([64, arch.cdrf.width]
+                             + [fu.local_rf.width for fu in arch.fus
+                                if fu.local_rf is not None])
         #: The trip count (>= 1) makes the whole modulo schedule
         #: compile-time (see :meth:`_plan`).
         self.trip = trip
@@ -832,7 +874,9 @@ class _CgaGen:
     # -- issue emission ------------------------------------------------
 
     def _emit_execute(self, lines: List[str], ind: str, rec: _CgaChain, it0: bool,
-                      tally=None) -> None:
+                      tally=None, idle: bool = False) -> None:
+        """Emit one op's operand reads and execution.  *idle* says the op
+        is its context's first memory access (see :meth:`_emit_slot`)."""
         op = rec.op
         if rec.kind == "dataflow":
             arity = operand_count(op.opcode)
@@ -856,7 +900,7 @@ class _CgaGen:
                     if "[" in b:
                         lines.append(ind + "b = %s" % b)
                         b = "b"
-                _emit_simd(lines, ind, op.opcode, target, a, b)
+                _emit_simd(lines, ind, op.opcode, target, a, b, self.word_bits)
             else:
                 use = names[:arity] + ["0"] * (2 - min(arity, 2))
                 lines.append(ind + "%s = %s" % (target, _SCALAR_EXPR[op.opcode](use[0], use[1])))
@@ -877,10 +921,11 @@ class _CgaGen:
                 "%saddr = (((%s) & 4294967295) + ((%s) & 4294967295)) & 4294967295"
                 % (ind, base, off)
             )
+        geom = (self.arch.l1.banks, self.arch.l1.bytes)
         if rec.kind == "load":
-            _emit_inline_read(lines, ind, "physical", info.size,
-                              self.arch.l1.banks, self.arch.l1.bytes, tally=tally)
-            lines.append(ind + "stall_offset += extra")
+            if _emit_inline_read(lines, ind, "physical", info.size, *geom,
+                                 tally=tally, idle=idle):
+                lines.append(ind + "stall_offset += extra")
             target = "w%d_%d" % (rec.oid, rec.n - 1)
             if info.size == 8:
                 lines.append(ind + "%s = raw" % target)
@@ -894,12 +939,12 @@ class _CgaGen:
                                     tally=tally)
             mask = (1 << (info.size * 8)) - 1
             lines.append(ind + "v_st = (%s) & %d" % (sv, mask))
-            _emit_inline_write(lines, ind, "physical", info.size,
-                               self.arch.l1.banks, self.arch.l1.bytes, tally=tally)
-            lines.append(ind + "stall_offset += extra")
+            if _emit_inline_write(lines, ind, "physical", info.size, *geom,
+                                  tally=tally, idle=idle):
+                lines.append(ind + "stall_offset += extra")
 
     def _emit_issue(self, lines: List[str], ind: str, rec: _CgaChain, it0: bool,
-                    tally=None) -> None:
+                    tally=None, idle: bool = False) -> None:
         op = rec.op
         body = ind
         body_tally = tally
@@ -919,7 +964,7 @@ class _CgaGen:
             lines.append(body + "n_fu%d += %d" % (rec.fu, rec.weight))
             lines.append(body + "n_g_%s += %d" % (rec.group.name, rec.weight))
             lines.append(body + "pred_weight += %d" % rec.weight)
-        self._emit_execute(lines, body, rec, it0, tally=body_tally)
+        self._emit_execute(lines, body, rec, it0, tally=body_tally, idle=idle)
 
     # -- whole-function assembly ---------------------------------------
 
@@ -930,7 +975,14 @@ class _CgaGen:
         bank clocks.  A lane that faults lands its exception in
         ``faults[lane]`` — its partial state is unusable (deferred
         counters are lost) and the caller must re-run that lane from
-        scratch — while the remaining lanes complete normally."""
+        scratch — while the remaining lanes complete normally.
+
+        Precondition: every bank clock is at or below the lane's start
+        cycle.  Every bank is then idle when each context starts: after
+        a context at physical cycle ``P`` whose accesses add ``S`` stall
+        cycles, each clock is at most ``P + 1 + S``, the next context's
+        physical cycle.  So each context's first access is served at
+        ``physical`` without arbitration."""
         lines: List[str] = []
         w = lines.append
         w("def _cga_run_batch(trips, start_cycles, preload_cycles_s, imms_s,"
@@ -1082,9 +1134,16 @@ class _CgaGen:
                 else:
                     w(ind + "physical = start_cycle + %d + stall_offset"
                       % (I * ii + p))
+            # Every bank is idle when a context starts (see
+            # :meth:`generate_batch`), so its first memory op, squashed or
+            # not, is the first access and is served at ``physical``.
+            idle = True
             for rec in active:
                 it0 = False if steady else (I == rec.stage)
-                self._emit_issue(lines, ind, rec, it0, tally=tally)
+                self._emit_issue(lines, ind, rec, it0, tally=tally,
+                                 idle=idle and rec.kind != "dataflow")
+                if rec.kind != "dataflow":
+                    idle = False
 
     def _emit_body(self, lines: List[str], ind: str,
                    plan: Tuple[int, int, int]) -> Dict[str, int]:
@@ -1241,7 +1300,9 @@ def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
     per-lane immediate pools, register backing lists and scratchpads); a
     single packet is a one-element batch.  The width is a call-time value, not part of the
     source, so one compile serves every width; the L1 geometry it
-    inlines is covered by ``arch.fingerprint()``.  Per-lane pools come
+    inlines is covered by ``arch.fingerprint()``.  Every lane's bank
+    clocks must be at or below its start cycle (the caller sends other
+    lanes to the reference loop).  Per-lane pools come
     from :func:`cga_imms` of each ``patch_constants`` variant, so every
     lane shares this one compile.  Faulted lanes (``faults[lane]`` set)
     carry unusable partial state and must be re-run from scratch.
@@ -1367,6 +1428,7 @@ class _VliwGen:
         self.end_pc = end_pc
         self.slot_fus = slot_fus
         self.cdrf_mask = (1 << cdrf.width) - 1
+        self.word_bits = max(64, cdrf.width)
         self.ports = (cdrf.read_ports, cdrf.write_ports,
                       cprf.read_ports, cprf.write_ports)
         self.fault = fault
@@ -1465,7 +1527,7 @@ class _VliwGen:
                     if b != "b":
                         lines.append(body + "b = %s" % b)
                         b = "b"
-                _emit_simd(lines, body, inst.opcode, target, a, b)
+                _emit_simd(lines, body, inst.opcode, target, a, b, self.word_bits)
             else:
                 use = names[:arity] + ["0"] * (2 - min(arity, 2))
                 lines.append(

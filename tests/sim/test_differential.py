@@ -16,11 +16,14 @@ a fresh core bit-identically, and the reference-loop fallback for
 programs the code generator refuses.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import paper_core
+from repro.arch.resources import MemorySpec
 from repro.compiler.linker import ProgramLinker
 from repro.isa import Imm, Instruction, Opcode, PredReg, Reg
 from repro.kernels.fshift import build_fshift_pair_dfg, phasor_pair_table_words
@@ -74,6 +77,11 @@ def assert_identical(left: Core, right: Core) -> None:
     assert bytes(left.scratchpad._mem) == bytes(
         right.scratchpad._mem
     ), "scratchpad contents differ"
+    # The timing state too: an arbitration shortcut must leave the exact
+    # bank clocks, not just equal cycle counts.
+    assert left.scratchpad._bank_next_free == right.scratchpad._bank_next_free, (
+        "bank clocks differ"
+    )
     for name in _SCALAR_FIELDS:
         assert getattr(left.stats, name) == getattr(right.stats, name), (
             "stats.%s differs: %r vs %r"
@@ -711,9 +719,9 @@ def test_compiled_xcorr_differential():
 # ----------------------------------------------------------------------
 
 
-def _maker(program, pokes=(), mem=(), interpreter="compiled"):
+def _maker(program, pokes=(), mem=(), interpreter="compiled", arch=None):
     def make_core():
-        core = Core(paper_core(), program, interpreter=interpreter)
+        core = Core(arch or paper_core(), program, interpreter=interpreter)
         for reg, value in pokes:
             core.cdrf.poke(reg, value)
         for addr, value, size in mem:
@@ -1041,3 +1049,124 @@ def test_codegen_refusal_falls_back_to_reference(build):
             assert vliw_fns and None not in vliw_fns
         else:
             assert vliw_fns == [None]
+
+
+# ----------------------------------------------------------------------
+# Idle-bank first access: generated code serves each context's first L1
+# access without arbitration, which needs idle banks at kernel entry
+# (the runner's entry check) and, for 64-bit accesses, two banks.
+# ----------------------------------------------------------------------
+
+
+def k_first_access_q():
+    """The first context loads 64 bits from banks 0 and 1; a second
+    load in the same context queues behind it on bank 1.  (II 3 keeps
+    the live-out's drain within the CDRF write ports, so codegen
+    accepts the kernel.)"""
+    load_q = CgaOp(
+        opcode=Opcode.LD_Q, srcs=(SrcSel.imm(0), SrcSel.imm(0)),
+        dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),),
+    )
+    load_i = CgaOp(opcode=Opcode.LD_I, srcs=(SrcSel.imm(4), SrcSel.imm(0)))
+    return CgaKernel(
+        name="first_q", ii=3, stage_count=1,
+        contexts=[CgaContext(ops={0: load_q, 1: load_i}),
+                  CgaContext(ops={}), CgaContext(ops={})],
+        trip_count=3,
+    )
+
+
+FIRST_ACCESS_MEM = [(0, 0x1122334455667788, 8)]
+
+
+def busy_bank_program():
+    """Kernel entry with banks 0 and 1 busy past the kernel's first cycle.
+
+    The loop runs bundles 1-2 twice so that the second pass hits the
+    instruction cache (a miss would stall the VLIW until the banks are
+    idle again).  On that pass bundle 1's three 64-bit loads from address
+    0 push the clocks of banks 0 and 1 to three cycles past it; bundle 2
+    queues two more loads there and launches the kernel, which starts
+    two cycles before those banks are free.  On the first pass ``p1`` is
+    clear, so the launch is squashed and the branch goes back."""
+    def load_q(reg):
+        return Instruction(Opcode.LD_Q, srcs=(Imm(0), Imm(0)), dst=Reg(reg))
+
+    bundles = [
+        VliwBundle((Instruction(Opcode.PRED_CLEAR, dst=PredReg(1)), None, None)),
+        VliwBundle((load_q(1), load_q(2), load_q(3))),
+        VliwBundle((Instruction(Opcode.CGA, srcs=(Imm(0),), pred=PredReg(1)),
+                    load_q(4), load_q(5))),
+        VliwBundle((Instruction(Opcode.BR, srcs=(Imm(-3),), pred=PredReg(1),
+                                pred_negate=True),
+                    Instruction(Opcode.PRED_SET, dst=PredReg(1)), None)),
+        VliwBundle((Instruction(Opcode.HALT), None, None)),
+    ]
+    return Program(bundles=bundles, kernels={0: k_first_access_q()})
+
+
+def _spy_cga_reference(runner):
+    """Record the lanes *runner* sends to the reference loop."""
+    taken = []
+    original = runner._cga_reference
+
+    def spy(lanes, *args):
+        taken.extend(lanes)
+        return original(lanes, *args)
+
+    runner._cga_reference = spy
+    return taken
+
+
+def _diff_with_spies(program, arch=None):
+    """Reference vs the one-lane compiled core vs a 3-lane batch; returns
+    ``(reference core, lanes the one-lane run sent to the reference
+    loop, lanes the batch sent there)``."""
+    make_core = _maker(program, mem=FIRST_ACCESS_MEM, arch=arch)
+    reference = _maker(program, mem=FIRST_ACCESS_MEM, arch=arch,
+                       interpreter="reference")()
+    reference.run()
+    compiled = make_core()
+    single = _spy_cga_reference(compiled._runner)
+    compiled.run()
+    assert_identical(reference, compiled)
+    runner = BatchProgramRunner()
+    batched = _spy_cga_reference(runner)
+    assert_batched_identical(make_core, reference, runner=runner)
+    for core_runner in (compiled._runner, runner):
+        assert None not in core_runner._cga_fns.values()  # codegen accepted it
+    assert reference.cdrf.peek(10) == 0x1122334455667788
+    return reference, single, batched
+
+
+def test_busy_bank_entry_takes_reference_loop():
+    """A lane whose bank clocks run ahead of the kernel's first cycle
+    takes the reference loop, at width 1 and in a 3-lane batch."""
+    reference, single, batched = _diff_with_spies(busy_bank_program())
+    assert [k["kernel"] for k in reference.kernel_log] == ["first_q"]
+    assert single == [0]
+    assert batched == [0, 1, 2]
+
+
+def one_bank_core():
+    """The default architecture with its L1 in one bank of equal size."""
+    arch = paper_core()
+    l1 = arch.l1
+    return dataclasses.replace(
+        arch, l1=MemorySpec(l1.name, l1.words * l1.banks, l1.width, banks=1))
+
+
+@pytest.mark.parametrize("busy", [False, True], ids=["idle_entry", "busy_entry"])
+def test_one_bank_l1_first_access_stalls(busy):
+    """On a 1-bank L1 a context's first 64-bit access queues its second
+    word behind its first, so the generated code keeps full arbitration
+    for it; with idle banks at entry the generated code runs the
+    kernel, with busy ones the reference loop does."""
+    if busy:
+        program = busy_bank_program()
+    else:
+        program = Program(bundles=enter_and_halt(), kernels={0: k_first_access_q()})
+    reference, single, batched = _diff_with_spies(program, arch=one_bank_core())
+    assert reference.stats.l1_bank_conflicts > 0
+    assert single == ([0] if busy else [])
+    assert batched == ([0, 1, 2] if busy else [])

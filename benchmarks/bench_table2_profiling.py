@@ -6,10 +6,13 @@ VLIW copy rows are fused into their consumers (zero cycles, marked),
 the program is CGA-dominated, and the packet decodes.
 
 It also records the checked-in ``BENCH_table2.json`` at the repo root:
-per Table 2 row the cycles, IPC and stalls by cause, and per linked
-kernel its II next to ResMII/RecMII and its stage count.  The
+per Table 2 row the cycles, IPC and stalls by cause; per linked kernel
+its II next to ResMII/RecMII, its stage count and the placement
+attempts its loop body's modulo search made; and the attempts summed
+over the distinct loop bodies (``search_attempts``: the cold set-up's
+search effort, which, unlike its wall time, repeats exactly).  The
 ``--check`` mode re-measures and fails if any row's cycles, any phase
-total or any kernel's II rises against that file:
+total, any kernel's II or the summed attempts rise against that file:
 
     PYTHONPATH=src python benchmarks/bench_table2_profiling.py --check
     PYTHONPATH=src python benchmarks/bench_table2_profiling.py --write
@@ -64,9 +67,10 @@ def table2_record(run) -> dict:
                 "stall_cycles": stats.stall_cycles,
                 "stalls": stats.stall_breakdown(),
             })
-    kernels = []
+    kernels, plans = [], {}
     for rid, results in run.receiver.region_kernels.items():
         for index, result in enumerate(results):
+            plans[id(result.plan)] = result.plan
             kernels.append({
                 "region": _region_label(rid),
                 "index": index,
@@ -75,6 +79,7 @@ def table2_record(run) -> dict:
                 "res_mii": result.res_mii,
                 "rec_mii": result.rec_mii,
                 "stages": result.stage_count,
+                "attempts": result.plan.attempts,
             })
     return {
         "schema": SCHEMA,
@@ -85,16 +90,22 @@ def table2_record(run) -> dict:
         },
         "rows": rows,
         "kernels": kernels,
+        "search_attempts": sum(plan.attempts for plan in plans.values()),
     }
 
 
 def regressions(record: dict, baseline: dict) -> list:
-    """Rows, totals or kernel IIs of *record* that rose against *baseline*."""
+    """Rows, totals, kernel IIs or search attempts of *record* that rose
+    against *baseline* (a baseline without attempts checks the rest)."""
     problems = []
     for phase, cycles in record["totals"].items():
         if cycles > baseline["totals"][phase]:
             problems.append("%s total: %d > %d cycles"
                             % (phase, cycles, baseline["totals"][phase]))
+    attempts = baseline.get("search_attempts")
+    if attempts is not None and record["search_attempts"] > attempts:
+        problems.append("search attempts: %d > %d"
+                        % (record["search_attempts"], attempts))
 
     def keyed(entries, fields):
         return {tuple(e[f] for f in fields): e for e in entries}
@@ -169,7 +180,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--check", action="store_true",
-                      help="fail if cycles or a kernel's II rose against %s" % BASELINE)
+                      help="fail if cycles, a kernel's II or the search attempts "
+                      "rose against %s" % BASELINE)
     mode.add_argument("--write", action="store_true", help="regenerate %s" % BASELINE)
     args = parser.parse_args(argv)
     run = run_reference_modem(seed=42, cfo_hz=50e3)
@@ -181,9 +193,11 @@ def main(argv=None) -> int:
     with open(BASELINE) as fh:
         baseline = json.load(fh)
     problems = regressions(record, baseline)
-    print("preamble %d cycles (checked in %d), data %d (checked in %d)"
+    print("preamble %d cycles (checked in %d), data %d (checked in %d), "
+          "search attempts %d (checked in %s)"
           % (record["totals"]["preamble"], baseline["totals"]["preamble"],
-             record["totals"]["data"], baseline["totals"]["data"]))
+             record["totals"]["data"], baseline["totals"]["data"],
+             record["search_attempts"], baseline.get("search_attempts", "none")))
     for problem in problems:
         print("REGRESSION: %s" % problem)
     return 1 if problems else 0

@@ -8,11 +8,12 @@ placement and routing, in the spirit of Mei et al. (the paper's ref [6]):
    memory ports, 2 dividers) and recurrence cycles;
 2. for ``II = MII, MII+1, ...``: place operations one by one, highest
    criticality first, onto ``(unit, cycle)`` slots of the modulo routing
-   resource graph; every data edge is *routed*: either the consumer
-   reads the producer's output latch directly over the interconnect
-   (possible while the value's latch live window can be extended), or
-   pass-through move operations (64-bit ``c4add x, 0``) are inserted to
-   re-latch the value closer in space or time;
+   resource graph; every data edge is *routed*: the value waits in a
+   storage row the MRRG offers — its unit's output latch, which the
+   consumer reads over the interconnect, or, when the consumer sits on
+   that unit, one of its local-RF entries — or pass-through move
+   operations (64-bit ``c4add x, 0``) are inserted to re-latch the value
+   closer in space or time, each waiting the same way;
 3. a few randomised restarts are attempted per II before giving up and
    growing II.
 
@@ -29,12 +30,13 @@ loop body, whatever its registers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.arch.config import CgaArchitecture
 from repro.compiler.dfg import CompileError, Const, Dfg, LiveIn, Node, NodeRef
-from repro.compiler.mrrg import Mrrg
+from repro.compiler.mrrg import LATCH, Mrrg
 from repro.isa.bits import MASK64
 from repro.isa.opcodes import Opcode, OpGroup, latency_of
 from repro.sim.program import (
@@ -67,22 +69,29 @@ class _Placed:
 
 
 @dataclass
+class _Resolution:
+    """How one consumer operand is fetched at run time."""
+
+    kind: str  # "imm" | "cdrf:<live-in>" | "lrf" | "latch"
+    value: int = 0  # immediate value / local-RF entry
+    read_fu: int = -1  # latch source for "latch"
+    init: Optional[int] = None  # recurrence first-iteration value
+
+
+def _read(fu: int, row: int, init: Optional[int] = None) -> _Resolution:
+    """The read of a value waiting in storage *row* of unit *fu*."""
+    if row == LATCH:
+        return _Resolution("latch", 0, fu, init)
+    return _Resolution("lrf", row - 1, fu, init)
+
+
+@dataclass
 class _Move:
     uid: int
     fu: int
     time: int
-    read_fu: int  # latch this move reads (wire or self)
+    src: _Resolution  # where the moved value waits
     stage_key: int  # uid of the value's producing node (for diagnostics)
-
-
-@dataclass
-class _Resolution:
-    """How one consumer operand is fetched at run time."""
-
-    kind: str  # "imm" | "cdrf" | "lrf" | "latch"
-    value: int = 0  # immediate value / register index / entry
-    read_fu: int = -1  # latch source for "latch"
-    init: Optional[int] = None  # recurrence first-iteration value
 
 
 @dataclass
@@ -99,6 +108,9 @@ class ScheduleResult:
     #: The two lower bounds MII is the larger of.
     res_mii: int
     rec_mii: int
+    #: The search this kernel was bound from (shared by every kernel
+    #: with the same loop body).
+    plan: "SchedulePlan" = field(repr=False, compare=False)
 
 
 @dataclass
@@ -123,7 +135,12 @@ class SchedulePlan:
     liveout_moves: Dict[int, int]
     #: (fu, entry, live-in name) local-RF preloads
     preloads: List[Tuple[int, int, str]]
+    #: uid of a node or move -> local-RF entry its commit writes
+    lrf_writes: Dict[int, int]
     utilization: float
+    #: Placement attempts the search made: failed IIs x restarts, plus
+    #: the one that succeeded.  Deterministic for a body and seed.
+    attempts: int = 1
 
     def bind(
         self,
@@ -154,16 +171,19 @@ class SchedulePlan:
             if res.kind.startswith("cdrf:"):
                 name = res.kind.split(":", 1)[1]
                 return SrcSel.cdrf(live_in_regs[name])
-            if res.kind.startswith("lrf:"):
-                return SrcSel.lrf(res.value)
-            if res.kind == "latch":
+            if res.kind == "lrf":
+                base = SrcSel.lrf(res.value)
+            elif res.kind == "latch":
                 base = (
                     SrcSel.self_() if res.read_fu == self_fu else SrcSel.wire(res.read_fu)
                 )
-                if res.init is not None:
-                    base = base.with_init(res.init)
-                return base
-            raise CompileError("unresolved operand (%s)" % res.kind)
+            else:
+                raise CompileError("unresolved operand (%s)" % res.kind)
+            return base if res.init is None else base.with_init(res.init)
+
+        def lrf_dst(uid: int) -> List[DstSel]:
+            entry = self.lrf_writes.get(uid)
+            return [] if entry is None else [DstSel(DstKind.LRF, entry)]
 
         for node in dfg.nodes.values():
             p = self.placements[node.node_id]
@@ -175,7 +195,7 @@ class SchedulePlan:
             pred_sel = None
             if node.pred is not None:
                 pred_sel = src_sel(self.resolutions[(node.node_id, "pred")], p.fu)
-            dsts: List[DstSel] = []
+            dsts = lrf_dst(node.node_id)
             if node.live_out is not None and node.node_id not in self.liveout_moves:
                 dsts.append(
                     DstSel(
@@ -195,8 +215,7 @@ class SchedulePlan:
 
         for m in self.moves:
             phase, stage = m.time % ii, m.time // ii
-            src = SrcSel.self_() if m.read_fu == m.fu else SrcSel.wire(m.read_fu)
-            dsts = [
+            dsts = lrf_dst(m.uid) + [
                 DstSel(
                     DstKind.CDRF,
                     live_out_regs[dfg.nodes[nid].live_out],
@@ -207,7 +226,7 @@ class SchedulePlan:
             ]
             contexts[phase].ops[m.fu] = CgaOp(
                 opcode=MOVE_OPCODE,
-                srcs=(src, SrcSel.imm(0)),
+                srcs=(src_sel(m.src, m.fu), SrcSel.imm(0)),
                 dsts=tuple(dsts),
                 stage=stage,
             )
@@ -233,6 +252,7 @@ class SchedulePlan:
             mii=self.mii,
             res_mii=self.res_mii,
             rec_mii=self.rec_mii,
+            plan=self,
         )
 
 
@@ -315,9 +335,11 @@ class ModuloScheduler:
         # Large DFGs take noticeably longer per attempt; fewer restarts
         # per II keeps compile times reasonable at a minor II cost.
         restarts = self.restarts if self.dfg.op_count() <= 60 else 2
+        attempts = 0
         for ii in range(mii, self.max_ii + 1):
             for restart in range(restarts):
                 rng = random.Random(self.seed * 7919 + ii * 131 + restart)
+                attempts += 1
                 try:
                     plan = self._attempt(ii, bounds, rng, heights, alap)
                 except CompileError as exc:
@@ -335,6 +357,7 @@ class ModuloScheduler:
                             },
                         )
                     continue
+                plan.attempts = attempts
                 if tracer.enabled:
                     tracer.instant(
                         "modulo.scheduled",
@@ -346,6 +369,7 @@ class ModuloScheduler:
                             "mii": plan.mii,
                             "stages": plan.stage_count,
                             "moves": len(plan.moves),
+                            "attempts": attempts,
                             "utilization": plan.utilization,
                         },
                     )
@@ -485,8 +509,25 @@ class ModuloScheduler:
             resolutions=resolutions,
             liveout_moves={nid: m.uid for nid, m in liveout_moves.items()},
             preloads=mrrg.preload_list(),
+            lrf_writes=self._lrf_writes(mrrg, placements, moves),
             utilization=mrrg.utilization(),
         )
+
+    def _lrf_writes(
+        self, mrrg: Mrrg, placements: Dict[int, _Placed], moves: List[_Move]
+    ) -> Dict[int, int]:
+        """uid -> local-RF entry, for every commit routed into one."""
+        commits = [
+            (p.uid, p.fu, p.avail)
+            for p in placements.values()
+            if not self.dfg.nodes[p.uid].is_store
+        ] + [(m.uid, m.fu, m.time + MOVE_LATENCY) for m in moves]
+        out: Dict[int, int] = {}
+        for uid, fu, commit_time in commits:
+            entry = mrrg.lrf_write_at(fu, commit_time)
+            if entry is not None:
+                out[uid] = entry
+        return out
 
     def _operands(self, node: Node) -> List[Tuple[object, object]]:
         """(key, operand) pairs including the guard predicate."""
@@ -602,12 +643,12 @@ class ModuloScheduler:
                         "cdrf:%s" % ref.name, 0, fu
                     )
                 else:
-                    if not mrrg.lrf_alloc_free(fu, ref.name):
+                    if not (mrrg.lrf_alloc_free(fu, ref.name)
+                            and mrrg.lrf_read_free(fu, t)):
                         raise _RouteFail()
                     entry = mrrg.claim_lrf(fu, ref.name)
-                    resolutions[(node.node_id, key)] = _Resolution(
-                        "lrf:%s" % ref.name, entry, fu
-                    )
+                    mrrg.claim_lrf_read(fu, t)
+                    resolutions[(node.node_id, key)] = _Resolution("lrf", entry, fu)
             elif isinstance(ref, NodeRef):
                 if ref.node_id == node.node_id:
                     producer: _Placed = placed
@@ -617,13 +658,9 @@ class ModuloScheduler:
                     # Back edge whose producer is not placed yet; the
                     # producer resolves it when it is placed.
                     continue
-                read_time = t + ref.distance * ii
-                read_fu = self._route(
-                    producer, fu, read_time, ii, mrrg, moves, move_uid,
-                    value_uid=producer.uid,
-                )
-                resolutions[(node.node_id, key)] = _Resolution(
-                    "latch", 0, read_fu, init=ref.init
+                resolutions[(node.node_id, key)] = self._route(
+                    producer, fu, t + ref.distance * ii, ii, mrrg, moves,
+                    move_uid, ref.init,
                 )
 
         placements[node.node_id] = placed
@@ -642,13 +679,9 @@ class ModuloScheduler:
                     and operand.node_id == node.node_id
                     and (consumer.node_id, key) not in resolutions
                 ):
-                    read_time = c.time + operand.distance * ii
-                    read_fu = self._route(
-                        placed, c.fu, read_time, ii, mrrg, moves, move_uid,
-                        value_uid=node.node_id,
-                    )
-                    resolutions[(consumer.node_id, key)] = _Resolution(
-                        "latch", 0, read_fu, init=operand.init
+                    resolutions[(consumer.node_id, key)] = self._route(
+                        placed, c.fu, c.time + operand.distance * ii, ii, mrrg,
+                        moves, move_uid, operand.init,
                     )
 
         # Live-out write-back.
@@ -671,84 +704,67 @@ class ModuloScheduler:
         mrrg: Mrrg,
         moves: List[_Move],
         move_uid: List[int],
-        value_uid: int,
-    ) -> int:
+        init: Optional[int],
+    ) -> _Resolution:
         """Route *producer*'s value so *dst_fu* can read it at *read_time*.
 
-        Returns the FU whose latch the consumer reads.  Claims all
-        resources (window extensions, move slots/commits).  Raises
+        Every wait, before each re-latching move and before the final
+        read, takes the storage row :meth:`Mrrg.place_to_wait` offers.
+        Returns how the consumer reads the value (a phi with *init*);
+        claims all resources (waits, move slots/commits).  Raises
         :class:`_RouteFail` when no route exists.
         """
-        ic = self.arch.interconnect
         avail = producer.avail
         if read_time < avail:
             raise _RouteFail()
-
-        def reaches(src_fu: int) -> bool:
-            return src_fu == dst_fu or ic.connected(src_fu, dst_fu)
-
-        # Direct read from the producer's latch.
-        slack = read_time - avail
-        if reaches(producer.fu) and slack <= ii - 1:
-            if mrrg.can_extend_window(producer.fu, avail, slack):
-                mrrg.extend_window(producer.fu, avail, slack)
-                return producer.fu
-
-        # Breadth-first search over re-latching moves (bounded depth).
-        # State: (n_moves, fu, avail); explore a few re-latch times per hop.
-        best: Optional[List[Tuple[int, int, int]]] = None  # [(fu, t_m, from_fu)]
-        frontier: List[Tuple[int, int, int, List[Tuple[int, int, int]]]] = [
-            (0, producer.fu, avail, [])
-        ]
-        visited = {(producer.fu, avail)}
-        while frontier:
-            n_moves, cur_fu, cur_avail, path = frontier.pop(0)
-            if n_moves >= 3:
-                continue
-            for nxt_fu in ic.successors(cur_fu):
-                # Candidate re-latch times: as early as possible first.
-                t_lo = cur_avail
-                t_hi = min(cur_avail + ii - 1, read_time - MOVE_LATENCY)
-                found_t = None
-                for t_m in range(t_lo, t_hi + 1):
-                    if not mrrg.slot_free(nxt_fu, t_m):
-                        continue
-                    if not mrrg.commit_free(nxt_fu, t_m + MOVE_LATENCY):
-                        continue
-                    if not mrrg.can_extend_window(cur_fu, cur_avail, t_m - cur_avail):
-                        continue
-                    found_t = t_m
-                    break
-                if found_t is None:
-                    continue
-                new_avail = found_t + MOVE_LATENCY
-                state = (nxt_fu, new_avail)
-                if state in visited:
-                    continue
-                visited.add(state)
-                new_path = path + [(nxt_fu, found_t, cur_fu)]
-                final_slack = read_time - new_avail
-                if reaches(nxt_fu) and 0 <= final_slack <= ii - 1:
-                    if mrrg.can_extend_window(nxt_fu, new_avail, final_slack):
-                        best = new_path
-                        break
-                frontier.append((n_moves + 1, nxt_fu, new_avail, new_path))
-            if best is not None:
-                break
-        if best is None:
-            raise _RouteFail()
-        # Claim the route.
-        prev_fu, prev_avail = producer.fu, avail
-        for hop_fu, t_m, from_fu in best:
-            mrrg.extend_window(prev_fu, prev_avail, t_m - prev_avail)
+        path: List[Tuple[int, int]] = []
+        if mrrg.place_to_wait(producer.fu, avail, read_time - avail, dst_fu) is None:
+            path = self._relatch_path(producer, dst_fu, read_time, ii, mrrg)
+        fu, at = producer.fu, avail
+        for hop_fu, t_m in path:
+            row = mrrg.hold(fu, at, t_m - at, hop_fu)
             mrrg.claim_slot(hop_fu, t_m, move_uid[0])
             mrrg.claim_commit(hop_fu, t_m + MOVE_LATENCY)
-            moves.append(_Move(move_uid[0], hop_fu, t_m, prev_fu, value_uid))
+            moves.append(_Move(move_uid[0], hop_fu, t_m, _read(fu, row), producer.uid))
             move_uid[0] += 1
-            prev_fu, prev_avail = hop_fu, t_m + MOVE_LATENCY
-        final_slack = read_time - prev_avail
-        mrrg.extend_window(prev_fu, prev_avail, final_slack)
-        return prev_fu
+            fu, at = hop_fu, t_m + MOVE_LATENCY
+        return _read(fu, mrrg.hold(fu, at, read_time - at, dst_fu), init)
+
+    def _relatch_path(
+        self, producer: _Placed, dst_fu: int, read_time: int, ii: int, mrrg: Mrrg
+    ) -> List[Tuple[int, int]]:
+        """The fewest re-latching moves ``[(unit, issue time)]`` (at most 3)
+        after which the value can wait for *dst_fu*: a breadth-first
+        search that tries each successor unit at its earliest feasible
+        re-latch time."""
+        successors = self.arch.interconnect.successors
+        frontier = deque([(producer.fu, producer.avail, [])])
+        visited = {(producer.fu, producer.avail)}
+        while frontier:
+            cur_fu, cur_avail, path = frontier.popleft()
+            if len(path) >= 3:
+                continue
+            t_hi = min(cur_avail + ii - 1, read_time - MOVE_LATENCY)
+            for nxt_fu in successors(cur_fu):
+                for t_m in range(cur_avail, t_hi + 1):
+                    if (
+                        mrrg.slot_free(nxt_fu, t_m)
+                        and mrrg.commit_free(nxt_fu, t_m + MOVE_LATENCY)
+                        and mrrg.place_to_wait(cur_fu, cur_avail, t_m - cur_avail, nxt_fu)
+                        is not None
+                    ):
+                        break
+                else:
+                    continue
+                new_avail = t_m + MOVE_LATENCY
+                if (nxt_fu, new_avail) in visited:
+                    continue
+                visited.add((nxt_fu, new_avail))
+                new_path = path + [(nxt_fu, t_m)]
+                if mrrg.place_to_wait(nxt_fu, new_avail, read_time - new_avail, dst_fu) is not None:
+                    return new_path
+                frontier.append((nxt_fu, new_avail, new_path))
+        raise _RouteFail()
 
     def _place_liveout_move(
         self,
@@ -761,11 +777,8 @@ class ModuloScheduler:
         move_uid: List[int],
     ) -> None:
         """Route a live-out value to a CDRF-ported unit and write it there."""
-        ic = self.arch.interconnect
         avail = placed.avail
         for vliw_fu in [fu.index for fu in self.arch.vliw_fus]:
-            if not (vliw_fu == placed.fu or ic.connected(placed.fu, vliw_fu)):
-                continue
             for t_m in range(avail, avail + ii):
                 if not mrrg.slot_free(vliw_fu, t_m):
                     continue
@@ -773,13 +786,15 @@ class ModuloScheduler:
                     continue
                 if not mrrg.cdrf_write_free(t_m + MOVE_LATENCY):
                     continue
-                if not mrrg.can_extend_window(placed.fu, avail, t_m - avail):
+                if mrrg.place_to_wait(placed.fu, avail, t_m - avail, vliw_fu) is None:
                     continue
-                mrrg.extend_window(placed.fu, avail, t_m - avail)
+                row = mrrg.hold(placed.fu, avail, t_m - avail, vliw_fu)
                 mrrg.claim_slot(vliw_fu, t_m, move_uid[0])
                 mrrg.claim_commit(vliw_fu, t_m + MOVE_LATENCY)
                 mrrg.claim_cdrf_write(t_m + MOVE_LATENCY)
-                move = _Move(move_uid[0], vliw_fu, t_m, placed.fu, node.node_id)
+                move = _Move(
+                    move_uid[0], vliw_fu, t_m, _read(placed.fu, row), node.node_id
+                )
                 moves.append(move)
                 liveout_moves[node.node_id] = move
                 move_uid[0] += 1

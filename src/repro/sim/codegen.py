@@ -253,10 +253,12 @@ def _emit_inline_write(lines: List[str], ind: str, cycle_var: str, size: int,
 # ----------------------------------------------------------------------
 #
 # The signature keys the cache; the pool carries everything the
-# signature excludes (immediate and phi-init values) as runtime
-# arguments.  Both walk the kernel in one canonical order (contexts in
-# sequence, FUs sorted within a context, pred before srcs within an op)
-# so a signature hit guarantees pool-slot agreement.
+# signature excludes (immediate and phi-init values, central-RF
+# register indices read or written) as runtime arguments, so kernels
+# that differ only in those share one source.  Both walk the kernel in
+# one canonical order (contexts in sequence, FUs sorted within a
+# context, pred before srcs before dsts within an op) so a signature hit
+# guarantees pool-slot agreement.
 
 
 def _iter_cga_ops(kernel: CgaKernel) -> Iterator[Tuple[int, int, int, object]]:
@@ -280,9 +282,15 @@ def _pool_value(op, src_index: Optional[int], sel: SrcSel) -> int:
     return value
 
 
+#: Source kinds whose register index lives in the pool, not the source.
+_POOLED_SRCS = (SrcKind.CDRF, SrcKind.CPRF)
+
+
 def _cga_pool_map(kernel: CgaKernel):
     """Return ``(values, site_index)`` where ``site_index`` maps
-    ``(ctx, fu, role, src_index)`` to ``(imm_slot, init_slot)``."""
+    ``(ctx, fu, role, index)`` to ``(slot, init_slot)``: the pool slot
+    of an immediate's value or a central register's index, and of a
+    phi's init.  Role ``"dst"`` sites are central-RF writes."""
     values: List[int] = []
     index: Dict[tuple, Tuple[Optional[int], Optional[int]]] = {}
     for ci, _pos, fu, op in _iter_cga_ops(kernel):
@@ -296,15 +304,23 @@ def _cga_pool_map(kernel: CgaKernel):
             if sel.kind is SrcKind.IMM:
                 imm_slot = len(values)
                 values.append(_pool_value(op, i, sel))
+            elif sel.kind in _POOLED_SRCS:
+                imm_slot = len(values)
+                values.append(sel.value)
             if sel.init is not None:
                 init_slot = len(values)
                 values.append(sel.init & MASK64)
             index[(ci, fu, role, i)] = (imm_slot, init_slot)
+        for j, dst in enumerate(op.dsts):
+            if dst.kind is not DstKind.LRF:
+                index[(ci, fu, "dst", j)] = (len(values), None)
+                values.append(dst.index)
     return values, index
 
 
 def cga_imms(kernel: CgaKernel) -> Tuple[int, ...]:
-    """The kernel's immediate pool, in canonical site order."""
+    """The kernel's runtime pool (immediates, phi inits, central
+    register indices), in canonical site order."""
     return tuple(_cga_pool_map(kernel)[0])
 
 
@@ -332,17 +348,17 @@ def _sel_sig(sel: Optional[SrcSel]) -> Optional[tuple]:
         return None
     return (
         sel.kind.value,
-        None if sel.kind is SrcKind.IMM else sel.value,
+        None if sel.kind is SrcKind.IMM or sel.kind in _POOLED_SRCS else sel.value,
         sel.init is not None,
     )
 
 
 def cga_signature(kernel: CgaKernel) -> tuple:
     """Structural identity of a kernel: everything except immediate and
-    phi-init *values* (pooled), the trip count, preloads and the name.
-    The one value-dependent bit is whether an identity-with-zero site
-    (:func:`_zero_site`) holds 0, so a hit stays valid under
-    ``patch_constants``."""
+    phi-init *values* and central-RF register indices (all pooled), the
+    trip count, preloads and the name.  The one value-dependent bit is
+    whether an identity-with-zero site (:func:`_zero_site`) holds 0, so
+    a hit stays valid under ``patch_constants``."""
     ctxs = []
     for ctx in kernel.contexts:
         ops = []
@@ -359,7 +375,11 @@ def cga_signature(kernel: CgaKernel) -> tuple:
                     op.pred_negate,
                     _sel_sig(op.pred),
                     srcs,
-                    tuple((d.kind.value, d.index, d.last_iteration_only) for d in op.dsts),
+                    tuple(
+                        (d.kind.value, d.index if d.kind is DstKind.LRF else None,
+                         d.last_iteration_only)
+                        for d in op.dsts
+                    ),
                 )
             )
         ctxs.append(tuple(ops))
@@ -642,6 +662,11 @@ class _CgaGen:
         self.pool, self.pool_index = _cga_pool_map(kernel)
         self.latch_fus = set()
         self.lrf_fus = set()
+        #: (fu, entry) of every local-RF access; the entries live in
+        #: locals ``r<fu>_<entry>`` while the kernel runs.
+        self.lrf_entries = set()
+        #: The written ones, stored back to the register file at the end.
+        self.lrf_written = set()
         self.ops: List[_CgaChain] = []
         self.by_issue: Dict[int, List[_CgaChain]] = {}
         self.by_commit: Dict[int, List[_CgaChain]] = {}
@@ -705,9 +730,7 @@ class _CgaGen:
                     )
                 self.latch_fus.add(sel.value)
             elif kind is SrcKind.LRF:
-                if arch.fus[fu].local_rf is None:
-                    raise fault("FU%d has no local register file" % fu)
-                self.lrf_fus.add(fu)
+                self._lrf_entry(fu, sel.value)
             elif kind in (SrcKind.CDRF, SrcKind.CPRF):
                 if not arch.fus[fu].has_cdrf_port:
                     raise fault("FU%d has no central RF port" % fu)
@@ -715,11 +738,21 @@ class _CgaGen:
                 self.latch_fus.add(fu)
         for dst in rec.op.dsts:
             if dst.kind is DstKind.LRF:
-                if arch.fus[fu].local_rf is None:
-                    raise fault("FU%d has no local register file" % fu)
-                self.lrf_fus.add(fu)
+                self.lrf_written.add(self._lrf_entry(fu, dst.index))
             elif not arch.fus[fu].has_cdrf_port:
                 raise fault("FU%d has no central RF port" % fu)
+
+    def _lrf_entry(self, fu: int, index: int) -> Tuple[int, int]:
+        spec = self.arch.fus[fu].local_rf
+        if spec is None:
+            raise self.fault("FU%d has no local register file" % fu)
+        if not 0 <= index < spec.entries:
+            # The reference tier fails only if the access executes;
+            # entries held in locals would be read at kernel entry.
+            raise CodegenUnsupported("FU%d local RF has no entry %d" % (fu, index))
+        self.lrf_fus.add(fu)
+        self.lrf_entries.add((fu, index))
+        return fu, index
 
     def _drain_entries(self):
         """``(D, chain, j)`` commits that can still be pending after the
@@ -807,19 +840,19 @@ class _CgaGen:
                 lines.append(ind + "n_lrf_r += 1")
             else:
                 tally["n_lrf_r"] += 1
-            return "L%d[%d]" % (fu, sel.value)
+            return "r%d_%d" % (fu, sel.value)
         if kind is SrcKind.CDRF:
             if tally is None:
                 lines.append(ind + "n_cdrf_r += 1")
             else:
                 tally["n_cdrf_r"] += 1
-            return "CD[%d]" % sel.value
+            return "CD[imm_%d]" % imm_slot
         if kind is SrcKind.CPRF:
             if tally is None:
                 lines.append(ind + "n_cprf_r += 1")
             else:
                 tally["n_cprf_r"] += 1
-            return "CP[%d]" % sel.value
+            return "CP[imm_%d]" % imm_slot
         return "imm_%d" % imm_slot
 
     def _read_operand(self, lines: List[str], ind: str, rec: _CgaChain,
@@ -838,27 +871,33 @@ class _CgaGen:
 
     # -- commit emission -----------------------------------------------
 
-    def _emit_dst(self, lines: List[str], ind: str, rec: _CgaChain, dst, val: str,
-                  tally=None) -> None:
+    def _emit_dst(self, lines: List[str], ind: str, rec: _CgaChain, j: int, dst,
+                  val: str, tally=None) -> None:
         if dst.kind is DstKind.LRF:
-            mask = (1 << self.arch.fus[rec.fu].local_rf.width) - 1
+            width = self.arch.fus[rec.fu].local_rf.width
             if tally is None:
                 lines.append(ind + "n_lrf_w += 1")
             else:
                 tally["n_lrf_w"] += 1
-            lines.append(ind + "L%d[%d] = %s & %d" % (rec.fu, dst.index, val, mask))
+            # Only a file narrower than the widest operand value masks.
+            masked = val if width >= self.word_bits else "%s & %d" % (val, (1 << width) - 1)
+            lines.append(ind + "r%d_%d = %s" % (rec.fu, dst.index, masked))
         elif dst.kind is DstKind.CDRF:
             if tally is None:
                 lines.append(ind + "n_cdrf_w += 1")
             else:
                 tally["n_cdrf_w"] += 1
-            lines.append(ind + "CD[%d] = %s & %d" % (dst.index, val, self.cdrf_mask))
+            lines.append(ind + "CD[imm_%d] = %s & %d"
+                         % (self.pool_index[(rec.ci, rec.fu, "dst", j)][0], val,
+                            self.cdrf_mask))
         else:
             if tally is None:
                 lines.append(ind + "n_cprf_w += 1")
             else:
                 tally["n_cprf_w"] += 1
-            lines.append(ind + "CP[%d] = %s & %d" % (dst.index, val, self.cprf_mask))
+            lines.append(ind + "CP[imm_%d] = %s & %d"
+                         % (self.pool_index[(rec.ci, rec.fu, "dst", j)][0], val,
+                            self.cprf_mask))
 
     def _emit_commit_writes(self, lines: List[str], ind: str, rec: _CgaChain,
                             val: str, last: bool, tally=None) -> None:
@@ -866,10 +905,10 @@ class _CgaGen:
         *last* says statically whether the committing iteration is the
         last one, which decides the ``last_iteration_only`` writes."""
         lines.append(ind + "l_%d = %s" % (rec.fu, val))
-        for d in rec.op.dsts:
+        for j, d in enumerate(rec.op.dsts):
             if d.last_iteration_only and not last:
                 continue
-            self._emit_dst(lines, ind, rec, d, val, tally=tally)
+            self._emit_dst(lines, ind, rec, j, d, val, tally=tally)
 
     # -- issue emission ------------------------------------------------
 
@@ -1184,6 +1223,8 @@ class _CgaGen:
             w(ind + ", ".join("imm_%d" % i for i in range(n_imms)) + " = imms")
         for fu in sorted(self.lrf_fus):
             w(ind + "L%d = local_rfs[%d]._regs" % (fu, fu))
+        for fu, entry in sorted(self.lrf_entries):
+            w(ind + "r%d_%d = L%d[%d]" % (fu, entry, fu, entry))
         # Predicated ops tally issue counters per iteration: keep those
         # in one integer local per FU / op group and flush them with the
         # closed-form (unpredicated) totals in the epilogue.
@@ -1286,6 +1327,8 @@ class _CgaGen:
         w(ind + "stats.add_stall(_BC, stall_offset)")
         for fu in sorted(self.latch_fus):
             w(ind + "out_latch[%d] = l_%d" % (fu, fu))
+        for fu, entry in sorted(self.lrf_written):
+            w(ind + "L%d[%d] = r%d_%d" % (fu, entry, fu, entry))
         w(ind + "ends[_b] = start_cycle + total_logical + stall_offset + drain")
 
 

@@ -5,9 +5,11 @@ Python interpretation of the DFG (using the shared ISA semantics) must
 equal the value produced by modulo-scheduling the DFG onto the 4x4
 array and executing it on the cycle-accurate simulator.  This covers the
 scheduler's placement/routing legality, phi initialisation, stage
-gating, latch lifetimes and move insertion in one property.
+gating, latch lifetimes, local-RF holds and move insertion in one
+property; a seeded sweep checks that the local-RF routes are exercised.
 """
 
+import random
 from typing import Dict, List
 
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from repro.compiler.linker import ProgramLinker
 from repro.isa import Opcode
 from repro.isa.bits import MASK64
 from repro.isa.semantics import execute as exec_semantics
-from repro.sim import Core
+from repro.sim import CgaKernel, Core
+from repro.sim.program import DstKind
 
 #: Dataflow opcodes the generator may pick (2-source, no memory).
 OP_POOL = [
@@ -67,21 +70,25 @@ def interpret(dfg: Dfg, trip: int) -> int:
     return live_out_value
 
 
-@st.composite
-def random_dfg(draw):
-    """A random loop body: a DAG of arithmetic ops + one accumulator."""
+def build_body(rng: random.Random):
+    """A random loop body: a DAG of arithmetic ops + one accumulator.
+
+    Up to 24 ops, so many bodies need II >= 2 on the 16-unit array; there
+    a value read a cycle or more after its commit by an op on the same
+    unit (an accumulator reading itself, or an operand reused later)
+    waits in that unit's local RF."""
     kb = KernelBuilder("prop")
-    n_ops = draw(st.integers(min_value=1, max_value=8))
+    n_ops = rng.randint(1, 24)
     refs: List = []
     for _ in range(n_ops):
-        op = draw(st.sampled_from(OP_POOL))
+        op = rng.choice(OP_POOL)
         def operand():
-            if refs and draw(st.booleans()):
-                return draw(st.sampled_from(refs))
-            return Const(draw(st.integers(min_value=0, max_value=MASK64)))
+            if refs and rng.random() < 0.5:
+                return rng.choice(refs)
+            return Const(rng.randint(0, MASK64))
         refs.append(kb.op(op, operand(), operand()))
-    acc_op = draw(st.sampled_from([Opcode.ADD, Opcode.XOR, Opcode.C4ADD]))
-    init = draw(st.integers(min_value=0, max_value=MASK64))
+    acc_op = rng.choice([Opcode.ADD, Opcode.XOR, Opcode.C4ADD])
+    init = rng.randint(0, MASK64)
     kb.accumulate(acc_op, refs[-1], init=init, live_out="out")
     # Mark any dangling roots as consumed via a cheap combine so the
     # DFG has no dead code.
@@ -102,19 +109,51 @@ def random_dfg(draw):
             node.live_out = "aux%d" % names
             kb.dfg.live_outs.append(node.live_out)
             names += 1
-    trip = draw(st.integers(min_value=1, max_value=6))
+    trip = rng.randint(1, 6)
     return kb.finish(), trip
 
 
-@settings(max_examples=25, deadline=None)
-@given(random_dfg())
-def test_compiled_kernel_matches_interpreter(case):
-    dfg, trip = case
+def run_body(dfg: Dfg, trip: int) -> CgaKernel:
+    """Schedule, link and run *dfg*; assert the live-out matches the
+    interpreter and return the scheduled kernel."""
     expected = interpret(dfg, trip)
     arch = paper_core()
     linker = ProgramLinker(arch, seed=1)
     outs = linker.call_kernel(dfg, live_ins={}, trip_count=trip)
-    core = Core(arch, linker.link())
+    program = linker.link()
+    core = Core(arch, program)
     core.run()
-    got = core.cdrf.peek(outs["out"].index)
-    assert got == expected
+    assert core.cdrf.peek(outs["out"].index) == expected
+    return program.kernels[0]
+
+
+def routes_through_lrf(kernel: CgaKernel) -> bool:
+    return any(
+        dst.kind is DstKind.LRF
+        for context in kernel.contexts
+        for op in context.ops.values()
+        for dst in op.dsts
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_compiled_kernel_matches_interpreter(rng):
+    run_body(*build_body(rng))
+
+
+#: Bodies of the seeded sweep below; at least this share of them must
+#: route a value through a local RF (28 of 40 do).
+SEEDED_BODIES = 40
+MIN_LRF_SHARE = 0.5
+
+
+def test_seeded_bodies_exercise_local_rf_routing():
+    """The property over a fixed sweep that is known to reach the
+    local-RF routes: every body matches the interpreter, and at least
+    half of them hold a value in a local RF."""
+    routed = sum(
+        routes_through_lrf(run_body(*build_body(random.Random(seed))))
+        for seed in range(SEEDED_BODIES)
+    )
+    assert routed >= MIN_LRF_SHARE * SEEDED_BODIES, routed

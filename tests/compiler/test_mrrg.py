@@ -4,7 +4,7 @@ import pytest
 
 from repro.arch import paper_core
 from repro.compiler.dfg import CompileError
-from repro.compiler.mrrg import Mrrg
+from repro.compiler.mrrg import LATCH, Mrrg
 
 
 @pytest.fixture
@@ -28,6 +28,9 @@ class TestSlots:
 
 
 class TestCommitsAndWindows:
+    """The latch row of the storage table (unit 2 has no local RF, so a
+    value it commits can only wait in its latch)."""
+
     def test_commit_uniqueness(self, mrrg):
         mrrg.claim_commit(2, 1)
         assert not mrrg.commit_free(2, 5)  # same phase
@@ -35,7 +38,7 @@ class TestCommitsAndWindows:
 
     def test_window_blocks_foreign_commits(self, mrrg):
         mrrg.claim_commit(2, 0)
-        mrrg.extend_window(2, 0, 2)  # value live through phases 1, 2
+        assert mrrg.hold(2, 0, 2, reader=2) == LATCH  # live through phases 1, 2
         assert not mrrg.commit_free(2, 1)
         assert not mrrg.commit_free(2, 2)
         assert mrrg.commit_free(2, 3)
@@ -43,17 +46,17 @@ class TestCommitsAndWindows:
     def test_window_cannot_swallow_existing_commit(self, mrrg):
         mrrg.claim_commit(2, 0)
         mrrg.claim_commit(2, 2)
-        assert mrrg.can_extend_window(2, 0, 1)
-        assert not mrrg.can_extend_window(2, 0, 2)
+        assert mrrg.place_to_wait(2, 0, 1, reader=2) == LATCH
+        assert mrrg.place_to_wait(2, 0, 2, reader=2) is None
 
     def test_window_bounded_by_ii(self, mrrg):
         mrrg.claim_commit(2, 0)
-        assert not mrrg.can_extend_window(2, 0, 4)  # >= II
-        assert mrrg.can_extend_window(2, 0, 3)
+        assert mrrg.place_to_wait(2, 0, 4, reader=2) is None  # >= II
+        assert mrrg.place_to_wait(2, 0, 3, reader=2) == LATCH
 
     def test_window_wraps_modulo_ii(self, mrrg):
         mrrg.claim_commit(2, 3)
-        mrrg.extend_window(2, 3, 2)  # live through phases 0 and 1
+        mrrg.hold(2, 3, 2, reader=2)  # live through phases 0 and 1
         assert not mrrg.commit_free(2, 0)
         assert not mrrg.commit_free(2, 1)
         assert mrrg.commit_free(2, 2)
@@ -115,3 +118,95 @@ class TestCheckpoint:
         assert mrrg.utilization() == 0.0
         mrrg.claim_slot(0, 0, uid=1)
         assert mrrg.utilization() == pytest.approx(1 / 64)
+
+
+class TestStorageTable:
+    """One table per unit: the latch row plus one row per local-RF entry."""
+
+    def test_same_unit_wait_takes_an_lrf_entry(self, mrrg):
+        mrrg.claim_commit(5, 0)
+        assert mrrg.place_to_wait(5, 0, 2, reader=5) == 1  # entry 0
+        assert mrrg.hold(5, 0, 2, reader=5) == 1
+        # The entry's window blocks no commit on the unit, unlike a latch
+        # window, and the commit now also writes entry 0.
+        assert mrrg.commit_free(5, 1) and mrrg.commit_free(5, 2)
+        assert mrrg.lrf_write_at(5, 0) == 0
+        assert mrrg.lrf_write_at(5, 1) is None
+
+    def test_wire_reader_and_immediate_reader_use_the_latch(self, mrrg):
+        mrrg.claim_commit(5, 0)
+        assert mrrg.place_to_wait(5, 0, 0, reader=5) == LATCH
+        neighbour = [fu for fu in mrrg.arch.interconnect.successors(5) if fu != 5][0]
+        assert mrrg.place_to_wait(5, 0, 2, reader=neighbour) == LATCH
+        stranger = [fu for fu in range(16)
+                    if not mrrg.arch.interconnect.connected(5, fu)][0]
+        assert mrrg.place_to_wait(5, 0, 1, reader=stranger) is None
+
+    def test_vliw_unit_waits_in_its_latch(self, mrrg):
+        mrrg.claim_commit(0, 0)
+        assert mrrg.hold(0, 0, 2, reader=0) == LATCH
+        assert not mrrg.commit_free(0, 1)
+
+    def test_one_entry_per_value_shared_by_its_readers(self, mrrg):
+        mrrg.claim_commit(5, 0)
+        assert mrrg.hold(5, 0, 1, reader=5) == 1
+        assert mrrg.hold(5, 0, 3, reader=5) == 1  # same value, longer window
+        mrrg.claim_commit(5, 1)
+        # Another value committed inside that window needs another entry.
+        assert mrrg.hold(5, 1, 1, reader=5) == 2
+
+    def test_entries_are_reused_between_disjoint_lifetimes(self, mrrg):
+        mrrg.claim_commit(5, 0)
+        mrrg.hold(5, 0, 1, reader=5)  # entry 0 live at phase 1
+        mrrg.claim_commit(5, 2)
+        assert mrrg.hold(5, 2, 1, reader=5) == 1  # phases 2..3 are free
+
+    def test_entry_budget_counts_live_in_preloads(self, mrrg):
+        for k in range(7):
+            mrrg.claim_lrf(5, "v%d" % k)
+        mrrg.claim_commit(5, 0)
+        assert mrrg.hold(5, 0, 1, reader=5) == 8  # the last entry
+        mrrg.claim_commit(5, 1)
+        # Entry 7 holds the phase-0 value through phase 1: no room left.
+        assert mrrg.place_to_wait(5, 1, 1, reader=5) == LATCH
+        assert not mrrg.lrf_alloc_free(5, "v7")
+
+    def test_preload_never_shares_a_routed_entry(self, mrrg):
+        mrrg.claim_commit(5, 0)
+        mrrg.hold(5, 0, 1, reader=5)
+        assert mrrg.claim_lrf(5, "base") == 1  # not entry 0
+
+    def test_third_lrf_read_in_a_phase_is_refused(self, mrrg):
+        mrrg.claim_lrf_read(5, 3)
+        mrrg.claim_commit(5, 0)
+        assert mrrg.hold(5, 0, 3, reader=5) == 1  # second read at phase 3
+        assert not mrrg.lrf_read_free(5, 3)
+        assert mrrg.lrf_read_free(5, 2)
+        with pytest.raises(CompileError):
+            mrrg.claim_lrf_read(5, 7)  # phase 3 again
+        # With no port left the value can only wait in the latch.
+        mrrg.claim_commit(5, 1)
+        assert mrrg.place_to_wait(5, 1, 2, reader=5) == LATCH
+
+    def test_lifetime_of_ii_is_refused(self, mrrg):
+        mrrg.claim_commit(5, 0)
+        assert mrrg.place_to_wait(5, 0, 4, reader=5) is None  # == II
+        assert mrrg.place_to_wait(5, 0, 3, reader=5) == 1  # II - 1
+        with pytest.raises(CompileError):
+            mrrg.hold(5, 0, 4, reader=5)
+
+    def test_restore_rolls_back_entry_claims(self, mrrg):
+        mrrg.claim_lrf(5, "base")
+        snap = mrrg.checkpoint()
+        mrrg.claim_commit(5, 0)
+        mrrg.hold(5, 0, 2, reader=5)
+        mrrg.claim_lrf(5, "coeff")
+        mrrg.claim_lrf_read(5, 1)
+        mrrg.restore(snap)
+        assert mrrg.lrf_write_at(5, 0) is None
+        assert mrrg.lrf_entry_for(5, "coeff") is None
+        assert mrrg.lrf_read_free(5, 1) and mrrg.lrf_read_free(5, 2)
+        assert mrrg.commit_free(5, 0)
+        assert mrrg.preload_list() == [(5, 0, "base")]
+        # The rolled-back entry is free again, for a preload too.
+        assert mrrg.claim_lrf(5, "coeff") == 1

@@ -19,7 +19,7 @@ from repro.compiler.linker import (
 )
 from repro.compiler.modulo import ModuloScheduler, SchedulePlan
 from repro.isa import Opcode
-from repro.sim.program import SrcKind
+from repro.sim.program import DstKind, SrcKind
 
 
 def _make_dfg(name="cache_probe", step=4):
@@ -188,7 +188,7 @@ def _registers_read(kernel):
             for sel in op.srcs + ((op.pred,) if op.pred is not None else ()):
                 if sel.kind is SrcKind.CDRF:
                     reads.add(sel.value)
-            writes.update(dst.index for dst in op.dsts)
+            writes.update(dst.index for dst in op.dsts if dst.kind is DstKind.CDRF)
     return reads, {p.cdrf_reg for p in kernel.preloads}, writes
 
 

@@ -42,7 +42,7 @@ from repro.sim import (
 from repro.sim.batch import BatchProgramRunner
 from repro.sim.cga import CgaFault
 from repro.sim.memory import MemoryError_
-from repro.sim.program import DstKind, Preload
+from repro.sim.program import DstKind, Preload, SrcKind
 from repro.sim.stats import _COUNTER_FIELDS, _SCALAR_FIELDS
 from repro.trace.tracer import Tracer
 
@@ -535,9 +535,9 @@ def test_fft_stage_routes_moves_without_saturating_adds():
                   if line.startswith(target) and line != target + "_A"]
         assert len(copies) == issue_sites(rec)
         for operand in copies:
-            assert re.fullmatch(r"l_\d+|imm_\d+|(CD|CP|L\d+)\[\d+\]", operand), operand
+            assert re.fullmatch(r"l_\d+|imm_\d+|r\d+_\d+|(CD|CP)\[imm_\d+\]", operand), operand
     swar = [line for line in lines if line.startswith("o4 = ")]
-    assert len(swar) == sum(issue_sites(rec) for rec in addsub) == 51
+    assert len(swar) == sum(issue_sites(rec) for rec in addsub) == 68
 
 
 # ----------------------------------------------------------------------
@@ -712,6 +712,118 @@ def test_compiled_xcorr_differential():
     for other in cores[1:]:
         assert_identical(cores[0], other)
     assert_batched_identical(make_core, cores[0])
+
+
+def test_live_out_register_variants_share_one_compilation():
+    """Two calls of one loop body that differ only in their live-out
+    register (the receiver's 16 ``xcorr_p*`` calls) key one generated
+    source: central register indices ride in the runtime pool, so one
+    function runs both kernels, and every tier leaves the same state."""
+    import numpy as np
+
+    from repro.kernels.common import store_complex_array
+    from repro.sim import codegen
+
+    n = 16
+    rng = np.random.default_rng(5)
+    sig = 0.25 * (rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n))
+    ref = 0.25 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    arch = paper_core()
+    linker = ProgramLinker(arch)
+    outs = [
+        linker.call_kernel(build_xcorr_dfg("xcorr_p%d" % k),
+                           live_ins={"base": 4 * k, "ref": 2048}, trip_count=n // 2)
+        for k in range(2)
+    ]
+    program = linker.link()
+    first, second = (program.kernels[k] for k in range(2))
+    assert outs[0]["corr"].index != outs[1]["corr"].index
+    assert codegen.cga_signature(first) == codegen.cga_signature(second)
+    assert codegen.cga_imms(first) != codegen.cga_imms(second)
+    ports = ((6, 3), (6, 3))
+    assert (codegen.cga_batch_runner(first, arch, CgaFault, *ports, n // 2)
+            is codegen.cga_batch_runner(second, arch, CgaFault, *ports, n // 2))
+
+    def make_core(interpreter="compiled"):
+        core = Core(arch, program, interpreter=interpreter)
+        store_complex_array(core.scratchpad, 0, *quantize_complex(sig))
+        store_complex_array(core.scratchpad, 2048, *quantize_complex(ref))
+        return core
+
+    cores = []
+    for interpreter in INTERPRETERS:
+        core = make_core(interpreter)
+        core.run()
+        cores.append(core)
+    assert_identical(cores[0], cores[1])
+    runner = BatchProgramRunner()
+    assert_batched_identical(make_core, cores[0], runner=runner)
+    # One (signature, trip) entry: both kernels ran the same function.
+    assert len(runner._cga_fns) == 1 and None not in runner._cga_fns.values()
+    values = [cores[0].cdrf.peek(out["corr"].index) for out in outs]
+    assert values[0] != values[1]
+
+
+def test_lrf_hold_at_mii_differential():
+    """A loop body whose only schedule at MII holds a value in a local
+    RF, run bit-identically on every tier (LRF contents and bank clocks
+    included).
+
+    On the 2x2 test core eight latency-1 ops at MII 2 fill all eight
+    issue slots, so no routing move fits and every unit commits in
+    both phases, so no latch can keep a value past its commit.  The
+    induction reads its own previous value ``II - 1 = 1`` cycle after
+    the commit, so that value must wait in a local-RF entry: the same
+    body on units without local RFs only schedules at II 3.
+    """
+    from repro.arch import small_test_core
+    from repro.compiler import KernelBuilder
+    from repro.compiler.dfg import Const
+    from repro.compiler.modulo import ModuloScheduler
+    from repro.isa.semantics import execute
+
+    def body():
+        kb = KernelBuilder("lrf_hold")
+        i = kb.induction(0, 1)
+        a = kb.op(Opcode.XOR, i, Const(0x5A5A))
+        b = kb.op(Opcode.ADD, i, Const(0x0F0F0F0F0F))
+        c = kb.op(Opcode.SUB, a, b)
+        d = kb.op(Opcode.OR, a, b)
+        e = kb.op(Opcode.XOR, c, d)
+        f = kb.op(Opcode.ADD, c, d)
+        kb.op(Opcode.SUB, e, f, live_out="out")
+        return kb.finish()
+
+    arch = small_test_core()
+    search = ModuloScheduler(body(), arch)
+    plan = search.schedule()
+    assert (plan.ii, search.min_ii(), len(plan.moves)) == (2, 2, 0)
+    assert plan.lrf_writes, "the plan must route a value through a local RF"
+    no_lrf = dataclasses.replace(arch, fus=tuple(
+        dataclasses.replace(fu, local_rf=None) for fu in arch.fus))
+    assert ModuloScheduler(body(), no_lrf).schedule().ii == 3
+
+    linker = ProgramLinker(arch)
+    out = linker.call_kernel(body(), live_ins={}, trip_count=7)["out"]
+    program = linker.link()
+    (kernel,) = program.kernels.values()
+    writes = [(fu, dst.index) for ctx in kernel.contexts
+              for fu, op in ctx.ops.items() for dst in op.dsts
+              if dst.kind is DstKind.LRF]
+    reads = [(fu, src.value) for ctx in kernel.contexts
+             for fu, op in ctx.ops.items() for src in op.srcs
+             if src.kind is SrcKind.LRF]
+    assert writes and set(writes) == set(reads)
+    reference = run_both(program, arch=arch)
+    assert reference.stats.lrf_writes == 7 and reference.stats.lrf_reads == 6
+    a = execute(Opcode.XOR, [6, 0x5A5A])
+    b = execute(Opcode.ADD, [6, 0x0F0F0F0F0F])
+    c, d = execute(Opcode.SUB, [a, b]), execute(Opcode.OR, [a, b])
+    expected = execute(Opcode.SUB, [execute(Opcode.XOR, [c, d]),
+                                    execute(Opcode.ADD, [c, d])])
+    assert reference.cdrf.peek(out.index) == expected
+    fu, entry = writes[0]
+    assert reference.local_rfs[fu].peek(entry) == 6  # the last induction value
 
 
 # ----------------------------------------------------------------------
@@ -1023,12 +1135,36 @@ def deep_pipeline_program():
     return Program(bundles=enter_and_halt(), kernels={0: kernel}), ()
 
 
+def squashed_lrf_overflow_program():
+    """A kernel codegen refuses: it names local-RF entry 8 of an
+    8-entry file.  The op is predicated off, so the reference loop
+    never reads it; generated code holds every named entry in a local
+    from kernel entry on, so it must not run this kernel."""
+    acc = CgaOp(
+        opcode=Opcode.ADD,
+        srcs=(SrcSel.self_().with_init(3), SrcSel.imm(5)),
+        dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),),
+    )
+    never = CgaOp(
+        opcode=Opcode.ADD,
+        srcs=(SrcSel.lrf(8), SrcSel.imm(1)),
+        pred=SrcSel.imm(0),
+    )
+    kernel = CgaKernel(
+        name="lrf_overflow", ii=1, stage_count=1,
+        contexts=[CgaContext(ops={0: acc, 4: never})], trip_count=4,
+    )
+    return Program(bundles=enter_and_halt(), kernels={0: kernel}), ()
+
+
 @pytest.mark.parametrize(
-    "build", [refused_cga_program, deep_pipeline_program, refused_vliw_program],
+    "build", [refused_cga_program, deep_pipeline_program, refused_vliw_program,
+              squashed_lrf_overflow_program],
     ids=lambda b: b.__name__)
 def test_codegen_refusal_falls_back_to_reference(build):
     """Codegen refuses the program (the static port-pressure proof
-    fails, or a kernel would unroll too many slots); the runner runs it
+    fails, a kernel would unroll too many slots, or it names a local-RF
+    entry the unit lacks); the runner runs it
     on the reference loop, one lane at a time, and both the one-lane
     compiled core and a 3-lane batch stay bit-identical to the
     reference tier."""

@@ -12,6 +12,10 @@ while scraping every endpoint over real HTTP, then checks:
   check per worker, every worker having beaten at least once;
 * ``/report.json`` round-trips as JSON with the fabric report schema;
 * ``/events.json`` holds the lifecycle ring (server start at minimum);
+* attach mode: the fetched report, written to a file and served by
+  ``python -m repro.obs --report FILE --port 0``, scrapes to a page
+  that lints clean and equals ``fabric_prometheus_text`` of the same
+  report;
 * decoded bits still match the serial baseline (scraping is read-only).
 
 Exit status 0 on success — this is the CI ``obs-smoke`` gate.
@@ -22,14 +26,16 @@ Run:  PYTHONPATH=src python benchmarks/obs_smoke.py [--packets 3]
 import argparse
 import json
 import os
+import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(_HERE), "src"))
 
-from repro.fabric import FABRIC_REPORT_SCHEMA, Fabric
+from repro.fabric import FABRIC_REPORT_SCHEMA, Fabric, fabric_prometheus_text
 from repro.obs import lint_exposition
 from repro.runtime import ModemRuntime, generate_packets
 
@@ -49,6 +55,38 @@ _REQUIRED_FAMILIES = (
 def _get(url, timeout=10):
     with urllib.request.urlopen(url, timeout=timeout) as resp:
         return resp.status, resp.read().decode("utf-8")
+
+
+def _attach_failures(report) -> list:
+    """Serve *report* from a file in attach mode and scrape ``/metrics``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fabric_report.json")
+        with open(path, "w") as fh:
+            json.dump(report, fh)
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(_HERE), "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.obs", "--report", path, "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            url = line.split(" at ", 1)[1].split()[0] if " at " in line else None
+            if url is None:
+                return ["attach mode printed no URL: %r" % line]
+            status, page = _get(url + "/metrics")
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+    failures = []
+    if status != 200:
+        failures.append("attach /metrics returned HTTP %d" % status)
+    problems = lint_exposition(page)
+    if problems:
+        failures.append("attach exposition lint: %s" % problems)
+    if page != fabric_prometheus_text(report):
+        failures.append("attach /metrics differs from fabric_prometheus_text(report)")
+    return failures
 
 
 def main(argv=None) -> int:
@@ -115,6 +153,7 @@ def main(argv=None) -> int:
         beats = [w["heartbeats"] for w in report["per_worker"]]
         if not all(b > 0 for b in beats):
             failures.append("worker(s) never beat: heartbeats %r" % beats)
+        failures.extend(_attach_failures(report))
 
         status, body = _get(url + "/events.json")
         events = json.loads(body)
@@ -131,7 +170,7 @@ def main(argv=None) -> int:
         return 1
     print(
         "obs smoke ok: %d packets decoded, %d scrapes clean, heartbeats %r"
-        % (len(cases), 4, beats)
+        % (len(cases), 5, beats)
     )
     return 0
 

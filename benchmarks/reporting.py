@@ -18,9 +18,11 @@ from datetime import datetime, timezone
 from typing import Optional
 
 # Shared latency math (nearest-rank percentiles) lives with the fabric
-# report code; every bench runs with src/ on the path, so re-exporting it
-# here keeps one implementation for benches and the serving layer alike.
-from repro.fabric.report import latency_percentiles, latency_summary, percentile
+# report code and repro.obs.window; every bench runs with src/ on the
+# path, so re-exporting it here keeps one implementation for benches and
+# the serving layer alike.
+from repro.fabric.report import latency_percentiles, latency_summary
+from repro.obs.window import percentile
 
 __all__ = [
     "BENCH_REPORT_SCHEMA",

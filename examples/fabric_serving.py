@@ -36,7 +36,6 @@ from repro.fabric import (
     Fabric,
     FabricTaskError,
     fabric_prometheus_text,
-    fabric_report_json,
     poisson_stream,
     run_stream,
     stream_truth,
@@ -146,7 +145,7 @@ def main(argv=None) -> int:
     )
 
     print("\n--- fabric report (JSON) ---")
-    print(fabric_report_json(report))
+    print(json.dumps(report, indent=1, sort_keys=True))
     print("\n--- fabric report (Prometheus) ---")
     print(fabric_prometheus_text(report), end="")
     return 0

@@ -38,7 +38,7 @@ from repro.arch.config import CgaArchitecture
 from repro.compiler.dfg import CompileError, Const, Dfg, LiveIn, Node, NodeRef
 from repro.compiler.mrrg import LATCH, Mrrg
 from repro.isa.bits import MASK64
-from repro.isa.opcodes import Opcode, OpGroup, latency_of
+from repro.isa.opcodes import Opcode, OpGroup
 from repro.sim.program import (
     CgaContext,
     CgaKernel,
@@ -60,12 +60,12 @@ class _Placed:
     uid: int
     fu: int
     time: int
-    opcode: Opcode
+    latency: int
 
     @property
     def avail(self) -> int:
         """Absolute cycle at which the result appears in the output latch."""
-        return self.time + latency_of(self.opcode)
+        return self.time + self.latency
 
 
 @dataclass
@@ -418,28 +418,33 @@ class ModuloScheduler:
         # id order is a valid topological order.  Sort stably by height
         # descending within windows of the topological order: schedule
         # in id order but, among ready nodes, pick the tallest.
-        deps = {
-            nid: [
+        unmet: Dict[int, int] = {}
+        consumers: Dict[int, List[int]] = {nid: [] for nid in self.dfg.nodes}
+        for nid, node in self.dfg.nodes.items():
+            deps = [
                 ref.node_id
                 for _key, ref in self._operands(node)
                 if isinstance(ref, NodeRef) and ref.distance == 0
             ]
-            for nid, node in self.dfg.nodes.items()
-        }
-        remaining = set(self.dfg.nodes)
-        placed: set = set()
+            unmet[nid] = len(deps)
+            for dep in deps:
+                consumers[dep].append(nid)
+        ready = {nid for nid, count in unmet.items() if count == 0}
         order: List[Node] = []
-        while remaining:
-            ready = [
-                nid for nid in remaining if all(d in placed for d in deps[nid])
-            ]
-            if not ready:  # pragma: no cover - guarded by Dfg validation
-                raise CompileError("cyclic distance-0 dependences")
-            ready.sort(key=lambda nid: (-heights[nid], rng.random()))
-            pick = ready[0]
+        while ready:
+            # Ascending id order before the keyed sort, so each
+            # rng.random() draw lands on the same node for a given seed.
+            candidates = sorted(ready)
+            candidates.sort(key=lambda nid: (-heights[nid], rng.random()))
+            pick = candidates[0]
             order.append(self.dfg.nodes[pick])
-            remaining.remove(pick)
-            placed.add(pick)
+            ready.remove(pick)
+            for consumer in consumers[pick]:
+                unmet[consumer] -= 1
+                if not unmet[consumer]:
+                    ready.add(consumer)
+        if len(order) < len(self.dfg.nodes):  # pragma: no cover - guarded by Dfg validation
+            raise CompileError("cyclic distance-0 dependences")
         return order
 
     def _candidate_fus(self, node: Node, rng: random.Random) -> List[int]:
@@ -626,7 +631,7 @@ class ModuloScheduler:
         produces = not node.is_store
         if produces:
             mrrg.claim_commit(fu, t + lat)
-        placed = _Placed(node.node_id, fu, t, node.opcode)
+        placed = _Placed(node.node_id, fu, t, lat)
 
         # Resolve this node's operands.
         for key, ref in self._operands(node):

@@ -19,9 +19,9 @@ and the hierarchical dataflow baseband architectures in PAPERS.md).
   stay bit-identical to a serial :class:`~repro.modem.receiver.SimReceiver`
   run — and the slot is respawned;
 - :mod:`repro.fabric.stream` drives Poisson packet arrivals with mixed
-  CFO/SNR/shape, and :mod:`repro.fabric.report` renders per-worker and
-  fabric-level counters plus latency percentiles as JSON or Prometheus
-  text.
+  CFO/SNR/shape, and :mod:`repro.fabric.report` declares the
+  Prometheus families rendered from ``Fabric.report()`` (per-worker and
+  fabric-level counters plus latency percentiles).
 """
 
 from repro.fabric.dispatcher import POLICIES, Dispatcher, FabricTask, WorkerState
@@ -36,13 +36,10 @@ from repro.fabric.fabric import (
     SubmitTimeout,
 )
 from repro.fabric.report import (
-    COMPATIBLE_REPORT_SCHEMAS,
     FABRIC_REPORT_SCHEMA,
     fabric_prometheus_text,
-    fabric_report_json,
     latency_percentiles,
     latency_summary,
-    percentile,
     scenario_accounting,
 )
 from repro.fabric.stream import (
@@ -56,7 +53,6 @@ from repro.fabric.stream import (
 
 __all__ = [
     "BACKPRESSURE_MODES",
-    "COMPATIBLE_REPORT_SCHEMAS",
     "DEFAULT_SCENARIO_MIX",
     "DeadlineExceeded",
     "Dispatcher",
@@ -72,11 +68,9 @@ __all__ = [
     "SubmitTimeout",
     "WorkerState",
     "fabric_prometheus_text",
-    "fabric_report_json",
     "latency_percentiles",
     "latency_summary",
     "mixed_scenario_stream",
-    "percentile",
     "poisson_stream",
     "run_stream",
     "scenario_accounting",

@@ -45,7 +45,11 @@ import numpy as np
 
 from repro.compiler.linker import schedule_cache_dir, schedule_cache_stats
 from repro.fabric.dispatcher import Dispatcher, FabricTask, WorkerState
-from repro.fabric.report import FABRIC_REPORT_SCHEMA, latency_summary
+from repro.fabric.report import (
+    FABRIC_REPORT_SCHEMA,
+    fabric_prometheus_text,
+    latency_summary,
+)
 from repro.fabric.worker import (
     MSG_BYE,
     MSG_ERROR,
@@ -57,6 +61,7 @@ from repro.fabric.worker import (
 )
 from repro.obs.heartbeat import Watchdog
 from repro.obs.window import EventLog, MetricsWindow
+from repro.sim.codegen import codegen_stats
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 #: Supported submission backpressure modes.
@@ -906,21 +911,12 @@ class Fabric:
 
     def metrics_text(self) -> str:
         """The live report as Prometheus exposition text (``/metrics``)."""
-        from repro.fabric.report import fabric_prometheus_text
-
         return fabric_prometheus_text(self.report())
 
     @staticmethod
     def _cache_telemetry() -> dict:
         """Parent-side schedule-cache and codegen counters."""
-        cache = {"schedule": schedule_cache_stats()}
-        try:
-            from repro.sim.codegen import codegen_stats
-
-            cache["codegen"] = codegen_stats()
-        except ImportError:  # pragma: no cover - codegen tier missing
-            pass
-        return cache
+        return {"schedule": schedule_cache_stats(), "codegen": codegen_stats()}
 
     def report(self) -> dict:
         """The fabric report: counters, per-worker stats, latencies."""

@@ -4,10 +4,10 @@ Everything the repo could report before this package existed was
 end-of-run: trace run-reports, ``Fabric.report()``, bench JSON.
 ``repro.obs`` turns those into *live* surfaces:
 
-- :mod:`repro.obs.prom` — the one escaping-correct Prometheus
-  exposition builder (``# HELP``/``# TYPE`` headers, label rendering)
-  shared by ``repro.trace.export`` and ``repro.fabric.report``, plus a
-  lint pass CI runs over every scraped page;
+- :mod:`repro.obs.prom` — the declared metric :class:`Family` and the
+  one escaping-correct :func:`exposition` renderer that
+  ``repro.trace.export`` and ``repro.fabric.report`` declare their
+  pages for, plus a lint pass CI runs over every scraped page;
 - :mod:`repro.obs.window` — bounded ring-buffer rolling windows
   (counters, gauge series, nearest-rank percentiles) so ``/metrics``
   reports last-60s behaviour instead of lifetime averages, and the
@@ -28,8 +28,10 @@ without cycles (``repro.obs`` is a leaf package like ``repro.trace``).
 """
 
 from repro.obs.prom import (
+    Family,
     escape_help_text,
     escape_label_value,
+    exposition,
     lint_exposition,
     prom_header,
     prom_sample,
@@ -53,6 +55,7 @@ from repro.obs.server import ObsServer, serve_fabric
 
 __all__ = [
     "EventLog",
+    "Family",
     "HEARTBEAT_INTERVAL_S",
     "MetricsWindow",
     "ObsServer",
@@ -62,6 +65,7 @@ __all__ = [
     "WindowedSeries",
     "escape_help_text",
     "escape_label_value",
+    "exposition",
     "heartbeat_payload",
     "lint_exposition",
     "percentile",

@@ -1,12 +1,13 @@
 """Attach mode: serve somebody else's report file as a live endpoint.
 
-``python -m repro.obs --report PATH`` watches a report JSON file — a
-``Fabric.report()`` dump, or any dict with a ``counters`` mapping —
-and serves it through the same four endpoints an in-process
-:class:`~repro.obs.server.ObsServer` exposes.  The file is re-read on
-every scrape, so a bench (or a fabric on another host sharing a
-filesystem) that rewrites its report periodically becomes scrapeable
-without embedding an HTTP server.
+``python -m repro.obs --report PATH`` watches a ``Fabric.report()``
+JSON dump and serves it through the same four endpoints an in-process
+:class:`~repro.obs.server.ObsServer` exposes; ``/metrics`` renders the
+file through the fabric's declared families, so an attached page equals
+the live one for the same report.  The file is re-read on every
+scrape, so a bench (or a fabric on another host sharing a filesystem)
+that rewrites its report periodically becomes scrapeable without
+embedding an HTTP server.
 
 ``/healthz`` in attach mode reports on the *file*: ``pass`` while its
 mtime is fresher than ``--stale-after`` seconds, ``fail`` once the
@@ -23,28 +24,13 @@ import json
 import os
 import time
 
-from repro.fabric.report import COMPATIBLE_REPORT_SCHEMAS, fabric_prometheus_text
+from repro.fabric.report import fabric_prometheus_text
 from repro.obs.server import ObsServer
 
 
 def _load(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def _metrics_for(report: dict) -> str:
-    """Render whatever report dict the file holds as exposition text."""
-    if report.get("schema") in COMPATIBLE_REPORT_SCHEMAS:
-        return fabric_prometheus_text(report)
-    # Generic fallback: flat numeric counters under a neutral prefix.
-    from repro.obs.prom import prom_header, prom_sample
-
-    lines = []
-    for name, value in sorted(report.get("counters", {}).items()):
-        if isinstance(value, (int, float)):
-            lines.extend(prom_header("repro_obs_" + name, "untyped", "Attached counter."))
-            lines.append(prom_sample("repro_obs_" + name, value))
-    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -65,7 +51,7 @@ def main(argv=None) -> int:
         return _load(args.report)
 
     def metrics() -> str:
-        return _metrics_for(report())
+        return fabric_prometheus_text(report())
 
     def health() -> dict:
         try:
@@ -90,7 +76,7 @@ def main(argv=None) -> int:
         host=args.host, port=args.port,
     ).start()
     print("serving %s at %s  (/metrics /healthz /report.json /events.json)"
-          % (args.report, server.url))
+          % (args.report, server.url), flush=True)
     try:
         while True:
             time.sleep(3600)

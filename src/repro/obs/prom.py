@@ -1,13 +1,14 @@
-"""Prometheus exposition building blocks (shared, escaping-correct).
+"""Prometheus exposition: declared families, one renderer, a linter.
 
-Both Prometheus renderers in this repo (``repro.trace.export`` for
-simulator activity counters, ``repro.fabric.report`` for the serving
-layer) historically interpolated label values straight into
-``name{label="value"}`` — a value containing ``"`` or ``\\`` produced
-an unparseable page.  This module is the one place label values and
-``# HELP`` text are escaped per the exposition-format spec
-(``\\`` → ``\\\\``, ``"`` → ``\\"``, newline → ``\\n``), and the one
-place ``# HELP``/``# TYPE`` family headers are built.
+Every page in this repo is a tuple of :class:`Family` declarations
+rendered by :func:`exposition`: ``repro.fabric.report`` declares the
+serving layer's families, ``repro.trace.export`` the simulator's.  A
+family holds its name, type and ``# HELP`` text once, plus a function
+that yields its ``(suffix, labels, value)`` samples from a source dict;
+the renderer writes the ``# HELP``/``# TYPE`` header, skips ``None``
+samples and leaves out a family with nothing left.  Label values and
+HELP text are escaped here per the exposition-format spec (``\\`` →
+``\\\\``, ``"`` → ``\\"``, newline → ``\\n``).
 
 :func:`lint_exposition` is the self-check CI's ``obs-smoke`` job runs
 over every scraped page: family headers present, metric names legal,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 #: Legal metric / label name per the Prometheus data model.
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -64,6 +65,44 @@ def prom_header(name: str, mtype: str, help_text: str) -> List[str]:
         "# HELP %s %s" % (name, escape_help_text(help_text)),
         "# TYPE %s %s" % (name, mtype),
     ]
+
+
+#: One sample: name suffix (``""``, ``"_count"``, ...), labels, value.
+Sample = Tuple[str, Optional[Dict[str, object]], object]
+
+
+class Family(NamedTuple):
+    """One metric family, declared once: ``samples(source)`` yields its
+    :data:`Sample` rows (``None`` values are not rendered)."""
+
+    name: str
+    type: str
+    help: str
+    samples: Callable[[dict], Iterable[Sample]]
+
+
+def exposition(
+    families: Sequence[Family],
+    source: dict,
+    labels: Optional[Dict[str, object]] = None,
+) -> str:
+    """Render *families* over *source* as one exposition page.
+
+    *labels* are constant labels added to every sample (a sample's own
+    label of the same name wins).  A family whose samples are all
+    ``None`` is left out entirely, header included.
+    """
+    lines: List[str] = []
+    for family in families:
+        rows = [row for row in family.samples(source) if row[2] is not None]
+        if not rows:
+            continue
+        lines.extend(prom_header(family.name, family.type, family.help))
+        for suffix, own, value in rows:
+            lines.append(
+                prom_sample(family.name + suffix, value, dict(labels or {}, **(own or {})))
+            )
+    return "\n".join(lines) + "\n"
 
 
 def _parse_labels(block: str) -> Optional[List[Tuple[str, str]]]:

@@ -14,8 +14,7 @@ clock, and takes an internal lock so a scrape from the
 pump thread mid-append.
 
 :func:`percentile` — nearest-rank, every reported number an
-actually-observed sample — is canonical here (stdlib-only leaf module);
-``repro.fabric.report`` re-exports it for compatibility.
+actually-observed sample — lives here (stdlib-only leaf module).
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ traces.
 
 Prometheus text
 ---------------
-:func:`prometheus_text` renders counters in the Prometheus exposition
-format (``# TYPE`` headers plus ``name{label="..."} value`` samples) so
-a run's statistics can be diffed or scraped with standard tooling.
+:func:`prometheus_text` renders the counters declared in
+:data:`SIM_FAMILIES` with the shared :func:`repro.obs.prom.exposition`
+renderer, so a run's statistics can be diffed or scraped with standard
+tooling.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+# Stdlib-only leaf module (like this one); no cycle, see repro.obs.
+from repro.obs.prom import Family, exposition
 from repro.trace.tracer import Tracer
 
 #: Stable thread ids per category; unknown categories get ids above these.
@@ -114,13 +117,39 @@ def write_chrome_trace(path: str, tracer: Tracer, meta: Optional[dict] = None) -
 
 _PREFIX = "repro_sim_"
 
-#: Help text for the keyed families; scalar counters get a generic line.
-_KEYED_HELP = {
-    "fu_ops": "Executed operations per functional unit.",
-    "op_group_ops": "Executed operations per ISA operation group.",
-    "stall_cycles_by_cause": "Stalled cycles attributed per cause "
-    "(causes sum exactly to stall_cycles).",
-}
+#: ``ActivityStats`` scalar counters (``as_dict()["counters"]``), sorted.
+_COUNTERS = (
+    "bus_reads", "bus_writes", "cdrf_reads", "cdrf_writes", "cga_cycles",
+    "cga_ops", "config_words", "cprf_reads", "cprf_writes", "dma_words",
+    "icache_hits", "icache_misses", "interconnect_transfers",
+    "l1_bank_conflicts", "l1_conflict_stall_cycles", "l1_reads", "l1_writes",
+    "lrf_reads", "lrf_writes", "sleep_cycles", "squashed_ops", "stall_cycles",
+    "vliw_cycles", "vliw_ops",
+)
+
+
+def _counter(name: str) -> Family:
+    return Family(
+        _PREFIX + name, "counter", "Simulator activity counter %s." % name,
+        lambda data: [("", None, data.get("counters", {}).get(name))],
+    )
+
+
+def _keyed(name: str, key: str, label: str, help_text: str) -> Family:
+    def samples(data):
+        for item, value in sorted(data.get(key, {}).items(), key=lambda kv: str(kv[0])):
+            yield "", {label: item}, value
+    return Family(_PREFIX + name, "counter", help_text, samples)
+
+
+#: Every Prometheus family rendered from ``ActivityStats.as_dict()``.
+SIM_FAMILIES = tuple(_counter(name) for name in _COUNTERS) + (
+    _keyed("fu_ops", "fu_ops", "fu", "Executed operations per functional unit."),
+    _keyed("op_group_ops", "op_groups", "group",
+           "Executed operations per ISA operation group."),
+    _keyed("stall_cycles_by_cause", "stall_causes", "cause",
+           "Stalled cycles attributed per cause (causes sum exactly to stall_cycles)."),
+)
 
 
 def prometheus_text(stats, labels: Optional[Dict[str, object]] = None) -> str:
@@ -129,33 +158,7 @@ def prometheus_text(stats, labels: Optional[Dict[str, object]] = None) -> str:
     Scalar counters become ``repro_sim_<name>``; keyed counters become
     labelled series (``repro_sim_fu_ops{fu="3"}``,
     ``repro_sim_stall_cycles_by_cause{cause="bank_conflict"}``, ...).
-    Label values are escaped and every family carries ``# HELP`` and
-    ``# TYPE`` lines via the shared :mod:`repro.obs.prom` builders, so
-    the page survives ``promtool check metrics``.
+    *labels* go on every sample.  Only the families in
+    :data:`SIM_FAMILIES` are rendered.
     """
-    # Stdlib-only leaf module (like this one); no cycle, see repro.obs.
-    from repro.obs.prom import prom_header, prom_sample
-
-    data = stats.as_dict()
-    lines: List[str] = []
-    for name, value in sorted(data.get("counters", {}).items()):
-        full = _PREFIX + name
-        lines.extend(
-            prom_header(full, "counter", "Simulator activity counter %s." % name)
-        )
-        lines.append(prom_sample(full, value, labels))
-    keyed = [
-        ("fu_ops", "fu", data.get("fu_ops", {})),
-        ("op_group_ops", "group", data.get("op_groups", {})),
-        ("stall_cycles_by_cause", "cause", data.get("stall_causes", {})),
-    ]
-    for name, label, mapping in keyed:
-        if not mapping:
-            continue
-        full = _PREFIX + name
-        lines.extend(prom_header(full, "counter", _KEYED_HELP[name]))
-        for key, value in sorted(mapping.items(), key=lambda kv: str(kv[0])):
-            merged = dict(labels or {})
-            merged[label] = key
-            lines.append(prom_sample(full, value, merged))
-    return "\n".join(lines) + "\n"
+    return exposition(SIM_FAMILIES, stats.as_dict(), labels)

@@ -13,8 +13,8 @@ from repro.fabric.report import (
     fabric_prometheus_text,
     latency_percentiles,
     latency_summary,
-    percentile,
 )
+from repro.obs.window import percentile
 from repro.phy.scenario import get_scenario
 from repro.runtime.workload import PacketCase
 
@@ -140,18 +140,6 @@ def test_scenario_accounting_buckets_and_ber():
     assert acct["baseline"]["ber"] == 0.0
     assert acct["cfo_stress"]["errors"] == 1
     assert acct["cfo_stress"]["bits"] == 0
-
-
-def test_prometheus_renders_scenario_families():
-    report = {
-        "counters": {"completed": 2},
-        "scenarios": {
-            "awgn": {"packets": 2, "bits": 8, "bit_errors": 1, "ber": 0.125, "errors": 0}
-        },
-    }
-    text = fabric_prometheus_text(report)
-    assert 'repro_fabric_scenario_packets{scenario="awgn"} 2' in text
-    assert 'repro_fabric_scenario_ber{scenario="awgn"} 0.125' in text
 
 
 def test_stream_argument_validation():

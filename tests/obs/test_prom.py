@@ -3,8 +3,10 @@
 import pytest
 
 from repro.obs import (
+    Family,
     escape_help_text,
     escape_label_value,
+    exposition,
     lint_exposition,
     prom_header,
     prom_sample,
@@ -135,10 +137,35 @@ def test_repo_renderers_survive_hostile_label_values(renderer):
 
         page = prometheus_text(_Stats(), labels={"run": hostile})
     else:
-        from repro.obs.prom import prom_header, prom_sample
+        from repro.fabric.report import fabric_prometheus_text
 
-        lines = prom_header("repro_fabric_x", "gauge", "X.")
-        lines.append(prom_sample("repro_fabric_x", 1, {"run": hostile}))
-        page = "\n".join(lines) + "\n"
+        page = fabric_prometheus_text(
+            {"cache": {hostile: {"hits": 1}}, "ingest": {"malformed": {hostile: 2}}}
+        )
     assert lint_exposition(page) == []
     assert '\\"' in page
+
+
+class TestExposition:
+    def test_none_samples_and_empty_families_are_left_out(self):
+        families = (
+            Family("a", "gauge", "A.", lambda src: [("", None, src.get("a"))]),
+            Family("b", "counter", "B.", lambda src: [("", {"k": "x"}, src["b"])]),
+        )
+        assert exposition(families, {"b": 2}) == (
+            '# HELP b B.\n# TYPE b counter\nb{k="x"} 2\n'
+        )
+
+    def test_constant_labels_join_every_sample(self):
+        families = (
+            Family("s", "summary", "S.", lambda src: [
+                ("", {"quantile": "0.5", "run": "own"}, 1), ("_count", None, 3),
+            ]),
+        )
+        page = exposition(families, {}, labels={"run": "r1", "tier": "t"})
+        assert 's{quantile="0.5",run="own",tier="t"} 1' in page
+        assert 's_count{run="r1",tier="t"} 3' in page
+        assert lint_exposition(page) == []
+
+    def test_nothing_to_render_is_an_empty_page(self):
+        assert exposition((), {}) == "\n"

@@ -34,7 +34,11 @@ figure: the bytecodes executed in frames of generated code (code
 filename starting ``<repro.sim.codegen``), counted with ``sys.settrace``
 opcode events over one warm 4-lane batch and divided by 4.  Wall time
 on a shared host cannot resolve a code-generator change below ~10%;
-this count can.  It is reported, not gated.
+this count can.  It is reported, not gated.  It compares only runs
+whose generated code shares one value representation: bytecodes on
+small ints (4x16-bit SIMD values held as lane tuples) cost less than
+bytecodes on packed 64-bit longs, so the change to lane tuples raised
+the count (1.94M -> 2.31M per packet) while generated CGA time fell.
 
 Every warm run's cycle count and decoded bits are checked for equality
 against the cold run (the bit-exact contract; the exhaustive diff lives

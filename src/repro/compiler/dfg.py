@@ -20,7 +20,7 @@ a named central register) and may carry a guard predicate reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.isa.opcodes import Opcode, OpGroup, group_of, latency_of
@@ -80,10 +80,12 @@ class Node:
     live_out: Optional[str] = None  # name of the live-out value
     pred: Optional[Operand] = None
     pred_negate: bool = False
+    #: Execution latency of ``opcode``, looked up once: the scheduler
+    #: reads it in its inner loops and the opcode is never reassigned.
+    latency: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def latency(self) -> int:
-        return latency_of(self.opcode)
+    def __post_init__(self) -> None:
+        self.latency = latency_of(self.opcode)
 
     @property
     def group(self) -> OpGroup:

@@ -250,7 +250,7 @@ FABRIC_FAMILIES = (
     _worker_gauge("completed", "completed", "Packets completed by this worker slot."),
     _worker_gauge("occupancy", "occupancy", "Busy-time fraction of this worker slot."),
     _worker_gauge("queue_depth", "load", "Pending plus in-flight packets on this slot."),
-    _worker_gauge("crashes", "crashes", "Crashes observed on this worker slot."),
+    _worker_gauge("slot_crashes", "crashes", "Crashes observed on this worker slot."),
     _worker_gauge("heartbeats", "heartbeats", "Heartbeats received from this slot."),
     _worker_gauge("task_seq", "task_seq", "Tasks completed per the slot's last heartbeat."),
     _worker_gauge("host_cycles", "host_cycles",

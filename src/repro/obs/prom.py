@@ -137,7 +137,8 @@ def lint_exposition(text: str) -> List[str]:
       escaping is correct), sample values are finite-or-(+/-Inf/NaN)
       floats;
     - ``quantile`` label values are fractional (``0.95``, never ``95``);
-    - ``# TYPE`` values are legal metric types;
+    - ``# TYPE`` values are legal metric types, one ``# TYPE`` line per
+      family (a repeated family is a page Prometheus rejects);
     - the page ends with a newline.
     """
     problems: List[str] = []
@@ -155,6 +156,9 @@ def lint_exposition(text: str) -> List[str]:
             ):
                 problems.append("line %d: malformed TYPE line: %r" % (lineno, line))
                 continue
+            if parts[2] in typed:
+                problems.append("line %d: second # TYPE line for family %r"
+                                % (lineno, parts[2]))
             typed[parts[2]] = parts[3]
             continue
         if line.startswith("# HELP "):

@@ -5,7 +5,8 @@ cycle.  This module removes that dispatch: per
 ``(kernel, architecture-fingerprint)`` it emits Python *source* for the
 whole CGA steady-state window — the ``II`` contexts unrolled into
 straight-line code with the output latches and hot counters as locals,
-predication and the 4x16 SIMD lane maths inlined, and the commit ring
+predication and the 4x16 SIMD lane maths inlined (SIMD values travel as
+tuples of four 16-bit lanes, see ``_emit_lanes``), and the commit ring
 replaced by per-operation shift registers whose commits are scheduled
 statically — plus straight-line runs of VLIW bundles (one generated
 function per branch-free segment).
@@ -133,8 +134,12 @@ def _base_namespace() -> Dict[str, object]:
     ns["_BR"] = StallCause.BRANCH
     ns["_divs"] = handler_for(Opcode.DIV)
     ns["_divu"] = handler_for(Opcode.DIV_U)
+    ns["_fb"] = int.from_bytes
     ns["_P8"] = struct.Struct("<Q").pack
-    ns["_U4"] = struct.Struct("<4h").unpack
+    ns["_P4"] = _LANE_STRUCT.pack
+    ns["_U4"] = _LANE_STRUCT.unpack
+    ns["_L4"] = _LANE_STRUCT.unpack_from
+    ns["_S4"] = _LANE_STRUCT.pack_into
     return ns
 
 
@@ -218,10 +223,10 @@ def _emit_access(lines: List[str], ind: str, cycle_var: str, size: int,
 
 def _emit_inline_read(lines: List[str], ind: str, cycle_var: str, size: int,
                       n_banks: int, mem_bytes: int, tally=None,
-                      idle: bool = False) -> bool:
-    """Inline ``Scratchpad.timed_read``: leaves ``raw`` and, when it
-    returns True, the bank-conflict delay in ``extra``
-    (see :func:`_emit_access`).
+                      idle: bool = False, lanes: bool = False) -> bool:
+    """Inline ``Scratchpad.timed_read``: leaves ``raw`` (a lane tuple
+    with *lanes*, for 8-byte reads) and, when it returns True, the
+    bank-conflict delay in ``extra`` (see :func:`_emit_access`).
 
     With *tally* (a counter dict), statically-known access counts are
     accumulated there instead of emitting per-access increments."""
@@ -230,21 +235,28 @@ def _emit_inline_read(lines: List[str], ind: str, cycle_var: str, size: int,
         lines.append(ind + "n_l1r += %d" % (1 if size <= 4 else 2))
     else:
         tally["n_l1r"] += 1 if size <= 4 else 2
-    lines.append(ind + "raw = _fb(M[addr:addr + %d], 'little')" % size)
+    if lanes:
+        lines.append(ind + "raw = _L4(M, addr)")
+    else:
+        lines.append(ind + "raw = _fb(M[addr:addr + %d], 'little')" % size)
     return stalls
 
 
 def _emit_inline_write(lines: List[str], ind: str, cycle_var: str, size: int,
                        n_banks: int, mem_bytes: int, tally=None,
-                       idle: bool = False) -> bool:
-    """Inline ``Scratchpad.timed_write`` of pre-masked ``v_st``; when it
-    returns True, leaves the bank-conflict delay in ``extra``."""
+                       idle: bool = False, lanes: bool = False) -> bool:
+    """Inline ``Scratchpad.timed_write`` of pre-masked ``v_st`` (a lane
+    tuple with *lanes*, for 8-byte writes); when it returns True, leaves
+    the bank-conflict delay in ``extra``."""
     stalls = _emit_access(lines, ind, cycle_var, size, n_banks, mem_bytes, idle)
     if tally is None:
         lines.append(ind + "n_l1w += %d" % (1 if size <= 4 else 2))
     else:
         tally["n_l1w"] += 1 if size <= 4 else 2
-    lines.append(ind + "M[addr:addr + %d] = v_st.to_bytes(%d, 'little')" % (size, size))
+    if lanes:
+        lines.append(ind + "_S4(M, addr, *v_st)")
+    else:
+        lines.append(ind + "M[addr:addr + %d] = v_st.to_bytes(%d, 'little')" % (size, size))
     return stalls
 
 
@@ -391,9 +403,8 @@ def cga_signature(kernel: CgaKernel) -> tuple:
 # ----------------------------------------------------------------------
 #
 # Expression templates reproduce :mod:`repro.isa.semantics` bit-exactly
-# with the dispatch and the lane split/pack allocations removed.  The
-# SIMD lane identities (C4AND == full-width AND, the C4SHIFTL raw-bit
-# form, the SWAR C4SHIFTR, the struct lane unpack) are checked against
+# with the dispatch removed.  The SIMD lane templates work on lane
+# tuples; they and the int <-> lanes conversions are checked against
 # the lifted reference forms in ``tests/sim/test_lane_templates.py``
 # and the differential suite.
 
@@ -454,157 +465,124 @@ _SCALAR_EXPR = {
     Opcode.PRED_SET: lambda a, b: "1",
 }
 
-#: Mask selecting lanes 0 and 2 (for the 16-bit swap), lanes 1+3 cleared.
-_SWAP16_MASK = 0x0000FFFF0000FFFF
-#: Mask selecting lane 2 in place (for C4NEGB's untouched even lane).
-_LANE2_MASK = 0x0000FFFF00000000
-#: Per-lane sign bits / low-15-bit masks for the SWAR q15 add/sub path.
-_SIGN4 = 0x8000800080008000
-_LOW4 = 0x7FFF7FFF7FFF7FFF
-#: One in each lane's LSB: ``m * _LANES1`` replicates a 16-bit mask ``m``.
-_LANES1 = 0x0001000100010001
+#: Value forms of generated code.  A SIMD result or an 8-byte load is
+#: carried as a tuple of four signed 16-bit lanes, lane 0 (the LSBs)
+#: first; everything else is a raw int.  Small ints are cheap in
+#: CPython where a packed 64-bit word is a multi-digit long, so the lane
+#: maths runs on the tuple and a value changes form only where a
+#: consumer needs the other one (see :class:`_CgaGen`).
+_INT = "i"
+_LANES = "t"
 
-#: Lane-wise ops whose template unpacks both operands into signed
-#: lanes with one ``_U4(_P8(x))`` call each; ``_P8`` packs 64 bits, so
-#: they need operands no wider than that.
-_UNPACKED = frozenset({Opcode.C4MAX, Opcode.C4MIN, Opcode.D4PROD, Opcode.C4PROD})
+_LANE_STRUCT = struct.Struct("<4h")
 
+#: SIMD ops whose second operand is a shift amount (its low 4 bits).
+_LANE_SHIFTS = frozenset({Opcode.C4SHIFTL, Opcode.C4SHIFTR})
 
-def _lane_s(x: str, i: int) -> str:
-    """Signed 16-bit lane *i* (lane 0 = LSBs) of raw 64-bit var *x*."""
-    if i == 0:
-        return "(((%s & 65535) ^ 32768) - 32768)" % x
-    return "((((%s >> %d) & 65535) ^ 32768) - 32768)" % (x, 16 * i)
+_LANE_BITWISE = {Opcode.C4AND: "&", Opcode.C4OR: "|", Opcode.C4XOR: "^"}
 
 
-def _sat(t: str) -> str:
-    return "(32767 if %s > 32767 else (%s if %s >= -32768 else -32768))" % (t, t, t)
+def _as_lanes(expr: str, form: Optional[str]) -> str:
+    """*expr*, held in *form*, as a lane-tuple expression."""
+    return expr if form == _LANES else "_U4(_P8(%s))" % expr
 
 
-def _pack_sat(ts) -> str:
-    parts = []
-    for i, t in enumerate(ts):
-        part = "(%s & 65535)" % _sat(t)
-        parts.append(part if i == 0 else "(%s << %d)" % (part, 16 * i))
-    return " | ".join(parts)
+def _as_int(expr: str, form: Optional[str]) -> str:
+    """*expr*, held in *form*, as a raw-int expression."""
+    return "_fb(_P4(*%s), 'little')" % expr if form == _LANES else expr
 
 
-def _pack_sat_prod(ts) -> str:
-    """Pack q15 products: ``(a * b) >> 15`` of two signed 16-bit lanes
-    lies in [-32767, 32768], so only the upper clamp can fire."""
-    parts = []
-    for i, t in enumerate(ts):
-        part = "((32767 if %s > 32767 else %s) & 65535)" % (t, t)
-        parts.append(part if i == 0 else "(%s << %d)" % (part, 16 * i))
-    return " | ".join(parts)
+def _convert(expr: str, src: Optional[str], dst: Optional[str]) -> str:
+    """*expr* moved from form *src* to *dst* (``None``: holds only ``_A``)."""
+    if src is None or dst is None or src == dst:
+        return expr
+    return _as_lanes(expr, src) if dst == _LANES else _as_int(expr, src)
 
 
-def _emit_swar_addsub(lines: List[str], ind: str, op: Opcode, target: str, a: str, b: str) -> None:
-    """Saturating 4x16 add/sub without unpacking (SIMD-within-a-register).
-
-    The wrapped per-lane sum/difference is computed with the classic
-    carry-isolation identity; overflowed lanes (sign of both inputs
-    equal — for SUB, of input and negated subtrahend — and different
-    from the result's) are then overwritten branchlessly with
-    ``0x7fff + sign(a)``, i.e. 0x7fff on positive and 0x8000 on
-    negative overflow.  Proven equivalent to the unpack/saturate/pack
-    form over the full edge grid in the differential suite.
-    """
-    if op is Opcode.C4ADD:
-        lines.append("%sf4 = (((%s) & %d) + ((%s) & %d)) ^ (((%s) ^ (%s)) & %d)"
-                     % (ind, a, _LOW4, b, _LOW4, a, b, _SIGN4))
-        lines.append("%so4 = (((%s) ^ f4) & ((%s) ^ f4)) & %d" % (ind, a, b, _SIGN4))
-    else:  # C4SUB
-        lines.append("%sf4 = ((((%s) | %d) - ((%s) & %d)) ^ (((%s) ^ (%s)) & %d)) ^ %d"
-                     % (ind, a, _SIGN4, b, _LOW4, a, b, _SIGN4, _SIGN4))
-        lines.append("%so4 = (((%s) ^ (%s)) & ((%s) ^ f4)) & %d" % (ind, a, b, a, _SIGN4))
-    lines.append("%sif o4:" % ind)
-    lines.append("%s    e4 = (o4 >> 15) * 65535" % ind)
-    lines.append("%s    f4 = (f4 ^ (f4 & e4)) | ((%d & e4) + (((%s) >> 15) & (o4 >> 15)))"
-                 % (ind, _LOW4, a))
-    lines.append("%s%s = f4" % (ind, target))
+def _low_bits(expr: str, form: Optional[str]) -> str:
+    """An int expression agreeing with *expr* in its low 16 bits: enough
+    for predicate (``& 1``) and shift-amount (``& 15``) consumers."""
+    return "%s[0]" % expr if form == _LANES else expr
 
 
-def _emit_simd(lines: List[str], ind: str, op: Opcode, target: str, a: str,
-               b: Optional[str], word_bits: int) -> None:
-    """Emit ``target = <simd result>`` for raw operand vars at most
-    *word_bits* wide (the widest register an operand can come from)."""
-    if op in _UNPACKED and word_bits > 64:
+def _lane_operand(expr: str, form: str, lane_imms: set) -> str:
+    """*expr* as a SIMD operand.  An immediate ``imm_<k>`` is converted
+    once at function entry into ``iv_<k>``; *lane_imms* collects *k*."""
+    if expr.startswith("imm_"):
+        lane_imms.add(int(expr[4:]))
+        return "iv_" + expr[4:]
+    return _as_lanes(expr, form)
+
+
+def _emit_lane_imms(lines: List[str], at: int, ind: str, lane_imms: set) -> None:
+    """Insert the entry conversions of the immediates used as lanes."""
+    lines[at:at] = [ind + "iv_%d = _U4(_P8(imm_%d))" % (k, k) for k in sorted(lane_imms)]
+
+
+def _require_lane_words(op: Opcode, word_bits: int) -> None:
+    """Lane tuples hold 64 bits: an operand read from a wider register
+    file is refused (the op runs on the reference loop)."""
+    if word_bits > 64:
         raise CodegenUnsupported(
-            "%s template needs operands of at most 64 bits, not %d"
-            % (op.value, word_bits))
-    if op is Opcode.C4AND:
-        lines.append("%s%s = %s & %s" % (ind, target, a, b))
-    elif op is Opcode.C4OR:
-        lines.append("%s%s = %s | %s" % (ind, target, a, b))
-    elif op is Opcode.C4XOR:
-        lines.append("%s%s = %s ^ %s" % (ind, target, a, b))
-    elif op is Opcode.C4SHIFTL:
-        lines.append("%ssh = %s & 15" % (ind, b))
-        lines.append(
-            "%s%s = ((%s << sh) & 65535) | ((((%s >> 16) << sh) & 65535) << 16)"
-            " | ((((%s >> 32) << sh) & 65535) << 32)"
-            " | ((((%s >> 48) << sh) & 65535) << 48)" % (ind, target, a, a, a, a)
-        )
-    elif op is Opcode.C4SHIFTR:
-        # SWAR arithmetic shift: shift the whole word, keep each lane's
-        # low ``16 - sh`` bits, then fill its top ``sh`` bits with copies
-        # of its sign (the sign bit times ``2**sh - 1``, moved up by one).
-        lines.append("%ssh = %s & 15" % (ind, b))
-        lines.append(
-            "%s%s = ((%s >> sh) & ((65535 >> sh) * %d))"
-            " | (((((%s) & %d) >> sh) * ((1 << sh) - 1)) << 1)"
-            % (ind, target, a, _LANES1, a, _SIGN4)
-        )
+            "%s needs operands of at most 64 bits, not %d" % (op.value, word_bits))
+
+
+def _sat16(s: str) -> str:
+    return "(32767 if %s > 32767 else (%s if %s >= -32768 else -32768))" % (s, s, s)
+
+
+def _emit_lanes(lines: List[str], ind: str, op: Opcode, a: str,
+                b: Optional[str], word_bits: int) -> str:
+    """Emit the statements of SIMD *op*'s template and return its result
+    lane-tuple expression: the one lane template set of both generators.
+
+    *a* is a lane-tuple expression; *b* is one too for the lane-wise
+    ops, an int expression for the shifts (only its low 4 bits count)
+    and ``None`` for the unary ops.  On sign-extended lanes ``&``, ``|``,
+    ``^`` and the arithmetic right shift stay in range, so only the
+    left shift wraps and only add, sub, negate and the q15 products
+    saturate."""
+    _require_lane_words(op, word_bits)
+    w = lines.append
+    w(ind + "a0, a1, a2, a3 = %s" % a)
+    if op in _LANE_SHIFTS:
+        w(ind + "sh = (%s) & 15" % b)
+        if op is Opcode.C4SHIFTR:
+            lanes = ["a%d >> sh" % i for i in range(4)]
+        else:
+            lanes = ["(((a%d << sh) + 32768) & 65535) - 32768" % i for i in range(4)]
     elif op is Opcode.C4SWAP32:
-        lines.append(
-            "%s%s = ((%s >> 32) & 4294967295) | ((%s & 4294967295) << 32)"
-            % (ind, target, a, a)
-        )
+        lanes = ["a2", "a3", "a0", "a1"]
     elif op is Opcode.C4SWAP16:
-        lines.append(
-            "%s%s = ((%s >> 16) & %d) | ((%s & %d) << 16)"
-            % (ind, target, a, _SWAP16_MASK, a, _SWAP16_MASK)
-        )
+        lanes = ["a1", "a0", "a3", "a2"]
     elif op is Opcode.C4NEGB:
-        lines.append("%sa1 = %s" % (ind, _lane_s(a, 1)))
-        lines.append("%sa3 = %s" % (ind, _lane_s(a, 3)))
-        lines.append(
-            "%s%s = (%s & 65535) | (((32767 if a1 == -32768 else -a1) & 65535) << 16)"
-            " | (%s & %d) | (((32767 if a3 == -32768 else -a3) & 65535) << 48)"
-            % (ind, target, a, a, _LANE2_MASK)
-        )
-    elif op in (Opcode.C4ADD, Opcode.C4SUB):
-        _emit_swar_addsub(lines, ind, op, target, a, b)
-    elif op in _UNPACKED:
-        lines.append("%sa0, a1, a2, a3 = _U4(_P8(%s))" % (ind, a))
-        lines.append("%sb0, b1, b2, b3 = _U4(_P8(%s))" % (ind, b))
-        if op is Opcode.C4MAX:
-            lines.append(
-                "%s%s = ((a0 if a0 > b0 else b0) & 65535)"
-                " | (((a1 if a1 > b1 else b1) & 65535) << 16)"
-                " | (((a2 if a2 > b2 else b2) & 65535) << 32)"
-                " | (((a3 if a3 > b3 else b3) & 65535) << 48)" % (ind, target)
-            )
-            return
-        if op is Opcode.C4MIN:
-            lines.append(
-                "%s%s = ((a0 if a0 < b0 else b0) & 65535)"
-                " | (((a1 if a1 < b1 else b1) & 65535) << 16)"
-                " | (((a2 if a2 < b2 else b2) & 65535) << 32)"
-                " | (((a3 if a3 < b3 else b3) & 65535) << 48)" % (ind, target)
-            )
-            return
-        if op is Opcode.D4PROD:
-            pairs = ["(a%d * b%d) >> 15" % (i, i) for i in range(4)]
-        else:  # C4PROD: cross pairing |a1*b2|b1*a2|c1*d2|d1*c2|
-            pairs = ["(a0 * b1) >> 15", "(a1 * b0) >> 15",
-                     "(a2 * b3) >> 15", "(a3 * b2) >> 15"]
-        for i, p in enumerate(pairs):
-            lines.append("%st%d = %s" % (ind, i, p))
-        lines.append("%s%s = %s" % (ind, target, _pack_sat_prod(["t%d" % i for i in range(4)])))
-    else:  # pragma: no cover - closed SIMD opcode set
-        raise CodegenUnsupported("no inline template for %s" % op.value)
+        lanes = ["a0", "32767 if a1 == -32768 else -a1",
+                 "a2", "32767 if a3 == -32768 else -a3"]
+    else:
+        w(ind + "b0, b1, b2, b3 = %s" % b)
+        if op in (Opcode.C4ADD, Opcode.C4SUB):
+            sign = "+" if op is Opcode.C4ADD else "-"
+            for i in range(4):
+                w(ind + "s%d = a%d %s b%d" % (i, i, sign, i))
+            lanes = [_sat16("s%d" % i) for i in range(4)]
+        elif op in _LANE_BITWISE:
+            lanes = ["a%d %s b%d" % (i, _LANE_BITWISE[op], i) for i in range(4)]
+        elif op is Opcode.C4MAX:
+            lanes = ["a%d if a%d > b%d else b%d" % (i, i, i, i) for i in range(4)]
+        elif op is Opcode.C4MIN:
+            lanes = ["a%d if a%d < b%d else b%d" % (i, i, i, i) for i in range(4)]
+        elif op in (Opcode.D4PROD, Opcode.C4PROD):
+            # C4PROD pairs across: |a1*b2|b1*a2|c1*d2|d1*c2|.  A q15
+            # product of two int16 lies in [-32767, 32768], so only the
+            # upper clamp can fire.
+            pairs = ((0, 0), (1, 1), (2, 2), (3, 3)) if op is Opcode.D4PROD \
+                else ((0, 1), (1, 0), (2, 3), (3, 2))
+            for i, (x, y) in enumerate(pairs):
+                w(ind + "t%d = (a%d * b%d) >> 15" % (i, x, y))
+            lanes = ["32767 if t%d > 32767 else t%d" % (i, i) for i in range(4)]
+        else:  # pragma: no cover - closed SIMD opcode set
+            raise CodegenUnsupported("no lane template for %s" % op.value)
+    return "(%s)" % ", ".join(lanes)
 
 
 # ----------------------------------------------------------------------
@@ -673,6 +651,12 @@ class _CgaGen:
         self._classify()
         self.has_mem = any(rec.kind != "dataflow" for rec in self.ops)
         self.has_load = any(rec.kind == "load" for rec in self.ops)
+        #: The form (``_INT``/``_LANES``, ``None`` while it holds only
+        #: ``_A``) of every latch ``l_<fu>``, local-RF local and shift
+        #: register at the point of emission, tracked in program order.
+        self.forms: Dict[str, Optional[str]] = {}
+        #: Pool slots of the immediates read as lanes (see _lane_operand).
+        self.lane_imms: set = set()
 
     # -- validation + classification (once, at generation time) --------
 
@@ -821,44 +805,49 @@ class _CgaGen:
     # -- operand emission ----------------------------------------------
 
     def _base_read(self, lines: List[str], ind: str, sel: SrcSel, fu: int,
-                   imm_slot: Optional[int], tally=None) -> str:
+                   imm_slot: Optional[int], tally=None) -> Tuple[str, str]:
         """Statements for a source read's side effects; returns the value
-        expression.  Mirrors the reference tier's ``_read_src``.  With
-        *tally*, unconditional access counts accumulate statically
-        instead of emitting per-read increments."""
+        expression and its form.  Mirrors the reference tier's
+        ``_read_src``.  With *tally*, unconditional access counts
+        accumulate statically instead of emitting per-read increments."""
         kind = sel.kind
         if kind is SrcKind.SELF:
-            return "l_%d" % fu
+            return self._held("l_%d" % fu)
         if kind is SrcKind.WIRE:
             if tally is None:
                 lines.append(ind + "n_itx += 1")
             else:
                 tally["n_itx"] += 1
-            return "l_%d" % sel.value
+            return self._held("l_%d" % sel.value)
         if kind is SrcKind.LRF:
             if tally is None:
                 lines.append(ind + "n_lrf_r += 1")
             else:
                 tally["n_lrf_r"] += 1
-            return "r%d_%d" % (fu, sel.value)
+            return self._held("r%d_%d" % (fu, sel.value))
         if kind is SrcKind.CDRF:
             if tally is None:
                 lines.append(ind + "n_cdrf_r += 1")
             else:
                 tally["n_cdrf_r"] += 1
-            return "CD[imm_%d]" % imm_slot
+            return "CD[imm_%d]" % imm_slot, _INT
         if kind is SrcKind.CPRF:
             if tally is None:
                 lines.append(ind + "n_cprf_r += 1")
             else:
                 tally["n_cprf_r"] += 1
-            return "CP[imm_%d]" % imm_slot
-        return "imm_%d" % imm_slot
+            return "CP[imm_%d]" % imm_slot, _INT
+        return "imm_%d" % imm_slot, _INT
+
+    def _held(self, name: str) -> Tuple[str, str]:
+        form = self.forms[name]
+        assert form is not None, name
+        return name, form
 
     def _read_operand(self, lines: List[str], ind: str, rec: _CgaChain,
                       role: str, i: Optional[int], sel: SrcSel, it0: bool,
-                      tally=None) -> str:
-        """Emit one operand read; returns a value expression.
+                      tally=None) -> Tuple[str, str]:
+        """Emit one operand read; returns a value expression and its form.
 
         A phi (``sel.init is not None``) read in the op's iteration 0
         (*it0*) yields the initial immediate without touching the base
@@ -866,13 +855,65 @@ class _CgaGen:
         reader."""
         imm_slot, init_slot = self.pool_index[(rec.ci, rec.fu, role, i)]
         if sel.init is not None and it0:
-            return "imm_%d" % init_slot
+            return "imm_%d" % init_slot, _INT
         return self._base_read(lines, ind, sel, rec.fu, imm_slot, tally=tally)
+
+    # -- value forms ---------------------------------------------------
+    #
+    # Forms are static: each write below records the form its name holds
+    # from then on, in program order.  An unconditional write sets it; a
+    # conditional one (predicated issue or commit, drain commit) converts
+    # its value into the name's current form, so every path leaves the
+    # name in one form.  Only a name holding nothing but ``_A`` (form
+    # ``None``) takes the written form.
+
+    def _assign(self, lines: List[str], ind: str, name: str, expr: str,
+                form: Optional[str], conditional: bool) -> None:
+        """Emit ``name = expr`` of a value in *form*."""
+        held = self.forms.get(name)
+        if conditional and held is not None:
+            expr = _convert(expr, form, held)
+        else:
+            self.forms[name] = form
+        lines.append(ind + "%s = %s" % (name, expr))
+
+    def _result_form(self, rec: _CgaChain) -> Optional[str]:
+        """The form of *rec*'s result when static (a routing move takes
+        its operand's form, so it has none)."""
+        if rec.kind == "load":
+            return _LANES if self._lane_load(rec.op.opcode) else _INT
+        if rec.group in (OpGroup.SIMD1, OpGroup.SIMD2):
+            return None if _is_identity(rec.op) else _LANES
+        return _INT
+
+    def _lane_load(self, opcode: Opcode) -> bool:
+        """8-byte loads yield lanes unless a register file is wider than
+        64 bits (its ints could not all convert; no SIMD runs there)."""
+        return memops.mem_info(opcode).size == 8 and self.word_bits <= 64
+
+    def _entry_forms(self) -> Dict[str, str]:
+        """The form each latch and local-RF local starts in: lanes when
+        every value written to it is lanes, so a conditional commit of
+        lanes never converts, else int."""
+        writes: Dict[str, List[Optional[str]]] = {}
+        for rec in self.ops:
+            if rec.kind == "store":
+                continue
+            form = self._result_form(rec)
+            writes.setdefault("l_%d" % rec.fu, []).append(form)
+            for dst in rec.op.dsts:
+                if dst.kind is DstKind.LRF:
+                    narrow = self.arch.fus[rec.fu].local_rf.width < self.word_bits
+                    writes.setdefault("r%d_%d" % (rec.fu, dst.index), []).append(
+                        _INT if narrow else form)
+        return {name: _LANES if all(f == _LANES for f in fs) else _INT
+                for name, fs in writes.items()}
 
     # -- commit emission -----------------------------------------------
 
     def _emit_dst(self, lines: List[str], ind: str, rec: _CgaChain, j: int, dst,
-                  val: str, tally=None) -> None:
+                  val: str, form: Optional[str], conditional: bool,
+                  tally=None) -> None:
         if dst.kind is DstKind.LRF:
             width = self.arch.fus[rec.fu].local_rf.width
             if tally is None:
@@ -880,35 +921,41 @@ class _CgaGen:
             else:
                 tally["n_lrf_w"] += 1
             # Only a file narrower than the widest operand value masks.
-            masked = val if width >= self.word_bits else "%s & %d" % (val, (1 << width) - 1)
-            lines.append(ind + "r%d_%d = %s" % (rec.fu, dst.index, masked))
+            if width < self.word_bits:
+                val, form = "%s & %d" % (_as_int(val, form), (1 << width) - 1), _INT
+            self._assign(lines, ind, "r%d_%d" % (rec.fu, dst.index), val, form,
+                         conditional)
         elif dst.kind is DstKind.CDRF:
             if tally is None:
                 lines.append(ind + "n_cdrf_w += 1")
             else:
                 tally["n_cdrf_w"] += 1
-            lines.append(ind + "CD[imm_%d] = %s & %d"
-                         % (self.pool_index[(rec.ci, rec.fu, "dst", j)][0], val,
-                            self.cdrf_mask))
+            value = _as_int(val, form)
+            if form != _LANES or self.cdrf_mask < MASK64:  # lanes fit 64 bits
+                value = "%s & %d" % (value, self.cdrf_mask)
+            lines.append(ind + "CD[imm_%d] = %s"
+                         % (self.pool_index[(rec.ci, rec.fu, "dst", j)][0], value))
         else:
             if tally is None:
                 lines.append(ind + "n_cprf_w += 1")
             else:
                 tally["n_cprf_w"] += 1
             lines.append(ind + "CP[imm_%d] = %s & %d"
-                         % (self.pool_index[(rec.ci, rec.fu, "dst", j)][0], val,
-                            self.cprf_mask))
+                         % (self.pool_index[(rec.ci, rec.fu, "dst", j)][0],
+                            _low_bits(val, form), self.cprf_mask))
 
     def _emit_commit_writes(self, lines: List[str], ind: str, rec: _CgaChain,
-                            val: str, last: bool, tally=None) -> None:
-        """Latch write-back plus destination writes for one commit;
-        *last* says statically whether the committing iteration is the
-        last one, which decides the ``last_iteration_only`` writes."""
-        lines.append(ind + "l_%d = %s" % (rec.fu, val))
+                            val: str, form: Optional[str], last: bool,
+                            conditional: bool, tally=None) -> None:
+        """Latch write-back plus destination writes for one commit of a
+        value in *form*; *last* says statically whether the committing
+        iteration is the last one, which decides the
+        ``last_iteration_only`` writes."""
+        self._assign(lines, ind, "l_%d" % rec.fu, val, form, conditional)
         for j, d in enumerate(rec.op.dsts):
             if d.last_iteration_only and not last:
                 continue
-            self._emit_dst(lines, ind, rec, j, d, val, tally=tally)
+            self._emit_dst(lines, ind, rec, j, d, val, form, conditional, tally=tally)
 
     # -- issue emission ------------------------------------------------
 
@@ -917,36 +964,33 @@ class _CgaGen:
         """Emit one op's operand reads and execution.  *idle* says the op
         is its context's first memory access (see :meth:`_emit_slot`)."""
         op = rec.op
+        conditional = op.pred is not None
+        target = "w%d_%d" % (rec.oid, rec.n - 1)
         if rec.kind == "dataflow":
             arity = operand_count(op.opcode)
-            names = []
-            for i, sel in enumerate(op.srcs):
-                names.append(self._read_operand(lines, ind, rec, "src", i, sel,
-                                                it0, tally=tally))
-            target = "w%d_%d" % (rec.oid, rec.n - 1)
-            if _is_identity(op):
-                lines.append(ind + "%s = %s" % (target, names[0]))
-            elif rec.group in (OpGroup.SIMD1, OpGroup.SIMD2):
-                # Templates reuse their operands, so a subscripted read
-                # is copied to a local once; plain locals are used as is.
-                a = names[0]
-                if "[" in a:
-                    lines.append(ind + "a = %s" % a)
-                    a = "a"
+            reads = [self._read_operand(lines, ind, rec, "src", i, sel, it0, tally=tally)
+                     for i, sel in enumerate(op.srcs)]
+            if rec.group in (OpGroup.SIMD1, OpGroup.SIMD2):
+                _require_lane_words(op.opcode, self.word_bits)
+                if _is_identity(op):
+                    self._assign(lines, ind, target, *reads[0], conditional)
+                    return
+                a = _lane_operand(*reads[0], self.lane_imms)
                 b = None
                 if arity == 2:
-                    b = names[1]
-                    if "[" in b:
-                        lines.append(ind + "b = %s" % b)
-                        b = "b"
-                _emit_simd(lines, ind, op.opcode, target, a, b, self.word_bits)
+                    b = (_low_bits(*reads[1]) if op.opcode in _LANE_SHIFTS
+                         else _lane_operand(*reads[1], self.lane_imms))
+                self._assign(lines, ind, target,
+                             _emit_lanes(lines, ind, op.opcode, a, b, self.word_bits),
+                             _LANES, conditional)
             else:
-                use = names[:arity] + ["0"] * (2 - min(arity, 2))
-                lines.append(ind + "%s = %s" % (target, _SCALAR_EXPR[op.opcode](use[0], use[1])))
+                use = [_as_int(*r) for r in reads[:arity]] + ["0"] * (2 - min(arity, 2))
+                self._assign(lines, ind, target, _SCALAR_EXPR[op.opcode](use[0], use[1]),
+                             _INT, conditional)
             return
         info = memops.mem_info(op.opcode)
-        base = self._read_operand(lines, ind, rec, "src", 0, op.srcs[0], it0,
-                                  tally=tally)
+        base = _as_int(*self._read_operand(lines, ind, rec, "src", 0, op.srcs[0], it0,
+                                           tally=tally))
         off_sel = op.srcs[1]
         off_slot, _ = self.pool_index[(rec.ci, rec.fu, "src", 1)]
         if off_sel.kind is SrcKind.IMM and off_sel.init is None:
@@ -954,32 +998,38 @@ class _CgaGen:
                 "%saddr = (((%s) & 4294967295) + imm_%d) & 4294967295" % (ind, base, off_slot)
             )
         else:
-            off = self._read_operand(lines, ind, rec, "src", 1, off_sel, it0,
-                                     tally=tally)
+            off = _as_int(*self._read_operand(lines, ind, rec, "src", 1, off_sel, it0,
+                                              tally=tally))
             lines.append(
                 "%saddr = (((%s) & 4294967295) + ((%s) & 4294967295)) & 4294967295"
                 % (ind, base, off)
             )
         geom = (self.arch.l1.banks, self.arch.l1.bytes)
         if rec.kind == "load":
+            lanes = self._lane_load(op.opcode)
             if _emit_inline_read(lines, ind, "physical", info.size, *geom,
-                                 tally=tally, idle=idle):
+                                 tally=tally, idle=idle, lanes=lanes):
                 lines.append(ind + "stall_offset += extra")
-            target = "w%d_%d" % (rec.oid, rec.n - 1)
-            if info.size == 8:
-                lines.append(ind + "%s = raw" % target)
+            if lanes:
+                self._assign(lines, ind, target, "raw", _LANES, conditional)
             elif info.signed:
                 hb = 1 << (info.size * 8 - 1)
-                lines.append(ind + "%s = ((raw ^ %d) - %d) & 4294967295" % (target, hb, hb))
+                self._assign(lines, ind, target, "((raw ^ %d) - %d) & 4294967295" % (hb, hb),
+                             _INT, conditional)
             else:
-                lines.append(ind + "%s = raw & %d" % (target, (1 << (info.size * 8)) - 1))
+                self._assign(lines, ind, target, "raw & %d" % ((1 << (info.size * 8)) - 1),
+                             _INT, conditional)
         else:  # store: no latch, no commit chain
-            sv = self._read_operand(lines, ind, rec, "src", 2, op.srcs[2], it0,
-                                    tally=tally)
-            mask = (1 << (info.size * 8)) - 1
-            lines.append(ind + "v_st = (%s) & %d" % (sv, mask))
+            sv, form = self._read_operand(lines, ind, rec, "src", 2, op.srcs[2], it0,
+                                          tally=tally)
+            lanes = info.size == 8 and form == _LANES
+            if lanes:
+                lines.append(ind + "v_st = %s" % sv)
+            else:
+                lines.append(ind + "v_st = (%s) & %d"
+                             % (_as_int(sv, form), (1 << (info.size * 8)) - 1))
             if _emit_inline_write(lines, ind, "physical", info.size, *geom,
-                                  tally=tally, idle=idle):
+                                  tally=tally, idle=idle, lanes=lanes):
                 lines.append(ind + "stall_offset += extra")
 
     def _emit_issue(self, lines: List[str], ind: str, rec: _CgaChain, it0: bool,
@@ -990,8 +1040,8 @@ class _CgaGen:
         if op.pred is not None:
             # The predicate read itself is unconditional; the op body is
             # data-dependent, so its accounting stays inline.
-            pexpr = self._read_operand(lines, ind, rec, "pred", None, op.pred,
-                                       it0, tally=tally)
+            pexpr = _low_bits(*self._read_operand(lines, ind, rec, "pred", None, op.pred,
+                                                  it0, tally=tally))
             if op.pred_negate:
                 lines.append(ind + "if (%s) & 1:" % pexpr)
             else:
@@ -1135,22 +1185,24 @@ class _CgaGen:
             overwrite = rec.op.pred is None and (
                 steady or self._issue_active(rec, I))
         w = lines.append
+        forms = self.forms
+        head = "w%d_0" % oid
         if rec.op.pred is None:
             if present:
-                self._emit_commit_writes(lines, ind, rec, "w%d_0" % oid, last, tally)
-            for j in range(n - 1):
-                w(ind + "w%d_%d = w%d_%d" % (oid, j, oid, j + 1))
-            if not overwrite:
-                w(ind + "w%d_%d = _A" % (oid, n - 1))
-        else:
-            if present:
-                w(ind + "v = w%d_0" % oid)
-            for j in range(n - 1):
-                w(ind + "w%d_%d = w%d_%d" % (oid, j, oid, j + 1))
-            w(ind + "w%d_%d = _A" % (oid, n - 1))
-            if present:
-                w(ind + "if v is not _A:")
-                self._emit_commit_writes(lines, ind + "    ", rec, "v", last)
+                form = forms[head]
+                assert form is not None, head
+                self._emit_commit_writes(lines, ind, rec, head, form, last, False, tally)
+        elif present:
+            form = forms[head]
+            w(ind + "v = " + head)
+        for j in range(n - 1):
+            self._assign(lines, ind, "w%d_%d" % (oid, j), "w%d_%d" % (oid, j + 1),
+                         forms["w%d_%d" % (oid, j + 1)], False)
+        if rec.op.pred is not None or not overwrite:
+            self._assign(lines, ind, "w%d_%d" % (oid, n - 1), "_A", None, False)
+        if rec.op.pred is not None and present:
+            w(ind + "if v is not _A:")
+            self._emit_commit_writes(lines, ind + "    ", rec, "v", form, last, True)
 
     def _emit_slot(self, lines: List[str], ind: str, I: Optional[int],
                    tally) -> None:
@@ -1194,12 +1246,9 @@ class _CgaGen:
             w(ind + "# slot %d" % I)
             self._emit_slot(lines, ind, I, tally)
         if lo <= hi:
-            steady = dict.fromkeys(self._TALLY_KEYS, 0)
+            steady, body = self._emit_steady(lines, ind)
             w(ind + "for iter_slot in range(%d, %d):" % (lo, hi + 1))
-            mark = len(lines)
-            self._emit_slot(lines, ind + "    ", None, steady)
-            if len(lines) == mark:
-                w(ind + "    pass")
+            lines.extend(body or [ind + "    pass"])
             count = hi - lo + 1
             for key in tally:
                 tally[key] += steady[key] * count
@@ -1207,6 +1256,41 @@ class _CgaGen:
             w(ind + "# slot %d" % I)
             self._emit_slot(lines, ind, I, tally)
         return tally
+
+    #: Steady-body emissions allowed to find entry forms the body leaves
+    #: unchanged; the modem's kernels and the test kernels need at most 2.
+    _FORM_PASSES = 4
+
+    def _emit_steady(self, lines: List[str], ind: str) -> Tuple[Dict[str, int], List[str]]:
+        """Emit the conversions ahead of the steady-state loop; returns
+        the loop body's tally and lines.
+
+        The body is emitted from the prologue's exit forms; a name the
+        body leaves in another form enters in that one instead
+        (converted once, before the loop), until the body leaves every
+        form as it found it.  A kernel whose forms keep moving after
+        :attr:`_FORM_PASSES` emissions is refused."""
+        before = dict(self.forms)
+        entry = dict(before)
+        for _ in range(self._FORM_PASSES):
+            self.forms = dict(entry)
+            steady = dict.fromkeys(self._TALLY_KEYS, 0)
+            body: List[str] = []
+            self._emit_slot(body, ind + "    ", None, steady)
+            moved = {name: form for name, form in self.forms.items()
+                     if form is not None and entry.get(name) != form}
+            if not moved:
+                break
+            entry.update(moved)
+        else:
+            raise CodegenUnsupported("kernel %s: value forms do not settle in %d passes"
+                                     % (self.kernel.name, self._FORM_PASSES))
+        for name, form in sorted(before.items()):
+            if form is not None and entry[name] != form:
+                # A shift register may hold ``_A``, which stays as it is.
+                guard = "if %s is not _A: " % name if name.startswith("w") else ""
+                lines.append(ind + "%s%s = %s" % (guard, name, _convert(name, form, entry[name])))
+        return steady, body
 
     # -- lane assembly --------------------------------------------------
 
@@ -1221,10 +1305,15 @@ class _CgaGen:
             w(ind + "imm_0 = imms[0]")
         elif n_imms > 1:
             w(ind + ", ".join("imm_%d" % i for i in range(n_imms)) + " = imms")
+        imm_mark = len(lines)
+        forms = self._entry_forms()
         for fu in sorted(self.lrf_fus):
             w(ind + "L%d = local_rfs[%d]._regs" % (fu, fu))
         for fu, entry in sorted(self.lrf_entries):
-            w(ind + "r%d_%d = L%d[%d]" % (fu, entry, fu, entry))
+            name = "r%d_%d" % (fu, entry)
+            self.forms[name] = forms.get(name, _INT)
+            w(ind + "%s = %s" % (name, _convert("L%d[%d]" % (fu, entry), _INT,
+                                                self.forms[name])))
         # Predicated ops tally issue counters per iteration: keep those
         # in one integer local per FU / op group and flush them with the
         # closed-form (unpredicated) totals in the epilogue.
@@ -1245,11 +1334,14 @@ class _CgaGen:
         # The runner passes matching trips; the baked value wins.
         w(ind + "trip = %d" % self.trip)
         for fu in sorted(self.latch_fus):
-            w(ind + "l_%d = 0" % fu)
+            name = "l_%d" % fu
+            self.forms[name] = forms.get(name, _INT)
+            w(ind + "%s = %s" % (name, "(0, 0, 0, 0)" if self.forms[name] == _LANES else "0"))
         for rec in self.ops:
             if rec.kind == "store":
                 continue
             for j in range(rec.n):
+                self.forms["w%d_%d" % (rec.oid, j)] = None
                 w(ind + "w%d_%d = _A" % (rec.oid, j))
         w(ind + "stall_offset = 0")
         w(ind + "n_cdrf_r = n_cdrf_w = n_cprf_r = n_cprf_w = n_lrf_r = n_lrf_w = n_itx = 0")
@@ -1273,7 +1365,8 @@ class _CgaGen:
             # i.e. iteration trip + K1 - delta + j - stage; it is the
             # last iteration exactly when j == stage + delta - stages.
             last = j == rec.stage + rec.delta - k.stage_count
-            self._emit_commit_writes(lines, ind + "    ", rec, "v", last)
+            self._emit_commit_writes(lines, ind + "    ", rec, "v",
+                                     self.forms["w%d_%d" % (rec.oid, j)], last, True)
         # Batched accounting for unpredicated ops (closed form in trip),
         # then the per-run stats flush.
         easy_fu: Dict[int, int] = {}
@@ -1326,10 +1419,13 @@ class _CgaGen:
             w(ind + "stats.l1_conflict_stall_cycles += bc_stall")
         w(ind + "stats.add_stall(_BC, stall_offset)")
         for fu in sorted(self.latch_fus):
-            w(ind + "out_latch[%d] = l_%d" % (fu, fu))
+            name = "l_%d" % fu
+            w(ind + "out_latch[%d] = %s" % (fu, _as_int(name, self.forms[name])))
         for fu, entry in sorted(self.lrf_written):
-            w(ind + "L%d[%d] = r%d_%d" % (fu, entry, fu, entry))
+            name = "r%d_%d" % (fu, entry)
+            w(ind + "L%d[%d] = %s" % (fu, entry, _as_int(name, self.forms[name])))
         w(ind + "ends[_b] = start_cycle + total_logical + stall_offset + drain")
+        _emit_lane_imms(lines, imm_mark, ind, self.lane_imms)
 
 
 def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
@@ -1478,6 +1574,7 @@ class _VliwGen:
         self.l1_geom = l1_geom  # (n_banks, size_bytes)
         self.icache_geom = icache_geom  # (n_lines, bundles_per_line, miss_penalty)
         self.pool, self.pool_index = _vliw_pool_map(bundles, start_pc, end_pc)
+        self.lane_imms: set = set()
         self.wb_counter = 0
         groups = [group_of(inst.opcode)
                   for _pc, _slot, inst in _iter_vliw_sites(bundles, start_pc, end_pc)]
@@ -1560,17 +1657,16 @@ class _VliwGen:
                 return  # no destination: reads already accounted
             target = wb["var"]
             if group in (OpGroup.SIMD1, OpGroup.SIMD2):
-                a = names[0]
-                if a != "a":
-                    lines.append(body + "a = %s" % a)
-                    a = "a"
+                # Registers hold ints: lanes in at the reads, out at the
+                # write-back.
+                a = _lane_operand(names[0], _INT, self.lane_imms)
                 b = None
                 if arity == 2:
-                    b = names[1]
-                    if b != "b":
-                        lines.append(body + "b = %s" % b)
-                        b = "b"
-                _emit_simd(lines, body, inst.opcode, target, a, b, self.word_bits)
+                    b = (names[1] if inst.opcode in _LANE_SHIFTS
+                         else _lane_operand(names[1], _INT, self.lane_imms))
+                lines.append(body + "%s = %s" % (
+                    target, _emit_lanes(lines, body, inst.opcode, a, b, self.word_bits)))
+                wb["form"] = _LANES
             else:
                 use = names[:arity] + ["0"] * (2 - min(arity, 2))
                 lines.append(
@@ -1726,6 +1822,7 @@ class _VliwGen:
             w(ind + "imm_0 = imms[0]")
         elif n_imms > 1:
             w(ind + ", ".join("imm_%d" % i for i in range(n_imms)) + " = imms")
+        imm_mark = len(lines)
         # Issue counters accumulate in one integer local per FU / op
         # group the segment can touch and flush once in the epilogue: a
         # dict update per issued op is the dominant cost of a warm lane.
@@ -1830,6 +1927,7 @@ class _VliwGen:
                         "latency": latency_of(inst.opcode),
                         "is_load": group is OpGroup.LDMEM,
                         "guarded": inst.pred is not None,
+                        "form": _INT,
                     }
                     wbs.append(wb)
                     if wb["guarded"]:
@@ -1843,11 +1941,12 @@ class _VliwGen:
                 ready = "%s" % wb["rdy"] if wb["is_load"] else "cycle + %d" % wb["latency"]
                 if wb["is_pred"]:
                     w(sub + "n_cprf_w += 1")
-                    w(sub + "CP[%d] = %s & 1" % (wb["index"], wb["var"]))
+                    w(sub + "CP[%d] = %s & 1" % (wb["index"], _low_bits(wb["var"], wb["form"])))
                     w(sub + "pred_ready[%d] = %s" % (wb["index"], ready))
                 else:
                     w(sub + "n_cdrf_w += 1")
-                    w(sub + "CD[%d] = %s & %d" % (wb["index"], wb["var"], self.cdrf_mask))
+                    w(sub + "CD[%d] = %s & %d" % (wb["index"], _as_int(wb["var"], wb["form"]),
+                                                  self.cdrf_mask))
                     w(sub + "reg_ready[%d] = %s" % (wb["index"], ready))
             w(bind + "vliw_cycles += 1")
             w(bind + "cycle += 1")
@@ -1883,6 +1982,7 @@ class _VliwGen:
             w(ind + "    stats.l1_conflict_stall_cycles += bc_stall")
         w(ind + "    stats.icache_hits += n_ic_h")
         w(ind + "    stats.icache_misses += n_ic_m")
+        _emit_lane_imms(lines, imm_mark, ind, self.lane_imms)
 
 
 def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,

@@ -108,6 +108,17 @@ class TestLinter:
             for p in lint_exposition("# HELP x X.\n# TYPE x gauge\nx 1")
         )
 
+    def test_repeated_family_is_flagged(self):
+        page = self._page(
+            "# HELP x Fabric-wide.",
+            "# TYPE x counter",
+            "x 1",
+            "# HELP x Per slot.",
+            "# TYPE x gauge",
+            'x{worker="0"} 1',
+        )
+        assert any("second # TYPE" in p for p in lint_exposition(page))
+
     def test_bad_type_keyword_is_flagged(self):
         assert any(
             "malformed TYPE" in p

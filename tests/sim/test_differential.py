@@ -493,9 +493,8 @@ def test_zero_patched_immediate_gets_its_own_function():
 def test_fft_stage_routes_moves_without_saturating_adds():
     """The linked twiddled FFT stage, generated at trip 8 (the trip the
     receiver links it with): every issue site of a routing move is a
-    plain copy, and the SWAR saturating add/sub template (one ``o4``
-    overflow mask each) is emitted once per issue site of a non-move
-    ``c4add``/``c4sub``."""
+    plain copy, and each issue site of a non-move ``c4add``/``c4sub``
+    emits one lane-saturating tuple into that op's shift register."""
     import re
 
     from repro.kernels.fft import build_radix4_stage_dfg, twiddled_stages
@@ -536,8 +535,80 @@ def test_fft_stage_routes_moves_without_saturating_adds():
         assert len(copies) == issue_sites(rec)
         for operand in copies:
             assert re.fullmatch(r"l_\d+|imm_\d+|r\d+_\d+|(CD|CP)\[imm_\d+\]", operand), operand
-    swar = [line for line in lines if line.startswith("o4 = ")]
-    assert len(swar) == sum(issue_sites(rec) for rec in addsub) == 68
+    saturating = "(%s)" % ", ".join(codegen._sat16("s%d" % i) for i in range(4))
+    for rec in addsub:
+        target = "w%d_%d = " % (rec.oid, rec.n - 1)
+        assert lines.count(target + saturating) == issue_sites(rec)
+    assert sum(line.endswith(" = " + saturating) for line in lines) \
+        == sum(issue_sites(rec) for rec in addsub) == 68
+
+
+def k_form_boundaries(trip):
+    """Values crossing every lane <-> int boundary of generated code.
+
+    FU3 commits a SIMD and a scalar result to one latch and writes its
+    local-RF entry 2 as lanes, which its scalar op reads back; FU4's
+    predicated ``c4sub`` commits over its scalar latch; FU6's ``d4prod``
+    drains past the last context into a latch its scalar op also
+    writes; FU0 writes central registers (one a live-out); FU1 stores
+    its 8-byte lane load in 4 bytes, FU2 in 8; FU5 shifts by lanes (the
+    amount is lane 0's low bits) and FU9 is predicated on lanes; FU7's
+    routing move copies FU4's scalar latch into its local RF."""
+    w0 = 0x7FFF_8000_0001_FFFF
+    w1 = 0x4000_C000_7FFF_8000
+    c0 = {
+        2: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(0xF8), SrcSel.imm(8))),
+        1: CgaOp(opcode=Opcode.LD_Q, srcs=(SrcSel.wire(2), SrcSel.imm(0)), stage=1),
+        3: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_().with_init(w0), SrcSel.wire(1)),
+                 dsts=(DstSel(DstKind.LRF, 2),), stage=2),
+        4: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(5), SrcSel.imm(3))),
+        6: CgaOp(opcode=Opcode.D4PROD, srcs=(SrcSel.wire(3), SrcSel.imm(w1)), stage=3),
+        8: CgaOp(opcode=Opcode.XOR, srcs=(SrcSel.self_().with_init(1), SrcSel.imm(1))),
+        5: CgaOp(opcode=Opcode.C4SHIFTR, srcs=(SrcSel.wire(6), SrcSel.wire(1)), stage=4),
+    }
+    c1 = {
+        3: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.lrf(2), SrcSel.imm(1)), stage=2),
+        6: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_(), SrcSel.imm(1)), stage=3),
+        4: CgaOp(opcode=Opcode.C4SUB, srcs=(SrcSel.wire(5), SrcSel.self_()),
+                 pred=SrcSel.wire(8), stage=3),
+        7: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.wire(4), SrcSel.imm(0)),
+                 dsts=(DstSel(DstKind.LRF, 0),), stage=4),
+        0: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.wire(4), SrcSel.wire(1)),
+                 dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),
+                       DstSel(DstKind.CDRF, 11)), stage=5),
+        9: CgaOp(opcode=Opcode.C4SWAP16, srcs=(SrcSel.wire(5),), pred=SrcSel.wire(5),
+                 stage=5),
+        1: CgaOp(opcode=Opcode.ST_I, srcs=(SrcSel.wire(2), SrcSel.imm(0x200), SrcSel.self_()),
+                 stage=3),
+        2: CgaOp(opcode=Opcode.ST_Q, srcs=(SrcSel.self_(), SrcSel.imm(0x100), SrcSel.wire(1)),
+                 stage=3),
+    }
+    kernel = CgaKernel(
+        name="form_boundaries", ii=2, stage_count=6,
+        contexts=[CgaContext(ops=c0), CgaContext(ops=c1)], trip_count=trip,
+    )
+    words = [0x8000_7FFF_0003_FFFE, 0x0001_8001_7FFF_0010, 0xFFFF_0000_8000_7FFF]
+    mem = [(0x100 + 8 * i, words[i % 3] ^ (i * 0x0101_0101_0101_0101), 8)
+           for i in range(trip + 1)]
+    return kernel, mem
+
+
+@pytest.mark.parametrize("trip", [1, 2, 3, 9])
+def test_form_boundaries_differential(trip):
+    """Generated code converts between lane tuples and ints exactly at
+    the boundaries, and the result matches the reference tier."""
+    from repro.sim import codegen
+
+    kernel, mem = k_form_boundaries(trip)
+    arch = paper_core()
+    program = Program(bundles=enter_and_halt(), kernels={0: kernel})
+    core = Core(arch, program)
+    ports = ((core.cdrf.read_ports, core.cdrf.write_ports),
+             (core.cprf.read_ports, core.cprf.write_ports))
+    source = codegen._CgaGen(kernel, arch, CgaFault, *ports, trip).generate_batch()
+    for boundary in ("_U4(_P8(", "_fb(_P4(*", "_L4(M, addr)", "_S4(M, addr, *v_st)"):
+        assert boundary in source, boundary
+    run_both(program, mem=mem)
 
 
 # ----------------------------------------------------------------------

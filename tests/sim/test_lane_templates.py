@@ -1,10 +1,13 @@
 """The generated code's SIMD lane templates against the ISA semantics.
 
-Each ``_emit_simd`` template that splits, shifts or packs 16-bit lanes
-is compiled into a two-argument function and compared with
-:func:`repro.isa.semantics.handler_for` — the lifted per-lane reference
-forms — over every shift amount (and shift immediates with high bits
-set), an edge grid of lane values, and arbitrary 64-bit words.
+Every ``_emit_lanes`` template is compiled into a two-argument function
+that converts its raw 64-bit operands to lane tuples (the shift amount
+stays an int), runs the template and converts the result back — the
+int <-> lanes conversions the generators emit at every form boundary.
+Each is compared with :func:`repro.isa.semantics.handler_for`, the
+lifted per-lane reference forms, over every shift amount (and shift
+immediates with high bits set), an edge grid of lane values, and
+arbitrary 64-bit words.
 """
 
 import itertools
@@ -13,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.isa import Opcode
-from repro.isa.semantics import handler_for
+from repro.isa import Opcode, OpGroup, group_of
+from repro.isa.semantics import UNARY_SIMD, handler_for
 from repro.sim import codegen
 
+SIMD_OPS = tuple(op for op in Opcode if group_of(op) in (OpGroup.SIMD1, OpGroup.SIMD2))
 SHIFTS = (Opcode.C4SHIFTR, Opcode.C4SHIFTL)
-LANE_WISE = (Opcode.D4PROD, Opcode.C4PROD, Opcode.C4MAX, Opcode.C4MIN)
+UNARY = tuple(op for op in SIMD_OPS if op in UNARY_SIMD)
+LANE_WISE = tuple(op for op in SIMD_OPS if op not in SHIFTS + UNARY)
 
 #: Lane values at the sign and saturation edges.
 EDGE_LANES = (0, 1, 0x7FFF, 0x8000, 0x8001, 0xFFFF)
@@ -44,28 +49,67 @@ SHIFT_OPERANDS = [
 ]
 
 
-def compile_template(op):
-    """``_emit_simd``'s template for *op* as a function ``f(a, b)``."""
-    lines = []
-    codegen._emit_simd(lines, "    ", op, "r", "a", "b", 64)
-    source = "def f(a, b):\n" + "\n".join(lines) + "\n    return r\n"
+def compile_template(op, shift_as_lanes=False):
+    """``_emit_lanes``'s template for *op* between an int -> lanes
+    conversion of each operand and a lanes -> int conversion of the
+    result, as a function ``f(a, b)`` of raw words.  With
+    *shift_as_lanes* a shift amount arrives as lanes and is read through
+    ``_low_bits``, as when it comes from a lane-form latch."""
+    a = codegen._convert("a", codegen._INT, codegen._LANES)
+    if op in UNARY:
+        b = None
+    elif op in SHIFTS:
+        b = "b"
+        if shift_as_lanes:
+            b = codegen._low_bits("bl", codegen._LANES)
+    else:
+        b = codegen._convert("b", codegen._INT, codegen._LANES)
+    lines = ["    bl = %s" % codegen._convert("b", codegen._INT, codegen._LANES)]
+    r = codegen._emit_lanes(lines, "    ", op, a, b, 64)
+    source = "def f(a, b):\n%s\n    return %s\n" % (
+        "\n".join(lines), codegen._convert(r, codegen._LANES, codegen._INT))
     ns = codegen._base_namespace()
     exec(compile(source, "<lane template %s>" % op.value, "exec"), ns)
     return ns["f"]
 
 
-TEMPLATES = {op: compile_template(op) for op in SHIFTS + LANE_WISE}
+TEMPLATES = {op: compile_template(op) for op in SIMD_OPS}
+LANE_SHIFT_TEMPLATES = {op: compile_template(op, shift_as_lanes=True) for op in SHIFTS}
 
 
-def assert_matches(op, pairs):
-    fn, ref = TEMPLATES[op], handler_for(op)
+def reference(op):
+    handler = handler_for(op)
+    return (lambda a, b: handler(a)) if op in UNARY else handler
+
+
+def assert_matches(op, pairs, templates=TEMPLATES):
+    fn, ref = templates[op], reference(op)
     for a, b in pairs:
         assert fn(a, b) == ref(a, b), "%s(%#x, %#x)" % (op.value, a, b)
+
+
+def test_every_simd_op_has_a_template():
+    assert len(SIMD_OPS) == 14
+    assert set(SIMD_OPS) == set(SHIFTS + UNARY + LANE_WISE)
 
 
 @pytest.mark.parametrize("op", SHIFTS, ids=lambda op: op.value)
 def test_shift_every_amount(op):
     assert_matches(op, itertools.product(EDGE_WORDS, SHIFT_OPERANDS))
+
+
+@pytest.mark.parametrize("op", SHIFTS, ids=lambda op: op.value)
+def test_shift_amount_read_from_lanes(op):
+    """A lane-form shift amount counts through lane 0's low bits."""
+    shift_words = [_word((lane, 0x8000, 0x7FFF, 0xFFFF)) for lane in SHIFT_OPERANDS
+                   if lane <= 0xFFFF]
+    assert_matches(op, itertools.product(EDGE_SAMPLE, shift_words),
+                   templates=LANE_SHIFT_TEMPLATES)
+
+
+@pytest.mark.parametrize("op", UNARY, ids=lambda op: op.value)
+def test_unary_every_edge_word(op):
+    assert_matches(op, ((a, 0) for a in EDGE_WORDS))
 
 
 @pytest.mark.parametrize("op", LANE_WISE, ids=lambda op: op.value)
@@ -79,14 +123,30 @@ _U64 = st.integers(0, (1 << 64) - 1)
 
 
 @settings(max_examples=300, deadline=None)
-@given(op=st.sampled_from(SHIFTS + LANE_WISE), a=_U64, b=_U64)
+@given(op=st.sampled_from(SIMD_OPS), a=_U64, b=_U64)
 def test_arbitrary_words(op, a, b):
     assert_matches(op, [(a, b)])
 
 
-@pytest.mark.parametrize("op", LANE_WISE, ids=lambda op: op.value)
+@settings(max_examples=200, deadline=None)
+@given(a=_U64)
+def test_conversions_round_trip(a):
+    """int -> lanes -> int is the identity on 64-bit words, and the
+    lanes are the signed 16-bit fields, lane 0 first."""
+    ns = codegen._base_namespace()
+    to_lanes = codegen._convert("a", codegen._INT, codegen._LANES)
+    lanes = eval(to_lanes, ns, {"a": a})
+    assert lanes == tuple(((a >> (16 * i)) & 0xFFFF ^ 0x8000) - 0x8000 for i in range(4))
+    back = codegen._convert("t", codegen._LANES, codegen._INT)
+    assert eval(back, ns, {"t": lanes}) == a
+    assert eval(codegen._low_bits("t", codegen._LANES), ns, {"t": lanes}) & 0xFFFF \
+        == a & 0xFFFF
+
+
+@pytest.mark.parametrize("op", SIMD_OPS, ids=lambda op: op.value)
 def test_unpacking_templates_refuse_wide_operands(op):
-    """The packed unpack takes 64-bit words, so an architecture whose
-    registers are wider is refused (it runs on the reference loop)."""
+    """A lane tuple holds 64 bits, so an architecture whose registers
+    are wider is refused (it runs on the reference loop)."""
+    b = None if op in UNARY else "b"
     with pytest.raises(codegen.CodegenUnsupported):
-        codegen._emit_simd([], "", op, "r", "a", "b", 128)
+        codegen._emit_lanes([], "", op, "a", b, 128)

@@ -94,7 +94,7 @@ def main(argv=None) -> int:
 
     # Serial reference: the warm single-packet compiled tier.
     serial = ModemRuntime(cache_dir=args.cache, interpreter="compiled")
-    serial.warm_up(cases[0].rx)
+    serial.run_packet(cases[0].rx)
     serial_outputs = [serial.run_packet(case.rx) for case in cases]
     bers = [
         float(np.mean(out.bits != case.bits))

@@ -224,7 +224,7 @@ def main(argv=None) -> int:
 
     template = ModemRuntime(cache_dir=args.cache)
     t0 = time.perf_counter()
-    template.warm_up(cases[0].rx)
+    template.run_packet(cases[0].rx)
     warmup_wall = time.perf_counter() - t0
     print(
         "warm-up: linked %d region programs in %.2fs (schedule cache: %s)"

@@ -26,7 +26,8 @@ The sweep structure:
   packet per ``run_batch`` call (tier keys ``batched_b<B>``, throughput
   normalised per packet).  ``--min-batched-speedup`` gates the best
   batched tier against the ``compiled`` tier (the same generated code,
-  one lane on a fresh core per region) — the CI regression gate for
+  one lane on a newly built runtime, so a new core per region) — the
+  CI regression gate for
   the resident cross-packet batching work.
 
 ``extra.generated_bytecodes_per_packet`` is a noise-free host-cost

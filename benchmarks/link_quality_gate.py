@@ -127,7 +127,7 @@ def fabric_smoke(args):
             snr_choices=(45.0,),
         )
     )
-    template.warm_up(events[0].case.rx)
+    template.run_packet(events[0].case.rx)
     fab = Fabric(
         workers=2,
         template_runtime=template,

@@ -100,7 +100,7 @@ def main(argv=None) -> int:
 
     cases = generate_packets(args.packets, base_seed=11, cfo_hz=50e3)
     template = ModemRuntime(cache_dir=args.cache)
-    template.warm_up(cases[0].rx)
+    template.run_packet(cases[0].rx)
     serial = [template.run_packet(case.rx) for case in cases]
 
     fab = Fabric(

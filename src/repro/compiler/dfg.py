@@ -80,16 +80,15 @@ class Node:
     live_out: Optional[str] = None  # name of the live-out value
     pred: Optional[Operand] = None
     pred_negate: bool = False
-    #: Execution latency of ``opcode``, looked up once: the scheduler
-    #: reads it in its inner loops and the opcode is never reassigned.
+    #: Execution latency and Table 1 group of ``opcode``, looked up
+    #: once: the scheduler reads both in its inner loops and the opcode
+    #: is never reassigned.
     latency: int = field(init=False, repr=False, compare=False)
+    group: OpGroup = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.latency = latency_of(self.opcode)
-
-    @property
-    def group(self) -> OpGroup:
-        return group_of(self.opcode)
+        self.group = group_of(self.opcode)
 
     @property
     def is_store(self) -> bool:

@@ -278,6 +278,8 @@ class ModuloScheduler:
         self.seed = seed
         self._mem_capable = set(arch.fus_with_group(OpGroup.LDMEM))
         self._vliw = {fu.index for fu in arch.vliw_fus}
+        #: Units able to run each operation group, looked up once.
+        self._group_fus = {group: arch.fus_with_group(group) for group in OpGroup}
 
     # ------------------------------------------------------------------
 
@@ -448,7 +450,7 @@ class ModuloScheduler:
         return order
 
     def _candidate_fus(self, node: Node, rng: random.Random) -> List[int]:
-        fus = self.arch.fus_supporting(node.opcode)
+        fus = self._group_fus[node.group]
         avoid_mem = node.group not in (OpGroup.LDMEM, OpGroup.STMEM)
         needs_cdrf = node.live_out is not None or any(
             isinstance(s, LiveIn) for s in node.srcs

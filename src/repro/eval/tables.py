@@ -22,6 +22,7 @@ from repro.power import (
     estimate_area,
 )
 from repro.power.model import PAPER_AVERAGE_W, PAPER_CGA_ACTIVE_W, PAPER_VLIW_ACTIVE_W, PowerModel
+from repro.runtime import ModemRuntime
 from repro.sim.stats import ActivityStats
 from repro.trace.tracer import Tracer, set_tracer
 
@@ -49,7 +50,8 @@ def run_reference_modem(
 ) -> ReferenceRun:
     """Transmit one packet and run the full simulated receiver on it.
 
-    With *tracer* the receiver emits its packet timeline into it, and the
+    The packet runs through a new :class:`~repro.runtime.ModemRuntime`.
+    With *tracer* the runtime emits its packet timeline into it, and the
     tracer is installed process-wide for the duration so the compiler's
     II-search events land in the same buffer.  *interpreter* selects the
     simulator tier (``"compiled"`` fast path or the ``"reference"``
@@ -64,15 +66,16 @@ def run_reference_modem(
     noise = 0.001 * (rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32)))
     rx = np.concatenate([noise, rx, np.zeros((2, 64))], axis=1)
     previous = set_tracer(tracer) if tracer is not None else None
-    receiver = SimReceiver(seed=0, tracer=tracer, interpreter=interpreter)
+    runtime = ModemRuntime(seed=0, interpreter=interpreter, tracer=tracer)
     try:
-        output = receiver.run_packet(rx)
+        output = runtime.run_packet(rx)
     finally:
         if tracer is not None:
             set_tracer(previous)
     ber = float(np.mean(output.bits != bits))
     return ReferenceRun(
-        output=output, bits_tx=bits, ber=ber, cfo_true_hz=cfo_hz, receiver=receiver
+        output=output, bits_tx=bits, ber=ber, cfo_true_hz=cfo_hz,
+        receiver=runtime.receiver,
     )
 
 

@@ -7,16 +7,19 @@ and the hierarchical dataflow baseband architectures in PAPERS.md).
 ``repro.fabric`` models that serving layer in software:
 
 - :class:`Fabric` owns N worker processes, each a resident
-  :class:`~repro.runtime.ModemRuntime` (running up to ``batch`` coalesced
-  same-shape packets per lockstep call) forked from a pre-warmed parent
-  template so spin-up performs zero ``ModuloScheduler.schedule`` calls;
+  :class:`~repro.runtime.ModemRuntime` forked from a pre-warmed parent
+  template, so spin-up performs zero ``ModuloScheduler.schedule`` calls.
+  Every dispatch carries up to ``batch`` coalesced same-shape packets
+  and is one ``run_batch_results`` call: the runtime runs them on its
+  resident cores, in lockstep on the compiled tier, and replays a lane
+  that faults in lockstep on a fresh core;
 - :class:`Dispatcher` routes packets with pluggable policies
   (``round_robin``, ``least_loaded``, ``shape_affinity``);
 - submission queues are bounded with explicit backpressure modes
   (``block``, ``drop``, ``deadline``), every shed packet accounted;
 - a crashed (or SIGKILLed) worker is detected via its process sentinel,
   its in-flight packets are requeued to surviving workers — results
-  stay bit-identical to a serial :class:`~repro.modem.receiver.SimReceiver`
+  stay bit-identical to a serial :class:`~repro.runtime.ModemRuntime`
   run — and the slot is respawned;
 - :mod:`repro.fabric.stream` drives Poisson packet arrivals with mixed
   CFO/SNR/shape, and :mod:`repro.fabric.report` declares the

@@ -276,7 +276,7 @@ class Fabric:
                     cache_dir=self._cache_dir, batch=self.batch, **self._runtime_kwargs
                 )
             for rx in warm_packets:
-                self._template.warm_up(rx)
+                self._template.run_packet(rx)
         for slot in range(self.n_workers):
             self._workers.append(_Worker(WorkerState(slot, self.queue_depth)))
             self._spawn(slot)
@@ -470,16 +470,12 @@ class Fabric:
             group = self._collect_group(state)
             if not group:
                 continue  # everything popped this round was late-shed
-            if len(group) == 1:
-                task = group[0]
-                payload = (task.task_id, task.rx, task.n_symbols, task.detect_hint)
-            else:
-                payload = (
-                    tuple(task.task_id for task in group),
-                    [task.rx for task in group],
-                    group[0].n_symbols,
-                    group[0].detect_hint,
-                )
+            payload = (
+                tuple(task.task_id for task in group),
+                [task.rx for task in group],
+                group[0].n_symbols,
+                group[0].detect_hint,
+            )
             try:
                 worker.task_conn.send(payload)
             except (BrokenPipeError, OSError):
@@ -500,7 +496,7 @@ class Fabric:
         Tasks coalesce only while they share (shape, n_symbols,
         detect_hint) — the runtime buckets by shape, and the
         other two ride per dispatch message.  Late deadline shedding is
-        identical to the single-task path: expired packets resolve to
+        the same at every batch width: expired packets resolve to
         :class:`DeadlineExceeded` and never reach the pipe.
         """
         group: List[FabricTask] = []

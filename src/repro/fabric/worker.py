@@ -2,8 +2,9 @@
 
 Each worker is a forked process running :func:`worker_main`: it builds
 (or inherits) a resident runtime, announces readiness, then serves
-``(task_id, rx, n_symbols, detect_hint)`` requests from its task pipe
-until it receives the ``None`` stop sentinel or the pipe closes.
+``(task_ids, rxs, n_symbols, detect_hint)`` dispatches (one or more
+same-shape packets each) from its task pipe until it receives the
+``None`` stop sentinel or the pipe closes.
 
 Fork inheritance is the warm-up mechanism: the fabric constructs and
 warms one **template** :class:`~repro.runtime.ModemRuntime` (at the
@@ -13,8 +14,7 @@ crash — forks a copy of the fully *linked* template, so spin-up
 performs zero ``ModuloScheduler.schedule`` calls and zero region links
 for the warmed shapes.  The readiness message carries the child-side
 schedule-cache miss delta so the fabric report can prove it.  Every
-dispatch, single-task or coalesced, reaches the runtime through one
-``run_batch_results`` call.
+dispatch reaches the runtime through one ``run_batch_results`` call.
 
 Heartbeats: with ``heartbeat_s > 0`` the worker runs a small daemon
 thread that periodically sends ``(MSG_HEARTBEAT, index, payload)`` up
@@ -196,12 +196,7 @@ def worker_main(
             except (OSError, BrokenPipeError):
                 pass
             break
-        # Batch-drain dispatches arrive as (task_id_tuple, rx_list, ...);
-        # single-task messages keep the original (task_id, rx, ...) form.
-        if isinstance(msg[0], tuple):
-            task_ids, rxs, n_symbols, detect_hint = msg
-        else:
-            task_ids, rxs, n_symbols, detect_hint = (msg[0],), [msg[1]], msg[2], msg[3]
+        task_ids, rxs, n_symbols, detect_hint = msg
         if hasattr(runner, "run_batch_results"):
             _serve_batch(
                 runner, send_lock, result_conn, task_ids, rxs, n_symbols, detect_hint

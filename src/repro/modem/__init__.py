@@ -1,10 +1,12 @@
 """The full inner modem on the simulated processor (the paper's Section 4).
 
-:class:`~repro.modem.receiver.SimReceiver` runs the complete 2x2
-MIMO-OFDM receive pipeline — every Table 2 kernel, compiled and executed
-on the cycle-accurate simulator — over a packet produced by the golden
-transmitter, and returns per-kernel profiles (mode, IPC, cycles) plus
-the decoded bits.
+:class:`~repro.modem.receiver.SimReceiver` holds the complete 2x2
+MIMO-OFDM receive pipeline: every Table 2 kernel, compiled for the
+simulated processor, over a packet produced by the golden transmitter.
+:class:`repro.runtime.ModemRuntime` is its one driver: it runs every
+region on resident cycle-accurate cores (replaying a lane that faults
+in lockstep on a fresh core) and returns per-kernel profiles (mode,
+IPC, cycles) plus the decoded bits.
 
 :mod:`repro.modem.profile` assembles those profiles into the Table 2
 layout and :mod:`repro.modem.analysis` does the real-time / throughput /

@@ -1,10 +1,13 @@
 """The complete receive pipeline on the simulated processor.
 
-:class:`SimReceiver` runs every Table 2 kernel, compiled by the
-DRESC-like compiler and executed on the cycle-accurate core, over one
-packet.  The receiver is organised as a sequence of *regions*, one per
-Table 2 row; each region is a small program (VLIW glue + CGA kernels)
-executed on a core whose scratchpad carries the modem state forward.
+:class:`SimReceiver` holds the receive pipeline: every Table 2 kernel,
+compiled by the DRESC-like compiler, plus the host orchestration
+between them.  The pipeline is organised as a sequence of *regions*,
+one per Table 2 row; each region is a small program (VLIW glue + CGA
+kernels) whose scratchpad image carries the modem state forward.
+:meth:`SimReceiver._pipeline` yields those regions one by one, and
+:class:`repro.runtime.ModemRuntime`, the only driver, runs each on a
+resident cycle-accurate core and sends the result back.
 
 The kernels read their inputs where they already are: antenna *a*'s
 sample *k* at ``RXIN + 8k + 4a`` in the ADC stream, the used carriers
@@ -85,10 +88,8 @@ from repro.phy.fft import digit_reverse_indices
 from repro.phy.fixed import q15
 from repro.phy.params import PARAMS_20MHZ_2X2, OfdmParams
 from repro.phy.ofdm import PILOT_POLARITY, PILOT_VALUES
-from repro.sim import Core
-from repro.sim.program import Program, patch_constants
+from repro.sim.program import Program
 from repro.sim.stats import ActivityStats, KernelProfile
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 #: Samples of the STF/LTF sync region the detection search spans.
 _SYNC_SAMPLES = 352
@@ -145,10 +146,13 @@ class RegionRequest:
     """One region the pipeline generator asks its driver to execute.
 
     :meth:`SimReceiver._pipeline` yields these and receives
-    ``(RegionRun, image)`` back; :meth:`SimReceiver.run_packet` answers
-    with :meth:`SimReceiver._run_region` (the per-packet path), while
-    the compiled runtime answers with lockstep lane execution.  The
-    fields mirror ``_run_region``'s parameters exactly.
+    ``(RegionRun, image)`` back.  The driver,
+    :class:`repro.runtime.ModemRuntime`, links the region's program once
+    per ``(name,) + key``, stamps *patch* into its configuration
+    immediates, resets a resident core to that program and *image*, and
+    runs it: in lockstep with the other packets' lanes on the untraced
+    compiled tier, alone otherwise, and alone on a fresh core when a
+    lockstep lane faults.
     """
 
     name: str
@@ -196,7 +200,11 @@ def _interleave_words(rx_re: np.ndarray, rx_im: np.ndarray) -> List[int]:
 
 
 class SimReceiver:
-    """Runs 2x2 MIMO-OFDM packets through the simulated processor."""
+    """The 2x2 MIMO-OFDM receive pipeline and its linked region programs.
+
+    Packets run through :class:`repro.runtime.ModemRuntime`, which
+    drives :meth:`_pipeline`.
+    """
 
     def __init__(
         self,
@@ -204,19 +212,11 @@ class SimReceiver:
         params: OfdmParams = PARAMS_20MHZ_2X2,
         mem: MemoryMap = DEFAULT_MAP,
         seed: int = 0,
-        tracer: Optional[Tracer] = None,
-        interpreter: str = "compiled",
     ) -> None:
         self.arch = arch if arch is not None else paper_core()
-        self.interpreter = interpreter
         self.params = params
         self.mem = mem
         self.seed = seed
-        #: Receives one ``region`` span per Table 2 row plus everything
-        #: the cores emit; region cores restart their cycle counters at
-        #: zero, so the receiver advances the tracer's base after each
-        #: region to keep one coherent packet timeline.
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Compact-carrier order: bins 1..28 then 36..63 (the used-bin
         #: runs, in the order the channel estimate stores them).
         self.compact_bins = [
@@ -248,7 +248,7 @@ class SimReceiver:
         return len(self._region_programs)
 
     # ------------------------------------------------------------------
-    # Region execution machinery.
+    # Linked region programs.
     # ------------------------------------------------------------------
 
     def _region_program(
@@ -265,46 +265,6 @@ class SimReceiver:
             self._region_programs[rid] = cached
             self.region_kernels[rid] = linker.kernel_results
         return cached
-
-    def _run_region(
-        self,
-        name: str,
-        image: bytearray,
-        build: Callable[[ProgramLinker], Dict[str, object]],
-        key: tuple = (),
-        patch: Optional[Dict[int, int]] = None,
-    ) -> Tuple[RegionRun, bytearray]:
-        tracer = self.tracer
-        program, handles = self._region_program((name,) + key, name, build)
-        if patch:
-            program = patch_constants(program, patch)
-        core = Core(self.arch, program, tracer=tracer, interpreter=self.interpreter)
-        core.scratchpad._mem[:] = image
-        # Setup (config DMA, I$ warm-up) is excluded from the trace the
-        # same way it is excluded from the steady-state measurement; the
-        # try/finally guarantees a fault during setup cannot leave the
-        # caller's tracer permanently disabled.
-        was_enabled = tracer.enabled
-        tracer.enabled = False
-        try:
-            core.load_configuration()
-            # Warm the I$ (steady-state measurement), then reset counters.
-            for pc in range(len(program.bundles)):
-                core.icache.fetch(pc)
-        finally:
-            tracer.enabled = was_enabled
-        before = core.stats.snapshot()
-        core.run()
-        delta = core.stats.delta_since(before).validate()
-        if tracer.enabled:
-            tracer.complete(name, 0, delta.total_cycles, cat="region")
-            tracer.advance_base(delta.total_cycles)
-        outputs = {}
-        for out_name, handle in handles.items():
-            if isinstance(handle, PhysReg):
-                outputs[out_name] = core.cdrf.peek(handle.index)
-        run = RegionRun(name, KernelProfile(name, delta), outputs)
-        return run, bytearray(core.scratchpad._mem)
 
     # ------------------------------------------------------------------
     # Host-side table builders.
@@ -392,29 +352,6 @@ class SimReceiver:
     # The packet pipeline.
     # ------------------------------------------------------------------
 
-    def run_packet(
-        self,
-        rx: np.ndarray,
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
-    ) -> ReceiverOutput:
-        """Process one packet; *rx* is (2, n_samples) complex float.
-
-        *detect_hint* seeds the detection search (the host's coarse
-        knowledge of when the slave was started relative to the RF
-        front-end stream); defaults to 32 samples into the buffer.
-        """
-        gen = self._pipeline(rx, n_symbols=n_symbols, detect_hint=detect_hint)
-        resp = None
-        while True:
-            try:
-                req = gen.send(resp)
-            except StopIteration as stop:
-                return stop.value
-            resp = self._run_region(
-                req.name, req.image, req.build, key=req.key, patch=req.patch
-            )
-
     def _pipeline(
         self,
         rx: np.ndarray,
@@ -427,9 +364,13 @@ class SimReceiver:
         order, and expects ``(RegionRun, image)`` sent back for each;
         returns the :class:`ReceiverOutput` via ``StopIteration``.  All
         host orchestration (candidate picks, CORDIC constants, parameter
-        blocks) lives between the yields, so any driver that executes
-        the requested regions faithfully — per-packet or batched across
-        packets — produces bit-identical packets.
+        blocks) lives between the yields, so executing the requested
+        regions faithfully, one packet at a time or in lockstep across
+        packets, produces bit-identical packets.
+
+        *detect_hint* seeds the detection search (the host's coarse
+        knowledge of when the slave was started relative to the RF
+        front-end stream); defaults to 32 samples into the buffer.
         """
         if n_symbols != 2:
             raise ValueError("the pipeline processes one merged symbol pair")

@@ -9,38 +9,44 @@ params, packet shape): the first packet of a shape links every region
 program (hitting the schedule cache), and every later packet of that
 shape only simulates.
 
-On the ``compiled`` tier (the default) the runtime drives B packets'
-:meth:`SimReceiver._pipeline` generators in lockstep, region by region,
-executing each region's program across all B lanes with
-:class:`repro.sim.batch.BatchProgramRunner` (one Python frame per VLIW
-segment / CGA window for the whole batch); a single packet is a batch
-of one.  What makes this safe:
+It is the one driver of :meth:`SimReceiver._pipeline`, on every tier and
+with or without a tracer.  It advances up to B same-shape packets'
+pipeline generators together, region by region, and runs each region
+on that region's resident cores, one per lane, each
+:meth:`~repro.sim.core.Core.reset` to the lane's program and
+pre-region image:
 
-* Region programs are pure functions of the packet *shape* — packets
+* On the untraced ``compiled`` tier (the default) the lanes run in
+  lockstep through :class:`repro.sim.batch.BatchProgramRunner`: one
+  Python frame per VLIW segment or CGA window for the whole batch.  A
+  single packet is a batch of one.
+* On the ``reference`` tier, or while the tracer is enabled, each lane
+  runs alone through :meth:`Core.run` on the interpreted loop, which
+  emits every trace event.
+
+What makes lockstep safe:
+
+* Region programs are pure functions of the packet *shape*: packets
   are bucketed by ``(n_samples, n_symbols)`` and only same-shape packets
   share a batch, so every lane requests the same region sequence.
 * Packet data reaches the programs through per-lane scratchpad images
   (including the parameter block) and per-lane ``patch_constants``
   immediate pools; the batch functions take both as structure-of-arrays
   arguments, so all lanes share one compile per kernel signature.
-* Divergence — differing data-dependent trip counts, or packets whose
-  pipelines request different regions — only splits the lanes into
-  smaller groups, each run through the generated code at its own width
-  (a single packet is a group of one).  A lane that faults is replayed
-  from its pre-region image on the canonical
-  :meth:`SimReceiver._run_region` path, reproducing the single-packet
-  result or exception bit-identically.
+* Divergence (differing data-dependent trip counts, or packets whose
+  pipelines request different regions) only splits the lanes into
+  smaller groups, each run through the generated code at its own width.
+
+A lane that faults in lockstep is replayed alone on a fresh core reset
+to its pre-region image, which reproduces the single-packet result or
+exception bit-identically.  A lane that runs alone is already that
+single-packet run, so its fault is final.
 
 The speed comes from three resident structures, all per region id: the
 lane cores (no ``Core`` construction, configuration DMA or allocator
-traffic per packet — they are reset in place), the
-:class:`BatchProgramRunner` (cached batch functions plus per-lane
-signature/immediate pools), and the linked region programs already
-cached by :class:`SimReceiver`.
-
-On the ``reference`` tier every packet runs through
-:meth:`SimReceiver.run_packet`, a fresh core per region: the oracle path
-the compiled tier is checked against.
+traffic per packet), the :class:`BatchProgramRunner` (cached batch
+functions plus per-lane signature/immediate pools), and the linked
+region programs cached by :class:`SimReceiver`.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ from repro.sim.batch import BatchProgramRunner
 from repro.sim.core import check_interpreter
 from repro.sim.program import Program, patch_constants
 from repro.sim.stats import ActivityStats, KernelProfile
+from repro.trace.tracer import NULL_TRACER, Tracer
 
 
 @dataclass
@@ -116,14 +123,18 @@ class ModemRuntime:
         interpreter: str = "compiled",
         batch: int = 8,
         cache_dir: Optional[str] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         check_interpreter(interpreter)
         if cache_dir is not None:
             configure_schedule_cache(cache_dir)
         self.interpreter = interpreter
-        self.receiver = SimReceiver(
-            arch=arch, params=params, mem=mem, seed=seed, interpreter=interpreter
-        )
+        self.receiver = SimReceiver(arch=arch, params=params, mem=mem, seed=seed)
+        #: Receives one ``region`` span per simulated region of every
+        #: packet, plus every event the region cores emit.  While it is
+        #: enabled, lanes run one at a time on the reference loop, since
+        #: generated code has no tracer hooks.
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.batch = max(1, int(batch))
         #: Packet shapes ``(n_samples, n_symbols)`` this runtime has run
         #: (== shapes whose region programs are linked and resident).
@@ -164,10 +175,6 @@ class ModemRuntime:
         """Run one packet: a batch of one."""
         return self.run_batch([rx], n_symbols=n_symbols, detect_hint=detect_hint)[0]
 
-    def warm_up(self, rx: np.ndarray, **kwargs) -> ReceiverOutput:
-        """Run one representative packet to link that shape's programs."""
-        return self.run_packet(rx, **kwargs)
-
     # -- batched entry points -------------------------------------------
 
     def run_batch(
@@ -176,8 +183,7 @@ class ModemRuntime:
         n_symbols: int = 2,
         detect_hint: Optional[int] = None,
     ) -> List[ReceiverOutput]:
-        """Process *packets* (in lockstep batches on the compiled tier);
-        raises the first per-packet error after finishing the rest."""
+        """Process *packets*; raises the first per-packet error after finishing the rest."""
         results = self.run_batch_results(
             packets, n_symbols=n_symbols, detect_hint=detect_hint
         )
@@ -198,21 +204,18 @@ class ModemRuntime:
         Packets are bucketed by shape ``(n_samples, n_symbols)`` and each
         bucket is cut into chunks of at most :attr:`batch` lanes (the
         final chunk may be ragged); chunk results are bit-identical to
-        running each packet alone on any interpreter tier.  Off the
-        compiled tier each packet runs alone through
-        :meth:`SimReceiver.run_packet`.
+        running each packet alone, on either interpreter tier.
         """
         packets = [np.atleast_2d(np.asarray(rx)) for rx in packets]
         results = [BatchPacketResult() for _ in packets]
         buckets: Dict[tuple, List[int]] = {}
         for i, rx in enumerate(packets):
             buckets.setdefault((int(rx.shape[1]), int(n_symbols)), []).append(i)
-        run_chunk = self._run_chunk if self.interpreter == "compiled" else self._run_each
         for shape, indices in buckets.items():
             self.warmed_shapes.add(shape)
             for lo in range(0, len(indices), self.batch):
                 chunk = indices[lo : lo + self.batch]
-                run_chunk(
+                self._run_chunk(
                     [packets[i] for i in chunk],
                     [results[i] for i in chunk],
                     n_symbols,
@@ -226,24 +229,7 @@ class ModemRuntime:
                 self.fallbacks += 1
         return results
 
-    def _run_each(
-        self,
-        packets: List[np.ndarray],
-        results: List[BatchPacketResult],
-        n_symbols: int,
-        detect_hint: Optional[int],
-    ) -> None:
-        """Run each packet alone on fresh cores (the reference tier)."""
-        for rx, result in zip(packets, results):
-            try:
-                result.output = self.receiver.run_packet(
-                    rx, n_symbols=n_symbols, detect_hint=detect_hint
-                )
-            except Exception as exc:
-                result.error = exc
-                result.fell_back = True
-
-    # -- lockstep chunk driver ------------------------------------------
+    # -- chunk driver ---------------------------------------------------
 
     def _run_chunk(
         self,
@@ -290,23 +276,7 @@ class ModemRuntime:
                         continue  # lane errored; already recorded
                     step(lane, resp)
 
-    def _replay_region(
-        self, lane: _Lane, results: List[BatchPacketResult]
-    ) -> Optional[Tuple[RegionRun, bytearray]]:
-        """Replay a faulted lane's pending region alone, on a fresh core
-        (the canonical single-packet result or exception)."""
-        req = lane.request
-        results[lane.index].fell_back = True
-        try:
-            return self.receiver._run_region(
-                req.name, req.image, req.build, key=req.key, patch=req.patch
-            )
-        except Exception as exc:
-            lane.done = True
-            results[lane.index].error = exc
-            return None
-
-    # -- batched region execution ---------------------------------------
+    # -- region execution -----------------------------------------------
 
     def _run_region_batch(
         self,
@@ -314,6 +284,8 @@ class ModemRuntime:
         members: List[_Lane],
         results: List[BatchPacketResult],
     ) -> List[Optional[Tuple[RegionRun, bytearray]]]:
+        """Run one region for every lane in *members* on the region's
+        resident cores; ``None`` marks a lane whose packet failed."""
         receiver = self.receiver
         req0 = members[0].request
         program, handles = receiver._region_program(rid, req0.name, req0.build)
@@ -321,68 +293,80 @@ class ModemRuntime:
         if region is None:
             region = self._regions[rid] = _RegionLanes()
         while len(region.cores) < len(members):
-            region.cores.append(
-                Core(receiver.arch, program, interpreter="compiled")
-            )
+            region.cores.append(self._new_core(program))
         cores = region.cores[: len(members)]
-        for core, lane in zip(cores, members):
-            lane_program = program
-            if lane.request.patch:
-                lane_program = patch_constants(program, lane.request.patch)
-            self._reset_core(core, lane_program, lane.request.image)
-        before = [core.stats.snapshot() for core in cores]
-        lane_results = region.runner.run(cores)
+        programs = [
+            patch_constants(program, lane.request.patch) if lane.request.patch else program
+            for lane in members
+        ]
+        lockstep = self.interpreter == "compiled" and not self.tracer.enabled
+        if lockstep:
+            for core, lane_program, lane in zip(cores, programs, members):
+                core.reset(lane_program, lane.request.image)
+            before = [core.stats.snapshot() for core in cores]
+            errors = [lr.error for lr in region.runner.run(cores)]
         responses: List[Optional[Tuple[RegionRun, bytearray]]] = []
-        for core, lane, lr, snap in zip(cores, members, lane_results, before):
-            if lr.error is not None:
-                # Bit-identical fallback: replay this lane's region from
-                # its pre-region image on a fresh core (also reproducing
-                # the canonical exception, if any).
-                responses.append(self._replay_region(lane, results))
+        for k, (core, lane_program, lane) in enumerate(zip(cores, programs, members)):
+            image = lane.request.image
+            if not lockstep:
+                # Alone on a reset core: already the canonical run, so a
+                # fault is final (a replay would repeat its trace events).
+                delta, error = self._run_lane(core, lane_program, image)
+            elif errors[k] is not None:
+                # A lockstep fault leaves deferred counters unflushed:
+                # replay the region alone on a fresh core for the
+                # canonical result or exception.
+                results[lane.index].fell_back = True
+                core = self._new_core(lane_program)
+                delta, error = self._run_lane(core, lane_program, image)
+            else:
+                delta, error = core.stats.delta_since(before[k]).validate(), None
+            if error is not None:
+                lane.done = True
+                results[lane.index].error = error
+                results[lane.index].fell_back = True
+                responses.append(None)
                 continue
-            delta = core.stats.delta_since(snap).validate()
-            outputs = {}
-            for out_name, handle in handles.items():
-                if isinstance(handle, PhysReg):
-                    outputs[out_name] = core.cdrf.peek(handle.index)
-            run = RegionRun(req0.name, KernelProfile(req0.name, delta), outputs)
-            responses.append((run, bytearray(core.scratchpad._mem)))
+            responses.append(self._region_run(req0.name, core, delta, handles))
         return responses
 
+    def _new_core(self, program: Program) -> Core:
+        return Core(
+            self.receiver.arch, program, tracer=self.tracer, interpreter=self.interpreter
+        )
+
     @staticmethod
-    def _reset_core(core: Core, program: Program, image: bytearray) -> None:
-        """Reset a resident core to the exact state a fresh ``Core`` has
-        after the single-packet setup (image blit, I$ warm-up) — skipping
-        ``load_configuration``, whose accounting the region snapshot
-        excludes anyway."""
-        core.rebind_program(program)
-        core.scratchpad._mem[:] = image
-        bank_free = core.scratchpad._bank_next_free
-        for bank in range(len(bank_free)):
-            bank_free[bank] = 0
-        regs = core.cdrf._regs
-        regs[:] = [0] * len(regs)
-        regs = core.cprf._regs
-        regs[:] = [0] * len(regs)
-        for lrf in core.local_rfs.values():
-            regs = lrf._regs
-            regs[:] = [0] * len(regs)
-        latch = core.cga._out_latch
-        for i in range(len(latch)):
-            latch[i] = 0
-        core.vliw._reg_ready.clear()
-        core.vliw._pred_ready.clear()
-        tags = core.icache._tags
-        tags[:] = [None] * len(tags)
-        core.cycle = 0
-        core.pc = 0
-        core.halted = False
-        core.kernel_log.clear()
-        # Warm the I$ exactly as the single-packet path does (ascending
-        # pc order determines the direct-mapped tag state).
-        fetch = core.icache.fetch
-        for pc in range(len(program.bundles)):
-            fetch(pc)
+    def _run_lane(
+        core: Core, program: Program, image: bytearray
+    ) -> Tuple[Optional[ActivityStats], Optional[Exception]]:
+        """Reset *core* to *program* and *image* and run it alone;
+        returns the region's statistics, or the exception it raised."""
+        try:
+            core.reset(program, image)
+            before = core.stats.snapshot()
+            core.run()
+            return core.stats.delta_since(before).validate(), None
+        except Exception as exc:
+            return None, exc
+
+    def _region_run(
+        self, name: str, core: Core, delta: ActivityStats, handles: Dict[str, object]
+    ) -> Tuple[RegionRun, bytearray]:
+        """The pipeline's response for one finished lane.  When tracing,
+        emits the region span and advances the tracer's base past it:
+        every core restarts its cycle counter at zero, so the regions of
+        every packet line up on one timeline."""
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.complete(name, 0, delta.total_cycles, cat="region")
+            tracer.advance_base(delta.total_cycles)
+        outputs = {
+            out_name: core.cdrf.peek(handle.index)
+            for out_name, handle in handles.items()
+            if isinstance(handle, PhysReg)
+        }
+        run = RegionRun(name, KernelProfile(name, delta), outputs)
+        return run, bytearray(core.scratchpad._mem)
 
 
 #: The runtime's former batched-only name.  The serving benchmark's

@@ -28,11 +28,11 @@ many prologue/epilogue slots) runs on the engines' interpreted
 by the codegen contract.
 
 Faults are per-lane: a lane whose generated code raises (scratchpad
-bounds, VLIW runaway) is recorded in its :class:`LaneResult` and — when
-a ``fresh`` factory is provided — re-run from scratch on a fresh core,
-which reproduces the single-packet result or exception bit-identically
-(the batched fault leaves deferred counters unflushed, so the partial
-lane state is never reused).
+bounds, VLIW runaway) stops and its exception, mapped exactly as
+:meth:`Core.run` maps it, is recorded in its :class:`LaneResult`.  The
+batched fault leaves deferred counters unflushed, so the caller must not
+reuse the lane's partial state; the modem runtime replays such a lane
+alone on a fresh core.
 
 Tracing must be disabled on every lane: the batched code omits tracer
 hooks entirely (that is what makes it fast), so lockstep execution under
@@ -41,7 +41,7 @@ an enabled tracer would silently drop events.  :meth:`run` refuses it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim import codegen
 from repro.sim.cga import CgaFault
@@ -54,16 +54,14 @@ _UNSET = object()
 
 
 class LaneResult:
-    """Outcome of one lane: the core holding final state, the error (if
-    the lane faulted), and whether the fresh-core replay ran it."""
+    """Outcome of one lane: the core holding final state and the error
+    (if the lane faulted)."""
 
-    __slots__ = ("core", "error", "fell_back")
+    __slots__ = ("core", "error")
 
-    def __init__(self, core: Optional[Core], error: Optional[BaseException] = None,
-                 fell_back: bool = False) -> None:
+    def __init__(self, core: Core, error: Optional[BaseException] = None) -> None:
         self.core = core
         self.error = error
-        self.fell_back = fell_back
 
     @property
     def ok(self) -> bool:
@@ -161,16 +159,11 @@ class BatchProgramRunner:
 
     # -- driving --------------------------------------------------------
 
-    def run(self, cores: List[Core],
-            fresh: Optional[Callable[[int], Core]] = None) -> List[LaneResult]:
+    def run(self, cores: List[Core]) -> List[LaneResult]:
         """Drive every lane to halt (or error); returns per-lane results.
 
-        *fresh*, when given, maps a lane index to a brand-new fully
-        prepared core (pokes and memory applied, nothing run); a lane
-        that faults is then replayed alone on that core — the canonical
-        result or exception — and marked ``fell_back``.
-        Without *fresh* the batched-path exception is recorded directly
-        (mapped exactly as :meth:`Core.run` would map it).
+        A lane that faults stops with its exception recorded, mapped
+        exactly as :meth:`Core.run` would map it.
         """
         for core in cores:
             if core.tracer.enabled:
@@ -179,23 +172,11 @@ class BatchProgramRunner:
         results = [LaneResult(core) for core in cores]
 
         def fail(lane: int, exc: BaseException) -> None:
-            if fresh is None:
-                results[lane].error = exc
-                results[lane].fell_back = False
-                return
-            replay = LaneResult(None, fell_back=True)
-            results[lane] = replay
-            try:
-                core = fresh(lane)
-                replay.core = core
-                core.run(max_cycles=self.max_cycles)
-            except Exception as replay_exc:
-                replay.error = replay_exc
+            results[lane].error = exc
 
         while True:
             act = [i for i in range(n)
-                   if results[i].error is None and not results[i].fell_back
-                   and not results[i].core.halted]
+                   if results[i].error is None and not results[i].core.halted]
             if not act:
                 break
             # Core.run's loop-top runaway check, once per stop round.

@@ -132,16 +132,54 @@ class Core:
 
     # ------------------------------------------------------------------
 
-    def rebind_program(self, program: Program) -> None:
-        """Point the core at *program* without rebuilding the machine.
+    def reset(self, program: Program, image: bytes) -> None:
+        """Start *program* from the state every region starts from.
 
-        Used by the modem runtime to re-drive resident cores with
-        ``patch_constants`` variants of a linked program.  The runner's
-        memos are identity-guarded, so they need no reset: a new program
-        object misses them and the same object keeps them warm.
+        The scratchpad holds *image* with idle banks; the central,
+        predicate and local register files, the CGA out-latches and the
+        VLIW scoreboards are cleared; the I$ is warmed by fetching every
+        bundle in pc order (steady-state measurement), with the tracer
+        held off so warm-up leaves no events.  Statistics keep counting:
+        callers measure a region as a delta from a snapshot taken after
+        the reset.  Configuration DMA is not replayed; its accounting
+        never enters a region's delta.
+
+        The modem runtime re-drives resident cores with this, including
+        ``patch_constants`` variants of one linked program.  The lockstep
+        runner's memos are identity-guarded, so they need no reset: a
+        new program object misses them and the same object keeps them
+        warm.
         """
         self.program = program
         self.vliw.bundles = program.bundles
+        scratchpad = self.scratchpad
+        if len(image) != len(scratchpad._mem):
+            raise ValueError(
+                "image is %d bytes; the scratchpad holds %d"
+                % (len(image), len(scratchpad._mem))
+            )
+        scratchpad._mem[:] = image
+        scratchpad._bank_next_free[:] = [0] * scratchpad.n_banks
+        for rf in (self.cdrf, self.cprf, *self.local_rfs.values()):
+            rf._regs[:] = [0] * len(rf._regs)
+        self.cga._out_latch[:] = [0] * len(self.cga._out_latch)
+        self.vliw._reg_ready.clear()
+        self.vliw._pred_ready.clear()
+        icache = self.icache
+        icache._tags[:] = [None] * icache.n_lines
+        self.cycle = 0
+        self.pc = 0
+        self.halted = False
+        self.kernel_log.clear()
+        tracer = self.tracer
+        was_enabled = tracer.enabled
+        tracer.enabled = False
+        try:
+            fetch = icache.fetch
+            for pc in range(len(program.bundles)):
+                fetch(pc)
+        finally:
+            tracer.enabled = was_enabled
 
     def load_configuration(self, stall_core: bool = False) -> int:
         """DMA-preload all kernels' configuration contexts (accounting only).

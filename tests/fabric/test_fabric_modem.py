@@ -3,7 +3,11 @@
 Workers fork a pre-warmed parent template runtime, so each spins up
 with zero ``ModuloScheduler.schedule`` calls; a SIGKILLed worker's
 packets are requeued and the whole stream stays bit-identical to a
-serial :class:`SimReceiver` run.
+serial :class:`~repro.runtime.ModemRuntime` run.  That runtime is the
+one packet driver everywhere: every region runs on resident cores
+(in lockstep on the untraced compiled tier, one lane at a time on the
+reference tier used here), and a lane that faults in lockstep is
+replayed on a fresh core.
 """
 
 import os
@@ -14,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.fabric import Fabric
-from repro.modem.receiver import SimReceiver
 from repro.runtime import ModemRuntime, generate_packets, make_packet
 
 
@@ -26,7 +29,7 @@ def template():
     crash tests to kill a worker mid-stream."""
     cases = generate_packets(1, base_seed=42, cfo_hz=50e3)
     runtime = ModemRuntime(interpreter="reference")
-    runtime.warm_up(cases[0].rx)
+    runtime.run_packet(cases[0].rx)
     return runtime
 
 
@@ -153,5 +156,5 @@ def test_batch_drain_fabric_builds_its_template_on_the_requested_tier(cases):
         assert fab.template_runtime.interpreter == "reference"
         task_id = fab.offer(cases[0].rx).task_id
         results = fab.drain(timeout=300)
-    solo = SimReceiver(interpreter="reference").run_packet(cases[0].rx)
+    solo = ModemRuntime(interpreter="reference").run_packet(cases[0].rx)
     _assert_identical(results[task_id], solo)

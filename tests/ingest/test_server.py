@@ -290,7 +290,7 @@ def template():
 
     cases = generate_packets(1, base_seed=42, cfo_hz=50e3)
     runtime = ModemRuntime()
-    runtime.warm_up(cases[0].rx)
+    runtime.run_packet(cases[0].rx)
     return runtime
 
 

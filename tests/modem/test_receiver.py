@@ -11,8 +11,7 @@ from repro.eval import run_reference_modem
 from repro.modem.analysis import realtime_analysis
 from repro.modem.memory_map import DEFAULT_MAP
 from repro.modem.profile import format_table2, table2_rows
-from repro.modem.receiver import SimReceiver
-from repro.runtime import make_packet
+from repro.runtime import ModemRuntime, make_packet
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +135,7 @@ class TestSyncRegionReadsAdcStream:
 
     def test_fine_cfo_window_holds_real_samples(self):
         case = make_packet(1022, snr_db=25.0, scenario="indoor_multipath")
-        out = SimReceiver().run_packet(case.rx)
+        out = ModemRuntime().run_packet(case.rx)
         ltf_guess = out.detect_pos + 160
         window_end = out.ltf1_start + 127  # fine acorr: 64-sample lag over 64
         assert window_end >= 352

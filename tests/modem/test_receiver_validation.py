@@ -1,16 +1,17 @@
-"""Input validation and tracer-robustness tests for SimReceiver."""
+"""Input validation and tracer-robustness tests for the receive pipeline."""
 
 import numpy as np
 import pytest
 
-from repro.modem.receiver import MIN_PACKET_SAMPLES, SimReceiver
-from repro.sim import Core
+from repro.modem.receiver import MIN_PACKET_SAMPLES
+from repro.runtime import ModemRuntime
+from repro.sim.icache import InstructionCache
 from repro.trace.tracer import Tracer
 
 
 @pytest.fixture(scope="module")
 def receiver():
-    return SimReceiver()
+    return ModemRuntime()
 
 
 class TestPacketValidation:
@@ -54,16 +55,21 @@ class TestPacketValidation:
 
 class TestTracerRobustness:
     def test_tracer_reenabled_after_setup_fault(self, monkeypatch):
-        """A fault inside the traced-setup window (config load / I$
-        warm-up) must not leave the caller's tracer disabled."""
+        """A fault inside the untraced setup window (``Core.reset``'s I$
+        warm-up) must not leave the caller's tracer disabled.  A traced
+        lane runs alone, so its fault is final: no replay warms again."""
         tracer = Tracer(capacity=1024, enabled=True)
-        receiver = SimReceiver(tracer=tracer)
+        runtime = ModemRuntime(tracer=tracer)
+        warmups = []
 
-        def boom(self):
-            raise RuntimeError("config DMA fault")
+        def boom(self, pc, cycle=0):
+            warmups.append(tracer.enabled)
+            raise RuntimeError("I$ warm-up fault")
 
-        monkeypatch.setattr(Core, "load_configuration", boom)
+        monkeypatch.setattr(InstructionCache, "fetch", boom)
         rx = np.zeros((2, 400), dtype=np.complex128)
-        with pytest.raises(RuntimeError, match="config DMA fault"):
-            receiver.run_packet(rx)
+        with pytest.raises(RuntimeError, match="I\\$ warm-up fault"):
+            runtime.run_packet(rx)
+        assert warmups == [False]
         assert tracer.enabled is True
+        assert runtime.fallbacks == 1

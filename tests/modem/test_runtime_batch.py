@@ -19,6 +19,7 @@ from repro.modem.receiver import MIN_PACKET_SAMPLES, SimReceiver
 from repro.runtime import ModemRuntime, generate_packets, make_packet
 from repro.sim import Core, Program, codegen
 from repro.sim.core import INTERPRETERS
+from repro.trace.tracer import Tracer
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -56,7 +57,7 @@ def test_batch_bit_identical_to_per_packet_receivers(cases):
         assert float(np.mean(out.bits != case.bits)) == 0.0
     assert runtime.compiled_programs == programs_after_first
     for out, case in zip(batched, subset):
-        solo = SimReceiver(interpreter="reference").run_packet(case.rx)
+        solo = ModemRuntime(interpreter="reference").run_packet(case.rx)
         _assert_outputs_identical(out, solo)
 
 
@@ -107,7 +108,7 @@ def test_batch_8_packets_at_least_5x_faster_than_cold_runs(cases, monkeypatch):
     _PLANS.memory.clear()
     try:
         t0 = time.perf_counter()
-        cold_out = SimReceiver().run_packet(cases[0].rx)
+        cold_out = ModemRuntime().run_packet(cases[0].rx)
         t_cold = time.perf_counter() - t0
     finally:
         _PLANS.memory.update(saved)
@@ -140,12 +141,12 @@ def test_unknown_interpreter_is_rejected_at_construction():
 
 
 def test_default_tier_is_compiled():
-    """Core, SimReceiver, run_reference_modem and ModemRuntime share
-    one default tier."""
-    for fn in (Core.__init__, SimReceiver.__init__, run_reference_modem,
-               ModemRuntime.__init__):
+    """Core, run_reference_modem and ModemRuntime share one default
+    tier; the receiver pipeline itself has no tier to choose."""
+    for fn in (Core.__init__, run_reference_modem, ModemRuntime.__init__):
         assert inspect.signature(fn).parameters["interpreter"].default == "compiled"
     assert INTERPRETERS == ("reference", "compiled")
+    assert "interpreter" not in inspect.signature(SimReceiver.__init__).parameters
 
 
 def test_mixed_shapes_and_short_packet_keep_input_order(cases):
@@ -168,7 +169,7 @@ def test_mixed_shapes_and_short_packet_keep_input_order(cases):
             continue
         assert result.error is None, i
         assert result.fell_back is False, i
-        solo = SimReceiver(interpreter="reference").run_packet(rx)
+        solo = ModemRuntime(interpreter="reference").run_packet(rx)
         assert list(result.output.bits) == list(solo.bits), i
         assert result.output.stats == solo.stats, i
         assert result.output.image == solo.image, i
@@ -202,7 +203,7 @@ def test_faulted_lane_replays_its_region_on_a_fresh_core(cases, monkeypatch):
     injected = []
     replays = []
     batch_step = BatchProgramRunner._cga_batch_step
-    replay = ModemRuntime._replay_region
+    run_lane = ModemRuntime._run_lane
 
     def faulting_step(self, fn, trip, lanes, ginfo, results, fail):
         def fn_with_fault(*args):
@@ -214,24 +215,56 @@ def test_faulted_lane_replays_its_region_on_a_fresh_core(cases, monkeypatch):
 
         batch_step(self, fn_with_fault, trip, lanes, ginfo, results, fail)
 
-    def counted_replay(self, lane, results):
-        replays.append(lane.index)
-        return replay(self, lane, results)
+    def counted_run_lane(core, program, image):
+        # On the lockstep tier a lane runs alone only when replayed.
+        replays.append(core)
+        return run_lane(core, program, image)
 
     monkeypatch.setattr(BatchProgramRunner, "_cga_batch_step", faulting_step)
-    monkeypatch.setattr(ModemRuntime, "_replay_region", counted_replay)
+    monkeypatch.setattr(ModemRuntime, "_run_lane", staticmethod(counted_run_lane))
     packets = [case.rx for case in cases[:4]]
     runtime = ModemRuntime(batch=4)
     results = runtime.run_batch_results(packets)
-    assert injected == [faulty] and replays == [faulty]
+    assert injected == [faulty] and len(replays) == 1
+    assert all(replays[0] not in region.cores for region in runtime._regions.values())
     assert runtime.fallbacks == 1
     for i, (rx, result) in enumerate(zip(packets, results)):
         assert result.error is None, i
         assert result.fell_back is (i == faulty), i
-        reference = SimReceiver(interpreter="reference").run_packet(rx)
+        reference = ModemRuntime(interpreter="reference").run_packet(rx)
         assert list(result.output.bits) == list(reference.bits), i
         assert result.output.stats == reference.stats, i
         assert result.output.image == reference.image, i
+
+
+def test_traced_batch_matches_untraced_and_spans_every_region(cases):
+    """A traced 4-wide runtime runs its lanes one at a time on the
+    reference loop (the lockstep runner refuses traced lanes) and still
+    matches an untraced compiled run in bits, stats and images; the
+    tracer gets one ``region`` span per simulated region per packet, on
+    one timeline that never runs backwards."""
+    tracer = Tracer(capacity=1 << 16, enabled=True)
+    packets = [case.rx for case in cases[:2]]
+    traced = ModemRuntime(tracer=tracer, batch=4).run_batch(packets)
+    plain = ModemRuntime(batch=4).run_batch(packets)
+    for out, ref in zip(traced, plain):
+        _assert_outputs_identical(out, ref)
+    simulated = [
+        r.name for r in plain[0].preamble_regions + plain[0].data_regions
+        if r.profile.fused_into is None
+    ]
+    assert tracer.dropped == 0
+    spans = [e for e in tracer.events if e.cat == "region"]
+    # The lanes advance region by region: each region of packet 0, then
+    # the same region of packet 1.
+    assert [e.name for e in spans] == [name for name in simulated for _ in packets]
+    expected = [
+        r.profile.cycles
+        for pair in zip(*[out.preamble_regions + out.data_regions for out in traced])
+        for r in pair if r.profile.fused_into is None
+    ]
+    assert [e.dur for e in spans] == expected
+    assert all(a.ts + a.dur == b.ts for a, b in zip(spans, spans[1:]))
 
 
 #: Trailing-pad lengths of the mixed-shape serving traffic.
@@ -312,7 +345,7 @@ def test_runtime_tracks_warmed_shapes(cases):
     it to seed shape-affinity state for workers forked from a template."""
     runtime = ModemRuntime()
     assert runtime.warmed_shapes == set()
-    runtime.warm_up(cases[0].rx)
+    runtime.run_packet(cases[0].rx)
     shape = (int(cases[0].rx.shape[1]), 2)
     assert runtime.warmed_shapes == {shape}
     runtime.run_packet(cases[1].rx)  # same shape: still one entry

@@ -85,18 +85,15 @@ def test_engine_kernel_caches_are_bounded():
               runner._cga_fns, runner._sig_ids)
     compiled = []
     sizes = None
+    image = bytes(core.scratchpad._mem)
     for value in range(1, n + 1):
         variant = patch_constants(template, {_SENTINEL: value})
-        core.rebind_program(variant)
-        core.pc = 0
-        core.halted = False
-        start = core.cycle
+        core.reset(variant, image)
         before = codegen.codegen_stats()["compilations"]
         core.run()
         compiled.append(codegen.codegen_stats()["compilations"] - before)
-        assert core.cycle > start
+        assert core.cycle > 0
         assert core.cdrf.peek(10) == 4 * value
-        core.cdrf.poke(10, 0)
         if sizes is None:
             sizes = [len(table) for table in tables]
     assert [len(table) for table in tables] == sizes
@@ -111,18 +108,16 @@ def test_engine_kernel_caches_are_bounded():
 def test_recycled_kernel_id_is_not_a_stale_hit():
     """`id()` reuse after garbage collection must miss, not alias: the
     runner's per-lane memos are identity-guarded, so a recycled variant
-    driven through ``rebind_program`` runs its own immediates."""
+    driven through ``Core.reset`` runs its own immediates."""
     template = _template_program()
     core = Core(paper_core(), template, interpreter="compiled")
+    image = bytes(core.scratchpad._mem)
     seen = []
     for value in (5, 9, 5):
         variant = patch_constants(template, {_SENTINEL: value})
-        core.rebind_program(variant)
-        core.pc = 0
-        core.halted = False
+        core.reset(variant, image)
         core.run()
         seen.append(core.cdrf.peek(10))
-        core.cdrf.poke(10, 0)
         del variant  # allow id() reuse for the next variant
     assert seen == [20, 36, 20]
 

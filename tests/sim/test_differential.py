@@ -11,9 +11,11 @@ per-cause stall counters.  This is the correctness contract of the
 code generator (`src/repro/sim/codegen.py`): compiling is an
 optimisation, never a semantic change.  The runner additionally proves
 its divergence story here: ragged widths, per-lane immediate pools,
-divergent groups run at their own widths, mid-batch faults replayed on
-a fresh core bit-identically, and the reference-loop fallback for
-programs the code generator refuses.
+divergent groups run at their own widths, mid-batch faults recorded
+with the per-packet exception, and the reference-loop fallback for
+programs the code generator refuses.  ``Core.reset``, which the modem
+runtime uses to re-drive its resident cores, must leave a used core
+indistinguishable from a freshly built one.
 """
 
 import dataclasses
@@ -43,7 +45,7 @@ from repro.sim.batch import BatchProgramRunner
 from repro.sim.cga import CgaFault
 from repro.sim.memory import MemoryError_
 from repro.sim.program import DstKind, Preload, SrcKind
-from repro.sim.stats import _COUNTER_FIELDS, _SCALAR_FIELDS
+from repro.sim.stats import _COUNTER_FIELDS, _SCALAR_FIELDS, ActivityStats
 from repro.trace.tracer import Tracer
 
 
@@ -56,6 +58,12 @@ def enter_and_halt(kernel_id=0):
 
 def assert_identical(left: Core, right: Core) -> None:
     """Assert bit-identical architectural state and statistics."""
+    assert_same_state(left, right)
+    assert_same_stats(left.stats, right.stats)
+
+
+def assert_same_state(left: Core, right: Core) -> None:
+    """Assert bit-identical architectural and timing state."""
     assert left.cycle == right.cycle, "cycle counts differ"
     assert left.pc == right.pc
     assert left.halted == right.halted
@@ -82,14 +90,17 @@ def assert_identical(left: Core, right: Core) -> None:
     assert left.scratchpad._bank_next_free == right.scratchpad._bank_next_free, (
         "bank clocks differ"
     )
+
+
+def assert_same_stats(left: ActivityStats, right: ActivityStats) -> None:
     for name in _SCALAR_FIELDS:
-        assert getattr(left.stats, name) == getattr(right.stats, name), (
+        assert getattr(left, name) == getattr(right, name), (
             "stats.%s differs: %r vs %r"
-            % (name, getattr(left.stats, name), getattr(right.stats, name))
+            % (name, getattr(left, name), getattr(right, name))
         )
     for name in _COUNTER_FIELDS:
-        lhs = {k: v for k, v in getattr(left.stats, name).items() if v}
-        rhs = {k: v for k, v in getattr(right.stats, name).items() if v}
+        lhs = {k: v for k, v in getattr(left, name).items() if v}
+        rhs = {k: v for k, v in getattr(right, name).items() if v}
         assert lhs == rhs, "stats.%s differs" % name
 
 
@@ -102,15 +113,14 @@ BATCH_LANES = 3
 def assert_batched_identical(make_core, reference, n_lanes=BATCH_LANES,
                              runner=None):
     """Drive *n_lanes* fresh compiled cores through the batched tier and
-    assert each lane lands bit-identical to *reference* without needing
-    the per-packet fallback.  Returns the lane results."""
+    assert each lane lands bit-identical to *reference* without
+    faulting.  Returns the lane results."""
     lanes = [make_core() for _ in range(n_lanes)]
     if runner is None:
         runner = BatchProgramRunner()
-    results = runner.run(lanes, fresh=lambda i: make_core())
+    results = runner.run(lanes)
     for lane in results:
         assert lane.error is None, "batched lane errored: %r" % (lane.error,)
-        assert not lane.fell_back, "batched lane unexpectedly fell back"
         assert_identical(reference, lane.core)
     return results
 
@@ -477,7 +487,7 @@ def test_zero_patched_immediate_gets_its_own_function():
     runner = BatchProgramRunner()
     results = runner.run(lanes)
     for lane, ref in zip(results, references):
-        assert lane.error is None and not lane.fell_back
+        assert lane.error is None
         assert_identical(ref, lane.core)
     assert references[0].cdrf.peek(10) == word
     assert references[1].cdrf.peek(10) != word
@@ -967,7 +977,7 @@ def test_batched_patched_constants_per_lane_pools():
     before = codegen.codegen_stats()["compilations"]
     results = runner.run(lanes)
     for lane, ref, value in zip(results, per_packet, values):
-        assert lane.error is None and not lane.fell_back
+        assert lane.error is None
         assert_identical(ref, lane.core)
         assert lane.core.cdrf.peek(10) == (6 * value) & 0xFFFFFFFF
     # All three variants shared the batch compiles (one VLIW segment fn
@@ -992,7 +1002,7 @@ def test_batched_divergent_trip_counts_fall_back_per_packet():
     runner = BatchProgramRunner()
     results = runner.run(lanes)
     for lane, ref in zip(results, per_packet):
-        assert lane.error is None and not lane.fell_back
+        assert lane.error is None
         assert_identical(ref, lane.core)
     # trip 7 ran as a group of two, trip 3 alone (each through generated
     # code, not the reference fallback); trip 0 never enters.
@@ -1003,8 +1013,8 @@ def test_batched_divergent_trip_counts_fall_back_per_packet():
 def test_batched_mid_batch_cga_fault_falls_back():
     """A lane whose kernel faults (preload into a missing local RF — a
     structural property the signature excludes, so the lane still lands
-    in the batch group) is replayed per-packet with the canonical
-    ``CgaFault``; the surviving lanes stay bit-identical."""
+    in the batch group) records the per-packet ``CgaFault``, type and
+    message; the surviving lanes stay bit-identical."""
     kernel, pokes, mem = k_pipelined_load()
     bad_kernel = CgaKernel(
         name=kernel.name, ii=kernel.ii, stage_count=kernel.stage_count,
@@ -1017,24 +1027,20 @@ def test_batched_mid_batch_cga_fault_falls_back():
     reference.run()
     with pytest.raises(CgaFault) as per_packet_exc:
         _maker(bad_program, pokes, mem)().run()
-
-    def fresh(lane):
-        return _maker(bad_program if lane == 1 else program, pokes, mem)()
-
-    lanes = [fresh(i) for i in range(3)]
-    results = BatchProgramRunner().run(lanes, fresh=fresh)
-    assert results[1].fell_back
-    assert isinstance(results[1].error, CgaFault)
+    lanes = [_maker(bad_program if i == 1 else program, pokes, mem)()
+             for i in range(3)]
+    results = BatchProgramRunner().run(lanes)
+    assert type(results[1].error) is CgaFault
     assert str(results[1].error) == str(per_packet_exc.value)
     for i in (0, 2):
-        assert results[i].error is None and not results[i].fell_back
+        assert results[i].error is None
         assert_identical(reference, results[i].core)
 
 
 def test_batched_mid_segment_memory_fault_falls_back():
     """A data-dependent scratchpad overrun in one lane faults inside the
-    batched VLIW function; the fallback reproduces the per-packet
-    ``MemoryError_`` while sibling lanes complete batched."""
+    batched VLIW function and records the per-packet ``MemoryError_``,
+    type and message, while sibling lanes complete batched."""
     bundles = [
         VliwBundle((
             Instruction(Opcode.LD_I, srcs=(Reg(1), Imm(0)), dst=Reg(2)),
@@ -1050,39 +1056,67 @@ def test_batched_mid_segment_memory_fault_falls_back():
     reference.run()
     with pytest.raises(MemoryError_) as per_packet_exc:
         _maker(program, pokes=bad)().run()
-
-    def fresh(lane):
-        pokes = bad if lane == 2 else good
-        mem = () if lane == 2 else [(64, 5, 4)]
-        return _maker(program, pokes=pokes, mem=mem)()
-
-    lanes = [fresh(i) for i in range(4)]
-    results = BatchProgramRunner().run(lanes, fresh=fresh)
-    assert results[2].fell_back
-    assert isinstance(results[2].error, MemoryError_)
+    lanes = [
+        _maker(program, pokes=bad)() if i == 2
+        else _maker(program, pokes=good, mem=[(64, 5, 4)])()
+        for i in range(4)
+    ]
+    results = BatchProgramRunner().run(lanes)
+    assert type(results[2].error) is MemoryError_
     assert str(results[2].error) == str(per_packet_exc.value)
     for i in (0, 1, 3):
-        assert results[i].error is None and not results[i].fell_back
+        assert results[i].error is None
         assert_identical(reference, results[i].core)
 
 
-def test_batched_fault_without_fresh_records_error():
-    """Without a ``fresh`` factory the batched-path exception is kept,
-    mapped exactly as ``Core.run`` maps it."""
-    kernel, pokes, mem = k_pipelined_load()
-    bad_kernel = CgaKernel(
-        name=kernel.name, ii=kernel.ii, stage_count=kernel.stage_count,
-        contexts=kernel.contexts, trip_count=kernel.trip_count,
-        preloads=[Preload(fu=99, lrf_index=0, cdrf_reg=0)],
-    )
-    program = Program(bundles=enter_and_halt(), kernels={0: kernel})
-    bad_program = Program(bundles=enter_and_halt(), kernels={0: bad_kernel})
-    lanes = [_maker(bad_program if i == 0 else program, pokes, mem)()
-             for i in range(3)]
-    results = BatchProgramRunner().run(lanes)
-    assert isinstance(results[0].error, CgaFault)
-    assert not results[0].fell_back
-    assert results[1].error is None and results[2].error is None
+@pytest.mark.parametrize("interpreter", INTERPRETERS)
+def test_reset_core_runs_like_a_fresh_core(interpreter):
+    """A core that already ran program A (latches, local RFs, central
+    and predicate registers, bank clocks, scoreboards, I$ and kernel log
+    all dirty) is reset to program B and a scratchpad image; B then runs
+    exactly as on a freshly built core holding that image with a warm
+    I$: same stats delta, scratchpad, registers, kernel log and cycle.
+    B's first bundle reads a register and a predicate that A wrote last,
+    so a stale scoreboard entry would stall it."""
+    arch = paper_core()
+    kernel_a, mem_a = k_form_boundaries(9)
+    program_a = Program(bundles=[
+        enter_and_halt()[0],
+        VliwBundle((
+            Instruction(Opcode.ADD, srcs=(Imm(0), Imm(5)), dst=Reg(2)),
+            Instruction(Opcode.PRED_SET, dst=PredReg(1)),
+            None,
+        )),
+        VliwBundle((Instruction(Opcode.HALT), None, None)),
+    ], kernels={0: kernel_a})
+    kernel_b, mem_b = k_form_boundaries(3)
+    program_b = Program(bundles=[
+        VliwBundle((
+            Instruction(Opcode.ADD, srcs=(Reg(2), Imm(1)), dst=Reg(3), pred=PredReg(1)),
+            None,
+            None,
+        )),
+        *enter_and_halt(),
+    ], kernels={0: kernel_b})
+    image = bytes(_maker(program_b, mem=mem_b, arch=arch)().scratchpad._mem)
+
+    used = _maker(program_a, mem=mem_a, interpreter=interpreter, arch=arch)()
+    used.run()
+    assert any(used.scratchpad._bank_next_free) and used.kernel_log
+    assert used.vliw._reg_ready.get(2, 0) > 1 and used.vliw._pred_ready.get(1, 0) > 1
+    used.reset(program_b, image)
+    before = used.stats.snapshot()
+    used.run()
+    used_delta = used.stats.delta_since(before)
+
+    fresh = Core(arch, program_b, interpreter=interpreter)
+    fresh.scratchpad._mem[:] = image
+    for pc in range(len(program_b.bundles)):
+        fresh.icache.fetch(pc)
+    before = fresh.stats.snapshot()
+    fresh.run()
+    assert_same_state(fresh, used)
+    assert_same_stats(fresh.stats.delta_since(before), used_delta)
 
 
 def test_compiled_core_with_tracer_runs_reference_tier():

@@ -35,11 +35,19 @@ figure: the bytecodes executed in frames of generated code (code
 filename starting ``<repro.sim.codegen``), counted with ``sys.settrace``
 opcode events over one warm 4-lane batch and divided by 4.  Wall time
 on a shared host cannot resolve a code-generator change below ~10%;
-this count can.  It is reported, not gated.  It compares only runs
-whose generated code shares one value representation: bytecodes on
-small ints (4x16-bit SIMD values held as lane tuples) cost less than
-bytecodes on packed 64-bit longs, so the change to lane tuples raised
-the count (1.94M -> 2.31M per packet) while generated CGA time fell.
+this count can.  It is reported, not gated.  The same pass gives
+``extra.generated_opcode_mix``: per packet, the executed
+``UNPACK_SEQUENCE``, ``BUILD_TUPLE`` and ``EXTENDED_ARG`` bytecodes and
+the ``LOAD_FAST`` -> ``STORE_FAST`` pairs (a local copied to a local, or
+a conditional expression picking a local).  Time does not follow the
+bytecode count across a change of value representation: bytecodes on
+small ints cost less than bytecodes on packed 64-bit longs, so lane
+tuples raised the count (1.94M -> 2.31M per packet) while generated CGA
+time fell ~40%, and an unpack or a tuple build costs more than the
+local loads and stores that replaced them when the lanes became four
+locals each (2.31M -> 1.65M, generated CGA time -39%).  Compare the count only
+between runs whose generated code holds values alike; the mix says
+which kind of bytecode moved.
 
 Every warm run's cycle count and decoded bits are checked for equality
 against the cold run (the bit-exact contract; the exhaustive diff lives
@@ -53,6 +61,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_sim_speed.py [--reference]
 """
 
 import argparse
+import dis
 import json
 import os
 import sys
@@ -90,28 +99,46 @@ def timed_run(interpreter):
     return run, wall
 
 
-def generated_bytecodes(fn):
-    """Run *fn* and return the bytecodes executed in generated frames."""
-    count = 0
+#: Opcodes counted in ``extra.generated_opcode_mix``.
+MIX_OPCODES = ("UNPACK_SEQUENCE", "BUILD_TUPLE", "EXTENDED_ARG")
 
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "opcode":
-            count += 1
-        return local
+
+def generated_bytecodes(fn):
+    """Run *fn*; return the bytecodes executed in generated frames and
+    their mix (:data:`MIX_OPCODES` plus ``LOAD_FAST_STORE_FAST`` pairs)."""
+    count = 0
+    mix = dict.fromkeys(MIX_OPCODES + ("LOAD_FAST_STORE_FAST",), 0)
+    counted = {dis.opmap[name]: name for name in MIX_OPCODES}
+    load, store = dis.opmap["LOAD_FAST"], dis.opmap["STORE_FAST"]
 
     def on_call(frame, event, arg):
-        if frame.f_code.co_filename.startswith(GENERATED_FILENAME):
-            frame.f_trace_opcodes = True
+        if not frame.f_code.co_filename.startswith(GENERATED_FILENAME):
+            return None
+        code = frame.f_code.co_code
+        previous = None
+
+        def local(frame, event, arg):
+            nonlocal count, previous
+            if event == "opcode":
+                count += 1
+                op = code[frame.f_lasti]
+                name = counted.get(op)
+                if name is not None:
+                    mix[name] += 1
+                elif op == store and previous == load:
+                    mix["LOAD_FAST_STORE_FAST"] += 1
+                previous = op
             return local
-        return None
+
+        frame.f_trace_opcodes = True
+        return local
 
     sys.settrace(on_call)
     try:
         fn()
     finally:
         sys.settrace(None)
-    return count
+    return count, mix
 
 
 def timed_batched_run(batch):
@@ -203,14 +230,15 @@ def main(argv=None) -> int:
 
     # Batched compiled tier: one resident runtime per width, the same
     # bit-exact contract as the per-packet tiers for every lane.
-    bytecodes_per_packet = None
+    bytecodes_per_packet = opcode_mix = None
     for b in BATCH_WIDTHS:
         runtime, packets, outputs, wall_b = timed_batched_run(b)
         if b == BYTECODE_BATCH:
-            total = generated_bytecodes(lambda: runtime.run_batch(packets))
+            total, mix = generated_bytecodes(lambda: runtime.run_batch(packets))
             bytecodes_per_packet = total // b
-            print("generated bytecodes per packet (warm B=%d): %d"
-                  % (b, bytecodes_per_packet))
+            opcode_mix = {name: n // b for name, n in mix.items()}
+            print("generated bytecodes per packet (warm B=%d): %d %s"
+                  % (b, bytecodes_per_packet, opcode_mix))
         cycles_b = sum(out.stats.total_cycles for out in outputs)
         cps_b = cycles_b / wall_b
         ns_b = ns_per_op(wall_b, [out.stats for out in outputs])
@@ -280,6 +308,7 @@ def main(argv=None) -> int:
         "tiers": tiers,
         "speedups": speedups,
         "generated_bytecodes_per_packet": bytecodes_per_packet,
+        "generated_opcode_mix": opcode_mix,
     }
 
     path = reporting.write_bench_report(

@@ -241,6 +241,7 @@ class SimReceiver:
         #: region program's kernels, in call order, keyed like
         #: ``_region_programs``.
         self.region_kernels: Dict[tuple, List[ScheduleResult]] = {}
+        self._tables: Optional[bytes] = None
 
     @property
     def compiled_programs(self) -> int:
@@ -325,9 +326,22 @@ class SimReceiver:
         rev = digit_reverse_indices(self.params.n_fft)
         return [8 * (payload_start + int(r)) for r in rev]
 
-    def _write_twiddles(self, image: bytearray) -> None:
-        for tw_addr, _q, _live_ins, words in self._fft_stages:
-            self._write_words(image, tw_addr, words, size=8)
+    def _table_image(self) -> bytes:
+        """The scratchpad image every packet starts from: the
+        packet-independent tables (ATAN, XCREF, RTAB, BINTAB, SGN and the
+        FFT twiddles), built once per receiver."""
+        if self._tables is None:
+            mem = self.mem
+            image = bytearray(self.arch.l1.bytes)
+            self._write_words(image, mem.ATAN, atan_table_q16(14))
+            self._write_words(image, mem.XCREF, self._ltf_ref_words(), size=8)
+            self._write_words(image, mem.RTAB, reorder_table_words(self.params.n_fft))
+            self._write_words(image, mem.BINTAB, self._bin_table_words())
+            self._write_words(image, mem.SGN, self._sign_table_words(), size=8)
+            for tw_addr, _q, _live_ins, words in self._fft_stages:
+                self._write_words(image, tw_addr, words, size=8)
+            self._tables = bytes(image)
+        return self._tables
 
     # ------------------------------------------------------------------
     # FFT region helper: first stage on the buffer pair, then each
@@ -401,14 +415,8 @@ class SimReceiver:
         shape = (n_samples, n_symbols)
         rx_re, rx_im = q15(rx.real), q15(rx.imag)
 
-        image = bytearray(self.arch.l1.bytes)
+        image = bytearray(self._table_image())
         self._write_words(image, mem.RXIN, _interleave_words(rx_re, rx_im))
-        self._write_words(image, mem.ATAN, atan_table_q16(14))
-        self._write_words(image, mem.XCREF, self._ltf_ref_words(), size=8)
-        self._write_words(image, mem.RTAB, reorder_table_words(self.params.n_fft))
-        self._write_words(image, mem.BINTAB, self._bin_table_words())
-        self._write_words(image, mem.SGN, self._sign_table_words(), size=8)
-        self._write_twiddles(image)
 
         pre: List[RegionRun] = []
 

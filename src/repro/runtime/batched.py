@@ -303,7 +303,6 @@ class ModemRuntime:
         if lockstep:
             for core, lane_program, lane in zip(cores, programs, members):
                 core.reset(lane_program, lane.request.image)
-            before = [core.stats.snapshot() for core in cores]
             errors = [lr.error for lr in region.runner.run(cores)]
         responses: List[Optional[Tuple[RegionRun, bytearray]]] = []
         for k, (core, lane_program, lane) in enumerate(zip(cores, programs, members)):
@@ -320,7 +319,7 @@ class ModemRuntime:
                 core = self._new_core(lane_program)
                 delta, error = self._run_lane(core, lane_program, image)
             else:
-                delta, error = core.stats.delta_since(before[k]).validate(), None
+                delta, error = core.stats.take().validate(), None
             if error is not None:
                 lane.done = True
                 results[lane.index].error = error
@@ -343,9 +342,8 @@ class ModemRuntime:
         returns the region's statistics, or the exception it raised."""
         try:
             core.reset(program, image)
-            before = core.stats.snapshot()
             core.run()
-            return core.stats.delta_since(before).validate(), None
+            return core.stats.take().validate(), None
         except Exception as exc:
             return None, exc
 

@@ -4,12 +4,13 @@ The reference engines re-decode every operation on every simulated
 cycle.  This module removes that dispatch: per
 ``(kernel, architecture-fingerprint)`` it emits Python *source* for the
 whole CGA steady-state window — the ``II`` contexts unrolled into
-straight-line code with the output latches and hot counters as locals,
-predication and the 4x16 SIMD lane maths inlined (SIMD values travel as
-tuples of four 16-bit lanes, see ``_emit_lanes``), and the commit ring
-replaced by per-operation shift registers whose commits are scheduled
-statically — plus straight-line runs of VLIW bundles (one generated
-function per branch-free segment).
+straight-line code with the hot counters as locals, predication and the
+4x16 SIMD lane maths inlined (a SIMD value is four locals, one per
+16-bit lane, see ``_lane_template``), and the commit ring replaced by
+per-operation shift registers whose commits, like every latch and
+local-RF write and routing move, are resolved while generating (see
+:class:`_CgaGen`) — plus straight-line runs of VLIW bundles (one
+generated function per branch-free segment).
 
 Every generated function is lane-batched: it advances ``B`` packets
 ("lanes") per call through structure-of-arrays arguments, with the
@@ -42,6 +43,9 @@ dynamic check).
 
 from __future__ import annotations
 
+import itertools
+import keyword
+import re
 import struct
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -57,7 +61,7 @@ from repro.isa.opcodes import (
     latency_of,
     op_weight,
 )
-from repro.isa.semantics import DATAFLOW_GROUPS, handler_for, operand_count
+from repro.isa.semantics import DATAFLOW_GROUPS, operand_count
 from repro.sim import memops
 from repro.sim.memory import MemoryError_
 from repro.sim.program import CgaKernel, DstKind, SrcKind, SrcSel, VliwBundle
@@ -132,8 +136,6 @@ def _base_namespace() -> Dict[str, object]:
     ns["_IC"] = StallCause.ICACHE_MISS
     ns["_IL"] = StallCause.INTERLOCK
     ns["_BR"] = StallCause.BRANCH
-    ns["_divs"] = handler_for(Opcode.DIV)
-    ns["_divu"] = handler_for(Opcode.DIV_U)
     ns["_fb"] = int.from_bytes
     ns["_P8"] = struct.Struct("<Q").pack
     ns["_P4"] = _LANE_STRUCT.pack
@@ -223,9 +225,9 @@ def _emit_access(lines: List[str], ind: str, cycle_var: str, size: int,
 
 def _emit_inline_read(lines: List[str], ind: str, cycle_var: str, size: int,
                       n_banks: int, mem_bytes: int, tally=None,
-                      idle: bool = False, lanes: bool = False) -> bool:
-    """Inline ``Scratchpad.timed_read``: leaves ``raw`` (a lane tuple
-    with *lanes*, for 8-byte reads) and, when it returns True, the
+                      idle: bool = False, dest: str = "raw", lanes: bool = False) -> bool:
+    """Inline ``Scratchpad.timed_read`` into *dest* (four lane locals
+    with *lanes*, for 8-byte reads) and, when it returns True, leave the
     bank-conflict delay in ``extra`` (see :func:`_emit_access`).
 
     With *tally* (a counter dict), statically-known access counts are
@@ -236,25 +238,25 @@ def _emit_inline_read(lines: List[str], ind: str, cycle_var: str, size: int,
     else:
         tally["n_l1r"] += 1 if size <= 4 else 2
     if lanes:
-        lines.append(ind + "raw = _L4(M, addr)")
+        lines.append(ind + "%s = _L4(M, addr)" % dest)
     else:
-        lines.append(ind + "raw = _fb(M[addr:addr + %d], 'little')" % size)
+        lines.append(ind + "%s = _fb(M[addr:addr + %d], 'little')" % (dest, size))
     return stalls
 
 
 def _emit_inline_write(lines: List[str], ind: str, cycle_var: str, size: int,
                        n_banks: int, mem_bytes: int, tally=None,
-                       idle: bool = False, lanes: bool = False) -> bool:
-    """Inline ``Scratchpad.timed_write`` of pre-masked ``v_st`` (a lane
-    tuple with *lanes*, for 8-byte writes); when it returns True, leaves
-    the bank-conflict delay in ``extra``."""
+                       idle: bool = False, lanes: Optional[str] = None) -> bool:
+    """Inline ``Scratchpad.timed_write`` of pre-masked ``v_st`` (or, for
+    8-byte writes, of the four lane expressions *lanes*); when it
+    returns True, leaves the bank-conflict delay in ``extra``."""
     stalls = _emit_access(lines, ind, cycle_var, size, n_banks, mem_bytes, idle)
     if tally is None:
         lines.append(ind + "n_l1w += %d" % (1 if size <= 4 else 2))
     else:
         tally["n_l1w"] += 1 if size <= 4 else 2
-    if lanes:
-        lines.append(ind + "_S4(M, addr, *v_st)")
+    if lanes is not None:
+        lines.append(ind + "_S4(M, addr, %s)" % lanes)
     else:
         lines.append(ind + "M[addr:addr + %d] = v_st.to_bytes(%d, 'little')" % (size, size))
     return stalls
@@ -403,8 +405,8 @@ def cga_signature(kernel: CgaKernel) -> tuple:
 # ----------------------------------------------------------------------
 #
 # Expression templates reproduce :mod:`repro.isa.semantics` bit-exactly
-# with the dispatch removed.  The SIMD lane templates work on lane
-# tuples; they and the int <-> lanes conversions are checked against
+# with the dispatch removed.  The SIMD lane templates work on four
+# lane expressions; they and the int <-> lanes conversions are checked against
 # the lifted reference forms in ``tests/sim/test_lane_templates.py``
 # and the differential suite.
 
@@ -412,6 +414,11 @@ def cga_signature(kernel: CgaKernel) -> tuple:
 def _sx(expr: str) -> str:
     """Sign-extend a raw 32-bit pattern expression to a Python int."""
     return "((((%s) & 4294967295) ^ 2147483648) - 2147483648)" % expr
+
+
+def _sx24(expr: str) -> str:
+    """Sign-extend the low 24 bits of *expr* (the dividers' operands)."""
+    return "((((%s) & 16777215) ^ 8388608) - 8388608)" % expr
 
 
 def _ucmp(tmpl: str):
@@ -459,27 +466,78 @@ _SCALAR_EXPR = {
     Opcode.PRED_GT_U: _ucmp(">"),
     Opcode.PRED_GE: _scmp(">="),
     Opcode.PRED_GE_U: _ucmp(">="),
-    Opcode.DIV: lambda a, b: "_divs(%s, %s)" % (a, b),
-    Opcode.DIV_U: lambda a, b: "_divu(%s, %s)" % (a, b),
+    # The 24-bit dividers: a zero divisor gives all ones.  Signed
+    # quotients truncate toward zero; |a|, |b| <= 2**23, so the float
+    # quotient is within 2**-30 of the exact one, whose distance to the
+    # next integer is at least 2**-23, and ``int`` truncates it exactly.
+    Opcode.DIV: lambda a, b: "((int(%s / %s) & 16777215) if (%s) & 16777215 else 16777215)"
+    % (_sx24(a), _sx24(b), b),
+    Opcode.DIV_U: lambda a, b: "(((%s) & 16777215) // ((%s) & 16777215) if (%s) & 16777215"
+    " else 16777215)" % (a, b, b),
     Opcode.PRED_CLEAR: lambda a, b: "0",
     Opcode.PRED_SET: lambda a, b: "1",
 }
 
 #: Value forms of generated code.  A SIMD result or an 8-byte load is
-#: carried as a tuple of four signed 16-bit lanes, lane 0 (the LSBs)
-#: first; everything else is a raw int.  Small ints are cheap in
+#: carried as four signed 16-bit lanes, lane 0 (the LSBs) first, each in
+#: its own local; everything else is a raw int.  Small ints are cheap in
 #: CPython where a packed 64-bit word is a multi-digit long, so the lane
-#: maths runs on the tuple and a value changes form only where a
-#: consumer needs the other one (see :class:`_CgaGen`).
+#: maths runs on the lanes and a value changes form only where a
+#: consumer needs the other one (see :class:`_CgaGen`).  The VLIW
+#: generator and the lane-template tests also pass a lane-tuple
+#: *expression* where a form is ``_LANES``.
 _INT = "i"
 _LANES = "t"
 
 _LANE_STRUCT = struct.Struct("<4h")
 
+#: Names generated CGA code reads from its namespace or the builtins.
+_GLOBAL_NAMES = frozenset(_base_namespace()) | {"_ME", "int"}
+
 #: SIMD ops whose second operand is a shift amount (its low 4 bits).
 _LANE_SHIFTS = frozenset({Opcode.C4SHIFTL, Opcode.C4SHIFTR})
 
 _LANE_BITWISE = {Opcode.C4AND: "&", Opcode.C4OR: "|", Opcode.C4XOR: "^"}
+
+#: An atom: a local, a pool immediate or an integer literal (negative
+#: ones parenthesised) -- an expression a value can be held as without
+#: evaluating anything.
+_ATOM = re.compile(r"[A-Za-z_]\w*|\d+|\(-\d+\)")
+#: A name that is not an attribute, and a string literal.
+_LOCAL = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+_STRING = re.compile(r"'[^']*'")
+
+
+def _is_var(atom: str) -> bool:
+    """Is *atom* a local that generated code assigns (not a literal, a
+    pool immediate ``imm_<k>`` or an immediate's lane ``iv_<k>_<i>``)?"""
+    var = _VARS.get(atom)
+    if var is None:
+        var = _VARS[atom] = ((atom[0].isalpha() or atom[0] == "_")
+                             and not atom.startswith(("imm_", "iv_")))
+    return var
+
+
+_VARS: Dict[str, bool] = {}
+
+
+def _lane_atoms(base: str) -> Tuple[str, ...]:
+    """The four lane locals of a lanes value named *base*."""
+    return (base + "_0", base + "_1", base + "_2", base + "_3")
+
+
+def _literal_value(atom: str) -> Optional[int]:
+    if atom[0].isdigit():
+        return int(atom)
+    if atom[0] == "(":
+        return int(atom[1:-1])
+    return None
+
+
+def _literal_lanes(word: int) -> Tuple[str, ...]:
+    """The lanes of the 64-bit pattern *word*, as literals."""
+    lanes = ((((word >> (16 * i)) & 65535) ^ 32768) - 32768 for i in range(4))
+    return tuple(str(x) if x >= 0 else "(%d)" % x for x in lanes)
 
 
 def _as_lanes(expr: str, form: Optional[str]) -> str:
@@ -487,9 +545,14 @@ def _as_lanes(expr: str, form: Optional[str]) -> str:
     return expr if form == _LANES else "_U4(_P8(%s))" % expr
 
 
-def _as_int(expr: str, form: Optional[str]) -> str:
-    """*expr*, held in *form*, as a raw-int expression."""
-    return "_fb(_P4(*%s), 'little')" % expr if form == _LANES else expr
+def _as_int(expr, form: Optional[str]) -> str:
+    """*expr*, held in *form*, as a raw-int expression (a lanes value is
+    four lane expressions or a lane-tuple expression)."""
+    if form != _LANES:
+        return expr
+    if isinstance(expr, tuple):
+        return "_fb(_P4(%s), 'little')" % ", ".join(expr)
+    return "_fb(_P4(*%s), 'little')" % expr
 
 
 def _convert(expr: str, src: Optional[str], dst: Optional[str]) -> str:
@@ -499,29 +562,33 @@ def _convert(expr: str, src: Optional[str], dst: Optional[str]) -> str:
     return _as_lanes(expr, src) if dst == _LANES else _as_int(expr, src)
 
 
-def _low_bits(expr: str, form: Optional[str]) -> str:
+def _low_bits(expr, form: Optional[str]) -> str:
     """An int expression agreeing with *expr* in its low 16 bits: enough
     for predicate (``& 1``) and shift-amount (``& 15``) consumers."""
-    return "%s[0]" % expr if form == _LANES else expr
+    if form != _LANES:
+        return expr
+    return expr[0] if isinstance(expr, tuple) else "%s[0]" % expr
 
 
-def _lane_operand(expr: str, form: str, lane_imms: set) -> str:
+def _lane_operand(expr: str, form: str, lane_imms: set):
     """*expr* as a SIMD operand.  An immediate ``imm_<k>`` is converted
-    once at function entry into ``iv_<k>``; *lane_imms* collects *k*."""
+    once at function entry into the lanes ``iv_<k>_<i>``; *lane_imms*
+    collects *k*."""
     if expr.startswith("imm_"):
         lane_imms.add(int(expr[4:]))
-        return "iv_" + expr[4:]
+        return _lane_atoms("iv_" + expr[4:])
     return _as_lanes(expr, form)
 
 
 def _emit_lane_imms(lines: List[str], at: int, ind: str, lane_imms: set) -> None:
     """Insert the entry conversions of the immediates used as lanes."""
-    lines[at:at] = [ind + "iv_%d = _U4(_P8(imm_%d))" % (k, k) for k in sorted(lane_imms)]
+    lines[at:at] = [ind + "%s = _U4(_P8(imm_%d))" % (", ".join(_lane_atoms("iv_%d" % k)), k)
+                    for k in sorted(lane_imms)]
 
 
 def _require_lane_words(op: Opcode, word_bits: int) -> None:
-    """Lane tuples hold 64 bits: an operand read from a wider register
-    file is refused (the op runs on the reference loop)."""
+    """Lanes hold 64 bits: an operand read from a wider register file is
+    refused (the op runs on the reference loop)."""
     if word_bits > 64:
         raise CodegenUnsupported(
             "%s needs operands of at most 64 bits, not %d" % (op.value, word_bits))
@@ -531,58 +598,112 @@ def _sat16(s: str) -> str:
     return "(32767 if %s > 32767 else (%s if %s >= -32768 else -32768))" % (s, s, s)
 
 
-def _emit_lanes(lines: List[str], ind: str, op: Opcode, a: str,
-                b: Optional[str], word_bits: int) -> str:
-    """Emit the statements of SIMD *op*'s template and return its result
-    lane-tuple expression: the one lane template set of both generators.
+#: Clamps a lane template may leave on a lane: none, to int16's upper
+#: end (a q15 product of two int16 lies in [-32767, 32768]) or to both.
+_CLAMP_NONE, _CLAMP_HI, _CLAMP_BOTH = 0, 1, 2
 
-    *a* is a lane-tuple expression; *b* is one too for the lane-wise
-    ops, an int expression for the shifts (only its low 4 bits count)
-    and ``None`` for the unary ops.  On sign-extended lanes ``&``, ``|``,
-    ``^`` and the arithmetic right shift stay in range, so only the
-    left shift wraps and only add, sub, negate and the q15 products
-    saturate."""
+
+def _lane_template(lines: List[str], ind: str, op: Opcode, a, b,
+                   word_bits: int) -> List[Tuple[str, int]]:
+    """Emit the statements of SIMD *op*'s template and return, per result
+    lane (lane 0 first), an expression and the clamp its value still
+    needs: the one lane template set of both generators.
+
+    *a* is four lane expressions, or a lane-tuple expression (unpacked
+    into ``a0``..``a3``); *b* is the same for the lane-wise ops, an int
+    expression for the shifts (only its low 4 bits count) and ``None``
+    for the unary ops.  A swizzle's lanes are *a*'s own expressions.  On
+    sign-extended lanes ``&``, ``|``, ``^`` and the arithmetic right
+    shift stay in range, so only the left shift wraps and only add, sub,
+    negate and the q15 products saturate."""
     _require_lane_words(op, word_bits)
     w = lines.append
-    w(ind + "a0, a1, a2, a3 = %s" % a)
+    if isinstance(a, str):
+        w(ind + "a0, a1, a2, a3 = %s" % a)
+        a = ("a0", "a1", "a2", "a3")
     if op in _LANE_SHIFTS:
         w(ind + "sh = (%s) & 15" % b)
         if op is Opcode.C4SHIFTR:
-            lanes = ["a%d >> sh" % i for i in range(4)]
-        else:
-            lanes = ["(((a%d << sh) + 32768) & 65535) - 32768" % i for i in range(4)]
-    elif op is Opcode.C4SWAP32:
-        lanes = ["a2", "a3", "a0", "a1"]
-    elif op is Opcode.C4SWAP16:
-        lanes = ["a1", "a0", "a3", "a2"]
-    elif op is Opcode.C4NEGB:
-        lanes = ["a0", "32767 if a1 == -32768 else -a1",
-                 "a2", "32767 if a3 == -32768 else -a3"]
-    else:
+            return [("%s >> sh" % x, _CLAMP_NONE) for x in a]
+        return [("(((%s << sh) + 32768) & 65535) - 32768" % x, _CLAMP_NONE) for x in a]
+    if op is Opcode.C4SWAP32:
+        return [(a[2], _CLAMP_NONE), (a[3], _CLAMP_NONE), (a[0], _CLAMP_NONE),
+                (a[1], _CLAMP_NONE)]
+    if op is Opcode.C4SWAP16:
+        return [(a[1], _CLAMP_NONE), (a[0], _CLAMP_NONE), (a[3], _CLAMP_NONE),
+                (a[2], _CLAMP_NONE)]
+    if op is Opcode.C4NEGB:
+        return [(a[0], _CLAMP_NONE), ("32767 if %s == -32768 else -%s" % (a[1], a[1]), _CLAMP_NONE),
+                (a[2], _CLAMP_NONE), ("32767 if %s == -32768 else -%s" % (a[3], a[3]), _CLAMP_NONE)]
+    if isinstance(b, str):
         w(ind + "b0, b1, b2, b3 = %s" % b)
-        if op in (Opcode.C4ADD, Opcode.C4SUB):
-            sign = "+" if op is Opcode.C4ADD else "-"
-            for i in range(4):
-                w(ind + "s%d = a%d %s b%d" % (i, i, sign, i))
-            lanes = [_sat16("s%d" % i) for i in range(4)]
-        elif op in _LANE_BITWISE:
-            lanes = ["a%d %s b%d" % (i, _LANE_BITWISE[op], i) for i in range(4)]
-        elif op is Opcode.C4MAX:
-            lanes = ["a%d if a%d > b%d else b%d" % (i, i, i, i) for i in range(4)]
-        elif op is Opcode.C4MIN:
-            lanes = ["a%d if a%d < b%d else b%d" % (i, i, i, i) for i in range(4)]
-        elif op in (Opcode.D4PROD, Opcode.C4PROD):
-            # C4PROD pairs across: |a1*b2|b1*a2|c1*d2|d1*c2|.  A q15
-            # product of two int16 lies in [-32767, 32768], so only the
-            # upper clamp can fire.
-            pairs = ((0, 0), (1, 1), (2, 2), (3, 3)) if op is Opcode.D4PROD \
-                else ((0, 1), (1, 0), (2, 3), (3, 2))
-            for i, (x, y) in enumerate(pairs):
-                w(ind + "t%d = (a%d * b%d) >> 15" % (i, x, y))
-            lanes = ["32767 if t%d > 32767 else t%d" % (i, i) for i in range(4)]
-        else:  # pragma: no cover - closed SIMD opcode set
-            raise CodegenUnsupported("no lane template for %s" % op.value)
-    return "(%s)" % ", ".join(lanes)
+        b = ("b0", "b1", "b2", "b3")
+    if op in (Opcode.C4ADD, Opcode.C4SUB):
+        sign = "+" if op is Opcode.C4ADD else "-"
+        return [("%s %s %s" % (a[i], sign, b[i]), _CLAMP_BOTH) for i in range(4)]
+    if op in _LANE_BITWISE:
+        return [("%s %s %s" % (a[i], _LANE_BITWISE[op], b[i]), _CLAMP_NONE) for i in range(4)]
+    if op is Opcode.C4MAX:
+        return [("%s if %s > %s else %s" % (a[i], a[i], b[i], b[i]), _CLAMP_NONE)
+                for i in range(4)]
+    if op is Opcode.C4MIN:
+        return [("%s if %s < %s else %s" % (a[i], a[i], b[i], b[i]), _CLAMP_NONE)
+                for i in range(4)]
+    if op in (Opcode.D4PROD, Opcode.C4PROD):
+        # C4PROD pairs across: |a1*b2|b1*a2|c1*d2|d1*c2|.
+        pairs = ((0, 0), (1, 1), (2, 2), (3, 3)) if op is Opcode.D4PROD \
+            else ((0, 1), (1, 0), (2, 3), (3, 2))
+        return [("(%s * %s) >> 15" % (a[x], b[y]), _CLAMP_HI) for x, y in pairs]
+    raise CodegenUnsupported("no lane template for %s" % op.value)  # pragma: no cover
+
+
+def _emit_lanes(lines: List[str], ind: str, op: Opcode, a, b,
+                word_bits: int) -> Tuple[str, ...]:
+    """:func:`_lane_template` as four result lane expressions: a lane
+    that needs a clamp is computed into ``s<k>`` (both ends) or ``t<k>``
+    (upper end) first."""
+    lanes = []
+    for k, (expr, clamp) in enumerate(_lane_template(lines, ind, op, a, b, word_bits)):
+        if clamp == _CLAMP_BOTH:
+            lines.append(ind + "s%d = %s" % (k, expr))
+            expr = _sat16("s%d" % k)
+        elif clamp == _CLAMP_HI:
+            lines.append(ind + "t%d = %s" % (k, expr))
+            expr = "32767 if t%d > 32767 else t%d" % (k, k)
+        lanes.append(expr)
+    return tuple(lanes)
+
+
+def _emit_clamp(lines: List[str], ind: str, name: str, clamp: int) -> None:
+    """Saturate the lane held in *name* in place."""
+    if clamp != _CLAMP_NONE:
+        lines.append(ind + "if %s > 32767:" % name)
+        lines.append(ind + "    %s = 32767" % name)
+    if clamp == _CLAMP_BOTH:
+        lines.append(ind + "elif %s < -32768:" % name)
+        lines.append(ind + "    %s = -32768" % name)
+
+
+def _emit_moves(lines: List[str], ind: str, moves: List[Tuple[str, str]]) -> None:
+    """Emit the parallel copy of every ``(dst, src)`` atom pair (distinct
+    *dst* locals) as sequential assignments: a pair goes once no other
+    pending pair still reads its destination; a cycle is broken through
+    a temporary."""
+    pending = [(d, s) for d, s in moves if d != s]
+    n_tmp = 0
+    while pending:
+        reads = {s for _d, s in pending}
+        for k, (d, s) in enumerate(pending):
+            if d not in reads:
+                lines.append(ind + "%s = %s" % (d, s))
+                del pending[k]
+                break
+        else:
+            d = pending[0][0]
+            tmp = "_t%d" % n_tmp
+            n_tmp += 1
+            lines.append(ind + "%s = %s" % (tmp, d))
+            pending = [(dd, tmp if ss == d else ss) for dd, ss in pending]
 
 
 # ----------------------------------------------------------------------
@@ -595,7 +716,8 @@ class _CgaChain:
     shift registers carrying the in-flight value."""
 
     __slots__ = ("oid", "ci", "pos", "fu", "op", "group", "kind", "latency",
-                 "weight", "stage", "q", "delta", "n")
+                 "weight", "stage", "q", "delta", "n", "arity", "simd", "identity",
+                 "shifts", "key")
 
     def __init__(self, oid, ci, pos, fu, op, group, kind, ii):
         self.oid = oid
@@ -608,6 +730,11 @@ class _CgaChain:
         self.latency = latency_of(op.opcode)
         self.weight = op_weight(op.opcode)
         self.stage = op.stage
+        self.arity = operand_count(op.opcode) if kind == "dataflow" else 0
+        self.simd = group in (OpGroup.SIMD1, OpGroup.SIMD2)
+        self.identity = self.simd and _is_identity(op)
+        self.shifts = op.opcode in _LANE_SHIFTS
+        self.key = "x%d" % oid  # the locals its values are named after
         if kind == "store":
             self.q = self.delta = self.n = 0
             return
@@ -616,8 +743,65 @@ class _CgaChain:
         self.n = self.delta + (1 if self.q > ci else 0)
 
 
+class _Val:
+    """A value as generated code holds it: an int expression ``i``, four
+    lane expressions ``t`` (lane 0 first), or both (a local-RF entry the
+    kernel only reads, converted once at entry).  The expressions of a
+    value held by a location are atoms."""
+
+    __slots__ = ("i", "t", "vars")
+
+    def __init__(self, i: Optional[str] = None, t: Optional[Tuple[str, ...]] = None):
+        self.i = i
+        self.t = t
+        #: The atoms generated code assigns (see :func:`_is_var`).
+        if t is None:
+            self.vars = (i,) if _is_var(i) else ()
+        else:
+            self.vars = tuple([a for a in self.atoms() if _is_var(a)])
+
+    def atoms(self) -> Tuple[str, ...]:
+        return ((self.i,) if self.i is not None else ()) + (self.t or ())
+
+    def renamed(self, names: Dict[str, str]) -> "_Val":
+        return _Val(None if self.i is None else names.get(self.i, self.i),
+                    None if self.t is None else tuple(names.get(a, a) for a in self.t))
+
+
+def _same(a: Optional[_Val], b: Optional[_Val]) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.i == b.i and a.t == b.t
+
+
+def _home(loc: str, like: _Val) -> _Val:
+    """*loc*'s own locals, in *like*'s form (int first)."""
+    return _Val(i=loc) if like.i is not None else _Val(t=_lane_atoms(loc))
+
+
 class _CgaGen:
-    """Emits the specialized steady-state function of one kernel."""
+    """Emits the specialized steady-state function of one kernel.
+
+    Values are held by *locations*: the output latches ``l_<fu>``, the
+    local-RF entries ``r<fu>_<e>`` and the shift registers
+    ``w<oid>_<j>`` of unpredicated ops.  Every location refers to the
+    locals holding its value (``loc``), so a latch commit, a shift, a
+    routing move or a lane swizzle is resolved here, at generation time,
+    and emits nothing; only computed values are assigned, each to a
+    local no live location still refers to.  Which locations are live
+    comes from a log of every location read and write
+    (:meth:`_walk_events`).  The shift registers of predicated ops,
+    which may hold ``_A`` at run time, are locals of their own, and a
+    conditional write first moves the location's value into the
+    location's own locals (:meth:`_materialize`).
+
+    A value's form is static: a SIMD result or an 8-byte load is four
+    lane locals, anything else one int.  Forms convert only where a
+    consumer needs the other one: central-RF reads and writes, scalar,
+    address and predicate operands (a predicate or a shift amount reads
+    lane 0), stores of at most 4 bytes and the write-back at kernel
+    exit; an immediate or a local-RF entry the kernel only reads is
+    converted once at entry."""
 
     def __init__(self, kernel: CgaKernel, arch: CgaArchitecture, fault,
                  cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
@@ -651,12 +835,37 @@ class _CgaGen:
         self._classify()
         self.has_mem = any(rec.kind != "dataflow" for rec in self.ops)
         self.has_load = any(rec.kind == "load" for rec in self.ops)
-        #: The form (``_INT``/``_LANES``, ``None`` while it holds only
-        #: ``_A``) of every latch ``l_<fu>``, local-RF local and shift
-        #: register at the point of emission, tracked in program order.
-        self.forms: Dict[str, Optional[str]] = {}
+        #: Entries never written but read as a SIMD operand: held in
+        #: both forms from function entry.
+        self.lrf_lanes = {
+            (rec.fu, sel.value) for rec in self.ops
+            if rec.group in (OpGroup.SIMD1, OpGroup.SIMD2) and not _is_identity(rec.op)
+            for i, sel in enumerate(rec.op.srcs)
+            if sel.kind is SrcKind.LRF and not (i == 1 and rec.op.opcode in _LANE_SHIFTS)
+        } - self.lrf_written
+        #: The location -> value map and, per assigned local, the
+        #: locations whose value uses it.
+        self.loc: Dict[str, Optional[_Val]] = {}
+        self.holders: Dict[str, set] = {}
+        #: Location events: their log (:meth:`_walk_events`), the index
+        #: of the next one, each location's last one and whether the
+        #: location's value is read after each.
+        self.ev_log: List[Tuple[str, bool]] = []
+        self.ev = 0
+        self.last_ev: Dict[str, int] = {}
+        self.live_after: Optional[List[bool]] = None
+        #: Per operand site, what reading it does (see _read_plan).
+        self.read_plans: Dict[tuple, tuple] = {}
         #: Pool slots of the immediates read as lanes (see _lane_operand).
         self.lane_imms: set = set()
+        #: Locals of the steady loop, in order of first use.
+        self.loop_names: List[str] = []
+        #: Ops whose values needed more than one local in a steady-loop
+        #: emission, and how many.
+        self.rotating: Dict[str, int] = {}
+        #: ``(copy, unroll, rotating op keys)`` while emitting an
+        #: unrolled loop body.
+        self.copy: Optional[tuple] = None
 
     # -- validation + classification (once, at generation time) --------
 
@@ -802,160 +1011,499 @@ class _CgaGen:
                     % (self.kernel.name, what, used, ports)
                 )
 
+    # -- locations -----------------------------------------------------
+    #
+    # A read or write of a location is an *event*.  :meth:`_walk_events`
+    # logs them in emission order; :meth:`_liveness` then says, per
+    # event, whether the value the location holds after it is read
+    # again, and the emission, which checks it makes the same events,
+    # reuses every local only dead locations refer to.  Copies,
+    # conversions and renames emitted on the way are not events.
+
+    def _note(self, loc: str, read: bool) -> None:
+        assert self.ev_log[self.ev] == (loc, read), (self.kernel.name, self.ev, loc)
+        self.last_ev[loc] = self.ev
+        self.ev += 1
+
+    def _live(self, loc: str) -> bool:
+        """Is the value *loc* holds now read before it is overwritten?"""
+        return self.live_after[self.last_ev[loc]]
+
+    def _walk_events(self) -> None:
+        """Log the location events of the emission, in its order (the
+        steady body once), without emitting anything."""
+        log = self.ev_log = []
+        ev = log.append
+        ii, trip = self.kernel.ii, self.trip
+        present = set()  # unpredicated shift registers holding a value
+        for fu, entry in sorted(self.lrf_entries):
+            ev(("r%d_%d" % (fu, entry), False))
+        for fu in sorted(self.latch_fus):
+            ev(("l_%d" % fu, False))
+        for rec in self.ops:
+            if rec.kind != "store" and rec.op.pred is None:
+                for j in range(rec.n):
+                    ev(("w%d_%d" % (rec.oid, j), False))
+
+        def writes(rec, last, read):
+            ev(("l_%d" % rec.fu, read))
+            for d in rec.op.dsts:
+                if d.kind is DstKind.LRF and (last or not d.last_iteration_only):
+                    ev(("r%d_%d" % (rec.fu, d.index), read))
+
+        def operand(rec, sel, it0):
+            if sel.init is not None and it0:
+                return
+            kind = sel.kind
+            if kind is SrcKind.SELF:
+                ev(("l_%d" % rec.fu, True))
+            elif kind is SrcKind.WIRE:
+                ev(("l_%d" % sel.value, True))
+            elif kind is SrcKind.LRF:
+                ev(("r%d_%d" % (rec.fu, sel.value), True))
+
+        def slot(I):
+            steady = I is None
+            for p in range(ii):
+                for rec in self.by_commit.get(p, []):
+                    if not (steady or self._chain_occupied(rec, I)):
+                        continue
+                    oid, n = rec.oid, rec.n
+                    on = steady or (rec.stage + rec.delta <= I
+                                    <= rec.stage + rec.delta + trip - 1)
+                    last = (not steady) and I == trip - 1 + rec.delta + rec.stage
+                    if rec.op.pred is not None:
+                        if on:
+                            writes(rec, last, True)
+                        continue
+                    if on:
+                        ev(("w%d_0" % oid, True))
+                        writes(rec, last, False)
+                    for j in range(n - 1):
+                        ev(("w%d_%d" % (oid, j + 1), True))
+                        ev(("w%d_%d" % (oid, j), False))
+                        if "w%d_%d" % (oid, j + 1) in present:
+                            present.add("w%d_%d" % (oid, j))
+                        else:
+                            present.discard("w%d_%d" % (oid, j))
+                    ev(("w%d_%d" % (oid, n - 1), False))
+                    present.discard("w%d_%d" % (oid, n - 1))
+                for rec in self.by_issue.get(p, []):
+                    if not (steady or self._issue_active(rec, I)):
+                        continue
+                    it0 = False if steady else (I == rec.stage)
+                    op = rec.op
+                    if op.pred is not None:
+                        operand(rec, op.pred, it0)
+                    srcs = list(op.srcs)
+                    if rec.kind != "dataflow":
+                        off = srcs[1]
+                        srcs = srcs[:1] + ([] if off.kind is SrcKind.IMM and off.init is None
+                                           else [off]) + srcs[2:3]
+                    for sel in srcs:
+                        operand(rec, sel, it0)
+                    if rec.kind != "store" and op.pred is None:
+                        tail = "w%d_%d" % (rec.oid, rec.n - 1)
+                        ev((tail, False))
+                        present.add(tail)
+
+        T, lo, hi = self._plan()
+        for I in range(min(lo, T)):
+            slot(I)
+        start = len(log)
+        if lo <= hi:
+            slot(None)
+        self.body_span = (start, len(log))
+        for I in range(max(lo, hi + 1), T):
+            slot(I)
+        for _d, rec, j in self._drain_entries():
+            last = j == rec.stage + rec.delta - self.kernel.stage_count
+            if rec.op.pred is not None:
+                writes(rec, last, True)
+            elif "w%d_%d" % (rec.oid, j) in present:
+                ev(("w%d_%d" % (rec.oid, j), True))
+                writes(rec, last, False)
+        for fu in sorted(self.latch_fus):
+            ev(("l_%d" % fu, True))
+        for fu, entry in sorted(self.lrf_written):
+            ev(("r%d_%d" % (fu, entry), True))
+
+    def _hold(self, loc: str, val: Optional[_Val]) -> None:
+        """Point *loc* at *val* (no event)."""
+        holders = self.holders
+        old = self.loc.get(loc)
+        if old is not None:
+            for a in old.vars:
+                holders[a].discard(loc)
+        self.loc[loc] = val
+        if val is not None:
+            for a in val.vars:
+                held = holders.get(a)
+                if held is None:
+                    holders[a] = {loc}
+                else:
+                    held.add(loc)
+
+    def _drop(self, loc: str) -> None:
+        """Forget *loc*'s value (it is dead)."""
+        old = self.loc.pop(loc, None)
+        if old is not None:
+            for a in old.vars:
+                self.holders[a].discard(loc)
+
+    def _get(self, loc: str, absent: bool = False) -> Optional[_Val]:
+        """Read *loc* (an event); *absent* allows an empty register."""
+        k = self.ev
+        assert self.ev_log[k] == (loc, True), (self.kernel.name, k, loc)
+        self.last_ev[loc] = k
+        self.ev = k + 1
+        val = self.loc[loc]
+        assert absent or val is not None, loc
+        return val
+
+    def _set(self, loc: str, val: Optional[_Val]) -> None:
+        """Write *loc* (an event): it now holds *val*."""
+        k = self.ev
+        assert self.ev_log[k] == (loc, False), (self.kernel.name, k, loc)
+        self.last_ev[loc] = k
+        self.ev = k + 1
+        self._hold(loc, val)
+
+    def _free(self, atom: str, avoid) -> bool:
+        if atom in avoid:
+            return False
+        held = self.holders.get(atom)
+        if held:
+            live, last = self.live_after, self.last_ev
+            for h in held:
+                if live[last[h]]:
+                    return False
+        return True
+
+    def _claim(self, atom: str) -> None:
+        held = self.holders.get(atom)
+        if held:
+            for h in list(held):
+                self._drop(h)
+
+    def _alloc(self, key: str, n: int, ok=None, avoid=()) -> Tuple[str, ...]:
+        """*n* locals (1: an int, 4: lanes) named after *key* that no
+        live location refers to and that pass *ok*: ``key``, else
+        ``key`` + ``v1``, ``v2``...  Copy *c* of a loop body unrolled
+        *u* times tries ``v<c>``, ``v<c+u>``... first for the ops whose
+        values rotate (see :meth:`_emit_steady`)."""
+        free = self._free
+        if n == 1 and ok is None and (self.copy is None or key not in self.copy[2]) \
+                and free(key, avoid):
+            return (key,)
+        if ok is None:
+            def ok(atoms):
+                for a in atoms:
+                    if not free(a, avoid):
+                        return False
+                return True
+        versions = itertools.count()
+        if self.copy is not None:
+            c, u, rotating = self.copy
+            if key in rotating:
+                versions = itertools.chain(range(c, 8 * u, u), versions)
+        for v in versions:
+            base = key if v == 0 else "%sv%d" % (key, v)
+            atoms = (base,) if n == 1 else _lane_atoms(base)
+            if ok(atoms):
+                if v and self.copy is not None and key[0] == "x":
+                    self.rotating[key] = max(self.rotating.get(key, 1), v + 1)
+                return atoms
+
+    def _define(self, lines: List[str], ind: str, key: str, exprs, keep=(),
+                avoid=()) -> _Val:
+        """The value of *exprs*: one int expression, or four lane
+        expressions each with the clamp it still needs.  An atom of
+        *keep* (the operands' own locals) or a literal or immediate is
+        held as it is; every other expression is assigned, in order, to
+        a free local named after *key* that no later expression reads,
+        and clamped in place."""
+        n = len(exprs)
+        if n == 1:
+            expr = exprs[0]
+            if expr[0] != "(" and _ATOM.fullmatch(expr) and (expr in keep or not _is_var(expr)):
+                return _Val(i=expr)
+            (atom,) = self._alloc(key, 1, avoid=avoid)
+            self._claim(atom)
+            lines.append(ind + "%s = %s" % (atom, expr))
+            return _Val(i=atom)
+        computed = [k for k, (e, _c) in enumerate(exprs)
+                    if not (_ATOM.fullmatch(e) and (e in keep or not _is_var(e)))]
+        held = [e for e, _c in exprs]
+        if computed:
+            kept = {held[k] for k in range(n) if k not in computed}
+            # A local a later lane reads (a substring test: at worst it
+            # refuses a local it could have taken) is not free.
+            later = {k: " ".join(held[j] for j in computed if j > k) for k in computed}
+
+            def ok(atoms):
+                for k in computed:
+                    a = atoms[k]
+                    if a in kept or a in later[k] or not self._free(a, avoid):
+                        return False
+                return True
+
+            atoms = self._alloc(key, n, ok)
+            for k in computed:
+                self._claim(atoms[k])
+                lines.append(ind + "%s = %s" % (atoms[k], held[k]))
+                _emit_clamp(lines, ind, atoms[k], exprs[k][1])
+                held[k] = atoms[k]
+        return _Val(i=held[0]) if n == 1 else _Val(t=tuple(held))
+
+    def _int(self, val: _Val) -> str:
+        """*val* as an int expression."""
+        if val.i is not None:
+            return val.i
+        lanes = [_literal_value(a) for a in val.t]
+        if None not in lanes:
+            return str(sum((x & 65535) << (16 * k) for k, x in enumerate(lanes)))
+        return _as_int(val.t, _LANES)
+
+    def _lanes(self, lines: List[str], ind: str, val: _Val, key: str,
+               avoid) -> Tuple[str, ...]:
+        """*val* as four lane atoms, converted into locals named after
+        *key* (none of *avoid*) when held as an int."""
+        if val.t is not None:
+            return val.t
+        x = val.i
+        if x.startswith("imm_"):
+            return _lane_operand(x, _INT, self.lane_imms)
+        lit = _literal_value(x)
+        if lit is not None:
+            return _literal_lanes(lit & MASK64)
+        atoms = self._alloc(key, 4, avoid=avoid)
+        for a in atoms:
+            self._claim(a)
+        lines.append(ind + "%s = _U4(_P8(%s))" % (", ".join(atoms), x))
+        return atoms
+
+    def _materialize(self, lines: List[str], ind: str, loc: str) -> None:
+        """Move *loc*'s value into its own locals (``loc``, or
+        ``loc_0``..``loc_3`` for lanes) so a conditional write can assign
+        them; another live location using one of them keeps its value
+        in a new local."""
+        val = self.loc[loc]
+        home = _home(loc, val)
+        src = val.atoms()[:1] if val.i is not None else val.t
+        for a in home.atoms():
+            self._evacuate(lines, ind, a, loc)
+        _emit_moves(lines, ind, list(zip(home.atoms(), src)))
+        self._hold(loc, home)
+
+    def _evacuate(self, lines: List[str], ind: str, atom: str, keep: str) -> None:
+        """Copy *atom* into a new local for every live location but
+        *keep* that uses it (dead ones forget their value)."""
+        users = [h for h in self.holders.get(atom, ()) if h != keep]
+        live = [h for h in users if self._live(h)]
+        for h in users:
+            if h not in live:
+                self._drop(h)
+        if live:
+            (new,) = self._alloc("e", 1, avoid={atom})
+            self._claim(new)
+            lines.append(ind + "%s = %s" % (new, atom))
+            for h in live:
+                self._hold(h, self.loc[h].renamed({atom: new}))
+
+    def _snapshot(self):
+        return (dict(self.loc), {a: set(h) for a, h in self.holders.items() if h},
+                dict(self.last_ev), self.ev, set(self.lane_imms))
+
+    def _restore(self, snap) -> None:
+        loc, holders, last_ev, ev, lane_imms = snap
+        self.loc = dict(loc)
+        self.holders = {a: set(h) for a, h in holders.items()}
+        self.last_ev = dict(last_ev)
+        self.ev = ev
+        self.lane_imms = set(lane_imms)
+
+    def _liveness(self) -> Tuple[List[bool], List[str]]:
+        """Per logged event, whether the value after it is read again
+        (the steady body's last event on a location also reaches the
+        body's first and the events after the loop); and the locations
+        live into the steady body."""
+        log = self.ev_log
+        lo, hi = self.body_span
+        live = [False] * len(log)
+        # Backwards: the next event on each location, then per location
+        # its first event in the body and after it.
+        nxt: Dict[str, int] = {}
+        first_body: Dict[str, int] = {}
+        first_post: Dict[str, int] = {}
+        last_body: Dict[str, int] = {}
+        last_before: Dict[str, int] = {}
+        for k in range(len(log) - 1, -1, -1):
+            loc, _read = log[k]
+            n = nxt.get(loc)
+            live[k] = n is not None and log[n][1]
+            nxt[loc] = k
+            if k >= hi:
+                first_post[loc] = k
+            elif k >= lo:
+                first_body[loc] = k
+                last_body.setdefault(loc, k)
+            else:
+                last_before.setdefault(loc, k)
+        for loc, k in last_body.items():
+            post = first_post.get(loc)
+            live[k] = log[first_body[loc]][1] or (post is not None and log[post][1])
+        live_in = [loc for loc in nxt
+                   if (log[first_body[loc]][1] if loc in first_body
+                       else loc in last_before and live[last_before[loc]])]
+        return live, sorted(live_in)
+
     # -- operand emission ----------------------------------------------
 
-    def _base_read(self, lines: List[str], ind: str, sel: SrcSel, fu: int,
-                   imm_slot: Optional[int], tally=None) -> Tuple[str, str]:
-        """Statements for a source read's side effects; returns the value
-        expression and its form.  Mirrors the reference tier's
-        ``_read_src``.  With *tally*, unconditional access counts
-        accumulate statically instead of emitting per-read increments."""
-        kind = sel.kind
-        if kind is SrcKind.SELF:
-            return self._held("l_%d" % fu)
-        if kind is SrcKind.WIRE:
-            if tally is None:
-                lines.append(ind + "n_itx += 1")
+    def _read_plan(self, rec: _CgaChain, role: str, i: Optional[int], sel: SrcSel):
+        """``(phi init value, access counter, location, value)`` of one
+        operand site, worked out once: a read of a location returns what
+        it holds, any other read returns *value*."""
+        key = (rec.oid, role, i)
+        plan = self.read_plans.get(key)
+        if plan is None:
+            imm_slot, init_slot = self.pool_index[(rec.ci, rec.fu, role, i)]
+            init = None if sel.init is None else _Val(i="imm_%d" % init_slot)
+            kind = sel.kind
+            if kind is SrcKind.SELF:
+                plan = (init, None, "l_%d" % rec.fu, None)
+            elif kind is SrcKind.WIRE:
+                plan = (init, "n_itx", "l_%d" % sel.value, None)
+            elif kind is SrcKind.LRF:
+                plan = (init, "n_lrf_r", "r%d_%d" % (rec.fu, sel.value), None)
+            elif kind is SrcKind.CDRF:
+                plan = (init, "n_cdrf_r", None, _Val(i="CD[imm_%d]" % imm_slot))
+            elif kind is SrcKind.CPRF:
+                plan = (init, "n_cprf_r", None, _Val(i="CP[imm_%d]" % imm_slot))
             else:
-                tally["n_itx"] += 1
-            return self._held("l_%d" % sel.value)
-        if kind is SrcKind.LRF:
-            if tally is None:
-                lines.append(ind + "n_lrf_r += 1")
-            else:
-                tally["n_lrf_r"] += 1
-            return self._held("r%d_%d" % (fu, sel.value))
-        if kind is SrcKind.CDRF:
-            if tally is None:
-                lines.append(ind + "n_cdrf_r += 1")
-            else:
-                tally["n_cdrf_r"] += 1
-            return "CD[imm_%d]" % imm_slot, _INT
-        if kind is SrcKind.CPRF:
-            if tally is None:
-                lines.append(ind + "n_cprf_r += 1")
-            else:
-                tally["n_cprf_r"] += 1
-            return "CP[imm_%d]" % imm_slot, _INT
-        return "imm_%d" % imm_slot, _INT
-
-    def _held(self, name: str) -> Tuple[str, str]:
-        form = self.forms[name]
-        assert form is not None, name
-        return name, form
+                plan = (init, None, None, _Val(i="imm_%d" % imm_slot))
+            self.read_plans[key] = plan
+        return plan
 
     def _read_operand(self, lines: List[str], ind: str, rec: _CgaChain,
                       role: str, i: Optional[int], sel: SrcSel, it0: bool,
-                      tally=None) -> Tuple[str, str]:
-        """Emit one operand read; returns a value expression and its form.
+                      tally=None) -> _Val:
+        """Emit one operand read; returns its value.  Mirrors the
+        reference tier's ``_read_src``.  With *tally*, unconditional
+        access counts accumulate statically instead of emitting per-read
+        increments.
 
         A phi (``sel.init is not None``) read in the op's iteration 0
         (*it0*) yields the initial immediate without touching the base
         location (and without its stats), exactly like the reference
         reader."""
-        imm_slot, init_slot = self.pool_index[(rec.ci, rec.fu, role, i)]
-        if sel.init is not None and it0:
-            return "imm_%d" % init_slot, _INT
-        return self._base_read(lines, ind, sel, rec.fu, imm_slot, tally=tally)
+        init, counter, loc, val = self._read_plan(rec, role, i, sel)
+        if init is not None and it0:
+            return init
+        if counter is not None:
+            if tally is None:
+                lines.append(ind + counter + " += 1")
+            else:
+                tally[counter] += 1
+        return val if loc is None else self._get(loc)
 
-    # -- value forms ---------------------------------------------------
-    #
-    # Forms are static: each write below records the form its name holds
-    # from then on, in program order.  An unconditional write sets it; a
-    # conditional one (predicated issue or commit, drain commit) converts
-    # its value into the name's current form, so every path leaves the
-    # name in one form.  Only a name holding nothing but ``_A`` (form
-    # ``None``) takes the written form.
-
-    def _assign(self, lines: List[str], ind: str, name: str, expr: str,
-                form: Optional[str], conditional: bool) -> None:
-        """Emit ``name = expr`` of a value in *form*."""
-        held = self.forms.get(name)
-        if conditional and held is not None:
-            expr = _convert(expr, form, held)
-        else:
-            self.forms[name] = form
-        lines.append(ind + "%s = %s" % (name, expr))
-
-    def _result_form(self, rec: _CgaChain) -> Optional[str]:
-        """The form of *rec*'s result when static (a routing move takes
-        its operand's form, so it has none)."""
+    def _pred_home(self, rec: _CgaChain, j: int) -> Tuple[str, ...]:
+        """The locals of a predicated op's shift register *j*: lanes for
+        a SIMD result or an 8-byte load, else an int; ``_A`` (in lane 0)
+        while it holds nothing."""
+        name = "w%d_%d" % (rec.oid, j)
         if rec.kind == "load":
-            return _LANES if self._lane_load(rec.op.opcode) else _INT
-        if rec.group in (OpGroup.SIMD1, OpGroup.SIMD2):
-            return None if _is_identity(rec.op) else _LANES
-        return _INT
+            lanes = self._lane_load(rec.op.opcode)
+        else:
+            lanes = rec.group in (OpGroup.SIMD1, OpGroup.SIMD2) and not _is_identity(rec.op)
+        return _lane_atoms(name) if lanes else (name,)
 
     def _lane_load(self, opcode: Opcode) -> bool:
         """8-byte loads yield lanes unless a register file is wider than
         64 bits (its ints could not all convert; no SIMD runs there)."""
         return memops.mem_info(opcode).size == 8 and self.word_bits <= 64
 
-    def _entry_forms(self) -> Dict[str, str]:
-        """The form each latch and local-RF local starts in: lanes when
-        every value written to it is lanes, so a conditional commit of
-        lanes never converts, else int."""
-        writes: Dict[str, List[Optional[str]]] = {}
-        for rec in self.ops:
-            if rec.kind == "store":
-                continue
-            form = self._result_form(rec)
-            writes.setdefault("l_%d" % rec.fu, []).append(form)
-            for dst in rec.op.dsts:
-                if dst.kind is DstKind.LRF:
-                    narrow = self.arch.fus[rec.fu].local_rf.width < self.word_bits
-                    writes.setdefault("r%d_%d" % (rec.fu, dst.index), []).append(
-                        _INT if narrow else form)
-        return {name: _LANES if all(f == _LANES for f in fs) else _INT
-                for name, fs in writes.items()}
-
     # -- commit emission -----------------------------------------------
 
-    def _emit_dst(self, lines: List[str], ind: str, rec: _CgaChain, j: int, dst,
-                  val: str, form: Optional[str], conditional: bool,
-                  tally=None) -> None:
-        if dst.kind is DstKind.LRF:
-            width = self.arch.fus[rec.fu].local_rf.width
-            if tally is None:
-                lines.append(ind + "n_lrf_w += 1")
-            else:
-                tally["n_lrf_w"] += 1
-            # Only a file narrower than the widest operand value masks.
-            if width < self.word_bits:
-                val, form = "%s & %d" % (_as_int(val, form), (1 << width) - 1), _INT
-            self._assign(lines, ind, "r%d_%d" % (rec.fu, dst.index), val, form,
-                         conditional)
-        elif dst.kind is DstKind.CDRF:
-            if tally is None:
-                lines.append(ind + "n_cdrf_w += 1")
-            else:
-                tally["n_cdrf_w"] += 1
-            value = _as_int(val, form)
-            if form != _LANES or self.cdrf_mask < MASK64:  # lanes fit 64 bits
-                value = "%s & %d" % (value, self.cdrf_mask)
-            lines.append(ind + "CD[imm_%d] = %s"
-                         % (self.pool_index[(rec.ci, rec.fu, "dst", j)][0], value))
-        else:
-            if tally is None:
-                lines.append(ind + "n_cprf_w += 1")
-            else:
-                tally["n_cprf_w"] += 1
-            lines.append(ind + "CP[imm_%d] = %s & %d"
-                         % (self.pool_index[(rec.ci, rec.fu, "dst", j)][0],
-                            _low_bits(val, form), self.cprf_mask))
-
-    def _emit_commit_writes(self, lines: List[str], ind: str, rec: _CgaChain,
-                            val: str, form: Optional[str], last: bool,
-                            conditional: bool, tally=None) -> None:
-        """Latch write-back plus destination writes for one commit of a
-        value in *form*; *last* says statically whether the committing
-        iteration is the last one, which decides the
-        ``last_iteration_only`` writes."""
-        self._assign(lines, ind, "l_%d" % rec.fu, val, form, conditional)
+    def _commit_writes(self, lines: List[str], ind: str, rec: _CgaChain,
+                       val: _Val, last: bool, tally=None) -> None:
+        """Latch write-back plus destination writes for one commit of
+        *val*; *last* says statically whether the committing iteration is
+        the last one, which decides the ``last_iteration_only`` writes."""
+        self._set("l_%d" % rec.fu, val)
         for j, d in enumerate(rec.op.dsts):
             if d.last_iteration_only and not last:
                 continue
-            self._emit_dst(lines, ind, rec, j, d, val, form, conditional, tally=tally)
+            counter = ("n_lrf_w" if d.kind is DstKind.LRF
+                       else "n_cdrf_w" if d.kind is DstKind.CDRF else "n_cprf_w")
+            if tally is None:
+                lines.append(ind + counter + " += 1")
+            else:
+                tally[counter] += 1
+            if d.kind is DstKind.LRF:
+                width = self.arch.fus[rec.fu].local_rf.width
+                held = val
+                # Only a file narrower than the widest operand value masks.
+                if width < self.word_bits:
+                    held = self._define(lines, ind, "m%d" % rec.oid,
+                                        ("%s & %d" % (self._int(val), (1 << width) - 1),),
+                                        avoid=set(val.atoms()))
+                self._set("r%d_%d" % (rec.fu, d.index), held)
+            else:
+                lines.append(ind + self._central_write(rec, j, d, val))
+
+    def _central_write(self, rec: _CgaChain, j: int, dst, val: _Val) -> str:
+        slot = self.pool_index[(rec.ci, rec.fu, "dst", j)][0]
+        if dst.kind is DstKind.CDRF:
+            value = self._int(val)
+            if val.i is not None or self.cdrf_mask < MASK64:  # lanes fit 64 bits
+                value = "%s & %d" % (value, self.cdrf_mask)
+            return "CD[imm_%d] = %s" % (slot, value)
+        low = val.i if val.i is not None else val.t[0]
+        return "CP[imm_%d] = %s & %d" % (slot, low, self.cprf_mask)
+
+    def _commit_conditional(self, lines: List[str], ind: str, rec: _CgaChain,
+                            j: int, last: bool, drain: Optional[int] = None) -> None:
+        """Commit of a predicated op's shift register *j* when it holds a
+        value at run time (and, in the drain, record *drain*)."""
+        head = self._pred_home(rec, j)
+        val = _Val(i=head[0]) if len(head) == 1 else _Val(t=head)
+        dsts = [(k, d) for k, d in enumerate(rec.op.dsts)
+                if not d.last_iteration_only or last]
+        targets = ["l_%d" % rec.fu] + ["r%d_%d" % (rec.fu, d.index)
+                                       for _k, d in dsts if d.kind is DstKind.LRF]
+        for loc in targets:
+            self._materialize(lines, ind, loc)
+        lines.append(ind + "if %s is not _A:" % head[0])
+        body = ind + "    "
+        if drain is not None:
+            lines.append(body + "drain = %d" % drain)
+        self._assign_home(lines, body, "l_%d" % rec.fu, val)
+        for k, d in dsts:
+            if d.kind is DstKind.LRF:
+                lines.append(body + "n_lrf_w += 1")
+                width = self.arch.fus[rec.fu].local_rf.width
+                held = val
+                if width < self.word_bits:
+                    held = _Val(i="%s & %d" % (self._int(val), (1 << width) - 1))
+                self._assign_home(lines, body, "r%d_%d" % (rec.fu, d.index), held)
+            else:
+                lines.append(body + ("n_cdrf_w" if d.kind is DstKind.CDRF else "n_cprf_w")
+                             + " += 1")
+                lines.append(body + self._central_write(rec, k, d, val))
+
+    def _assign_home(self, lines: List[str], ind: str, loc: str, val: _Val) -> None:
+        """Conditionally write *val* into materialized *loc* (an event
+        that keeps the old value live)."""
+        self._note(loc, True)
+        home = self.loc[loc]
+        if home.i is not None:
+            lines.append(ind + "%s = %s" % (home.i, self._int(val)))
+        elif val.t is not None:
+            for h, x in zip(home.t, val.t):
+                lines.append(ind + "%s = %s" % (h, x))
+        else:
+            lines.append(ind + "%s = _U4(_P8(%s))" % (", ".join(home.t), val.i))
 
     # -- issue emission ------------------------------------------------
 
@@ -964,33 +1512,38 @@ class _CgaGen:
         """Emit one op's operand reads and execution.  *idle* says the op
         is its context's first memory access (see :meth:`_emit_slot`)."""
         op = rec.op
-        conditional = op.pred is not None
-        target = "w%d_%d" % (rec.oid, rec.n - 1)
+        key = rec.key
         if rec.kind == "dataflow":
-            arity = operand_count(op.opcode)
             reads = [self._read_operand(lines, ind, rec, "src", i, sel, it0, tally=tally)
                      for i, sel in enumerate(op.srcs)]
-            if rec.group in (OpGroup.SIMD1, OpGroup.SIMD2):
+            if rec.simd:
+                keep = {a for r in reads for a in r.atoms()}
                 _require_lane_words(op.opcode, self.word_bits)
-                if _is_identity(op):
-                    self._assign(lines, ind, target, *reads[0], conditional)
+                if rec.identity:
+                    val = reads[0]
+                    if val.i is not None and not _ATOM.fullmatch(val.i):
+                        val = self._define(lines, ind, key, (val.i,))  # a central register
+                    self._issue_write(lines, ind, rec, val)
                     return
-                a = _lane_operand(*reads[0], self.lane_imms)
+                a = self._lanes(lines, ind, reads[0], "y%d" % rec.oid, keep)
                 b = None
-                if arity == 2:
-                    b = (_low_bits(*reads[1]) if op.opcode in _LANE_SHIFTS
-                         else _lane_operand(*reads[1], self.lane_imms))
-                self._assign(lines, ind, target,
-                             _emit_lanes(lines, ind, op.opcode, a, b, self.word_bits),
-                             _LANES, conditional)
+                if rec.arity == 2:
+                    if rec.shifts:
+                        b = reads[1].i if reads[1].i is not None else reads[1].t[0]
+                    else:
+                        b = self._lanes(lines, ind, reads[1], "z%d" % rec.oid, keep | set(a))
+                exprs = _lane_template(lines, ind, op.opcode, a, b, self.word_bits)
+                lanes = set(a) | (set(b) if isinstance(b, tuple) else set())
+                val = self._define(lines, ind, key, exprs, keep=lanes)
             else:
-                use = [_as_int(*r) for r in reads[:arity]] + ["0"] * (2 - min(arity, 2))
-                self._assign(lines, ind, target, _SCALAR_EXPR[op.opcode](use[0], use[1]),
-                             _INT, conditional)
+                arity = rec.arity
+                use = [self._int(r) for r in reads[:arity]] + ["0"] * (2 - min(arity, 2))
+                val = self._define(lines, ind, key, (_SCALAR_EXPR[op.opcode](use[0], use[1]),))
+            self._issue_write(lines, ind, rec, val)
             return
         info = memops.mem_info(op.opcode)
-        base = _as_int(*self._read_operand(lines, ind, rec, "src", 0, op.srcs[0], it0,
-                                           tally=tally))
+        base = self._int(self._read_operand(lines, ind, rec, "src", 0, op.srcs[0], it0,
+                                            tally=tally))
         off_sel = op.srcs[1]
         off_slot, _ = self.pool_index[(rec.ci, rec.fu, "src", 1)]
         if off_sel.kind is SrcKind.IMM and off_sel.init is None:
@@ -998,8 +1551,8 @@ class _CgaGen:
                 "%saddr = (((%s) & 4294967295) + imm_%d) & 4294967295" % (ind, base, off_slot)
             )
         else:
-            off = _as_int(*self._read_operand(lines, ind, rec, "src", 1, off_sel, it0,
-                                              tally=tally))
+            off = self._int(self._read_operand(lines, ind, rec, "src", 1, off_sel, it0,
+                                               tally=tally))
             lines.append(
                 "%saddr = (((%s) & 4294967295) + ((%s) & 4294967295)) & 4294967295"
                 % (ind, base, off)
@@ -1007,30 +1560,45 @@ class _CgaGen:
         geom = (self.arch.l1.banks, self.arch.l1.bytes)
         if rec.kind == "load":
             lanes = self._lane_load(op.opcode)
-            if _emit_inline_read(lines, ind, "physical", info.size, *geom,
-                                 tally=tally, idle=idle, lanes=lanes):
+            atoms = self._alloc(key, 4 if lanes else 1)
+            for a in atoms:
+                self._claim(a)
+            if _emit_inline_read(lines, ind, "physical", info.size, *geom, tally=tally,
+                                 idle=idle, dest=", ".join(atoms), lanes=lanes):
                 lines.append(ind + "stall_offset += extra")
             if lanes:
-                self._assign(lines, ind, target, "raw", _LANES, conditional)
-            elif info.signed:
-                hb = 1 << (info.size * 8 - 1)
-                self._assign(lines, ind, target, "((raw ^ %d) - %d) & 4294967295" % (hb, hb),
-                             _INT, conditional)
+                val = _Val(t=atoms)
             else:
-                self._assign(lines, ind, target, "raw & %d" % ((1 << (info.size * 8)) - 1),
-                             _INT, conditional)
+                if info.signed:
+                    hb = 1 << (info.size * 8 - 1)
+                    lines.append(ind + "%s = ((%s ^ %d) - %d) & 4294967295"
+                                 % (atoms[0], atoms[0], hb, hb))
+                val = _Val(i=atoms[0])
+            self._issue_write(lines, ind, rec, val)
         else:  # store: no latch, no commit chain
-            sv, form = self._read_operand(lines, ind, rec, "src", 2, op.srcs[2], it0,
-                                          tally=tally)
-            lanes = info.size == 8 and form == _LANES
-            if lanes:
-                lines.append(ind + "v_st = %s" % sv)
+            sv = self._read_operand(lines, ind, rec, "src", 2, op.srcs[2], it0, tally=tally)
+            lanes = None
+            if info.size == 8 and sv.t is not None:
+                lanes = ", ".join(sv.t)
             else:
                 lines.append(ind + "v_st = (%s) & %d"
-                             % (_as_int(sv, form), (1 << (info.size * 8)) - 1))
+                             % (self._int(sv), (1 << (info.size * 8)) - 1))
             if _emit_inline_write(lines, ind, "physical", info.size, *geom,
                                   tally=tally, idle=idle, lanes=lanes):
                 lines.append(ind + "stall_offset += extra")
+
+    def _issue_write(self, lines: List[str], ind: str, rec: _CgaChain, val: _Val) -> None:
+        """*val* enters the op's last shift register."""
+        if rec.op.pred is None:
+            self._set("w%d_%d" % (rec.oid, rec.n - 1), val)
+            return
+        home = self._pred_home(rec, rec.n - 1)
+        if len(home) == 1:
+            lines.append(ind + "%s = %s" % (home[0], self._int(val)))
+            return
+        lanes = self._lanes(lines, ind, val, "y%d" % rec.oid, set(val.atoms()))
+        for h, x in zip(home, lanes):
+            lines.append(ind + "%s = %s" % (h, x))
 
     def _emit_issue(self, lines: List[str], ind: str, rec: _CgaChain, it0: bool,
                     tally=None, idle: bool = False) -> None:
@@ -1040,8 +1608,8 @@ class _CgaGen:
         if op.pred is not None:
             # The predicate read itself is unconditional; the op body is
             # data-dependent, so its accounting stays inline.
-            pexpr = _low_bits(*self._read_operand(lines, ind, rec, "pred", None, op.pred,
-                                                  it0, tally=tally))
+            pv = self._read_operand(lines, ind, rec, "pred", None, op.pred, it0, tally=tally)
+            pexpr = pv.i if pv.i is not None else pv.t[0]
             if op.pred_negate:
                 lines.append(ind + "if (%s) & 1:" % pexpr)
             else:
@@ -1071,7 +1639,18 @@ class _CgaGen:
         a context at physical cycle ``P`` whose accesses add ``S`` stall
         cycles, each clock is at most ``P + 1 + S``, the next context's
         physical cycle.  So each context's first access is served at
-        ``physical`` without arbitration."""
+        ``physical`` without arbitration.
+
+        The location events are logged first (:meth:`_walk_events`);
+        the emission uses their liveness."""
+        self._walk_events()
+        self.live_after, self.body_live_in = self._liveness()
+        return self._generate()
+
+    def _generate(self) -> str:
+        self.loc, self.holders, self.last_ev = {}, {}, {}
+        self.ev = 0
+        self.lane_imms = set()
         lines: List[str] = []
         w = lines.append
         w("def _cga_run_batch(trips, start_cycles, preload_cycles_s, imms_s,"
@@ -1097,6 +1676,11 @@ class _CgaGen:
         self._emit_lane(lines, ind)
         w("        except _ME as exc:")
         w("            faults[_b] = exc")
+        if self.loop_names:
+            # Locals take their slots in order of first use: the steady
+            # loop's come first, so its loads and stores need no
+            # EXTENDED_ARG prefix.
+            lines.insert(1, "    %s = None" % " = ".join(self.loop_names))
         return "\n".join(lines) + "\n"
 
     # -- slot emission -------------------------------------------------
@@ -1166,54 +1750,40 @@ class _CgaGen:
         """Commit phase of one chain at a static slot (*I*) or in the
         steady state (``I is None``): presence, shift liveness and the
         last-iteration check are all compile-time; predicated chains
-        keep the runtime ``_A`` test (a squash leaves the latch empty)."""
+        keep the runtime ``_A`` test (a squash leaves the register
+        empty)."""
         oid, n = rec.oid, rec.n
-        trip = self.trip
         steady = I is None
         present = steady or (rec.stage + rec.delta <= I
-                             <= rec.stage + rec.delta + trip - 1)
-        last = (not steady) and I == trip - 1 + rec.delta + rec.stage
-        # The tail register need not be cleared when the next write to it
-        # (this slot's issue, or next slot's when the issue context
-        # precedes the commit context) deterministically lands first.
-        if rec.q > rec.ci:
-            ov_slot = (0 if steady else I) + 1
-            overwrite = rec.op.pred is None and (
-                (steady and self._hi + 1 <= rec.stage + trip - 1)
-                or (not steady and self._issue_active(rec, ov_slot)))
-        else:
-            overwrite = rec.op.pred is None and (
-                steady or self._issue_active(rec, I))
-        w = lines.append
-        forms = self.forms
-        head = "w%d_0" % oid
-        if rec.op.pred is None:
+                             <= rec.stage + rec.delta + self.trip - 1)
+        last = (not steady) and I == self.trip - 1 + rec.delta + rec.stage
+        if rec.op.pred is not None:
             if present:
-                form = forms[head]
-                assert form is not None, head
-                self._emit_commit_writes(lines, ind, rec, head, form, last, False, tally)
-        elif present:
-            form = forms[head]
-            w(ind + "v = " + head)
+                self._commit_conditional(lines, ind, rec, 0, last)
+            for j in range(n - 1):
+                for d, s in zip(self._pred_home(rec, j), self._pred_home(rec, j + 1)):
+                    lines.append(ind + "%s = %s" % (d, s))
+            lines.append(ind + "%s = _A" % self._pred_home(rec, n - 1)[0])
+            return
+        if present:
+            self._commit_writes(lines, ind, rec, self._get("w%d_0" % oid), last, tally)
         for j in range(n - 1):
-            self._assign(lines, ind, "w%d_%d" % (oid, j), "w%d_%d" % (oid, j + 1),
-                         forms["w%d_%d" % (oid, j + 1)], False)
-        if rec.op.pred is not None or not overwrite:
-            self._assign(lines, ind, "w%d_%d" % (oid, n - 1), "_A", None, False)
-        if rec.op.pred is not None and present:
-            w(ind + "if v is not _A:")
-            self._emit_commit_writes(lines, ind + "    ", rec, "v", form, last, True)
+            self._set("w%d_%d" % (oid, j), self._get("w%d_%d" % (oid, j + 1), absent=True))
+        self._set("w%d_%d" % (oid, n - 1), None)
 
     def _emit_slot(self, lines: List[str], ind: str, I: Optional[int],
-                   tally) -> None:
+                   tally, shift: int = 0) -> None:
+        """Emit slot *I*, or a steady slot (``I is None``) *shift* slots
+        after ``iter_slot``."""
         ii = self.kernel.ii
         steady = I is None
         w = lines.append
         for p in range(ii):
-            commits = self.by_commit.get(p, [])
-            issues = self.by_issue.get(p, [])
-            live = [r for r in commits if steady or self._chain_occupied(r, I)]
-            active = [r for r in issues if steady or self._issue_active(r, I)]
+            live = self.by_commit.get(p, ())
+            active = self.by_issue.get(p, ())
+            if not steady:
+                live = [r for r in live if self._chain_occupied(r, I)]
+                active = [r for r in active if self._issue_active(r, I)]
             if not live and not active:
                 continue
             for rec in live:
@@ -1221,7 +1791,7 @@ class _CgaGen:
             if any(r.kind != "dataflow" for r in active):
                 if steady:
                     w(ind + "physical = start_cycle + iter_slot * %d + %d"
-                      " + stall_offset" % (ii, p))
+                      " + stall_offset" % (ii, shift * ii + p))
                 else:
                     w(ind + "physical = start_cycle + %d + stall_offset"
                       % (I * ii + p))
@@ -1239,16 +1809,13 @@ class _CgaGen:
     def _emit_body(self, lines: List[str], ind: str,
                    plan: Tuple[int, int, int]) -> Dict[str, int]:
         T, lo, hi = plan
-        self._hi = hi
         tally = dict.fromkeys(self._TALLY_KEYS, 0)
         w = lines.append
         for I in range(min(lo, T)):
             w(ind + "# slot %d" % I)
             self._emit_slot(lines, ind, I, tally)
         if lo <= hi:
-            steady, body = self._emit_steady(lines, ind)
-            w(ind + "for iter_slot in range(%d, %d):" % (lo, hi + 1))
-            lines.extend(body or [ind + "    pass"])
+            steady = self._emit_steady(lines, ind, lo, hi)
             count = hi - lo + 1
             for key in tally:
                 tally[key] += steady[key] * count
@@ -1257,40 +1824,244 @@ class _CgaGen:
             self._emit_slot(lines, ind, I, tally)
         return tally
 
-    #: Steady-body emissions allowed to find entry forms the body leaves
-    #: unchanged; the modem's kernels and the test kernels need at most 2.
-    _FORM_PASSES = 4
+    # -- the steady loop -----------------------------------------------
+    #
+    # The loop body is emitted once, so every location live into it must
+    # hold the same locals at its end as at its start, or be copied back
+    # at the back edge.  The body first enters in the locals the prologue
+    # left.  A location whose copy would overwrite a local another
+    # location still needs, or a literal, enters in its own locals (its
+    # home) instead, copied once before the loop.
+    #
+    # A value still live when the next one of its op is computed (a
+    # shift-register chain at a small II, a latch read after its op
+    # issues again) needs a second local, and the locals rotate: one
+    # body would copy each of them back every iteration.  The body is
+    # then also emitted unrolled ``u`` times (modulo variable expansion,
+    # ``u`` the most locals one op needed, at most :attr:`_MAX_UNROLL`),
+    # copy ``c`` taking local ``v<c>`` of each such op, and re-emitted
+    # entering in the locals its last emission left; the cheapest loop
+    # per iteration wins, and the ``count % u`` iterations left over
+    # follow the loop.  Otherwise the single body is tried once more
+    # entering where it leaves off (an accumulator whose prologue value
+    # sits in another local then updates its local in place).
 
-    def _emit_steady(self, lines: List[str], ind: str) -> Tuple[Dict[str, int], List[str]]:
-        """Emit the conversions ahead of the steady-state loop; returns
-        the loop body's tally and lines.
+    #: Largest unroll factor tried.
+    _MAX_UNROLL = 4
 
-        The body is emitted from the prologue's exit forms; a name the
-        body leaves in another form enters in that one instead
-        (converted once, before the loop), until the body leaves every
-        form as it found it.  A kernel whose forms keep moving after
-        :attr:`_FORM_PASSES` emissions is refused."""
-        before = dict(self.forms)
-        entry = dict(before)
-        for _ in range(self._FORM_PASSES):
-            self.forms = dict(entry)
-            steady = dict.fromkeys(self._TALLY_KEYS, 0)
-            body: List[str] = []
-            self._emit_slot(body, ind + "    ", None, steady)
-            moved = {name: form for name, form in self.forms.items()
-                     if form is not None and entry.get(name) != form}
-            if not moved:
-                break
-            entry.update(moved)
+    def _emit_steady(self, lines: List[str], ind: str, lo: int, hi: int) -> Dict[str, int]:
+        """Emit the steady-state loop; returns one iteration's tally."""
+        count = hi - lo + 1
+        live_in = self.body_live_in
+        outside = {L: self.loc.get(L) for L in live_in}
+        snap = self._snapshot()
+        body_ind = ind + "    "
+        self.rotating = {}
+        best = self._loop_passes(1, snap, outside, body_ind, 1)
+        if best is not None and best["cost"]:
+            u = min(self._MAX_UNROLL, max([1] + list(self.rotating.values())))
+            single = best
+            if u > 1 and count >= 3 * u:
+                # The first emission enters in homes, which no copy's own
+                # locals collide with; the second where it leaves off.
+                homes = {L: v if v is None else _home(L, v) for L, v in outside.items()}
+                unrolled = self._loop_passes(u, snap, outside, body_ind, 2, set(self.rotating),
+                                             entry={"entry": homes, "out": {}})
+                if unrolled is not None and unrolled["cost"] < best["cost"] * u:
+                    best = unrolled
+            if best is single and not self.rotating:
+                # Enter where the body leaves off, when that copies less.
+                again = self._loop_passes(1, snap, outside, body_ind, 1, entry=best)
+                if again is not None and again["cost"] < best["cost"]:
+                    best = again
+        if best is None:
+            raise CodegenUnsupported("kernel %s: steady-loop locals do not settle"
+                                     % self.kernel.name)
+        u = best["unroll"]
+        groups, rest = divmod(count, u)
+        self._restore(best["state"])
+        entry, out = best["entry"], best["out"]
+        self._emit_transfer(lines, ind, outside, entry, live_in)
+        if u == 1:
+            lines.append(ind + "for iter_slot in range(%d, %d):" % (lo, hi + 1))
         else:
-            raise CodegenUnsupported("kernel %s: value forms do not settle in %d passes"
-                                     % (self.kernel.name, self._FORM_PASSES))
-        for name, form in sorted(before.items()):
-            if form is not None and entry[name] != form:
-                # A shift register may hold ``_A``, which stays as it is.
-                guard = "if %s is not _A: " % name if name.startswith("w") else ""
-                lines.append(ind + "%s%s = %s" % (guard, name, _convert(name, form, entry[name])))
-        return steady, body
+            lines.append(ind + "for iter_slot in range(%d, %d, %d):" % (lo, lo + u * groups, u))
+        lines.extend(best["body"])
+        back: List[str] = []
+        moved = self._emit_transfer(back, body_ind, out, entry, live_in, keep_live=True)
+        lines.extend(back)
+        for L in live_in:
+            self._hold(L, entry[L] if L in moved else out[L])
+        self.loop_names = self._names(best["body"] + back)
+        span_lo, span_hi = self.body_span
+        for j in range(rest):
+            # ``iter_slot`` still holds the last group's first iteration.
+            lines.append(ind + "# iteration %d" % (lo + u * groups + j))
+            self.ev = span_lo
+            self._emit_slot(lines, ind, None, dict.fromkeys(self._TALLY_KEYS, 0), shift=u + j)
+        self.ev = span_hi
+        return best["steady"]
+
+    def _loop_passes(self, u: int, snap, outside: Dict[str, Optional[_Val]], ind: str,
+                     passes: int, rotating=frozenset(), entry=None):
+        """The cheapest of up to *passes* emissions of the loop body
+        unrolled *u* times (see above), entering in the locals *entry*
+        (an earlier emission) leaves off or else in *outside*; or
+        ``None``."""
+        live_in = self.body_live_in
+        span_lo = self.body_span[0]
+        if entry is None:
+            entry = dict(outside)
+        else:
+            entry = dict(entry["entry"], **entry["out"])
+        best = None
+        homing = 0
+        while passes > 0 and homing <= len(live_in):
+            self._restore(snap)
+            for L in list(self.loc):
+                self._drop(L)
+            for L in live_in:
+                self._hold(L, entry[L])
+            body: List[str] = []
+            steady = dict.fromkeys(self._TALLY_KEYS, 0)
+            for c in range(u):
+                self.ev = span_lo
+                self.copy = (c, u, rotating)
+                self._emit_slot(body, ind, None,
+                                steady if c == 0 else dict.fromkeys(self._TALLY_KEYS, 0), shift=c)
+            self.copy = None
+            out = {L: self.loc.get(L) for L in live_in}
+            moving = [L for L in live_in if not _same(entry[L], out[L])]
+            bad = (self._unmovable(entry, out, moving)
+                   | self._unmovable(entry, outside,
+                                     [L for L in live_in if not _same(entry[L], outside[L])]))
+            if bad:
+                homes = {L: _home(L, out[L]) for L in bad if out[L] is not None}
+                if all(_same(entry[L], v) for L, v in homes.items()):
+                    break
+                entry.update(homes)
+                homing += 1
+                continue
+            passes -= 1
+            cost = sum(da != sa for L in moving for da, sa in self._pairs(entry[L], out[L]))
+            if best is not None and cost >= best["cost"]:
+                break
+            best = {"cost": cost, "body": body, "steady": steady, "out": out,
+                    "entry": dict(entry), "state": self._snapshot(), "unroll": u}
+            # Enter where this emission leaves off.
+            entry.update({L: out[L] for L in moving})
+            if not cost:
+                break
+        return best
+
+    @staticmethod
+    def _pairs(dst: _Val, src: _Val) -> List[Tuple[str, object]]:
+        """``(dst local, source)`` per local of *dst*: a source atom, or
+        ``(lanes,)`` for the int of a lanes source and ``(int, k)`` for
+        lane *k* of an int source, which are converted first."""
+        if dst.i is not None:
+            return [(dst.i, src.i if src.i is not None else (src.t,))]
+        if src.t is not None:
+            return list(zip(dst.t, src.t))
+        return [(a, (src.i, k)) for k, a in enumerate(dst.t)]
+
+    def _unmovable(self, dst: Dict[str, Optional[_Val]], src: Dict[str, Optional[_Val]],
+                   moving: List[str]) -> set:
+        """The locations of *moving* whose copy *src* -> *dst* cannot be
+        emitted: into a literal, from or to an empty register, into a
+        local two sources share, or over a local a location that does
+        not move still uses (that one is returned too)."""
+        bad = set()
+        keep: Dict[str, List[str]] = {}
+        for L, val in dst.items():
+            if L not in moving and val is not None:
+                for a in val.atoms():
+                    keep.setdefault(a, []).append(L)
+        owner: Dict[str, object] = {}
+        for L in moving:
+            d, s = dst[L], src[L]
+            if d is None or s is None or (d.i is not None and d.t is not None):
+                bad.add(L)
+                continue
+            for da, sa in self._pairs(d, s):
+                if not _is_var(da) or owner.setdefault(da, sa) != sa:
+                    bad.add(L)
+                if da in keep and da != sa:
+                    bad.add(L)
+                    bad.update(keep[da])
+        return bad
+
+    def _emit_transfer(self, lines: List[str], ind: str, src: Dict[str, Optional[_Val]],
+                       dst: Dict[str, Optional[_Val]], live_in: List[str],
+                       keep_live: bool = False) -> set:
+        """Emit the copy that moves every location of *live_in* from its
+        *src* locals into its *dst* ones; returns the locations moved.
+        With *keep_live* (the back edge), a location live past the loop
+        that does not move keeps its value: a local the copy overwrites
+        is read from where the copy put it, or saved first."""
+        moved = {L for L in live_in if not _same(src[L], dst[L])}
+        convert: List[str] = []
+        lanes_of: Dict[str, Tuple[str, ...]] = {}
+        moves: Dict[str, str] = {}
+        for L in sorted(moved):
+            for da, sa in self._pairs(dst[L], src[L]):
+                if isinstance(sa, tuple) and len(sa) == 1:
+                    sa = self._int(_Val(t=sa[0]))
+                    if not _ATOM.fullmatch(sa):
+                        tmp = "_c%d" % len(convert)
+                        convert.append(ind + "%s = %s" % (tmp, sa))
+                        sa = tmp
+                elif isinstance(sa, tuple):
+                    x, k = sa
+                    if x not in lanes_of:
+                        if x.startswith("imm_") or _literal_value(x) is not None:
+                            lanes_of[x] = self._lanes([], "", _Val(i=x), "", ())
+                        else:
+                            lanes_of[x] = _lane_atoms("_c%d" % len(convert))
+                            convert.append(ind + "%s = _U4(_P8(%s))"
+                                           % (", ".join(lanes_of[x]), x))
+                    sa = lanes_of[x][k]
+                moves[da] = sa
+        if keep_live:
+            into = {}
+            for da, sa in moves.items():
+                into.setdefault(sa, da)
+            saved: Dict[str, str] = {}
+            live_in_set = set(live_in)
+            for M in sorted(self.loc):
+                val = self.loc[M]
+                if M in live_in_set or val is None or not self._live(M):
+                    continue
+                for a in val.atoms():
+                    if a in moves and a not in saved:
+                        if a in into:
+                            saved[a] = into[a]
+                        else:
+                            (new,) = self._alloc("e", 1, avoid=set(moves) | set(moves.values())
+                                                 | set(saved.values()))
+                            self._claim(new)
+                            convert.append(ind + "%s = %s" % (new, a))
+                            saved[a] = new
+                if any(a in saved for a in val.atoms()):
+                    self._hold(M, val.renamed(saved))
+        lines.extend(convert)
+        _emit_moves(lines, ind, list(moves.items()))
+        return moved
+
+    @staticmethod
+    def _names(body: List[str]) -> List[str]:
+        """The locals *body* uses, in order of first use."""
+        names: List[str] = []
+        seen = set(_GLOBAL_NAMES)
+        for line in body:
+            if "'" in line:
+                line = _STRING.sub("", line)
+            for name in _LOCAL.findall(line):
+                if name not in seen:
+                    seen.add(name)
+                    if not keyword.iskeyword(name) and not name.startswith(("imm_", "iv_")):
+                        names.append(name)
+        return names
 
     # -- lane assembly --------------------------------------------------
 
@@ -1306,14 +2077,16 @@ class _CgaGen:
         elif n_imms > 1:
             w(ind + ", ".join("imm_%d" % i for i in range(n_imms)) + " = imms")
         imm_mark = len(lines)
-        forms = self._entry_forms()
         for fu in sorted(self.lrf_fus):
             w(ind + "L%d = local_rfs[%d]._regs" % (fu, fu))
         for fu, entry in sorted(self.lrf_entries):
             name = "r%d_%d" % (fu, entry)
-            self.forms[name] = forms.get(name, _INT)
-            w(ind + "%s = %s" % (name, _convert("L%d[%d]" % (fu, entry), _INT,
-                                                self.forms[name])))
+            w(ind + "%s = L%d[%d]" % (name, fu, entry))
+            val = _Val(i=name)
+            if (fu, entry) in self.lrf_lanes:
+                val.t = _lane_atoms(name)
+                w(ind + "%s = _U4(_P8(%s))" % (", ".join(val.t), name))
+            self._set(name, val)
         # Predicated ops tally issue counters per iteration: keep those
         # in one integer local per FU / op group and flush them with the
         # closed-form (unpredicated) totals in the epilogue.
@@ -1334,15 +2107,15 @@ class _CgaGen:
         # The runner passes matching trips; the baked value wins.
         w(ind + "trip = %d" % self.trip)
         for fu in sorted(self.latch_fus):
-            name = "l_%d" % fu
-            self.forms[name] = forms.get(name, _INT)
-            w(ind + "%s = %s" % (name, "(0, 0, 0, 0)" if self.forms[name] == _LANES else "0"))
+            self._set("l_%d" % fu, _Val(i="0"))
         for rec in self.ops:
             if rec.kind == "store":
                 continue
             for j in range(rec.n):
-                self.forms["w%d_%d" % (rec.oid, j)] = None
-                w(ind + "w%d_%d = _A" % (rec.oid, j))
+                if rec.op.pred is None:
+                    self._set("w%d_%d" % (rec.oid, j), None)
+                else:
+                    w(ind + " = ".join(self._pred_home(rec, j)) + " = _A")
         w(ind + "stall_offset = 0")
         w(ind + "n_cdrf_r = n_cdrf_w = n_cprf_r = n_cprf_w = n_lrf_r = n_lrf_w = n_itx = 0")
         if self.has_mem:
@@ -1351,22 +2124,23 @@ class _CgaGen:
         w(ind + "pred_weight = 0")
         w(ind + "drain = 0")
         tally = self._emit_body(lines, ind, plan)
-        for name in self._TALLY_KEYS:
-            if tally[name]:
-                w(ind + "%s += %d" % (name, tally[name]))
         entries = self._drain_entries()
         if entries:
             w(ind + "# drain: commits still in flight past the last context")
         for d, rec, j in entries:
-            w(ind + "v = w%d_%d" % (rec.oid, j))
-            w(ind + "if v is not _A:")
-            w(ind + "    drain = %d" % d)
             # Register j holds the value issued in slot trip+K1-delta+j,
             # i.e. iteration trip + K1 - delta + j - stage; it is the
             # last iteration exactly when j == stage + delta - stages.
             last = j == rec.stage + rec.delta - k.stage_count
-            self._emit_commit_writes(lines, ind + "    ", rec, "v",
-                                     self.forms["w%d_%d" % (rec.oid, j)], last, True)
+            if rec.op.pred is not None:
+                self._commit_conditional(lines, ind, rec, j, last, drain=d)
+            elif self.loc.get("w%d_%d" % (rec.oid, j)) is not None:
+                w(ind + "drain = %d" % d)
+                self._commit_writes(lines, ind, rec, self._get("w%d_%d" % (rec.oid, j)),
+                                    last, tally)
+        for name in self._TALLY_KEYS:
+            if tally[name]:
+                w(ind + "%s += %d" % (name, tally[name]))
         # Batched accounting for unpredicated ops (closed form in trip),
         # then the per-run stats flush.
         easy_fu: Dict[int, int] = {}
@@ -1419,11 +2193,10 @@ class _CgaGen:
             w(ind + "stats.l1_conflict_stall_cycles += bc_stall")
         w(ind + "stats.add_stall(_BC, stall_offset)")
         for fu in sorted(self.latch_fus):
-            name = "l_%d" % fu
-            w(ind + "out_latch[%d] = %s" % (fu, _as_int(name, self.forms[name])))
+            w(ind + "out_latch[%d] = %s" % (fu, self._int(self._get("l_%d" % fu))))
         for fu, entry in sorted(self.lrf_written):
             name = "r%d_%d" % (fu, entry)
-            w(ind + "L%d[%d] = %s" % (fu, entry, _as_int(name, self.forms[name])))
+            w(ind + "L%d[%d] = %s" % (fu, entry, self._int(self._get(name))))
         w(ind + "ends[_b] = start_cycle + total_logical + stall_offset + drain")
         _emit_lane_imms(lines, imm_mark, ind, self.lane_imms)
 
@@ -1664,9 +2437,8 @@ class _VliwGen:
                 if arity == 2:
                     b = (names[1] if inst.opcode in _LANE_SHIFTS
                          else _lane_operand(names[1], _INT, self.lane_imms))
-                lines.append(body + "%s = %s" % (
-                    target, _emit_lanes(lines, body, inst.opcode, a, b, self.word_bits)))
-                wb["form"] = _LANES
+                lanes = _emit_lanes(lines, body, inst.opcode, a, b, self.word_bits)
+                lines.append(body + "%s = %s" % (target, _as_int(lanes, _LANES)))
             else:
                 use = names[:arity] + ["0"] * (2 - min(arity, 2))
                 lines.append(
@@ -1927,7 +2699,6 @@ class _VliwGen:
                         "latency": latency_of(inst.opcode),
                         "is_load": group is OpGroup.LDMEM,
                         "guarded": inst.pred is not None,
-                        "form": _INT,
                     }
                     wbs.append(wb)
                     if wb["guarded"]:
@@ -1941,12 +2712,11 @@ class _VliwGen:
                 ready = "%s" % wb["rdy"] if wb["is_load"] else "cycle + %d" % wb["latency"]
                 if wb["is_pred"]:
                     w(sub + "n_cprf_w += 1")
-                    w(sub + "CP[%d] = %s & 1" % (wb["index"], _low_bits(wb["var"], wb["form"])))
+                    w(sub + "CP[%d] = %s & 1" % (wb["index"], wb["var"]))
                     w(sub + "pred_ready[%d] = %s" % (wb["index"], ready))
                 else:
                     w(sub + "n_cdrf_w += 1")
-                    w(sub + "CD[%d] = %s & %d" % (wb["index"], _as_int(wb["var"], wb["form"]),
-                                                  self.cdrf_mask))
+                    w(sub + "CD[%d] = %s & %d" % (wb["index"], wb["var"], self.cdrf_mask))
                     w(sub + "reg_ready[%d] = %s" % (wb["index"], ready))
             w(bind + "vliw_cycles += 1")
             w(bind + "cycle += 1")

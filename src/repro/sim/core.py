@@ -139,10 +139,10 @@ class Core:
         predicate and local register files, the CGA out-latches and the
         VLIW scoreboards are cleared; the I$ is warmed by fetching every
         bundle in pc order (steady-state measurement), with the tracer
-        held off so warm-up leaves no events.  Statistics keep counting:
-        callers measure a region as a delta from a snapshot taken after
-        the reset.  Configuration DMA is not replayed; its accounting
-        never enters a region's delta.
+        held off so warm-up leaves no events.  The statistics then
+        restart at zero, so after the run ``stats.take()`` is the
+        region's.  Configuration DMA is not replayed; its accounting
+        never enters a region's statistics.
 
         The modem runtime re-drives resident cores with this, including
         ``patch_constants`` variants of one linked program.  The lockstep
@@ -180,6 +180,7 @@ class Core:
                 fetch(pc)
         finally:
             tracer.enabled = was_enabled
+        self.stats.clear()
 
     def load_configuration(self, stall_core: bool = False) -> int:
         """DMA-preload all kernels' configuration contexts (accounting only).

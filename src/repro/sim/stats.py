@@ -203,6 +203,28 @@ class ActivityStats:
         for name in _COUNTER_FIELDS:
             getattr(self, name).update(getattr(other, name))
 
+    def clear(self) -> None:
+        """Zero every counter in place (objects holding this one keep it)."""
+        for name in _SCALAR_FIELDS:
+            setattr(self, name, 0)
+        for name in _COUNTER_FIELDS:
+            getattr(self, name).clear()
+
+    def take(self) -> "ActivityStats":
+        """Move every counter into a new object and zero this one: a
+        region's statistics when they started at zero (see
+        :meth:`repro.sim.core.Core.reset`).  Zero counter entries are
+        left out, as :meth:`delta_since` leaves them out."""
+        out = ActivityStats()
+        for name in _SCALAR_FIELDS:
+            setattr(out, name, getattr(self, name))
+            setattr(self, name, 0)
+        for name in _COUNTER_FIELDS:
+            counter = getattr(self, name)
+            setattr(out, name, +counter)
+            counter.clear()
+        return out
+
     def snapshot(self) -> "ActivityStats":
         """Return a deep copy of the current counters."""
         copy = ActivityStats()

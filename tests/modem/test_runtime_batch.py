@@ -394,3 +394,84 @@ def test_fresh_process_with_warm_disk_cache_never_schedules(tmp_path, cases):
     )
     assert proc.returncode == 0, proc.stderr
     assert "DISK_WARM_OK" in proc.stdout
+
+
+def _region_stats(outputs):
+    return [[region.profile.stats.as_dict() for region in out.preamble_regions + out.data_regions]
+            for out in outputs]
+
+
+@pytest.mark.parametrize("tier", ["reference", "compiled", "compiled-replay"])
+def test_region_stats_match_snapshot_deltas(cases, tier, monkeypatch):
+    """``Core.reset`` zeroes the statistics after its I$ warm-up and a
+    region hands its counts over with one ``ActivityStats.take()``: the
+    same region statistics as letting the counters run on and taking
+    each region as the delta from a snapshot made after the reset, on
+    both tiers and on a lane replayed after a lockstep fault."""
+    from repro.sim.batch import BatchProgramRunner
+    from repro.sim.memory import MemoryError_
+    from repro.sim.stats import ActivityStats
+
+    interpreter = "reference" if tier == "reference" else "compiled"
+    packets = [case.rx for case in cases[:2]]
+    injected = []
+    if tier == "compiled-replay":
+        batch_step = BatchProgramRunner._cga_batch_step
+
+        def faulting_step(self, fn, trip, lanes, ginfo, results, fail):
+            def fn_with_fault(*args):
+                fn(*args)
+                if not injected and 1 in lanes:
+                    args[-1][lanes.index(1)] = MemoryError_("injected lane fault")
+                    injected.append(1)
+
+            batch_step(self, fn_with_fault, trip, lanes, ginfo, results, fail)
+
+        monkeypatch.setattr(BatchProgramRunner, "_cga_batch_step", faulting_step)
+
+    def run():
+        injected.clear()
+        runtime = ModemRuntime(interpreter=interpreter, batch=2)
+        outputs = runtime.run_batch(packets)
+        assert runtime.fallbacks == len(injected) == (tier == "compiled-replay")
+        return outputs
+
+    taken = run()
+    snapshots = {}
+
+    def keep_counting(stats):
+        snapshots[id(stats)] = stats.snapshot()
+
+    def delta(stats):
+        return stats.delta_since(snapshots[id(stats)])
+
+    monkeypatch.setattr(ActivityStats, "clear", keep_counting)
+    monkeypatch.setattr(ActivityStats, "take", delta)
+    deltas = run()
+    assert _region_stats(taken) == _region_stats(deltas)
+    assert [out.stats for out in taken] == [out.stats for out in deltas]
+
+
+def test_packet_image_starts_from_the_table_image(cases):
+    """The tables are built once per receiver; each packet's first image
+    is byte-identical to writing its samples and every table afresh."""
+    from repro.kernels.sync import atan_table_q16
+    from repro.modem.receiver import _interleave_words, reorder_table_words
+    from repro.phy.fixed import q15
+
+    receiver = SimReceiver()
+    mem = receiver.mem
+    for case in cases[:3]:
+        rx = np.atleast_2d(np.asarray(case.rx, dtype=np.complex128))
+        fresh = bytearray(receiver.arch.l1.bytes)
+        receiver._write_words(fresh, mem.RXIN, _interleave_words(q15(rx.real), q15(rx.imag)))
+        receiver._write_words(fresh, mem.ATAN, atan_table_q16(14))
+        receiver._write_words(fresh, mem.XCREF, receiver._ltf_ref_words(), size=8)
+        receiver._write_words(fresh, mem.RTAB, reorder_table_words(receiver.params.n_fft))
+        receiver._write_words(fresh, mem.BINTAB, receiver._bin_table_words())
+        receiver._write_words(fresh, mem.SGN, receiver._sign_table_words(), size=8)
+        for tw_addr, _q, _live_ins, words in receiver._fft_stages:
+            receiver._write_words(fresh, tw_addr, words, size=8)
+        request = next(receiver._pipeline(case.rx))
+        assert bytes(request.image) == bytes(fresh)
+    assert receiver._table_image() is receiver._table_image()

@@ -500,11 +500,57 @@ def test_zero_patched_immediate_gets_its_own_function():
     assert codegen.cga_signature(other) == sigs[1]
 
 
+def _generated(kernel, trip, arch=None):
+    """``(generator, source)`` of *kernel*'s batch function at *trip*."""
+    from repro.sim import codegen
+
+    arch = arch or paper_core()
+    core = Core(arch, Program(bundles=enter_and_halt(), kernels={0: kernel}))
+    ports = ((core.cdrf.read_ports, core.cdrf.write_ports),
+             (core.cprf.read_ports, core.cprf.write_ports))
+    gen = codegen._CgaGen(kernel, arch, CgaFault, *ports, trip)
+    return gen, gen.generate_batch()
+
+
+def _loop(source):
+    """``(lo, end, step, body lines)`` of the steady-state loop."""
+    import re
+
+    lines = source.splitlines()
+    for k, line in enumerate(lines):
+        m = re.search(r"for iter_slot in range\((\d+), (\d+)(?:, (\d+))?\):", line)
+        if m:
+            ind = len(line) - len(line.lstrip())
+            body = []
+            for inner in lines[k + 1:]:
+                if len(inner) - len(inner.lstrip()) <= ind:
+                    break
+                body.append(inner.strip())
+            return int(m.group(1)), int(m.group(2)), int(m.group(3) or 1), body
+    return None
+
+
+def _assert_lanes_stay_scalar(body):
+    """Inside the loop no value converts or is packed into or unpacked
+    from a tuple, except the four lanes of an 8-byte load or store."""
+    import re
+
+    for line in body:
+        assert "_U4(" not in line and "_P4(" not in line and "_P8(" not in line, line
+        target = line.split(" = ")[0]
+        if ", " in target and " = " in line:
+            assert re.fullmatch(r"(\w+, ){3}\w+ = _L4\(M, addr\)", line), line
+        if "_S4(" in line:
+            assert re.fullmatch(r"_S4\(M, addr(, [\w()-]+){4}\)", line), line
+
+
 def test_fft_stage_routes_moves_without_saturating_adds():
     """The linked twiddled FFT stage, generated at trip 8 (the trip the
-    receiver links it with): every issue site of a routing move is a
-    plain copy, and each issue site of a non-move ``c4add``/``c4sub``
-    emits one lane-saturating tuple into that op's shift register."""
+    receiver links it with): a routing move emits no code at all (no
+    local is ever assigned under its name: latch commits, shifts and
+    moves are resolved while generating), each issue site of a non-move
+    ``c4add``/``c4sub`` saturates each of its four lane locals in
+    place, and the loop converts nothing."""
     import re
 
     from repro.kernels.fft import build_radix4_stage_dfg, twiddled_stages
@@ -520,37 +566,40 @@ def test_fft_stage_routes_moves_without_saturating_adds():
     program = linker.link()
     (kernel,) = program.kernels.values()
     assert kernel.name == "fft_r4_q4_g0" and kernel.trip_count == trip
-    core = Core(arch, program)
-    ports = ((core.cdrf.read_ports, core.cdrf.write_ports),
-             (core.cprf.read_ports, core.cprf.write_ports))
-    gen = codegen._CgaGen(kernel, arch, CgaFault, *ports, trip)
-    lines = [line.strip() for line in gen.generate_batch().splitlines()]
+    gen, source = _generated(kernel, trip, arch)
+    lines = [line.strip() for line in source.splitlines()]
     n_slots, lo, hi = gen._plan()
+    loop_lo, loop_end, unroll, body = _loop(source)
+    assert loop_lo == lo
+    # Each op issues once per unrolled slot it is active in, once per
+    # copy of the loop body and once per iteration left after the loop.
+    steady_sites = unroll + (hi + 1 - loop_end)
     unrolled = [i for i in range(n_slots) if not lo <= i <= hi]
 
     def issue_sites(rec):
-        """Slots emitting *rec*'s issue: its unrolled active slots plus
-        the steady-state loop body."""
-        return (sum(rec.stage <= i < rec.stage + trip for i in unrolled)
-                + (1 if lo <= hi else 0))
+        return sum(rec.stage <= i < rec.stage + trip for i in unrolled) + steady_sites
 
     moves = [rec for rec in gen.ops if codegen._is_identity(rec.op)]
     addsub = [rec for rec in gen.ops
               if rec.op.opcode in (Opcode.C4ADD, Opcode.C4SUB) and rec not in moves]
     assert moves and addsub
     for rec in moves:
-        target = "w%d_%d = " % (rec.oid, rec.n - 1)
-        copies = [line[len(target):] for line in lines
-                  if line.startswith(target) and line != target + "_A"]
-        assert len(copies) == issue_sites(rec)
-        for operand in copies:
-            assert re.fullmatch(r"l_\d+|imm_\d+|r\d+_\d+|(CD|CP)\[imm_\d+\]", operand), operand
-    saturating = "(%s)" % ", ".join(codegen._sat16("s%d" % i) for i in range(4))
+        named = re.compile(r"x%d(v\d+)?(_\d)? = " % rec.oid)
+        assert not any(named.match(line) for line in lines), rec.oid
     for rec in addsub:
-        target = "w%d_%d = " % (rec.oid, rec.n - 1)
-        assert lines.count(target + saturating) == issue_sites(rec)
-    assert sum(line.endswith(" = " + saturating) for line in lines) \
-        == sum(issue_sites(rec) for rec in addsub) == 68
+        sign = "+" if rec.op.opcode is Opcode.C4ADD else "-"
+        sums = [line for line in lines
+                if re.fullmatch(r"x%d(v\d+)?_\d = \S+ \%s \S+" % (rec.oid, sign), line)]
+        assert len(sums) == 4 * issue_sites(rec), rec.oid
+        for line in sums:
+            name = line.split(" = ")[0]
+            at = lines.index(line)
+            assert lines[at + 1:at + 5] == [
+                "if %s > 32767:" % name, "%s = 32767" % name,
+                "elif %s < -32768:" % name, "%s = -32768" % name], line
+    assert sum(line.endswith(" < -32768:") for line in lines) \
+        == 4 * sum(issue_sites(rec) for rec in addsub) == 4 * 68
+    _assert_lanes_stay_scalar(body)
 
 
 def k_form_boundaries(trip):
@@ -605,20 +654,182 @@ def k_form_boundaries(trip):
 
 @pytest.mark.parametrize("trip", [1, 2, 3, 9])
 def test_form_boundaries_differential(trip):
-    """Generated code converts between lane tuples and ints exactly at
-    the boundaries, and the result matches the reference tier."""
-    from repro.sim import codegen
+    """Generated code converts between lanes and ints exactly at the
+    boundaries (an int read as lanes is unpacked once into four lane
+    locals, lanes read as an int are packed from their four locals, an
+    8-byte load and store move four lane locals), and the result matches
+    the reference tier."""
+    import re
 
     kernel, mem = k_form_boundaries(trip)
-    arch = paper_core()
-    program = Program(bundles=enter_and_halt(), kernels={0: kernel})
-    core = Core(arch, program)
-    ports = ((core.cdrf.read_ports, core.cdrf.write_ports),
-             (core.cprf.read_ports, core.cprf.write_ports))
-    source = codegen._CgaGen(kernel, arch, CgaFault, *ports, trip).generate_batch()
-    for boundary in ("_U4(_P8(", "_fb(_P4(*", "_L4(M, addr)", "_S4(M, addr, *v_st)"):
-        assert boundary in source, boundary
-    run_both(program, mem=mem)
+    _gen, source = _generated(kernel, trip)
+    assert re.search(r"(\w+, ){3}\w+ = _U4\(_P8\(", source)
+    assert re.search(r"_fb\(_P4\([\w()-]+(, [\w()-]+){3}\), 'little'\)", source)
+    assert re.search(r"(\w+, ){3}\w+ = _L4\(M, addr\)", source)
+    assert re.search(r"_S4\(M, addr(, [\w()-]+){4}\)", source)
+    assert "*" + "v_st" not in source and "_P4(*" not in source
+    run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}), mem=mem)
+
+
+# ----------------------------------------------------------------------
+# Locals resolved at generation time: renamed latches, reused names,
+# values crossing the back edge, short and unrolled steady loops
+# ----------------------------------------------------------------------
+
+
+def k_squash_over_renamed_latch(trip):
+    """FU0's latch is renamed to FU3's lanes by a routing move in context
+    1, then FU0's predicated ``c4sub`` (on FU5's toggle) commits over it
+    in context 0, squashing every other iteration; FU1 accumulates FU0's
+    latch and FU2 FU3's, so a conditional write that clobbered the
+    shared locals shows in FU2's sum."""
+    w0 = 0x7FF0_8010_0003_FFF0
+    c0 = {
+        3: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_().with_init(w0), SrcSel.imm(0x0101_7F00_0011_8001))),
+        5: CgaOp(opcode=Opcode.XOR, srcs=(SrcSel.self_().with_init(1), SrcSel.imm(1))),
+        0: CgaOp(opcode=Opcode.C4SUB, srcs=(SrcSel.wire(3), SrcSel.imm(0x0003_0002_0001_7FFF)),
+                 pred=SrcSel.wire(5), stage=1),
+    }
+    c1 = {
+        0: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.wire(3), SrcSel.imm(0)), stage=1),
+        1: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_().with_init(0), SrcSel.wire(0)),
+                 dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),), stage=1),
+        2: CgaOp(opcode=Opcode.C4XOR, srcs=(SrcSel.self_().with_init(0), SrcSel.wire(3)),
+                 dsts=(DstSel(DstKind.CDRF, 11, last_iteration_only=True),), stage=1),
+    }
+    return CgaKernel(name="squash_renamed", ii=2, stage_count=2,
+                     contexts=[CgaContext(ops=c0), CgaContext(ops=c1)], trip_count=trip)
+
+
+def k_read_after_overwrite(trip):
+    """In one context FU0 and FU4 issue their next value before FU1 and
+    FU5 (later FUs issue later) read the previous one from their
+    latches, in int and in lane form (FU3 and FU2 sum what they read);
+    FU6 swizzles FU4's lanes, which FU7 sums into its local RF; FU8's
+    cross-lane ``c4prod`` reads its own previous value, whose locals
+    its result may reuse only where no later lane still reads them."""
+    c0 = {
+        0: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(5), SrcSel.imm(3))),
+        1: CgaOp(opcode=Opcode.SUB, srcs=(SrcSel.wire(0), SrcSel.imm(1))),
+        3: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(0), SrcSel.wire(1)),
+                 dsts=(DstSel(DstKind.LRF, 3),), stage=1),
+        4: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_().with_init(0x0001_8000_7FFF_0002),
+                                            SrcSel.imm(0x0001_0001_0001_0001))),
+        5: CgaOp(opcode=Opcode.C4SUB, srcs=(SrcSel.wire(4), SrcSel.imm(0x0002_0002_0002_0002))),
+        2: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_().with_init(0), SrcSel.wire(5)),
+                 dsts=(DstSel(DstKind.CDRF, 11, last_iteration_only=True),), stage=1),
+        6: CgaOp(opcode=Opcode.C4SWAP16, srcs=(SrcSel.wire(4),)),
+        7: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_().with_init(0), SrcSel.wire(6)),
+                 dsts=(DstSel(DstKind.LRF, 0),), stage=1),
+        8: CgaOp(opcode=Opcode.C4PROD, srcs=(SrcSel.imm(0x7FFF_8000_4000_C000),
+                                             SrcSel.self_().with_init(0x6000_7FFF_9000_8001)),
+                 dsts=(DstSel(DstKind.LRF, 1),)),
+    }
+    return CgaKernel(name="read_after_overwrite", ii=1, stage_count=2,
+                     contexts=[CgaContext(ops=c0)], trip_count=trip)
+
+
+def k_back_edge_into_drain(trip):
+    """Long-latency chains at II 1: the divider's and ``d4prod``'s values
+    stay in flight across iterations (several shift registers each, so
+    the steady loop rotates their locals) and the last ones commit in
+    the drain; FU1 and FU3 read them every iteration, FU5 moves FU2's
+    lanes into its local RF."""
+    c0 = {
+        0: CgaOp(opcode=Opcode.DIV, srcs=(SrcSel.self_().with_init(1 << 22), SrcSel.imm(3))),
+        1: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(0), SrcSel.wire(0)),
+                 dsts=(DstSel(DstKind.CDRF, 11, last_iteration_only=True),), stage=1),
+        2: CgaOp(opcode=Opcode.D4PROD, srcs=(SrcSel.self_().with_init(0x7FFF_4000_C000_8000),
+                                             SrcSel.imm(0x7000_7FFF_8000_6000))),
+        3: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_().with_init(0), SrcSel.wire(2)),
+                 dsts=(DstSel(DstKind.LRF, 2),), stage=1),
+        5: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.wire(2), SrcSel.imm(0)),
+                 dsts=(DstSel(DstKind.LRF, 1),), stage=1),
+    }
+    return CgaKernel(name="back_edge_drain", ii=1, stage_count=2,
+                     contexts=[CgaContext(ops=c0)], trip_count=trip)
+
+
+def k_move_of_materialized_latch(trip):
+    """FU0's predicated ``c4sub`` commits into FU0's own latch locals;
+    FU1's routing move hands those locals on to FU1's latch, which FU2
+    reads only after FU0's next conditional commit has run."""
+    c0 = {
+        3: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_().with_init(0x0102_7F00_8003_0004),
+                                            SrcSel.imm(0x0011_0101_7FFF_8001))),
+        5: CgaOp(opcode=Opcode.XOR, srcs=(SrcSel.self_().with_init(1), SrcSel.imm(1))),
+        0: CgaOp(opcode=Opcode.C4SUB, srcs=(SrcSel.wire(3), SrcSel.imm(0x0003_0002_0001_7FFF)),
+                 pred=SrcSel.wire(5), stage=1),
+    }
+    c1 = {
+        1: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.wire(0), SrcSel.imm(0)), stage=1),
+        2: CgaOp(opcode=Opcode.C4XOR, srcs=(SrcSel.self_().with_init(0), SrcSel.wire(1)),
+                 dsts=(DstSel(DstKind.CDRF, 11, last_iteration_only=True),), stage=1),
+    }
+    return CgaKernel(name="move_materialized", ii=2, stage_count=2,
+                     contexts=[CgaContext(ops=c0), CgaContext(ops=c1)], trip_count=trip)
+
+
+def k_exit_value_over_back_edge(trip):
+    """FU3 moves FU0's latch into its local RF before FU0's next value
+    commits, so at the loop's back edge the local RF still holds the
+    locals FU0's latch enters the next iteration in: they must survive
+    that iteration's copy for the write-back at kernel exit.  FU4's
+    local-RF entry starts as an int (a preload) and is rewritten as
+    lanes, which it is read as first."""
+    c0 = {
+        0: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_(), SrcSel.imm(0x0101_8001_7F00_0003))),
+        3: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.wire(0), SrcSel.imm(0)),
+                 dsts=(DstSel(DstKind.LRF, 0),)),
+        4: CgaOp(opcode=Opcode.C4SUB, srcs=(SrcSel.lrf(2), SrcSel.imm(0x0005_7FFF_8000_0001)),
+                 dsts=(DstSel(DstKind.LRF, 2),)),
+    }
+    return CgaKernel(name="exit_over_back_edge", ii=2, stage_count=1,
+                     contexts=[CgaContext(ops=c0), CgaContext(ops={})], trip_count=trip,
+                     preloads=[Preload(fu=4, lrf_index=2, cdrf_reg=6)])
+
+
+RESOLVED_KERNELS = (k_squash_over_renamed_latch, k_move_of_materialized_latch,
+                    k_read_after_overwrite, k_back_edge_into_drain,
+                    k_exit_value_over_back_edge, lambda trip: k_form_boundaries(trip)[0])
+
+
+def _one_steady_iteration_trip(build):
+    """The trip whose steady window is a single iteration."""
+    for trip in range(1, 40):
+        gen, _source = _generated(build(trip), trip)
+        _n, lo, hi = gen._plan()
+        if lo == hi:
+            return trip
+    raise AssertionError("no trip gives a one-iteration steady window")
+
+
+@pytest.mark.parametrize("build", RESOLVED_KERNELS,
+                         ids=("squash_renamed", "move_materialized", "read_after_overwrite",
+                              "back_edge_drain", "exit_over_back_edge", "form_boundaries"))
+@pytest.mark.parametrize("trip", [1, 2, 3, "one_steady", 5, 40])
+def test_resolved_locals_differential(build, trip):
+    """Kernels whose locals the generator renames, reuses, copies at the
+    back edge or across an unrolled loop, at trips 1-3 (no or a tiny
+    steady window), a one-iteration steady window and a long loop, run
+    bit-identically on every tier."""
+    if trip == "one_steady":
+        trip = _one_steady_iteration_trip(build)
+    kernel = build(trip)
+    _generated(kernel, trip)  # generated, not refused to the reference loop
+    mem = k_form_boundaries(trip)[1] if kernel.name == "form_boundaries" else ()
+    pokes = [(6, 0x8000_0001_7FFF_FFFE)] if kernel.preloads else ()
+    run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}), pokes=pokes, mem=mem)
+
+
+def test_rotating_values_unroll_the_steady_loop():
+    """Values alive for several iterations unroll the steady loop rather
+    than copy every lane local back each iteration, and the unrolled
+    loop converts nothing."""
+    _gen, source = _generated(k_back_edge_into_drain(40), 40)
+    _lo, _end, unroll, body = _loop(source)
+    assert unroll > 1
+    _assert_lanes_stay_scalar(body)
 
 
 # ----------------------------------------------------------------------

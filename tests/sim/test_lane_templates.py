@@ -150,3 +150,44 @@ def test_unpacking_templates_refuse_wide_operands(op):
     b = None if op in UNARY else "b"
     with pytest.raises(codegen.CodegenUnsupported):
         codegen._emit_lanes([], "", op, "a", b, 128)
+
+
+def compile_scalar(op):
+    """The inline template both generators emit for scalar *op*, as a
+    function ``f(a, b)`` of raw words."""
+    source = "def f(a, b):\n    return %s\n" % codegen._SCALAR_EXPR[op]("a", "b")
+    ns = codegen._base_namespace()
+    exec(compile(source, "<scalar template %s>" % op.value, "exec"), ns)
+    return ns["f"]
+
+
+#: 24-bit divider operands: zero, ±1, every sign combination, the most
+#: negative dividend, and words with bits set above bit 24 (ignored).
+DIV_OPERANDS = (0, 1, 7, 0xFFFFFF, 0xFFFFF9, 0x800000, 0x7FFFFF, 0x1000000,
+                0x1000007, 0xFF800000, (1 << 64) - 7, 0xABCDEF123456)
+DIV_FNS = {op: compile_scalar(op) for op in (Opcode.DIV, Opcode.DIV_U)}
+
+
+@pytest.mark.parametrize("op", (Opcode.DIV, Opcode.DIV_U), ids=lambda op: op.value)
+def test_divide_templates_match_semantics(op):
+    """Truncating 24-bit division inlined (no helper call): a zero
+    divisor, all four sign combinations, -2**23 / -1 and operands with
+    bits above bit 24, against :func:`repro.isa.semantics.execute`."""
+    from repro.isa.semantics import execute
+
+    fn = DIV_FNS[op]
+    pairs = list(itertools.product(DIV_OPERANDS, repeat=2))
+    pairs += [(0x800000, 0xFFFFFF), (100, 7), (-100 & 0xFFFFFF, 7), (100, -7 & 0xFFFFFF),
+              (-100 & 0xFFFFFF, -7 & 0xFFFFFF), (5, 0), (5, 1 << 24)]
+    for a, b in pairs:
+        assert fn(a, b) == execute(op, [a, b]), "%s(%#x, %#x)" % (op.value, a, b)
+    assert "_div" not in codegen._SCALAR_EXPR[op]("a", "b")
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_U64, b=_U64)
+def test_divide_templates_arbitrary_words(a, b):
+    from repro.isa.semantics import execute
+
+    for op in (Opcode.DIV, Opcode.DIV_U):
+        assert DIV_FNS[op](a, b) == execute(op, [a, b])

@@ -2,9 +2,10 @@
 
 The toolflow compiles each loop once and reuses the result, as a real
 toolchain caches object code.  Two kinds of artifact are cached this
-way: modulo-schedule plans (:mod:`repro.compiler.linker`) and generated
-simulator source (:mod:`repro.sim.codegen`).  Each kind is one
-:class:`ArtifactCache`; they share one policy and one directory:
+way: modulo-schedule plans (:mod:`repro.compiler.linker`) and the
+compiled code of generated simulator functions (:mod:`repro.sim.codegen`).
+Each kind is one :class:`ArtifactCache`; they share one policy and one
+directory:
 
 * a process-wide memory level keyed by the caller's structural key;
 * an optional persistent level, one content-addressed pickle per
@@ -14,9 +15,11 @@ simulator source (:mod:`repro.sim.codegen`).  Each kind is one
 * the disk key is the caller's key prefixed with a digest of the
   producing modules' source, so a directory written by another version
   of the scheduler or generator reads as a miss, never a stale artifact;
-* the full disk key is stored and compared on load, and the value's
-  type checked, so a foreign, torn or corrupt file reads as a miss and
-  the recompute overwrites it;
+* a kind may store its values encoded (compiled code as ``marshal``
+  bytes); the file holds the encoded value and loading decodes it;
+* the full disk key is stored and compared on load, and the decoded
+  value's type checked, so a foreign, torn or corrupt file reads as a
+  miss and the recompute overwrites it;
 * stores are atomic (tmp + rename), and a read-only or full disk never
   fails the caller.
 """
@@ -52,14 +55,21 @@ class ArtifactCache:
     """One artifact kind: files ``<sha256>`` + *suffix*, values of type
     *kind*, produced by the code in *modules*.  ``stats`` counts
     ``memory_hits``, ``disk_hits`` and, under the name *computed*, the
-    artifacts computed since the last :meth:`clear`."""
+    artifacts computed since the last :meth:`clear`.
+
+    A file holds ``encode(value)``; loading applies *decode*, and a
+    decode that raises ``ValueError``, ``EOFError`` or ``TypeError``
+    reads as a miss.  Both default to storing the value itself."""
 
     def __init__(self, suffix: str, modules: Sequence[str], kind: type,
-                 computed: str) -> None:
+                 computed: str, encode: Optional[Callable] = None,
+                 decode: Optional[Callable] = None) -> None:
         self.suffix = suffix
         self.modules = tuple(modules)
         self.kind = kind
         self.computed = computed
+        self.encode = encode
+        self.decode = decode
         self.memory: Dict[tuple, object] = {}
         self.stats = dict.fromkeys(("memory_hits", "disk_hits", computed), 0)
         self._digest: Optional[str] = None
@@ -126,6 +136,11 @@ class ArtifactCache:
         if not isinstance(payload, dict) or payload.get("key") != disk_key:
             return None
         value = payload.get("value")
+        if self.decode is not None:
+            try:
+                value = self.decode(value)
+            except (ValueError, EOFError, TypeError):
+                return None
         return value if isinstance(value, self.kind) else None
 
     def _store(self, path: str, disk_key: tuple, value) -> None:
@@ -133,6 +148,8 @@ class ArtifactCache:
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             tmp = "%s.tmp.%d" % (path, os.getpid())
+            if self.encode is not None:
+                value = self.encode(value)
             with open(tmp, "wb") as fh:
                 pickle.dump({"key": disk_key, "value": value}, fh)
             os.replace(tmp, path)

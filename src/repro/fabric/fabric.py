@@ -8,8 +8,11 @@ The parent multiplexes all of them with
 :func:`multiprocessing.connection.wait`, so a single-threaded pump loop
 observes completions and deaths in one place.  Queues are parent-side:
 each slot holds at most ``queue_depth`` accepted packets (pending +
-in-flight) and at most ``max_inflight`` are ever inside the pipe, so a
-crash can orphan only a bounded, exactly-known set of packets.
+in-flight) and only one dispatch at a time is inside its pipe, so a
+crash can orphan only a bounded, exactly-known set of packets.  The one
+dispatch is a fixed rule: a batch dispatch and its results each pickle
+to more than a pipe buffer, so a second dispatch sent while the worker
+writes the first one's results would block both ends.
 
 Backpressure (all shedding is accounted in the fabric counters):
 
@@ -146,9 +149,6 @@ class _Worker:
         self.proc: Optional[multiprocessing.process.BaseProcess] = None
         self.task_conn = None  # parent send end
         self.result_conn = None  # parent recv end
-        #: Batch-drain mode: the task-id sets of dispatches still in the
-        #: pipe (``max_inflight`` bounds dispatches, not tasks, there).
-        self.open_dispatches: List[set] = []
 
 
 class Fabric:
@@ -160,7 +160,6 @@ class Fabric:
         policy: str = "round_robin",
         backpressure: str = "block",
         queue_depth: int = 4,
-        max_inflight: int = 1,
         batch: int = 1,
         submit_timeout_s: float = 120.0,
         deadline_s: Optional[float] = None,
@@ -186,8 +185,6 @@ class Fabric:
             )
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1, got %d" % queue_depth)
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1, got %d" % max_inflight)
         if batch < 1:
             raise ValueError("batch must be >= 1, got %d" % batch)
         if backpressure == "deadline" and deadline_s is None:
@@ -200,7 +197,6 @@ class Fabric:
         self.policy = policy
         self.backpressure = backpressure
         self.queue_depth = int(queue_depth)
-        self.max_inflight = int(max_inflight)
         #: Batch-drain width: the default template runtime runs up to
         #: this many packets per lockstep call, and ``_feed`` coalesces
         #: up to this many same-shape queued tasks into one dispatch.
@@ -457,15 +453,15 @@ class Fabric:
         raise SubmitTimeout(self.submit_timeout_s, self.outstanding, self.n_workers)
 
     def _feed(self, worker: _Worker) -> None:
-        """Move pending packets into the pipe, up to ``max_inflight``
-        dispatches (each carrying up to ``batch`` same-shape packets in
-        batch-drain mode)."""
+        """Move pending packets into an empty pipe: one dispatch of up
+        to ``batch`` same-shape packets (batch-drain mode), sent only
+        once the previous dispatch's results are all back."""
         state = worker.state
         while (
             state.alive
             and not state.stopping
             and state.pending
-            and len(worker.open_dispatches) < self.max_inflight
+            and not state.inflight
         ):
             group = self._collect_group(state)
             if not group:
@@ -483,7 +479,6 @@ class Fabric:
                     state.pending.appendleft(task)
                 self._on_worker_death(worker)
                 return
-            worker.open_dispatches.append({task.task_id for task in group})
             for task in group:
                 state.inflight[task.task_id] = task
             if self.batch > 1:
@@ -636,9 +631,6 @@ class Fabric:
         if tag in (MSG_RESULT, MSG_ERROR):
             task_id, dt = msg[1], msg[2]
             task = state.inflight.pop(task_id, None)
-            for members in worker.open_dispatches:
-                members.discard(task_id)
-            worker.open_dispatches = [m for m in worker.open_dispatches if m]
             if task_id in self._results:
                 # Exactly-once guard; unreachable in the current
                 # requeue protocol but cheap insurance against it.
@@ -690,7 +682,6 @@ class Fabric:
         orphans = list(state.inflight.values()) + list(state.pending)
         state.inflight.clear()
         state.pending.clear()
-        worker.open_dispatches = []
         for conn in (worker.task_conn, worker.result_conn):
             try:
                 conn.close()

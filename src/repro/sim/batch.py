@@ -73,14 +73,17 @@ class BatchProgramRunner:
 
     One runner instance is meant to live as long as its lane set (e.g.
     the resident cores of one receiver region, at any width): the
-    per-lane signature/imm-pool caches are keyed by lane index and
-    invalidated by program-object identity, so re-dispatching the same
-    (or a freshly patched) program costs no signature walks after the
-    first packet — the 27% of warm per-packet time the profile blamed on
-    pool/signature recomputation.  Batch functions are cached per
-    signature, and for kernels per ``(signature, trip)``: every CGA
-    window runs the function :func:`~repro.sim.codegen.cga_batch_runner`
-    specialized on its group's resolved trip count.
+    signature/imm-pool memos are keyed by kernel slot or pc and lane,
+    and invalidated by program-object identity, so re-dispatching the
+    same (or a freshly patched) program costs no signature walks after
+    the first packet — the 27% of warm per-packet time the profile
+    blamed on pool/signature recomputation.  A lane's miss first looks
+    for the same object in the other lanes' entries at that slot or
+    pc, so lanes sharing a kernel or bundle list walk it once.  Batch
+    functions are cached per signature, and for kernels per
+    ``(signature, trip)``: every CGA window runs the function
+    :func:`~repro.sim.codegen.cga_batch_runner` specialized on its
+    group's resolved trip count.
     """
 
     def __init__(self, max_cycles: int = 10_000_000) -> None:
@@ -97,8 +100,28 @@ class BatchProgramRunner:
         #: cache keys carry the id, so the (large) signature tuple is
         #: hashed once per memo fill, not once per lane per round.
         self._sig_ids: Dict[tuple, int] = {}
+        #: signature id -> signature, handed to the code generator.
+        self._sigs: List[tuple] = []
+        #: The most lanes a :meth:`run` had: a memo miss searches their
+        #: entries for a lane sharing the object.
+        self._width = 0
 
     # -- per-lane memoization (identity-guarded: strong refs pin ids) ---
+
+    def _intern(self, sig: tuple) -> int:
+        sid = self._sig_ids.get(sig)
+        if sid is None:
+            sid = self._sig_ids[sig] = len(self._sigs)
+            self._sigs.append(sig)
+        return sid
+
+    def _shared(self, memo: Dict[tuple, tuple], slot, obj) -> Optional[tuple]:
+        """Another lane's entry at *slot* for the very object *obj*."""
+        for lane in range(self._width):
+            ent = memo.get((slot, lane))
+            if ent is not None and ent[0] is obj:
+                return ent
+        return None
 
     def _lane_vliw(self, lane: int, core: Core, pc: int) -> tuple:
         key = (pc, lane)
@@ -106,11 +129,11 @@ class BatchProgramRunner:
         bundles = core.program.bundles
         if ent is not None and ent[0] is bundles:
             return ent
-        end_pc = codegen.vliw_segment_end(bundles, pc)
-        sig = codegen.vliw_signature(bundles, pc, end_pc)
-        imms = codegen.vliw_imms(bundles, pc, end_pc)
-        sid = self._sig_ids.setdefault(sig, len(self._sig_ids))
-        ent = (bundles, sid, imms, end_pc)
+        ent = self._shared(self._vliw_lane, pc, bundles)
+        if ent is None:
+            end_pc = codegen.vliw_segment_end(bundles, pc)
+            sid = self._intern(codegen.vliw_signature(bundles, pc, end_pc))
+            ent = (bundles, sid, codegen.vliw_imms(bundles, pc, end_pc), end_pc)
         self._vliw_lane[key] = ent
         return ent
 
@@ -119,9 +142,10 @@ class BatchProgramRunner:
         ent = self._cga_lane.get(key)
         if ent is not None and ent[0] is kernel:
             return ent
-        sig = codegen.cga_signature(kernel)
-        sid = self._sig_ids.setdefault(sig, len(self._sig_ids))
-        ent = (kernel, sid, codegen.cga_imms(kernel))
+        ent = self._shared(self._cga_lane, kid, kernel)
+        if ent is None:
+            sid = self._intern(codegen.cga_signature(kernel))
+            ent = (kernel, sid, codegen.cga_imms(kernel))
         self._cga_lane[key] = ent
         return ent
 
@@ -134,7 +158,7 @@ class BatchProgramRunner:
                 fn, _end = codegen.vliw_batch_runner(
                     core0.program.bundles, pc, core0.vliw.slot_fus,
                     core0.cdrf, core0.cprf, core0.scratchpad, core0.icache,
-                    VliwFault,
+                    VliwFault, signature=self._sigs[sid],
                 )
             except codegen.CodegenUnsupported:
                 fn = None
@@ -150,7 +174,7 @@ class BatchProgramRunner:
                     kernel0, core0.arch, CgaFault,
                     cdrf_ports=(core0.cdrf.read_ports, core0.cdrf.write_ports),
                     cprf_ports=(core0.cprf.read_ports, core0.cprf.write_ports),
-                    trip=trip,
+                    trip=trip, signature=self._sigs[sid],
                 )
             except codegen.CodegenUnsupported:
                 fn = None
@@ -169,6 +193,7 @@ class BatchProgramRunner:
             if core.tracer.enabled:
                 raise ValueError("batch execution requires tracing disabled")
         n = len(cores)
+        self._width = max(self._width, n)
         results = [LaneResult(core) for core in cores]
 
         def fail(lane: int, exc: BaseException) -> None:

@@ -20,14 +20,16 @@ packet is a batch of one.  :class:`repro.sim.batch.BatchProgramRunner`
 is the only caller; it groups lanes and calls the function once per
 group.
 
-Generated sources live in the two-level :class:`repro.cache.ArtifactCache`
-shared with the modulo-schedule cache, keyed by the structural
-kernel/segment signature and the architecture geometry the source
-inlines (the signature excludes immediate *values*, so
+The compiled module code of each generated source lives in the
+two-level :class:`repro.cache.ArtifactCache` shared with the
+modulo-schedule cache (on disk as ``marshal`` bytes), keyed by the
+structural kernel/segment signature and the architecture geometry the
+source inlines (the signature excludes immediate *values*, so
 ``patch_constants`` variants share one compiled artifact and differ only
 in the immediate pool passed at call time).  A warm cache directory
-lets a fresh process or a forked fabric worker perform zero codegen.
-Compiled functions are memoised per process next to it.
+lets a fresh process or a forked fabric worker load the code without
+generating or compiling anything.  The functions built from it are
+memoised per process in front of it.
 
 Correctness contract: for every well-formed program the compiled tier
 produces bit-identical architectural state, cycle counts and
@@ -45,8 +47,11 @@ from __future__ import annotations
 
 import itertools
 import keyword
+import marshal
 import re
 import struct
+import sys
+import types
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.config import CgaArchitecture
@@ -75,56 +80,47 @@ class CodegenUnsupported(Exception):
 
 
 #: Sentinel marking an empty shift-register slot in generated code.  It
-#: lives only in this process (generated *source* is what gets persisted,
+#: lives only in this process (compiled code is what gets persisted,
 #: never the sentinel), so identity checks are safe.
 _ABSENT = object()
 
-#: Generated sources, keyed by the structural kernel/segment signature
-#: and the architecture geometry the source inlines.  The disk level
-#: adds a digest of the modules whose source decides what a generated
-#: function computes, so a directory written by another version of the
-#: generator never serves it stale source.
-_SOURCES = ArtifactCache(
+#: Compiled module code of the generated sources, keyed by
+#: :data:`_CACHE_TAG`, the structural kernel/segment signature and the
+#: architecture geometry the source inlines.  The disk level stores
+#: ``marshal`` bytes; its key adds a digest of the modules whose source
+#: decides what a generated function computes, so a directory written
+#: by another version of the generator never serves it stale code.
+_CODE = ArtifactCache(
     ".codegen.pkl",
     ("repro.sim.codegen", "repro.isa.semantics", "repro.sim.memops",
      "repro.isa.opcodes"),
-    str,
+    types.CodeType,
     "compilations",
+    encode=marshal.dumps,
+    decode=marshal.loads,
 )
+#: The generated functions, per memory key, built from :data:`_CODE`.
 _FN_CACHE: Dict[tuple, Callable] = {}
+#: Part of every disk key: marshal data is only readable by the
+#: interpreter version that wrote it.
+_CACHE_TAG = sys.implementation.cache_tag
 
 
 def codegen_stats() -> Dict[str, int]:
     """Counters since the last :func:`clear_codegen_cache`.
 
-    ``compilations`` counts source *generations* (the expensive step a
-    warm disk cache eliminates); memory/disk hits count reuses.
+    ``compilations`` counts the ``compile()`` calls, one per generated
+    source (the expensive steps a warm disk cache eliminates);
+    ``memory_hits`` counts reuses of a function built in this process,
+    ``disk_hits`` code loaded from the directory.
     """
-    return dict(_SOURCES.stats)
+    return dict(_CODE.stats)
 
 
 def clear_codegen_cache() -> None:
-    """Drop the in-memory source/function caches (disk is untouched)."""
-    _SOURCES.clear()
+    """Drop the in-memory code/function caches (disk is untouched)."""
+    _CODE.clear()
     _FN_CACHE.clear()
-
-
-def _cached_source(key: tuple, kind: str, label: str, generate: Callable[[], str]) -> str:
-    """The generated source for *key*; a generation is traced."""
-
-    def compute() -> str:
-        source = generate()
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.instant(
-                "codegen.compile.%s" % kind,
-                tracer.tick(),
-                cat="codegen",
-                args={"name": label, "source_lines": source.count("\n")},
-            )
-        return source
-
-    return _SOURCES.get(key, compute)
 
 
 def _base_namespace() -> Dict[str, object]:
@@ -145,16 +141,36 @@ def _base_namespace() -> Dict[str, object]:
     return ns
 
 
-def _compiled_fn(key: tuple, source: str, fn_name: str, extra: Dict[str, object]) -> Callable:
-    """``compile()`` + ``exec`` the source once per process, per key."""
+def _compiled_fn(key: tuple, kind: str, label: str, generate: Callable[[], str],
+                 fn_name: str, extra: Dict[str, object]) -> Callable:
+    """The generated function for *key*, built once per process.
+
+    Its module code comes from the artifact cache; a miss generates the
+    source with *generate* and ``compile()``s it (traced).  The code is
+    ``exec``'d in a fresh namespace with *extra* bound: code loaded from
+    the cache directory runs with the same trust as generated source."""
     fn = _FN_CACHE.get(key)
-    if fn is None:
-        ns = _base_namespace()
-        ns.update(extra)
-        code = compile(source, "<repro.sim.codegen:%s>" % fn_name, "exec")
-        exec(code, ns)
-        fn = ns[fn_name]
-        _FN_CACHE[key] = fn
+    if fn is not None:
+        _CODE.stats["memory_hits"] += 1
+        return fn
+
+    def compute() -> types.CodeType:
+        source = generate()
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.instant(
+                "codegen.compile.%s" % kind,
+                tracer.tick(),
+                cat="codegen",
+                args={"name": label, "source_lines": source.count("\n")},
+            )
+        return compile(source, "<repro.sim.codegen:%s>" % fn_name, "exec")
+
+    code = _CODE.get((_CACHE_TAG,) + key, compute)
+    ns = _base_namespace()
+    ns.update(extra)
+    exec(code, ns)
+    fn = _FN_CACHE[key] = ns[fn_name]
     return fn
 
 
@@ -2203,9 +2219,10 @@ class _CgaGen:
 
 def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
                      cdrf_ports: Tuple[int, int], cprf_ports: Tuple[int, int],
-                     trip: int):
+                     trip: int, signature: Optional[tuple] = None):
     """Return the lane-batched steady-state function for *kernel* at
-    trip count *trip* (>= 1).
+    trip count *trip* (>= 1).  *signature* is ``cga_signature(kernel)``
+    when the caller already has it.
 
     The compiled function advances as many packets per call as its
     structure-of-arrays arguments hold (``trips``, all equal to *trip*,
@@ -2231,13 +2248,15 @@ def cga_batch_runner(kernel: CgaKernel, arch: CgaArchitecture, fault,
     and *fault* for malformed kernels, found once at generation time
     (the reference tier finds them while running).
     """
-    key = ("cga-batch", arch.fingerprint(), trip, cga_signature(kernel))
+    if signature is None:
+        signature = cga_signature(kernel)
+    key = ("cga-batch", arch.fingerprint(), trip, signature)
 
     def gen() -> str:
         return _CgaGen(kernel, arch, fault, cdrf_ports, cprf_ports, trip).generate_batch()
 
-    source = _cached_source(key, "cga-batch", kernel.name, gen)
-    return _compiled_fn(key, source, "_cga_run_batch", {"_ME": MemoryError_})
+    return _compiled_fn(key, "cga-batch", kernel.name, gen, "_cga_run_batch",
+                        {"_ME": MemoryError_})
 
 
 # ----------------------------------------------------------------------
@@ -2756,9 +2775,11 @@ class _VliwGen:
 
 
 def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
-                      scratchpad, icache, fault):
+                      scratchpad, icache, fault, signature: Optional[tuple] = None):
     """Return ``(fn, end_pc)`` — the lane-batched function for the
     straight-line segment at *start_pc* and the segment's exclusive end.
+    *signature* is the segment's :func:`vliw_signature` when the caller
+    already has it.
 
     The function serves any batch width (the width is the length of its
     per-lane argument lists).  The L1 and icache geometry join the cache
@@ -2773,6 +2794,8 @@ def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
     from repro.sim.vliw import StopEvent  # lazy: vliw.py imports this module
 
     end_pc = vliw_segment_end(bundles, start_pc)
+    if signature is None:
+        signature = vliw_signature(bundles, start_pc, end_pc)
     l1_geom = (scratchpad.n_banks, scratchpad.size_bytes)
     icache_geom = (icache.n_lines, icache.bundles_per_line, icache.miss_penalty)
     key = (
@@ -2782,15 +2805,14 @@ def vliw_batch_runner(bundles, start_pc: int, slot_fus, cdrf, cprf,
         (cprf.read_ports, cprf.write_ports),
         l1_geom,
         icache_geom,
-        vliw_signature(bundles, start_pc, end_pc),
+        signature,
     )
 
     def gen() -> str:
         return _VliwGen(bundles, start_pc, end_pc, slot_fus, cdrf, cprf, fault,
                         l1_geom=l1_geom, icache_geom=icache_geom).generate_batch()
 
-    source = _cached_source(key, "vliw-batch", "pc%d" % start_pc, gen)
-    fn = _compiled_fn(key, source, "_vliw_run_batch",
+    fn = _compiled_fn(key, "vliw-batch", "pc%d" % start_pc, gen, "_vliw_run_batch",
                       {"_VF": fault, "_Stop": StopEvent, "_ME": MemoryError_,
                        "_BF": (fault, MemoryError_)})
     return fn, end_pc

@@ -1,12 +1,16 @@
 """Codegen-cache tests: LRU bounds, disk persistence, corruption healing.
 
 Mirrors ``tests/compiler/test_schedule_cache.py`` for the compiled
-tier's source cache (`src/repro/sim/codegen.py`), plus regression tests
+tier's code cache (`src/repro/sim/codegen.py`), plus regression tests
 that a long-lived core's runner memos neither grow with nor alias
-across ``patch_constants`` variants.
+across ``patch_constants`` variants, and walk each kernel once across
+lanes.
 """
 
 import glob
+import hashlib
+import json
+import marshal
 import os
 import pickle
 import subprocess
@@ -33,9 +37,9 @@ _SENTINEL = 0xBEEF01
 @pytest.fixture(autouse=True)
 def _isolated_caches():
     """Protect the process-wide codegen/schedule caches across tests."""
-    saved_src = dict(codegen._SOURCES.memory)
+    saved_src = dict(codegen._CODE.memory)
     saved_fn = dict(codegen._FN_CACHE)
-    saved_stats = dict(codegen._SOURCES.stats)
+    saved_stats = dict(codegen._CODE.stats)
     codegen.clear_codegen_cache()
     configure_schedule_cache(None)
     try:
@@ -43,9 +47,9 @@ def _isolated_caches():
     finally:
         configure_schedule_cache(None)
         codegen.clear_codegen_cache()
-        codegen._SOURCES.memory.update(saved_src)
+        codegen._CODE.memory.update(saved_src)
         codegen._FN_CACHE.update(saved_fn)
-        codegen._SOURCES.stats.update(saved_stats)
+        codegen._CODE.stats.update(saved_stats)
 
 
 def _template_program():
@@ -122,8 +126,43 @@ def test_recycled_kernel_id_is_not_a_stale_hit():
     assert seen == [20, 36, 20]
 
 
+def test_first_batch_walks_each_kernel_once(monkeypatch):
+    """A first width-4 ``run_batch`` walks each kernel object's
+    signature and immediate pool once, not once per lane: lanes sharing
+    a kernel (every unpatched region) reuse lane 0's walk, and each
+    lane's ``patch_constants`` variant is walked once.  Bundle lists get
+    one ``vliw_signature`` walk per segment."""
+    calls = {"cga_signature": [], "cga_imms": [], "vliw_signature": []}
+
+    def counting(name):
+        original = getattr(codegen, name)
+
+        def wrapped(obj, *args):
+            calls[name].append((obj,) + args)
+            return original(obj, *args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(codegen, name, counting(name))
+    rx = make_packet(1, cfo_hz=50e3, snr_db=30.0).rx
+    results = ModemRuntime(batch=4).run_batch_results([rx] * 4)
+    assert all(r.error is None and not r.fell_back for r in results)
+
+    for name in ("cga_signature", "cga_imms"):
+        kernels = [args[0] for args in calls[name]]
+        assert kernels
+        assert len({id(k) for k in kernels}) == len(kernels), name
+    segments = [(id(b), pc) for b, pc, _end in calls["vliw_signature"]]
+    assert segments
+    assert len(set(segments)) == len(segments)
+    # The walks are shared: fewer than one per lane of every kernel run.
+    assert len(calls["cga_signature"]) < 4 * len(
+        {args[0].name for args in calls["cga_signature"]})
+
+
 # ----------------------------------------------------------------------
-# Tentpole: two-level source cache (memory + shared disk directory)
+# Tentpole: two-level code cache (memory + shared disk directory)
 # ----------------------------------------------------------------------
 
 
@@ -182,6 +221,67 @@ def test_corrupt_artifact_regenerates_and_heals(tmp_path):
         assert codegen.codegen_stats()["disk_hits"] == len(paths)
 
 
+def _rewrite_values(paths, value):
+    """Keep each payload's key but replace its stored value."""
+    for path in paths:
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["value"] = value
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+
+
+def test_bad_marshal_blob_regenerates_and_heals(tmp_path):
+    """A payload whose value is not loadable code (garbage or truncated
+    marshal bytes, or marshal data of a source string) reads as a miss;
+    the regeneration overwrites the file."""
+    configure_schedule_cache(str(tmp_path))
+    core_a = _run_compiled(_template_program())
+    paths = glob.glob(str(tmp_path / "*.codegen.pkl"))
+    assert paths
+    with open(paths[0], "rb") as fh:
+        blob = pickle.load(fh)["value"]
+    assert isinstance(marshal.loads(blob), type(_run_compiled.__code__))
+
+    for bad in (b"\x00not marshal data", blob[: len(blob) // 2],
+                marshal.dumps("def _cga_run_batch(): pass")):
+        _rewrite_values(paths, bad)
+        codegen.clear_codegen_cache()
+        core_b = _run_compiled(_template_program())
+        stats = codegen.codegen_stats()
+        assert stats["compilations"] == len(paths)
+        assert stats["disk_hits"] == 0
+        assert core_b.cycle == core_a.cycle
+        assert core_b.cdrf.peek(10) == core_a.cdrf.peek(10)
+        codegen.clear_codegen_cache()
+        _run_compiled(_template_program())
+        assert codegen.codegen_stats()["compilations"] == 0
+        assert codegen.codegen_stats()["disk_hits"] == len(paths)
+
+
+def test_artifact_of_another_interpreter_is_a_miss(tmp_path, monkeypatch):
+    """Marshal data is only readable by the interpreter version that
+    wrote it, so the disk key carries the interpreter's cache tag: code
+    written under another tag is a miss, and the regeneration stores
+    this interpreter's code beside it."""
+    configure_schedule_cache(str(tmp_path))
+    monkeypatch.setattr(codegen, "_CACHE_TAG", "cpython-00")
+    _run_compiled(_template_program())
+    written = codegen.codegen_stats()["compilations"]
+    assert written >= 1
+
+    monkeypatch.undo()
+    codegen.clear_codegen_cache()
+    _run_compiled(_template_program())
+    stats = codegen.codegen_stats()
+    assert stats["disk_hits"] == 0
+    assert stats["compilations"] == written
+    assert len(glob.glob(str(tmp_path / "*.codegen.pkl"))) == 2 * written
+    codegen.clear_codegen_cache()
+    _run_compiled(_template_program())
+    assert codegen.codegen_stats()["disk_hits"] == written
+
+
 def test_stale_key_in_artifact_is_a_miss(tmp_path):
     """A digest collision / stale payload degrades to a regeneration."""
     configure_schedule_cache(str(tmp_path))
@@ -202,7 +302,7 @@ def test_artifact_of_another_generator_is_a_miss(tmp_path, monkeypatch):
     directory written by another version of the code generator reads
     as a miss instead of serving stale source."""
     configure_schedule_cache(str(tmp_path))
-    monkeypatch.setattr(codegen._SOURCES, "fingerprint", lambda: "0" * 16)
+    monkeypatch.setattr(codegen._CODE, "fingerprint", lambda: "0" * 16)
     _run_compiled(_template_program())
     written = codegen.codegen_stats()["compilations"]
     assert written >= 1
@@ -300,3 +400,64 @@ def test_fresh_process_with_warm_cache_never_schedules_or_compiles(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "CODEGEN_WARM_OK %d" % expected in proc.stdout
+
+
+def packet_digest(rx) -> str:
+    """SHA-256 over one packet's decoded bits, final scratchpad image and
+    the activity statistics of every region, run on a fresh runtime."""
+    out = ModemRuntime().run_packet(rx)
+    digest = hashlib.sha256(out.bits.tobytes())
+    digest.update(out.image)
+    for region in out.preamble_regions + out.data_regions:
+        digest.update(json.dumps(region.profile.stats.as_dict(),
+                                 sort_keys=True).encode())
+    digest.update(json.dumps(out.stats.as_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_warm_restart_loads_code_without_generating_or_compiling(tmp_path):
+    """A fresh process on a warm directory neither generates nor
+    ``compile()``s generated code: every function's code is loaded from
+    disk, and the packet's bits, image and statistics are identical."""
+    rx = make_packet(1, cfo_hz=50e3, snr_db=30.0).rx
+    configure_schedule_cache(str(tmp_path))
+    expected = packet_digest(rx)
+    compiled = codegen.codegen_stats()["compilations"]
+    assert compiled >= 1
+    assert len(glob.glob(str(tmp_path / "*.codegen.pkl"))) == compiled
+
+    script = textwrap.dedent(
+        """
+        from repro.sim import codegen
+
+        def _no_codegen(self, *args, **kwargs):
+            raise AssertionError("codegen generated source despite warm disk cache")
+
+        def _no_compile(*args, **kwargs):
+            raise AssertionError("generated code compiled despite warm disk cache")
+
+        codegen._CgaGen.generate_batch = _no_codegen
+        codegen._VliwGen.generate_batch = _no_codegen
+        codegen.compile = _no_compile  # shadows the builtin for codegen
+
+        import test_codegen_cache as t
+        from repro.runtime import make_packet
+
+        digest = t.packet_digest(make_packet(1, cfo_hz=50e3, snr_db=30.0).rx)
+        stats = codegen.codegen_stats()
+        assert stats["compilations"] == 0, stats
+        print("CODE_WARM_OK", stats["disk_hits"], digest)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC_DIR + os.pathsep + os.path.dirname(os.path.abspath(__file__))
+    env["REPRO_SCHEDULE_CACHE"] = str(tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "CODE_WARM_OK %d %s" % (compiled, expected) in proc.stdout

@@ -132,8 +132,8 @@ class BatchProgramRunner:
         ent = self._shared(self._vliw_lane, pc, bundles)
         if ent is None:
             end_pc = codegen.vliw_segment_end(bundles, pc)
-            sid = self._intern(codegen.vliw_signature(bundles, pc, end_pc))
-            ent = (bundles, sid, codegen.vliw_imms(bundles, pc, end_pc), end_pc)
+            sig, imms, _sites = codegen.vliw_layout(bundles, pc, end_pc)
+            ent = (bundles, self._intern(sig), imms, end_pc)
         self._vliw_lane[key] = ent
         return ent
 
@@ -144,8 +144,8 @@ class BatchProgramRunner:
             return ent
         ent = self._shared(self._cga_lane, kid, kernel)
         if ent is None:
-            sid = self._intern(codegen.cga_signature(kernel))
-            ent = (kernel, sid, codegen.cga_imms(kernel))
+            sig, imms, _sites = codegen.cga_layout(kernel)
+            ent = (kernel, self._intern(sig), imms)
         self._cga_lane[key] = ent
         return ent
 

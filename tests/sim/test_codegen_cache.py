@@ -127,12 +127,12 @@ def test_recycled_kernel_id_is_not_a_stale_hit():
 
 
 def test_first_batch_walks_each_kernel_once(monkeypatch):
-    """A first width-4 ``run_batch`` walks each kernel object's
-    signature and immediate pool once, not once per lane: lanes sharing
-    a kernel (every unpatched region) reuse lane 0's walk, and each
-    lane's ``patch_constants`` variant is walked once.  Bundle lists get
-    one ``vliw_signature`` walk per segment."""
-    calls = {"cga_signature": [], "cga_imms": [], "vliw_signature": []}
+    """A first width-4 ``run_batch`` walks each kernel object (its
+    signature and immediate pool, one ``cga_layout``) once, not once per
+    lane: lanes sharing a kernel (every unpatched region) reuse lane 0's
+    walk, and each lane's ``patch_constants`` variant is walked once.
+    Bundle lists get one ``vliw_layout`` walk per segment."""
+    calls = {"cga_layout": [], "vliw_layout": []}
 
     def counting(name):
         original = getattr(codegen, name)
@@ -149,16 +149,14 @@ def test_first_batch_walks_each_kernel_once(monkeypatch):
     results = ModemRuntime(batch=4).run_batch_results([rx] * 4)
     assert all(r.error is None and not r.fell_back for r in results)
 
-    for name in ("cga_signature", "cga_imms"):
-        kernels = [args[0] for args in calls[name]]
-        assert kernels
-        assert len({id(k) for k in kernels}) == len(kernels), name
-    segments = [(id(b), pc) for b, pc, _end in calls["vliw_signature"]]
+    kernels = [args[0] for args in calls["cga_layout"]]
+    assert kernels
+    assert len({id(k) for k in kernels}) == len(kernels)
+    segments = [(id(b), pc) for b, pc, _end in calls["vliw_layout"]]
     assert segments
     assert len(set(segments)) == len(segments)
     # The walks are shared: fewer than one per lane of every kernel run.
-    assert len(calls["cga_signature"]) < 4 * len(
-        {args[0].name for args in calls["cga_signature"]})
+    assert len(kernels) < 4 * len({k.name for k in kernels})
 
 
 # ----------------------------------------------------------------------
@@ -319,6 +317,16 @@ def test_artifact_of_another_generator_is_a_miss(tmp_path, monkeypatch):
     codegen.clear_codegen_cache()
     _run_compiled(_template_program())
     assert codegen.codegen_stats()["disk_hits"] == written
+
+
+def test_generator_digest_covers_every_package_module():
+    """Every module of the generator package is named in the disk key's
+    digest, so an edit to any of them makes a warm directory a miss."""
+    package = os.path.dirname(codegen.__file__)
+    modules = {"repro.sim.codegen" if name == "__init__.py" else "repro.sim.codegen." + name[:-3]
+               for name in os.listdir(package) if name.endswith(".py")}
+    assert len(modules) > 1
+    assert modules <= set(codegen._CODE.modules), modules - set(codegen._CODE.modules)
 
 
 def test_cold_start_warm_up_compilation_count():

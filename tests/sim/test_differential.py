@@ -493,11 +493,11 @@ def test_zero_patched_immediate_gets_its_own_function():
     assert references[1].cdrf.peek(10) != word
     fns = list(runner._cga_fns.values())
     assert len(fns) == 2 and None not in fns and fns[0] is not fns[1]
-    sigs = [codegen.cga_signature(v.kernels[0]) for v in variants]
+    sigs = [codegen.cga_layout(v.kernels[0])[0] for v in variants]
     assert sigs[0] != sigs[1]
     # Any other nonzero value shares the nonzero variant's signature.
     other = patch_constants(template, {sentinel: 7}).kernels[0]
-    assert codegen.cga_signature(other) == sigs[1]
+    assert codegen.cga_layout(other)[0] == sigs[1]
 
 
 def _generated(kernel, trip, arch=None):
@@ -568,7 +568,7 @@ def test_fft_stage_routes_moves_without_saturating_adds():
     assert kernel.name == "fft_r4_q4_g0" and kernel.trip_count == trip
     gen, source = _generated(kernel, trip, arch)
     lines = [line.strip() for line in source.splitlines()]
-    n_slots, lo, hi = gen._plan()
+    n_slots, lo, hi = gen.plan
     loop_lo, loop_end, unroll, body = _loop(source)
     assert loop_lo == lo
     # Each op issues once per unrolled slot it is active in, once per
@@ -579,7 +579,7 @@ def test_fft_stage_routes_moves_without_saturating_adds():
     def issue_sites(rec):
         return sum(rec.stage <= i < rec.stage + trip for i in unrolled) + steady_sites
 
-    moves = [rec for rec in gen.ops if codegen._is_identity(rec.op)]
+    moves = [rec for rec in gen.ops if rec.identity]
     addsub = [rec for rec in gen.ops
               if rec.op.opcode in (Opcode.C4ADD, Opcode.C4SUB) and rec not in moves]
     assert moves and addsub
@@ -798,7 +798,7 @@ def _one_steady_iteration_trip(build):
     """The trip whose steady window is a single iteration."""
     for trip in range(1, 40):
         gen, _source = _generated(build(trip), trip)
-        _n, lo, hi = gen._plan()
+        _n, lo, hi = gen.plan
         if lo == hi:
             return trip
     raise AssertionError("no trip gives a one-iteration steady window")
@@ -1030,8 +1030,8 @@ def test_live_out_register_variants_share_one_compilation():
     program = linker.link()
     first, second = (program.kernels[k] for k in range(2))
     assert outs[0]["corr"].index != outs[1]["corr"].index
-    assert codegen.cga_signature(first) == codegen.cga_signature(second)
-    assert codegen.cga_imms(first) != codegen.cga_imms(second)
+    assert codegen.cga_layout(first)[0] == codegen.cga_layout(second)[0]
+    assert codegen.cga_layout(first)[1] != codegen.cga_layout(second)[1]
     ports = ((6, 3), (6, 3))
     assert (codegen.cga_batch_runner(first, arch, CgaFault, *ports, n // 2)
             is codegen.cga_batch_runner(second, arch, CgaFault, *ports, n // 2))

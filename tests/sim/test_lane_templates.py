@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.isa import Opcode, OpGroup, group_of
 from repro.isa.semantics import UNARY_SIMD, handler_for
-from repro.sim import codegen
+from repro.sim.codegen import templates as codegen
 
 SIMD_OPS = tuple(op for op in Opcode if group_of(op) in (OpGroup.SIMD1, OpGroup.SIMD2))
 SHIFTS = (Opcode.C4SHIFTR, Opcode.C4SHIFTL)

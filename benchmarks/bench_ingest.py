@@ -40,12 +40,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(_HERE), "src"))
 import reporting
 from repro.fabric import Fabric
 from repro.ingest import IngestServer, send_stream
+from repro.runtime import BatchPacketResult
 from repro.trace import schema_errors
 
 
 class _DigestRunner:
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        return {"digest": rx.tobytes(), "n": int(rx.shape[1])}
+    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+        return [BatchPacketResult(output={"digest": rx.tobytes(), "n": int(rx.shape[1])})
+                for rx in rxs]
 
 
 def _digest_factory():
@@ -53,9 +55,9 @@ def _digest_factory():
 
 
 class _SlowRunner:
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        time.sleep(0.02)
-        return {"n": int(rx.shape[1])}
+    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+        time.sleep(0.02 * len(rxs))
+        return [BatchPacketResult(output={"n": int(rx.shape[1])}) for rx in rxs]
 
 
 def _slow_factory():

@@ -36,6 +36,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(_HERE), "src"))
 from repro.fabric import Fabric, mixed_scenario_stream, run_stream
 from repro.ingest import IngestServer, iq_roundtrip, send_stream
 from repro.obs import lint_exposition
+from repro.runtime import BatchPacketResult
 
 #: Metric families the scrape must carry (prefixed repro_ingest_).
 _REQUIRED_FAMILIES = (
@@ -53,8 +54,9 @@ _STREAM_ID = 7
 class _DigestRunner:
     """Deterministic digest of the delivered rx bytes (picklable)."""
 
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        return {"digest": rx.tobytes(), "n": int(rx.shape[1])}
+    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+        return [BatchPacketResult(output={"digest": rx.tobytes(), "n": int(rx.shape[1])})
+                for rx in rxs]
 
 
 def _digest_factory():

@@ -66,9 +66,6 @@ class WorkerState:
     spinup_s: Optional[float] = None
     spinup_schedule_misses: Optional[int] = None
     spinup_codegen_compilations: Optional[int] = None
-    #: Whether this slot's runner supports batched execution (from the
-    #: readiness message; None until the slot reported in).
-    spinup_batched: Optional[bool] = None
     #: Batch-drain dispatches sent to this slot, and the tasks they
     #: carried (occupancy = batched_tasks / (batches * fabric batch)).
     batches: int = 0

@@ -163,7 +163,6 @@ class Fabric:
         batch: int = 1,
         submit_timeout_s: float = 120.0,
         deadline_s: Optional[float] = None,
-        runtime_kwargs: Optional[dict] = None,
         cache_dir: Optional[str] = None,
         template_runtime: Optional[object] = None,
         runner_factory: Optional[Callable[[], object]] = None,
@@ -206,7 +205,6 @@ class Fabric:
         self.name = name
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._dispatcher = Dispatcher(policy)
-        self._runtime_kwargs = dict(runtime_kwargs or {})
         self._cache_dir = cache_dir if cache_dir is not None else schedule_cache_dir()
         self._template = template_runtime
         self._runner_factory = runner_factory
@@ -268,9 +266,7 @@ class Fabric:
             if self._template is None:
                 from repro.runtime import ModemRuntime
 
-                self._template = ModemRuntime(
-                    cache_dir=self._cache_dir, batch=self.batch, **self._runtime_kwargs
-                )
+                self._template = ModemRuntime(cache_dir=self._cache_dir, batch=self.batch)
             for rx in warm_packets:
                 self._template.run_packet(rx)
         for slot in range(self.n_workers):
@@ -610,7 +606,6 @@ class Fabric:
             state.spinup_s = info.get("spinup_s")
             state.spinup_schedule_misses = info.get("schedule_misses")
             state.spinup_codegen_compilations = info.get("codegen_compilations")
-            state.spinup_batched = info.get("batched")
             return
         if tag == MSG_BYE:
             return
@@ -930,7 +925,6 @@ class Fabric:
                     "spinup_s": state.spinup_s,
                     "spinup_schedule_misses": state.spinup_schedule_misses,
                     "spinup_codegen_compilations": state.spinup_codegen_compilations,
-                    "spinup_batched": state.spinup_batched,
                     "batches": state.batches if self.batch > 1 else None,
                     "batched_tasks": (
                         state.batched_tasks if self.batch > 1 else None

@@ -31,8 +31,8 @@ __all__ = [
 #: Format identifier embedded in every fabric report.  v2 added the
 #: ``ingest`` section (None unless an ``IngestServer`` is attached);
 #: v3 added batch-drain accounting: a top-level ``batch`` width and
-#: per-worker ``batches`` / ``batched_tasks`` / ``batch_occupancy`` /
-#: ``spinup_batched`` (all None/absent when batching is off).
+#: per-worker ``batches`` / ``batched_tasks`` / ``batch_occupancy``
+#: (all None/absent when batching is off).
 FABRIC_REPORT_SCHEMA = "repro.fabric_report/v3"
 
 

@@ -169,7 +169,6 @@ def worker_main(
                 "spinup_s": time.perf_counter() - t0,
                 "schedule_misses": _schedule_misses() - misses_before,
                 "codegen_compilations": _codegen_compilations() - codegen_before,
-                "batched": hasattr(runner, "run_batch_results"),
             },
         )
     )
@@ -197,30 +196,8 @@ def worker_main(
                 pass
             break
         task_ids, rxs, n_symbols, detect_hint = msg
-        if hasattr(runner, "run_batch_results"):
-            _serve_batch(
-                runner, send_lock, result_conn, task_ids, rxs, n_symbols, detect_hint
-            )
-            progress["task_seq"] += len(task_ids)
-            continue
-        # Plain runners (test fakes with only run_packet): one at a time.
-        for task_id, rx in zip(task_ids, rxs):
-            t0 = time.perf_counter()
-            try:
-                out = runner.run_packet(
-                    rx, n_symbols=n_symbols, detect_hint=detect_hint
-                )
-            except Exception as exc:  # task-level fault: report, keep serving
-                dt = time.perf_counter() - t0
-                with send_lock:
-                    result_conn.send(
-                        (MSG_ERROR, task_id, dt, "%s: %s" % (type(exc).__name__, exc))
-                    )
-            else:
-                dt = time.perf_counter() - t0
-                with send_lock:
-                    result_conn.send((MSG_RESULT, task_id, dt, out))
-            progress["task_seq"] += 1
+        _serve_batch(runner, send_lock, result_conn, task_ids, rxs, n_symbols, detect_hint)
+        progress["task_seq"] += len(task_ids)
     stop_beating.set()
     try:
         result_conn.close()

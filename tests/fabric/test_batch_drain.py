@@ -47,10 +47,6 @@ class _BatchStub:
             raise ValueError("poison packet")
         return {"sum": float(np.sum(rx.real)), "width": width, "pid": os.getpid()}
 
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        time.sleep(self.delay_s)
-        return self._one(rx, 1)
-
     def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
         time.sleep(self.delay_s)
         out = []
@@ -62,20 +58,8 @@ class _BatchStub:
         return out
 
 
-class _PlainStub:
-    """No run_batch_results: batched dispatches must still serve."""
-
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        time.sleep(0.05)
-        return {"sum": float(np.sum(rx.real))}
-
-
 def _batched_factory():
     return _BatchStub()
-
-
-def _plain_factory():
-    return _PlainStub()
 
 
 def _packets(n, base_len=400):
@@ -109,7 +93,6 @@ def test_batch_drain_coalesces_and_reports_occupancy():
     assert worker["batches"] == round(sum(1.0 / w for w in widths))
     assert worker["batches"] < len(ids), "coalescing must cut dispatches"
     assert worker["batch_occupancy"] == round(9 / (worker["batches"] * 4), 4)
-    assert worker["spinup_batched"] is True
     with open(_SCHEMA_PATH) as fh:
         schema = json.load(fh)
     assert schema_errors(report, schema) == []
@@ -138,20 +121,6 @@ def test_batched_dispatch_reports_per_task_errors():
     report = fab.report()
     assert report["counters"]["task_errors"] == 1
     assert report["counters"]["completed"] == 6
-
-
-def test_runner_without_batch_support_still_serves_batched_dispatches():
-    fab = Fabric(workers=1, batch=4, queue_depth=16, runner_factory=_plain_factory)
-    with fab:
-        packets = _packets(8)
-        ids = [fab.offer(rx).task_id for rx in packets]
-        results = fab.drain(timeout=30)
-    assert sorted(results) == sorted(ids)
-    for task_id, rx in zip(ids, packets):
-        assert results[task_id]["sum"] == float(np.sum(rx.real))
-    report = fab.report()
-    assert report["per_worker"][0]["spinup_batched"] is False
-    assert report["counters"]["completed"] == 8
 
 
 def test_mixed_shapes_never_share_a_dispatch():

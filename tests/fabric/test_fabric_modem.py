@@ -148,10 +148,11 @@ def test_mixed_shapes_with_affinity_decode_correctly(template):
     assert [w["shapes"] for w in report["per_worker"]] == [1, 1]
 
 
-def test_batch_drain_fabric_builds_its_template_on_the_requested_tier(cases):
-    """With no template given, the fabric builds one runtime kind at any
-    width: ``batch > 1`` still honours ``runtime_kwargs["interpreter"]``."""
-    fab = Fabric(workers=1, batch=4, runtime_kwargs={"interpreter": "reference"})
+def test_batch_drain_fabric_serves_on_its_template_tier(cases):
+    """A ``batch > 1`` fabric serves packets on its template's tier: a
+    reference-tier template gives the reference tier's results."""
+    template = ModemRuntime(interpreter="reference", batch=4)
+    fab = Fabric(workers=1, batch=4, template_runtime=template)
     with fab:
         assert fab.template_runtime.interpreter == "reference"
         task_id = fab.offer(cases[0].rx).task_id

@@ -18,6 +18,7 @@ from repro.fabric import (
     FabricTaskError,
     SubmitTimeout,
 )
+from repro.runtime import BatchPacketResult
 
 
 class _StubRunner:
@@ -26,12 +27,16 @@ class _StubRunner:
     def __init__(self, delay_s=0.0):
         self.delay_s = delay_s
 
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+        return [self._one(rx) for rx in rxs]
+
+    def _one(self, rx):
         if float(rx[0, 0].real) == -1.0:
-            raise ValueError("poison packet")
+            return BatchPacketResult(error=ValueError("poison packet"))
         if self.delay_s:
             time.sleep(self.delay_s)
-        return {"sum": float(np.sum(rx.real)), "n": int(rx.shape[1]), "pid": os.getpid()}
+        return BatchPacketResult(
+            output={"sum": float(np.sum(rx.real)), "n": int(rx.shape[1]), "pid": os.getpid()})
 
 
 def _fast_factory():

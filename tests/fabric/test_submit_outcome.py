@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.fabric import Fabric, SubmitOutcome, SubmitTimeout
+from repro.runtime import BatchPacketResult
 
 
 class _SlowRunner:
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        time.sleep(0.25)
-        return {"n": int(rx.shape[1])}
+    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+        time.sleep(0.25 * len(rxs))
+        return [BatchPacketResult(output={"n": int(rx.shape[1])}) for rx in rxs]
 
 
 def _slow_factory():

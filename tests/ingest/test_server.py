@@ -17,6 +17,7 @@ import pytest
 from repro.fabric import FABRIC_REPORT_SCHEMA, Fabric
 from repro.ingest import IngestServer, iq_roundtrip, send_stream
 from repro.obs.prom import lint_exposition
+from repro.runtime import BatchPacketResult
 from repro.trace import schema_errors
 
 _SCHEMA_PATH = os.path.join(
@@ -27,12 +28,12 @@ _SCHEMA_PATH = os.path.join(
 class _ChecksumRunner:
     """Stands in for a ModemRuntime: deterministic digest of the rx bytes."""
 
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        return {
+    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+        return [BatchPacketResult(output={
             "digest": rx.tobytes(),
             "n": int(rx.shape[1]),
             "n_symbols": int(n_symbols),
-        }
+        }) for rx in rxs]
 
 
 def _checksum_factory():
@@ -40,9 +41,9 @@ def _checksum_factory():
 
 
 class _SlowRunner:
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        time.sleep(0.2)
-        return {"n": int(rx.shape[1])}
+    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+        time.sleep(0.2 * len(rxs))
+        return [BatchPacketResult(output={"n": int(rx.shape[1])}) for rx in rxs]
 
 
 def _slow_factory():
@@ -54,13 +55,7 @@ class _SlowBatchRunner(_SlowRunner):
 
     def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
         time.sleep(0.2)
-
-        class _R:
-            def __init__(self, rx):
-                self.output = {"n": int(rx.shape[1])}
-                self.error = None
-
-        return [_R(rx) for rx in rxs]
+        return [BatchPacketResult(output={"n": int(rx.shape[1])}) for rx in rxs]
 
 
 def _slow_batch_factory():

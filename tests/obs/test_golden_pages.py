@@ -19,6 +19,7 @@ import pytest
 from repro.fabric import Fabric
 from repro.fabric.report import FABRIC_FAMILIES, fabric_prometheus_text
 from repro.obs.prom import lint_exposition
+from repro.runtime import BatchPacketResult
 from repro.sim.stats import ActivityStats
 from repro.trace.export import SIM_FAMILIES, prometheus_text
 
@@ -93,8 +94,8 @@ def test_every_rendered_worker_key_feeds_the_page():
 
 
 class _StubRunner:
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        return {"sum": float(np.sum(rx.real))}
+    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+        return [BatchPacketResult(output={"sum": float(np.sum(rx.real))}) for rx in rxs]
 
 
 def _factory():

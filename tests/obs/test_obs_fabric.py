@@ -13,11 +13,17 @@ import numpy as np
 import pytest
 
 from repro.fabric import Fabric
+from repro.runtime import BatchPacketResult
 
 
 class _StubRunner:
-    def run_packet(self, rx, n_symbols=2, detect_hint=None):
-        return {"sum": float(np.sum(rx.real)), "pid": os.getpid()}
+    #: Seconds each packet takes.
+    delay_s = 0.0
+
+    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+        time.sleep(self.delay_s * len(rxs))
+        return [BatchPacketResult(output={"sum": float(np.sum(rx.real)), "pid": os.getpid()})
+                for rx in rxs]
 
 
 def _factory():
@@ -133,9 +139,7 @@ def test_watchdog_escalation_converts_stuck_into_crash_recovery():
     """escalate=True: the watchdog SIGKILLs a silent worker, and the
     existing salvage/requeue/respawn path finishes the work."""
     class _Slow(_StubRunner):
-        def run_packet(self, rx, n_symbols=2, detect_hint=None):
-            time.sleep(0.15)
-            return super().run_packet(rx, n_symbols, detect_hint)
+        delay_s = 0.15
 
     interval = 0.1
     fab = Fabric(
@@ -191,9 +195,7 @@ def test_health_degrades_to_warn_when_nobody_pumps():
 
 def test_events_endpoint_and_shed_accounting():
     class _Slow(_StubRunner):
-        def run_packet(self, rx, n_symbols=2, detect_hint=None):
-            time.sleep(0.2)
-            return super().run_packet(rx, n_symbols, detect_hint)
+        delay_s = 0.2
 
     fab = Fabric(
         workers=1,

@@ -385,8 +385,8 @@ class CgaSchedule:
         every site is conservative.  During the drain the reference tier
         never calls ``begin_cycle``, so its port window spans the last
         logical cycle plus the whole drain — modelled the same here.
-        The sites and writes counted are the access counters of the
-        chains' operand sites and destination writes.
+        It counts the chains' operand sites and destination writes (a
+        last iteration's: all of them) by their access counters.
         """
         ii = self.kernel.ii
         # Per counter, its count per logical cycle and, last, the drain's.

@@ -618,7 +618,7 @@ class _CgaGen(CgaSchedule):
     # Every statically-known access count is hoisted out of the steady
     # loop into one closed-form adjustment (``tally``).
 
-    _TALLY_KEYS = tuple(c for c, _f in _CRF_COUNTERS + _LRF_COUNTERS + _L1_COUNTERS[:2])
+    _TALLY_KEYS = (*_CRF_COUNTERS, *_LRF_COUNTERS, "n_l1r", "n_l1w")
 
     def _emit_commit(self, lines: List[str], ind: str, rec: _CgaChain,
                      present: bool, last: bool, tally) -> None:
@@ -949,7 +949,7 @@ class _CgaGen(CgaSchedule):
                 else:
                     w(ind + " = ".join(self._pred_home(rec, j)) + " = _A")
         w(ind + "stall_offset = 0")
-        _emit_zero(lines, ind, _CRF_COUNTERS + _LRF_COUNTERS)
+        _emit_zero(lines, ind, [*_CRF_COUNTERS, *_LRF_COUNTERS])
         if self.has_mem:
             _emit_zero(lines, ind, _L1_COUNTERS)
         w(ind + "squashed = 0")
@@ -1001,7 +1001,7 @@ class _CgaGen(CgaSchedule):
             w(ind + "    op_groups[_G_%s] += %d * ne" % (rec.group.name, rec.weight))
             w(ind + "    unpred += %d * ne" % rec.weight)
         w(ind + "total_logical = (trip + %d) * %d" % (k1, k.ii))
-        _emit_flush(lines, ind, _CRF_COUNTERS + _LRF_COUNTERS)
+        _emit_flush(lines, ind, {**_CRF_COUNTERS, **_LRF_COUNTERS})
         w(ind + "stats.cga_ops += pred_weight + unpred")
         w(ind + "stats.squashed_ops += squashed")
         w(ind + "stats.config_words += %d * total_logical" % k.context_words)

@@ -95,7 +95,7 @@ def vliw_layout(bundles, start_pc: int, end_pc: int):
 
 #: Instruction-cache counter locals and the ActivityStats fields they
 #: flush into.
-_IC_COUNTERS = (("n_ic_h", "icache_hits"), ("n_ic_m", "icache_misses"))
+_IC_COUNTERS = {"n_ic_h": "icache_hits", "n_ic_m": "icache_misses"}
 
 
 class _VliwGen:
@@ -144,7 +144,8 @@ class _VliwGen:
 
     def _check_ports(self, live) -> None:
         """Static worst case of one bundle against the central-RF ports
-        (see :meth:`_CgaGen._check_port_pressure` for the rationale)."""
+        (see :meth:`.analysis.CgaSchedule._check_port_pressure` for the
+        rationale)."""
         r_d = r_p = w_d = w_p = 0
         for _slot, inst in live:
             if inst.pred is not None:
@@ -469,7 +470,7 @@ class _VliwGen:
         w(ind + "    stats.vliw_ops += vliw_ops")
         w(ind + "    stats.squashed_ops += squashed")
         _emit_flush(lines, ind + "    ",
-                    _CRF_COUNTERS + (_L1_COUNTERS if self.has_mem else ()) + _IC_COUNTERS)
+                    {**_CRF_COUNTERS, **(_L1_COUNTERS if self.has_mem else {}), **_IC_COUNTERS})
         w(ind + "stops[_b] = stop")
         w(ind + "next_pcs[_b] = next_pc")
         w(ind + "cycles_out[_b] = cycle")

@@ -89,12 +89,12 @@ def _emit_lane_batch(header: str, lanes: str, lane_binds: Sequence[str], has_loa
 
 #: Counter locals of generated code and the ActivityStats fields they
 #: flush into: central-RF ports, local RFs and wires, scratchpad.
-_CRF_COUNTERS = (("n_cdrf_r", "cdrf_reads"), ("n_cdrf_w", "cdrf_writes"),
-                 ("n_cprf_r", "cprf_reads"), ("n_cprf_w", "cprf_writes"))
-_LRF_COUNTERS = (("n_lrf_r", "lrf_reads"), ("n_lrf_w", "lrf_writes"),
-                 ("n_itx", "interconnect_transfers"))
-_L1_COUNTERS = (("n_l1r", "l1_reads"), ("n_l1w", "l1_writes"), ("n_bc", "l1_bank_conflicts"),
-                ("bc_stall", "l1_conflict_stall_cycles"))
+_CRF_COUNTERS = {"n_cdrf_r": "cdrf_reads", "n_cdrf_w": "cdrf_writes",
+                 "n_cprf_r": "cprf_reads", "n_cprf_w": "cprf_writes"}
+_LRF_COUNTERS = {"n_lrf_r": "lrf_reads", "n_lrf_w": "lrf_writes",
+                 "n_itx": "interconnect_transfers"}
+_L1_COUNTERS = {"n_l1r": "l1_reads", "n_l1w": "l1_writes", "n_bc": "l1_bank_conflicts",
+                "bc_stall": "l1_conflict_stall_cycles"}
 
 
 def _issue_counters(issues) -> Tuple[List[int], List[str]]:
@@ -111,16 +111,14 @@ def _issue_counters(issues) -> Tuple[List[int], List[str]]:
 
 
 def _emit_zero(lines: List[str], ind: str, names) -> None:
-    """Zero the counter locals *names* (a name or a ``(name, field)``
-    pair each) in one statement."""
-    names = [n if isinstance(n, str) else n[0] for n in names]
+    """Zero the counter locals *names* in one statement."""
     if names:
         lines.append(ind + " = ".join(names) + " = 0")
 
 
-def _emit_flush(lines: List[str], ind: str, counters) -> None:
-    """Add each ``(local, field)`` counter to ``stats.<field>``."""
-    for local, field in counters:
+def _emit_flush(lines: List[str], ind: str, counters: Dict[str, str]) -> None:
+    """Add each counter local to its ``stats`` field."""
+    for local, field in counters.items():
         lines.append(ind + "stats.%s += %s" % (field, local))
 
 

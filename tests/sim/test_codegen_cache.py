@@ -1,7 +1,7 @@
 """Codegen-cache tests: LRU bounds, disk persistence, corruption healing.
 
 Mirrors ``tests/compiler/test_schedule_cache.py`` for the compiled
-tier's code cache (`src/repro/sim/codegen.py`), plus regression tests
+tier's code cache (`src/repro/sim/codegen/__init__.py`), plus regression tests
 that a long-lived core's runner memos neither grow with nor alias
 across ``patch_constants`` variants, and walk each kernel once across
 lanes.

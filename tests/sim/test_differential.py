@@ -8,7 +8,7 @@ of the same runner, and the final machine state must be
 **bit-identical**: cycle counts, every register file, scratchpad
 memory, and the full :class:`~repro.sim.stats.ActivityStats` including
 per-cause stall counters.  This is the correctness contract of the
-code generator (`src/repro/sim/codegen.py`): compiling is an
+code generator (the `src/repro/sim/codegen/` package): compiling is an
 optimisation, never a semantic change.  The runner additionally proves
 its divergence story here: ragged widths, per-lane immediate pools,
 divergent groups run at their own widths, mid-batch faults recorded

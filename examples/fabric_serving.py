@@ -5,7 +5,9 @@ A 4-worker :class:`~repro.fabric.Fabric` (each worker a resident modem
 runtime forked from one warm parent template) serves a 10-second
 Poisson arrival process of mixed traffic — three carrier offsets, two
 SNRs and two frame lengths, routed with the ``shape_affinity`` policy
-so each frame length settles on a subset of workers.  Submission is
+so each frame length settles on a subset of workers, where same-length
+frames coalesce into batch dispatches (every length runs the same
+linked programs, so neither length costs a worker a re-link).  Submission is
 paced to the arrival times, like a front-end handing over frames in
 real time; ``deadline`` backpressure sheds what a saturated fabric
 cannot serve in time.

@@ -1,8 +1,8 @@
 """Packet-to-worker routing: pure bookkeeping, no processes.
 
 The dispatcher sees every worker as a :class:`WorkerState` — parent-side
-pending queue, in-flight set, the packet shapes the worker already holds
-linked programs for — and picks a slot for each incoming packet.  It is
+pending queue, in-flight set, the packet shapes the worker has been
+sent — and picks a slot for each incoming packet.  It is
 deliberately process-free so scheduling policies are unit-testable
 without spawning anything; :class:`repro.fabric.fabric.Fabric` owns the
 actual pipes and processes.
@@ -15,10 +15,12 @@ Policies
     Pick the alive worker with the smallest load (pending + in-flight),
     lowest index on ties.
 ``shape_affinity``
-    Prefer workers that already hold the packet's linked shape (each
-    new shape costs a worker one re-link pass, so routing same-shape
-    packets to the same slots keeps the compile-once property hot);
-    falls back to ``least_loaded`` for shapes nobody holds yet.
+    Prefer workers that have already served the packet's shape, so
+    same-shape packets gather on one worker and coalesce into full
+    batch-drain dispatches (only same-shape tasks coalesce).  A new
+    shape costs a worker no re-link: every shape runs the same linked
+    region programs.  Falls back to ``least_loaded`` for shapes nobody
+    has served yet.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ class WorkerState:
     queue_depth: int
     pending: Deque[FabricTask] = field(default_factory=deque)
     inflight: Dict[int, FabricTask] = field(default_factory=dict)
-    #: Packet shapes this slot has been assigned (== shapes it holds or
-    #: is about to hold linked programs for).
+    #: Packet shapes this slot has been assigned (``shape_affinity``
+    #: routes same-shape packets back to it).
     shapes: set = field(default_factory=set)
     alive: bool = True
     stopping: bool = False

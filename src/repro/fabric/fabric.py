@@ -332,9 +332,9 @@ class Fabric:
             self._watchdog.reset(slot)
         if respawn:
             # The replacement forked from the parent's warm template, so
-            # it holds only the template's warmed shapes — every shape
-            # the dead incarnation linked post-fork is gone.  Reset the
-            # affinity state to what the new process actually holds.
+            # its history is the template's warmed shapes, not the shapes
+            # the dead incarnation served.  Reset the affinity state to
+            # match.
             worker.state.shapes = set(
                 getattr(self._template, "warmed_shapes", ()) or ()
             )
@@ -485,8 +485,8 @@ class Fabric:
         """Pop up to ``batch`` coalescable pending tasks.
 
         Tasks coalesce only while they share (shape, n_symbols,
-        detect_hint) — the runtime buckets by shape, and the
-        other two ride per dispatch message.  Late deadline shedding is
+        detect_hint) — the runtime runs one lockstep call per shape,
+        and the other two ride per dispatch message.  Late deadline shedding is
         the same at every batch width: expired packets resolve to
         :class:`DeadlineExceeded` and never reach the pipe.
         """

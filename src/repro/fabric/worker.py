@@ -12,7 +12,7 @@ fabric's batch width) in the parent, hitting the persistent schedule
 and codegen caches, and every worker — including respawns after a
 crash — forks a copy of the fully *linked* template, so spin-up
 performs zero ``ModuloScheduler.schedule`` calls and zero region links
-for the warmed shapes.  The readiness message carries the child-side
+(the programs serve every packet shape).  The readiness message carries the child-side
 schedule-cache miss delta so the fabric report can prove it.  Every
 dispatch reaches the runtime through one ``run_batch_results`` call.
 

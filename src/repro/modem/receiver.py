@@ -112,8 +112,8 @@ _ACORR_SPAN = 48
 
 # Parameter-block slot indices (32-bit words at MemoryMap.PARAM).  The
 # host writes these before each region; region programs load them as
-# kernel live-ins / loop bounds, which is what makes the programs pure
-# functions of the packet *shape* and reusable across packets.
+# kernel live-ins / loop bounds, which (with the patched immediates) is
+# what makes one linked program serve every packet.
 _P_CAND = (0, 1, 2)  # acorr candidate base addresses (RXIN + 8*pos)
 _P_FSHIFT_SRC = 3  # coarse-rotate source (RXIN + 8*ltf_guess)
 _P_ACORR2_BASE = 4  # fine-acorr base (WORK0 + 4*ltf1_rel)
@@ -121,6 +121,12 @@ _P_CORDIC_X = 5  # fine correlation re (two's complement)
 _P_CORDIC_Y = 6  # fine correlation im
 _P_HT_SRC = 7  # HT-LTF rotate source (RXIN + 8*ht_start)
 _P_DATA_SRC = 8  # data gather source (RXIN + 8*data_start)
+
+#: Placeholder immediate the ``non-kernel code`` program is linked
+#: against for the packet's sample count; each packet's count is
+#: stamped over it with ``patch_constants``.  No packet length (at most
+#: the RXIN capacity) can equal it.
+N_SAMPLES_SENTINEL = 0x5A3F_0C0F_5A3F_0C0F
 
 
 @dataclass
@@ -148,11 +154,18 @@ class RegionRequest:
     :meth:`SimReceiver._pipeline` yields these and receives
     ``(RegionRun, image)`` back.  The driver,
     :class:`repro.runtime.ModemRuntime`, links the region's program once
-    per ``(name,) + key``, stamps *patch* into its configuration
-    immediates, resets a resident core to that program and *image*, and
-    runs it: in lockstep with the other packets' lanes on the untraced
-    compiled tier, alone otherwise, and alone on a fresh core when a
-    lockstep lane faults.
+    per region id ``(name,) + key``, stamps *patch* into its
+    configuration immediates, resets a resident core to that program and
+    *image*, and runs it: in lockstep with the other packets' lanes on
+    the untraced compiled tier, alone otherwise, and alone on a fresh
+    core when a lockstep lane faults.
+
+    *key* is only the variant tag that tells same-named regions apart
+    (``("detect",)``/``("fine",)`` for ``acorr``, ``("ltf",)``/
+    ``("ht",)``/``("data",)`` for ``fshift``, ``("pre",)``/
+    ``("data",)`` for ``fft`` and ``SDM processing``), else ``()``: no
+    program depends on the packet, so every packet of every shape
+    requests the same 18 region ids.
     """
 
     name: str
@@ -230,12 +243,13 @@ class SimReceiver:
             self._fft_stages.append((tw_addr, q, live_ins, words))
             tw_addr += 8 * len(words)
         #: Linked region programs (plus their host-visible register
-        #: handles), keyed by (region id, packet shape).  Programs are
-        #: pure functions of (architecture, seed, memory map, OFDM
-        #: params, shape): all packet data reaches them through the
-        #: scratchpad image — notably the parameter block — or through
-        #: configuration-immediate patching, so one link serves every
-        #: packet of the same shape (the paper's compile-once flow).
+        #: handles), keyed by region id.  Programs are pure functions of
+        #: (architecture, seed, memory map, OFDM params, region), not of
+        #: the packet or its shape: all packet data reaches them through
+        #: the scratchpad image — notably the parameter block — or
+        #: through configuration-immediate patching (the sample count
+        #: included), so one link serves every packet (the paper's
+        #: compile-once flow).
         self._region_programs: Dict[tuple, Tuple[Program, Dict[str, object]]] = {}
         #: Scheduling metadata (II, MII bounds, stages) of each linked
         #: region program's kernels, in call order, keyed like
@@ -245,7 +259,8 @@ class SimReceiver:
 
     @property
     def compiled_programs(self) -> int:
-        """Number of region programs linked so far (compile-once cache)."""
+        """Number of region programs linked so far (compile-once cache:
+        18 once a packet has run, whatever its shape)."""
         return len(self._region_programs)
 
     # ------------------------------------------------------------------
@@ -412,7 +427,6 @@ class SimReceiver:
                 "of the %d-sample sync region"
                 % (detect_hint, max_hint, 16 + _ACORR_SPAN, _SYNC_SAMPLES)
             )
-        shape = (n_samples, n_symbols)
         rx_re, rx_im = q15(rx.real), q15(rx.imag)
 
         image = bytearray(self._table_image())
@@ -423,11 +437,13 @@ class SimReceiver:
         # -- non-kernel: program setup glue --------------------------------
         def build_init(linker):
             vb = linker.vliw()
-            vb.op(Opcode.ADD, 0, n_samples, dst=PhysReg(40))
+            vb.op(Opcode.ADD, 0, N_SAMPLES_SENTINEL, dst=PhysReg(40))
             vb.op(Opcode.ADD, 0, n_symbols, dst=PhysReg(41))
             return {}
 
-        run, image = yield RegionRequest("non-kernel code", image, build_init, key=shape)
+        run, image = yield RegionRequest(
+            "non-kernel code", image, build_init, patch={N_SAMPLES_SENTINEL: n_samples}
+        )
         pre.append(run)
 
         # -- sample ordering: the consumers read the ADC stream in place ----
@@ -460,7 +476,7 @@ class SimReceiver:
                 handles["energy%d" % ci] = outs["energy"]
             return handles
 
-        run, image = yield RegionRequest("acorr", image, build_acorr, key=("detect",) + shape)
+        run, image = yield RegionRequest("acorr", image, build_acorr, key=("detect",))
         pre.append(run)
         # Host: pick the first candidate whose correlation magnitude
         # clears the threshold, then derive the coarse CFO from its
@@ -503,7 +519,7 @@ class SimReceiver:
         table = phasor_table_words(-coarse_cfo, fs, n_rot, start_sample=ltf_guess)
         self._write_words(image, mem.PHTAB, table, size=8)
         self._write_param(image, _P_FSHIFT_SRC, mem.RXIN + 8 * ltf_guess)
-        run, image = yield RegionRequest("fshift", image, build_fshift1, key=("ltf",) + shape)
+        run, image = yield RegionRequest("fshift", image, build_fshift1, key=("ltf",))
         pre.append(run)
 
         # -- xcorr: timing (4 even candidates around the expected LTF) ------
@@ -534,7 +550,7 @@ class SimReceiver:
                 linker.release(outs)
             return {}
 
-        run, image = yield RegionRequest("xcorr", image, build_xcorr, key=shape)
+        run, image = yield RegionRequest("xcorr", image, build_xcorr)
         pre.append(run)
         mags = []
         for ci in range(len(xc_candidates)):
@@ -559,7 +575,7 @@ class SimReceiver:
             return {"corr": outs["corr"], "re": re_r, "im": im_r}
 
         self._write_param(image, _P_ACORR2_BASE, mem.WORK0 + 4 * ltf1_rel)
-        run, image = yield RegionRequest("acorr", image, build_acorr2, key=("fine",) + shape)
+        run, image = yield RegionRequest("acorr", image, build_acorr2, key=("fine",))
         pre.append(run)
 
         # -- freq offset estimation: CORDIC on the array --------------------
@@ -579,9 +595,7 @@ class SimReceiver:
 
         self._write_param(image, _P_CORDIC_X, to_signed(fine_in[0], 32))
         self._write_param(image, _P_CORDIC_Y, to_signed(fine_in[1], 32))
-        run, image = yield RegionRequest(
-            "freq offset estimation", image, build_freqest, key=shape
-        )
+        run, image = yield RegionRequest("freq offset estimation", image, build_freqest)
         pre.append(run)
         fine_angle = to_signed(run.outputs["angle"], 32)
         fine_cfo = angle_q16_to_hz(fine_angle, 64, fs)
@@ -607,7 +621,7 @@ class SimReceiver:
         table = phasor_pair_table_words(-coarse_cfo, fs, 160, start_sample=ht_start)
         self._write_words(image, mem.PHTAB, table, size=8)
         self._write_param(image, _P_HT_SRC, mem.RXIN + 8 * ht_start)
-        run, image = yield RegionRequest("fshift", image, build_fshift2, key=("ht",) + shape)
+        run, image = yield RegionRequest("fshift", image, build_fshift2, key=("ht",))
         pre.append(run)
 
         # -- freq offset compensation: fine recursive rotate ----------------
@@ -630,7 +644,6 @@ class SimReceiver:
             "freq offset compensation",
             image,
             build_freqcomp,
-            key=shape,
             patch=cfo_rotate_patch(step_w, ph0_w),
         )
         pre.append(run)
@@ -656,7 +669,7 @@ class SimReceiver:
                 self._emit_fft_stages(linker, dst)
             return {}
 
-        run, image = yield RegionRequest("fft", image, build_fft_pre, key=("pre",) + shape)
+        run, image = yield RegionRequest("fft", image, build_fft_pre, key=("pre",))
         pre.append(run)
 
         # -- remove zero carriers: chanest reads the used-bin runs in place --
@@ -684,9 +697,7 @@ class SimReceiver:
                     carrier += n_bins
             return {}
 
-        run, image = yield RegionRequest(
-            "SDM processing", image, build_chanest, key=("pre",) + shape
-        )
+        run, image = yield RegionRequest("SDM processing", image, build_chanest, key=("pre",))
         pre.append(run)
 
         # -- equalize coeff calc ---------------------------------------------
@@ -698,9 +709,7 @@ class SimReceiver:
             )
             return {}
 
-        run, image = yield RegionRequest(
-            "equalize coeff calc", image, build_eqcoef, key=shape
-        )
+        run, image = yield RegionRequest("equalize coeff calc", image, build_eqcoef)
         pre.append(run)
 
         # ==================== data phase (one symbol pair) ==================
@@ -745,9 +754,7 @@ class SimReceiver:
             return {}
 
         self._write_param(image, _P_DATA_SRC, mem.RXIN + 8 * data_start)
-        run, image = yield RegionRequest(
-            "fshift", image, build_data_fshift, key=("data",) + shape
-        )
+        run, image = yield RegionRequest("fshift", image, build_data_fshift, key=("data",))
         data.append(run)
 
         # -- fft ---------------------------------------------------------------
@@ -756,9 +763,7 @@ class SimReceiver:
                 self._emit_fft_stages(linker, mem.FFT0 if sym == 0 else mem.FFT2)
             return {}
 
-        run, image = yield RegionRequest(
-            "fft", image, build_data_fft, key=("data",) + shape
-        )
+        run, image = yield RegionRequest("fft", image, build_data_fft, key=("data",))
         data.append(run)
 
         # -- data shuffle: per-carrier Y vectors --------------------------------
@@ -777,7 +782,7 @@ class SimReceiver:
                 )
             return {}
 
-        run, image = yield RegionRequest("data shuffle", image, build_shuffle, key=shape)
+        run, image = yield RegionRequest("data shuffle", image, build_shuffle)
         data.append(run)
 
         # -- SDM processing ------------------------------------------------------
@@ -794,9 +799,7 @@ class SimReceiver:
                 )
             return {}
 
-        run, image = yield RegionRequest(
-            "SDM processing", image, build_data_sdm, key=("data",) + shape
-        )
+        run, image = yield RegionRequest("SDM processing", image, build_data_sdm, key=("data",))
         data.append(run)
 
         # -- tracking: pilot CPE phasors (one per symbol) -------------------------
@@ -819,7 +822,7 @@ class SimReceiver:
                 )
             return {}
 
-        run, image = yield RegionRequest("tracking", image, build_tracking, key=shape)
+        run, image = yield RegionRequest("tracking", image, build_tracking)
         data.append(run)
 
         # -- comp: CPE rotation + rescale to Q15/2 --------------------------------
@@ -841,7 +844,7 @@ class SimReceiver:
                 )
             return {}
 
-        run, image = yield RegionRequest("comp", image, build_comp, key=shape)
+        run, image = yield RegionRequest("comp", image, build_comp)
         data.append(run)
 
         # -- demod QAM64 --------------------------------------------------------------
@@ -857,7 +860,7 @@ class SimReceiver:
                 )
             return {}
 
-        run, image = yield RegionRequest("demod QAM64", image, build_demod, key=shape)
+        run, image = yield RegionRequest("demod QAM64", image, build_demod)
         data.append(run)
 
         bits = self._unpack_bits(image, n_symbols)

@@ -5,9 +5,9 @@ processor then streams every packet through the resident configuration,
 patching only packet-dependent constants.  :class:`ModemRuntime` is that
 split on top of :class:`repro.modem.receiver.SimReceiver`, whose region
 programs are pure functions of (architecture, seed, memory map, OFDM
-params, packet shape): the first packet of a shape links every region
-program (hitting the schedule cache), and every later packet of that
-shape only simulates.
+params, region), not of the packet or its shape: the first packet links
+each of the 18 region programs once (hitting the schedule cache), and
+every later packet, of any shape, only simulates.
 
 It is the one driver of :meth:`SimReceiver._pipeline`, on every tier and
 with or without a tracer.  It advances up to B same-shape packets'
@@ -26,13 +26,13 @@ pre-region image:
 
 What makes lockstep safe:
 
-* Region programs are pure functions of the packet *shape*: packets
-  are bucketed by ``(n_samples, n_symbols)`` and only same-shape packets
-  share a batch, so every lane requests the same region sequence.
-* Packet data reaches the programs through per-lane scratchpad images
-  (including the parameter block) and per-lane ``patch_constants``
-  immediate pools; the batch functions take both as structure-of-arrays
-  arguments, so all lanes share one compile per kernel signature.
+* Every packet requests the same region sequence and the same linked
+  programs: packet data, the sample count included, reaches them only
+  through per-lane scratchpad images (including the parameter block)
+  and per-lane ``patch_constants`` immediate pools.  The batch functions
+  take both as structure-of-arrays arguments, so all lanes share one
+  compile per kernel signature.  (Packets are still bucketed by shape
+  ``(n_samples, n_symbols)``, the unit the fabric dispatches.)
 * Divergence (differing data-dependent trip counts, or packets whose
   pipelines request different regions) only splits the lanes into
   smaller groups, each run through the generated code at its own width.
@@ -42,11 +42,14 @@ to its pre-region image, which reproduces the single-packet result or
 exception bit-identically.  A lane that runs alone is already that
 single-packet run, so its fault is final.
 
-The speed comes from three resident structures, all per region id: the
-lane cores (no ``Core`` construction, configuration DMA or allocator
-traffic per packet), the :class:`BatchProgramRunner` (cached batch
-functions plus per-lane signature/immediate pools), and the linked
-region programs cached by :class:`SimReceiver`.
+The speed comes from three resident structures, all per region id, so
+one set of 18 serves every shape: the lane cores (no ``Core``
+construction, configuration DMA or allocator traffic per packet; at
+most :attr:`ModemRuntime.batch` per region), the
+:class:`BatchProgramRunner` (cached batch functions plus per-lane
+signature/immediate pools, a patched lane's derived from its
+template's), and the linked region programs cached by
+:class:`SimReceiver`.
 """
 
 from __future__ import annotations
@@ -110,9 +113,9 @@ class _Lane:
 
 
 class ModemRuntime:
-    """A resident receiver: links each shape's region programs once and
-    runs packets on them, up to :attr:`batch` same-shape packets per
-    lockstep call on the compiled tier."""
+    """A resident receiver: links each region program once, for every
+    packet shape, and runs packets on them, up to :attr:`batch`
+    same-shape packets per lockstep call on the compiled tier."""
 
     def __init__(
         self,
@@ -136,8 +139,8 @@ class ModemRuntime:
         #: generated code has no tracer hooks.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.batch = max(1, int(batch))
-        #: Packet shapes ``(n_samples, n_symbols)`` this runtime has run
-        #: (== shapes whose region programs are linked and resident).
+        #: Packet shapes ``(n_samples, n_symbols)`` this runtime has run.
+        #: Programs do not depend on shape, so a new shape costs no link;
         #: ``repro.fabric`` uses this to seed shape-affinity state for
         #: workers forked from a warm template.
         self.warmed_shapes: set = set()
@@ -153,7 +156,8 @@ class ModemRuntime:
 
     @property
     def compiled_programs(self) -> int:
-        """Region programs linked so far (grows only on new shapes)."""
+        """Region programs linked so far: 18 after the first packet,
+        whatever shapes follow."""
         return self.receiver.compiled_programs
 
     @property

@@ -49,8 +49,8 @@ def make_packet(
     *extra_pad* appends that many additional trailing zero samples after
     the standard 64: the payload is untouched but the packet *shape*
     (sample count) changes, which is how streaming workloads exercise
-    per-shape program linking and the ``shape_affinity`` dispatch
-    policy.
+    the per-packet sample-count patch, per-shape batching and the
+    ``shape_affinity`` dispatch policy.
 
     *scenario* routes the waveform through a named impairment preset
     (:mod:`repro.phy.scenario`) instead of the bare channel: the

@@ -75,15 +75,17 @@ class BatchProgramRunner:
     the resident cores of one receiver region, at any width): the
     signature/imm-pool memos are keyed by kernel slot or pc and lane,
     and invalidated by program-object identity, so re-dispatching the
-    same (or a freshly patched) program costs no signature walks after
-    the first packet — the 27% of warm per-packet time the profile
-    blamed on pool/signature recomputation.  A lane's miss first looks
-    for the same object in the other lanes' entries at that slot or
-    pc, so lanes sharing a kernel or bundle list walk it once.  Batch
-    functions are cached per signature, and for kernels per
-    ``(signature, trip)``: every CGA window runs the function
-    :func:`~repro.sim.codegen.cga_batch_runner` specialized on its
-    group's resolved trip count.
+    same program costs no signature walks after the first packet — the
+    27% of warm per-packet time the profile blamed on pool/signature
+    recomputation.  A lane's miss walks the object at that slot or pc
+    once for every lane (the last walk per slot or pc is kept), and a
+    ``patch_constants`` clone is not walked at all: its pool is the
+    template's with the patched slots re-encoded
+    (:func:`~repro.sim.codegen.patched_pool`), unless the patch lands
+    on an identity-with-zero site.  Batch functions are cached per
+    signature, and for kernels per ``(signature, trip)``: every CGA
+    window runs the function :func:`~repro.sim.codegen.cga_batch_runner`
+    specialized on its group's resolved trip count.
     """
 
     def __init__(self, max_cycles: int = 10_000_000) -> None:
@@ -96,15 +98,18 @@ class BatchProgramRunner:
         self._vliw_lane: Dict[tuple, tuple] = {}
         #: (kernel_id_slot, lane) -> (kernel, signature id, imms).
         self._cga_lane: Dict[tuple, tuple] = {}
+        #: pc -> (bundles, signature id, pool, end_pc, patch sites) of
+        #: the last bundle list walked there.
+        self._vliw_walks: Dict[int, tuple] = {}
+        #: kernel_id_slot -> (kernel, signature id, pool, patch sites)
+        #: of the last kernel walked there.
+        self._cga_walks: Dict[object, tuple] = {}
         #: signature tuple -> small interned id.  Group keys and batch-fn
         #: cache keys carry the id, so the (large) signature tuple is
         #: hashed once per memo fill, not once per lane per round.
         self._sig_ids: Dict[tuple, int] = {}
         #: signature id -> signature, handed to the code generator.
         self._sigs: List[tuple] = []
-        #: The most lanes a :meth:`run` had: a memo miss searches their
-        #: entries for a lane sharing the object.
-        self._width = 0
 
     # -- per-lane memoization (identity-guarded: strong refs pin ids) ---
 
@@ -115,38 +120,46 @@ class BatchProgramRunner:
             self._sigs.append(sig)
         return sid
 
-    def _shared(self, memo: Dict[tuple, tuple], slot, obj) -> Optional[tuple]:
-        """Another lane's entry at *slot* for the very object *obj*."""
-        for lane in range(self._width):
-            ent = memo.get((slot, lane))
-            if ent is not None and ent[0] is obj:
-                return ent
-        return None
-
     def _lane_vliw(self, lane: int, core: Core, pc: int) -> tuple:
         key = (pc, lane)
         ent = self._vliw_lane.get(key)
-        bundles = core.program.bundles
+        program = core.program
+        bundles = program.bundles
         if ent is not None and ent[0] is bundles:
             return ent
-        ent = self._shared(self._vliw_lane, pc, bundles)
-        if ent is None:
-            end_pc = codegen.vliw_segment_end(bundles, pc)
-            sig, imms, _sites = codegen.vliw_layout(bundles, pc, end_pc)
-            ent = (bundles, self._intern(sig), imms, end_pc)
-        self._vliw_lane[key] = ent
+        base = bundles if program.template is None else program.template.bundles
+        walk = self._vliw_walks.get(pc)
+        if walk is None or walk[0] is not base:
+            end_pc = codegen.vliw_segment_end(base, pc)
+            sig, pool, index = codegen.vliw_layout(base, pc, end_pc)
+            walk = self._vliw_walks[pc] = (
+                base, self._intern(sig), pool, end_pc, codegen.vliw_patch_sites(base, index))
+        imms = walk[2]
+        if base is not bundles:
+            # VLIW signatures see no immediate value: never None.
+            imms = codegen.patched_pool(imms, walk[4], program.patch)
+        ent = self._vliw_lane[key] = (bundles, walk[1], imms, walk[3])
         return ent
 
-    def _lane_cga(self, lane: int, kid, kernel) -> tuple:
+    def _lane_cga(self, lane: int, core: Core, kid, kernel) -> tuple:
         key = (kid, lane)
         ent = self._cga_lane.get(key)
         if ent is not None and ent[0] is kernel:
             return ent
-        ent = self._shared(self._cga_lane, kid, kernel)
-        if ent is None:
-            sig, imms, _sites = codegen.cga_layout(kernel)
-            ent = (kernel, self._intern(sig), imms)
-        self._cga_lane[key] = ent
+        program = core.program
+        base = kernel if program.template is None else program.template.kernels.get(kid, kernel)
+        walk = self._cga_walks.get(kid)
+        if walk is None or walk[0] is not base:
+            sig, pool, index = codegen.cga_layout(base)
+            walk = self._cga_walks[kid] = (
+                base, self._intern(sig), pool, codegen.cga_patch_sites(base, index))
+        sid, imms = walk[1], walk[2]
+        if base is not kernel:
+            imms = codegen.patched_pool(imms, walk[3], program.patch)
+            if imms is None:
+                sig, imms, _index = codegen.cga_layout(kernel)
+                sid = self._intern(sig)
+        ent = self._cga_lane[key] = (kernel, sid, imms)
         return ent
 
     # -- batch-function lookup ------------------------------------------
@@ -193,7 +206,6 @@ class BatchProgramRunner:
             if core.tracer.enabled:
                 raise ValueError("batch execution requires tracing disabled")
         n = len(cores)
-        self._width = max(self._width, n)
         results = [LaneResult(core) for core in cores]
 
         def fail(lane: int, exc: BaseException) -> None:
@@ -353,7 +365,7 @@ class BatchProgramRunner:
                 fail(i, CgaFault(
                     "preload targets FU%d without a local RF" % bad.fu))
                 continue
-            _kernel, sid, imms = self._lane_cga(i, kid, kernel)
+            _kernel, sid, imms = self._lane_cga(i, core, kid, kernel)
             ginfo[i] = (kernel, imms)
             groups.setdefault((sid, trip), []).append(i)
         for (sid, trip), lanes in groups.items():

@@ -39,10 +39,11 @@ modulo-schedule cache (on disk as ``marshal`` bytes), keyed by the
 structural kernel/segment signature and the architecture geometry the
 source inlines (the signature excludes immediate *values*, so
 ``patch_constants`` variants share one compiled artifact and differ only
-in the immediate pool passed at call time).  A warm cache directory
-lets a fresh process or a forked fabric worker load the code without
-generating or compiling anything.  The functions built from it are
-memoised per process in front of it.
+in the immediate pool passed at call time; :func:`patched_pool` derives
+a variant's pool from its template's patch sites without a walk).  A
+warm cache directory lets a fresh process or a forked fabric worker
+load the code without generating or compiling anything.  The functions
+built from it are memoised per process in front of it.
 
 Correctness contract: for every well-formed program the compiled tier
 produces bit-identical architectural state, cycle counts and
@@ -65,9 +66,11 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.arch.config import CgaArchitecture
 from repro.cache import ArtifactCache
-from repro.sim.codegen.analysis import cga_layout
+from repro.sim.codegen.analysis import cga_layout, cga_patch_sites, patched_pool
 from repro.sim.codegen.emit_cga import _CgaGen
-from repro.sim.codegen.emit_vliw import _VliwGen, vliw_layout, vliw_segment_end
+from repro.sim.codegen.emit_vliw import (
+    _VliwGen, vliw_layout, vliw_patch_sites, vliw_segment_end,
+)
 from repro.sim.codegen.templates import CodegenUnsupported, _base_namespace
 from repro.sim.memory import MemoryError_
 from repro.sim.program import CgaKernel

@@ -42,18 +42,22 @@ def _iter_cga_ops(kernel: CgaKernel) -> Iterator[Tuple[int, int, int, object]]:
             yield ci, pos, fu, ctx.ops[fu]
 
 
-def _pool_value(op, src_index: Optional[int], sel: SrcSel) -> int:
-    """The runtime value of an IMM selection, with the mem-offset
-    pre-scaling :func:`repro.sim.memops.effective_address` applies (IMM
-    offset, no phi init)."""
-    value = sel.value & MASK64
+def _pool_shift(op, src_index: Optional[int], sel: SrcSel) -> int:
+    """The left shift an IMM selection's pool value carries: the
+    mem-offset pre-scaling :func:`repro.sim.memops.effective_address`
+    applies (IMM offset, no phi init), else 0."""
     if (
         src_index == 1
         and sel.init is None
         and group_of(op.opcode) in (OpGroup.LDMEM, OpGroup.STMEM)
     ):
-        value <<= memops.mem_info(op.opcode).imm_scale
-    return value
+        return memops.mem_info(op.opcode).imm_scale
+    return 0
+
+
+def _pool_value(op, src_index: Optional[int], sel: SrcSel) -> int:
+    """The runtime value of an IMM selection (see :func:`_pool_shift`)."""
+    return (sel.value & MASK64) << _pool_shift(op, src_index, sel)
 
 
 #: Source kinds whose register index lives in the pool, not the source.
@@ -133,6 +137,51 @@ def cga_layout(kernel: CgaKernel) -> Tuple[tuple, Tuple[int, ...], Dict[tuple, t
                                d.last_iteration_only) for d in op.dsts)))
         ctxs.append(tuple(ops))
     return (kernel.ii, kernel.stage_count, tuple(ctxs)), tuple(values), index
+
+
+# ----------------------------------------------------------------------
+# Pools of patched clones
+# ----------------------------------------------------------------------
+#
+# ``patch_constants`` replaces immediates by raw value and leaves the
+# structure alone, so a clone's pool is its template's with the patched
+# slots re-encoded.  A patch site is ``(slot, mask, shift, zero)``: the
+# slot holds ``(raw & mask) << shift``, and *zero* marks an
+# identity-with-zero site, whose value the signature sees.
+
+
+def cga_patch_sites(kernel: CgaKernel, index: Dict[tuple, tuple]) -> Dict[int, List[tuple]]:
+    """Raw immediate or phi-init value -> its patch sites in the pool
+    of *kernel*, whose :func:`cga_layout` site index is *index*."""
+    sites: Dict[int, List[tuple]] = {}
+    for (ci, fu, role, i), (imm_slot, init_slot) in index.items():
+        if role == "dst":
+            continue
+        op = kernel.contexts[ci].ops[fu]
+        sel = op.pred if role == "pred" else op.srcs[i]
+        if sel.kind is SrcKind.IMM:
+            sites.setdefault(sel.value, []).append(
+                (imm_slot, MASK64, _pool_shift(op, i, sel), i == 1 and _zero_site(op)))
+        if sel.init is not None:
+            sites.setdefault(sel.init, []).append((init_slot, MASK64, 0, False))
+    return sites
+
+
+def patched_pool(pool: tuple, sites: Dict[int, List[tuple]],
+                 mapping: Dict[int, int]) -> Optional[tuple]:
+    """The pool a layout walk of ``patch_constants(obj, mapping)`` would
+    build, from *obj*'s *pool* and patch *sites*; ``None`` when a
+    replacement lands on an identity-with-zero site, where the
+    signature may change too (the caller walks the clone instead)."""
+    values = None
+    for raw, new in mapping.items():
+        for slot, mask, shift, zero in sites.get(raw, ()):
+            if zero:
+                return None
+            if values is None:
+                values = list(pool)
+            values[slot] = (new & mask) << shift
+    return pool if values is None else tuple(values)
 
 
 # ----------------------------------------------------------------------

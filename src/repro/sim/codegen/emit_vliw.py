@@ -43,17 +43,17 @@ def vliw_segment_end(bundles: List[VliwBundle], start_pc: int) -> int:
     return n
 
 
-def _vliw_imm_value(inst, src_index: int, operand) -> int:
-    """Runtime pool value of one VLIW immediate, with its per-role
-    transform: branch targets and CGA kernel ids stay raw,
-    memory offsets are pre-scaled raw, everything else is encoded into
-    64 bits two's-complement."""
+def _vliw_imm_encoding(inst, src_index: int) -> Tuple[int, int]:
+    """``(mask, shift)`` of one VLIW immediate's runtime pool value
+    ``(value & mask) << shift``: branch targets and CGA kernel ids stay
+    raw, memory offsets are pre-scaled raw, everything else is encoded
+    into 64 bits two's-complement."""
     group = group_of(inst.opcode)
     if group in (OpGroup.BRANCH, OpGroup.CONTROL):
-        return operand.value
+        return -1, 0
     if src_index == 1 and group in (OpGroup.LDMEM, OpGroup.STMEM):
-        return operand.value << memops.mem_info(inst.opcode).imm_scale
-    return operand.value & MASK64
+        return -1, memops.mem_info(inst.opcode).imm_scale
+    return MASK64, 0
 
 
 
@@ -84,13 +84,26 @@ def vliw_layout(bundles, start_pc: int, end_pc: int):
             for i, operand in enumerate(inst.srcs):
                 if isinstance(operand, Imm):
                     index[(pc, slot, i)] = len(values)
-                    values.append(_vliw_imm_value(inst, i, operand))
+                    mask, shift = _vliw_imm_encoding(inst, i)
+                    values.append((operand.value & mask) << shift)
             insts.append((slot, inst.opcode.value,
                           None if inst.dst is None else _operand_sig(inst.dst),
                           None if inst.pred is None else (inst.pred.index, inst.pred_negate),
                           tuple(_operand_sig(s) for s in inst.srcs)))
         seg.append(tuple(insts))
     return (start_pc, tuple(seg)), tuple(values), index
+
+
+def vliw_patch_sites(bundles, index: Dict[tuple, int]) -> Dict[int, List[tuple]]:
+    """Raw immediate -> its patch sites (see
+    :func:`~repro.sim.codegen.analysis.patched_pool`) in the pool of
+    the segment whose :func:`vliw_layout` site index is *index*."""
+    sites: Dict[int, List[tuple]] = {}
+    for (pc, slot, i), pool_slot in index.items():
+        inst = bundles[pc].slots[slot]
+        mask, shift = _vliw_imm_encoding(inst, i)
+        sites.setdefault(inst.srcs[i].value, []).append((pool_slot, mask, shift, False))
+    return sites
 
 
 #: Instruction-cache counter locals and the ActivityStats fields they

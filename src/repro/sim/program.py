@@ -233,6 +233,12 @@ class Program:
     bundles: List[VliwBundle]
     kernels: Dict[int, CgaKernel] = field(default_factory=dict)
     name: str = "program"
+    #: For a :func:`patch_constants` clone, the program it was patched
+    #: from and the mapping applied: the lockstep runner derives the
+    #: clone's immediate pools from the template's instead of walking
+    #: the clone.  Neither takes part in equality.
+    template: Optional["Program"] = field(default=None, compare=False, repr=False)
+    patch: Optional[Dict[int, int]] = field(default=None, compare=False, repr=False)
 
     def kernel_by_name(self, name: str) -> CgaKernel:
         """Look up a kernel by its symbolic name."""
@@ -255,7 +261,10 @@ def patch_constants(program: Program, mapping: Dict[int, int]) -> Program:
     placement and routing never depend on immediate *values*.
 
     The input program is not modified; untouched kernels and bundles are
-    shared between the clone and the original.
+    shared between the clone and the original, and so are the kernel
+    map and the bundle list when nothing in them changed.  The clone
+    records the original and *mapping* as its ``template`` and
+    ``patch``.
     """
     if not mapping:
         return program
@@ -274,6 +283,7 @@ def patch_constants(program: Program, mapping: Dict[int, int]) -> Program:
         return SrcSel(sel.kind, value, init)
 
     kernels: Dict[int, CgaKernel] = {}
+    kernels_changed = False
     for kid, kernel in program.kernels.items():
         changed = False
         contexts: List[CgaContext] = []
@@ -288,6 +298,7 @@ def patch_constants(program: Program, mapping: Dict[int, int]) -> Program:
                 ops[fu] = op
             contexts.append(CgaContext(ops))
         if changed:
+            kernels_changed = True
             kernels[kid] = CgaKernel(
                 name=kernel.name,
                 ii=kernel.ii,
@@ -301,6 +312,7 @@ def patch_constants(program: Program, mapping: Dict[int, int]) -> Program:
             kernels[kid] = kernel
 
     bundles: List[VliwBundle] = []
+    bundles_changed = False
     for bundle in program.bundles:
         slots = []
         changed = False
@@ -323,6 +335,13 @@ def patch_constants(program: Program, mapping: Dict[int, int]) -> Program:
                     pred_negate=inst.pred_negate,
                 )
             slots.append(inst)
+        bundles_changed |= changed
         bundles.append(VliwBundle(tuple(slots)) if changed else bundle)
 
-    return Program(bundles=bundles, kernels=kernels, name=program.name)
+    return Program(
+        bundles=bundles if bundles_changed else program.bundles,
+        kernels=kernels if kernels_changed else program.kernels,
+        name=program.name,
+        template=program,
+        patch=mapping,
+    )

@@ -131,7 +131,8 @@ def test_sigstop_watchdog_escalation_stays_bit_identical(
 
 def test_mixed_shapes_with_affinity_decode_correctly(template):
     """Two frame lengths through shape_affinity: payloads decode clean and
-    each shape settles on one worker (one extra link each, not two)."""
+    each shape settles on one worker, where its packets can coalesce
+    (neither shape costs a re-link: both run the same programs)."""
     mixed = [
         make_packet(60 + k, cfo_hz=50e3, extra_pad=(64 if k % 2 else 0))
         for k in range(4)

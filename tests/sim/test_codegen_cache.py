@@ -130,8 +130,9 @@ def test_first_batch_walks_each_kernel_once(monkeypatch):
     """A first width-4 ``run_batch`` walks each kernel object (its
     signature and immediate pool, one ``cga_layout``) once, not once per
     lane: lanes sharing a kernel (every unpatched region) reuse lane 0's
-    walk, and each lane's ``patch_constants`` variant is walked once.
-    Bundle lists get one ``vliw_layout`` walk per segment."""
+    walk, and a lane's ``patch_constants`` variant is not walked at all
+    (its pool comes from its template's walk).  Bundle lists get one
+    ``vliw_layout`` walk per segment."""
     calls = {"cga_layout": [], "vliw_layout": []}
 
     def counting(name):
@@ -157,6 +158,92 @@ def test_first_batch_walks_each_kernel_once(monkeypatch):
     assert len(set(segments)) == len(segments)
     # The walks are shared: fewer than one per lane of every kernel run.
     assert len(kernels) < 4 * len({k.name for k in kernels})
+
+
+def _counting_layouts(monkeypatch):
+    calls = {"cga_layout": 0, "vliw_layout": 0}
+
+    def counting(name):
+        original = getattr(codegen, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(codegen, name, counting(name))
+    return calls
+
+
+def test_warm_packet_walks_no_layout(monkeypatch):
+    """On a warm runtime a packet makes no layout walk, although its
+    ``non-kernel code`` and ``freq offset compensation`` programs are
+    new ``patch_constants`` clones (sample count, CFO phasors): their
+    pools come from the templates' walks, and a clone whose bundles
+    the patch left alone shares the template's bundle list."""
+    runtime = ModemRuntime(batch=4)
+    runtime.run_packet(make_packet(1, cfo_hz=50e3, extra_pad=0).rx)
+    calls = _counting_layouts(monkeypatch)
+    for seed, pad in ((2, 160), (3, 0), (4, 64)):
+        runtime.run_packet(make_packet(seed, cfo_hz=10e3 * seed, snr_db=30.0,
+                                       extra_pad=pad).rx)
+    assert calls == {"cga_layout": 0, "vliw_layout": 0}
+    assert runtime.fallbacks == 0
+
+
+def test_patched_pool_matches_a_walk_of_the_clone():
+    """The pool derived from a template's patch sites is the pool a
+    walk of the ``patch_constants`` clone builds, for every kernel and
+    VLIW segment of the modem's two patched region programs."""
+    from repro.kernels.fshift import cfo_rotate_patch
+    from repro.modem.receiver import N_SAMPLES_SENTINEL
+
+    runtime = ModemRuntime()
+    runtime.run_packet(make_packet(1).rx)
+    programs = runtime.receiver._region_programs
+    cases = [
+        (programs[("non-kernel code",)][0], {N_SAMPLES_SENTINEL: n})
+        for n in (354, 1024)
+    ] + [
+        (programs[("freq offset compensation",)][0], cfo_rotate_patch(step, ph0))
+        for step, ph0 in ((0x7FFF_0001_8000_FFFF, 0x0123_4567_89AB_CDEF), (0, 1))
+    ]
+    for template, mapping in cases:
+        clone = patch_constants(template, mapping)
+        for kid, kernel in template.kernels.items():
+            _sig, pool, index = codegen.cga_layout(kernel)
+            sites = codegen.cga_patch_sites(kernel, index)
+            derived = codegen.patched_pool(pool, sites, mapping)
+            assert derived == codegen.cga_layout(clone.kernels[kid])[1]
+        pc = 0
+        while pc < len(template.bundles):
+            end = codegen.vliw_segment_end(template.bundles, pc)
+            _sig, pool, index = codegen.vliw_layout(template.bundles, pc, end)
+            derived = codegen.patched_pool(
+                pool, codegen.vliw_patch_sites(template.bundles, index), mapping)
+            assert derived == codegen.vliw_layout(clone.bundles, pc, end)[1]
+            pc = end
+    freqcomp = programs[("freq offset compensation",)][0]
+    assert patch_constants(freqcomp, cfo_rotate_patch(1, 2)).bundles is freqcomp.bundles
+
+
+def test_patch_on_an_identity_site_walks_the_clone():
+    """A replacement landing on an identity-with-zero site may change
+    the signature, so :func:`codegen.patched_pool` declines and the
+    runner walks the clone."""
+    op = CgaOp(
+        opcode=Opcode.C4ADD,
+        srcs=(SrcSel.self_().with_init(0), SrcSel.imm(_SENTINEL)),
+        dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),),
+    )
+    kernel = CgaKernel(name="zero_site", ii=1, stage_count=1,
+                       contexts=[CgaContext(ops={0: op})], trip_count=4)
+    _sig, pool, index = codegen.cga_layout(kernel)
+    sites = codegen.cga_patch_sites(kernel, index)
+    assert codegen.patched_pool(pool, sites, {_SENTINEL: 0}) is None
+    assert codegen.patched_pool(pool, sites, {_SENTINEL + 1: 0}) == pool
 
 
 # ----------------------------------------------------------------------

@@ -99,10 +99,11 @@ class BatchProgramRunner:
         #: (kernel_id_slot, lane) -> (kernel, signature id, imms).
         self._cga_lane: Dict[tuple, tuple] = {}
         #: pc -> (bundles, signature id, pool, end_pc, patch sites) of
-        #: the last bundle list walked there.
+        #: the last bundle list walked there; the sites only once a
+        #: patched clone needed them (most objects are never patched).
         self._vliw_walks: Dict[int, tuple] = {}
         #: kernel_id_slot -> (kernel, signature id, pool, patch sites)
-        #: of the last kernel walked there.
+        #: of the last kernel walked there, likewise.
         self._cga_walks: Dict[object, tuple] = {}
         #: signature tuple -> small interned id.  Group keys and batch-fn
         #: cache keys carry the id, so the (large) signature tuple is
@@ -128,14 +129,15 @@ class BatchProgramRunner:
         if ent is not None and ent[0] is bundles:
             return ent
         base = bundles if program.template is None else program.template.bundles
+        patched = base is not bundles
         walk = self._vliw_walks.get(pc)
-        if walk is None or walk[0] is not base:
+        if walk is None or walk[0] is not base or (patched and walk[4] is None):
             end_pc = codegen.vliw_segment_end(base, pc)
             sig, pool, index = codegen.vliw_layout(base, pc, end_pc)
-            walk = self._vliw_walks[pc] = (
-                base, self._intern(sig), pool, end_pc, codegen.vliw_patch_sites(base, index))
+            sites = codegen.vliw_patch_sites(base, index) if patched else None
+            walk = self._vliw_walks[pc] = (base, self._intern(sig), pool, end_pc, sites)
         imms = walk[2]
-        if base is not bundles:
+        if patched:
             # VLIW signatures see no immediate value: never None.
             imms = codegen.patched_pool(imms, walk[4], program.patch)
         ent = self._vliw_lane[key] = (bundles, walk[1], imms, walk[3])
@@ -148,13 +150,14 @@ class BatchProgramRunner:
             return ent
         program = core.program
         base = kernel if program.template is None else program.template.kernels.get(kid, kernel)
+        patched = base is not kernel
         walk = self._cga_walks.get(kid)
-        if walk is None or walk[0] is not base:
+        if walk is None or walk[0] is not base or (patched and walk[3] is None):
             sig, pool, index = codegen.cga_layout(base)
-            walk = self._cga_walks[kid] = (
-                base, self._intern(sig), pool, codegen.cga_patch_sites(base, index))
+            sites = codegen.cga_patch_sites(base, index) if patched else None
+            walk = self._cga_walks[kid] = (base, self._intern(sig), pool, sites)
         sid, imms = walk[1], walk[2]
-        if base is not kernel:
+        if patched:
             imms = codegen.patched_pool(imms, walk[3], program.patch)
             if imms is None:
                 sig, imms, _index = codegen.cga_layout(kernel)

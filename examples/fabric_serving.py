@@ -4,13 +4,11 @@
 A 4-worker :class:`~repro.fabric.Fabric` (each worker a resident modem
 runtime forked from one warm parent template) serves a 10-second
 Poisson arrival process of mixed traffic — three carrier offsets, two
-SNRs and two frame lengths, routed with the ``shape_affinity`` policy
-so each frame length settles on a subset of workers, where same-length
-frames coalesce into batch dispatches (every length runs the same
-linked programs, so neither length costs a worker a re-link).  Submission is
-paced to the arrival times, like a front-end handing over frames in
-real time; ``deadline`` backpressure sheds what a saturated fabric
-cannot serve in time.
+SNRs and two frame lengths, routed with the ``least_loaded`` policy
+(every length runs the same linked programs, so any worker serves
+either length without a re-link).  Submission is paced to the arrival
+times, like a front-end handing over frames in real time; ``deadline``
+backpressure sheds what a saturated fabric cannot serve in time.
 
 Every completed packet is checked against its ground-truth payload,
 then the fabric report is printed as JSON next to its Prometheus
@@ -62,7 +60,7 @@ def main(argv=None) -> int:
 
     fab = Fabric(
         workers=args.workers,
-        policy="shape_affinity",
+        policy="least_loaded",
         backpressure="deadline",
         deadline_s=5.0,
         queue_depth=8,

@@ -1,11 +1,10 @@
 """Packet-to-worker routing: pure bookkeeping, no processes.
 
 The dispatcher sees every worker as a :class:`WorkerState` — parent-side
-pending queue, in-flight set, the packet shapes the worker has been
-sent — and picks a slot for each incoming packet.  It is
-deliberately process-free so scheduling policies are unit-testable
-without spawning anything; :class:`repro.fabric.fabric.Fabric` owns the
-actual pipes and processes.
+pending queue, in-flight set, per-slot counters — and picks a slot for
+each incoming packet.  It is deliberately process-free so scheduling
+policies are unit-testable without spawning anything;
+:class:`repro.fabric.fabric.Fabric` owns the actual pipes and processes.
 
 Policies
 --------
@@ -14,23 +13,20 @@ Policies
 ``least_loaded``
     Pick the alive worker with the smallest load (pending + in-flight),
     lowest index on ties.
-``shape_affinity``
-    Prefer workers that have already served the packet's shape, so
-    same-shape packets gather on one worker and coalesce into full
-    batch-drain dispatches (only same-shape tasks coalesce).  A new
-    shape costs a worker no re-link: every shape runs the same linked
-    region programs.  Falls back to ``least_loaded`` for shapes nobody
-    has served yet.
+
+Neither policy looks at the packet's shape: every worker runs the same
+linked region programs for every shape, and queued packets of any
+shapes coalesce into one batch-drain dispatch.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Sequence
 
 #: The routing policies :class:`Dispatcher` accepts.
-POLICIES = ("round_robin", "least_loaded", "shape_affinity")
+POLICIES = ("round_robin", "least_loaded")
 
 
 @dataclass
@@ -41,7 +37,6 @@ class FabricTask:
     rx: object  # (2, n_samples) complex ndarray (opaque to the dispatcher)
     n_symbols: int
     detect_hint: Optional[int]
-    shape: Tuple[int, int]
     submit_t: float
     deadline_t: Optional[float] = None
     #: Times this task was re-queued after a worker crash.
@@ -56,9 +51,6 @@ class WorkerState:
     queue_depth: int
     pending: Deque[FabricTask] = field(default_factory=deque)
     inflight: Dict[int, FabricTask] = field(default_factory=dict)
-    #: Packet shapes this slot has been assigned (``shape_affinity``
-    #: routes same-shape packets back to it).
-    shapes: set = field(default_factory=set)
     alive: bool = True
     stopping: bool = False
     # -- per-slot counters (survive respawns of the same slot) ---------
@@ -107,7 +99,6 @@ class WorkerState:
 
     def assign(self, task: FabricTask) -> None:
         self.pending.append(task)
-        self.shapes.add(task.shape)
 
 
 class Dispatcher:
@@ -121,10 +112,8 @@ class Dispatcher:
         self.policy = policy
         self._rr_next = 0
 
-    def select(
-        self, workers: Sequence[WorkerState], shape: Optional[Tuple[int, int]] = None
-    ) -> Optional[WorkerState]:
-        """The slot for a *shape* packet, or ``None`` when all are full.
+    def select(self, workers: Sequence[WorkerState]) -> Optional[WorkerState]:
+        """The slot for the next packet, or ``None`` when all are full.
 
         ``None`` is the backpressure signal: the fabric then blocks,
         drops or deadline-rejects according to its submission mode.
@@ -140,27 +129,17 @@ class Dispatcher:
                     self._rr_next = (candidate.index + 1) % n
                     return candidate
             return None  # unreachable: eligible is non-empty
-        if self.policy == "shape_affinity" and shape is not None:
-            holders = [w for w in eligible if shape in w.shapes]
-            if holders:
-                return min(holders, key=lambda w: (w.load, w.index))
         return min(eligible, key=lambda w: (w.load, w.index))
 
     @staticmethod
-    def requeue_select(
-        workers: Sequence[WorkerState], shape: Optional[Tuple[int, int]] = None
-    ) -> Optional[WorkerState]:
+    def requeue_select(workers: Sequence[WorkerState]) -> Optional[WorkerState]:
         """Where a crash-orphaned packet goes: capacity limits waived.
 
         Requeued packets must not be shed — they were already accepted —
         so the bounded-queue check is intentionally skipped; the alive
-        slot with the smallest load wins (same-shape holders first).
+        slot with the smallest load wins.
         """
         alive = [w for w in workers if w.alive and not w.stopping]
         if not alive:
             return None
-        if shape is not None:
-            holders = [w for w in alive if shape in w.shapes]
-            if holders:
-                return min(holders, key=lambda w: (w.load, w.index))
         return min(alive, key=lambda w: (w.load, w.index))

@@ -198,7 +198,7 @@ class Fabric:
         self.queue_depth = int(queue_depth)
         #: Batch-drain width: the default template runtime runs up to
         #: this many packets per lockstep call, and ``_feed`` coalesces
-        #: up to this many same-shape queued tasks into one dispatch.
+        #: up to this many queued tasks, of any shapes, into one dispatch.
         self.batch = int(batch)
         self.submit_timeout_s = submit_timeout_s
         self.deadline_s = deadline_s
@@ -331,13 +331,6 @@ class Fabric:
             # grace period before the watchdog may flag it.
             self._watchdog.reset(slot)
         if respawn:
-            # The replacement forked from the parent's warm template, so
-            # its history is the template's warmed shapes, not the shapes
-            # the dead incarnation served.  Reset the affinity state to
-            # match.
-            worker.state.shapes = set(
-                getattr(self._template, "warmed_shapes", ()) or ()
-            )
             self._counters["respawns"] += 1
             self._event("worker_respawn", {"slot": slot, "pid": proc.pid})
 
@@ -381,8 +374,9 @@ class Fabric:
         order), but the completion pump runs once up front instead of
         once per packet — the batch-aware submission path the ingest
         drain uses so a reassembled burst costs one multiplex round, not
-        one per packet.  Consecutive same-shape accepts landing on the
-        same slot are then coalesced by batch-drain ``_feed``.
+        one per packet.  Consecutive accepts landing on the same slot
+        are then coalesced by batch-drain ``_feed``, whatever their
+        shapes.
         """
         self._require_open()
         self._pump(0)
@@ -398,15 +392,12 @@ class Fabric:
         deadline_s: Optional[float],
     ) -> SubmitOutcome:
         rx = np.atleast_2d(rx)
-        shape = (int(rx.shape[1]), int(n_symbols))
         now = time.perf_counter()
         deadline_t = None
         if self.backpressure == "deadline":
             deadline_t = now + (deadline_s if deadline_s is not None else self.deadline_s)
-        task = FabricTask(
-            self._next_task_id, rx, n_symbols, detect_hint, shape, now, deadline_t
-        )
-        target = self._dispatcher.select(self._states(), shape)
+        task = FabricTask(self._next_task_id, rx, n_symbols, detect_hint, now, deadline_t)
+        target = self._dispatcher.select(self._states())
         if target is None:
             target, reason = self._wait_for_capacity(task)
             if target is None:
@@ -424,10 +415,11 @@ class Fabric:
         Returns ``(WorkerState, None)`` on success or ``(None, reason)``
         when the packet was shed — reason is the counter that took it.
         """
+        shape = [int(task.rx.shape[1]), int(task.n_symbols)]  # event payload
         if self.backpressure == "drop":
             self._counters["dropped"] += 1
             self._window.count("dropped")
-            self._event("packet_dropped", {"shape": list(task.shape)})
+            self._event("packet_dropped", {"shape": shape})
             return None, "dropped"
         if self.backpressure == "deadline":
             limit = task.deadline_t
@@ -438,20 +430,20 @@ class Fabric:
             if remaining <= 0:
                 break
             self._pump(min(0.05, remaining))
-            target = self._dispatcher.select(self._states(), task.shape)
+            target = self._dispatcher.select(self._states())
             if target is not None:
                 return target, None
         if self.backpressure == "deadline":
             self._counters["rejected"] += 1
             self._window.count("rejected")
-            self._event("packet_rejected", {"shape": list(task.shape)})
+            self._event("packet_rejected", {"shape": shape})
             return None, "rejected"
         raise SubmitTimeout(self.submit_timeout_s, self.outstanding, self.n_workers)
 
     def _feed(self, worker: _Worker) -> None:
         """Move pending packets into an empty pipe: one dispatch of up
-        to ``batch`` same-shape packets (batch-drain mode), sent only
-        once the previous dispatch's results are all back."""
+        to ``batch`` packets (batch-drain mode), sent only once the
+        previous dispatch's results are all back."""
         state = worker.state
         while (
             state.alive
@@ -484,17 +476,17 @@ class Fabric:
     def _collect_group(self, state: WorkerState) -> List[FabricTask]:
         """Pop up to ``batch`` coalescable pending tasks.
 
-        Tasks coalesce only while they share (shape, n_symbols,
-        detect_hint) — the runtime runs one lockstep call per shape,
-        and the other two ride per dispatch message.  Late deadline shedding is
-        the same at every batch width: expired packets resolve to
+        Tasks coalesce while they share ``(n_symbols, detect_hint)``,
+        the two values that ride once per dispatch message; any mix of
+        packet shapes shares one lockstep call.  Late deadline shedding
+        is the same at every batch width: expired packets resolve to
         :class:`DeadlineExceeded` and never reach the pipe.
         """
         group: List[FabricTask] = []
         key = None
         while state.pending and len(group) < self.batch:
             task = state.pending[0]
-            task_key = (task.shape, task.n_symbols, task.detect_hint)
+            task_key = (task.n_symbols, task.detect_hint)
             if key is not None and task_key != key:
                 break
             state.pending.popleft()
@@ -689,7 +681,7 @@ class Fabric:
             task.requeues += 1
             self._counters["requeued"] += 1
             self._window.count("requeued")
-            target = self._dispatcher.requeue_select(self._states(), task.shape)
+            target = self._dispatcher.requeue_select(self._states())
             if target is None:  # every slot dying at once: shouldn't happen
                 raise FabricError(
                     "no alive worker to requeue task %d onto" % task.task_id
@@ -921,7 +913,6 @@ class Fabric:
                     "busy_s": round(state.busy_s, 6),
                     "occupancy": round(min(1.0, state.busy_s / wall), 4) if wall else 0.0,
                     "crashes": state.crashes,
-                    "shapes": len(state.shapes),
                     "spinup_s": state.spinup_s,
                     "spinup_schedule_misses": state.spinup_schedule_misses,
                     "spinup_codegen_compilations": state.spinup_codegen_compilations,

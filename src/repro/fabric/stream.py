@@ -6,9 +6,8 @@ lengths.  :func:`poisson_stream` generates exactly that, reproducibly —
 exponential inter-arrival times from a seeded generator, each packet
 drawn through :func:`repro.runtime.workload.make_packet` with its CFO,
 SNR and trailing pad (the *shape* mixer: every shape runs the same
-linked programs, but the fabric coalesces only same-shape packets and
-the ``shape_affinity`` policy routes by shape) picked from
-caller-supplied choice sets.
+linked programs and any mix of shapes shares one lockstep call) picked
+from caller-supplied choice sets.
 
 :func:`run_stream` pushes a stream into a :class:`~repro.fabric.Fabric`
 either as fast as backpressure allows (throughput benches) or paced on

@@ -3,7 +3,7 @@
 Each worker is a forked process running :func:`worker_main`: it builds
 (or inherits) a resident runtime, announces readiness, then serves
 ``(task_ids, rxs, n_symbols, detect_hint)`` dispatches (one or more
-same-shape packets each) from its task pipe until it receives the
+packets each, of any shapes) from its task pipe until it receives the
 ``None`` stop sentinel or the pipe closes.
 
 Fork inheritance is the warm-up mechanism: the fabric constructs and
@@ -12,9 +12,10 @@ fabric's batch width) in the parent, hitting the persistent schedule
 and codegen caches, and every worker — including respawns after a
 crash — forks a copy of the fully *linked* template, so spin-up
 performs zero ``ModuloScheduler.schedule`` calls and zero region links
-(the programs serve every packet shape).  The readiness message carries the child-side
-schedule-cache miss delta so the fabric report can prove it.  Every
-dispatch reaches the runtime through one ``run_batch_results`` call.
+(the programs serve every packet shape).  The readiness message carries
+the child-side schedule-cache miss delta so the fabric report can prove
+it.  Every dispatch reaches the runtime through one
+``run_batch_results`` call.
 
 Heartbeats: with ``heartbeat_s > 0`` the worker runs a small daemon
 thread that periodically sends ``(MSG_HEARTBEAT, index, payload)`` up

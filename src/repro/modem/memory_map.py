@@ -82,7 +82,7 @@ class MemoryMap:
     #: programs load their packet-dependent values (detection base
     #: addresses, correlation words, tail loop counts) from here instead
     #: of baking them in as immediates, so one linked program serves
-    #: every packet of the same shape.
+    #: every packet.
     PARAM: int = 0x9100
 
     @property

@@ -9,11 +9,11 @@ on top of :class:`repro.modem.receiver.SimReceiver`, whose region
 programs are pure functions of (architecture, seed, memory map, OFDM
 params, region), not of the packet's shape: each region is linked once
 and keeps one resident lane set.  It is the one packet driver on every
-tier, traced or not: each region runs on resident cores reset in place, up to
-``batch`` same-shape packets in lockstep on the untraced ``compiled``
-tier and one lane at a time otherwise, and a lane that faults in
-lockstep is replayed alone on a fresh core.  Multi-process serving is
-:mod:`repro.fabric`'s job.
+tier, traced or not: each region runs on resident cores reset in place,
+up to ``batch`` packets of any shapes in lockstep on the untraced
+``compiled`` tier and one lane at a time otherwise, and a lane that
+faults in lockstep is replayed alone on a fresh core.  Multi-process
+serving is :mod:`repro.fabric`'s job.
 """
 
 from repro.runtime.batched import BatchedModemRuntime, BatchPacketResult, ModemRuntime

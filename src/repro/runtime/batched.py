@@ -10,9 +10,9 @@ each of the 18 region programs once (hitting the schedule cache), and
 every later packet, of any shape, only simulates.
 
 It is the one driver of :meth:`SimReceiver._pipeline`, on every tier and
-with or without a tracer.  It advances up to B same-shape packets'
-pipeline generators together, region by region, and runs each region
-on that region's resident cores, one per lane, each
+with or without a tracer.  It advances up to B packets' pipeline
+generators together, whatever their shapes, region by region, and runs
+each region on that region's resident cores, one per lane, each
 :meth:`~repro.sim.core.Core.reset` to the lane's program and
 pre-region image:
 
@@ -31,8 +31,8 @@ What makes lockstep safe:
   through per-lane scratchpad images (including the parameter block)
   and per-lane ``patch_constants`` immediate pools.  The batch functions
   take both as structure-of-arrays arguments, so all lanes share one
-  compile per kernel signature.  (Packets are still bucketed by shape
-  ``(n_samples, n_symbols)``, the unit the fabric dispatches.)
+  compile per kernel signature, and any mix of shapes shares one
+  lockstep call.
 * Divergence (differing data-dependent trip counts, or packets whose
   pipelines request different regions) only splits the lanes into
   smaller groups, each run through the generated code at its own width.
@@ -115,7 +115,7 @@ class _Lane:
 class ModemRuntime:
     """A resident receiver: links each region program once, for every
     packet shape, and runs packets on them, up to :attr:`batch`
-    same-shape packets per lockstep call on the compiled tier."""
+    packets of any shapes per lockstep call on the compiled tier."""
 
     def __init__(
         self,
@@ -139,11 +139,6 @@ class ModemRuntime:
         #: generated code has no tracer hooks.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.batch = max(1, int(batch))
-        #: Packet shapes ``(n_samples, n_symbols)`` this runtime has run.
-        #: Programs do not depend on shape, so a new shape costs no link;
-        #: ``repro.fabric`` uses this to seed shape-affinity state for
-        #: workers forked from a warm template.
-        self.warmed_shapes: set = set()
         #: Cumulative activity across every packet this runtime has run.
         #: Fabric worker heartbeats sample it (``host_cycles``, per-cause
         #: stall attribution).
@@ -205,26 +200,20 @@ class ModemRuntime:
         """Like :meth:`run_batch` but never raises: one
         :class:`BatchPacketResult` per input packet, in input order.
 
-        Packets are bucketed by shape ``(n_samples, n_symbols)`` and each
-        bucket is cut into chunks of at most :attr:`batch` lanes (the
-        final chunk may be ragged); chunk results are bit-identical to
-        running each packet alone, on either interpreter tier.
+        The input is cut, in order, into chunks of at most :attr:`batch`
+        lanes (the final chunk may be ragged), whatever the packets'
+        shapes; chunk results are bit-identical to running each packet
+        alone, on either interpreter tier.
         """
         packets = [np.atleast_2d(np.asarray(rx)) for rx in packets]
         results = [BatchPacketResult() for _ in packets]
-        buckets: Dict[tuple, List[int]] = {}
-        for i, rx in enumerate(packets):
-            buckets.setdefault((int(rx.shape[1]), int(n_symbols)), []).append(i)
-        for shape, indices in buckets.items():
-            self.warmed_shapes.add(shape)
-            for lo in range(0, len(indices), self.batch):
-                chunk = indices[lo : lo + self.batch]
-                self._run_chunk(
-                    [packets[i] for i in chunk],
-                    [results[i] for i in chunk],
-                    n_symbols,
-                    detect_hint,
-                )
+        for lo in range(0, len(packets), self.batch):
+            self._run_chunk(
+                packets[lo : lo + self.batch],
+                results[lo : lo + self.batch],
+                n_symbols,
+                detect_hint,
+            )
         for result in results:
             if result.output is not None:
                 self.activity.merge(result.output.stats)
@@ -270,9 +259,10 @@ class ModemRuntime:
             for lane in live:
                 rid = (lane.request.name,) + tuple(lane.request.key)
                 groups.setdefault(rid, []).append(lane)
-            # Same-shape packets request identical region sequences, so
-            # normally there is exactly one group; a divergent pipeline
-            # just forms its own (smaller) group on its region's cores.
+            # Every packet, of any shape, requests the same region
+            # sequence, so normally there is exactly one group; a
+            # divergent pipeline just forms its own (smaller) group on
+            # its region's cores.
             for rid, members in groups.items():
                 responses = self._run_region_batch(rid, members, results)
                 for lane, resp in zip(members, responses):

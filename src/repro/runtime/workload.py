@@ -5,7 +5,7 @@ Packets are built exactly like the evaluation's reference packet
 the reference transmitter, an identity MIMO channel with a carrier
 frequency offset, 32 leading noise samples and 64 trailing zeros.  Each
 packet gets its own seed so payloads differ while every packet keeps the
-same *shape* — the property the compile-once runtime keys on.
+same *shape* (sample count).
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ def make_packet(
     *extra_pad* appends that many additional trailing zero samples after
     the standard 64: the payload is untouched but the packet *shape*
     (sample count) changes, which is how streaming workloads exercise
-    the per-packet sample-count patch, per-shape batching and the
-    ``shape_affinity`` dispatch policy.
+    the per-packet sample-count patch and mixed-shape lockstep batches.
 
     *scenario* routes the waveform through a named impairment preset
     (:mod:`repro.phy.scenario`) instead of the bare channel: the

@@ -1,7 +1,8 @@
 """Batch-drain dispatch mechanics under stub runners.
 
-Covers the opportunistic coalescing path: same-shape queued tasks are
-drained into one dispatch message (up to the fabric's ``batch`` width),
+Covers the opportunistic coalescing path: queued tasks that share
+``(n_symbols, detect_hint)``, of any shapes, are drained into one
+dispatch message (up to the fabric's ``batch`` width),
 workers with a batched runner execute the whole group in one call, and
 the per-slot occupancy accounting (``batches`` / ``batched_tasks`` /
 ``batch_occupancy``) lands in the report, the JSON schema and the
@@ -42,17 +43,24 @@ class _BatchStub:
     def __init__(self, delay_s=0.05):
         self.delay_s = delay_s
 
-    def _one(self, rx, width):
+    def _one(self, rx, width, n_symbols, detect_hint):
         if float(rx[0, 0].real) == -1.0:
             raise ValueError("poison packet")
-        return {"sum": float(np.sum(rx.real)), "width": width, "pid": os.getpid()}
+        return {
+            "sum": float(np.sum(rx.real)),
+            "width": width,
+            "pid": os.getpid(),
+            "key": (n_symbols, detect_hint),
+        }
 
     def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
         time.sleep(self.delay_s)
         out = []
         for rx in rxs:
             try:
-                out.append(_LaneResult(output=self._one(rx, len(rxs))))
+                out.append(
+                    _LaneResult(output=self._one(rx, len(rxs), n_symbols, detect_hint))
+                )
             except Exception as exc:
                 out.append(_LaneResult(error=exc))
         return out
@@ -60,6 +68,11 @@ class _BatchStub:
 
 def _batched_factory():
     return _BatchStub()
+
+
+def _slow_batched_factory():
+    # Slow enough that every later offer queues behind the first dispatch.
+    return _BatchStub(delay_s=0.3)
 
 
 def _packets(n, base_len=400):
@@ -123,21 +136,34 @@ def test_batched_dispatch_reports_per_task_errors():
     assert report["counters"]["completed"] == 6
 
 
-def test_mixed_shapes_never_share_a_dispatch():
+def _serve(packets, keys):
+    """Offer *packets* with their ``(n_symbols, detect_hint)`` *keys* to
+    a 1-worker width-4 fabric; returns each packet's dispatch width."""
     fab = Fabric(
-        workers=1, batch=4, queue_depth=16, runner_factory=_batched_factory
+        workers=1, batch=4, queue_depth=16, runner_factory=_slow_batched_factory
     )
     with fab:
-        # Alternating shapes: coalescing must break at every boundary.
-        packets = [
-            np.full((2, 400 + 16 * (k % 2)), float(k + 1)) for k in range(8)
+        ids = [
+            fab.offer(rx, n_symbols=n_symbols, detect_hint=hint).task_id
+            for rx, (n_symbols, hint) in zip(packets, keys)
         ]
-        ids = [fab.offer(rx).task_id for rx in packets]
         results = fab.drain(timeout=30)
-    for task_id, rx in zip(ids, packets):
-        out = results[task_id]
-        assert out["sum"] == float(np.sum(rx.real))
-        assert out["width"] == 1, "different shapes must not coalesce"
+    for task_id, rx, key in zip(ids, packets, keys):
+        assert results[task_id]["sum"] == float(np.sum(rx.real))
+        assert results[task_id]["key"] == key
+    return [results[task_id]["width"] for task_id in ids]
+
+
+def test_mixed_shapes_coalesce_while_symbols_and_hint_match():
+    """Coalescing keys on ``(n_symbols, detect_hint)`` only: alternating
+    shapes fill width-4 dispatches, and a change of either value still
+    breaks a group.  The first packet goes out alone; the rest queue
+    behind it."""
+    packets = [np.full((2, 400 + 16 * (k % 2)), float(k + 1)) for k in range(9)]
+    assert _serve(packets, [(2, None)] * 9) == [1] + [4] * 8
+
+    keys = [(2, None), (2, None), (2, None), (2, 7), (2, 7), (2, None), (4, None)]
+    assert _serve(packets[:7], keys) == [1, 2, 2, 2, 2, 1, 1]
 
 
 def test_offer_many_accounting_matches_per_packet_semantics():

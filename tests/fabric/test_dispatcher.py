@@ -5,8 +5,8 @@ import pytest
 from repro.fabric import Dispatcher, FabricTask, WorkerState
 
 
-def _task(task_id, shape=(736, 2)):
-    return FabricTask(task_id, None, 2, None, shape, submit_t=0.0)
+def _task(task_id):
+    return FabricTask(task_id, None, 2, None, submit_t=0.0)
 
 
 def _workers(n, queue_depth=2):
@@ -23,7 +23,7 @@ def test_round_robin_cycles_all_slots():
     d = Dispatcher("round_robin")
     picks = []
     for k in range(6):
-        w = d.select(workers, shape=(736, 2))
+        w = d.select(workers)
         picks.append(w.index)
         w.assign(_task(k))
         w.pending.clear()  # keep capacity available
@@ -59,36 +59,12 @@ def test_least_loaded_counts_inflight():
     assert d.select(workers).index == 1
 
 
-def test_shape_affinity_prefers_holder():
-    workers = _workers(2, queue_depth=4)
-    shape_a, shape_b = (736, 2), (800, 2)
-    d = Dispatcher("shape_affinity")
-    w = d.select(workers, shape_a)
-    assert w.index == 0  # nobody holds it yet: least-loaded fallback
-    w.assign(_task(0, shape_a))
-    # Worker 0 now holds shape_a and is *more* loaded; affinity wins anyway.
-    assert d.select(workers, shape_a).index == 0
-    # A new shape goes to the idle worker.
-    w2 = d.select(workers, shape_b)
-    assert w2.index == 1
-    w2.assign(_task(1, shape_b))
-    assert d.select(workers, shape_b).index == 1
-
-
-def test_shape_affinity_full_holder_falls_back():
-    workers = _workers(2, queue_depth=1)
-    shape_a = (736, 2)
-    workers[0].assign(_task(0, shape_a))  # holder, but full
-    d = Dispatcher("shape_affinity")
-    assert d.select(workers, shape_a).index == 1
-
-
 def test_select_none_when_all_full():
     workers = _workers(2, queue_depth=1)
     for k, w in enumerate(workers):
         w.assign(_task(k))
-    for policy in ("round_robin", "least_loaded", "shape_affinity"):
-        assert Dispatcher(policy).select(workers, (736, 2)) is None
+    for policy in ("round_robin", "least_loaded"):
+        assert Dispatcher(policy).select(workers) is None
 
 
 def test_requeue_select_waives_capacity_and_skips_dead():
@@ -97,15 +73,7 @@ def test_requeue_select_waives_capacity_and_skips_dead():
         w.assign(_task(k))  # all full: normal select refuses
     workers[0].alive = False
     workers[2].stopping = True
-    target = Dispatcher.requeue_select(workers, (736, 2))
+    target = Dispatcher.requeue_select(workers)
     assert target.index == 1  # only alive, non-stopping slot
     workers[1].alive = False
-    assert Dispatcher.requeue_select(workers, (736, 2)) is None
-
-
-def test_requeue_select_prefers_shape_holder():
-    workers = _workers(3, queue_depth=1)
-    shape_b = (800, 2)
-    workers[2].assign(_task(0, shape_b))  # holder, more loaded than 1
-    assert Dispatcher.requeue_select(workers, shape_b).index == 2
-    assert Dispatcher.requeue_select(workers, (736, 2)).index == 0
+    assert Dispatcher.requeue_select(workers) is None

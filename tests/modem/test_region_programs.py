@@ -17,6 +17,7 @@ from repro.isa.opcodes import Opcode
 from repro.modem.receiver import N_SAMPLES_SENTINEL
 from repro.runtime import ModemRuntime, make_packet
 from repro.sim import codegen
+from repro.sim.batch import BatchProgramRunner
 from repro.sim.program import patch_constants
 
 from tests.modem.test_runtime_batch import _assert_outputs_identical
@@ -84,11 +85,12 @@ def test_patched_glue_equals_the_glue_linked_for_that_shape(linked, n_samples):
 
 
 @pytest.mark.parametrize("tier", ["compiled", "reference"])
-def test_mixed_shapes_share_programs_and_match_per_shape_runtimes(tier):
+def test_mixed_shapes_share_programs_and_match_per_shape_runtimes(tier, monkeypatch):
     """A runtime serving three shapes links 18 programs and holds at
     most ``batch`` cores per region; its packets are bit-identical to
     those of fresh runtimes that each served one shape.  The compiled
-    runtime is first warmed on every shape at widths 1 and 4."""
+    runtime is first warmed on every shape at widths 1 and 4, then runs
+    four packets of four shapes as one lockstep call per region."""
     per_shape = 2 if tier == "compiled" else 1
     packets = [make_packet(50 + k, cfo_hz=20e3 + 5e3 * k, snr_db=30.0,
                            extra_pad=PADS[k % len(PADS)]).rx
@@ -98,6 +100,17 @@ def test_mixed_shapes_share_programs_and_match_per_shape_runtimes(tier):
         for width in (1, 4):
             for pad in PADS:
                 runtime.run_batch([make_packet(1, extra_pad=pad).rx] * width)
+        widths = []
+        run = BatchProgramRunner.run
+
+        def counting_run(self, cores):
+            widths.append(len(cores))
+            return run(self, cores)
+
+        monkeypatch.setattr(BatchProgramRunner, "run", counting_run)
+        runtime.run_batch([make_packet(2, extra_pad=pad).rx for pad in (0, 16, 32, 64)])
+        monkeypatch.undo()
+        assert widths == [4] * 18
     mixed = runtime.run_batch(packets)
     assert runtime.compiled_programs == 18
     assert len(runtime._regions) == 18

@@ -340,18 +340,6 @@ def test_warm_single_packet_batch_runs_on_resident_cores(warm_mixed_runtime, mon
     assert result.output.stats.total_cycles == reference.stats.total_cycles
 
 
-def test_runtime_tracks_warmed_shapes(cases):
-    """warmed_shapes mirrors the linked-program shapes; the fabric uses
-    it to seed shape-affinity state for workers forked from a template."""
-    runtime = ModemRuntime()
-    assert runtime.warmed_shapes == set()
-    runtime.run_packet(cases[0].rx)
-    shape = (int(cases[0].rx.shape[1]), 2)
-    assert runtime.warmed_shapes == {shape}
-    runtime.run_packet(cases[1].rx)  # same shape: still one entry
-    assert runtime.warmed_shapes == {shape}
-
-
 def test_fresh_process_with_warm_disk_cache_never_schedules(tmp_path, cases):
     """ISSUE acceptance: a warm on-disk cache eliminates every
     ModuloScheduler.schedule call in a fresh process."""

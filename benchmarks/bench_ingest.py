@@ -45,7 +45,7 @@ from repro.trace import schema_errors
 
 
 class _DigestRunner:
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         return [BatchPacketResult(output={"digest": rx.tobytes(), "n": int(rx.shape[1])})
                 for rx in rxs]
 
@@ -55,7 +55,7 @@ def _digest_factory():
 
 
 class _SlowRunner:
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         time.sleep(0.02 * len(rxs))
         return [BatchPacketResult(output={"n": int(rx.shape[1])}) for rx in rxs]
 

@@ -12,6 +12,10 @@ and checks:
 * exactly-once accounting balances — every sent packet lands in exactly
   one of released / gaps / incomplete / corrupt, every released packet
   in submitted or shed, nothing left buffered;
+* a few packets whose header claims 3 data symbols, sent on a second
+  stream, are all written off as ``corrupt`` (the receiver decodes one
+  symbol pair) and never reach the runner, and that stream's ledger
+  balances too;
 * the live ``/metrics`` scrape passes
   :func:`~repro.obs.lint_exposition` and carries the ``repro_ingest_*``
   families.
@@ -49,12 +53,15 @@ _REQUIRED_FAMILIES = (
 )
 
 _STREAM_ID = 7
+#: Stream carrying packets that claim 3 data symbols.
+_BAD_STREAM_ID = 8
+_BAD_PACKETS = 4
 
 
 class _DigestRunner:
     """Deterministic digest of the delivered rx bytes (picklable)."""
 
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         return [BatchPacketResult(output={"digest": rx.tobytes(), "n": int(rx.shape[1])})
                 for rx in rxs]
 
@@ -121,6 +128,13 @@ def main(argv=None) -> int:
                 drop=args.drop,
                 seed=args.seed,
             )
+            bad = send_stream(
+                waves[:_BAD_PACKETS],
+                udp=server.udp_address,
+                stream_id=_BAD_STREAM_ID,
+                n_symbols=3,
+                dtype="c64",
+            )
             results = server.drain(timeout=600)
 
             url = fab.obs_url
@@ -142,7 +156,8 @@ def main(argv=None) -> int:
         # matches the in-process baseline digest byte for byte.
         delivered = {
             seq: results[task_id]["digest"]
-            for (_, seq), task_id in server.submissions().items()
+            for (stream_id, seq), task_id in server.submissions().items()
+            if stream_id == _STREAM_ID
         }
         intact = set(report.intact_seqs)
         if set(delivered) != intact:
@@ -165,10 +180,19 @@ def main(argv=None) -> int:
                 % (len(mismatched), mismatched[:5])
             )
 
-        problems = server.accounting_problems({_STREAM_ID: report.n_packets})
+        problems = server.accounting_problems(
+            {_STREAM_ID: report.n_packets, _BAD_STREAM_ID: bad.n_packets}
+        )
         if problems:
             failures.append("accounting: %s" % problems)
-        view = fab.report()["ingest"]["streams"][str(_STREAM_ID)]
+        streams = fab.report()["ingest"]["streams"]
+        view = streams[str(_STREAM_ID)]
+        bad_view = streams[str(_BAD_STREAM_ID)]
+        if bad_view["corrupt"] != bad.n_packets or bad_view["submitted"]:
+            failures.append(
+                "3-symbol stream: %d of %d packets corrupt, %d submitted"
+                % (bad_view["corrupt"], bad.n_packets, bad_view["submitted"])
+            )
 
     if failures:
         for failure in failures:
@@ -177,7 +201,7 @@ def main(argv=None) -> int:
     print(
         "ingest smoke ok: %d/%d packets delivered bit-identical "
         "(%d datagrams dropped, %d reordered; gaps=%d incomplete=%d), "
-        "scrape clean"
+        "%d/%d 3-symbol packets corrupt, scrape clean"
         % (
             len(delivered),
             report.n_packets,
@@ -185,6 +209,8 @@ def main(argv=None) -> int:
             report.reordered,
             view["gaps"],
             view["incomplete"],
+            bad_view["corrupt"],
+            bad.n_packets,
         )
     )
     return 0

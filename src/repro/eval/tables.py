@@ -66,7 +66,7 @@ def run_reference_modem(
     noise = 0.001 * (rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32)))
     rx = np.concatenate([noise, rx, np.zeros((2, 64))], axis=1)
     previous = set_tracer(tracer) if tracer is not None else None
-    runtime = ModemRuntime(seed=0, interpreter=interpreter, tracer=tracer)
+    runtime = ModemRuntime(interpreter=interpreter, tracer=tracer)
     try:
         output = runtime.run_packet(rx)
     finally:

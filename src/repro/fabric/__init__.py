@@ -9,11 +9,10 @@ and the hierarchical dataflow baseband architectures in PAPERS.md).
 - :class:`Fabric` owns N worker processes, each a resident
   :class:`~repro.runtime.ModemRuntime` forked from a pre-warmed parent
   template, so spin-up performs zero ``ModuloScheduler.schedule`` calls.
-  Every dispatch carries up to ``batch`` coalesced packets that share
-  ``(n_symbols, detect_hint)``, of any shapes, and is one
-  ``run_batch_results`` call: the runtime runs them on its
-  resident cores, in lockstep on the compiled tier, and replays a lane
-  that faults in lockstep on a fresh core;
+  Every dispatch carries up to ``batch`` coalesced packets, of any
+  shapes, and is one ``run_batch_results`` call: the runtime runs them
+  on its resident cores, in lockstep on the compiled tier, and replays
+  a lane that faults in lockstep on a fresh core;
 - :class:`Dispatcher` routes packets with pluggable policies
   (``round_robin``, ``least_loaded``);
 - submission queues are bounded with explicit backpressure modes

@@ -35,8 +35,6 @@ class FabricTask:
 
     task_id: int
     rx: object  # (2, n_samples) complex ndarray (opaque to the dispatcher)
-    n_symbols: int
-    detect_hint: Optional[int]
     submit_t: float
     deadline_t: Optional[float] = None
     #: Times this task was re-queued after a worker crash.

@@ -339,11 +339,7 @@ class Fabric:
     # ------------------------------------------------------------------
 
     def offer(
-        self,
-        rx: np.ndarray,
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
-        deadline_s: Optional[float] = None,
+        self, rx: np.ndarray, deadline_s: Optional[float] = None
     ) -> SubmitOutcome:
         """Offer one packet; returns a typed :class:`SubmitOutcome`.
 
@@ -358,14 +354,10 @@ class Fabric:
         """
         self._require_open()
         self._pump(0)
-        return self._offer_one(rx, n_symbols, detect_hint, deadline_s)
+        return self._offer_one(rx, deadline_s)
 
     def offer_many(
-        self,
-        rxs: Sequence[np.ndarray],
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
-        deadline_s: Optional[float] = None,
+        self, rxs: Sequence[np.ndarray], deadline_s: Optional[float] = None
     ) -> List[SubmitOutcome]:
         """Offer a list of packets with one pump round-trip.
 
@@ -380,23 +372,15 @@ class Fabric:
         """
         self._require_open()
         self._pump(0)
-        return [
-            self._offer_one(rx, n_symbols, detect_hint, deadline_s) for rx in rxs
-        ]
+        return [self._offer_one(rx, deadline_s) for rx in rxs]
 
-    def _offer_one(
-        self,
-        rx: np.ndarray,
-        n_symbols: int,
-        detect_hint: Optional[int],
-        deadline_s: Optional[float],
-    ) -> SubmitOutcome:
+    def _offer_one(self, rx: np.ndarray, deadline_s: Optional[float]) -> SubmitOutcome:
         rx = np.atleast_2d(rx)
         now = time.perf_counter()
         deadline_t = None
         if self.backpressure == "deadline":
             deadline_t = now + (deadline_s if deadline_s is not None else self.deadline_s)
-        task = FabricTask(self._next_task_id, rx, n_symbols, detect_hint, now, deadline_t)
+        task = FabricTask(self._next_task_id, rx, now, deadline_t)
         target = self._dispatcher.select(self._states())
         if target is None:
             target, reason = self._wait_for_capacity(task)
@@ -415,7 +399,7 @@ class Fabric:
         Returns ``(WorkerState, None)`` on success or ``(None, reason)``
         when the packet was shed — reason is the counter that took it.
         """
-        shape = [int(task.rx.shape[1]), int(task.n_symbols)]  # event payload
+        shape = list(task.rx.shape)  # event payload
         if self.backpressure == "drop":
             self._counters["dropped"] += 1
             self._window.count("dropped")
@@ -454,12 +438,7 @@ class Fabric:
             group = self._collect_group(state)
             if not group:
                 continue  # everything popped this round was late-shed
-            payload = (
-                tuple(task.task_id for task in group),
-                [task.rx for task in group],
-                group[0].n_symbols,
-                group[0].detect_hint,
-            )
+            payload = (tuple(task.task_id for task in group), [task.rx for task in group])
             try:
                 worker.task_conn.send(payload)
             except (BrokenPipeError, OSError):
@@ -469,27 +448,21 @@ class Fabric:
                 return
             for task in group:
                 state.inflight[task.task_id] = task
-            if self.batch > 1:
-                state.batches += 1
-                state.batched_tasks += len(group)
+            state.batches += 1
+            state.batched_tasks += len(group)
 
     def _collect_group(self, state: WorkerState) -> List[FabricTask]:
-        """Pop up to ``batch`` coalescable pending tasks.
+        """Pop up to ``batch`` pending tasks that have not expired.
 
-        Tasks coalesce while they share ``(n_symbols, detect_hint)``,
-        the two values that ride once per dispatch message; any mix of
-        packet shapes shares one lockstep call.  Late deadline shedding
-        is the same at every batch width: expired packets resolve to
-        :class:`DeadlineExceeded` and never reach the pipe.
+        Any queued tasks coalesce, whatever their shapes: every packet
+        runs the same region programs, so any mix shares one lockstep
+        call.  Late deadline shedding is the same at every batch width:
+        expired packets resolve to :class:`DeadlineExceeded` and never
+        reach the pipe.
         """
         group: List[FabricTask] = []
-        key = None
         while state.pending and len(group) < self.batch:
-            task = state.pending[0]
-            task_key = (task.n_symbols, task.detect_hint)
-            if key is not None and task_key != key:
-                break
-            state.pending.popleft()
+            task = state.pending.popleft()
             if (
                 task.deadline_t is not None
                 and time.perf_counter() > task.deadline_t
@@ -499,7 +472,6 @@ class Fabric:
                 self._results[task.task_id] = DeadlineExceeded(task.task_id)
                 self._event("packet_rejected", {"task": task.task_id, "late": True})
                 continue
-            key = task_key
             group.append(task)
         return group
 
@@ -916,16 +888,12 @@ class Fabric:
                     "spinup_s": state.spinup_s,
                     "spinup_schedule_misses": state.spinup_schedule_misses,
                     "spinup_codegen_compilations": state.spinup_codegen_compilations,
-                    "batches": state.batches if self.batch > 1 else None,
-                    "batched_tasks": (
-                        state.batched_tasks if self.batch > 1 else None
-                    ),
+                    "batches": state.batches,
+                    "batched_tasks": state.batched_tasks,
                     "batch_occupancy": (
-                        round(
-                            state.batched_tasks / (state.batches * self.batch), 4
-                        )
-                        if self.batch > 1 and state.batches
-                        else (0.0 if self.batch > 1 else None)
+                        round(state.batched_tasks / (state.batches * self.batch), 4)
+                        if state.batches
+                        else 0.0
                     ),
                     "heartbeats": state.heartbeats,
                     "last_heartbeat_age_s": (

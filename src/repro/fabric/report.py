@@ -31,8 +31,9 @@ __all__ = [
 #: Format identifier embedded in every fabric report.  v2 added the
 #: ``ingest`` section (None unless an ``IngestServer`` is attached);
 #: v3 added batch-drain accounting: a top-level ``batch`` width and
-#: per-worker ``batches`` / ``batched_tasks`` / ``batch_occupancy``
-#: (all None/absent when batching is off).
+#: per-worker ``batches`` / ``batched_tasks`` / ``batch_occupancy``,
+#: counted at every width (at batch 1 every dispatch is full, so a slot
+#: that has dispatched reads occupancy 1.0).
 FABRIC_REPORT_SCHEMA = "repro.fabric_report/v3"
 
 

@@ -136,8 +136,6 @@ def run_stream(
     fabric,
     events: Iterable[StreamEvent],
     realtime: bool = False,
-    n_symbols: int = 2,
-    detect_hint: Optional[int] = None,
 ) -> List[Tuple[Optional[int], StreamEvent]]:
     """Submit every stream event to *fabric*; returns (task_id, event).
 
@@ -153,9 +151,7 @@ def run_stream(
             delay = event.time_s - (time.perf_counter() - t0)
             if delay > 0:
                 time.sleep(delay)
-        task_id = fabric.offer(
-            event.case.rx, n_symbols=n_symbols, detect_hint=detect_hint
-        ).task_id
+        task_id = fabric.offer(event.case.rx).task_id
         offered.append((task_id, event))
     return offered
 

@@ -2,9 +2,9 @@
 
 Each worker is a forked process running :func:`worker_main`: it builds
 (or inherits) a resident runtime, announces readiness, then serves
-``(task_ids, rxs, n_symbols, detect_hint)`` dispatches (one or more
-packets each, of any shapes) from its task pipe until it receives the
-``None`` stop sentinel or the pipe closes.
+``(task_ids, rxs)`` dispatches (one or more packets each, of any
+shapes) from its task pipe until it receives the ``None`` stop
+sentinel or the pipe closes.
 
 Fork inheritance is the warm-up mechanism: the fabric constructs and
 warms one **template** :class:`~repro.runtime.ModemRuntime` (at the
@@ -106,9 +106,7 @@ def _heartbeat_loop(
             return  # parent gone or pipe closed: nothing left to tell
 
 
-def _serve_batch(
-    runner, send_lock, result_conn, task_ids, rxs, n_symbols, detect_hint
-) -> None:
+def _serve_batch(runner, send_lock, result_conn, task_ids, rxs) -> None:
     """Run one dispatch through the runtime's ``run_batch_results``.
 
     Every task still gets its own result message (the parent's
@@ -120,9 +118,7 @@ def _serve_batch(
     """
     t0 = time.perf_counter()
     try:
-        batch_results = runner.run_batch_results(
-            rxs, n_symbols=n_symbols, detect_hint=detect_hint
-        )
+        batch_results = runner.run_batch_results(rxs)
     except Exception as exc:
         dt = (time.perf_counter() - t0) / len(task_ids)
         for task_id in task_ids:
@@ -196,8 +192,8 @@ def worker_main(
             except (OSError, BrokenPipeError):
                 pass
             break
-        task_ids, rxs, n_symbols, detect_hint = msg
-        _serve_batch(runner, send_lock, result_conn, task_ids, rxs, n_symbols, detect_hint)
+        task_ids, rxs = msg
+        _serve_batch(runner, send_lock, result_conn, task_ids, rxs)
         progress["task_seq"] += len(task_ids)
     stop_beating.set()
     try:

@@ -15,7 +15,7 @@ offset  size  field       meaning
 12      4     session     per-sender nonce; a change resets the stream
 16      4     seq         packet sequence number within the stream
 20      4     n_samples   samples per antenna in the *whole* packet
-24      2     n_symbols   decode parameter forwarded to the modem
+24      2     n_symbols   data symbols: must be 2 (the receiver's pair)
 26      2     frag_index  which fragment of the packet this datagram is
 28      2     frag_count  fragments the packet was split into (0 = control)
 30      2     flags       bit 0: end-of-stream marker (``seq`` = count)
@@ -37,6 +37,11 @@ tolerated.  The chunk size itself is *not* part of the protocol: the
 receiver learns it per packet from the first non-last fragment seen
 (and enforces uniformity), so senders with different MTUs coexist on
 one listener.
+
+The parser checks the header's shape, not its content: a well-formed
+packet whose ``n_symbols`` is not the receiver's
+:data:`repro.phy.params.DATA_SYMBOLS` parses here and is written off
+as ``corrupt`` by the reassembler once complete.
 
 The parser raises typed :class:`ProtocolError` subclasses so the
 reassembler can account malformed traffic per cause without string

@@ -19,6 +19,10 @@ translation:
   restarted sender reusing a stream id — or two senders colliding on
   one — is handled: sequence numbering restarts cleanly instead of the
   new traffic drowning as "stale duplicates" of the old epoch;
+- a complete packet whose header claims other than the receiver's
+  :data:`~repro.phy.params.DATA_SYMBOLS` data symbols is written off as
+  ``corrupt``, like one whose payload does not decode: it never reaches
+  the fabric;
 - every datagram lands in exactly one counter.  Malformed traffic that
   cannot be attributed to a stream (bad magic, truncation, wrong
   version, corrupt fields) is accounted on the listener level.  A
@@ -49,6 +53,7 @@ from repro.ingest.protocol import (
     decode_payload,
     parse_datagram,
 )
+from repro.phy.params import DATA_SYMBOLS
 
 __all__ = ["ReassembledPacket", "Reassembler", "STREAM_COUNTERS"]
 
@@ -82,7 +87,6 @@ class ReassembledPacket:
     session: int
     seq: int
     rx: np.ndarray  # (n_ant, n_samples) complex128
-    n_symbols: int
     dtype: str
 
 
@@ -312,19 +316,21 @@ class Reassembler:
         partial.nbytes += len(payload)
         if len(partial.chunks) < ref.frag_count:
             return
-        # Complete: decode (ruling out total-size lies) and stage.
-        del stream.pending[header.seq]
+        # Complete: decode (ruling out total-size lies) and stage.  A
+        # packet that claims other than the receiver's symbol pair could
+        # never decode, so it is written off like an undecodable one.
         blob = b"".join(partial.chunks[i] for i in range(ref.frag_count))
         try:
             rx = decode_payload(blob, ref.dtype, ref.n_ant, ref.n_samples)
         except ProtocolError:
-            counters["corrupt"] += 1
-            stream.corrupt_seqs.add(header.seq)
+            rx = None
+        if rx is None or ref.n_symbols != DATA_SYMBOLS:
+            self._poison(stream, header.seq)
             return
+        del stream.pending[header.seq]
         counters["reassembled"] += 1
         stream.ready[header.seq] = ReassembledPacket(
-            header.stream_id, header.session, header.seq, rx,
-            ref.n_symbols, ref.dtype_name,
+            header.stream_id, header.session, header.seq, rx, ref.dtype_name
         )
 
     # ------------------------------------------------------------------

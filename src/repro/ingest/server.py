@@ -317,24 +317,21 @@ class IngestServer:
         """
         accepted = 0
         while True:
-            # Batch-aware submission: take every staged packet of one
-            # n_symbols run in a single lock round-trip, offer them with
-            # one Fabric.offer_many call (one completion pump for the
-            # whole burst), then account all outcomes under one lock.
-            # Shed accounting is per packet and unchanged: each outcome
-            # carries its typed reason.
+            # Batch-aware submission: take every staged packet in a
+            # single lock round-trip, offer them with one
+            # Fabric.offer_many call (one completion pump for the whole
+            # burst), then account all outcomes under one lock.  Shed
+            # accounting is per packet: each outcome carries its typed
+            # reason.  Packets staged while the offer blocked go out in
+            # the next round.
             with self._lock:
                 if not self._staged:
                     break
-                batch = []
-                n_symbols = self._staged[0].n_symbols
-                while self._staged and self._staged[0].n_symbols == n_symbols:
-                    packet = self._staged.popleft()
+                batch = list(self._staged)
+                self._staged.clear()
+                for packet in batch:
                     self._staged_per_stream[packet.stream_id] -= 1
-                    batch.append(packet)
-            outcomes = self.fabric.offer_many(
-                [packet.rx for packet in batch], n_symbols=n_symbols
-            )
+            outcomes = self.fabric.offer_many([packet.rx for packet in batch])
             shed = 0
             with self._lock:
                 for packet, outcome in zip(batch, outcomes):

@@ -55,8 +55,9 @@ def build_demod_dfg(name: str = "demod_qam64") -> Dfg:
     return kb.finish()
 
 
-def labels_to_bits(label_words, n_symbols: int) -> np.ndarray:
-    """Golden unpacking: label words -> the modulator's bit order.
+def labels_to_bits(label_words, n_qam: int) -> np.ndarray:
+    """Golden unpacking: the first *n_qam* QAM labels of *label_words*
+    -> the modulator's bit order.
 
     Lane layout per word: |gi0|gq0|gi1|gq1|.  The modulator's bit order
     per symbol is (i2 i1 i0 q2 q1 q0) MSB-first.
@@ -68,7 +69,7 @@ def labels_to_bits(label_words, n_symbols: int) -> np.ndarray:
     for word in label_words:
         lanes = split_lanes(word)
         for s in range(2):
-            if count >= n_symbols:
+            if count >= n_qam:
                 break
             gi, gq = lanes[2 * s], lanes[2 * s + 1]
             for shift in (2, 1, 0):

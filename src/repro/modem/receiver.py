@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch import CgaArchitecture, paper_core
+from repro.arch import paper_core
 from repro.compiler.builder import PhysReg
 from repro.compiler.linker import ProgramLinker
 from repro.compiler.modulo import ScheduleResult
@@ -82,11 +82,11 @@ from repro.kernels.sync import (
     cordic_atan2_q16,
 )
 from repro.kernels.xcorr import build_xcorr_dfg
-from repro.modem.memory_map import DEFAULT_MAP, MemoryMap
+from repro.modem.memory_map import DEFAULT_MAP
 from repro.phy import preamble as phy_preamble
 from repro.phy.fft import digit_reverse_indices
 from repro.phy.fixed import q15
-from repro.phy.params import PARAMS_20MHZ_2X2, OfdmParams
+from repro.phy.params import DATA_SYMBOLS, PARAMS_20MHZ_2X2
 from repro.phy.ofdm import PILOT_POLARITY, PILOT_VALUES
 from repro.sim.program import Program
 from repro.sim.stats import ActivityStats, KernelProfile
@@ -109,6 +109,13 @@ _BIN_RUNS = ((1, 28), (36, 28))
 #: position: a 32-sample window at 64-bit granularity plus the 16-sample
 #: lag.
 _ACORR_SPAN = 48
+
+#: Middle of the three detection candidates (the others sit 16 samples
+#: either side): the host's coarse knowledge of when the slave was
+#: started relative to the RF front-end stream.  The last candidate's
+#: window must end inside the sync region:
+#: ``_DETECT_START + 16 + _ACORR_SPAN <= _SYNC_SAMPLES``.
+_DETECT_START = 32
 
 # Parameter-block slot indices (32-bit words at MemoryMap.PARAM).  The
 # host writes these before each region; region programs load them as
@@ -215,21 +222,17 @@ def _interleave_words(rx_re: np.ndarray, rx_im: np.ndarray) -> List[int]:
 class SimReceiver:
     """The 2x2 MIMO-OFDM receive pipeline and its linked region programs.
 
-    Packets run through :class:`repro.runtime.ModemRuntime`, which
-    drives :meth:`_pipeline`.
+    It has the paper's one configuration: :func:`paper_core`, the
+    20 MHz 2x2 numerology, :data:`DEFAULT_MAP` and one merged pair of
+    :data:`DATA_SYMBOLS` data symbols per packet (any sample count from
+    :data:`MIN_PACKET_SAMPLES` to the ADC buffer).  Packets run through
+    :class:`repro.runtime.ModemRuntime`, which drives :meth:`_pipeline`.
     """
 
-    def __init__(
-        self,
-        arch: Optional[CgaArchitecture] = None,
-        params: OfdmParams = PARAMS_20MHZ_2X2,
-        mem: MemoryMap = DEFAULT_MAP,
-        seed: int = 0,
-    ) -> None:
-        self.arch = arch if arch is not None else paper_core()
-        self.params = params
-        self.mem = mem
-        self.seed = seed
+    def __init__(self) -> None:
+        self.arch = paper_core()
+        self.params = params = PARAMS_20MHZ_2X2
+        self.mem = mem = DEFAULT_MAP
         #: Compact-carrier order: bins 1..28 then 36..63 (the used-bin
         #: runs, in the order the channel estimate stores them).
         self.compact_bins = [
@@ -244,12 +247,11 @@ class SimReceiver:
             tw_addr += 8 * len(words)
         #: Linked region programs (plus their host-visible register
         #: handles), keyed by region id.  Programs are pure functions of
-        #: (architecture, seed, memory map, OFDM params, region), not of
-        #: the packet or its shape: all packet data reaches them through
-        #: the scratchpad image — notably the parameter block — or
-        #: through configuration-immediate patching (the sample count
-        #: included), so one link serves every packet (the paper's
-        #: compile-once flow).
+        #: the region, not of the packet or its shape: all packet data
+        #: reaches them through the scratchpad image — notably the
+        #: parameter block — or through configuration-immediate patching
+        #: (the sample count included), so one link serves every packet
+        #: (the paper's compile-once flow).
         self._region_programs: Dict[tuple, Tuple[Program, Dict[str, object]]] = {}
         #: Scheduling metadata (II, MII bounds, stages) of each linked
         #: region program's kernels, in call order, keyed like
@@ -275,7 +277,7 @@ class SimReceiver:
     ) -> Tuple[Program, Dict[str, object]]:
         cached = self._region_programs.get(rid)
         if cached is None:
-            linker = ProgramLinker(self.arch, name=name, seed=self.seed)
+            linker = ProgramLinker(self.arch, name=name)
             handles = build(linker) or {}
             cached = (linker.link(), handles)
             self._region_programs[rid] = cached
@@ -381,12 +383,7 @@ class SimReceiver:
     # The packet pipeline.
     # ------------------------------------------------------------------
 
-    def _pipeline(
-        self,
-        rx: np.ndarray,
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
-    ):
+    def _pipeline(self, rx: np.ndarray):
         """The packet pipeline as a region generator.
 
         Yields one :class:`RegionRequest` per Table 2 region, in packet
@@ -396,18 +393,11 @@ class SimReceiver:
         blocks) lives between the yields, so executing the requested
         regions faithfully, one packet at a time or in lockstep across
         packets, produces bit-identical packets.
-
-        *detect_hint* seeds the detection search (the host's coarse
-        knowledge of when the slave was started relative to the RF
-        front-end stream); defaults to 32 samples into the buffer.
         """
-        if n_symbols != 2:
-            raise ValueError("the pipeline processes one merged symbol pair")
         mem = self.mem
         fs = self.params.sample_rate_hz
         rx = np.atleast_2d(np.asarray(rx, dtype=np.complex128))
         n_samples = rx.shape[1]
-        detect_hint = 32 if detect_hint is None else int(detect_hint)
         if n_samples < MIN_PACKET_SAMPLES:
             raise ValueError(
                 "packet too short: %d samples; the receive pipeline needs at "
@@ -418,14 +408,6 @@ class SimReceiver:
             raise ValueError(
                 "packet too long: %d samples exceed the %d-pair ADC input "
                 "buffer" % (n_samples, _RXIN_CAPACITY)
-            )
-        max_hint = _SYNC_SAMPLES - 16 - _ACORR_SPAN
-        if not 0 <= detect_hint <= max_hint:
-            raise ValueError(
-                "detect_hint %d out of range 0..%d: the candidate "
-                "autocorrelation windows read up to detect_hint + %d samples "
-                "of the %d-sample sync region"
-                % (detect_hint, max_hint, 16 + _ACORR_SPAN, _SYNC_SAMPLES)
             )
         rx_re, rx_im = q15(rx.real), q15(rx.imag)
 
@@ -438,7 +420,7 @@ class SimReceiver:
         def build_init(linker):
             vb = linker.vliw()
             vb.op(Opcode.ADD, 0, N_SAMPLES_SENTINEL, dst=PhysReg(40))
-            vb.op(Opcode.ADD, 0, n_symbols, dst=PhysReg(41))
+            vb.op(Opcode.ADD, 0, DATA_SYMBOLS, dst=PhysReg(41))
             return {}
 
         run, image = yield RegionRequest(
@@ -451,7 +433,7 @@ class SimReceiver:
 
         # -- acorr: packet detection (3 candidates) -------------------------
         window = 32
-        candidates = [max(0, detect_hint - 16), detect_hint, detect_hint + 16]
+        candidates = [_DETECT_START - 16, _DETECT_START, _DETECT_START + 16]
         for ci, pos in enumerate(candidates):
             self._write_param(image, _P_CAND[ci], mem.RXIN + 8 * pos)
 
@@ -719,9 +701,9 @@ class SimReceiver:
 
         # -- fshift: fused gather (CP strip + digit reversal) and rotation -----
         rev_offsets = {
-            sym: self._gather_table_words(80 * sym + 16) for sym in range(n_symbols)
+            sym: self._gather_table_words(80 * sym + 16) for sym in range(DATA_SYMBOLS)
         }
-        for sym in range(n_symbols):
+        for sym in range(DATA_SYMBOLS):
             self._write_words(
                 image,
                 mem.GTAB0 if sym == 0 else mem.GTAB1,
@@ -735,7 +717,7 @@ class SimReceiver:
             )
 
         def build_data_fshift(linker):
-            for sym in range(n_symbols):
+            for sym in range(DATA_SYMBOLS):
                 src_r = self._load_param(linker.vliw(), _P_DATA_SRC)
                 linker.call_kernel(
                     build_gather_rotate_dfg(
@@ -759,7 +741,7 @@ class SimReceiver:
 
         # -- fft ---------------------------------------------------------------
         def build_data_fft(linker):
-            for sym in range(n_symbols):
+            for sym in range(DATA_SYMBOLS):
                 self._emit_fft_stages(linker, mem.FFT0 if sym == 0 else mem.FFT2)
             return {}
 
@@ -768,7 +750,7 @@ class SimReceiver:
 
         # -- data shuffle: per-carrier Y vectors --------------------------------
         def build_shuffle(linker):
-            for sym in range(n_symbols):
+            for sym in range(DATA_SYMBOLS):
                 g0 = mem.FFT0 if sym == 0 else mem.FFT2
                 linker.call_kernel(
                     build_shuffle_dfg("data_shuffle_s%d" % sym),
@@ -787,7 +769,7 @@ class SimReceiver:
 
         # -- SDM processing ------------------------------------------------------
         def build_data_sdm(linker):
-            for sym in range(n_symbols):
+            for sym in range(DATA_SYMBOLS):
                 linker.call_kernel(
                     build_sdm_dfg("sdm_s%d" % sym, yshift=5),
                     live_ins={
@@ -809,7 +791,7 @@ class SimReceiver:
 
         def build_tracking(linker):
             vb = linker.vliw()
-            for sym in range(n_symbols):
+            for sym in range(DATA_SYMBOLS):
                 pol = PILOT_POLARITY[sym % len(PILOT_POLARITY)]
                 signs = [int(PILOT_VALUES[b] * pol) for b in pilot_bins]
                 vliw_kernels.emit_tracking(
@@ -827,7 +809,7 @@ class SimReceiver:
 
         # -- comp: CPE rotation + rescale to Q15/2 --------------------------------
         def build_comp(linker):
-            for sym in range(n_symbols):
+            for sym in range(DATA_SYMBOLS):
                 # Re-materialise the tracking phasor in this region's
                 # program: it survives in the scratch slot.
                 vb = linker.vliw()
@@ -849,7 +831,7 @@ class SimReceiver:
 
         # -- demod QAM64 --------------------------------------------------------------
         def build_demod(linker):
-            for sym in range(n_symbols):
+            for sym in range(DATA_SYMBOLS):
                 linker.call_kernel(
                     build_demod_dfg("demod_s%d" % sym),
                     live_ins={
@@ -863,7 +845,7 @@ class SimReceiver:
         run, image = yield RegionRequest("demod QAM64", image, build_demod)
         data.append(run)
 
-        bits = self._unpack_bits(image, n_symbols)
+        bits = self._unpack_bits(image)
 
         total = ActivityStats()
         for region in pre + data:
@@ -883,10 +865,10 @@ class SimReceiver:
 
     # ------------------------------------------------------------------
 
-    def _unpack_bits(self, image: bytearray, n_symbols: int) -> np.ndarray:
+    def _unpack_bits(self, image: bytearray) -> np.ndarray:
         """Gray-label words -> the transmitter's bit ordering."""
         bits: List[int] = []
-        for sym in range(n_symbols):
+        for sym in range(DATA_SYMBOLS):
             base = self.mem.LBUF0 if sym == 0 else self.mem.LBUF1
             labels = {}
             for ci, bin_ in enumerate(self.compact_bins):

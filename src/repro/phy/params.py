@@ -71,3 +71,8 @@ class OfdmParams:
 #: The paper's configuration: 52 data carriers x 6 bits x 2 streams per
 #: 4 us symbol = 156 Mbps raw, 130 Mbps at rate 5/6.
 PARAMS_20MHZ_2X2 = OfdmParams()
+
+#: Data symbols in every packet the simulated receiver decodes: one
+#: merged pair (Table 2's "data processing ... 2 symbols").  The ingest
+#: layer writes off a packet whose header claims any other count.
+DATA_SYMBOLS = 2

@@ -6,8 +6,8 @@ architecture and parameter set, and the control processor then streams
 packets through the resident configuration, patching only the
 packet-dependent constants.  :class:`ModemRuntime` reproduces that split
 on top of :class:`repro.modem.receiver.SimReceiver`, whose region
-programs are pure functions of (architecture, seed, memory map, OFDM
-params, region), not of the packet's shape: each region is linked once
+programs are pure functions of the region, not of the packet's shape:
+each region is linked once
 and keeps one resident lane set.  It is the one packet driver on every
 tier, traced or not: each region runs on resident cores reset in place,
 up to ``batch`` packets of any shapes in lockstep on the untraced

@@ -4,10 +4,10 @@ The paper's toolflow compiles a baseband program once and the control
 processor then streams every packet through the resident configuration,
 patching only packet-dependent constants.  :class:`ModemRuntime` is that
 split on top of :class:`repro.modem.receiver.SimReceiver`, whose region
-programs are pure functions of (architecture, seed, memory map, OFDM
-params, region), not of the packet or its shape: the first packet links
-each of the 18 region programs once (hitting the schedule cache), and
-every later packet, of any shape, only simulates.
+programs are pure functions of the region, not of the packet or its
+shape: the first packet links each of the 18 region programs once
+(hitting the schedule cache), and every later packet, of any shape,
+only simulates.
 
 It is the one driver of :meth:`SimReceiver._pipeline`, on every tier and
 with or without a tracer.  It advances up to B packets' pipeline
@@ -59,17 +59,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch import CgaArchitecture
 from repro.compiler.builder import PhysReg
 from repro.compiler.linker import configure_schedule_cache
-from repro.modem.memory_map import DEFAULT_MAP, MemoryMap
 from repro.modem.receiver import (
     RegionRequest,
     RegionRun,
     ReceiverOutput,
     SimReceiver,
 )
-from repro.phy.params import PARAMS_20MHZ_2X2, OfdmParams
 from repro.sim import Core
 from repro.sim.batch import BatchProgramRunner
 from repro.sim.core import check_interpreter
@@ -119,26 +116,24 @@ class ModemRuntime:
 
     def __init__(
         self,
-        arch: Optional[CgaArchitecture] = None,
-        params: OfdmParams = PARAMS_20MHZ_2X2,
-        mem: MemoryMap = DEFAULT_MAP,
-        seed: int = 0,
         interpreter: str = "compiled",
         batch: int = 8,
         cache_dir: Optional[str] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         check_interpreter(interpreter)
+        if batch < 1:
+            raise ValueError("batch must be >= 1, got %d" % batch)
         if cache_dir is not None:
             configure_schedule_cache(cache_dir)
         self.interpreter = interpreter
-        self.receiver = SimReceiver(arch=arch, params=params, mem=mem, seed=seed)
+        self.receiver = SimReceiver()
         #: Receives one ``region`` span per simulated region of every
         #: packet, plus every event the region cores emit.  While it is
         #: enabled, lanes run one at a time on the reference loop, since
         #: generated code has no tracer hooks.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.batch = max(1, int(batch))
+        self.batch = int(batch)
         #: Cumulative activity across every packet this runtime has run.
         #: Fabric worker heartbeats sample it (``host_cycles``, per-cause
         #: stall attribution).
@@ -165,37 +160,22 @@ class ModemRuntime:
         """Cumulative per-cause stall attribution (cause name -> cycles)."""
         return self.activity.stall_breakdown()
 
-    def run_packet(
-        self,
-        rx: np.ndarray,
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
-    ) -> ReceiverOutput:
+    def run_packet(self, rx: np.ndarray) -> ReceiverOutput:
         """Run one packet: a batch of one."""
-        return self.run_batch([rx], n_symbols=n_symbols, detect_hint=detect_hint)[0]
+        return self.run_batch([rx])[0]
 
     # -- batched entry points -------------------------------------------
 
-    def run_batch(
-        self,
-        packets: Sequence[np.ndarray],
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
-    ) -> List[ReceiverOutput]:
+    def run_batch(self, packets: Sequence[np.ndarray]) -> List[ReceiverOutput]:
         """Process *packets*; raises the first per-packet error after finishing the rest."""
-        results = self.run_batch_results(
-            packets, n_symbols=n_symbols, detect_hint=detect_hint
-        )
+        results = self.run_batch_results(packets)
         for result in results:
             if result.error is not None:
                 raise result.error
         return [result.output for result in results]
 
     def run_batch_results(
-        self,
-        packets: Sequence[np.ndarray],
-        n_symbols: int = 2,
-        detect_hint: Optional[int] = None,
+        self, packets: Sequence[np.ndarray]
     ) -> List[BatchPacketResult]:
         """Like :meth:`run_batch` but never raises: one
         :class:`BatchPacketResult` per input packet, in input order.
@@ -208,12 +188,7 @@ class ModemRuntime:
         packets = [np.atleast_2d(np.asarray(rx)) for rx in packets]
         results = [BatchPacketResult() for _ in packets]
         for lo in range(0, len(packets), self.batch):
-            self._run_chunk(
-                packets[lo : lo + self.batch],
-                results[lo : lo + self.batch],
-                n_symbols,
-                detect_hint,
-            )
+            self._run_chunk(packets[lo : lo + self.batch], results[lo : lo + self.batch])
         for result in results:
             if result.output is not None:
                 self.activity.merge(result.output.stats)
@@ -225,17 +200,10 @@ class ModemRuntime:
     # -- chunk driver ---------------------------------------------------
 
     def _run_chunk(
-        self,
-        packets: List[np.ndarray],
-        results: List[BatchPacketResult],
-        n_symbols: int,
-        detect_hint: Optional[int],
+        self, packets: List[np.ndarray], results: List[BatchPacketResult]
     ) -> None:
         receiver = self.receiver
-        lanes = [
-            _Lane(i, receiver._pipeline(rx, n_symbols=n_symbols, detect_hint=detect_hint))
-            for i, rx in enumerate(packets)
-        ]
+        lanes = [_Lane(i, receiver._pipeline(rx)) for i, rx in enumerate(packets)]
 
         def step(lane: _Lane, resp) -> None:
             """Advance one pipeline; record output/error at the end."""

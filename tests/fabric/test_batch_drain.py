@@ -1,14 +1,13 @@
 """Batch-drain dispatch mechanics under stub runners.
 
-Covers the opportunistic coalescing path: queued tasks that share
-``(n_symbols, detect_hint)``, of any shapes, are drained into one
-dispatch message (up to the fabric's ``batch`` width),
-workers with a batched runner execute the whole group in one call, and
-the per-slot occupancy accounting (``batches`` / ``batched_tasks`` /
-``batch_occupancy``) lands in the report, the JSON schema and the
-Prometheus rendering.  Real-modem bit-identity through the batched
-runtime is covered by the differential suite and the batched smoke
-benchmark.
+Covers the opportunistic coalescing path: any queued tasks, of any
+shapes, are drained into one dispatch message (up to the fabric's
+``batch`` width), workers with a batched runner execute the whole
+group in one call, and the per-slot occupancy accounting
+(``batches`` / ``batched_tasks`` / ``batch_occupancy``, at every width)
+lands in the report, the JSON schema and the Prometheus rendering.
+Real-modem bit-identity through the batched runtime is covered by the
+differential suite and the batched smoke benchmark.
 """
 
 import json
@@ -43,24 +42,17 @@ class _BatchStub:
     def __init__(self, delay_s=0.05):
         self.delay_s = delay_s
 
-    def _one(self, rx, width, n_symbols, detect_hint):
+    def _one(self, rx, width):
         if float(rx[0, 0].real) == -1.0:
             raise ValueError("poison packet")
-        return {
-            "sum": float(np.sum(rx.real)),
-            "width": width,
-            "pid": os.getpid(),
-            "key": (n_symbols, detect_hint),
-        }
+        return {"sum": float(np.sum(rx.real)), "width": width, "pid": os.getpid()}
 
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         time.sleep(self.delay_s)
         out = []
         for rx in rxs:
             try:
-                out.append(
-                    _LaneResult(output=self._one(rx, len(rxs), n_symbols, detect_hint))
-                )
+                out.append(_LaneResult(output=self._one(rx, len(rxs))))
             except Exception as exc:
                 out.append(_LaneResult(error=exc))
         return out
@@ -136,34 +128,44 @@ def test_batched_dispatch_reports_per_task_errors():
     assert report["counters"]["completed"] == 6
 
 
-def _serve(packets, keys):
-    """Offer *packets* with their ``(n_symbols, detect_hint)`` *keys* to
-    a 1-worker width-4 fabric; returns each packet's dispatch width."""
+def test_queued_tasks_of_mixed_shapes_coalesce_up_to_batch():
+    """Any queued tasks coalesce, whatever their shapes: three shapes in
+    rotation fill width-4 dispatches.  The first packet goes out alone;
+    the rest queue behind it, and the last dispatch takes what is left."""
+    packets = [np.full((2, 400 + 16 * (k % 3)), float(k + 1)) for k in range(10)]
     fab = Fabric(
         workers=1, batch=4, queue_depth=16, runner_factory=_slow_batched_factory
     )
     with fab:
-        ids = [
-            fab.offer(rx, n_symbols=n_symbols, detect_hint=hint).task_id
-            for rx, (n_symbols, hint) in zip(packets, keys)
-        ]
+        ids = [fab.offer(rx).task_id for rx in packets]
         results = fab.drain(timeout=30)
-    for task_id, rx, key in zip(ids, packets, keys):
+    for task_id, rx in zip(ids, packets):
         assert results[task_id]["sum"] == float(np.sum(rx.real))
-        assert results[task_id]["key"] == key
-    return [results[task_id]["width"] for task_id in ids]
+    assert [results[task_id]["width"] for task_id in ids] == [1] + [4] * 8 + [1]
+    worker = fab.report()["per_worker"][0]
+    assert (worker["batches"], worker["batched_tasks"]) == (4, 10)
 
 
-def test_mixed_shapes_coalesce_while_symbols_and_hint_match():
-    """Coalescing keys on ``(n_symbols, detect_hint)`` only: alternating
-    shapes fill width-4 dispatches, and a change of either value still
-    breaks a group.  The first packet goes out alone; the rest queue
-    behind it."""
-    packets = [np.full((2, 400 + 16 * (k % 2)), float(k + 1)) for k in range(9)]
-    assert _serve(packets, [(2, None)] * 9) == [1] + [4] * 8
-
-    keys = [(2, None), (2, None), (2, None), (2, 7), (2, 7), (2, None), (4, None)]
-    assert _serve(packets[:7], keys) == [1, 2, 2, 2, 2, 1, 1]
+def test_batch_one_reports_full_dispatches():
+    """Batch accounting has one shape at every width: at batch 1 every
+    dispatch carries one task, so occupancy is 1.0, not absent."""
+    fab = Fabric(
+        workers=1, batch=1, queue_depth=16, runner_factory=_batched_factory
+    )
+    with fab:
+        ids = [fab.offer(rx).task_id for rx in _packets(5)]
+        results = fab.drain(timeout=30)
+    assert all(results[task_id]["width"] == 1 for task_id in ids)
+    report = fab.report()
+    assert report["batch"] == 1
+    worker = report["per_worker"][0]
+    assert (worker["batches"], worker["batched_tasks"]) == (5, 5)
+    assert worker["batch_occupancy"] == 1.0
+    with open(_SCHEMA_PATH) as fh:
+        assert schema_errors(report, json.load(fh)) == []
+    text = fab.metrics_text()
+    assert lint_exposition(text) == []
+    assert "repro_fabric_worker_batch_occupancy" in text
 
 
 def test_offer_many_accounting_matches_per_packet_semantics():

@@ -6,7 +6,7 @@ from repro.fabric import Dispatcher, FabricTask, WorkerState
 
 
 def _task(task_id):
-    return FabricTask(task_id, None, 2, None, submit_t=0.0)
+    return FabricTask(task_id, None, submit_t=0.0)
 
 
 def _workers(n, queue_depth=2):

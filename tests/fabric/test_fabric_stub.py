@@ -27,7 +27,7 @@ class _StubRunner:
     def __init__(self, delay_s=0.0):
         self.delay_s = delay_s
 
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         return [self._one(rx) for rx in rxs]
 
     def _one(self, rx):

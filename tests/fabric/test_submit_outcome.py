@@ -10,7 +10,7 @@ from repro.runtime import BatchPacketResult
 
 
 class _SlowRunner:
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         time.sleep(0.25 * len(rxs))
         return [BatchPacketResult(output={"n": int(rx.shape[1])}) for rx in rxs]
 

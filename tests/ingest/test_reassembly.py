@@ -142,6 +142,19 @@ def test_geometry_lie_on_one_seq_counts_corrupt():
     assert c["pending"] == 0, "the poisoned packet was discarded whole"
 
 
+def test_packet_claiming_other_than_the_symbol_pair_counts_corrupt():
+    r = Reassembler(window=4)
+    three = encode_packet(1, 1, _rx(1), n_symbols=3, dtype="c64", max_payload=400)
+    out = r.offer(_frames(0)[0])
+    for frame in three:
+        out += r.offer(frame)
+    out += r.offer(_frames(2)[0])
+    assert [p.seq for p in out] == [0, 2], "the written-off seq never blocks the line"
+    c = _counters(r)
+    assert c["corrupt"] == 1 and c["reassembled"] == 2 and c["released"] == 2
+    assert c["pending"] == 0 and c["gaps"] == 0
+
+
 def test_flush_uses_end_marker_to_account_trailing_gaps():
     r = Reassembler(window=16)
     released = []

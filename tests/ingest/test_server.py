@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from repro.fabric import FABRIC_REPORT_SCHEMA, Fabric
-from repro.ingest import IngestServer, iq_roundtrip, send_stream
+from repro.ingest import (
+    IngestServer,
+    encode_packet,
+    end_marker,
+    iq_roundtrip,
+    send_datagrams,
+    send_stream,
+)
 from repro.obs.prom import lint_exposition
 from repro.runtime import BatchPacketResult
 from repro.trace import schema_errors
@@ -28,11 +35,10 @@ _SCHEMA_PATH = os.path.join(
 class _ChecksumRunner:
     """Stands in for a ModemRuntime: deterministic digest of the rx bytes."""
 
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         return [BatchPacketResult(output={
             "digest": rx.tobytes(),
             "n": int(rx.shape[1]),
-            "n_symbols": int(n_symbols),
         }) for rx in rxs]
 
 
@@ -41,7 +47,7 @@ def _checksum_factory():
 
 
 class _SlowRunner:
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         time.sleep(0.2 * len(rxs))
         return [BatchPacketResult(output={"n": int(rx.shape[1])}) for rx in rxs]
 
@@ -53,7 +59,7 @@ def _slow_factory():
 class _SlowBatchRunner(_SlowRunner):
     """Batched flavour: one slow call serves a whole dispatch group."""
 
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         time.sleep(0.2)
         return [BatchPacketResult(output={"n": int(rx.shape[1])}) for rx in rxs]
 
@@ -133,6 +139,37 @@ def test_tcp_stream_delivers_everything_in_order():
         assert ingest["tcp_connections"] == 1
         view = ingest["streams"]["4"]
         assert view["released"] == 20 and view["submitted"] == 20
+
+
+def test_packets_claiming_other_than_the_symbol_pair_are_corrupt():
+    """The receiver decodes one data-symbol pair per packet: packets
+    whose header claims 3 symbols, mixed into a pair stream, are written
+    off as ``corrupt`` by the reassembler and never reach the runner,
+    and the exactly-once ledger still balances."""
+    waves = _waveforms(12, seed=17, n_samples=200)
+    three = {1, 4, 5, 11}
+    wire = []
+    for seq, rx in enumerate(waves):
+        wire += encode_packet(
+            9, seq, rx, n_symbols=3 if seq in three else 2, session=5, max_payload=512
+        )
+    wire.append(end_marker(9, len(waves), session=5))
+    fab = Fabric(workers=1, runner_factory=_checksum_factory, queue_depth=8)
+    with fab:
+        with IngestServer(fab, udp_port=0) as server:
+            send_datagrams(wire, udp=server.udp_address)
+            results = server.drain(timeout=60)
+        view = fab.report()["ingest"]["streams"]["9"]
+        delivered = _delivered_digests(server, results)
+        assert view["corrupt"] == len(three)
+        assert view["released"] == view["submitted"] == len(waves) - len(three)
+        assert sorted(seq for _, seq in delivered) == sorted(
+            set(range(len(waves))) - three
+        )
+        for (_, seq), digest in delivered.items():
+            assert digest == iq_roundtrip(waves[seq], "c64").tobytes()
+        assert fab.report()["counters"]["completed"] == len(waves) - len(three)
+        assert server.accounting_problems({9: len(waves)}) == []
 
 
 def test_fabric_backpressure_shed_is_accounted_per_stream():

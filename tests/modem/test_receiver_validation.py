@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.modem.receiver import MIN_PACKET_SAMPLES
+from repro.modem.receiver import (
+    _ACORR_SPAN,
+    _DETECT_START,
+    _SYNC_SAMPLES,
+    MIN_PACKET_SAMPLES,
+)
 from repro.runtime import ModemRuntime
 from repro.sim.icache import InstructionCache
 from repro.trace.tracer import Tracer
@@ -31,26 +36,22 @@ class TestPacketValidation:
         with pytest.raises(ValueError, match="packet too long"):
             receiver.run_packet(rx)
 
-    def test_negative_hint_raises(self, receiver):
-        rx = np.zeros((2, 400), dtype=np.complex128)
-        with pytest.raises(ValueError, match="detect_hint"):
-            receiver.run_packet(rx, detect_hint=-1)
+    def test_first_detect_candidate_not_negative(self):
+        # The earliest of the three candidates sits 16 samples before
+        # _DETECT_START and must not read before the packet start.
+        assert _DETECT_START - 16 >= 0
 
-    def test_large_hint_raises(self, receiver):
-        # Hints past 352 - 16 - 48 would run the candidate windows past
-        # the 352-sample sync region.
-        rx = np.zeros((2, 400), dtype=np.complex128)
-        with pytest.raises(ValueError, match="out of range"):
-            receiver.run_packet(rx, detect_hint=289)
+    def test_last_detect_candidate_in_sync_region(self):
+        # The last of the three candidates (_DETECT_START + 16) plus its
+        # autocorrelation span must end inside the 352-sample sync region.
+        assert _DETECT_START + 16 + _ACORR_SPAN <= _SYNC_SAMPLES
 
-    def test_boundary_hint_is_accepted_by_validation(self, receiver):
-        # detect_hint == 288 passes validation (failure further down the
-        # pipeline, if any, must not be a range error).
+    def test_detection_reports_a_fixed_candidate(self, receiver):
+        # A packet with no preamble still runs detection over the fixed
+        # candidates without a range error and reports one of them.
         rx = np.zeros((2, 400), dtype=np.complex128)
-        try:
-            receiver.run_packet(rx, detect_hint=288)
-        except ValueError as err:  # pragma: no cover - defensive
-            assert "detect_hint" not in str(err)
+        out = receiver.run_packet(rx)
+        assert out.detect_pos in (_DETECT_START - 16, _DETECT_START, _DETECT_START + 16)
 
 
 class TestTracerRobustness:

@@ -15,6 +15,7 @@ from repro.arch import paper_core
 from repro.compiler import modulo
 from repro.compiler.linker import _PLANS, configure_schedule_cache
 from repro.eval import run_reference_modem
+from repro.fabric import Fabric
 from repro.modem.receiver import MIN_PACKET_SAMPLES, SimReceiver
 from repro.runtime import ModemRuntime, generate_packets, make_packet
 from repro.sim import Core, Program, codegen
@@ -138,6 +139,17 @@ def test_unknown_interpreter_is_rejected_at_construction():
             ModemRuntime(interpreter=tier)
         with pytest.raises(ValueError, match="interpreter must be"):
             Core(paper_core(), Program(bundles=[]), interpreter=tier)
+
+
+def test_batch_below_one_is_rejected_at_construction():
+    """``batch`` is validated like ``Fabric(batch=...)``: a width below
+    1 raises instead of being clamped to 1."""
+    for batch in (0, -2):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            ModemRuntime(batch=batch)
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            Fabric(batch=batch)
+    assert ModemRuntime(batch=1).batch == 1
 
 
 def test_default_tier_is_compiled():

@@ -94,7 +94,7 @@ def test_every_rendered_worker_key_feeds_the_page():
 
 
 class _StubRunner:
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         return [BatchPacketResult(output={"sum": float(np.sum(rx.real))}) for rx in rxs]
 
 

@@ -20,7 +20,7 @@ class _StubRunner:
     #: Seconds each packet takes.
     delay_s = 0.0
 
-    def run_batch_results(self, rxs, n_symbols=2, detect_hint=None):
+    def run_batch_results(self, rxs):
         time.sleep(self.delay_s * len(rxs))
         return [BatchPacketResult(output={"sum": float(np.sum(rx.real)), "pid": os.getpid()})
                 for rx in rxs]

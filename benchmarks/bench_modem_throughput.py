@@ -9,8 +9,9 @@ Measures the compile-once / run-many split of ``repro.runtime``:
   ``codegen_cache``);
 * a timed series of same-shape packets then runs serially on the
   resident programs, one ``run_packet`` call each, and
-  ``packets_per_sec`` is the throughput trajectory metric.  Multi-worker
-  throughput is ``bench_fabric_scaling.py``'s job.
+  ``packets_per_sec`` is the throughput trajectory metric; every
+  region runs on the runtime's one lane core (``lane_cores``).
+  Multi-worker throughput is ``bench_fabric_scaling.py``'s job.
 
 Every packet's decoded bits are checked against the transmitted
 payload, so the bench doubles as an end-to-end smoke test.  Writes
@@ -112,6 +113,7 @@ def main(argv=None) -> int:
         "warmup_wall_s": round(warmup_wall, 6),
         "mean_ber": float(np.mean(bers)),
         "compiled_programs": runtime.compiled_programs,
+        "lane_cores": len(runtime._cores),
         "cache_dir": args.cache,
         "schedule_cache": schedule_cache_stats(),
         "codegen_cache": codegen_stats(),

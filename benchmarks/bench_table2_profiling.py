@@ -68,8 +68,8 @@ def table2_record(run) -> dict:
                 "stalls": stats.stall_breakdown(),
             })
     kernels, plans = [], {}
-    for rid, results in run.receiver.region_kernels.items():
-        for index, result in enumerate(results):
+    for rid, record in run.receiver.regions.items():
+        for index, result in enumerate(record.kernels):
             plans[id(result.plan)] = result.plan
             kernels.append({
                 "region": _region_label(rid),

@@ -13,8 +13,6 @@ from repro.modem.analysis import realtime_analysis
 from repro.modem.profile import format_table2, table2_rows
 from repro.modem.receiver import ReceiverOutput, SimReceiver
 from repro.phy.channel import MimoChannel
-from repro.phy.modem_ref import transmit
-from repro.phy.params import PARAMS_20MHZ_2X2
 from repro.power import (
     LEAKAGE_65C_W,
     LEAKAGE_TYPICAL_W,
@@ -22,7 +20,7 @@ from repro.power import (
     estimate_area,
 )
 from repro.power.model import PAPER_AVERAGE_W, PAPER_CGA_ACTIVE_W, PAPER_VLIW_ACTIVE_W, PowerModel
-from repro.runtime import ModemRuntime
+from repro.runtime import ModemRuntime, make_packet
 from repro.sim.stats import ActivityStats
 from repro.trace.tracer import Tracer, set_tracer
 
@@ -57,24 +55,17 @@ def run_reference_modem(
     simulator tier (``"compiled"`` fast path or the ``"reference"``
     oracle); a traced run takes the reference loop on either tier.
     """
-    params = PARAMS_20MHZ_2X2
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=2 * params.bits_per_symbol)
-    tx = transmit(bits, params)
-    chan = channel if channel is not None else MimoChannel.identity(2)
-    rx = chan.apply(tx.waveform, snr_db=snr_db, cfo_hz=cfo_hz)
-    noise = 0.001 * (rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32)))
-    rx = np.concatenate([noise, rx, np.zeros((2, 64))], axis=1)
+    case = make_packet(seed, cfo_hz=cfo_hz, snr_db=snr_db, channel=channel)
     previous = set_tracer(tracer) if tracer is not None else None
     runtime = ModemRuntime(interpreter=interpreter, tracer=tracer)
     try:
-        output = runtime.run_packet(rx)
+        output = runtime.run_packet(case.rx)
     finally:
         if tracer is not None:
             set_tracer(previous)
-    ber = float(np.mean(output.bits != bits))
+    ber = float(np.mean(output.bits != case.bits))
     return ReferenceRun(
-        output=output, bits_tx=bits, ber=ber, cfo_true_hz=cfo_hz,
+        output=output, bits_tx=case.bits, ber=ber, cfo_true_hz=cfo_hz,
         receiver=runtime.receiver,
     )
 

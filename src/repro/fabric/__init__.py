@@ -11,8 +11,8 @@ and the hierarchical dataflow baseband architectures in PAPERS.md).
   template, so spin-up performs zero ``ModuloScheduler.schedule`` calls.
   Every dispatch carries up to ``batch`` coalesced packets, of any
   shapes, and is one ``run_batch_results`` call: the runtime runs them
-  on its resident cores, in lockstep on the compiled tier, and replays
-  a lane that faults in lockstep on a fresh core;
+  on its one resident lane set, in lockstep on the compiled tier, and
+  replays a lane that faults in lockstep alone on its own core;
 - :class:`Dispatcher` routes packets with pluggable policies
   (``round_robin``, ``least_loaded``);
 - submission queues are bounded with explicit backpressure modes

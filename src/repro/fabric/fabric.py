@@ -65,7 +65,6 @@ from repro.fabric.worker import (
 from repro.obs.heartbeat import Watchdog
 from repro.obs.window import EventLog, MetricsWindow
 from repro.sim.codegen import codegen_stats
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 #: Supported submission backpressure modes.
 BACKPRESSURE_MODES = ("block", "drop", "deadline")
@@ -166,7 +165,6 @@ class Fabric:
         cache_dir: Optional[str] = None,
         template_runtime: Optional[object] = None,
         runner_factory: Optional[Callable[[], object]] = None,
-        tracer: Optional[Tracer] = None,
         name: str = "fabric",
         heartbeat_s: float = 1.0,
         watchdog_intervals: int = 5,
@@ -203,7 +201,6 @@ class Fabric:
         self.submit_timeout_s = submit_timeout_s
         self.deadline_s = deadline_s
         self.name = name
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         self._dispatcher = Dispatcher(policy)
         self._cache_dir = cache_dir if cache_dir is not None else schedule_cache_dir()
         self._template = template_runtime
@@ -732,11 +729,8 @@ class Fabric:
     # ------------------------------------------------------------------
 
     def _event(self, event: str, args: dict) -> None:
-        """Record a lifecycle event: always in the ring, opt-in in the tracer."""
+        """Record a lifecycle event in the ring behind ``/events.json``."""
         self._event_log.append(event, args)
-        if self.tracer.enabled and self._t_start is not None:
-            ts = int((time.perf_counter() - self._t_start) * 1e6)
-            self.tracer.instant(event, ts, cat="fabric", args=args)
 
     @property
     def obs_url(self) -> Optional[str]:

@@ -4,9 +4,9 @@
 MIMO-OFDM receive pipeline: every Table 2 kernel, compiled for the
 simulated processor, over a packet produced by the golden transmitter.
 :class:`repro.runtime.ModemRuntime` is its one driver: it runs every
-region on resident cycle-accurate cores (replaying a lane that faults
-in lockstep on a fresh core) and returns per-kernel profiles (mode,
-IPC, cycles) plus the decoded bits.
+region on one resident set of cycle-accurate lane cores (replaying a
+lane that faults in lockstep alone on its own core) and returns
+per-kernel profiles (mode, IPC, cycles) plus the decoded bits.
 
 :mod:`repro.modem.profile` assembles those profiles into the Table 2
 layout and :mod:`repro.modem.analysis` does the real-time / throughput /

@@ -88,6 +88,7 @@ from repro.phy.fft import digit_reverse_indices
 from repro.phy.fixed import q15
 from repro.phy.params import DATA_SYMBOLS, PARAMS_20MHZ_2X2
 from repro.phy.ofdm import PILOT_POLARITY, PILOT_VALUES
+from repro.sim.batch import BatchProgramRunner
 from repro.sim.program import Program
 from repro.sim.stats import ActivityStats, KernelProfile
 
@@ -162,10 +163,10 @@ class RegionRequest:
     ``(RegionRun, image)`` back.  The driver,
     :class:`repro.runtime.ModemRuntime`, links the region's program once
     per region id ``(name,) + key``, stamps *patch* into its
-    configuration immediates, resets a resident core to that program and
-    *image*, and runs it: in lockstep with the other packets' lanes on
-    the untraced compiled tier, alone otherwise, and alone on a fresh
-    core when a lockstep lane faults.
+    configuration immediates, resets the packet's lane core to that
+    program and *image*, and runs it: in lockstep with the other
+    packets' lanes on the untraced compiled tier, alone otherwise, and
+    alone again on the same core when a lockstep lane faults.
 
     *key* is only the variant tag that tells same-named regions apart
     (``("detect",)``/``("fine",)`` for ``acorr``, ``("ltf",)``/
@@ -180,6 +181,21 @@ class RegionRequest:
     build: Callable[[ProgramLinker], Dict[str, object]]
     key: tuple = ()
     patch: Optional[Dict[int, int]] = None
+
+
+@dataclass
+class LinkedRegion:
+    """One linked region program and everything resident for it."""
+
+    program: Program
+    #: Host-visible register handles the region's builder returned.
+    handles: Dict[str, object]
+    #: Scheduling metadata (II, MII bounds, stages) of the program's
+    #: kernels, in call order.
+    kernels: List[ScheduleResult]
+    #: The region's lockstep runner: its memos are keyed by pc or kernel
+    #: slot and lane, so each region keeps its own to stay warm.
+    runner: BatchProgramRunner = field(default_factory=BatchProgramRunner)
 
 
 @dataclass
@@ -245,25 +261,21 @@ class SimReceiver:
         for q, live_ins, words in twiddled_stages(params.n_fft):
             self._fft_stages.append((tw_addr, q, live_ins, words))
             tw_addr += 8 * len(words)
-        #: Linked region programs (plus their host-visible register
-        #: handles), keyed by region id.  Programs are pure functions of
-        #: the region, not of the packet or its shape: all packet data
-        #: reaches them through the scratchpad image — notably the
-        #: parameter block — or through configuration-immediate patching
-        #: (the sample count included), so one link serves every packet
-        #: (the paper's compile-once flow).
-        self._region_programs: Dict[tuple, Tuple[Program, Dict[str, object]]] = {}
-        #: Scheduling metadata (II, MII bounds, stages) of each linked
-        #: region program's kernels, in call order, keyed like
-        #: ``_region_programs``.
-        self.region_kernels: Dict[tuple, List[ScheduleResult]] = {}
+        #: One record per linked region program, keyed by region id.
+        #: Programs are pure functions of the region, not of the packet
+        #: or its shape: all packet data reaches them through the
+        #: scratchpad image — notably the parameter block — or through
+        #: configuration-immediate patching (the sample count included),
+        #: so one link serves every packet (the paper's compile-once
+        #: flow).
+        self.regions: Dict[tuple, LinkedRegion] = {}
         self._tables: Optional[bytes] = None
 
     @property
     def compiled_programs(self) -> int:
         """Number of region programs linked so far (compile-once cache:
         18 once a packet has run, whatever its shape)."""
-        return len(self._region_programs)
+        return len(self.regions)
 
     # ------------------------------------------------------------------
     # Linked region programs.
@@ -274,15 +286,15 @@ class SimReceiver:
         rid: tuple,
         name: str,
         build: Callable[[ProgramLinker], Dict[str, object]],
-    ) -> Tuple[Program, Dict[str, object]]:
-        cached = self._region_programs.get(rid)
-        if cached is None:
+    ) -> LinkedRegion:
+        region = self.regions.get(rid)
+        if region is None:
             linker = ProgramLinker(self.arch, name=name)
             handles = build(linker) or {}
-            cached = (linker.link(), handles)
-            self._region_programs[rid] = cached
-            self.region_kernels[rid] = linker.kernel_results
-        return cached
+            region = self.regions[rid] = LinkedRegion(
+                linker.link(), handles, linker.kernel_results
+            )
+        return region
 
     # ------------------------------------------------------------------
     # Host-side table builders.

@@ -244,9 +244,8 @@ class EventLog:
     """Bounded ring of recent lifecycle events (behind ``/events.json``).
 
     The fabric appends crash / respawn / shed / watchdog events here
-    unconditionally (unlike tracer instants, which are opt-in), so a
-    live operator can always ask "what just happened" without having
-    armed a tracer before the incident.
+    unconditionally, so a live operator can always ask "what just
+    happened" without having armed anything before the incident.
     """
 
     def __init__(self, capacity: int = 256, clock=time.time) -> None:

@@ -11,10 +11,11 @@ only simulates.
 
 It is the one driver of :meth:`SimReceiver._pipeline`, on every tier and
 with or without a tracer.  It advances up to B packets' pipeline
-generators together, whatever their shapes, region by region, and runs
-each region on that region's resident cores, one per lane, each
-:meth:`~repro.sim.core.Core.reset` to the lane's program and
-pre-region image:
+generators together, whatever their shapes, region by region.  Like the
+paper's one processor loading one configuration after another, it keeps
+one resident lane set of at most B cores: every region runs on its
+first lanes, one per packet, each :meth:`~repro.sim.core.Core.reset` to
+the lane's program and pre-region image:
 
 * On the untraced ``compiled`` tier (the default) the lanes run in
   lockstep through :class:`repro.sim.batch.BatchProgramRunner`: one
@@ -37,19 +38,20 @@ What makes lockstep safe:
   pipelines request different regions) only splits the lanes into
   smaller groups, each run through the generated code at its own width.
 
-A lane that faults in lockstep is replayed alone on a fresh core reset
-to its pre-region image, which reproduces the single-packet result or
+A lane that faults in lockstep is reset on its own core to its
+pre-region image and replayed alone, the way a lane that is not in
+lockstep always runs; that reproduces the single-packet result or
 exception bit-identically.  A lane that runs alone is already that
 single-packet run, so its fault is final.
 
-The speed comes from three resident structures, all per region id, so
-one set of 18 serves every shape: the lane cores (no ``Core``
+The speed comes from resident state: the lane cores (no ``Core``
 construction, configuration DMA or allocator traffic per packet; at
-most :attr:`ModemRuntime.batch` per region), the
-:class:`BatchProgramRunner` (cached batch functions plus per-lane
+most :attr:`ModemRuntime.batch` of them, shared by every region), and
+one :class:`~repro.modem.receiver.LinkedRegion` per region id, held by
+:class:`SimReceiver`, so one set of 18 serves every shape: the linked
+program and its lockstep runner (cached batch functions plus per-lane
 signature/immediate pools, a patched lane's derived from its
-template's), and the linked region programs cached by
-:class:`SimReceiver`.
+template's).
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ from repro.modem.receiver import (
     SimReceiver,
 )
 from repro.sim import Core
-from repro.sim.batch import BatchProgramRunner
 from repro.sim.core import check_interpreter
 from repro.sim.program import Program, patch_constants
 from repro.sim.stats import ActivityStats, KernelProfile
@@ -78,23 +79,12 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 @dataclass
 class BatchPacketResult:
     """Per-packet outcome of a batched run: exactly one of *output* /
-    *error* is set; *fell_back* marks packets that needed any fresh-core
-    region replay (fault) or hit a host-side error."""
+    *error* is set; *fell_back* marks packets that needed any region
+    replay (lockstep fault) or hit a host-side error."""
 
     output: Optional[ReceiverOutput] = None
     error: Optional[BaseException] = None
     fell_back: bool = False
-
-
-class _RegionLanes:
-    """Resident execution state for one region id: lane cores reset in
-    place per packet, plus the lockstep runner with its warm caches."""
-
-    __slots__ = ("cores", "runner")
-
-    def __init__(self) -> None:
-        self.cores: List[Core] = []
-        self.runner = BatchProgramRunner()
 
 
 class _Lane:
@@ -111,8 +101,9 @@ class _Lane:
 
 class ModemRuntime:
     """A resident receiver: links each region program once, for every
-    packet shape, and runs packets on them, up to :attr:`batch`
-    packets of any shapes per lockstep call on the compiled tier."""
+    packet shape, and runs packets on them over one set of at most
+    :attr:`batch` lane cores, up to :attr:`batch` packets of any shapes
+    per lockstep call on the compiled tier."""
 
     def __init__(
         self,
@@ -140,9 +131,11 @@ class ModemRuntime:
         self.activity = ActivityStats()
         #: Packets run by this runtime instance.
         self.packets_run = 0
-        #: Packets that needed any fresh-core replay (fault) or errored.
+        #: Packets that needed any region replay (fault) or errored.
         self.fallbacks = 0
-        self._regions: Dict[tuple, _RegionLanes] = {}
+        #: The resident lane cores, grown on demand up to :attr:`batch`;
+        #: a region's lanes are the first ``len(members)`` of them.
+        self._cores: List[Core] = []
 
     @property
     def compiled_programs(self) -> int:
@@ -229,8 +222,8 @@ class ModemRuntime:
                 groups.setdefault(rid, []).append(lane)
             # Every packet, of any shape, requests the same region
             # sequence, so normally there is exactly one group; a
-            # divergent pipeline just forms its own (smaller) group on
-            # its region's cores.
+            # divergent pipeline just forms its own (smaller) group,
+            # run after the others on the same first lane cores.
             for rid, members in groups.items():
                 responses = self._run_region_batch(rid, members, results)
                 for lane, resp in zip(members, responses):
@@ -246,49 +239,44 @@ class ModemRuntime:
         members: List[_Lane],
         results: List[BatchPacketResult],
     ) -> List[Optional[Tuple[RegionRun, bytearray]]]:
-        """Run one region for every lane in *members* on the region's
-        resident cores; ``None`` marks a lane whose packet failed."""
-        receiver = self.receiver
+        """Run one region for every lane in *members* on the first
+        ``len(members)`` lane cores; ``None`` marks a lane whose packet
+        failed."""
         req0 = members[0].request
-        program, handles = receiver._region_program(rid, req0.name, req0.build)
-        region = self._regions.get(rid)
-        if region is None:
-            region = self._regions[rid] = _RegionLanes()
-        while len(region.cores) < len(members):
-            region.cores.append(self._new_core(program))
-        cores = region.cores[: len(members)]
+        region = self.receiver._region_program(rid, req0.name, req0.build)
+        program = region.program
+        while len(self._cores) < len(members):
+            self._cores.append(self._new_core(program))
+        cores = self._cores[: len(members)]
         programs = [
             patch_constants(program, lane.request.patch) if lane.request.patch else program
             for lane in members
         ]
         lockstep = self.interpreter == "compiled" and not self.tracer.enabled
+        faults: List[Optional[BaseException]] = [None] * len(members)
         if lockstep:
             for core, lane_program, lane in zip(cores, programs, members):
                 core.reset(lane_program, lane.request.image)
-            errors = [lr.error for lr in region.runner.run(cores)]
+            faults = [lr.error for lr in region.runner.run(cores)]
         responses: List[Optional[Tuple[RegionRun, bytearray]]] = []
-        for k, (core, lane_program, lane) in enumerate(zip(cores, programs, members)):
-            image = lane.request.image
-            if not lockstep:
-                # Alone on a reset core: already the canonical run, so a
-                # fault is final (a replay would repeat its trace events).
-                delta, error = self._run_lane(core, lane_program, image)
-            elif errors[k] is not None:
-                # A lockstep fault leaves deferred counters unflushed:
-                # replay the region alone on a fresh core for the
-                # canonical result or exception.
-                results[lane.index].fell_back = True
-                core = self._new_core(lane_program)
-                delta, error = self._run_lane(core, lane_program, image)
-            else:
+        for core, lane_program, lane, fault in zip(cores, programs, members, faults):
+            if lockstep and fault is None:
                 delta, error = core.stats.take().validate(), None
+            else:
+                # Alone on the lane's own core, reset: the canonical run.
+                # A lockstep fault leaves deferred counters unflushed, so
+                # its lane replays; a lane that already ran alone is not
+                # replayed (that would repeat its trace events).
+                if fault is not None:
+                    results[lane.index].fell_back = True
+                delta, error = self._run_lane(core, lane_program, lane.request.image)
             if error is not None:
                 lane.done = True
                 results[lane.index].error = error
                 results[lane.index].fell_back = True
                 responses.append(None)
                 continue
-            responses.append(self._region_run(req0.name, core, delta, handles))
+            responses.append(self._region_run(req0.name, core, delta, region.handles))
         return responses
 
     def _new_core(self, program: Program) -> Core:

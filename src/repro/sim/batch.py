@@ -31,8 +31,8 @@ Faults are per-lane: a lane whose generated code raises (scratchpad
 bounds, VLIW runaway) stops and its exception, mapped exactly as
 :meth:`Core.run` maps it, is recorded in its :class:`LaneResult`.  The
 batched fault leaves deferred counters unflushed, so the caller must not
-reuse the lane's partial state; the modem runtime replays such a lane
-alone on a fresh core.
+reuse the lane's partial state; the modem runtime resets such a lane's
+core and replays the lane alone on it.
 
 Tracing must be disabled on every lane: the batched code omits tracer
 hooks entirely (that is what makes it fast), so lockstep execution under
@@ -71,16 +71,16 @@ class LaneResult:
 class BatchProgramRunner:
     """Resident lockstep driver over a fixed set of lane slots.
 
-    One runner instance is meant to live as long as its lane set (e.g.
-    the resident cores of one receiver region, at any width): the
-    signature/imm-pool memos are keyed by kernel slot or pc and lane,
-    and invalidated by program-object identity, so re-dispatching the
-    same program costs no signature walks after the first packet — the
-    27% of warm per-packet time the profile blamed on pool/signature
-    recomputation.  A lane's miss walks the object at that slot or pc
-    once for every lane (the last walk per slot or pc is kept), and a
-    ``patch_constants`` clone is not walked at all: its pool is the
-    template's with the patched slots re-encoded
+    One runner instance is meant to live as long as the program it
+    drives (e.g. one linked receiver region, on any lane cores at any
+    width): the signature/imm-pool memos are keyed by kernel slot or pc
+    and lane, and invalidated by program-object identity, so
+    re-dispatching the same program costs no signature walks after the
+    first packet — the 27% of warm per-packet time the profile blamed on
+    pool/signature recomputation.  A lane's miss walks the object at
+    that slot or pc once for every lane (the last walk per slot or pc is
+    kept), and a ``patch_constants`` clone is not walked at all: its
+    pool is the template's with the patched slots re-encoded
     (:func:`~repro.sim.codegen.patched_pool`), unless the patch lands
     on an identity-with-zero site.  Batch functions are cached per
     signature, and for kernels per ``(signature, trip)``: every CGA

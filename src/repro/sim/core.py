@@ -144,10 +144,15 @@ class Core:
         region's.  Configuration DMA is not replayed; its accounting
         never enters a region's statistics.
 
-        The modem runtime re-drives resident cores with this, including
-        ``patch_constants`` variants of one linked program.  The lockstep
-        runner's memos are identity-guarded, so they need no reset: a
-        new program object misses them and the same object keeps them
+        A reset discards everything a run leaves behind, a faulted
+        run's included: scratchpad bytes and bank clocks, register
+        files, latches, scoreboards, I$ tags, the kernel log and the
+        statistics all restart.  The modem runtime therefore drives
+        every region of every packet, ``patch_constants`` variants
+        included, on one resident lane set, and replays a lane that
+        faulted in lockstep on its own core.  The lockstep runner's
+        memos are identity-guarded, so they need no reset: a new
+        program object misses them and the same object keeps them
         warm.
         """
         self.program = program

@@ -4,10 +4,10 @@ Workers fork a pre-warmed parent template runtime, so each spins up
 with zero ``ModuloScheduler.schedule`` calls; a SIGKILLed worker's
 packets are requeued and the whole stream stays bit-identical to a
 serial :class:`~repro.runtime.ModemRuntime` run.  That runtime is the
-one packet driver everywhere: every region runs on resident cores
-(in lockstep on the untraced compiled tier, one lane at a time on the
-reference tier used here), and a lane that faults in lockstep is
-replayed on a fresh core.
+one packet driver everywhere: every region runs on its one resident
+lane set (in lockstep on the untraced compiled tier, one lane at a
+time on the reference tier used here), and a lane that faults in
+lockstep is replayed alone on its own core.
 """
 
 import os

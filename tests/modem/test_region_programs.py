@@ -5,7 +5,7 @@ ids and runs the same linked programs; the sample count reaches the
 ``non-kernel code`` glue as a patched immediate.  These tests guard
 that no shape leaks back into a program, that the patched glue is the
 program a shape-specific link would build, and that a runtime serving
-several shapes holds one program and one lane set per region.
+several shapes holds one record per region and one lane set in all.
 """
 
 import pytest
@@ -44,12 +44,12 @@ def _layouts(program):
 
 @pytest.fixture(scope="module")
 def linked():
-    """Each pad's region programs, linked by a fresh receiver."""
+    """Each pad's linked region records, from a fresh receiver."""
     out = {}
     for pad in (0, 160):
         runtime = ModemRuntime()
         runtime.run_packet(make_packet(3, extra_pad=pad).rx)
-        out[pad] = runtime.receiver._region_programs
+        out[pad] = runtime.receiver.regions
     return out
 
 
@@ -60,11 +60,11 @@ def test_no_region_program_depends_on_the_packet_shape(linked):
     # A region id is the name plus at most a variant tag.
     assert all(len(rid) == 1 or (len(rid) == 2 and isinstance(rid[1], str))
                for rid in short)
-    for rid, (program, handles) in short.items():
-        other, other_handles = long_[rid]
+    for rid, region in short.items():
+        program, other = region.program, long_[rid].program
         assert program.bundles == other.bundles, rid
         assert program.kernels == other.kernels, rid
-        assert handles == other_handles, rid
+        assert region.handles == long_[rid].handles, rid
         assert _layouts(program) == _layouts(other), rid
 
 
@@ -73,7 +73,7 @@ def test_patched_glue_equals_the_glue_linked_for_that_shape(linked, n_samples):
     """The sentinel-linked ``non-kernel code`` program, patched with a
     sample count, is bundle for bundle the program a link against that
     literal count builds."""
-    template, _handles = linked[0][("non-kernel code",)]
+    template = linked[0][("non-kernel code",)].program
     linker = ProgramLinker(paper_core(), name="non-kernel code", seed=0)
     vb = linker.vliw()
     vb.op(Opcode.ADD, 0, n_samples, dst=PhysReg(40))
@@ -86,11 +86,12 @@ def test_patched_glue_equals_the_glue_linked_for_that_shape(linked, n_samples):
 
 @pytest.mark.parametrize("tier", ["compiled", "reference"])
 def test_mixed_shapes_share_programs_and_match_per_shape_runtimes(tier, monkeypatch):
-    """A runtime serving three shapes links 18 programs and holds at
-    most ``batch`` cores per region; its packets are bit-identical to
-    those of fresh runtimes that each served one shape.  The compiled
-    runtime is first warmed on every shape at widths 1 and 4, then runs
-    four packets of four shapes as one lockstep call per region."""
+    """A runtime serving three shapes links 18 region records and holds
+    one lane set, as wide as its widest chunk, shared by every region;
+    its packets are bit-identical to those of fresh runtimes that each
+    served one shape.  The compiled runtime is first warmed on every
+    shape at widths 1 and 4, then runs four packets of four shapes as
+    one lockstep call per region."""
     per_shape = 2 if tier == "compiled" else 1
     packets = [make_packet(50 + k, cfo_hz=20e3 + 5e3 * k, snr_db=30.0,
                            extra_pad=PADS[k % len(PADS)]).rx
@@ -113,8 +114,10 @@ def test_mixed_shapes_share_programs_and_match_per_shape_runtimes(tier, monkeypa
         assert widths == [4] * 18
     mixed = runtime.run_batch(packets)
     assert runtime.compiled_programs == 18
-    assert len(runtime._regions) == 18
-    assert all(len(region.cores) <= runtime.batch for region in runtime._regions.values())
+    assert len(runtime.receiver.regions) == 18
+    # As wide as the widest chunk: ``batch`` (4) on the compiled tier,
+    # the 3 mixed packets on the reference tier.
+    assert len(runtime._cores) == min(runtime.batch, len(packets))
     assert runtime.fallbacks == 0
     for pad_index in range(len(PADS)):
         indices = list(range(pad_index, len(packets), len(PADS)))

@@ -204,18 +204,23 @@ def test_batched_runtime_ragged_chunk_is_not_a_fallback(cases):
     assert batched.fallbacks == 0, "ragged singleton chunk is not a fallback"
 
 
-def test_faulted_lane_replays_its_region_on_a_fresh_core(cases, monkeypatch):
-    """A fault in one lane of a 4-lane batch: that packet's region is
-    replayed alone on a fresh core and the packet still matches the
-    reference tier, while its sibling lanes finish in the batch."""
+def test_faulted_lane_replays_its_region_on_its_own_core(cases):
+    """A fault in one lane of a 4-lane batch on a warm runtime: that
+    packet's region is reset and replayed alone on the faulted lane's
+    own resident core, no ``Core`` is built, and the packet still
+    matches the reference tier while its sibling lanes finish in the
+    batch.  A second, unfaulted batch on the same runtime matches too:
+    the reset left nothing of the faulted run behind."""
     from repro.sim.batch import BatchProgramRunner
     from repro.sim.memory import MemoryError_
 
     faulty = 2
     injected = []
     replays = []
+    built = []
     batch_step = BatchProgramRunner._cga_batch_step
     run_lane = ModemRuntime._run_lane
+    original_init = Core.__init__
 
     def faulting_step(self, fn, trip, lanes, ginfo, results, fail):
         def fn_with_fault(*args):
@@ -232,21 +237,31 @@ def test_faulted_lane_replays_its_region_on_a_fresh_core(cases, monkeypatch):
         replays.append(core)
         return run_lane(core, program, image)
 
-    monkeypatch.setattr(BatchProgramRunner, "_cga_batch_step", faulting_step)
-    monkeypatch.setattr(ModemRuntime, "_run_lane", staticmethod(counted_run_lane))
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        original_init(self, *args, **kwargs)
+
     packets = [case.rx for case in cases[:4]]
     runtime = ModemRuntime(batch=4)
-    results = runtime.run_batch_results(packets)
+    runtime.run_batch(packets)  # links every region, builds the 4 lane cores
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BatchProgramRunner, "_cga_batch_step", faulting_step)
+        mp.setattr(ModemRuntime, "_run_lane", staticmethod(counted_run_lane))
+        mp.setattr(Core, "__init__", counting_init)
+        faulted = runtime.run_batch_results(packets)
     assert injected == [faulty] and len(replays) == 1
-    assert all(replays[0] not in region.cores for region in runtime._regions.values())
+    assert replays[0] is runtime._cores[faulty]
+    assert built == []
+    again = runtime.run_batch_results(packets)
     assert runtime.fallbacks == 1
-    for i, (rx, result) in enumerate(zip(packets, results)):
-        assert result.error is None, i
-        assert result.fell_back is (i == faulty), i
+    for i, rx in enumerate(packets):
         reference = ModemRuntime(interpreter="reference").run_packet(rx)
-        assert list(result.output.bits) == list(reference.bits), i
-        assert result.output.stats == reference.stats, i
-        assert result.output.image == reference.image, i
+        for result, fell_back in ((faulted[i], i == faulty), (again[i], False)):
+            assert result.error is None, i
+            assert result.fell_back is fell_back, i
+            assert list(result.output.bits) == list(reference.bits), i
+            assert result.output.stats == reference.stats, i
+            assert result.output.image == reference.image, i
 
 
 def test_traced_batch_matches_untraced_and_spans_every_region(cases):
@@ -320,7 +335,7 @@ def test_codegen_never_refuses_a_modem_region_program(warm_mixed_runtime):
     assert counts["calls"] > 0
     assert counts["unsupported"] == 0
     assert runtime.fallbacks == 0
-    for region in runtime._regions.values():
+    for region in runtime.receiver.regions.values():
         assert None not in region.runner._vliw_fns.values()
         assert None not in region.runner._cga_fns.values()
 

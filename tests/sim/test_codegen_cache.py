@@ -202,12 +202,12 @@ def test_patched_pool_matches_a_walk_of_the_clone():
 
     runtime = ModemRuntime()
     runtime.run_packet(make_packet(1).rx)
-    programs = runtime.receiver._region_programs
+    regions = runtime.receiver.regions
     cases = [
-        (programs[("non-kernel code",)][0], {N_SAMPLES_SENTINEL: n})
+        (regions[("non-kernel code",)].program, {N_SAMPLES_SENTINEL: n})
         for n in (354, 1024)
     ] + [
-        (programs[("freq offset compensation",)][0], cfo_rotate_patch(step, ph0))
+        (regions[("freq offset compensation",)].program, cfo_rotate_patch(step, ph0))
         for step, ph0 in ((0x7FFF_0001_8000_FFFF, 0x0123_4567_89AB_CDEF), (0, 1))
     ]
     for template, mapping in cases:
@@ -225,7 +225,7 @@ def test_patched_pool_matches_a_walk_of_the_clone():
                 pool, codegen.vliw_patch_sites(template.bundles, index), mapping)
             assert derived == codegen.vliw_layout(clone.bundles, pc, end)[1]
             pc = end
-    freqcomp = programs[("freq offset compensation",)][0]
+    freqcomp = regions[("freq offset compensation",)].program
     assert patch_constants(freqcomp, cfo_rotate_patch(1, 2)).bundles is freqcomp.bundles
 
 

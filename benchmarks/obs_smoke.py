@@ -10,6 +10,10 @@ while scraping every endpoint over real HTTP, then checks:
   fabric, window, per-worker and cache families;
 * ``/healthz`` returns HTTP 200 with overall status ``pass`` and one
   check per worker, every worker having beaten at least once;
+* every worker check carries a heartbeat age (``observedValue``), and
+  its ``status`` equals the ``verdict`` label of that worker's
+  ``repro_fabric_worker_healthy`` sample on ``/metrics`` (one verdict,
+  rendered twice);
 * ``/report.json`` round-trips as JSON with the fabric report schema;
 * ``/events.json`` holds the lifecycle ring (server start at minimum);
 * attach mode: the fetched report, written to a file and served by
@@ -26,6 +30,7 @@ Run:  PYTHONPATH=src python benchmarks/obs_smoke.py [--packets 3]
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -50,6 +55,15 @@ _REQUIRED_FAMILIES = (
     "repro_fabric_worker_healthy",
     "repro_fabric_cache_events",
 )
+
+
+def _page_verdicts(page) -> dict:
+    """``{worker: verdict}`` from the ``repro_fabric_worker_healthy`` samples."""
+    verdicts = {}
+    for labels in re.findall(r"^repro_fabric_worker_healthy\{([^}]*)\}", page, re.M):
+        label = dict(re.findall(r'(\w+)="([^"]*)"', labels))
+        verdicts[label["worker"]] = label["verdict"]
+    return verdicts
 
 
 def _get(url, timeout=10):
@@ -145,6 +159,17 @@ def main(argv=None) -> int:
         worker_checks = [k for k in health["checks"] if k.startswith("worker:")]
         if len(worker_checks) != 2:
             failures.append("expected 2 worker checks, got %r" % worker_checks)
+        page_verdicts = _page_verdicts(page)
+        for key in worker_checks:
+            (check,) = health["checks"][key]
+            if check.get("observedValue") is None:
+                failures.append("/healthz %s has no observedValue" % key)
+            worker = key.split(":", 1)[1]
+            if page_verdicts.get(worker) != check["status"]:
+                failures.append(
+                    "/healthz %s status %r but /metrics verdict %r"
+                    % (key, check["status"], page_verdicts.get(worker))
+                )
 
         status, body = _get(url + "/report.json")
         report = json.loads(body)

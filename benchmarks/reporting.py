@@ -21,7 +21,7 @@ from typing import Optional
 # report code and repro.obs.window; every bench runs with src/ on the
 # path, so re-exporting it here keeps one implementation for benches and
 # the serving layer alike.
-from repro.fabric.report import latency_percentiles, latency_summary
+from repro.fabric.report import latency_percentiles
 from repro.obs.window import percentile
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "default_out_dir",
     "git_commit",
     "latency_percentiles",
-    "latency_summary",
     "percentile",
     "write_bench_report",
 ]

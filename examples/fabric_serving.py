@@ -40,7 +40,7 @@ from repro.fabric import (
     run_stream,
     stream_truth,
 )
-from repro.runtime import make_packet
+from repro.runtime import ModemRuntime, make_packet
 
 
 def main(argv=None) -> int:
@@ -58,18 +58,21 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    print("warming the parent template (workers fork it fully linked) ...")
+    t0 = time.perf_counter()
+    template = ModemRuntime()
+    template.run_packet(make_packet(0, cfo_hz=50e3).rx)
     fab = Fabric(
         workers=args.workers,
         policy="least_loaded",
         backpressure="deadline",
         deadline_s=5.0,
         queue_depth=8,
+        template_runtime=template,
         name="serving",
         obs_port=args.obs_port,
     )
-    print("warming the parent template (workers fork it fully linked) ...")
-    t0 = time.perf_counter()
-    fab.start(warm_packets=[make_packet(0, cfo_hz=50e3).rx])
+    fab.start()
     print("fabric of %d worker(s) up in %.2fs" % (args.workers, time.perf_counter() - t0))
     if fab.obs_url is not None:
         print(

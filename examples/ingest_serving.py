@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.fabric import Fabric
 from repro.ingest import IngestServer, send_stream
-from repro.runtime import generate_packets
+from repro.runtime import ModemRuntime, generate_packets
 
 
 def main(argv=None) -> int:
@@ -60,12 +60,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cases = generate_packets(args.packets, base_seed=42, cfo_hz=50e3)
-    fab = Fabric(
-        workers=2, queue_depth=8, name="ingest-serving", obs_port=args.obs_port
-    )
     print("warming the parent template (workers fork it fully linked) ...")
     t0 = time.perf_counter()
-    fab.start(warm_packets=[cases[0].rx])
+    template = ModemRuntime()
+    template.run_packet(cases[0].rx)
+    fab = Fabric(
+        workers=2,
+        queue_depth=8,
+        template_runtime=template,
+        name="ingest-serving",
+        obs_port=args.obs_port,
+    )
+    fab.start()
     print("fabric of 2 workers up in %.2fs" % (time.perf_counter() - t0))
 
     with fab:

@@ -42,7 +42,6 @@ from repro.fabric.report import (
     FABRIC_REPORT_SCHEMA,
     fabric_prometheus_text,
     latency_percentiles,
-    latency_summary,
     scenario_accounting,
 )
 from repro.fabric.stream import (
@@ -72,7 +71,6 @@ __all__ = [
     "WorkerState",
     "fabric_prometheus_text",
     "latency_percentiles",
-    "latency_summary",
     "mixed_scenario_stream",
     "poisson_stream",
     "run_stream",

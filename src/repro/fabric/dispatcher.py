@@ -63,10 +63,13 @@ class WorkerState:
     batches: int = 0
     batched_tasks: int = 0
     pid: Optional[int] = None
-    # -- liveness: the slot's last heartbeat, parent-side --------------
-    #: Parent monotonic clock at the last heartbeat (None: none yet
-    #: this incarnation).
-    last_heartbeat_ts: Optional[float] = None
+    # -- liveness: the slot's one heartbeat record, parent-side -------
+    #: Parent monotonic clock at the last heartbeat; spawn stamps it
+    #: (spawn counts as the first beat), and so does every heartbeat.
+    last_heartbeat_ts: float = 0.0
+    #: Flagged stuck by the watchdog this silent incident; a beat or a
+    #: respawn re-arms it.
+    flagged: bool = False
     #: Heartbeats received across all incarnations of this slot.
     heartbeats: int = 0
     #: Tasks the worker reported completed in its last heartbeat.
@@ -78,9 +81,11 @@ class WorkerState:
     #: Cumulative per-cause stall cycles per the last heartbeat.
     hb_stall_causes: Dict[str, int] = field(default_factory=dict)
 
-    def clear_heartbeat(self) -> None:
-        """Forget the dead incarnation's liveness state (on respawn)."""
-        self.last_heartbeat_ts = None
+    def clear_heartbeat(self, now: float) -> None:
+        """Re-arm the slot for a new incarnation spawned at *now*:
+        forget the dead one's beat payload and flag."""
+        self.last_heartbeat_ts = now
+        self.flagged = False
         self.hb_task_seq = None
         self.hb_host_cycles = 0
         self.hb_rss_bytes = 0

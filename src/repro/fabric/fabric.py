@@ -18,7 +18,7 @@ Backpressure (all shedding is accounted in the fabric counters):
 
 ``block``
     ``offer`` pumps completions until a slot frees (or
-    ``submit_timeout_s`` expires, raising :class:`SubmitTimeout`).
+    :data:`SUBMIT_TIMEOUT_S` expires, raising :class:`SubmitTimeout`).
 ``drop``
     ``offer`` returns a shed outcome (``task_id is None``) immediately
     and increments ``dropped``.
@@ -34,6 +34,13 @@ packet is requeued to surviving slots (capacity waived — they were
 already accepted), and the slot is respawned from the parent's warm
 template.  Packet results are recorded exactly once by task id, so a
 kill-respawn cycle loses and duplicates nothing.
+
+Liveness: every worker beats every ``heartbeat_s`` seconds, and each
+slot's one record is its :class:`WorkerState` (``last_heartbeat_ts``,
+stamped at spawn and by every beat, and the watchdog's ``flagged``
+bit).  One :class:`~repro.obs.heartbeat.Watchdog` verdict per slot
+feeds both :meth:`Fabric.health` and ``report()["per_worker"]``, so
+``/healthz`` and ``repro_fabric_worker_healthy`` always agree.
 """
 
 from __future__ import annotations
@@ -48,11 +55,7 @@ import numpy as np
 
 from repro.compiler.linker import schedule_cache_dir, schedule_cache_stats
 from repro.fabric.dispatcher import Dispatcher, FabricTask, WorkerState
-from repro.fabric.report import (
-    FABRIC_REPORT_SCHEMA,
-    fabric_prometheus_text,
-    latency_summary,
-)
+from repro.fabric.report import FABRIC_REPORT_SCHEMA, fabric_prometheus_text
 from repro.fabric.worker import (
     MSG_BYE,
     MSG_ERROR,
@@ -62,12 +65,16 @@ from repro.fabric.worker import (
     default_runner_factory,
     worker_main,
 )
-from repro.obs.heartbeat import Watchdog
-from repro.obs.window import EventLog, MetricsWindow
+from repro.obs.heartbeat import MISS_INTERVALS, Watchdog
+from repro.obs.window import EventLog, MetricsWindow, window_summary
 from repro.sim.codegen import codegen_stats
 
 #: Supported submission backpressure modes.
 BACKPRESSURE_MODES = ("block", "drop", "deadline")
+
+#: Seconds a ``block``-mode offer waits for queue space before raising
+#: :class:`SubmitTimeout`.
+SUBMIT_TIMEOUT_S = 120.0
 
 
 class FabricError(RuntimeError):
@@ -160,16 +167,13 @@ class Fabric:
         backpressure: str = "block",
         queue_depth: int = 4,
         batch: int = 1,
-        submit_timeout_s: float = 120.0,
         deadline_s: Optional[float] = None,
         cache_dir: Optional[str] = None,
         template_runtime: Optional[object] = None,
         runner_factory: Optional[Callable[[], object]] = None,
         name: str = "fabric",
         heartbeat_s: float = 1.0,
-        watchdog_intervals: int = 5,
         watchdog_escalate: bool = False,
-        window_s: float = 60.0,
         obs_host: str = "127.0.0.1",
         obs_port: Optional[int] = None,
     ) -> None:
@@ -186,10 +190,8 @@ class Fabric:
             raise ValueError("batch must be >= 1, got %d" % batch)
         if backpressure == "deadline" and deadline_s is None:
             raise ValueError("deadline backpressure needs a default deadline_s")
-        if heartbeat_s < 0:
-            raise ValueError("heartbeat_s must be >= 0, got %r" % (heartbeat_s,))
-        if window_s <= 0:
-            raise ValueError("window_s must be positive, got %r" % (window_s,))
+        if heartbeat_s <= 0:
+            raise ValueError("heartbeat_s must be positive, got %r" % (heartbeat_s,))
         self.n_workers = int(workers)
         self.policy = policy
         self.backpressure = backpressure
@@ -198,7 +200,6 @@ class Fabric:
         #: this many packets per lockstep call, and ``_feed`` coalesces
         #: up to this many queued tasks, of any shapes, into one dispatch.
         self.batch = int(batch)
-        self.submit_timeout_s = submit_timeout_s
         self.deadline_s = deadline_s
         self.name = name
         self._dispatcher = Dispatcher(policy)
@@ -229,15 +230,9 @@ class Fabric:
         self._t_start: Optional[float] = None
         # -- live telemetry plane (repro.obs) --------------------------
         self.heartbeat_s = float(heartbeat_s)
-        self._window = MetricsWindow(horizon_s=window_s)
+        self._window = MetricsWindow()
         self._event_log = EventLog(capacity=256)
-        self._watchdog: Optional[Watchdog] = None
-        if self.heartbeat_s > 0 and watchdog_intervals > 0:
-            self._watchdog = Watchdog(
-                interval_s=self.heartbeat_s,
-                miss_intervals=watchdog_intervals,
-                escalate=watchdog_escalate,
-            )
+        self._watchdog = Watchdog(interval_s=self.heartbeat_s, escalate=watchdog_escalate)
         self._obs_host = obs_host
         self._obs_port = obs_port
         self._obs_server = None
@@ -253,19 +248,17 @@ class Fabric:
         """The parent-side warm runtime workers fork from (default mode)."""
         return self._template
 
-    def start(self, warm_packets: Sequence[np.ndarray] = ()) -> "Fabric":
-        """Warm the parent template on *warm_packets*, then spawn workers."""
+    def start(self) -> "Fabric":
+        """Spawn the workers (building a default template runtime first
+        when neither a template nor a runner factory was given)."""
         if self._started:
             raise FabricError("fabric already started")
         if self._closed:
             raise FabricClosed("fabric already shut down")
-        if self._runner_factory is None and (warm_packets or self._template is None):
-            if self._template is None:
-                from repro.runtime import ModemRuntime
+        if self._runner_factory is None and self._template is None:
+            from repro.runtime import ModemRuntime
 
-                self._template = ModemRuntime(cache_dir=self._cache_dir, batch=self.batch)
-            for rx in warm_packets:
-                self._template.run_packet(rx)
+            self._template = ModemRuntime(cache_dir=self._cache_dir, batch=self.batch)
         for slot in range(self.n_workers):
             self._workers.append(_Worker(WorkerState(slot, self.queue_depth)))
             self._spawn(slot)
@@ -322,11 +315,9 @@ class Fabric:
         worker.state.alive = True
         worker.state.stopping = False
         worker.state.pid = proc.pid
-        worker.state.clear_heartbeat()
-        if self._watchdog is not None:
-            # Spawn counts as the first beat: a fresh worker gets a full
-            # grace period before the watchdog may flag it.
-            self._watchdog.reset(slot)
+        # Spawn counts as the first beat: a fresh worker gets a full
+        # grace period before the watchdog may flag it.
+        worker.state.clear_heartbeat(time.monotonic())
         if respawn:
             self._counters["respawns"] += 1
             self._event("worker_respawn", {"slot": slot, "pid": proc.pid})
@@ -335,9 +326,7 @@ class Fabric:
     # Submission and backpressure.
     # ------------------------------------------------------------------
 
-    def offer(
-        self, rx: np.ndarray, deadline_s: Optional[float] = None
-    ) -> SubmitOutcome:
+    def offer(self, rx: np.ndarray) -> SubmitOutcome:
         """Offer one packet; returns a typed :class:`SubmitOutcome`.
 
         An accepted packet's outcome carries its ``task_id``.  Shedding
@@ -351,11 +340,9 @@ class Fabric:
         """
         self._require_open()
         self._pump(0)
-        return self._offer_one(rx, deadline_s)
+        return self._offer_one(rx)
 
-    def offer_many(
-        self, rxs: Sequence[np.ndarray], deadline_s: Optional[float] = None
-    ) -> List[SubmitOutcome]:
+    def offer_many(self, rxs: Sequence[np.ndarray]) -> List[SubmitOutcome]:
         """Offer a list of packets with one pump round-trip.
 
         Each packet gets exactly the per-packet :meth:`offer` semantics
@@ -369,14 +356,14 @@ class Fabric:
         """
         self._require_open()
         self._pump(0)
-        return [self._offer_one(rx, deadline_s) for rx in rxs]
+        return [self._offer_one(rx) for rx in rxs]
 
-    def _offer_one(self, rx: np.ndarray, deadline_s: Optional[float]) -> SubmitOutcome:
+    def _offer_one(self, rx: np.ndarray) -> SubmitOutcome:
         rx = np.atleast_2d(rx)
         now = time.perf_counter()
         deadline_t = None
         if self.backpressure == "deadline":
-            deadline_t = now + (deadline_s if deadline_s is not None else self.deadline_s)
+            deadline_t = now + self.deadline_s
         task = FabricTask(self._next_task_id, rx, now, deadline_t)
         target = self._dispatcher.select(self._states())
         if target is None:
@@ -405,7 +392,7 @@ class Fabric:
         if self.backpressure == "deadline":
             limit = task.deadline_t
         else:  # block
-            limit = task.submit_t + self.submit_timeout_s
+            limit = task.submit_t + SUBMIT_TIMEOUT_S
         while True:
             remaining = limit - time.perf_counter()
             if remaining <= 0:
@@ -419,7 +406,7 @@ class Fabric:
             self._window.count("rejected")
             self._event("packet_rejected", {"shape": shape})
             return None, "rejected"
-        raise SubmitTimeout(self.submit_timeout_s, self.outstanding, self.n_workers)
+        raise SubmitTimeout(SUBMIT_TIMEOUT_S, self.outstanding, self.n_workers)
 
     def _feed(self, worker: _Worker) -> None:
         """Move pending packets into an empty pipe: one dispatch of up
@@ -526,9 +513,7 @@ class Fabric:
 
     def _check_watchdog(self) -> None:
         """Flag (and optionally kill) workers whose heartbeats stopped."""
-        if self._watchdog is None:
-            return
-        for action in self._watchdog.check(self._states()):
+        for action in self._watchdog.check(self._states(), time.monotonic()):
             self._counters["watchdog_flags"] += 1
             self._window.count("watchdog_flags")
             self._event(
@@ -572,14 +557,13 @@ class Fabric:
             return
         if tag == MSG_HEARTBEAT:
             payload = msg[2]
-            state.last_heartbeat_ts = time.monotonic()
             state.heartbeats += 1
             state.hb_task_seq = payload.get("task_seq")
             state.hb_host_cycles = int(payload.get("host_cycles", 0) or 0)
             state.hb_rss_bytes = int(payload.get("rss_bytes", 0) or 0)
             state.hb_stall_causes = dict(payload.get("stall_causes") or {})
             self._counters["heartbeats"] += 1
-            if self._watchdog is not None and self._watchdog.beat(state.index):
+            if self._watchdog.beat(state, time.monotonic()):
                 self._event(
                     "worker_recovered", {"slot": state.index, "pid": state.pid}
                 )
@@ -759,79 +743,52 @@ class Fabric:
         """Recent lifecycle events, oldest first (``/events.json``)."""
         return self._event_log.snapshot()
 
-    def _heartbeat_age(self, state: WorkerState, now: float) -> Optional[float]:
-        if self._watchdog is not None:
-            return self._watchdog.age(state.index, now)
-        if state.last_heartbeat_ts is None:
-            return None
-        return now - state.last_heartbeat_ts
-
-    def _pump_age(self, now: float) -> Optional[float]:
-        if self._last_pump_ts is None:
-            return None
-        return now - self._last_pump_ts
+    def _liveness(self, now: float):
+        """``(pump_age, pump_stale, verdicts)``: the pump's age (None
+        before the first pump), whether it is stale, and every slot's
+        health verdict by slot (see :meth:`health`)."""
+        pump_age = None if self._last_pump_ts is None else now - self._last_pump_ts
+        pump_stale = pump_age is not None and pump_age >= self._watchdog.unhealthy_s
+        verdicts = [self._watchdog.verdict(w.state, now, pump_stale) for w in self._workers]
+        return pump_age, pump_stale, verdicts
 
     def health(self) -> dict:
         """RFC-health JSON (draft-inadarei) with per-worker verdicts.
 
-        A worker ``fail``s once it has been heartbeat-silent for the
-        watchdog's ``unhealthy_intervals`` (default: two intervals).
-        Heartbeats only arrive while somebody pumps the fabric, so when
-        the *pump itself* is stale — the serving thread stopped calling
-        submit/poll/drain — worker silence is unattributable and their
-        ``fail`` verdicts are capped to ``warn``, with a ``fabric:pump``
-        check carrying the real story.
+        A worker ``fail``s once it has been heartbeat-silent for two
+        heartbeat intervals.  Heartbeats only arrive while somebody
+        pumps the fabric, so when the *pump itself* is stale — the
+        serving thread stopped calling submit/poll/drain — worker
+        silence is unattributable and their ``fail`` verdicts are
+        capped to ``warn``, with a ``fabric:pump`` check carrying the
+        real story.  The report's per-worker ``health`` is the same
+        verdict.
         """
         now = time.monotonic()
-        hb = self.heartbeat_s
-        pump_age = self._pump_age(now)
-        pump_stale = hb > 0 and pump_age is not None and pump_age >= 2 * hb
+        pump_age, pump_stale, verdicts = self._liveness(now)
         order = {"pass": 0, "warn": 1, "fail": 2}
-        worst = "pass"
+        worst = "warn" if pump_stale else "pass"
         checks: Dict[str, list] = {}
-        for worker in self._workers:
+        for worker, verdict in zip(self._workers, verdicts):
             state = worker.state
-            age = self._heartbeat_age(state, now)
-            if state.stopping:
-                verdict = "warn"
-            elif not state.alive:
-                verdict = "fail"  # crashed, respawn pending
-            elif hb <= 0:
-                verdict = "pass"  # heartbeats disabled: alive is all we know
-            elif self._watchdog is not None:
-                verdict = self._watchdog.verdict(state.index, now)
-            elif age is not None and age >= 2 * hb:
-                verdict = "fail"
-            else:
-                verdict = "pass"
-            if pump_stale and verdict == "fail" and state.alive:
-                verdict = "warn"
-            detail = {
+            checks["worker:%d" % state.index] = [{
                 "componentType": "process",
                 "status": verdict,
                 "pid": state.pid,
                 "alive": bool(state.alive),
-                "observedValue": round(age, 3) if age is not None else None,
+                "observedValue": round(now - state.last_heartbeat_ts, 3),
                 "observedUnit": "s_since_heartbeat",
                 "taskSeq": state.hb_task_seq,
                 "rssBytes": state.hb_rss_bytes,
-                "stuck": (
-                    self._watchdog.is_flagged(state.index)
-                    if self._watchdog is not None
-                    else False
-                ),
-            }
-            checks["worker:%d" % state.index] = [detail]
+                "stuck": state.flagged,
+            }]
             worst = max(worst, verdict, key=lambda v: order[v])
-        pump_check = {
+        checks["fabric:pump"] = [{
             "componentType": "system",
             "status": "warn" if pump_stale else "pass",
             "observedValue": round(pump_age, 3) if pump_age is not None else None,
             "observedUnit": "s_since_pump",
-        }
-        checks["fabric:pump"] = [pump_check]
-        if pump_stale:
-            worst = max(worst, "warn", key=lambda v: order[v])
+        }]
         if self._ingest is not None:
             for name, details in self._ingest.health_checks().items():
                 checks[name] = details
@@ -864,11 +821,11 @@ class Fabric:
             time.perf_counter() - self._t_start if self._t_start is not None else 0.0
         )
         now = time.monotonic()
+        _, _, verdicts = self._liveness(now)
         completed = self._counters["completed"]
         per_worker = []
-        for worker in self._workers:
+        for worker, verdict in zip(self._workers, verdicts):
             state = worker.state
-            age = self._heartbeat_age(state, now)
             per_worker.append(
                 {
                     "index": state.index,
@@ -890,30 +847,15 @@ class Fabric:
                         else 0.0
                     ),
                     "heartbeats": state.heartbeats,
-                    "last_heartbeat_age_s": (
-                        round(age, 3) if age is not None else None
-                    ),
+                    "last_heartbeat_age_s": round(now - state.last_heartbeat_ts, 3),
                     "task_seq": state.hb_task_seq,
                     "host_cycles": state.hb_host_cycles,
                     "rss_bytes": state.hb_rss_bytes,
                     "stall_causes": dict(state.hb_stall_causes),
-                    "health": (
-                        self._watchdog.verdict(state.index, now)
-                        if self._watchdog is not None and state.alive
-                        else None
-                    ),
+                    "health": verdict,
                 }
             )
-        watchdog = None
-        if self._watchdog is not None:
-            watchdog = {
-                "interval_s": self._watchdog.interval_s,
-                "miss_intervals": self._watchdog.miss_intervals,
-                "escalate": self._watchdog.escalate,
-                "flags": self._watchdog.flags,
-                "kills": self._watchdog.kills,
-                "recoveries": self._watchdog.recoveries,
-            }
+        watchdog = self._watchdog
         return {
             "schema": FABRIC_REPORT_SCHEMA,
             "name": self.name,
@@ -927,9 +869,16 @@ class Fabric:
             "packets_per_sec": round(completed / wall, 3) if wall else 0.0,
             "outstanding": self.outstanding,
             "counters": dict(self._counters),
-            "latency_s": latency_summary(list(self._latencies)),
+            "latency_s": window_summary(list(self._latencies)),
             "window": self._window.snapshot(),
-            "watchdog": watchdog,
+            "watchdog": {
+                "interval_s": watchdog.interval_s,
+                "miss_intervals": MISS_INTERVALS,
+                "escalate": watchdog.escalate,
+                "flags": watchdog.flags,
+                "kills": watchdog.kills,
+                "recoveries": watchdog.recoveries,
+            },
             "cache": self._cache_telemetry(),
             "ingest": (
                 self._ingest.ingest_report() if self._ingest is not None else None

@@ -24,7 +24,6 @@ __all__ = [
     "FABRIC_REPORT_SCHEMA",
     "fabric_prometheus_text",
     "latency_percentiles",
-    "latency_summary",
     "scenario_accounting",
 ]
 
@@ -44,17 +43,6 @@ def latency_percentiles(samples: Sequence[float]) -> Dict[str, float]:
         "p95": percentile(samples, 95),
         "p99": percentile(samples, 99),
     }
-
-
-def latency_summary(samples: Sequence[float]) -> Dict[str, float]:
-    """Percentiles plus count/mean/max; zeros when nothing completed."""
-    if not samples:
-        return {"count": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0}
-    summary = {"count": len(samples)}
-    summary.update(latency_percentiles(samples))
-    summary["mean"] = float(sum(samples) / len(samples))
-    summary["max"] = float(max(samples))
-    return summary
 
 
 def scenario_accounting(results, truth) -> Dict[str, Dict[str, float]]:
@@ -220,7 +208,7 @@ FABRIC_FAMILIES = (
             "Lifetime completed-packet throughput.", _at("packets_per_sec")),
     _fabric("wall_seconds", "gauge", "Seconds since the fabric started.", _at("wall_s")),
     _fabric("heartbeat_interval_seconds", "gauge",
-            "Configured worker heartbeat period (0 = disabled).", _at("heartbeat_s")),
+            "Configured worker heartbeat period.", _at("heartbeat_s")),
     _fabric("latency_seconds", "summary",
             "End-to-end packet latency (lifetime, nearest-rank quantiles).",
             _latency("latency_s", summary=True)),

@@ -17,9 +17,9 @@ the child-side schedule-cache miss delta so the fabric report can prove
 it.  Every dispatch reaches the runtime through one
 ``run_batch_results`` call.
 
-Heartbeats: with ``heartbeat_s > 0`` the worker runs a small daemon
-thread that periodically sends ``(MSG_HEARTBEAT, index, payload)`` up
-the result pipe — the payload is
+Heartbeats are always on: every worker runs a small daemon thread
+that sends ``(MSG_HEARTBEAT, index, payload)`` every ``heartbeat_s``
+seconds up the result pipe — the payload is
 :func:`repro.obs.heartbeat.heartbeat_payload`: ``task_seq`` (tasks
 completed), ``host_cycles`` (cumulative simulated cycles), ``rss_bytes``
 and the sender's ``monotonic_ts``, plus the runtime's cumulative
@@ -146,7 +146,7 @@ def worker_main(
     result_conn,
     close_conns: Sequence[object],
     runner_factory: Callable[[], object],
-    heartbeat_s: float = 0.0,
+    heartbeat_s: float,
 ) -> None:
     """Body of one worker process (the ``Process`` target)."""
     for conn in close_conns:
@@ -172,14 +172,13 @@ def worker_main(
     send_lock = threading.Lock()
     progress = {"task_seq": 0}
     stop_beating = threading.Event()
-    if heartbeat_s and heartbeat_s > 0:
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(stop_beating, send_lock, result_conn, index, float(heartbeat_s),
-                  runner, progress),
-            name="heartbeat-%d" % index,
-            daemon=True,
-        ).start()
+    threading.Thread(
+        target=_heartbeat_loop,
+        args=(stop_beating, send_lock, result_conn, index, float(heartbeat_s),
+              runner, progress),
+        name="heartbeat-%d" % index,
+        daemon=True,
+    ).start()
     while True:
         try:
             msg = task_conn.recv()

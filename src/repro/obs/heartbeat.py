@@ -9,15 +9,21 @@ host_cycles, rss_bytes, monotonic_ts)`` plus its cumulative stall-cause
 breakdown — up the existing result pipe, so liveness rides the same
 multiplexed channel as results and needs no new file descriptors.
 
-The parent-side :class:`Watchdog` tracks the last-seen beat per slot:
+The parent keeps one liveness record per slot: the dispatcher's
+``WorkerState.last_heartbeat_ts`` (stamped at spawn, which counts as
+the first beat, and by every heartbeat) with the slot's ``flagged``
+bit beside it.  The :class:`Watchdog` holds only policy over those
+records:
 
-- ``verdict()`` is the ``/healthz`` policy — a slot is ``fail`` once it
-  has been silent for ``unhealthy_intervals`` (default 2) heartbeat
-  intervals;
-- ``check()`` is the escalation policy — after ``miss_intervals``
-  (default 5) silent intervals the slot is *flagged* (once per
-  incident), and with ``escalate=True`` the watchdog SIGKILLs the pid,
-  deliberately converting "stuck" into "dead" so the fabric's existing
+- ``verdict()`` is the one health verdict, behind both ``/healthz``
+  and the report's per-worker ``health`` — a stopping slot is
+  ``warn``, a dead one ``fail``, a live one ``fail`` once silent for
+  :data:`UNHEALTHY_INTERVALS` heartbeat intervals (``warn`` instead
+  when the pump is stale, since its silence is then unattributable);
+- ``check()`` is the escalation policy — after :data:`MISS_INTERVALS`
+  silent intervals the slot is *flagged* (once per incident), and with
+  ``escalate=True`` the watchdog SIGKILLs the pid, deliberately
+  converting "stuck" into "dead" so the fabric's existing
   crash-recovery path (salvage → requeue → respawn) takes over.  The
   watchdog never touches queues or results itself.
 """
@@ -33,6 +39,11 @@ from typing import Dict, List, Optional
 
 #: Default seconds between worker heartbeats.
 HEARTBEAT_INTERVAL_S = 1.0
+#: Silent intervals before a live slot's verdict is ``fail`` (a
+#: SIGSTOPped worker turns ``/healthz`` red within two intervals).
+UNHEALTHY_INTERVALS = 2
+#: Silent intervals before the watchdog flags a slot stuck.
+MISS_INTERVALS = 5
 
 
 def rss_bytes() -> int:
@@ -81,114 +92,80 @@ class WatchdogEvent:
 
 
 class Watchdog:
-    """Flags worker slots whose heartbeats stopped; optionally kills them.
+    """Health verdicts and stuck-worker escalation over slot records.
+
+    Every method reads (and ``beat``/``check`` write) the states it is
+    given: any object with ``index``, ``alive``, ``stopping``, ``pid``,
+    ``last_heartbeat_ts`` and ``flagged`` attributes
+    (:class:`repro.fabric.dispatcher.WorkerState` qualifies).  *now* is
+    the clock ``last_heartbeat_ts`` was stamped with
+    (:func:`time.monotonic` in the fabric).
 
     Parameters
     ----------
     interval_s:
         The heartbeat period workers were configured with.
-    miss_intervals:
-        Silent intervals before a slot is flagged stuck (the escalation
-        threshold).  Must be >= ``unhealthy_intervals``.
-    unhealthy_intervals:
-        Silent intervals before ``verdict()`` reports ``fail`` — the
-        ``/healthz`` threshold (default 2, per the acceptance bar:
-        a SIGSTOPped worker is unhealthy within two intervals).
     escalate:
         When True, a newly flagged slot's pid is killed (``SIGKILL``),
         handing the slot to the fabric's crash-recovery path.
-    kill / clock:
-        Injectable for tests (defaults: :func:`os.kill`,
-        :func:`time.monotonic`).
+    kill:
+        Injectable for tests (default: :func:`os.kill`).
     """
 
     def __init__(
         self,
         interval_s: float = HEARTBEAT_INTERVAL_S,
-        miss_intervals: int = 5,
-        unhealthy_intervals: int = 2,
         escalate: bool = False,
         kill=os.kill,
-        clock=time.monotonic,
     ) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive, got %r" % (interval_s,))
-        if miss_intervals < 1 or unhealthy_intervals < 1:
-            raise ValueError("watchdog thresholds must be >= 1 interval")
-        if miss_intervals < unhealthy_intervals:
-            raise ValueError(
-                "miss_intervals (%d) must be >= unhealthy_intervals (%d): a "
-                "slot cannot be escalated while /healthz still calls it ok"
-                % (miss_intervals, unhealthy_intervals)
-            )
         self.interval_s = float(interval_s)
-        self.miss_intervals = int(miss_intervals)
-        self.unhealthy_intervals = int(unhealthy_intervals)
         self.escalate = bool(escalate)
         self._kill = kill
-        self._clock = clock
-        self._last_seen: Dict[int, float] = {}
-        self._flagged: set = set()
         self.flags = 0
         self.kills = 0
         self.recoveries = 0
 
-    # -- heartbeat bookkeeping -----------------------------------------
+    @property
+    def unhealthy_s(self) -> float:
+        """Silence after which a live slot's verdict is ``fail``."""
+        return UNHEALTHY_INTERVALS * self.interval_s
 
-    def reset(self, slot: int, now: Optional[float] = None) -> None:
-        """(Re)arm a slot at spawn time: spawn counts as the first beat."""
-        self._last_seen[slot] = float(self._clock() if now is None else now)
-        self._flagged.discard(slot)
+    def beat(self, state, now: float) -> bool:
+        """Stamp a heartbeat; True when the slot was flagged (recovered)."""
+        state.last_heartbeat_ts = now
+        if not state.flagged:
+            return False
+        state.flagged = False
+        self.recoveries += 1
+        return True
 
-    def beat(self, slot: int, now: Optional[float] = None) -> bool:
-        """Record a heartbeat; True when the slot was flagged (recovered)."""
-        self._last_seen[slot] = float(self._clock() if now is None else now)
-        if slot in self._flagged:
-            self._flagged.discard(slot)
-            self.recoveries += 1
-            return True
-        return False
+    def verdict(self, state, now: float, pump_stale: bool = False) -> str:
+        """The slot's health verdict: ``pass``/``warn``/``fail``."""
+        if state.stopping:
+            return "warn"
+        if not state.alive:
+            return "fail"  # crashed, respawn pending
+        if now - state.last_heartbeat_ts < self.unhealthy_s:
+            return "pass"
+        return "warn" if pump_stale else "fail"
 
-    def age(self, slot: int, now: Optional[float] = None) -> Optional[float]:
-        """Seconds since the slot's last beat (None if never armed)."""
-        seen = self._last_seen.get(slot)
-        if seen is None:
-            return None
-        return float(self._clock() if now is None else now) - seen
+    def check(self, states, now: float) -> List[WatchdogEvent]:
+        """One escalation round: flag (and maybe kill) silent slots.
 
-    # -- policies ------------------------------------------------------
-
-    def verdict(self, slot: int, now: Optional[float] = None) -> str:
-        """``/healthz`` verdict for one slot: ``pass``/``warn``/``fail``."""
-        age = self.age(slot, now)
-        if age is None:
-            return "warn"  # never armed: a slot we know nothing about
-        if age >= self.unhealthy_intervals * self.interval_s:
-            return "fail"
-        return "pass"
-
-    def is_flagged(self, slot: int) -> bool:
-        return slot in self._flagged
-
-    def check(self, states, now: Optional[float] = None) -> List[WatchdogEvent]:
-        """One watchdog round over dispatcher worker states.
-
-        *states* is any sequence of objects with ``index``, ``alive``,
-        ``stopping`` and ``pid`` attributes
-        (:class:`repro.fabric.dispatcher.WorkerState` qualifies).  A
-        slot is flagged at most once per silent incident; a later beat
-        (or a respawn's :meth:`reset`) re-arms it.
+        A slot is flagged at most once per silent incident; a later
+        beat (or a respawn's re-stamp) re-arms it.  Dead and stopping
+        slots belong to the sentinel and shutdown paths.
         """
-        now_t = float(self._clock() if now is None else now)
         events: List[WatchdogEvent] = []
         for state in states:
-            slot = state.index
-            if not state.alive or state.stopping or slot in self._flagged:
+            if not state.alive or state.stopping or state.flagged:
                 continue
-            age = self.age(slot, now_t)
-            if age is None or age < self.miss_intervals * self.interval_s:
+            age = now - state.last_heartbeat_ts
+            if age < MISS_INTERVALS * self.interval_s:
                 continue
-            self._flagged.add(slot)
+            state.flagged = True
             self.flags += 1
             killed = False
             if self.escalate and state.pid is not None:
@@ -198,5 +175,5 @@ class Watchdog:
                     self.kills += 1
                 except (ProcessLookupError, PermissionError, OSError):
                     pass  # already gone: the sentinel path will notice
-            events.append(WatchdogEvent(slot, state.pid, age, killed))
+            events.append(WatchdogEvent(state.index, state.pid, age, killed))
         return events

@@ -107,7 +107,6 @@ def test_sigstop_watchdog_escalation_stays_bit_identical(
         template_runtime=template,
         queue_depth=4,
         heartbeat_s=0.1,
-        watchdog_intervals=3,
         watchdog_escalate=True,
     )
     with fab:

@@ -146,7 +146,6 @@ def test_block_backpressure_completes_everything():
         runner_factory=_slow_factory,
         queue_depth=1,
         backpressure="block",
-        submit_timeout_s=30.0,
     )
     with fab:
         packets = _packets(6)
@@ -159,13 +158,13 @@ def test_block_backpressure_completes_everything():
     assert report["counters"]["rejected"] == 0
 
 
-def test_block_backpressure_times_out():
+def test_block_backpressure_times_out(monkeypatch):
+    monkeypatch.setattr("repro.fabric.fabric.SUBMIT_TIMEOUT_S", 0.2)
     fab = Fabric(
         workers=1,
         runner_factory=_slow_factory,
         queue_depth=1,
         backpressure="block",
-        submit_timeout_s=0.2,
     )
     with fab:
         fab.offer(np.ones((2, 400)))  # occupies the only queue slot
@@ -254,6 +253,8 @@ def test_lifecycle_and_config_validation():
         Fabric(queue_depth=0)
     with pytest.raises(ValueError, match="deadline"):
         Fabric(backpressure="deadline")
+    with pytest.raises(ValueError, match="heartbeat_s"):
+        Fabric(heartbeat_s=0)
     fab = Fabric(workers=1, runner_factory=_fast_factory)
     with pytest.raises(FabricClosed, match="not started"):
         fab.offer(np.ones((2, 400)))

@@ -9,11 +9,7 @@ from repro.fabric import (
     poisson_stream,
     scenario_accounting,
 )
-from repro.fabric.report import (
-    fabric_prometheus_text,
-    latency_percentiles,
-    latency_summary,
-)
+from repro.fabric.report import fabric_prometheus_text, latency_percentiles
 from repro.obs.window import percentile
 from repro.phy.scenario import get_scenario
 from repro.runtime.workload import PacketCase
@@ -170,15 +166,10 @@ def test_percentile_validation():
         percentile([1.0], 101)
 
 
-def test_latency_percentiles_and_summary():
+def test_latency_percentiles():
     samples = list(range(1, 101))  # 1..100
     p = latency_percentiles(samples)
     assert p == {"p50": 50.0, "p95": 95.0, "p99": 99.0}
-    s = latency_summary(samples)
-    assert s["count"] == 100
-    assert s["max"] == 100.0
-    assert s["mean"] == pytest.approx(50.5)
-    assert latency_summary([])["count"] == 0
 
 
 def test_prometheus_quantile_labels_are_fractional():

@@ -61,13 +61,13 @@ def test_offer_names_the_deadline_shed_path():
     assert fab.report()["counters"]["rejected"] >= len(shed)
 
 
-def test_submit_timeout_carries_structured_fields():
+def test_submit_timeout_carries_structured_fields(monkeypatch):
+    monkeypatch.setattr("repro.fabric.fabric.SUBMIT_TIMEOUT_S", 0.2)
     fab = Fabric(
         workers=1,
         runner_factory=_slow_factory,
         queue_depth=1,
         backpressure="block",
-        submit_timeout_s=0.2,
     )
     with fab:
         fab.offer(np.ones((2, 400)))

@@ -72,13 +72,13 @@ def test_heartbeats_flow_and_report_carries_them():
 
 
 def test_window_snapshot_tracks_recent_completions():
-    fab = Fabric(workers=1, runner_factory=_factory, heartbeat_s=0.0, window_s=30.0)
+    fab = Fabric(workers=1, runner_factory=_factory)
     with fab:
         for rx in _packets(5):
             fab.offer(rx)
         fab.drain(timeout=30)
         window = fab.report()["window"]
-    assert window["window_s"] == 30.0
+    assert window["window_s"] == 60
     assert window["counts"]["submitted"] == 5
     assert window["counts"]["completed"] == 5
     assert window["latency_s"]["count"] == 5
@@ -93,7 +93,6 @@ def test_healthz_over_http_reports_sigstopped_worker_within_two_intervals():
         workers=2,
         runner_factory=_factory,
         heartbeat_s=interval,
-        watchdog_intervals=1000,  # detection only: no escalation today
         obs_port=0,
     )
     with fab:
@@ -146,7 +145,6 @@ def test_watchdog_escalation_converts_stuck_into_crash_recovery():
         workers=2,
         runner_factory=_Slow,
         heartbeat_s=interval,
-        watchdog_intervals=3,
         watchdog_escalate=True,
         queue_depth=8,
     )
@@ -193,6 +191,26 @@ def test_health_degrades_to_warn_when_nobody_pumps():
         assert "fail" not in worker_statuses
 
 
+def test_healthz_report_and_metrics_share_one_verdict():
+    """/healthz, the report's per-worker health and the
+    repro_fabric_worker_healthy verdict label are one verdict: with the
+    pump idle for several intervals, all three say warn."""
+    interval = 0.1
+    fab = Fabric(workers=1, runner_factory=_factory, heartbeat_s=interval, obs_port=0)
+    with fab:
+        fab.offer(np.ones((2, 400)))
+        fab.drain(timeout=30)
+        fab.poll(0.05)
+        time.sleep(4 * interval)  # nobody pumps
+        (check,) = json.loads(_get(fab.obs_url + "/healthz")[1])["checks"]["worker:0"]
+        report_verdict = fab.report()["per_worker"][0]["health"]
+        page = _get(fab.obs_url + "/metrics")[1]
+    (line,) = [l for l in page.splitlines() if l.startswith("repro_fabric_worker_healthy{")]
+    assert check["status"] == "warn"
+    assert report_verdict == "warn"
+    assert 'verdict="warn"' in line, line
+
+
 def test_events_endpoint_and_shed_accounting():
     class _Slow(_StubRunner):
         delay_s = 0.2
@@ -202,7 +220,6 @@ def test_events_endpoint_and_shed_accounting():
         runner_factory=_Slow,
         queue_depth=1,
         backpressure="drop",
-        heartbeat_s=0.0,
         obs_port=0,
     )
     with fab:
@@ -220,7 +237,7 @@ def test_events_endpoint_and_shed_accounting():
 
 
 def test_obs_server_lifecycle_follows_the_fabric():
-    fab = Fabric(workers=1, runner_factory=_factory, heartbeat_s=0.0, obs_port=0)
+    fab = Fabric(workers=1, runner_factory=_factory, obs_port=0)
     with fab:
         url = fab.obs_url
         assert url is not None
@@ -228,18 +245,6 @@ def test_obs_server_lifecycle_follows_the_fabric():
     assert fab.obs_url is None, "shutdown must stop the server"
     with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
         urllib.request.urlopen(url + "/metrics", timeout=2)
-
-
-def test_heartbeats_disabled_leaves_plain_liveness():
-    fab = Fabric(workers=1, runner_factory=_factory, heartbeat_s=0.0)
-    with fab:
-        fab.offer(np.ones((2, 400)))
-        fab.drain(timeout=30)
-        report = fab.report()
-        health = fab.health()
-    assert report["counters"]["heartbeats"] == 0
-    assert report["watchdog"] is None
-    assert health["status"] == "pass", "alive workers pass without beats"
 
 
 def test_metrics_text_lints_clean_with_live_data():

@@ -1,5 +1,6 @@
-"""Watchdog policy under injected clocks and kills: silence detection,
-verdict thresholds, escalation, once-per-incident flagging."""
+"""Watchdog policy over slot liveness records, with explicit clock
+readings and injected kills: silence detection, verdict thresholds,
+escalation, once-per-incident flagging."""
 
 import signal
 from dataclasses import dataclass
@@ -7,155 +8,111 @@ from typing import Optional
 
 import pytest
 
+from repro.fabric.dispatcher import WorkerState
 from repro.obs import Watchdog, heartbeat_payload, rss_bytes
 
 
 @dataclass
 class _Slot:
+    """A slot's liveness record: spawned (first beat) at t=0."""
+
     index: int
     alive: bool = True
     stopping: bool = False
     pid: Optional[int] = 4242
+    last_heartbeat_ts: float = 0.0
+    flagged: bool = False
 
 
-class FakeClock:
-    def __init__(self, t=0.0):
-        self.t = float(t)
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += dt
-
-
-def _watchdog(clock, **kwargs):
+def _watchdog(**kwargs):
     kwargs.setdefault("interval_s", 1.0)
-    kwargs.setdefault("miss_intervals", 5)
-    kwargs.setdefault("unhealthy_intervals", 2)
-    return Watchdog(clock=clock, kill=kwargs.pop("kill", lambda pid, sig: None), **kwargs)
+    return Watchdog(kill=kwargs.pop("kill", lambda pid, sig: None), **kwargs)
 
 
 class TestVerdict:
-    def test_never_armed_slot_is_warn(self):
-        dog = _watchdog(FakeClock())
-        assert dog.verdict(0) == "warn"
-
     def test_fail_at_exactly_two_silent_intervals(self):
-        clock = FakeClock()
-        dog = _watchdog(clock)
-        dog.reset(0)
-        clock.advance(1.9)
-        assert dog.verdict(0) == "pass"
-        clock.advance(0.1)  # 2.0s = unhealthy_intervals * interval_s
-        assert dog.verdict(0) == "fail"
+        dog, slot = _watchdog(), _Slot(0)
+        assert dog.verdict(slot, 1.9) == "pass"
+        assert dog.verdict(slot, 2.0) == "fail"  # UNHEALTHY_INTERVALS * interval_s
 
     def test_beat_rearms_the_verdict(self):
-        clock = FakeClock()
-        dog = _watchdog(clock)
-        dog.reset(0)
-        clock.advance(5.0)
-        assert dog.verdict(0) == "fail"
-        dog.beat(0)
-        assert dog.verdict(0) == "pass"
+        dog, slot = _watchdog(), _Slot(0)
+        assert dog.verdict(slot, 5.0) == "fail"
+        assert dog.beat(slot, 5.0) is False, "an unflagged slot does not recover"
+        assert slot.last_heartbeat_ts == 5.0
+        assert dog.verdict(slot, 5.0) == "pass"
+
+    def test_stopping_warns_dead_fails_and_a_stale_pump_caps_silence(self):
+        dog = _watchdog()
+        assert dog.verdict(_Slot(0, stopping=True), 0.0) == "warn"
+        assert dog.verdict(_Slot(0, alive=False, stopping=True), 0.0) == "warn"
+        assert dog.verdict(_Slot(0, alive=False), 0.0, pump_stale=True) == "fail"
+        assert dog.verdict(_Slot(0), 5.0, pump_stale=True) == "warn"
+        assert dog.verdict(_Slot(0), 1.0, pump_stale=True) == "pass"
 
 
 class TestEscalation:
     def test_silent_slot_is_flagged_after_miss_intervals(self):
-        clock = FakeClock()
-        dog = _watchdog(clock)
-        dog.reset(0)
-        clock.advance(4.9)
-        assert dog.check([_Slot(0)]) == []
-        clock.advance(0.2)
-        events = dog.check([_Slot(0)])
+        dog, slot = _watchdog(), _Slot(0)
+        assert dog.check([slot], 4.9) == []
+        events = dog.check([slot], 5.1)
         assert len(events) == 1
         assert events[0].slot == 0
         assert events[0].age_s == pytest.approx(5.1)
         assert not events[0].killed, "escalate=False must never kill"
-        assert dog.is_flagged(0)
+        assert slot.flagged
         assert dog.flags == 1
 
     def test_flagging_is_once_per_incident(self):
-        clock = FakeClock()
-        dog = _watchdog(clock)
-        dog.reset(0)
-        clock.advance(6.0)
-        assert len(dog.check([_Slot(0)])) == 1
-        clock.advance(1.0)
-        assert dog.check([_Slot(0)]) == [], "still the same incident"
+        dog, slot = _watchdog(), _Slot(0)
+        assert len(dog.check([slot], 6.0)) == 1
+        assert dog.check([slot], 7.0) == [], "still the same incident"
         assert dog.flags == 1
 
     def test_beat_recovers_a_flagged_slot(self):
-        clock = FakeClock()
-        dog = _watchdog(clock)
-        dog.reset(0)
-        clock.advance(6.0)
-        dog.check([_Slot(0)])
-        assert dog.beat(0) is True
-        assert not dog.is_flagged(0)
+        dog, slot = _watchdog(), _Slot(0)
+        dog.check([slot], 6.0)
+        assert dog.beat(slot, 6.0) is True
+        assert not slot.flagged
         assert dog.recoveries == 1
-        clock.advance(6.0)
-        assert len(dog.check([_Slot(0)])) == 1, "a new incident flags again"
+        assert len(dog.check([slot], 12.0)) == 1, "a new incident flags again"
 
     def test_escalate_kills_with_sigkill(self):
-        clock = FakeClock()
         kills = []
-        dog = _watchdog(
-            clock, escalate=True, kill=lambda pid, sig: kills.append((pid, sig))
-        )
-        dog.reset(3)
-        clock.advance(5.5)
-        events = dog.check([_Slot(3, pid=777)])
+        dog = _watchdog(escalate=True, kill=lambda pid, sig: kills.append((pid, sig)))
+        events = dog.check([_Slot(3, pid=777)], 5.5)
         assert events[0].killed
         assert kills == [(777, signal.SIGKILL)]
         assert dog.kills == 1
 
     def test_kill_failure_is_swallowed(self):
-        clock = FakeClock()
-
         def kill(pid, sig):
             raise ProcessLookupError(pid)
 
-        dog = _watchdog(clock, escalate=True, kill=kill)
-        dog.reset(0)
-        clock.advance(5.5)
-        events = dog.check([_Slot(0)])
+        dog = _watchdog(escalate=True, kill=kill)
+        events = dog.check([_Slot(0)], 5.5)
         assert len(events) == 1 and not events[0].killed
         assert dog.kills == 0
 
     def test_dead_and_stopping_slots_are_skipped(self):
-        clock = FakeClock()
-        dog = _watchdog(clock)
-        for slot in (0, 1):
-            dog.reset(slot)
-        clock.advance(10.0)
-        events = dog.check([_Slot(0, alive=False), _Slot(1, stopping=True)])
+        dog = _watchdog()
+        events = dog.check([_Slot(0, alive=False), _Slot(1, stopping=True)], 10.0)
         assert events == [], "the sentinel/shutdown paths own those slots"
 
     def test_respawn_reset_forgives_the_dead_incarnation(self):
-        clock = FakeClock()
-        dog = _watchdog(clock)
-        dog.reset(0)
-        clock.advance(10.0)
-        dog.check([_Slot(0)])
-        dog.reset(0)  # the fabric respawned the slot
-        assert not dog.is_flagged(0)
-        assert dog.verdict(0) == "pass"
+        dog, state = _watchdog(), WorkerState(0, queue_depth=1)
+        dog.check([state], 10.0)
+        assert state.flagged
+        state.clear_heartbeat(10.0)  # the fabric respawned the slot
+        assert not state.flagged
+        assert dog.verdict(state, 10.0) == "pass"
+        assert dog.check([state], 14.9) == [], "the new incarnation gets full grace"
 
 
 class TestValidation:
-    def test_thresholds_must_be_ordered(self):
-        with pytest.raises(ValueError, match="miss_intervals"):
-            Watchdog(miss_intervals=1, unhealthy_intervals=3)
-
     def test_interval_must_be_positive(self):
         with pytest.raises(ValueError, match="interval_s"):
             Watchdog(interval_s=0)
-
-    def test_thresholds_must_be_at_least_one(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            Watchdog(miss_intervals=0, unhealthy_intervals=0)
 
 
 class TestHeartbeatPayload:

@@ -45,6 +45,12 @@ class TestPercentile:
         assert window_summary([]) == {
             "count": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "mean": 0.0, "max": 0.0,
         }
+        # ... and the same shape, filled, summarises a non-empty one.
+        summary = window_summary(list(range(1, 101)))  # 1..100
+        assert summary == {
+            "count": 100, "p50": 50.0, "p95": 95.0, "p99": 99.0,
+            "mean": pytest.approx(50.5), "max": 100.0,
+        }
 
 
 class TestWindowedCounter:

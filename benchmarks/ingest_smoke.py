@@ -18,7 +18,11 @@ and checks:
   balances too;
 * the live ``/metrics`` scrape passes
   :func:`~repro.obs.lint_exposition` and carries the ``repro_ingest_*``
-  families.
+  families;
+* churn: single-packet streams on more stream ids than the reassembler
+  keeps (its default ``max_streams``, 256) all balance — the evicted
+  streams through the ``evicted`` aggregate, whose released packets
+  must all be submitted or shed.
 
 A cheap digest runner stands in for the modem (transport bit-identity
 is about the bytes, not the decode — ``tests/ingest`` pins the real
@@ -34,11 +38,20 @@ import sys
 import urllib.request
 from dataclasses import replace
 
+import numpy as np
+
 _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(_HERE), "src"))
 
 from repro.fabric import Fabric, mixed_scenario_stream, run_stream
-from repro.ingest import IngestServer, iq_roundtrip, send_stream
+from repro.ingest import (
+    SHED_COUNTERS,
+    IngestServer,
+    encode_packet,
+    iq_roundtrip,
+    send_datagrams,
+    send_stream,
+)
 from repro.obs import lint_exposition
 from repro.runtime import BatchPacketResult
 
@@ -56,6 +69,9 @@ _STREAM_ID = 7
 #: Stream carrying packets that claim 3 data symbols.
 _BAD_STREAM_ID = 8
 _BAD_PACKETS = 4
+#: Single-packet streams of the churn leg: more ids than the
+#: reassembler's default ``max_streams`` (256), so some are evicted.
+_CHURN_STREAMS = 300
 
 
 class _DigestRunner:
@@ -73,6 +89,36 @@ def _digest_factory():
 def _get(url, timeout=10):
     with urllib.request.urlopen(url, timeout=timeout) as resp:
         return resp.status, resp.read().decode("utf-8")
+
+
+def _churn_leg(failures) -> dict:
+    """Serve one small packet on each of ``_CHURN_STREAMS`` stream ids
+    over loopback UDP; returns the ``evicted`` aggregate."""
+    rx = np.full((2, 80), 0.25 + 0.25j)
+    datagrams = [
+        datagram
+        for stream_id in range(_CHURN_STREAMS)
+        for datagram in encode_packet(stream_id, 0, rx, dtype="c64")
+    ]
+    fab = Fabric(workers=1, runner_factory=_digest_factory, queue_depth=16,
+                 name="ingest-churn")
+    with fab:
+        with IngestServer(fab, udp_port=0) as server:
+            send_datagrams(datagrams, udp=server.udp_address)
+            server.drain(timeout=600)
+        problems = server.accounting_problems(
+            {stream_id: 1 for stream_id in range(_CHURN_STREAMS)}
+        )
+        evicted = server.ingest_report()["evicted"]
+    if problems:
+        failures.append("churn accounting: %s" % problems[:5])
+    shed = sum(evicted[name] for name in SHED_COUNTERS)
+    if not evicted["streams"] or evicted["released"] != evicted["submitted"] + shed:
+        failures.append(
+            "churn: %d streams evicted, released %d != submitted %d + shed %d"
+            % (evicted["streams"], evicted["released"], evicted["submitted"], shed)
+        )
+    return evicted
 
 
 def main(argv=None) -> int:
@@ -194,6 +240,8 @@ def main(argv=None) -> int:
                 % (bad_view["corrupt"], bad.n_packets, bad_view["submitted"])
             )
 
+    evicted = _churn_leg(failures)
+
     if failures:
         for failure in failures:
             print("FAIL: %s" % failure, file=sys.stderr)
@@ -201,7 +249,8 @@ def main(argv=None) -> int:
     print(
         "ingest smoke ok: %d/%d packets delivered bit-identical "
         "(%d datagrams dropped, %d reordered; gaps=%d incomplete=%d), "
-        "%d/%d 3-symbol packets corrupt, scrape clean"
+        "%d/%d 3-symbol packets corrupt, scrape clean; churn: %d of %d "
+        "streams evicted, their %d packets submitted"
         % (
             len(delivered),
             report.n_packets,
@@ -211,6 +260,9 @@ def main(argv=None) -> int:
             view["incomplete"],
             bad_view["corrupt"],
             bad.n_packets,
+            evicted["streams"],
+            _CHURN_STREAMS,
+            evicted["submitted"],
         )
     )
     return 0

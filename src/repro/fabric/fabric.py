@@ -57,7 +57,6 @@ from repro.compiler.linker import schedule_cache_dir, schedule_cache_stats
 from repro.fabric.dispatcher import Dispatcher, FabricTask, WorkerState
 from repro.fabric.report import FABRIC_REPORT_SCHEMA, fabric_prometheus_text
 from repro.fabric.worker import (
-    MSG_BYE,
     MSG_ERROR,
     MSG_HEARTBEAT,
     MSG_READY,
@@ -222,8 +221,6 @@ class Fabric:
             "worker_crashes": 0,
             "respawns": 0,
             "heartbeats": 0,
-            "watchdog_flags": 0,
-            "watchdog_kills": 0,
         }
         self._started = False
         self._closed = False
@@ -512,9 +509,9 @@ class Fabric:
         return progressed
 
     def _check_watchdog(self) -> None:
-        """Flag (and optionally kill) workers whose heartbeats stopped."""
+        """Flag (and optionally kill, which the sentinel / pipe-EOF path
+        then recovers) workers whose heartbeats stopped."""
         for action in self._watchdog.check(self._states(), time.monotonic()):
-            self._counters["watchdog_flags"] += 1
             self._window.count("watchdog_flags")
             self._event(
                 "watchdog_flag",
@@ -525,12 +522,6 @@ class Fabric:
                     "killed": action.killed,
                 },
             )
-            if action.killed:
-                # The SIGKILL surfaces through the existing sentinel /
-                # pipe-EOF path: salvage, requeue, respawn — stuck has
-                # been converted into dead, which the fabric knows how
-                # to recover from.
-                self._counters["watchdog_kills"] += 1
 
     def _drain_conn(self, worker: _Worker) -> bool:
         """Read every buffered message; False when the pipe hit EOF."""
@@ -552,8 +543,6 @@ class Fabric:
             state.spinup_s = info.get("spinup_s")
             state.spinup_schedule_misses = info.get("schedule_misses")
             state.spinup_codegen_compilations = info.get("codegen_compilations")
-            return
-        if tag == MSG_BYE:
             return
         if tag == MSG_HEARTBEAT:
             payload = msg[2]
@@ -746,17 +735,20 @@ class Fabric:
     def _liveness(self, now: float):
         """``(pump_age, pump_stale, verdicts)``: the pump's age (None
         before the first pump), whether it is stale, and every slot's
-        health verdict by slot (see :meth:`health`)."""
+        health verdict by slot (see :meth:`health`).  A fresh pump's
+        silence is judged up to its last round: later beats are unread."""
         pump_age = None if self._last_pump_ts is None else now - self._last_pump_ts
         pump_stale = pump_age is not None and pump_age >= self._watchdog.unhealthy_s
-        verdicts = [self._watchdog.verdict(w.state, now, pump_stale) for w in self._workers]
+        as_of = now if pump_age is None or pump_stale else self._last_pump_ts
+        verdicts = [self._watchdog.verdict(w.state, as_of, pump_stale) for w in self._workers]
         return pump_age, pump_stale, verdicts
 
     def health(self) -> dict:
         """RFC-health JSON (draft-inadarei) with per-worker verdicts.
 
         A worker ``fail``s once it has been heartbeat-silent for two
-        heartbeat intervals.  Heartbeats only arrive while somebody
+        heartbeat intervals as of the last pump round (see
+        :meth:`_liveness`).  Heartbeats only arrive while somebody
         pumps the fabric, so when the *pump itself* is stale — the
         serving thread stopped calling submit/poll/drain — worker
         silence is unattributable and their ``fail`` verdicts are
@@ -868,7 +860,8 @@ class Fabric:
             "wall_s": round(wall, 6),
             "packets_per_sec": round(completed / wall, 3) if wall else 0.0,
             "outstanding": self.outstanding,
-            "counters": dict(self._counters),
+            "counters": dict(self._counters, watchdog_flags=watchdog.flags,
+                             watchdog_kills=watchdog.kills),
             "latency_s": window_summary(list(self._latencies)),
             "window": self._window.snapshot(),
             "watchdog": {

@@ -50,7 +50,6 @@ from repro.obs.heartbeat import heartbeat_payload
 MSG_READY = "ready"
 MSG_RESULT = "result"
 MSG_ERROR = "error"
-MSG_BYE = "bye"
 MSG_HEARTBEAT = "heartbeat"
 
 
@@ -185,11 +184,6 @@ def worker_main(
         except (EOFError, OSError):
             break  # parent went away: exit quietly
         if msg is None:
-            try:
-                with send_lock:
-                    result_conn.send((MSG_BYE, index, None))
-            except (OSError, BrokenPipeError):
-                pass
             break
         task_ids, rxs = msg
         _serve_batch(runner, send_lock, result_conn, task_ids, rxs)

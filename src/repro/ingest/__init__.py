@@ -11,9 +11,10 @@ every loss accounted.  Layers, bottom up:
   shape / fragmentation) over Q15, complex64 or complex128 payload.
 - :mod:`repro.ingest.reassembly` — per-stream fragment reassembly and
   bounded-window reordering, declaring gaps/duplicates/corruption into
-  a strict counter taxonomy.
+  a strict counter taxonomy; each stream's record is its whole ledger,
+  through submission and shedding.
 - :mod:`repro.ingest.server` — :class:`IngestServer`: the socket
-  listener thread, staging buffers, fabric submission with typed
+  listener thread, the staging queue, fabric submission with typed
   backpressure shedding, and the observability surface
   (``fabric.report()["ingest"]``, ``repro_ingest_*`` Prometheus
   families, the ``ingest:listener`` health check).
@@ -48,11 +49,12 @@ from repro.ingest.protocol import (
 )
 from repro.ingest.reassembly import (
     LISTENER_COUNTERS,
+    SHED_COUNTERS,
     STREAM_COUNTERS,
     ReassembledPacket,
     Reassembler,
 )
-from repro.ingest.server import SHED_COUNTERS, IngestError, IngestServer
+from repro.ingest.server import IngestError, IngestServer
 
 __all__ = [
     "BadMagic",

@@ -31,6 +31,11 @@ translation:
   stream-id churn has its settled lifetime counters folded into the
   aggregate ``evicted`` bucket instead of being lost.
 
+Each stream's counters are its whole ledger, through submission: a
+released packet carries its ``ledger``, :meth:`Reassembler.book` counts
+its outcome there (or on ``evicted`` once that stream is gone, never on
+a later stream reusing the id), and ``staged`` is derived from it.
+
 The class is single-threaded on purpose (the listener serialises calls
 with its own lock); it does no I/O and no fabric calls, so every edge
 case is unit-testable with bytes in, packets out.
@@ -55,7 +60,10 @@ from repro.ingest.protocol import (
 )
 from repro.phy.params import DATA_SYMBOLS
 
-__all__ = ["ReassembledPacket", "Reassembler", "STREAM_COUNTERS"]
+__all__ = ["ReassembledPacket", "Reassembler", "SHED_COUNTERS", "STREAM_COUNTERS", "staged"]
+
+#: Shed counters of released packets (submission stage), by typed reason.
+SHED_COUNTERS = ("shed_overflow", "shed_dropped", "shed_rejected")
 
 #: Per-stream counter names, in render order.  ``received`` counts
 #: datagrams, ``bytes`` their payload bytes; the rest count packets
@@ -66,6 +74,7 @@ STREAM_COUNTERS = (
     "bytes",
     "reassembled",
     "released",
+    "submitted",
     "out_of_order",
     "duplicates",
     "stale",
@@ -73,10 +82,15 @@ STREAM_COUNTERS = (
     "incomplete",
     "corrupt",
     "resets",
-)
+) + SHED_COUNTERS
 
 #: Listener-level counters for traffic no stream can own.
 LISTENER_COUNTERS = ("bad_magic", "truncated", "version_mismatch", "corrupt_header")
+
+
+def staged(ledger: Dict[str, int]) -> int:
+    """Released packets a ledger has not booked as submitted or shed."""
+    return ledger["released"] - ledger["submitted"] - sum(ledger[n] for n in SHED_COUNTERS)
 
 
 @dataclass
@@ -88,6 +102,7 @@ class ReassembledPacket:
     seq: int
     rx: np.ndarray  # (n_ant, n_samples) complex128
     dtype: str
+    ledger: Dict[str, int] = field(repr=False, compare=False)  # its stream's counters
 
 
 @dataclass
@@ -140,7 +155,8 @@ class Reassembler:
         self._streams: Dict[int, _Stream] = {}
         self.listener = {name: 0 for name in LISTENER_COUNTERS}
         #: Lifetime counters of streams evicted under stream-id churn,
-        #: folded into one aggregate so their accounting is never lost;
+        #: folded into one aggregate (with later bookings of packets
+        #: they released) so their accounting is never lost;
         #: ``streams`` counts the evictions themselves.
         self.evicted = {name: 0 for name in STREAM_COUNTERS}
         self.evicted["streams"] = 0
@@ -330,7 +346,8 @@ class Reassembler:
         del stream.pending[header.seq]
         counters["reassembled"] += 1
         stream.ready[header.seq] = ReassembledPacket(
-            header.stream_id, header.session, header.seq, rx, ref.dtype_name
+            header.stream_id, header.session, header.seq, rx, ref.dtype_name,
+            counters,
         )
 
     # ------------------------------------------------------------------
@@ -409,15 +426,16 @@ class Reassembler:
     # Accounting views.
     # ------------------------------------------------------------------
 
+    def book(self, packet: ReassembledPacket, outcome: str) -> None:
+        """Count a released packet's ``submitted`` or :data:`SHED_COUNTERS`
+        outcome on its ledger, or on ``evicted`` (which holds its
+        ``released``) if its stream was evicted since."""
+        stream = self._streams.get(packet.stream_id)
+        live = stream is not None and stream.counters is packet.ledger
+        (packet.ledger if live else self.evicted)[outcome] += 1
+
     def stream_ids(self) -> List[int]:
         return sorted(self._streams)
-
-    def outstanding(self, stream_id: int) -> int:
-        """Packets buffered (pending fragments + ready) for one stream."""
-        stream = self._streams.get(stream_id)
-        if stream is None:
-            return 0
-        return len(stream.pending) + len(stream.ready)
 
     def stats(self) -> Dict[str, dict]:
         """Counter snapshot:
@@ -425,6 +443,7 @@ class Reassembler:
         streams = {}
         for stream_id, stream in sorted(self._streams.items()):
             view = dict(stream.counters)
+            view["staged"] = staged(stream.counters)
             view["pending"] = len(stream.pending)
             view["ready"] = len(stream.ready)
             view["next_seq"] = stream.next_seq

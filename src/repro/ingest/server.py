@@ -22,9 +22,11 @@ The serving pipeline has three stages with distinct threading rules:
 Exactly-once accounting invariant, per stream: every sequence number
 the sender produced ends in exactly one of ``released →
 {submitted, shed_overflow, shed_dropped, shed_rejected}`` or ``lost →
-{gaps, incomplete}`` (plus ``corrupt``); :meth:`accounting_problems`
-checks it against a sender's packet count and backs the CI
-``ingest-smoke`` gate's "zero unaccounted packets" assertion.
+{gaps, incomplete}`` (plus ``corrupt``).  The ledger is the
+reassembler's per-stream record (this class books outcomes on it and
+keeps no per-stream state); :meth:`accounting_problems` checks it
+against a sender's packet counts and backs the CI ``ingest-smoke``
+gate's "zero unaccounted packets" assertion.
 """
 
 from __future__ import annotations
@@ -37,12 +39,9 @@ import time
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.ingest.reassembly import ReassembledPacket, Reassembler
+from repro.ingest.reassembly import SHED_COUNTERS, ReassembledPacket, Reassembler, staged
 
-__all__ = ["IngestError", "IngestServer", "SHED_COUNTERS"]
-
-#: Per-stream shed counters (submission stage), by typed reason.
-SHED_COUNTERS = ("shed_overflow", "shed_dropped", "shed_rejected")
+__all__ = ["IngestError", "IngestServer"]
 
 #: TCP frames above this are a protocol violation (drops the client).
 _MAX_FRAME = 1 << 20
@@ -71,9 +70,10 @@ class IngestServer:
     window:
         Reassembly reorder window (packets), per stream.
     stream_buffer:
-        Completed packets staged per stream awaiting :meth:`poll`;
-        overflow sheds the *newest* packet with ``shed_overflow``
-        accounting (the socket thread must never block).
+        Released packets per stream not yet submitted or shed (staged,
+        or inside :meth:`poll`'s offer); overflow sheds the *newest*
+        packet with ``shed_overflow`` accounting (the socket thread
+        must never block).
     track_submissions:
         How many recent ``(stream_id, seq) -> task_id`` mappings
         :meth:`submissions` retains (oldest evicted first).  Bounded so
@@ -110,9 +110,6 @@ class IngestServer:
         self._reassembler = Reassembler(window=window)
         self._lock = threading.Lock()
         self._staged: Deque[ReassembledPacket] = deque()
-        self._staged_per_stream: Dict[int, int] = {}
-        self._shed: Dict[int, Dict[str, int]] = {}
-        self._submitted: Dict[int, int] = {}
         self._task_ids: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
         self._datagrams = 0
         self._tcp_conns = 0
@@ -285,23 +282,18 @@ class IngestServer:
         with self._lock:
             self._datagrams += 1
             completed = self._reassembler.offer(data)
-            for packet in completed:
-                count = self._staged_per_stream.get(packet.stream_id, 0)
-                if count >= self.stream_buffer:
-                    self._shed_locked(packet.stream_id, "shed_overflow")
-                    continue
-                self._staged_per_stream[packet.stream_id] = count + 1
-                self._staged.append(packet)
+            if completed:
+                # One datagram releases packets of one stream, already
+                # counted as staged: the newest beyond stream_buffer shed.
+                before = staged(completed[0].ledger) - len(completed)
+                room = max(0, self.stream_buffer - before)
+                for packet in completed[room:]:
+                    self._reassembler.book(packet, "shed_overflow")
+                self._staged.extend(completed[:room])
         # Rolling-window wiring: thread-safe counters on the fabric side.
         self.fabric.ingest_event("ingest_datagrams")
         if completed:
             self.fabric.ingest_event("ingest_packets", len(completed))
-
-    def _shed_locked(self, stream_id: int, reason: str) -> None:
-        shed = self._shed.setdefault(
-            stream_id, {name: 0 for name in SHED_COUNTERS}
-        )
-        shed[reason] += 1
 
     # ------------------------------------------------------------------
     # Owner thread: staging -> fabric.
@@ -329,24 +321,20 @@ class IngestServer:
                     break
                 batch = list(self._staged)
                 self._staged.clear()
-                for packet in batch:
-                    self._staged_per_stream[packet.stream_id] -= 1
             outcomes = self.fabric.offer_many([packet.rx for packet in batch])
             shed = 0
             with self._lock:
                 for packet, outcome in zip(batch, outcomes):
                     if outcome.accepted:
                         accepted += 1
-                        self._submitted[packet.stream_id] = (
-                            self._submitted.get(packet.stream_id, 0) + 1
-                        )
+                        self._reassembler.book(packet, "submitted")
                         self._task_ids[(packet.stream_id, packet.seq)] = (
                             outcome.task_id
                         )
                         while len(self._task_ids) > self.track_submissions:
                             self._task_ids.popitem(last=False)
                     else:
-                        self._shed_locked(packet.stream_id, "shed_" + outcome.reason)
+                        self._reassembler.book(packet, "shed_" + outcome.reason)
                         shed += 1
             if shed:
                 self.fabric.ingest_event("ingest_shed", shed)
@@ -384,11 +372,7 @@ class IngestServer:
                     % (count, staged)
                 )
         with self._lock:
-            for packet in self._reassembler.flush():
-                self._staged.append(packet)
-                self._staged_per_stream[packet.stream_id] = (
-                    self._staged_per_stream.get(packet.stream_id, 0) + 1
-                )
+            self._staged.extend(self._reassembler.flush())
         self.poll(0.0)
         remaining = None if deadline is None else max(0.1, deadline - time.monotonic())
         self.fabric.drain(timeout=remaining)
@@ -408,17 +392,6 @@ class IngestServer:
         """The ``ingest`` section of ``Fabric.report()`` (thread-safe)."""
         with self._lock:
             stats = self._reassembler.stats()
-            streams = {}
-            for stream_id_str, counters in stats["streams"].items():
-                stream_id = int(stream_id_str)
-                view = dict(counters)
-                shed = self._shed.get(
-                    stream_id, {name: 0 for name in SHED_COUNTERS}
-                )
-                view.update(shed)
-                view["submitted"] = self._submitted.get(stream_id, 0)
-                view["staged"] = self._staged_per_stream.get(stream_id, 0)
-                streams[stream_id_str] = view
             udp = self.udp_address
             tcp = self.tcp_address
             return {
@@ -431,8 +404,8 @@ class IngestServer:
                 "tcp_connections": self._tcp_conns,
                 "tcp_violations": self._tcp_violations,
                 "malformed": dict(stats["listener"]),
-                "evicted": dict(stats["evicted"]),
-                "streams": streams,
+                "evicted": stats["evicted"],
+                "streams": stats["streams"],
             }
 
     def health_checks(self) -> Dict[str, list]:
@@ -472,37 +445,49 @@ class IngestServer:
     def accounting_problems(self, sent: Dict[int, int]) -> List[str]:
         """Check the exactly-once invariant against sender truth.
 
-        *sent* maps stream id → packets the sender produced.  Every one
-        must land in exactly one bucket: released (then submitted or
-        shed) or declared lost (gap/incomplete) or corrupt — with
-        nothing still buffered.  Returns human-readable violations
-        (empty list = fully accounted).
+        *sent* maps stream id → packets the sender produced, for every
+        stream served.  Every one must land in exactly one bucket:
+        released (then submitted or shed) or declared lost
+        (gap/incomplete) or corrupt — with nothing still buffered or
+        staged.  Streams evicted under churn are checked through the
+        ``evicted`` aggregate, which must account every packet sent on
+        an absent stream.  Returns human-readable violations (empty
+        list = fully accounted).
         """
         problems: List[str] = []
         report = self.ingest_report()
+        evicted = report["evicted"]
+        absent = 0
         for stream_id, n_sent in sorted(sent.items()):
             view = report["streams"].get(str(stream_id))
-            if view is None:
-                if n_sent:
-                    problems.append("stream %d: never seen by the listener" % stream_id)
-                continue
-            released = view["released"]
-            lost = view["gaps"] + view["incomplete"] + view["corrupt"]
-            buffered = view["pending"] + view["ready"] + view["staged"]
-            if buffered:
-                problems.append(
-                    "stream %d: %d packets still buffered" % (stream_id, buffered)
-                )
-            if released + lost != n_sent:
-                problems.append(
-                    "stream %d: sent %d != released %d + lost %d"
-                    % (stream_id, n_sent, released, lost)
-                )
-            submitted = view["submitted"]
-            shed = sum(view[name] for name in SHED_COUNTERS)
-            if submitted + shed != released:
-                problems.append(
-                    "stream %d: released %d != submitted %d + shed %d"
-                    % (stream_id, released, submitted, shed)
-                )
+            if view is not None:
+                problems.extend(_ledger_problems("stream %d" % stream_id, view, n_sent))
+            elif n_sent and not evicted["streams"]:
+                problems.append("stream %d: never seen by the listener" % stream_id)
+            else:
+                absent += n_sent
+        if evicted["streams"]:
+            problems.extend(_ledger_problems("evicted streams", evicted, absent))
         return problems
+
+
+def _ledger_problems(label: str, view: dict, n_sent: int) -> List[str]:
+    """Violations of one ledger (a stream's or the evicted aggregate)."""
+    problems = []
+    buffered = view.get("pending", 0) + view.get("ready", 0)
+    if buffered:
+        problems.append("%s: %d packets still buffered" % (label, buffered))
+    released = view["released"]
+    lost = view["gaps"] + view["incomplete"] + view["corrupt"]
+    if released + lost != n_sent:
+        problems.append(
+            "%s: sent %d != released %d + lost %d" % (label, n_sent, released, lost)
+        )
+    submitted = view["submitted"]
+    shed = sum(view[name] for name in SHED_COUNTERS)
+    if submitted + shed != released:
+        problems.append(
+            "%s: released %d != submitted %d + shed %d"
+            % (label, released, submitted, shed)
+        )
+    return problems

@@ -18,14 +18,16 @@ records:
 - ``verdict()`` is the one health verdict, behind both ``/healthz``
   and the report's per-worker ``health`` — a stopping slot is
   ``warn``, a dead one ``fail``, a live one ``fail`` once silent for
-  :data:`UNHEALTHY_INTERVALS` heartbeat intervals (``warn`` instead
-  when the pump is stale, since its silence is then unattributable);
+  :data:`UNHEALTHY_INTERVALS` heartbeat intervals up to the last pump
+  round, which read every beat sent before it (``warn`` instead when
+  the pump is stale, since its silence is then unattributable);
 - ``check()`` is the escalation policy — after :data:`MISS_INTERVALS`
   silent intervals the slot is *flagged* (once per incident), and with
   ``escalate=True`` the watchdog SIGKILLs the pid, deliberately
   converting "stuck" into "dead" so the fabric's existing
   crash-recovery path (salvage → requeue → respawn) takes over.  The
-  watchdog never touches queues or results itself.
+  watchdog never touches queues or results itself, and its ``flags``/
+  ``kills``/``recoveries`` are the only counts of those events.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class Watchdog:
     Every method reads (and ``beat``/``check`` write) the states it is
     given: any object with ``index``, ``alive``, ``stopping``, ``pid``,
     ``last_heartbeat_ts`` and ``flagged`` attributes
-    (:class:`repro.fabric.dispatcher.WorkerState` qualifies).  *now* is
-    the clock ``last_heartbeat_ts`` was stamped with
+    (:class:`repro.fabric.dispatcher.WorkerState` qualifies).  *now* and
+    *as_of* are on the clock ``last_heartbeat_ts`` was stamped with
     (:func:`time.monotonic` in the fabric).
 
     Parameters
@@ -141,13 +143,14 @@ class Watchdog:
         self.recoveries += 1
         return True
 
-    def verdict(self, state, now: float, pump_stale: bool = False) -> str:
-        """The slot's health verdict: ``pass``/``warn``/``fail``."""
+    def verdict(self, state, as_of: float, pump_stale: bool = False) -> str:
+        """The slot's health verdict (``pass``/``warn``/``fail``), its
+        silence measured up to *as_of* (a fresh pump's last round)."""
         if state.stopping:
             return "warn"
         if not state.alive:
             return "fail"  # crashed, respawn pending
-        if now - state.last_heartbeat_ts < self.unhealthy_s:
+        if as_of - state.last_heartbeat_ts < self.unhealthy_s:
             return "pass"
         return "warn" if pump_stale else "fail"
 

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro.fabric import Fabric
+from repro.fabric.dispatcher import WorkerState
+from repro.fabric.fabric import _Worker
 from repro.runtime import BatchPacketResult
 
 
@@ -189,6 +191,22 @@ def test_health_degrades_to_warn_when_nobody_pumps():
             if k.startswith("worker:")
         ]
         assert "fail" not in worker_statuses
+
+
+def test_silence_is_judged_up_to_the_last_pump_round():
+    """A beat sent after the last pump round sits unread in the pipe, so
+    a healthy worker must not fail while the serving thread pauses
+    between rounds; silence before that round still fails, and a stale
+    pump still caps it at warn (explicit clock readings)."""
+    fab = Fabric(workers=1, runner_factory=_factory, heartbeat_s=1.0)
+    state = WorkerState(0, queue_depth=1)
+    fab._workers.append(_Worker(state))
+    state.last_heartbeat_ts = 9.0  # read by the pump round at 9.0
+    fab._last_pump_ts = 10.0  # the next round found the next beat unsent
+    assert fab._liveness(11.5) == (1.5, False, ["pass"])
+    state.last_heartbeat_ts = 7.9  # silent for 2.1 s as of the last round
+    assert fab._liveness(11.5) == (1.5, False, ["fail"])
+    assert fab._liveness(12.0) == (2.0, True, ["warn"])
 
 
 def test_healthz_report_and_metrics_share_one_verdict():

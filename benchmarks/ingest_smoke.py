@@ -22,7 +22,11 @@ and checks:
 * churn: single-packet streams on more stream ids than the reassembler
   keeps (its default ``max_streams``, 256) all balance — the evicted
   streams through the ``evicted`` aggregate, whose released packets
-  must all be submitted or shed.
+  must all be submitted or shed;
+* handoff: a packet completed while the owner waits in
+  ``IngestServer.poll(timeout=2.0)`` ends that wait (the listener's
+  wake socket), so the poll returns within 0.5 s of the send with the
+  packet accepted.
 
 A cheap digest runner stands in for the modem (transport bit-identity
 is about the bytes, not the decode — ``tests/ingest`` pins the real
@@ -35,6 +39,8 @@ Run:  PYTHONPATH=src python benchmarks/ingest_smoke.py [--packets 200]
 import argparse
 import os
 import sys
+import threading
+import time
 import urllib.request
 from dataclasses import replace
 
@@ -72,6 +78,11 @@ _BAD_PACKETS = 4
 #: Single-packet streams of the churn leg: more ids than the
 #: reassembler's default ``max_streams`` (256), so some are evicted.
 _CHURN_STREAMS = 300
+#: The handoff leg: the owner's poll timeout, the send's delay into it
+#: and the most the poll may return after the send.
+_HANDOFF_POLL_S = 2.0
+_HANDOFF_DELAY_S = 0.3
+_HANDOFF_MAX_S = 0.5
 
 
 class _DigestRunner:
@@ -119,6 +130,39 @@ def _churn_leg(failures) -> dict:
             % (evicted["streams"], evicted["released"], evicted["submitted"], shed)
         )
     return evicted
+
+
+def _handoff_leg(failures) -> float:
+    """Send one packet while the owner waits in ``IngestServer.poll``;
+    returns how long after the send the poll returned."""
+    rx = np.full((2, 80), 0.25 - 0.25j)
+    # Heartbeats too rare to end the wait: only the wake may.
+    fab = Fabric(workers=1, runner_factory=_digest_factory, heartbeat_s=60.0,
+                 name="ingest-handoff")
+    with fab:
+        while fab.poll(0.2):  # read the start-up messages
+            pass
+        with IngestServer(fab, udp_port=0) as server:
+            sent = []
+
+            def send_later():
+                time.sleep(_HANDOFF_DELAY_S)
+                sent.append(time.monotonic())
+                send_datagrams(encode_packet(_STREAM_ID, 0, rx, dtype="c64"),
+                               udp=server.udp_address)
+
+            sender = threading.Thread(target=send_later)
+            sender.start()
+            accepted = server.poll(timeout=_HANDOFF_POLL_S)
+            handoff = time.monotonic() - sent[0] if sent else float("inf")
+            sender.join()
+            server.drain(timeout=60)
+    if accepted != 1 or handoff > _HANDOFF_MAX_S:
+        failures.append(
+            "handoff: poll accepted %d packets %.3f s after the send (at most %.1f s)"
+            % (accepted, handoff, _HANDOFF_MAX_S)
+        )
+    return handoff
 
 
 def main(argv=None) -> int:
@@ -241,6 +285,7 @@ def main(argv=None) -> int:
             )
 
     evicted = _churn_leg(failures)
+    handoff = _handoff_leg(failures)
 
     if failures:
         for failure in failures:
@@ -250,7 +295,7 @@ def main(argv=None) -> int:
         "ingest smoke ok: %d/%d packets delivered bit-identical "
         "(%d datagrams dropped, %d reordered; gaps=%d incomplete=%d), "
         "%d/%d 3-symbol packets corrupt, scrape clean; churn: %d of %d "
-        "streams evicted, their %d packets submitted"
+        "streams evicted, their %d packets submitted; handoff %.1f ms"
         % (
             len(delivered),
             report.n_packets,
@@ -263,6 +308,7 @@ def main(argv=None) -> int:
             evicted["streams"],
             _CHURN_STREAMS,
             evicted["submitted"],
+            handoff * 1e3,
         )
     )
     return 0

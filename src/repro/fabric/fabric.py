@@ -6,7 +6,9 @@ Workers are ``fork``-started processes, each wired to the parent by two
 one-way pipes (tasks down, results up) plus its process *sentinel*.
 The parent multiplexes all of them with
 :func:`multiprocessing.connection.wait`, so a single-threaded pump loop
-observes completions and deaths in one place.  Queues are parent-side:
+observes completions and deaths in one place (and, with an ingest
+server attached, newly staged packets, through its wake socket).
+Queues are parent-side:
 each slot holds at most ``queue_depth`` accepted packets (pending +
 in-flight) and only one dispatch at a time is inside its pipe, so a
 crash can orphan only a bounded, exactly-known set of packets.  The one
@@ -475,7 +477,10 @@ class Fabric:
             raise FabricClosed("fabric already shut down")
 
     def _pump(self, timeout: float) -> bool:
-        """One multiplex round over result pipes and process sentinels."""
+        """One multiplex round over result pipes, process sentinels and
+        the attached ingest server's wake socket, which ends the wait
+        when the listener stages a packet and is drained here, so a
+        wake ends one wait only."""
         self._last_pump_ts = time.monotonic()
         conns = {}
         sentinels = {}
@@ -486,10 +491,20 @@ class Fabric:
                 sentinels[worker.proc.sentinel] = worker
         if not conns and not sentinels:
             return False
-        ready = connection.wait(list(conns) + list(sentinels), timeout)
+        wake = self._ingest.wake_socket if self._ingest is not None else None
+        ready = connection.wait(
+            list(conns) + list(sentinels) + ([wake] if wake is not None else []), timeout
+        )
+        if wake is not None and wake in ready:
+            ready.remove(wake)
+            try:
+                while wake.recv(4096):
+                    pass
+            except BlockingIOError:
+                pass
         progressed = bool(ready)
         dead: List[_Worker] = []
-        for obj in ready or ():
+        for obj in ready:
             worker = conns.get(obj)
             if worker is not None:
                 if not self._drain_conn(worker) and worker not in dead:
@@ -715,7 +730,9 @@ class Fabric:
 
         The fabric report gains an ``ingest`` section, ``/healthz`` an
         ``ingest:listener`` check, and ``/metrics`` the
-        ``repro_ingest_*`` families.  The latest attachment wins.
+        ``repro_ingest_*`` families; the pump also waits on the
+        server's wake socket, so a staged packet ends a pump's wait.
+        The latest attachment wins.
         """
         self._ingest = ingest
         self._event("ingest_attached", {"name": getattr(ingest, "name", "?")})

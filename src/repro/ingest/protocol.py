@@ -402,11 +402,3 @@ def parse_datagram(data: bytes) -> Tuple[Header, bytes]:
             % (frag_count, header.packet_nbytes)
         )
     return header, payload
-
-
-def datagram_stream_id(data: bytes) -> int:
-    """Best-effort stream id peek (for accounting malformed traffic); -1
-    when the datagram is too short to carry one."""
-    if len(data) < 12:
-        return -1
-    return struct.unpack_from("<I", data, 8)[0]

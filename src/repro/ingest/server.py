@@ -8,13 +8,18 @@ The serving pipeline has three stages with distinct threading rules:
    :class:`~repro.ingest.reassembly.Reassembler` under the server lock
    and completed packets are *staged* in bounded per-stream buffers.
    The listener never touches the fabric's task queues — the fabric's
-   pump is single-threaded by design.
+   pump is single-threaded by design.  Whenever it stages packets it
+   writes a byte to the server's wake socket, which the fabric's pump
+   waits on beside its result pipes, so an owner blocked in
+   :meth:`poll` wakes as soon as a packet is staged.
 2. **Owner thread** (whoever owns the fabric): calls :meth:`poll` /
    :meth:`drain`, which move staged packets into
    :meth:`Fabric.offer` — inheriting the fabric's configured
    backpressure mode — and pump completions.  ``block`` mode absorbs
    bursts by pumping inside ``offer``; ``drop``/``deadline`` modes shed
-   with typed reasons this layer records per stream.
+   with typed reasons this layer records per stream.  The pump drains
+   the wake socket where it waits on it, so a wake nobody polls for
+   never makes a later wait return at once.
 3. **Scrape threads** (:class:`~repro.obs.server.ObsServer`): read-only
    snapshots via :meth:`ingest_report` / :meth:`health_checks`, taken
    under the same lock the listener mutates under.
@@ -117,6 +122,11 @@ class IngestServer:
         self._udp_sock: Optional[socket.socket] = None
         self._tcp_sock: Optional[socket.socket] = None
         self._selector: Optional[selectors.BaseSelector] = None
+        #: Listener -> owner wake-up: the listener writes to ``_wake_w``
+        #: when it stages packets; the fabric's pump waits on
+        #: :attr:`wake_socket` and drains it.
+        self._wake_r: Optional[socket.socket] = None
+        self._wake_w: Optional[socket.socket] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._started = False
@@ -133,6 +143,9 @@ class IngestServer:
         if self._closed:
             raise IngestError("ingest server already stopped")
         self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         if self._udp_requested is not None:
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, _UDP_RCVBUF)
@@ -171,6 +184,9 @@ class IngestServer:
                 except (KeyError, OSError):
                     pass
             self._selector.close()
+        for sock in (self._wake_r, self._wake_w):
+            sock.close()
+        self._wake_r = self._wake_w = None
         self._udp_sock = None
         self._tcp_sock = None
         self._closed = True
@@ -192,6 +208,12 @@ class IngestServer:
     def tcp_address(self) -> Optional[Tuple[str, int]]:
         """The bound TCP ``(host, port)``; None when TCP is disabled."""
         return self._tcp_sock.getsockname() if self._tcp_sock is not None else None
+
+    @property
+    def wake_socket(self) -> Optional[socket.socket]:
+        """The socket that turns readable when the listener stages
+        packets (None unless serving); the fabric's pump waits on it."""
+        return self._wake_r
 
     @property
     def listening(self) -> bool:
@@ -279,6 +301,7 @@ class IngestServer:
             self._ingest_datagram(frame)
 
     def _ingest_datagram(self, data: bytes) -> None:
+        room = 0
         with self._lock:
             self._datagrams += 1
             completed = self._reassembler.offer(data)
@@ -290,6 +313,12 @@ class IngestServer:
                 for packet in completed[room:]:
                     self._reassembler.book(packet, "shed_overflow")
                 self._staged.extend(completed[:room])
+        wake = self._wake_w
+        if room and wake is not None:
+            try:
+                wake.send(b"\0")
+            except OSError:
+                pass  # a full buffer already holds a wake; closed: stopping
         # Rolling-window wiring: thread-safe counters on the fabric side.
         self.fabric.ingest_event("ingest_datagrams")
         if completed:
@@ -300,13 +329,24 @@ class IngestServer:
     # ------------------------------------------------------------------
 
     def poll(self, timeout: float = 0.0) -> int:
-        """Submit staged packets into the fabric and pump it once.
+        """Submit staged packets into the fabric, wait up to *timeout*
+        for a completion or a newly staged packet, and submit what was
+        staged meanwhile.
 
         Must be called from the fabric-owning thread (the fabric's pump
-        is single-threaded).  Returns how many packets were accepted
-        this call; shed packets are accounted per stream by their typed
+        is single-threaded).  The wait is one fabric pump round, which
+        the listener's wake socket ends as soon as it stages a packet,
+        so a packet completed during the wait is already offered when
+        this returns.  Returns how many packets were accepted this call;
+        shed packets are accounted per stream by their typed
         :class:`~repro.fabric.SubmitOutcome` reason.
         """
+        accepted = self._submit_staged()
+        self.fabric.poll(timeout)
+        return accepted + self._submit_staged()
+
+    def _submit_staged(self) -> int:
+        """Offer every staged packet; returns how many were accepted."""
         accepted = 0
         while True:
             # Batch-aware submission: take every staged packet in a
@@ -338,7 +378,6 @@ class IngestServer:
                         shed += 1
             if shed:
                 self.fabric.ingest_event("ingest_shed", shed)
-        self.fabric.poll(timeout)
         return accepted
 
     def drain(

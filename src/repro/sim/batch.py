@@ -81,9 +81,9 @@ class BatchProgramRunner:
     that slot or pc once for every lane (the last walk per slot or pc is
     kept), and a ``patch_constants`` clone is not walked at all: its
     pool is the template's with the patched slots re-encoded
-    (:func:`~repro.sim.codegen.patched_pool`), unless the patch lands
-    on an identity-with-zero site.  Batch functions are cached per
-    signature, and for kernels per ``(signature, trip)``: every CGA
+    (:func:`~repro.sim.codegen.patched_pool`), unless the patch puts a
+    mask on a lane-select site or takes one off it.  Batch functions
+    are cached per signature, and for kernels per ``(signature, trip)``: every CGA
     window runs the function :func:`~repro.sim.codegen.cga_batch_runner`
     specialized on its group's resolved trip count.
     """

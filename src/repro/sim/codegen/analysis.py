@@ -19,7 +19,7 @@ from repro.isa.bits import MASK64
 from repro.isa.opcodes import MAX_OP_LATENCY, Opcode, OpGroup, group_of, latency_of, op_weight
 from repro.isa.semantics import DATAFLOW_GROUPS, operand_count
 from repro.sim import memops
-from repro.sim.codegen.templates import _LANE_SHIFTS, CodegenUnsupported
+from repro.sim.codegen.templates import _LANE_INFIX, _LANE_SHIFTS, CodegenUnsupported
 from repro.sim.program import CgaKernel, DstKind, SrcKind, SrcSel
 
 # ----------------------------------------------------------------------
@@ -63,31 +63,56 @@ def _pool_value(op, src_index: Optional[int], sel: SrcSel) -> int:
 #: Source kinds whose register index lives in the pool, not the source.
 _POOLED_SRCS = (SrcKind.CDRF, SrcKind.CPRF)
 
-#: SIMD opcodes that return their first operand when the second is 0.
-#: The scheduler's routing moves (``MOVE_OPCODE``, ``c4add x, 0``) are
-#: the common case; the generator emits such an op as a plain copy.
+#: The lane-select opcodes: with an operand whose four 16-bit lanes are
+#: each 0 or -1 (a mask, e.g. ``MASK_EVEN``/``MASK_ODD`` of
+#: ``kernels/common.py``, or a routing move's 0), each result lane is an
+#: operand lane or a constant, which the emitter folds while generating
+#: (``templates._fold_lane``).
+_LANE_SELECT = frozenset(_LANE_INFIX)
+
+#: Lane-select opcodes that return their first operand when the second
+#: is 0.  The scheduler's routing moves (``MOVE_OPCODE``, ``c4add x, 0``)
+#: are the common case; the generator emits such an op as a plain copy.
 _IDENTITY_WITH_ZERO = frozenset({Opcode.C4ADD, Opcode.C4SUB, Opcode.C4OR, Opcode.C4XOR})
 
 
-def _zero_site(op) -> bool:
-    """Is *op*'s second source the non-phi immediate of an identity-with-zero
-    opcode?  Its zero-ness decides the emitted code, so the signature
-    records it; every other immediate value stays out of the key."""
-    return (op.opcode in _IDENTITY_WITH_ZERO and len(op.srcs) == 2
-            and op.srcs[1].kind is SrcKind.IMM and op.srcs[1].init is None)
+def _is_mask(word: int) -> bool:
+    """Is each 16-bit lane of the 64-bit *word* 0 or -1?"""
+    return all((word >> s) & 65535 in (0, 65535) for s in (0, 16, 32, 48))
+
+
+def _mask_site(op, i: Optional[int]) -> bool:
+    """Is source *i* of *op* a non-phi immediate operand of a lane-select
+    opcode?  Whether its value is a mask, and which, decides the emitted
+    code, so the signature records it (:func:`_baked`); every other
+    immediate value stays out of the key."""
+    if i is None or op.opcode not in _LANE_SELECT:
+        return False
+    sel = op.srcs[i]
+    return sel.kind is SrcKind.IMM and sel.init is None
+
+
+def _baked(op, i: Optional[int]) -> Optional[int]:
+    """The mask value of source *i* of *op* when it is a mask site
+    holding a mask, else ``None``: generated code reads it as a
+    constant, not from the pool."""
+    if not _mask_site(op, i):
+        return None
+    value = op.srcs[i].value & MASK64
+    return value if _is_mask(value) else None
 
 
 def _is_identity(op) -> bool:
     """Does *op* return exactly its first operand (e.g. a routing move)?"""
-    return _zero_site(op) and op.srcs[1].value & MASK64 == 0
+    return op.opcode in _IDENTITY_WITH_ZERO and len(op.srcs) == 2 and _baked(op, 1) == 0
 
 
-def _sel_sig(sel: Optional[SrcSel]) -> Optional[tuple]:
+def _sel_sig(sel: Optional[SrcSel], baked: Optional[int] = None) -> Optional[tuple]:
     if sel is None:
         return None
     return (
         sel.kind.value,
-        None if sel.kind is SrcKind.IMM or sel.kind in _POOLED_SRCS else sel.value,
+        baked if sel.kind is SrcKind.IMM or sel.kind in _POOLED_SRCS else sel.value,
         sel.init is not None,
     )
 
@@ -98,10 +123,11 @@ def cga_layout(kernel: CgaKernel) -> Tuple[tuple, Tuple[int, ...], Dict[tuple, t
     The signature is the kernel's structural identity: everything except
     immediate and phi-init *values* and central-RF register indices (all
     pooled), the trip count, preloads and the name.  The one
-    value-dependent bit is whether an identity-with-zero site
-    (:func:`_zero_site`) holds 0, so a hit stays valid under
-    ``patch_constants``.  ``site_index`` maps ``(ctx, fu, role, index)``
-    to ``(slot, init_slot)``: the pool slot of an immediate's value or a
+    value-dependent part is the mask value of each mask site
+    (:func:`_mask_site`; ``None`` when it holds no mask), which the
+    emitter bakes in, so a hit stays valid under ``patch_constants``
+    unless a replacement makes or unmakes a mask there.  ``site_index``
+    maps ``(ctx, fu, role, index)`` to ``(slot, init_slot)``: the pool slot of an immediate's value or a
     central register's index, and of a phi's init.  Role ``"dst"``
     sites are central-RF writes."""
     values: List[int] = []
@@ -129,9 +155,7 @@ def cga_layout(kernel: CgaKernel) -> Tuple[tuple, Tuple[int, ...], Dict[tuple, t
                 if dst.kind is not DstKind.LRF:
                     index[(ci, fu, "dst", j)] = (len(values), None)
                     values.append(dst.index)
-            srcs = tuple(_sel_sig(s) for s in op.srcs)
-            if _zero_site(op):
-                srcs += (op.srcs[1].value & MASK64 == 0,)
+            srcs = tuple(_sel_sig(s, _baked(op, i)) for i, s in enumerate(op.srcs))
             ops.append((fu, op.opcode.value, op.stage, op.pred_negate, _sel_sig(op.pred), srcs,
                         tuple((d.kind.value, d.index if d.kind is DstKind.LRF else None,
                                d.last_iteration_only) for d in op.dsts)))
@@ -145,9 +169,9 @@ def cga_layout(kernel: CgaKernel) -> Tuple[tuple, Tuple[int, ...], Dict[tuple, t
 #
 # ``patch_constants`` replaces immediates by raw value and leaves the
 # structure alone, so a clone's pool is its template's with the patched
-# slots re-encoded.  A patch site is ``(slot, mask, shift, zero)``: the
-# slot holds ``(raw & mask) << shift``, and *zero* marks an
-# identity-with-zero site, whose value the signature sees.
+# slots re-encoded.  A patch site is ``(slot, mask, shift, baked)``: the
+# slot holds ``(raw & mask) << shift``, and *baked* marks a mask site,
+# whose mask value the signature sees.
 
 
 def cga_patch_sites(kernel: CgaKernel, index: Dict[tuple, tuple]) -> Dict[int, List[tuple]]:
@@ -161,7 +185,7 @@ def cga_patch_sites(kernel: CgaKernel, index: Dict[tuple, tuple]) -> Dict[int, L
         sel = op.pred if role == "pred" else op.srcs[i]
         if sel.kind is SrcKind.IMM:
             sites.setdefault(sel.value, []).append(
-                (imm_slot, MASK64, _pool_shift(op, i, sel), i == 1 and _zero_site(op)))
+                (imm_slot, MASK64, _pool_shift(op, i, sel), _mask_site(op, i)))
         if sel.init is not None:
             sites.setdefault(sel.init, []).append((init_slot, MASK64, 0, False))
     return sites
@@ -171,12 +195,12 @@ def patched_pool(pool: tuple, sites: Dict[int, List[tuple]],
                  mapping: Dict[int, int]) -> Optional[tuple]:
     """The pool a layout walk of ``patch_constants(obj, mapping)`` would
     build, from *obj*'s *pool* and patch *sites*; ``None`` when a
-    replacement lands on an identity-with-zero site, where the
-    signature may change too (the caller walks the clone instead)."""
+    replacement puts a mask on a mask site or takes one off it, which
+    changes the signature too (the caller walks the clone instead)."""
     values = None
     for raw, new in mapping.items():
-        for slot, mask, shift, zero in sites.get(raw, ()):
-            if zero:
+        for slot, mask, shift, baked in sites.get(raw, ()):
+            if baked and (_is_mask(raw & MASK64) or _is_mask(new & MASK64)):
                 return None
             if values is None:
                 values = list(pool)
@@ -395,6 +419,9 @@ class CgaSchedule:
             return (init, "n_cdrf_r", None, "CD[imm_%d]" % imm_slot)
         if kind is SrcKind.CPRF:
             return (init, "n_cprf_r", None, "CP[imm_%d]" % imm_slot)
+        baked = _baked(rec.op, i)
+        if baked is not None:
+            return (init, None, None, str(baked))  # in the signature: a literal
         return (init, None, None, "imm_%d" % imm_slot)
 
     def _lrf_entry(self, fu: int, index: int) -> Tuple[int, int]:

@@ -76,9 +76,10 @@ def _emit_moves(lines: List[str], ind: str, moves: List[Tuple[str, str]]) -> Non
 
 class _Val:
     """A value as generated code holds it: an int expression ``i``, four
-    lane expressions ``t`` (lane 0 first), or both (a local-RF entry the
-    kernel only reads, converted once at entry).  The expressions of a
-    value held by a location are atoms."""
+    lane expressions ``t`` (lane 0 first), or both (an int split into
+    lanes for its first SIMD reader, or a local-RF entry the kernel only
+    reads, split at entry).  The expressions of a value held by a
+    location are atoms."""
 
     __slots__ = ("i", "t", "vars")
 
@@ -106,8 +107,8 @@ def _same(a: Optional[_Val], b: Optional[_Val]) -> bool:
 
 
 def _home(loc: str, like: _Val) -> _Val:
-    """*loc*'s own locals, in *like*'s form (int first)."""
-    return _Val(i=loc) if like.i is not None else _Val(t=_lane_atoms(loc))
+    """*loc*'s own locals, in *like*'s forms."""
+    return _Val(None if like.i is None else loc, None if like.t is None else _lane_atoms(loc))
 
 
 class _CgaGen(CgaSchedule):
@@ -314,6 +315,12 @@ class _CgaGen(CgaSchedule):
         for a in atoms:
             self._claim(a)
         lines.append(ind + "%s = _U4(_P8(%s))" % (", ".join(atoms), x))
+        # The locations holding the int hold its lanes too: the value is
+        # split once per definition, not once per SIMD read.
+        for h in list(self.holders.get(x, ())):
+            held = self.loc[h]
+            if held.i == x and held.t is None:
+                self._hold(h, _Val(x, atoms))
         return atoms
 
     def _materialize(self, lines: List[str], ind: str, loc: str) -> None:
@@ -322,11 +329,12 @@ class _CgaGen(CgaSchedule):
         them; another live location using one of them keeps its value
         in a new local."""
         val = self.loc[loc]
+        if val.i is not None:
+            val = _Val(i=val.i)  # a conditional write assigns one form
         home = _home(loc, val)
-        src = val.atoms()[:1] if val.i is not None else val.t
         for a in home.atoms():
             self._evacuate(lines, ind, a, loc)
-        _emit_moves(lines, ind, list(zip(home.atoms(), src)))
+        _emit_moves(lines, ind, list(zip(home.atoms(), val.atoms())))
         self._hold(loc, home)
 
     def _evacuate(self, lines: List[str], ind: str, atom: str, keep: str) -> None:
@@ -731,14 +739,16 @@ class _CgaGen(CgaSchedule):
         self._restore(best["state"])
         entry, out = best["entry"], best["out"]
         self._emit_transfer(lines, ind, outside, entry, live_in)
-        if u == 1:
-            lines.append(ind + "for iter_slot in range(%d, %d):" % (lo, hi + 1))
-        else:
-            lines.append(ind + "for iter_slot in range(%d, %d, %d):" % (lo, lo + u * groups, u))
-        lines.extend(best["body"])
         back: List[str] = []
         moved = self._emit_transfer(back, body_ind, out, entry, live_in, keep_live=True)
-        lines.extend(back)
+        if best["body"] or back:  # a body of resolved moves and selects emits nothing
+            if u == 1:
+                lines.append(ind + "for iter_slot in range(%d, %d):" % (lo, hi + 1))
+            else:
+                lines.append(ind + "for iter_slot in range(%d, %d, %d):"
+                             % (lo, lo + u * groups, u))
+            lines.extend(best["body"])
+            lines.extend(back)
         for L in live_in:
             self._hold(L, entry[L] if L in moved else out[L])
         self.loop_names = self._names(best["body"] + back)
@@ -809,18 +819,21 @@ class _CgaGen(CgaSchedule):
         """``(dst local, source)`` per local of *dst*: a source atom, or
         ``(lanes,)`` for the int of a lanes source and ``(int, k)`` for
         lane *k* of an int source, which are converted first."""
+        pairs: List[Tuple[str, object]] = []
         if dst.i is not None:
-            return [(dst.i, src.i if src.i is not None else (src.t,))]
-        if src.t is not None:
-            return list(zip(dst.t, src.t))
-        return [(a, (src.i, k)) for k, a in enumerate(dst.t)]
+            pairs.append((dst.i, src.i if src.i is not None else (src.t,)))
+        if dst.t is not None:
+            pairs += (zip(dst.t, src.t) if src.t is not None
+                      else [(a, (src.i, k)) for k, a in enumerate(dst.t)])
+        return pairs
 
     def _unmovable(self, dst: Dict[str, Optional[_Val]], src: Dict[str, Optional[_Val]],
                    moving: List[str]) -> set:
         """The locations of *moving* whose copy *src* -> *dst* cannot be
-        emitted: into a literal, from or to an empty register, into a
-        local two sources share, or over a local a location that does
-        not move still uses (that one is returned too)."""
+        emitted: into a literal (other than itself), from or to an empty
+        register, into a local two sources share, or over a local a
+        location that does not move still uses (that one is returned
+        too)."""
         bad = set()
         keep: Dict[str, List[str]] = {}
         for L, val in dst.items():
@@ -830,11 +843,11 @@ class _CgaGen(CgaSchedule):
         owner: Dict[str, object] = {}
         for L in moving:
             d, s = dst[L], src[L]
-            if d is None or s is None or (d.i is not None and d.t is not None):
+            if d is None or s is None:
                 bad.add(L)
                 continue
             for da, sa in self._pairs(d, s):
-                if not _is_var(da) or owner.setdefault(da, sa) != sa:
+                if (da != sa and not _is_var(da)) or owner.setdefault(da, sa) != sa:
                     bad.add(L)
                 if da in keep and da != sa:
                     bad.add(L)
@@ -855,6 +868,8 @@ class _CgaGen(CgaSchedule):
         moves: Dict[str, str] = {}
         for L in sorted(moved):
             for da, sa in self._pairs(dst[L], src[L]):
+                if da == sa:
+                    continue
                 if isinstance(sa, tuple) and len(sa) == 1:
                     sa = self._int(_Val(t=sa[0]))
                     if not _ATOM.fullmatch(sa):

@@ -318,7 +318,9 @@ _LANES = "t"
 #: SIMD ops whose second operand is a shift amount (its low 4 bits).
 _LANE_SHIFTS = frozenset({Opcode.C4SHIFTL, Opcode.C4SHIFTR})
 
-_LANE_BITWISE = {Opcode.C4AND: "&", Opcode.C4OR: "|", Opcode.C4XOR: "^"}
+#: The lane-wise binary ops with an infix operator; add and sub saturate.
+_LANE_INFIX = {Opcode.C4ADD: "+", Opcode.C4SUB: "-", Opcode.C4AND: "&", Opcode.C4OR: "|",
+               Opcode.C4XOR: "^"}
 
 
 def _lane_atoms(base: str) -> Tuple[str, ...]:
@@ -397,6 +399,24 @@ def _sat16(s: str) -> str:
 _CLAMP_NONE, _CLAMP_HI, _CLAMP_BOTH = 0, 1, 2
 
 
+def _fold_lane(op: Opcode, x: str, y: str) -> Optional[str]:
+    """The atom lane-select *op* of the lanes *x* and *y* equals when one
+    of them is a literal 0 or -1 (a mask lane), else ``None``.  Every
+    lane is a signed 16-bit value, so a lane passed through needs no
+    clamp: adding or subtracting 0 cannot saturate."""
+    if op is Opcode.C4AND:
+        if x == "0" or y == "0":
+            return "0"
+        return x if y == "(-1)" else (y if x == "(-1)" else None)
+    if op is Opcode.C4OR and "(-1)" in (x, y):
+        return "(-1)"
+    if y == "0" and op in (Opcode.C4OR, Opcode.C4XOR, Opcode.C4ADD, Opcode.C4SUB):
+        return x
+    if x == "0" and op in (Opcode.C4OR, Opcode.C4XOR, Opcode.C4ADD):
+        return y
+    return None
+
+
 def _lane_template(lines: List[str], ind: str, op: Opcode, a, b,
                    word_bits: int) -> List[Tuple[str, int]]:
     """Emit the statements of SIMD *op*'s template and return, per result
@@ -406,7 +426,8 @@ def _lane_template(lines: List[str], ind: str, op: Opcode, a, b,
     *a* is four lane expressions, or a lane-tuple expression (unpacked
     into ``a0``..``a3``); *b* is the same for the lane-wise ops, an int
     expression for the shifts (only its low 4 bits count) and ``None``
-    for the unary ops.  A swizzle's lanes are *a*'s own expressions.  On
+    for the unary ops.  A swizzle's lanes are *a*'s own expressions, and
+    so is every lane a mask lane selects (:func:`_fold_lane`).  On
     sign-extended lanes ``&``, ``|``, ``^`` and the arithmetic right
     shift stay in range, so only the left shift wraps and only add, sub,
     negate and the q15 products saturate."""
@@ -432,11 +453,15 @@ def _lane_template(lines: List[str], ind: str, op: Opcode, a, b,
     if isinstance(b, str):
         w(ind + "b0, b1, b2, b3 = %s" % b)
         b = ("b0", "b1", "b2", "b3")
-    if op in (Opcode.C4ADD, Opcode.C4SUB):
-        sign = "+" if op is Opcode.C4ADD else "-"
-        return [("%s %s %s" % (a[i], sign, b[i]), _CLAMP_BOTH) for i in range(4)]
-    if op in _LANE_BITWISE:
-        return [("%s %s %s" % (a[i], _LANE_BITWISE[op], b[i]), _CLAMP_NONE) for i in range(4)]
+    if op in _LANE_INFIX:
+        sign = _LANE_INFIX[op]
+        clamp = _CLAMP_BOTH if op in (Opcode.C4ADD, Opcode.C4SUB) else _CLAMP_NONE
+        lanes = []
+        for x, y in zip(a, b):
+            folded = _fold_lane(op, x, y)
+            lanes.append(("%s %s %s" % (x, sign, y), clamp) if folded is None
+                         else (folded, _CLAMP_NONE))
+        return lanes
     if op is Opcode.C4MAX:
         return [("%s if %s > %s else %s" % (a[i], a[i], b[i], b[i]), _CLAMP_NONE)
                 for i in range(4)]

@@ -9,6 +9,7 @@ decode bit-identical to a serial run.
 import json
 import os
 import socket
+import threading
 import time
 
 import numpy as np
@@ -299,6 +300,93 @@ def test_submissions_retention_is_bounded():
         view = fab.report()["ingest"]["streams"]["7"]
         assert view["submitted"] == 10, "accounting is unaffected by the bound"
         assert server.accounting_problems({7: 10}) == []
+
+
+# ----------------------------------------------------------------------
+# The listener's wake: a staged packet ends the owner's wait.
+# ----------------------------------------------------------------------
+
+
+def _quiet_fabric(factory):
+    """A started 1-worker fabric whose start-up messages are read, with
+    heartbeats too rare to end a pump's wait during a test."""
+    fab = Fabric(workers=1, runner_factory=factory, queue_depth=8, heartbeat_s=60.0)
+    fab.start()
+    while fab.poll(0.2):
+        pass
+    return fab
+
+
+def _stage_one(server, stream_id, seq):
+    """Send one packet and wait until the listener has staged it."""
+    rx = _waveforms(1, seed=seq, n_samples=200)[0]
+    send_datagrams(encode_packet(stream_id, seq, rx), udp=server.udp_address)
+    deadline = time.monotonic() + 10
+    while server.ingest_report()["staged"] == 0:
+        assert time.monotonic() < deadline, "packet never staged"
+        time.sleep(0.01)
+
+
+def test_poll_offers_a_packet_staged_during_its_wait():
+    """A datagram completing a packet while the owner waits in
+    ``IngestServer.poll(timeout=2.0)`` ends the wait: the poll returns
+    within 0.5 s of the send, with that packet already accepted."""
+    fab = _quiet_fabric(_checksum_factory)
+    try:
+        with IngestServer(fab, udp_port=0) as server:
+            rx = _waveforms(1, seed=8, n_samples=200)[0]
+            sent = []
+
+            def send_later():
+                time.sleep(0.3)
+                sent.append(time.monotonic())
+                send_datagrams(encode_packet(5, 0, rx), udp=server.udp_address)
+
+            sender = threading.Thread(target=send_later)
+            sender.start()
+            accepted = server.poll(timeout=2.0)
+            returned = time.monotonic()
+            sender.join()
+            assert accepted == 1
+            assert set(server.submissions()) == {(5, 0)}
+            assert returned - sent[0] < 0.5, returned - sent[0]
+            server.drain(timeout=30)
+    finally:
+        fab.shutdown()
+
+
+def test_a_pending_wake_does_not_spin_the_pump():
+    """A wake nobody polls for ends one pump wait, then is gone: an idle
+    ``Fabric.poll(0.3)`` after it sleeps, and ``Fabric.drain`` waits for
+    a slow packet in a handful of pump rounds, not thousands."""
+    fab = _quiet_fabric(_slow_factory)
+    rounds = []
+    pump = fab._pump
+
+    def counting(timeout):
+        rounds.append(timeout)
+        return pump(timeout)
+
+    fab._pump = counting
+    try:
+        with IngestServer(fab, udp_port=0) as server:
+            _stage_one(server, 6, 0)
+            cpu = time.process_time()
+            fab.poll(0.3)  # the wake ends this wait...
+            start = time.monotonic()
+            fab.poll(0.3)  # ...and not this one
+            assert time.monotonic() - start >= 0.25
+            assert len(rounds) == 2
+            assert server.poll(0.0) == 1  # a slow packet in flight
+            _stage_one(server, 6, 1)  # and a wake pending
+            del rounds[:]
+            fab.drain(timeout=10)
+            assert fab.outstanding == 0
+            assert len(rounds) <= 5, len(rounds)
+            assert time.process_time() - cpu < 0.2
+            server.drain(timeout=30)
+    finally:
+        fab.shutdown()
 
 
 def test_lifecycle_validation():

@@ -229,21 +229,61 @@ def test_patched_pool_matches_a_walk_of_the_clone():
     assert patch_constants(freqcomp, cfo_rotate_patch(1, 2)).bundles is freqcomp.bundles
 
 
-def test_patch_on_an_identity_site_walks_the_clone():
-    """A replacement landing on an identity-with-zero site may change
-    the signature, so :func:`codegen.patched_pool` declines and the
-    runner walks the clone."""
+def _mask_site_kernel(opcode, value):
     op = CgaOp(
-        opcode=Opcode.C4ADD,
-        srcs=(SrcSel.self_().with_init(0), SrcSel.imm(_SENTINEL)),
+        opcode=opcode,
+        srcs=(SrcSel.self_().with_init(0), SrcSel.imm(value)),
         dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),),
     )
-    kernel = CgaKernel(name="zero_site", ii=1, stage_count=1,
-                       contexts=[CgaContext(ops={0: op})], trip_count=4)
-    _sig, pool, index = codegen.cga_layout(kernel)
-    sites = codegen.cga_patch_sites(kernel, index)
-    assert codegen.patched_pool(pool, sites, {_SENTINEL: 0}) is None
-    assert codegen.patched_pool(pool, sites, {_SENTINEL + 1: 0}) == pool
+    return CgaKernel(name="mask_site", ii=1, stage_count=1,
+                     contexts=[CgaContext(ops={0: op})], trip_count=4)
+
+
+def test_patch_on_an_identity_site_walks_the_clone():
+    """A replacement that puts a mask (each lane 0 or -1) on a
+    lane-select immediate, or takes one off it, changes the signature,
+    which bakes the mask in: :func:`codegen.patched_pool` declines and
+    the runner walks the clone.  Between two other values the site is
+    an ordinary pool slot."""
+    from repro.kernels.common import MASK_EVEN, MASK_ODD
+
+    for opcode in (Opcode.C4ADD, Opcode.C4AND):
+        kernel = _mask_site_kernel(opcode, _SENTINEL)
+        _sig, pool, index = codegen.cga_layout(kernel)
+        sites = codegen.cga_patch_sites(kernel, index)
+        for mask in (0, MASK_EVEN, 0xFFFF_FFFF_FFFF_FFFF):
+            assert codegen.patched_pool(pool, sites, {_SENTINEL: mask}) is None
+        assert codegen.patched_pool(pool, sites, {_SENTINEL + 1: 0}) == pool
+        clone = patch_constants(Program(bundles=[], kernels={0: kernel}), {_SENTINEL: 7})
+        assert codegen.patched_pool(pool, sites, {_SENTINEL: 7}) \
+            == codegen.cga_layout(clone.kernels[0])[1]
+        baked = _mask_site_kernel(opcode, MASK_EVEN)
+        _sig, pool, index = codegen.cga_layout(baked)
+        sites = codegen.cga_patch_sites(baked, index)
+        for value in (MASK_ODD, 7):
+            assert codegen.patched_pool(pool, sites, {MASK_EVEN: value}) is None
+
+
+def test_kernels_differing_only_in_a_mask_share_no_function():
+    """The signature records a mask site's mask: two kernels that differ
+    only there get two signatures and two generated functions, while
+    two non-mask values there share one."""
+    from repro.kernels.common import MASK_EVEN, MASK_ODD
+
+    arch = paper_core()
+
+    def runner(kernel):
+        sig = codegen.cga_layout(kernel)[0]
+        return sig, codegen.cga_batch_runner(kernel, arch, RuntimeError, (8, 4), (8, 4), 4,
+                                             signature=sig)
+
+    (even_sig, even), (odd_sig, odd) = (runner(_mask_site_kernel(Opcode.C4AND, m))
+                                        for m in (MASK_EVEN, MASK_ODD))
+    assert even_sig != odd_sig and even is not odd
+    (sig_a, fn_a), (sig_b, fn_b) = (runner(_mask_site_kernel(Opcode.C4AND, v))
+                                    for v in (0x1234_0000_FFFF_0001, _SENTINEL))
+    assert sig_a == sig_b and fn_a is fn_b
+    assert len({id(f) for f in (even, odd, fn_a)}) == 3
 
 
 # ----------------------------------------------------------------------

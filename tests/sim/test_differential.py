@@ -500,6 +500,87 @@ def test_zero_patched_immediate_gets_its_own_function():
     assert codegen.cga_layout(other)[0] == sigs[1]
 
 
+# ----------------------------------------------------------------------
+# Lane-select masks: an immediate whose lanes are each 0 or -1 is baked
+# into the generated code, which re-points the lanes it selects.
+# ----------------------------------------------------------------------
+
+LANE_SELECT_OPCODES = (Opcode.C4AND, Opcode.C4ADD, Opcode.C4SUB, Opcode.C4OR, Opcode.C4XOR)
+
+#: 64-bit immediates whose lanes mix 0 and -1 with other values, or
+#: hold only 0 and -1 (masks).
+_MASK_LANE = st.sampled_from([0, 0xFFFF])
+_MASKISH = st.one_of(
+    st.lists(_MASK_LANE, min_size=4, max_size=4),
+    st.lists(st.one_of(_MASK_LANE, _LANE), min_size=4, max_size=4),
+).map(lambda lanes: sum(lane << (16 * i) for i, lane in enumerate(lanes)))
+
+
+def k_lane_selects(op_a, op_b, op_c, m0, m1, m2, m3, stream_init, stream_step, trip):
+    """Lane selects over a saturating ``c4add`` stream (FU3) and over
+    FU4's address induction, an int the SIMD ops of FU0 and FU7 both
+    read: FU0 applies *op_a* with immediate *m0* and FU7 *op_c* with
+    *m3*; FU1 selects the stream with ``c4and`` *m1*; FU2, predicated on
+    FU5's toggle, applies *op_b* with the immediate *m2* first; FU6
+    merges FU1 and FU2 with a saturating ``c4add`` (FU6 and FU7 write
+    their local RFs), and FU1 stores the merge at the induction's
+    address."""
+    c0 = {
+        3: CgaOp(opcode=Opcode.C4ADD,
+                 srcs=(SrcSel.self_().with_init(stream_init), SrcSel.imm(stream_step))),
+        5: CgaOp(opcode=Opcode.XOR, srcs=(SrcSel.self_().with_init(1), SrcSel.imm(1))),
+        6: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.wire(1), SrcSel.wire(2)),
+                 dsts=(DstSel(DstKind.LRF, 0),), stage=2),
+        7: CgaOp(opcode=op_c, srcs=(SrcSel.wire(4), SrcSel.imm(m3)),
+                 dsts=(DstSel(DstKind.LRF, 1),), stage=2),
+        1: CgaOp(opcode=Opcode.ST_Q, srcs=(SrcSel.wire(4), SrcSel.imm(0), SrcSel.wire(6)),
+                 stage=3),
+    }
+    c1 = {
+        0: CgaOp(opcode=op_a, srcs=(SrcSel.wire(4), SrcSel.imm(m0)),
+                 dsts=(DstSel(DstKind.CDRF, 10),), stage=1),
+        1: CgaOp(opcode=Opcode.C4AND, srcs=(SrcSel.wire(3), SrcSel.imm(m1)), stage=1),
+        2: CgaOp(opcode=op_b, srcs=(SrcSel.imm(m2), SrcSel.wire(3)),
+                 dsts=(DstSel(DstKind.CDRF, 12),), pred=SrcSel.wire(5), stage=1),
+        4: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(0xF8), SrcSel.imm(8))),
+    }
+    return CgaKernel(
+        name="lane_selects", ii=2, stage_count=4,
+        contexts=[CgaContext(ops=c0), CgaContext(ops=c1)], trip_count=trip,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(st.sampled_from(LANE_SELECT_OPCODES), min_size=3, max_size=3),
+    masks=st.lists(_MASKISH, min_size=4, max_size=4),
+    stream=st.lists(_WORD, min_size=2, max_size=2),
+    trip=st.integers(1, 7),
+)
+def test_lane_select_masks_differential(ops, masks, stream, trip):
+    """Baked masks and the lanes they re-point, against the reference
+    tier (registers, local RF, memory, bank clocks, stats)."""
+    kernel = k_lane_selects(*ops, *masks, *stream, trip)
+    _generated(kernel, trip)  # the generator takes it (no reference fallback)
+    run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}))
+
+
+@pytest.mark.parametrize("mask", [0, 0x0000_FFFF_0000_FFFF, 0xFFFF_FFFF_FFFF_FFFF])
+def test_select_only_loop_differential(mask):
+    """A steady loop whose every op resolves while generating (a select
+    of its own phi) emits no loop at all."""
+    trip = 6
+    op = CgaOp(opcode=Opcode.C4AND,
+               srcs=(SrcSel.self_().with_init(0x8000_7FFF_0001_FFFF), SrcSel.imm(mask)),
+               dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),))
+    kernel = CgaKernel(name="select_only", ii=1, stage_count=1,
+                       contexts=[CgaContext(ops={0: op})], trip_count=trip)
+    _gen, source = _generated(kernel, trip)
+    assert "for iter_slot" not in source
+    core = run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}))
+    assert core.cdrf.peek(10) == 0x8000_7FFF_0001_FFFF & mask
+
+
 def _generated(kernel, trip, arch=None):
     """``(generator, source)`` of *kernel*'s batch function at *trip*."""
     from repro.sim import codegen
@@ -548,13 +629,15 @@ def test_fft_stage_routes_moves_without_saturating_adds():
     """The linked twiddled FFT stage, generated at trip 8 (the trip the
     receiver links it with): a routing move emits no code at all (no
     local is ever assigned under its name: latch commits, shifts and
-    moves are resolved while generating), each issue site of a non-move
-    ``c4add``/``c4sub`` saturates each of its four lane locals in
-    place, and the loop converts nothing."""
+    moves are resolved while generating), and neither do the lane
+    selects of its twiddle multiplies (``c4and`` with ``MASK_EVEN`` /
+    ``MASK_ODD``) or the ``c4add`` merging two selected values, whose
+    lanes are all re-pointed; each issue site of any other ``c4add``/
+    ``c4sub`` saturates each of its four lane locals in place, and the
+    loop converts nothing."""
     import re
 
     from repro.kernels.fft import build_radix4_stage_dfg, twiddled_stages
-    from repro.sim import codegen
 
     trip = 8
     arch = paper_core()
@@ -579,17 +662,26 @@ def test_fft_stage_routes_moves_without_saturating_adds():
     def issue_sites(rec):
         return sum(rec.stage <= i < rec.stage + trip for i in unrolled) + steady_sites
 
+    def assigned(rec):
+        named = re.compile(r"x%d(v\d+)?(_\d)? = " % rec.oid)
+        return any(named.match(line) for line in lines)
+
     moves = [rec for rec in gen.ops if rec.identity]
+    selects = [rec for rec in gen.ops if rec.op.opcode is Opcode.C4AND]
     addsub = [rec for rec in gen.ops
               if rec.op.opcode in (Opcode.C4ADD, Opcode.C4SUB) and rec not in moves]
-    assert moves and addsub
-    for rec in moves:
-        named = re.compile(r"x%d(v\d+)?(_\d)? = " % rec.oid)
-        assert not any(named.match(line) for line in lines), rec.oid
+    assert moves and selects and addsub
+    for rec in moves + selects:
+        assert not assigned(rec), rec.oid
+    saturating = []
     for rec in addsub:
         sign = "+" if rec.op.opcode is Opcode.C4ADD else "-"
         sums = [line for line in lines
                 if re.fullmatch(r"x%d(v\d+)?_\d = \S+ \%s \S+" % (rec.oid, sign), line)]
+        if not sums:
+            assert not assigned(rec), rec.oid  # a merge of two selects
+            continue
+        saturating.append(rec)
         assert len(sums) == 4 * issue_sites(rec), rec.oid
         for line in sums:
             name = line.split(" = ")[0]
@@ -597,8 +689,10 @@ def test_fft_stage_routes_moves_without_saturating_adds():
             assert lines[at + 1:at + 5] == [
                 "if %s > 32767:" % name, "%s = 32767" % name,
                 "elif %s < -32768:" % name, "%s = -32768" % name], line
+    # One merge per twiddle multiply, each of two selects.
+    assert 2 * (len(addsub) - len(saturating)) == len(selects)
     assert sum(line.endswith(" < -32768:") for line in lines) \
-        == 4 * sum(issue_sites(rec) for rec in addsub) == 4 * 68
+        == 4 * sum(issue_sites(rec) for rec in saturating) == 4 * 56
     _assert_lanes_stay_scalar(body)
 
 

@@ -4,8 +4,8 @@ Runs the golden (bit-accurate fixed-point + float) modem across an SNR
 sweep over the multipath channel and prints the BER waterfall for the
 64-QAM 2x2 configuration — the operating regime in which the processor
 must deliver its 100 Mbps+.  (Golden models only: the full simulated
-receiver covers one operating point in bench_table2; sweeping it is
-minutes per point.)
+receiver covers one operating point in bench_table2; a warm
+:class:`repro.runtime.ModemRuntime` simulates a packet in ~15–30 ms.)
 
 Every operating point is gated against the checked-in reference curves
 in ``link_quality_reference.json`` (schema ``repro.link_quality/v1``):

@@ -41,7 +41,10 @@ this count can.  It is reported, not gated.  The same pass gives
 ``extra.generated_opcode_mix``: per packet, the executed
 ``UNPACK_SEQUENCE``, ``BUILD_TUPLE`` and ``EXTENDED_ARG`` bytecodes and
 the ``LOAD_FAST`` -> ``STORE_FAST`` pairs (a local copied to a local, or
-a conditional expression picking a local).  Time does not follow the
+a conditional expression picking a local), and
+``extra.generated_saturation_tests_per_packet``: the executed
+comparisons of a lane with a constant int16 end (``x > 32767``,
+``x < -32768``, ``x == -32768``), the clamps generated code keeps.  Time does not follow the
 bytecode count across a change of value representation: bytecodes on
 small ints cost less than bytecodes on packed 64-bit longs, so lane
 tuples raised the count (1.94M -> 2.31M per packet) while generated CGA
@@ -113,24 +116,49 @@ def timed_run(interpreter):
 MIX_OPCODES = ("UNPACK_SEQUENCE", "BUILD_TUPLE", "EXTENDED_ARG")
 
 
+#: The int16 ends a saturation test compares a lane with.
+SATURATION_BOUNDS = (32767, -32768)
+
+
+def saturation_tests(code):
+    """Offsets of the saturation tests in *code*: each comparison of a
+    value with a constant int16 end (``x > 32767``, ``x < -32768``,
+    ``x == -32768``)."""
+    tests = set()
+    previous = None
+    for inst in dis.get_instructions(code):
+        if (inst.opname == "COMPARE_OP" and previous is not None
+                and previous.opname == "LOAD_CONST" and previous.argval in SATURATION_BOUNDS):
+            tests.add(inst.offset)
+        previous = inst
+    return tests
+
+
 def generated_bytecodes(fn):
-    """Run *fn*; return the bytecodes executed in generated frames and
-    their mix (:data:`MIX_OPCODES` plus ``LOAD_FAST_STORE_FAST`` pairs)."""
-    count = 0
+    """Run *fn*; return the bytecodes executed in generated frames, their
+    mix (:data:`MIX_OPCODES` plus ``LOAD_FAST_STORE_FAST`` pairs) and
+    the saturation tests among them (:func:`saturation_tests`)."""
+    count = saturations = 0
     mix = dict.fromkeys(MIX_OPCODES + ("LOAD_FAST_STORE_FAST",), 0)
     counted = {dis.opmap[name]: name for name in MIX_OPCODES}
     load, store = dis.opmap["LOAD_FAST"], dis.opmap["STORE_FAST"]
+    tests_of = {}
 
     def on_call(frame, event, arg):
         if not frame.f_code.co_filename.startswith(GENERATED_FILENAME):
             return None
         code = frame.f_code.co_code
+        tests = tests_of.get(frame.f_code)
+        if tests is None:
+            tests = tests_of[frame.f_code] = saturation_tests(frame.f_code)
         previous = None
 
         def local(frame, event, arg):
-            nonlocal count, previous
+            nonlocal count, previous, saturations
             if event == "opcode":
                 count += 1
+                if frame.f_lasti in tests:
+                    saturations += 1
                 op = code[frame.f_lasti]
                 name = counted.get(op)
                 if name is not None:
@@ -148,7 +176,7 @@ def generated_bytecodes(fn):
         fn()
     finally:
         sys.settrace(None)
-    return count, mix
+    return count, mix, saturations
 
 
 def timed_batched_run(batch):
@@ -242,15 +270,16 @@ def main(argv=None) -> int:
 
     # Batched compiled tier: one resident runtime per width, the same
     # bit-exact contract as the per-packet tiers for every lane.
-    bytecodes_per_packet = opcode_mix = None
+    bytecodes_per_packet = opcode_mix = saturations_per_packet = None
     for b in BATCH_WIDTHS:
         runtime, packets, outputs, wall_b = timed_batched_run(b)
         if b == BYTECODE_BATCH:
-            total, mix = generated_bytecodes(lambda: runtime.run_batch(packets))
+            total, mix, saturations = generated_bytecodes(lambda: runtime.run_batch(packets))
             bytecodes_per_packet = total // b
             opcode_mix = {name: n // b for name, n in mix.items()}
-            print("generated bytecodes per packet (warm B=%d): %d %s"
-                  % (b, bytecodes_per_packet, opcode_mix))
+            saturations_per_packet = saturations // b
+            print("generated bytecodes per packet (warm B=%d): %d %s, %d saturation tests"
+                  % (b, bytecodes_per_packet, opcode_mix, saturations_per_packet))
         cycles_b = sum(out.stats.total_cycles for out in outputs)
         cps_b = cycles_b / wall_b
         ns_b = ns_per_op(wall_b, [out.stats for out in outputs])
@@ -336,6 +365,7 @@ def main(argv=None) -> int:
         "tiers": tiers,
         "speedups": speedups,
         "generated_bytecodes_per_packet": bytecodes_per_packet,
+        "generated_saturation_tests_per_packet": saturations_per_packet,
         "generated_opcode_mix": opcode_mix,
     }
 

@@ -37,6 +37,12 @@ class OpGroup(enum.Enum):
     SIMD2 = "simd2"
     DIV = "div"
 
+    #: Members are singletons (compared by identity, unpickled to the
+    #: same object), so the C-level identity hash serves: the
+    #: ``op_groups`` Counters hash a group per update, and
+    #: ``Enum.__hash__`` is a Python-level call.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class GroupInfo:

@@ -106,6 +106,9 @@ _RXIN_CAPACITY = 1024
 #: FFT grids are read in place, one ``chanest`` call per run.
 _BIN_RUNS = ((1, 28), (36, 28))
 
+#: The bit positions of a 3-bit Gray label, most significant first.
+_LABEL_SHIFTS = np.array([2, 1, 0])
+
 #: Furthest sample the detection autocorrelation reads past a candidate
 #: position: a 32-sample window at 64-bit granularity plus the 16-sample
 #: lag.
@@ -254,6 +257,8 @@ class SimReceiver:
         self.compact_bins = [
             b for first, n in _BIN_RUNS for b in range(first, first + n)
         ]
+        #: The compact index of each data carrier, in carrier order.
+        self._data_rows = np.array([self.compact_bins.index(b) for b in params.data_carriers])
         #: [(tw_addr, q, stage live-ins, twiddle words)] per twiddled FFT
         #: stage, the tables packed back to back from ``TWID``.
         self._fft_stages: List[Tuple[int, int, dict, List[int]]] = []
@@ -878,21 +883,17 @@ class SimReceiver:
     # ------------------------------------------------------------------
 
     def _unpack_bits(self, image: bytearray) -> np.ndarray:
-        """Gray-label words -> the transmitter's bit ordering."""
-        bits: List[int] = []
-        for sym in range(DATA_SYMBOLS):
-            base = self.mem.LBUF0 if sym == 0 else self.mem.LBUF1
-            labels = {}
-            for ci, bin_ in enumerate(self.compact_bins):
-                word = int.from_bytes(image[base + 8 * ci : base + 8 * ci + 8], "little")
-                lanes = split_lanes(word)
-                labels[bin_] = lanes  # (gi0, gq0, gi1, gq1)
-            for stream in range(self.params.n_streams):
-                for bin_ in self.params.data_carriers:
-                    gi = labels[bin_][2 * stream]
-                    gq = labels[bin_][2 * stream + 1]
-                    for shift in (2, 1, 0):
-                        bits.append((gi >> shift) & 1)
-                    for shift in (2, 1, 0):
-                        bits.append((gq >> shift) & 1)
-        return np.array(bits, dtype=np.int64)
+        """Gray-label words -> the transmitter's bit ordering: per data
+        symbol, stream and data carrier, the three bits of the in-phase
+        label, then of the quadrature one, most significant first.  The
+        8-byte word of each compact bin holds the signed 16-bit lanes
+        ``(gi0, gq0, gi1, gq1)``."""
+        n_bins, n_streams = len(self.compact_bins), self.params.n_streams
+        labels = np.stack([
+            np.frombuffer(image, dtype="<i2", count=4 * n_bins, offset=base)
+            .reshape(n_bins, 4)[self._data_rows, :2 * n_streams]
+            .reshape(-1, n_streams, 2).transpose(1, 0, 2)
+            for base in (self.mem.LBUF0 if sym == 0 else self.mem.LBUF1
+                         for sym in range(DATA_SYMBOLS))
+        ])  # (symbol, stream, carrier, gi/gq)
+        return ((labels[..., None] >> _LABEL_SHIFTS) & 1).reshape(-1).astype(np.int64)

@@ -17,7 +17,7 @@ The package splits along its seams:
 * :mod:`.analysis` — the schedule analysis of a CGA kernel at a trip
   count: the canonical walk (signature, pool, pool sites), commit
   chains, the port check, the per-slot step list, location events and
-  their liveness;
+  the lanes each leaves live and their int16 intervals;
 * :mod:`.emit_cga` — the CGA emitter, which walks that step list;
 * :mod:`.emit_vliw` — VLIW segments: their walk and their emitter;
 * :mod:`.templates` — the lane, scalar and memory-access templates,

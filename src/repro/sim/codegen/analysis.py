@@ -6,12 +6,14 @@ kernel's canonical walk (structural signature, runtime pool and pool
 site of every operand), each operation's commit chain, the static
 central-RF port check, the unrolled prologue/epilogue around the
 steady-state window, the per-slot step list both the location events
-and the CGA emitter (:mod:`.emit_cga`) walk, and the liveness of every
-location event.
+and the CGA emitter (:mod:`.emit_cga`) walk, and per location event
+which lanes of its value are read later (lane liveness) and, for a
+SIMD result, the int16 interval each lane lies in (lane ranges).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.arch.config import CgaArchitecture
@@ -19,7 +21,10 @@ from repro.isa.bits import MASK64
 from repro.isa.opcodes import MAX_OP_LATENCY, Opcode, OpGroup, group_of, latency_of, op_weight
 from repro.isa.semantics import DATAFLOW_GROUPS, operand_count
 from repro.sim import memops
-from repro.sim.codegen.templates import _LANE_INFIX, _LANE_SHIFTS, CodegenUnsupported
+from repro.sim.codegen.templates import (
+    _FULL, _I16, _LANE_INFIX, _LANE_SHIFTS, CodegenUnsupported, _exact, _lane_raw, _lane_reads,
+    _lane_result, _literal_lanes,
+)
 from repro.sim.program import CgaKernel, DstKind, SrcKind, SrcSel
 
 # ----------------------------------------------------------------------
@@ -76,30 +81,40 @@ _LANE_SELECT = frozenset(_LANE_INFIX)
 _IDENTITY_WITH_ZERO = frozenset({Opcode.C4ADD, Opcode.C4SUB, Opcode.C4OR, Opcode.C4XOR})
 
 
+#: The opcodes with baked sites (see :func:`_baked_site`).
+_BAKING = _LANE_SELECT | _LANE_SHIFTS
+
+
 def _is_mask(word: int) -> bool:
     """Is each 16-bit lane of the 64-bit *word* 0 or -1?"""
     return all((word >> s) & 65535 in (0, 65535) for s in (0, 16, 32, 48))
 
 
-def _mask_site(op, i: Optional[int]) -> bool:
-    """Is source *i* of *op* a non-phi immediate operand of a lane-select
-    opcode?  Whether its value is a mask, and which, decides the emitted
-    code, so the signature records it (:func:`_baked`); every other
-    immediate value stays out of the key."""
-    if i is None or op.opcode not in _LANE_SELECT:
+def _baked_site(op, i: Optional[int]) -> bool:
+    """Is source *i* of *op* a non-phi immediate whose value decides the
+    emitted code: an operand of a lane-select opcode (whether it is a
+    mask, and which) or a shift amount?  The signature records what
+    such a site bakes (:func:`_bake`); every other immediate value stays
+    out of the key."""
+    if i is None or op.opcode not in _BAKING or (i != 1 and op.opcode in _LANE_SHIFTS):
         return False
     sel = op.srcs[i]
     return sel.kind is SrcKind.IMM and sel.init is None
 
 
-def _baked(op, i: Optional[int]) -> Optional[int]:
-    """The mask value of source *i* of *op* when it is a mask site
-    holding a mask, else ``None``: generated code reads it as a
-    constant, not from the pool."""
-    if not _mask_site(op, i):
-        return None
-    value = op.srcs[i].value & MASK64
+def _bake(op, value: int) -> Optional[int]:
+    """The constant generated code reads at a baked site of *op* holding
+    the raw *value*: a shift's amount (its low 4 bits), a lane select's
+    mask, or ``None`` (any other value is read from the pool)."""
+    value &= MASK64
+    if op.opcode in _LANE_SHIFTS:
+        return value & 15
     return value if _is_mask(value) else None
+
+
+def _baked(op, i: Optional[int]) -> Optional[int]:
+    """The constant source *i* of *op* is baked as, or ``None``."""
+    return _bake(op, op.srcs[i].value) if _baked_site(op, i) else None
 
 
 def _is_identity(op) -> bool:
@@ -123,10 +138,10 @@ def cga_layout(kernel: CgaKernel) -> Tuple[tuple, Tuple[int, ...], Dict[tuple, t
     The signature is the kernel's structural identity: everything except
     immediate and phi-init *values* and central-RF register indices (all
     pooled), the trip count, preloads and the name.  The one
-    value-dependent part is the mask value of each mask site
-    (:func:`_mask_site`; ``None`` when it holds no mask), which the
-    emitter bakes in, so a hit stays valid under ``patch_constants``
-    unless a replacement makes or unmakes a mask there.  ``site_index``
+    value-dependent part is what each baked site holds (:func:`_bake`:
+    a lane select's mask, ``None`` when it holds none, or a shift
+    amount), which the emitter bakes in, so a hit stays valid under
+    ``patch_constants`` unless a replacement changes that.  ``site_index``
     maps ``(ctx, fu, role, index)`` to ``(slot, init_slot)``: the pool slot of an immediate's value or a
     central register's index, and of a phi's init.  Role ``"dst"``
     sites are central-RF writes."""
@@ -170,8 +185,9 @@ def cga_layout(kernel: CgaKernel) -> Tuple[tuple, Tuple[int, ...], Dict[tuple, t
 # ``patch_constants`` replaces immediates by raw value and leaves the
 # structure alone, so a clone's pool is its template's with the patched
 # slots re-encoded.  A patch site is ``(slot, mask, shift, baked)``: the
-# slot holds ``(raw & mask) << shift``, and *baked* marks a mask site,
-# whose mask value the signature sees.
+# slot holds ``(raw & mask) << shift``, and *baked* is the op of a baked
+# site (:func:`_baked_site`), whose baked constant the signature sees,
+# else ``None``.
 
 
 def cga_patch_sites(kernel: CgaKernel, index: Dict[tuple, tuple]) -> Dict[int, List[tuple]]:
@@ -185,9 +201,9 @@ def cga_patch_sites(kernel: CgaKernel, index: Dict[tuple, tuple]) -> Dict[int, L
         sel = op.pred if role == "pred" else op.srcs[i]
         if sel.kind is SrcKind.IMM:
             sites.setdefault(sel.value, []).append(
-                (imm_slot, MASK64, _pool_shift(op, i, sel), _mask_site(op, i)))
+                (imm_slot, MASK64, _pool_shift(op, i, sel), op if _baked_site(op, i) else None))
         if sel.init is not None:
-            sites.setdefault(sel.init, []).append((init_slot, MASK64, 0, False))
+            sites.setdefault(sel.init, []).append((init_slot, MASK64, 0, None))
     return sites
 
 
@@ -195,12 +211,12 @@ def patched_pool(pool: tuple, sites: Dict[int, List[tuple]],
                  mapping: Dict[int, int]) -> Optional[tuple]:
     """The pool a layout walk of ``patch_constants(obj, mapping)`` would
     build, from *obj*'s *pool* and patch *sites*; ``None`` when a
-    replacement puts a mask on a mask site or takes one off it, which
-    changes the signature too (the caller walks the clone instead)."""
+    replacement changes what a baked site bakes, which changes the
+    signature too (the caller walks the clone instead)."""
     values = None
     for raw, new in mapping.items():
         for slot, mask, shift, baked in sites.get(raw, ()):
-            if baked and (_is_mask(raw & MASK64) or _is_mask(new & MASK64)):
+            if baked is not None and _bake(baked, raw) != _bake(baked, new):
                 return None
             if values is None:
                 values = list(pool)
@@ -219,10 +235,80 @@ def patched_pool(pool: tuple, sites: Dict[int, List[tuple]],
 # the last iteration's) and which ops issue (whether a phi reads its
 # init, whether the op is its context's first memory access); the events
 # of a step follow from it and the sites and writes of its chain alone
-# (:meth:`CgaSchedule._slot`, :meth:`CgaSchedule._commit_events`).
+# (:meth:`_CgaChain.issue_log`, :meth:`_CgaChain.commit_log`).
 # The emitter walks the same steps and makes the same events in the same
-# order, so :meth:`CgaSchedule._liveness` of the logged events says, per
-# event of the emission, whether the value it leaves is read again.
+# order, so what :meth:`CgaSchedule._lane_passes` finds per logged event
+# holds for that event of the emission.
+#
+# Each event also says how its value flows: a write where its value
+# comes from (a constant at kernel entry, the read just before it, an
+# op's operands), a read what it needs of the value it reads.  Needs
+# are lane masks: bit ``k`` for lane ``k`` of a value, and
+# :data:`_INT_USE` when a consumer reads it as a whole int inside the
+# kernel (an address, a scalar operand, a central-RF write).  Backwards
+# over the log, the *live mask* of an event is what is read of the value
+# it leaves before it is overwritten, and an op's operand reads need
+# only what its live result lanes read (:func:`templates._lane_reads`):
+# a lane nothing reads is never computed.  Forwards, each value carries
+# an int16 interval per lane (:func:`templates._lane_raw`), so a lane
+# clamps only where its interval can cross int16's.
+
+#: Lane-mask bits: the four lanes, a whole-int use, and both; a scalar
+#: operand or an address reads only the low 32 bits, lanes 0 and 1.
+_LANE_USE = 15
+_INT_USE = 16
+_ANY_USE = _LANE_USE | _INT_USE
+_LOW_USE = 0b0011 | _INT_USE
+
+#: Lane intervals of a value whose upper 32 bits are zero: a scalar
+#: result or a load of at most 4 bytes.
+_LOW32 = (_I16, _I16, (0, 0), (0, 0))
+
+#: What a store reads of its value, by access size: 8 and 4 bytes are
+#: written from lanes, narrower ones from the int's low bits.
+_STORE_USE = {8: _LANE_USE, 4: 0b0011}
+
+#: What an operand needs, indexed by what is read of its op's result:
+#: a scalar op's reads its low 32 bits as an int, a routing move's the
+#: same as its result.
+_WHOLE_NEED = (0,) + (_LOW_USE,) * _ANY_USE
+_SAME_NEED = tuple(range(_ANY_USE + 1))
+_NEED_TABLES: Dict[tuple, tuple] = {}
+
+
+def _lane_need(masks: tuple) -> tuple:
+    """The need table of a SIMD operand whose lanes ``masks[k]`` result
+    lane ``k`` reads (a whole-int use of the result reads its lanes)."""
+    table = _NEED_TABLES.get(masks)
+    if table is None:
+        lanes = [0] * 16
+        for r in range(1, 16):
+            low = r & -r
+            lanes[r] = lanes[r ^ low] | masks[low.bit_length() - 1]
+        table = _NEED_TABLES[masks] = tuple(lanes * 2)
+    return table
+
+
+# An event is ``(location, kind, x, y)``; its other events are named
+# by their distance from it, so a chain logs the same tuples wherever
+# its issue or commit falls.  Reads (kinds below ``_W_CONST``) need:
+# ``x`` (``_R_MASK``); ``y[live mask of the write x events on]``
+# (``_R_NEED``, an operand of the op that write computes); the live
+# mask of the next event, their copy (``_R_COPY``); or, for a commit,
+# ``y`` plus per ``(distance, whole)`` of ``x`` that write's live mask,
+# or every use if *whole* (a masked local-RF write).  ``_R_KEEP`` is a
+# conditional write (a predicated op's commit): it keeps the old value
+# live, and the location then holds either.  Writes hold: the
+# intervals ``x`` (``_W_CONST``; ``None``: an empty register), what the
+# read ``x`` events back read (``_W_COPY``) or the result of the SIMD
+# op of chain ``x`` (its oid) from the operand reads ``y`` events back
+# (``_W_OP``).
+_R_MASK, _R_NEED, _R_COPY, _R_COMMIT, _R_KEEP, _W_CONST, _W_COPY, _W_OP = range(8)
+
+#: The SIMD ops a lane's interval can make clamp (add, sub, the q15
+#: products, negate) or wrap (the left shift).
+_CLAMPING = frozenset({Opcode.C4ADD, Opcode.C4SUB, Opcode.D4PROD, Opcode.C4PROD,
+                       Opcode.C4NEGB, Opcode.C4SHIFTL})
 
 
 class _CgaChain:
@@ -233,7 +319,8 @@ class _CgaChain:
     __slots__ = ("oid", "ci", "pos", "fu", "op", "group", "kind", "latency",
                  "weight", "stage", "q", "delta", "n", "arity", "simd", "identity",
                  "shifts", "key", "latch", "regs", "pred_site", "src_sites", "sites",
-                 "fires")
+                 "fires", "lane_reads", "size", "lanes", "src_lanes", "amount",
+                 "_issue_logs", "_commit_logs")
 
     def __init__(self, oid, ci, pos, fu, op, group, kind, ii):
         self.oid = oid
@@ -259,6 +346,138 @@ class _CgaChain:
             self.delta = (ci + self.latency) // ii
             self.n = self.delta + (1 if self.q > ci else 0)
         self.regs = ["w%d_%d" % (oid, j) for j in range(self.n)]
+        self.size = memops.mem_info(op.opcode).size if kind != "dataflow" else 0
+        #: The lane intervals of every result, when they do not depend
+        #: on the operands: a load's or a scalar op's (see
+        #: :meth:`CgaSchedule._result_lanes`).
+        self.lanes = None
+        if kind == "load":
+            self.lanes = _FULL if self.size == 8 else _LOW32
+        elif not self.simd:
+            self.lanes = _LOW32
+        #: Per result lane, the ``(source, lane)`` pairs it reads, and per
+        #: source the lanes of an operand that is no location: a baked
+        #: mask's literals, else anything.
+        self.lane_reads = None
+        self.src_lanes = [_FULL, _FULL]
+        #: A shift's baked amount (``None``: read at run time).
+        self.amount = _baked(op, 1) if self.shifts else None
+        if self.simd and not self.identity:
+            lits = [None, None]
+            if op.opcode in _LANE_SELECT:
+                for i in range(len(op.srcs)):
+                    baked = _baked(op, i)
+                    if baked is not None:
+                        lits[i] = _literal_lanes(baked)
+                        self.src_lanes[i] = tuple(_exact(x) for x in lits[i])
+            self.lane_reads = _lane_reads(op.opcode, lits)
+        #: Per ``it0``, and per ``(register, present, last, shift)``,
+        #: the events of an issue and of a commit (:meth:`issue_log`,
+        #: :meth:`commit_log`).
+        self._issue_logs = None
+        self._commit_logs = {}
+
+    def _operand_need(self, i: int):
+        """What source *i* of an unpredicated op needs of its operand: a
+        mask, or a table from what is read of the op's result (the
+        index) to what the operand must supply.  An address needs the
+        int's low 32 bits; a store's value the lanes or the int it
+        writes (:data:`_STORE_USE`); a scalar operand the int's low 32
+        bits; a SIMD operand
+        the lanes its live result lanes read (:attr:`lane_reads`); a
+        routing move's what its result must."""
+        if self.kind == "load" or (self.kind == "store" and i < 2):
+            return _LOW_USE
+        if self.kind == "store":
+            return _STORE_USE.get(self.size, _LOW_USE)
+        if not self.simd:
+            return _WHOLE_NEED
+        if self.identity:
+            return _SAME_NEED
+        return _lane_need(tuple(sum(1 << lane for src, lane in set(reads) if src == i)
+                                for reads in self.lane_reads))
+
+    def issue_log(self, it0: bool) -> list:
+        """The events of an issue: its operand reads of locations (a phi
+        in the op's first iteration reads none), then, unless it is a
+        store or predicated, its result entering the last shift
+        register.  A predicate needs its low bit; a predicated op
+        computes its whole result."""
+        if self._issue_logs is None:
+            self._issue_logs = [self._make_issue_log(False), self._make_issue_log(True)]
+        return self._issue_logs[it0]
+
+    def _make_issue_log(self, it0: bool) -> list:
+        pred = self.op.pred is not None
+        reads = [(j - pred, loc) for j, (init, _c, loc, _v) in enumerate(self.sites)
+                 if loc is not None and not (it0 and init is not None)]
+        if self.kind == "store" or pred:
+            log = []
+            for i, loc in reads:
+                need = 1 if i < 0 else self._operand_need(i)
+                log.append((loc, _R_MASK, need if need.__class__ is int else need[_ANY_USE], None))
+            return log
+        n = len(reads)
+        log = []
+        for k, (i, loc) in enumerate(reads):
+            need = self._operand_need(i)
+            log.append((loc, _R_MASK, need, None) if need.__class__ is int
+                       else (loc, _R_NEED, n - k, need))
+        back = {i: n - k for k, (i, _loc) in enumerate(reads)}
+        if self.lanes is not None:
+            log.append((self.regs[-1], _W_CONST, self.lanes, None))
+        elif not self.identity:
+            log.append((self.regs[-1], _W_OP, self.oid, (back.get(0), back.get(1))))
+        elif 0 in back:
+            log.append((self.regs[-1], _W_COPY, back[0], None))
+        else:
+            log.append((self.regs[-1], _W_CONST, _FULL, None))
+        return log
+
+    def commit_log(self, j: int, present: bool, last: bool, shift: bool) -> list:
+        """The events of a commit of register *j* (the head, in a slot;
+        any, in the drain, which does not *shift*): its read and the
+        latch and local-RF writes, which a predicated op's conditional
+        write makes reads (its locations keep their old values live).
+        The read needs what its writes' values need, plus lane 0 for a
+        predicate register write and the int for a central register
+        write; a local-RF file narrower than a value stores it masked,
+        as an int."""
+        key = (j, present, last, shift)
+        log = self._commit_logs.get(key)
+        if log is not None:
+            return log
+        log = self._commit_logs[key] = []
+        writes = [(loc, mask) for d, loc, _c, mask in self.fires[last] if d.kind is DstKind.LRF]
+        if self.op.pred is not None:
+            if present:
+                log += [(loc, _R_KEEP, None, None)
+                        for loc in [self.latch] + [loc for loc, _m in writes]]
+            return log
+        if present:
+            central = 0
+            for d, _loc, _c, _m in self.fires[last]:
+                if d.kind is DstKind.CDRF:
+                    central |= _ANY_USE
+                elif d.kind is DstKind.CPRF:
+                    central |= 1
+            if writes or central:
+                log.append((self.regs[j], _R_COMMIT, tuple(
+                    [(1, False)] + [(2 + k, mask is not None)
+                                    for k, (_l, mask) in enumerate(writes)]), central))
+            else:
+                log.append((self.regs[j], _R_COPY, None, None))
+            log.append((self.latch, _W_COPY, 1, None))
+            for k, (loc, mask) in enumerate(writes):
+                log.append((loc, _W_COPY, 2 + k, None) if mask is None
+                           else (loc, _W_CONST, _FULL, None))
+        if shift:
+            regs = self.regs
+            for k in range(self.n - 1):
+                log.append((regs[k + 1], _R_COPY, None, None))
+                log.append((regs[k], _W_COPY, 1, None))
+            log.append((regs[-1], _W_CONST, None, None))
+        return log
 
 
 class CgaSchedule:
@@ -311,7 +530,7 @@ class CgaSchedule:
         #: ``(T, lo, hi)``, see :meth:`_plan`.
         self.plan = self._plan()
         self._walk()
-        self.live_after, self.body_live_in = self._liveness()
+        self._lane_passes()
 
     # -- validation + classification ------------------------------------
 
@@ -538,23 +757,23 @@ class CgaSchedule:
         slots before the steady window (``prologue``, ``(I, steps)``
         each), the steady slot's steps (``steady``, ``None`` without a
         window), the slots after it (``epilogue``), the ``drain`` and
-        the exit reads."""
+        the exit reads (events: see above)."""
         log = self.ev_log = []
         ev = log.append
         T, lo, hi = self.plan
         for fu, entry in sorted(self.lrf_entries):
-            ev(("r%d_%d" % (fu, entry), False))
+            ev(("r%d_%d" % (fu, entry), _W_CONST, _FULL, None))
         for fu in sorted(self.latch_fus):
-            ev(("l_%d" % fu, False))
+            ev(("l_%d" % fu, _W_CONST, ((0, 0),) * 4, None))
         for rec in self.ops:
             if rec.kind != "store" and rec.op.pred is None:
                 for reg in rec.regs:
-                    ev((reg, False))
-        self.prologue = [(I, self._slot(I, ev)) for I in range(min(lo, T))]
+                    ev((reg, _W_CONST, None, None))
+        self.prologue = [(I, self._slot(I, log)) for I in range(min(lo, T))]
         start = len(log)
-        self.steady = self._slot(None, ev) if lo <= hi else None
+        self.steady = self._slot(None, log) if lo <= hi else None
         self.body_span = (start, len(log))
-        self.epilogue = [(I, self._slot(I, ev)) for I in range(max(lo, hi + 1), T)]
+        self.epilogue = [(I, self._slot(I, log)) for I in range(max(lo, hi + 1), T)]
         #: ``(D, chain, j, last, present)`` per drain commit: register
         #: ``w<oid>_<j>`` commits ``D`` cycles past the last context.  It
         #: holds the value issued in slot ``T-delta+j``, iteration
@@ -567,15 +786,16 @@ class CgaSchedule:
             present = rec.op.pred is not None or (
                 rec.stage <= T - rec.delta + j <= rec.stage + self.trip - 1)
             self.drain.append((d, rec, j, last, present))
-            self._commit_events(ev, rec, j, present, last, False)
+            log.extend(rec.commit_log(j, present, last, False))
+        # Kernel exit writes every latch and written local-RF entry back.
         for fu in sorted(self.latch_fus):
-            ev(("l_%d" % fu, True))
+            ev(("l_%d" % fu, _R_MASK, _LANE_USE, None))
         for fu, entry in sorted(self.lrf_written):
-            ev(("r%d_%d" % (fu, entry), True))
+            ev(("r%d_%d" % (fu, entry), _R_MASK, _LANE_USE, None))
 
-    def _slot(self, I: Optional[int], ev) -> list:
+    def _slot(self, I: Optional[int], log: list) -> list:
         """The steps of slot *I*, or of a steady slot (``I is None``),
-        with their events logged through *ev*: per context ``p`` with
+        with their events logged into *log*: per context ``p`` with
         work, ``(p, commits, issues, memory)``.  A commit ``(chain,
         present, last)`` says whether a value reaches the chain's head
         and whether it is the last iteration's; an issue ``(chain, it0,
@@ -595,7 +815,7 @@ class CgaSchedule:
                     step = (rec, steady or first <= I <= first + trip - 1,
                             (not steady) and I == first + trip - 1)
                     commits.append(step)
-                    self._commit_events(ev, rec, 0, step[1], step[2], True)
+                    log.extend(rec.commit_log(0, step[1], step[2], True))
             issues = []
             idle = True
             for rec in self.by_issue.get(p, ()):
@@ -608,69 +828,142 @@ class CgaSchedule:
                 # Its operand reads of locations, then its value entering
                 # the last shift register (a predicated op's registers
                 # are not locations).
-                for init, _counter, loc, _value in rec.sites:
-                    if loc is not None and not (it0 and init is not None):
-                        ev((loc, True))
-                if rec.kind != "store" and rec.op.pred is None:
-                    ev((rec.regs[-1], False))
+                log.extend(rec.issue_log(it0))
             if commits or issues:
                 steps.append((p, commits, issues, not idle))
         return steps
 
-    @staticmethod
-    def _commit_events(ev, rec: _CgaChain, j: int, present: bool, last: bool,
-                       shift: bool) -> None:
-        """A commit of register *j* (the head, in a slot; any, in the
-        drain, which does not *shift*): its read and the latch and
-        local-RF writes, which a predicated op's conditional write makes
-        reads (its locations keep their old values live)."""
-        writes = [loc for d, loc, _c, _m in rec.fires[last] if d.kind is DstKind.LRF]
-        if rec.op.pred is not None:
-            if present:
-                for loc in [rec.latch] + writes:
-                    ev((loc, True))
-            return
-        if present:
-            ev((rec.regs[j], True))
-            for loc in [rec.latch] + writes:
-                ev((loc, False))
-        if shift:
-            for k in range(rec.n - 1):
-                ev((rec.regs[k + 1], True))
-                ev((rec.regs[k], False))
-            ev((rec.regs[-1], False))
+    # -- lane liveness and lane ranges -----------------------------------
 
-    def _liveness(self) -> Tuple[List[bool], List[str]]:
-        """Per logged event, whether the value after it is read again
-        (the steady body's last event on a location also reaches the
-        body's first and the events after the loop); and the locations
-        live into the steady body."""
+    def _lane_passes(self) -> None:
+        """Run both passes over the event log (see above).
+
+        Sets ``live_after`` (per event, the live mask of the value it
+        leaves), ``need`` (per read, what it needs), ``body_live_in``
+        (the locations live into the steady body), ``carried`` (per such
+        location, the lanes its value must keep across the loop's edges)
+        and ``lane_raw`` (per result write of an unpredicated SIMD op,
+        its lanes' intervals before saturation and after it).  The steady body runs
+        to a fixpoint: backwards, what its start needs is also needed at
+        its end; forwards, its entry intervals join its exit's, widened
+        to int16 once three rounds did not settle."""
         log = self.ev_log
         lo, hi = self.body_span
-        live = [False] * len(log)
-        # Backwards: the next event on each location, then per location
-        # its first event in the body and after it.
-        nxt: Dict[str, int] = {}
-        first_body: Dict[str, int] = {}
-        first_post: Dict[str, int] = {}
-        last_body: Dict[str, int] = {}
-        last_before: Dict[str, int] = {}
-        for k in range(len(log) - 1, -1, -1):
-            loc, _read = log[k]
-            n = nxt.get(loc)
-            live[k] = n is not None and log[n][1]
-            nxt[loc] = k
-            if k >= hi:
-                first_post[loc] = k
-            elif k >= lo:
-                first_body[loc] = k
-                last_body.setdefault(loc, k)
+        self.live_after = [0] * len(log)
+        self.need = [0] * len(log)
+        post: Dict[str, int] = {}
+        self._backward(hi, len(log), post)
+        start: Dict[str, int] = {}
+        while True:
+            dem = dict(post)
+            for loc, m in start.items():
+                dem[loc] = dem.get(loc, 0) | m
+            end = dict(dem)
+            self._backward(lo, hi, dem)
+            dem = {loc: m for loc, m in dem.items() if m}
+            if dem == start:
+                break
+            start = dem
+        self.body_live_in = sorted(start)
+        self.carried = {loc: start[loc] | end.get(loc, 0) for loc in start}
+        self._backward(0, lo, dict(start))
+
+        self.lane_raw: Dict[int, tuple] = {}
+        if not any(rec.op.opcode in _CLAMPING for rec in self.ops
+                   if rec.lane_reads is not None and rec.op.pred is None):
+            return  # no lane can saturate or wrap
+        val: List[Optional[tuple]] = [None] * len(log)
+        #: ``(raw, result)`` lane intervals per ``(opcode, operand
+        #: intervals, shift amount)``: ops repeat across slots.
+        self._ranges: Dict[tuple, tuple] = {}
+        state: Dict[str, Optional[tuple]] = {}
+        self._forward(0, lo, state, val)
+        for rounds in itertools.count():
+            out = dict(state)
+            self._forward(lo, hi, out, val)
+            joined = {loc: _join(state.get(loc), r) for loc, r in out.items()}
+            if all(state.get(loc) == r for loc, r in joined.items()):
+                break
+            if rounds >= 2:
+                joined = {loc: _widen(state.get(loc), r) for loc, r in joined.items()}
+            state.update(joined)
+        self._forward(hi, len(log), out, val)
+
+    def _backward(self, a: int, b: int, dem: Dict[str, int]) -> None:
+        """Events ``b-1`` down to ``a``: *dem* holds, per location, what
+        is read of its value after the current event."""
+        log, live, need = self.ev_log, self.live_after, self.need
+        get = dem.get
+        for k in range(b - 1, a - 1, -1):
+            loc, kind, x, y = log[k]
+            m = get(loc, 0)
+            live[k] = m
+            if kind >= _W_CONST:
+                dem[loc] = 0
+                continue
+            if kind == _R_MASK:
+                d = x
+            elif kind == _R_NEED:
+                d = y[live[k + x]]
+            elif kind == _R_COPY:
+                d = live[k + 1]
+            elif kind == _R_COMMIT:
+                d = y
+                for off, whole in x:
+                    if live[k + off]:
+                        d |= _ANY_USE if whole else live[k + off]
+            else:  # a conditional write keeps what is read after it
+                d = m
+            need[k] = d
+            dem[loc] = m | d
+
+    def _forward(self, a: int, b: int, state: Dict[str, Optional[tuple]], val: list) -> None:
+        """Events ``a`` to ``b-1``: *state* holds, per location, the lane
+        intervals of its value (``None``: an empty register); *val*
+        gets those of each read's value."""
+        log = self.ev_log
+        get = state.get
+        for k in range(a, b):
+            loc, kind, x, y = log[k]
+            if kind < _W_CONST:
+                val[k] = get(loc)
+                if kind == _R_KEEP:  # a predicated op's value may land
+                    state[loc] = _FULL
+            elif kind == _W_COPY:
+                state[loc] = val[k - x]
+            elif kind == _W_OP:
+                state[loc] = self._result_lanes(self.ops[x], y, val, k)
             else:
-                last_before.setdefault(loc, k)
-        for loc, k in last_body.items():
-            post = first_post.get(loc)
-            live[k] = log[first_body[loc]][1] or (post is not None and log[post][1])
-        live_in = [loc for loc in nxt
-                   if (log[first_body[loc]][1] if loc in first_body
-                       else loc in last_before and live[last_before[loc]])]
-        return live, sorted(live_in)
+                state[loc] = x
+
+    def _result_lanes(self, rec: _CgaChain, dist: tuple, val: list, w: int) -> tuple:
+        """The lane intervals of the result of unpredicated SIMD op *rec*
+        whose write is event *w*, its operand reads *dist* events back
+        (``None``: no location); records ``lane_raw[w]``, the intervals
+        before and after saturation."""
+        d0, d1 = dist
+        a = rec.src_lanes[0] if d0 is None else val[w - d0] or _FULL
+        b = None
+        if rec.arity == 2 and not rec.shifts:
+            b = rec.src_lanes[1] if d1 is None else val[w - d1] or _FULL
+        key = (rec.op.opcode.value, a, b, rec.amount)
+        hit = self._ranges.get(key)
+        if hit is None:
+            raw = _lane_raw(rec.op.opcode, a, b, rec.amount)
+            hit = self._ranges[key] = (raw, _lane_result(rec.op.opcode, raw))
+        self.lane_raw[w] = hit
+        return hit[1]
+
+
+def _join(a: Optional[tuple], b: Optional[tuple]) -> Optional[tuple]:
+    """The lane intervals covering both *a* and *b*."""
+    if a is None or b is None or a == b:
+        return b if a is None else a
+    return tuple((min(x[0], y[0]), max(x[1], y[1])) for x, y in zip(a, b))
+
+
+def _widen(old: Optional[tuple], new: tuple) -> tuple:
+    """*new*, with every lane that moved from *old* widened to int16."""
+    if old is None or new is None:
+        return new
+    return tuple(x if x == y else _I16 for x, y in zip(old, new))

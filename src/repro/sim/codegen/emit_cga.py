@@ -18,14 +18,17 @@ from typing import Dict, List, Optional, Tuple
 from repro.isa.bits import MASK64
 from repro.isa.opcodes import Opcode, OpGroup
 from repro.sim import memops
-from repro.sim.codegen.analysis import CgaSchedule, _CgaChain
+from repro.sim.codegen.analysis import _INT_USE, _LANE_USE, CgaSchedule, _CgaChain
 from repro.sim.codegen.templates import (
-    _CRF_COUNTERS, _INT, _L1_COUNTERS, _LANES, _LRF_COUNTERS, _SCALAR_EXPR, CodegenUnsupported,
-    _as_int, _base_namespace, _emit_clamp, _emit_flush, _emit_inline_read, _emit_inline_write,
-    _emit_lane_batch, _emit_zero, _issue_counters, _lane_atoms, _lane_operand, _lane_template,
-    _literal_lanes, _literal_value, _require_lane_words,
+    _CLAMP_NONE, _CRF_COUNTERS, _INT, _L1_COUNTERS, _LANES, _LRF_COUNTERS, _SCALAR_EXPR,
+    CodegenUnsupported, _as_int, _base_namespace, _emit_clamp, _emit_flush, _emit_inline_read,
+    _emit_inline_write, _emit_lane_batch, _emit_zero, _issue_counters, _lane_atoms, _lane_literal,
+    _lane_operand, _lane_template, _literal_lanes, _literal_value, _require_lane_words,
 )
 from repro.sim.program import DstKind, SrcKind
+
+#: The lanes of a value nothing reads: never computed or split.
+_DEAD_LANES = ("0", "0", "0", "0")
 
 #: Names generated CGA code reads from its namespace or the builtins.
 _GLOBAL_NAMES = frozenset(_base_namespace()) | {"_ME", "int"}
@@ -111,6 +114,15 @@ def _home(loc: str, like: _Val) -> _Val:
     return _Val(None if like.i is None else loc, None if like.t is None else _lane_atoms(loc))
 
 
+def _carry(val: Optional[_Val], lanes: int) -> Optional[_Val]:
+    """*val* with every lane outside the mask *lanes* held as ``0``: the
+    form a value crossing the steady loop's edges is compared and
+    copied in (only the lanes read after the edge move)."""
+    if val is None or val.t is None or lanes & _LANE_USE == _LANE_USE:
+        return val
+    return _Val(val.i, tuple(a if lanes >> k & 1 else "0" for k, a in enumerate(val.t)))
+
+
 class _CgaGen(CgaSchedule):
     """Emits the specialized steady-state function of one kernel.
 
@@ -125,12 +137,18 @@ class _CgaGen(CgaSchedule):
     into the location's own locals (:meth:`_materialize`).
 
     A value's form is static: a SIMD result or an 8-byte load is four
-    lane locals, anything else one int.  Forms convert only where a
-    consumer needs the other one: central-RF reads and writes, scalar,
-    address and predicate operands (a predicate or a shift amount reads
-    lane 0), stores of at most 4 bytes and the write-back at kernel
-    exit; an immediate or a local-RF entry the kernel only reads is
-    converted once at entry."""
+    lane locals, a 4-byte load nothing reads as a whole int is two (and
+    two literal 0s), anything else one int.  Forms convert only where a
+    consumer needs the other one: central-RF reads and writes, scalar
+    and address operands (lanes 0 and 1 for their 32 bits), predicate
+    operands (a predicate or a shift amount reads lane 0), stores of at
+    most 2 bytes and the write-back at kernel exit; an immediate or a
+    local-RF entry the kernel only reads is converted once at entry.
+
+    What the analysis proved per event decides what is emitted: a lane
+    nothing reads is not computed (``0`` stands in for it), a value
+    nothing reads emits no statement, and a lane clamps only at an
+    int16 end its interval can cross."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
@@ -190,11 +208,15 @@ class _CgaGen(CgaSchedule):
                 self.holders[a].discard(loc)
 
     def _get(self, loc: str, absent: bool = False) -> Optional[_Val]:
-        """Read *loc* (an event); *absent* allows an empty register."""
-        self.last_ev[loc] = self.ev
+        """Read *loc* (an event); *absent* allows an empty register.  A
+        read that needs nothing may find no value (a dead one is not
+        carried into the steady loop) and gets ``0``."""
+        k = self.last_ev[loc] = self.ev
         self.ev += 1
-        val = self.loc[loc]
-        assert absent or val is not None, loc
+        val = self.loc.get(loc)
+        if val is None and not absent:
+            assert not self.need[k], loc
+            return _Val(i="0")
         return val
 
     def _set(self, loc: str, val: Optional[_Val]) -> None:
@@ -221,7 +243,7 @@ class _CgaGen(CgaSchedule):
                 self._drop(h)
 
     def _alloc(self, key: str, n: int, ok=None, avoid=()) -> Tuple[str, ...]:
-        """*n* locals (1: an int, 4: lanes) named after *key* that no
+        """*n* locals (1: an int, 2 or 4: lanes) named after *key* that no
         live location refers to and that pass *ok*: ``key``, else
         ``key`` + ``v1``, ``v2``...  Copy *c* of a loop body unrolled
         *u* times tries ``v<c>``, ``v<c+u>``... first for the ops whose
@@ -243,7 +265,7 @@ class _CgaGen(CgaSchedule):
                 versions = itertools.chain(range(c, 8 * u, u), versions)
         for v in versions:
             base = key if v == 0 else "%sv%d" % (key, v)
-            atoms = (base,) if n == 1 else _lane_atoms(base)
+            atoms = (base,) if n == 1 else _lane_atoms(base)[:n]
             if ok(atoms):
                 if v and self.copy is not None and key[0] == "x":
                     self.rotating[key] = max(self.rotating.get(key, 1), v + 1)
@@ -290,13 +312,18 @@ class _CgaGen(CgaSchedule):
                 held[k] = atoms[k]
         return _Val(i=held[0]) if n == 1 else _Val(t=tuple(held))
 
-    def _int(self, val: _Val) -> str:
-        """*val* as an int expression."""
+    def _int(self, val: _Val, low32: bool = False) -> str:
+        """*val* as an int expression; with *low32*, one that agrees
+        with it in its low 32 bits (all a scalar operand or an address
+        reads), joined from lanes 0 and 1 alone."""
         if val.i is not None:
             return val.i
-        lanes = [_literal_value(a) for a in val.t]
+        t = val.t[:2] if low32 else val.t
+        lanes = [_literal_value(a) for a in t]
         if None not in lanes:
             return str(sum((x & 65535) << (16 * k) for k, x in enumerate(lanes)))
+        if low32:
+            return "((%s & 65535) | ((%s & 65535) << 16))" % t
         return _as_int(val.t, _LANES)
 
     def _lanes(self, lines: List[str], ind: str, val: _Val, key: str,
@@ -327,8 +354,9 @@ class _CgaGen(CgaSchedule):
         """Move *loc*'s value into its own locals (``loc``, or
         ``loc_0``..``loc_3`` for lanes) so a conditional write can assign
         them; another live location using one of them keeps its value
-        in a new local."""
-        val = self.loc[loc]
+        in a new local.  A value nothing reads any more may be gone: its
+        home starts as ``0``."""
+        val = self.loc.get(loc) or _Val(i="0")
         if val.i is not None:
             val = _Val(i=val.i)  # a conditional write assigns one form
         home = _home(loc, val)
@@ -398,10 +426,14 @@ class _CgaGen(CgaSchedule):
             lanes = rec.simd and not rec.identity
         return _lane_atoms(name) if lanes else (name,)
 
-    def _lane_load(self, opcode: Opcode) -> bool:
-        """8-byte loads yield lanes unless a register file is wider than
-        64 bits (its ints could not all convert; no SIMD runs there)."""
-        return memops.mem_info(opcode).size == 8 and self.word_bits <= 64
+    def _lane_load(self, opcode: Opcode, live: int = _LANE_USE | _INT_USE) -> bool:
+        """Does a load whose value is read as *live* says yield lanes?
+        An 8-byte one does, and a 4-byte one nothing reads as a whole
+        int (two lanes and two literal 0s), unless a register file is
+        wider than 64 bits (its ints could not all convert; no SIMD runs
+        there)."""
+        size = memops.mem_info(opcode).size
+        return self.word_bits <= 64 and (size == 8 or size == 4 and not live & _INT_USE)
 
     # -- commit emission -----------------------------------------------
 
@@ -421,9 +453,11 @@ class _CgaGen(CgaSchedule):
                 continue
             held = val
             if mask is not None:
-                held = self._define(lines, ind, "m%d" % rec.oid,
-                                    ("%s & %d" % (self._int(val), mask),),
-                                    avoid=set(val.atoms()))
+                held = _Val(i="0")  # nothing reads the stored value
+                if self.live_after[self.ev]:
+                    held = self._define(lines, ind, "m%d" % rec.oid,
+                                        ("%s & %d" % (self._int(val), mask),),
+                                        avoid=set(val.atoms()))
             self._set(loc, held)
 
     def _central_write(self, dst, target: str, val: _Val) -> str:
@@ -479,10 +513,22 @@ class _CgaGen(CgaSchedule):
         op = rec.op
         key = rec.key
         if rec.kind == "dataflow":
-            reads = [self._read_operand(lines, ind, site, it0, tally=tally)
-                     for site in rec.src_sites]
+            reads = []
+            for site in rec.src_sites:
+                e = self.ev
+                val = self._read_operand(lines, ind, site, it0, tally=tally)
+                # A location read that needs nothing is of a value no
+                # longer held: its locals may hold another one.
+                reads.append(val if self.ev == e or self.need[e] else None)
+            # The value's write: what is read of it (a predicated op
+            # computes it in full).
+            live = self.live_after[self.ev] if op.pred is None else _LANE_USE | _INT_USE
+            if not live:
+                self._issue_write(lines, ind, rec, _Val(t=_DEAD_LANES) if rec.simd
+                                  else _Val(i="0"))
+                return
             if rec.simd:
-                keep = {a for r in reads for a in r.atoms()}
+                keep = {a for r in reads if r is not None for a in r.atoms()}
                 _require_lane_words(op.opcode, self.word_bits)
                 if rec.identity:
                     val = reads[0]
@@ -490,47 +536,63 @@ class _CgaGen(CgaSchedule):
                         val = self._define(lines, ind, key, (val.i,))  # a central register
                     self._issue_write(lines, ind, rec, val)
                     return
-                a = self._lanes(lines, ind, reads[0], "y%d" % rec.oid, keep)
+                a = (_DEAD_LANES if reads[0] is None
+                     else self._lanes(lines, ind, reads[0], "y%d" % rec.oid, keep))
                 b = None
                 if rec.arity == 2:
                     if rec.shifts:
                         b = reads[1].i if reads[1].i is not None else reads[1].t[0]
+                    elif reads[1] is None:
+                        b = _DEAD_LANES
                     else:
                         b = self._lanes(lines, ind, reads[1], "z%d" % rec.oid, keep | set(a))
-                exprs = _lane_template(lines, ind, op.opcode, a, b, self.word_bits)
+                raw, result = self.lane_raw.get(self.ev, (None, None))
+                exprs = _lane_template(lines, ind, op.opcode, a, b, self.word_bits, raw)
+                # A lane nothing reads is not computed; one whose interval
+                # is a single value is that literal.
+                for k in range(4):
+                    if not live >> k & 1:
+                        exprs[k] = ("0", _CLAMP_NONE)
+                    elif result is not None and result[k][0] == result[k][1]:
+                        exprs[k] = (_lane_literal(result[k][0]), _CLAMP_NONE)
                 lanes = set(a) | (set(b) if isinstance(b, tuple) else set())
                 val = self._define(lines, ind, key, exprs, keep=lanes)
             else:
                 arity = rec.arity
-                use = [self._int(r) for r in reads[:arity]] + ["0"] * (2 - min(arity, 2))
+                use = [self._int(r, True) for r in reads[:arity]] + ["0"] * (2 - min(arity, 2))
                 val = self._define(lines, ind, key, (_SCALAR_EXPR[op.opcode](use[0], use[1]),))
             self._issue_write(lines, ind, rec, val)
             return
         info = memops.mem_info(op.opcode)
         sites = rec.src_sites
-        base = self._int(self._read_operand(lines, ind, sites[0], it0, tally=tally))
+        base = self._int(self._read_operand(lines, ind, sites[0], it0, tally=tally), True)
         off_sel = op.srcs[1]
         if off_sel.kind is SrcKind.IMM and off_sel.init is None:
             lines.append(
                 "%saddr = (((%s) & 4294967295) + %s) & 4294967295" % (ind, base, sites[1][3])
             )
         else:
-            off = self._int(self._read_operand(lines, ind, sites[1], it0, tally=tally))
+            off = self._int(self._read_operand(lines, ind, sites[1], it0, tally=tally), True)
             lines.append(
                 "%saddr = (((%s) & 4294967295) + ((%s) & 4294967295)) & 4294967295"
                 % (ind, base, off)
             )
         geom = (self.arch.l1.banks, self.arch.l1.bytes)
         if rec.kind == "load":
-            lanes = self._lane_load(op.opcode)
-            atoms = self._alloc(key, 4 if lanes else 1)
+            # What is read of the value: nothing (it is not fetched), or
+            # no whole int from 4 bytes (fetched as two lanes).
+            live = self.live_after[self.ev] if op.pred is None else _LANE_USE | _INT_USE
+            lanes = self._lane_load(op.opcode, live)
+            atoms = self._alloc(key, info.size // 2 if lanes else 1) if live else ()
             for a in atoms:
                 self._claim(a)
             if _emit_inline_read(lines, ind, "physical", info.size, *geom, tally=tally,
                                  idle=idle, dest=", ".join(atoms), lanes=lanes):
                 lines.append(ind + "stall_offset += extra")
-            if lanes:
-                val = _Val(t=atoms)
+            if not live:
+                val = _Val(t=_DEAD_LANES) if lanes else _Val(i="0")
+            elif lanes:
+                val = _Val(t=(atoms + ("0", "0"))[:4])
             else:
                 if info.signed:
                     hb = 1 << (info.size * 8 - 1)
@@ -541,11 +603,11 @@ class _CgaGen(CgaSchedule):
         else:  # store: no latch, no commit chain
             sv = self._read_operand(lines, ind, sites[2], it0, tally=tally)
             lanes = None
-            if info.size == 8 and sv.t is not None:
-                lanes = ", ".join(sv.t)
+            if info.size in (4, 8) and sv.t is not None:
+                lanes = ", ".join(sv.t[:info.size // 2])
             else:
                 lines.append(ind + "v_st = (%s) & %d"
-                             % (self._int(sv), (1 << (info.size * 8)) - 1))
+                             % (self._int(sv, info.size <= 4), (1 << (info.size * 8)) - 1))
             if _emit_inline_write(lines, ind, "physical", info.size, *geom,
                                   tally=tally, idle=idle, lanes=lanes):
                 lines.append(ind + "stall_offset += extra")
@@ -710,7 +772,8 @@ class _CgaGen(CgaSchedule):
         _T, lo, hi = self.plan
         count = hi - lo + 1
         live_in = self.body_live_in
-        outside = {L: self.loc.get(L) for L in live_in}
+        carried = self.carried
+        outside = {L: _carry(self.loc.get(L), carried[L]) for L in live_in}
         snap = self._snapshot()
         body_ind = ind + "    "
         self.rotating = {}
@@ -721,7 +784,8 @@ class _CgaGen(CgaSchedule):
             if u > 1 and count >= 3 * u:
                 # The first emission enters in homes, which no copy's own
                 # locals collide with; the second where it leaves off.
-                homes = {L: v if v is None else _home(L, v) for L, v in outside.items()}
+                homes = {L: v if v is None else _carry(_home(L, v), carried[L])
+                         for L, v in outside.items()}
                 unrolled = self._loop_passes(u, snap, outside, body_ind, 2, set(self.rotating),
                                              entry={"entry": homes, "out": {}})
                 if unrolled is not None and unrolled["cost"] < best["cost"] * u:
@@ -790,13 +854,14 @@ class _CgaGen(CgaSchedule):
                 self._emit_slot(body, ind, self.steady, None,
                                 steady if c == 0 else dict.fromkeys(self._TALLY_KEYS, 0), shift=c)
             self.copy = None
-            out = {L: self.loc.get(L) for L in live_in}
+            out = {L: _carry(self.loc.get(L), self.carried[L]) for L in live_in}
             moving = [L for L in live_in if not _same(entry[L], out[L])]
             bad = (self._unmovable(entry, out, moving)
                    | self._unmovable(entry, outside,
                                      [L for L in live_in if not _same(entry[L], outside[L])]))
             if bad:
-                homes = {L: _home(L, out[L]) for L in bad if out[L] is not None}
+                homes = {L: _carry(_home(L, out[L]), self.carried[L])
+                         for L in bad if out[L] is not None}
                 if all(_same(entry[L], v) for L, v in homes.items()):
                     break
                 entry.update(homes)

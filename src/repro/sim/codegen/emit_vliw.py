@@ -102,7 +102,7 @@ def vliw_patch_sites(bundles, index: Dict[tuple, int]) -> Dict[int, List[tuple]]
     for (pc, slot, i), pool_slot in index.items():
         inst = bundles[pc].slots[slot]
         mask, shift = _vliw_imm_encoding(inst, i)
-        sites.setdefault(inst.srcs[i].value, []).append((pool_slot, mask, shift, False))
+        sites.setdefault(inst.srcs[i].value, []).append((pool_slot, mask, shift, None))
     return sites
 
 

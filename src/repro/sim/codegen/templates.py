@@ -26,6 +26,8 @@ class CodegenUnsupported(Exception):
 _ABSENT = object()
 
 _LANE_STRUCT = struct.Struct("<4h")
+#: The two lanes of a 4-byte word.
+_HALF_STRUCT = struct.Struct("<2h")
 
 
 def _base_namespace() -> Dict[str, object]:
@@ -43,6 +45,8 @@ def _base_namespace() -> Dict[str, object]:
     ns["_U4"] = _LANE_STRUCT.unpack
     ns["_L4"] = _LANE_STRUCT.unpack_from
     ns["_S4"] = _LANE_STRUCT.pack_into
+    ns["_L2"] = _HALF_STRUCT.unpack_from
+    ns["_S2"] = _HALF_STRUCT.pack_into
     return ns
 
 
@@ -190,8 +194,9 @@ def _emit_access(lines: List[str], ind: str, cycle_var: str, size: int,
 def _emit_inline_read(lines: List[str], ind: str, cycle_var: str, size: int,
                       n_banks: int, mem_bytes: int, tally=None,
                       idle: bool = False, dest: str = "raw", lanes: bool = False) -> bool:
-    """Inline ``Scratchpad.timed_read`` into *dest* (four lane locals
-    with *lanes*, for 8-byte reads) and, when it returns True, leave the
+    """Inline ``Scratchpad.timed_read`` into *dest* (with *lanes*, four
+    lane locals for an 8-byte read and two for a 4-byte one; nothing is
+    fetched into an empty *dest*) and, when it returns True, leave the
     bank-conflict delay in ``extra`` (see :func:`_emit_access`).
 
     With *tally* (a counter dict), statically-known access counts are
@@ -201,8 +206,10 @@ def _emit_inline_read(lines: List[str], ind: str, cycle_var: str, size: int,
         lines.append(ind + "n_l1r += %d" % (1 if size <= 4 else 2))
     else:
         tally["n_l1r"] += 1 if size <= 4 else 2
-    if lanes:
-        lines.append(ind + "%s = _L4(M, addr)" % dest)
+    if not dest:
+        pass
+    elif lanes:
+        lines.append(ind + "%s = %s(M, addr)" % (dest, "_L4" if size == 8 else "_L2"))
     else:
         lines.append(ind + "%s = _fb(M[addr:addr + %d], 'little')" % (dest, size))
     return stalls
@@ -212,15 +219,15 @@ def _emit_inline_write(lines: List[str], ind: str, cycle_var: str, size: int,
                        n_banks: int, mem_bytes: int, tally=None,
                        idle: bool = False, lanes: Optional[str] = None) -> bool:
     """Inline ``Scratchpad.timed_write`` of pre-masked ``v_st`` (or, for
-    8-byte writes, of the four lane expressions *lanes*); when it
-    returns True, leaves the bank-conflict delay in ``extra``."""
+    8- and 4-byte writes, of the four or two lane expressions *lanes*);
+    when it returns True, leaves the bank-conflict delay in ``extra``."""
     stalls = _emit_access(lines, ind, cycle_var, size, n_banks, mem_bytes, idle)
     if tally is None:
         lines.append(ind + "n_l1w += %d" % (1 if size <= 4 else 2))
     else:
         tally["n_l1w"] += 1 if size <= 4 else 2
     if lanes is not None:
-        lines.append(ind + "_S4(M, addr, %s)" % lanes)
+        lines.append(ind + "%s(M, addr, %s)" % ("_S4" if size == 8 else "_S2", lanes))
     else:
         lines.append(ind + "M[addr:addr + %d] = v_st.to_bytes(%d, 'little')" % (size, size))
     return stalls
@@ -329,17 +336,24 @@ def _lane_atoms(base: str) -> Tuple[str, ...]:
 
 
 def _literal_value(atom: str) -> Optional[int]:
-    if atom[0].isdigit():
+    """The value of an integer literal atom (``5``, ``(-1)``), else
+    ``None``."""
+    if atom.isdigit():
         return int(atom)
-    if atom[0] == "(":
+    if atom[:2] == "(-" and atom[2:-1].isdigit() and atom[-1] == ")":
         return int(atom[1:-1])
     return None
 
 
+def _lane_literal(value: int) -> str:
+    """The lane atom of the int16 *value* (negative ones parenthesised)."""
+    return str(value) if value >= 0 else "(%d)" % value
+
+
 def _literal_lanes(word: int) -> Tuple[str, ...]:
     """The lanes of the 64-bit pattern *word*, as literals."""
-    lanes = ((((word >> (16 * i)) & 65535) ^ 32768) - 32768 for i in range(4))
-    return tuple(str(x) if x >= 0 else "(%d)" % x for x in lanes)
+    return tuple(_lane_literal((((word >> (16 * i)) & 65535) ^ 32768) - 32768)
+                 for i in range(4))
 
 
 def _as_lanes(expr: str, form: Optional[str]) -> str:
@@ -394,9 +408,144 @@ def _sat16(s: str) -> str:
     return "(32767 if %s > 32767 else (%s if %s >= -32768 else -32768))" % (s, s, s)
 
 
-#: Clamps a lane template may leave on a lane: none, to int16's upper
-#: end (a q15 product of two int16 lies in [-32767, 32768]) or to both.
-_CLAMP_NONE, _CLAMP_HI, _CLAMP_BOTH = 0, 1, 2
+#: Clamps a lane template may leave on a lane, as bits: int16's upper
+#: end, its lower end, or both.
+_CLAMP_NONE, _CLAMP_HI, _CLAMP_LO, _CLAMP_BOTH = 0, 1, 2, 3
+
+# ----------------------------------------------------------------------
+# Lane value ranges
+# ----------------------------------------------------------------------
+#
+# A lane's range is an inclusive interval ``(lo, hi)``; a value's, one
+# per lane (lane 0 first).  :func:`_lane_raw` gives the interval each
+# result lane of a SIMD op lies in *before* saturation or wrapping, from
+# its operands' lane intervals; a saturating lane needs a clamp end only
+# where that interval crosses int16's, and :func:`_lane_result` is the
+# interval after it.  The CGA analysis runs them over a kernel's values;
+# the lane template emits the clamps they leave.
+
+#: Every int16 value: the range of a lane nothing is known about.
+_I16 = (-32768, 32767)
+_FULL = (_I16,) * 4
+
+
+def _exact(lane: str) -> Tuple[int, int]:
+    """The interval of a literal lane atom."""
+    v = _literal_value(lane)
+    return (v, v)
+
+
+def _lane_raw(op: Opcode, a, b=None, amount: Optional[int] = None) -> tuple:
+    """Per result lane of SIMD *op*, the interval its value lies in
+    before saturation (add, sub, negate, the q15 products) or wrapping
+    (the left shift), given per-lane operand intervals *a* and *b*
+    (``None`` for unary ops and the shifts) and, for a shift, its amount
+    when known (else any amount 0..15)."""
+    if op in _LANE_SHIFTS:
+        shifts = (amount,) if amount is not None else (0, 15)
+        if op is Opcode.C4SHIFTR:
+            return tuple((min(lo >> k for k in shifts), max(hi >> k for k in shifts))
+                         for lo, hi in a)
+        return tuple((min(lo << k for k in shifts), max(hi << k for k in shifts))
+                     for lo, hi in a)
+    if op is Opcode.C4SWAP32:
+        return (a[2], a[3], a[0], a[1])
+    if op is Opcode.C4SWAP16:
+        return (a[1], a[0], a[3], a[2])
+    if op is Opcode.C4NEGB:
+        return (a[0], (-a[1][1], -a[1][0]), a[2], (-a[3][1], -a[3][0]))
+    if op in (Opcode.D4PROD, Opcode.C4PROD):
+        lanes = []
+        for x, y in _PROD_PAIRS[op]:
+            corners = [p * q for p in a[x] for q in b[y]]
+            lanes.append((min(corners) >> 15, max(corners) >> 15))
+        return tuple(lanes)
+    return tuple(_LANE_WISE_RAW[op](x, y) for x, y in zip(a, b))
+
+
+def _and_raw(x, y):
+    if x == (0, 0) or y == (0, 0):
+        return (0, 0)
+    if y == (-1, -1):
+        return x
+    if x == (-1, -1):
+        return y
+    if x[0] >= 0 or y[0] >= 0:  # clearing bits of a non-negative lane
+        return (0, min(r[1] for r in (x, y) if r[0] >= 0))
+    return _I16
+
+
+def _or_raw(x, y):
+    if (-1, -1) in (x, y):
+        return (-1, -1)
+    return x if y == (0, 0) else (y if x == (0, 0) else _I16)
+
+
+def _xor_raw(x, y):
+    return x if y == (0, 0) else (y if x == (0, 0) else _I16)
+
+
+_LANE_WISE_RAW = {
+    Opcode.C4ADD: lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    Opcode.C4SUB: lambda x, y: (x[0] - y[1], x[1] - y[0]),
+    Opcode.C4AND: _and_raw,
+    Opcode.C4OR: _or_raw,
+    Opcode.C4XOR: _xor_raw,
+    Opcode.C4MAX: lambda x, y: (max(x[0], y[0]), max(x[1], y[1])),
+    Opcode.C4MIN: lambda x, y: (min(x[0], y[0]), min(x[1], y[1])),
+}
+
+#: The operand lanes each result lane of a q15 product multiplies;
+#: C4PROD pairs across: |a1*b2|b1*a2|c1*d2|d1*c2|.
+_PROD_PAIRS = {Opcode.D4PROD: ((0, 0), (1, 1), (2, 2), (3, 3)),
+               Opcode.C4PROD: ((0, 1), (1, 0), (2, 3), (3, 2))}
+
+
+def _clamp_of(raw: Tuple[int, int]) -> int:
+    """The clamp ends a lane whose value lies in *raw* needs."""
+    return (_CLAMP_HI if raw[1] > 32767 else 0) | (_CLAMP_LO if raw[0] < -32768 else 0)
+
+
+def _lane_result(op: Opcode, raw: tuple) -> tuple:
+    """Per lane, the interval of SIMD *op*'s result whose pre-saturation
+    intervals are *raw* (:func:`_lane_raw`): a left shift that can wrap
+    may leave any value, everything else is clamped to int16."""
+    if op is Opcode.C4SHIFTL:
+        return tuple(r if not _clamp_of(r) else _I16 for r in raw)
+    return tuple((_sat(lo), _sat(hi)) for lo, hi in raw)
+
+
+def _sat(x: int) -> int:
+    """*x* saturated to int16."""
+    return 32767 if x > 32767 else (x if x >= -32768 else -32768)
+
+
+def _lane_reads(op: Opcode, lits) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per result lane of SIMD *op*, the ``(operand, lane)`` pairs its
+    value reads, given per operand its literal lanes (a baked mask) or
+    ``None``: a lane a mask lane selects (:func:`_fold_lane`) reads
+    only the operand it passes through, or nothing.  A shift reads its
+    amount through lane 0 of operand 1 for every lane."""
+    if op in _LANE_SHIFTS:
+        return tuple(((0, k), (1, 0)) for k in range(4))
+    if op is Opcode.C4SWAP32:
+        return (((0, 2),), ((0, 3),), ((0, 0),), ((0, 1),))
+    if op is Opcode.C4SWAP16:
+        return (((0, 1),), ((0, 0),), ((0, 3),), ((0, 2),))
+    if op is Opcode.C4NEGB:
+        return tuple(((0, k),) for k in range(4))
+    if op in _PROD_PAIRS:
+        return tuple(((0, x), (1, y)) for x, y in _PROD_PAIRS[op])
+    reads = []
+    for k in range(4):
+        x = lits[0][k] if lits[0] is not None else "a"
+        y = lits[1][k] if lits[1] is not None else "b"
+        folded = _fold_lane(op, x, y) if op in _LANE_INFIX else None
+        if folded is None:
+            reads.append(((0, k), (1, k)))
+        else:
+            reads.append(tuple((i, k) for i, v in ((0, "a"), (1, "b")) if folded == v))
+    return tuple(reads)
 
 
 def _fold_lane(op: Opcode, x: str, y: str) -> Optional[str]:
@@ -418,29 +567,43 @@ def _fold_lane(op: Opcode, x: str, y: str) -> Optional[str]:
 
 
 def _lane_template(lines: List[str], ind: str, op: Opcode, a, b,
-                   word_bits: int) -> List[Tuple[str, int]]:
+                   word_bits: int, raw=None) -> List[Tuple[str, int]]:
     """Emit the statements of SIMD *op*'s template and return, per result
     lane (lane 0 first), an expression and the clamp its value still
     needs: the one lane template set of both generators.
 
     *a* is four lane expressions, or a lane-tuple expression (unpacked
     into ``a0``..``a3``); *b* is the same for the lane-wise ops, an int
-    expression for the shifts (only its low 4 bits count) and ``None``
-    for the unary ops.  A swizzle's lanes are *a*'s own expressions, and
-    so is every lane a mask lane selects (:func:`_fold_lane`).  On
-    sign-extended lanes ``&``, ``|``, ``^`` and the arithmetic right
-    shift stay in range, so only the left shift wraps and only add, sub,
-    negate and the q15 products saturate."""
+    expression for the shifts (only its low 4 bits count; a literal is
+    folded in) and ``None`` for the unary ops.  A swizzle's lanes are
+    *a*'s own expressions, and so is every lane a mask lane selects
+    (:func:`_fold_lane`).  On sign-extended lanes ``&``, ``|``, ``^`` and
+    the arithmetic right shift stay in range, so only the left shift
+    wraps and only add, sub, negate and the q15 products saturate; *raw*
+    (:func:`_lane_raw`, default: any operand lanes) says which lanes
+    can, and only those clamp, wrap or test for -32768."""
     _require_lane_words(op, word_bits)
     w = lines.append
     if isinstance(a, str):
         w(ind + "a0, a1, a2, a3 = %s" % a)
         a = ("a0", "a1", "a2", "a3")
     if op in _LANE_SHIFTS:
-        w(ind + "sh = (%s) & 15" % b)
+        amount = _literal_value(b)
+        if amount is None:
+            w(ind + "sh = (%s) & 15" % b)
+            sh = "sh"
+        else:
+            amount &= 15
+            sh = str(amount)
+        if raw is None:
+            raw = _lane_raw(op, _FULL, amount=amount)
+        if amount == 0:
+            return [(x, _CLAMP_NONE) for x in a]
         if op is Opcode.C4SHIFTR:
-            return [("%s >> sh" % x, _CLAMP_NONE) for x in a]
-        return [("(((%s << sh) + 32768) & 65535) - 32768" % x, _CLAMP_NONE) for x in a]
+            return [("%s >> %s" % (x, sh), _CLAMP_NONE) for x in a]
+        return [("%s << %s" % (x, sh) if not _clamp_of(r) else
+                 "(((%s << %s) + 32768) & 65535) - 32768" % (x, sh), _CLAMP_NONE)
+                for x, r in zip(a, raw)]
     if op is Opcode.C4SWAP32:
         return [(a[2], _CLAMP_NONE), (a[3], _CLAMP_NONE), (a[0], _CLAMP_NONE),
                 (a[1], _CLAMP_NONE)]
@@ -448,18 +611,22 @@ def _lane_template(lines: List[str], ind: str, op: Opcode, a, b,
         return [(a[1], _CLAMP_NONE), (a[0], _CLAMP_NONE), (a[3], _CLAMP_NONE),
                 (a[2], _CLAMP_NONE)]
     if op is Opcode.C4NEGB:
-        return [(a[0], _CLAMP_NONE), ("32767 if %s == -32768 else -%s" % (a[1], a[1]), _CLAMP_NONE),
-                (a[2], _CLAMP_NONE), ("32767 if %s == -32768 else -%s" % (a[3], a[3]), _CLAMP_NONE)]
+        if raw is None:
+            raw = _lane_raw(op, _FULL)
+        return [(x if k % 2 == 0 else ("32767 if %s == -32768 else -%s" % (x, x)
+                                        if _clamp_of(raw[k]) else "-%s" % x), _CLAMP_NONE)
+                for k, x in enumerate(a)]
     if isinstance(b, str):
         w(ind + "b0, b1, b2, b3 = %s" % b)
         b = ("b0", "b1", "b2", "b3")
+    if raw is None:
+        raw = _lane_raw(op, _FULL, _FULL)
     if op in _LANE_INFIX:
         sign = _LANE_INFIX[op]
-        clamp = _CLAMP_BOTH if op in (Opcode.C4ADD, Opcode.C4SUB) else _CLAMP_NONE
         lanes = []
-        for x, y in zip(a, b):
+        for x, y, r in zip(a, b, raw):
             folded = _fold_lane(op, x, y)
-            lanes.append(("%s %s %s" % (x, sign, y), clamp) if folded is None
+            lanes.append(("%s %s %s" % (x, sign, y), _clamp_of(r)) if folded is None
                          else (folded, _CLAMP_NONE))
         return lanes
     if op is Opcode.C4MAX:
@@ -468,11 +635,9 @@ def _lane_template(lines: List[str], ind: str, op: Opcode, a, b,
     if op is Opcode.C4MIN:
         return [("%s if %s < %s else %s" % (a[i], a[i], b[i], b[i]), _CLAMP_NONE)
                 for i in range(4)]
-    if op in (Opcode.D4PROD, Opcode.C4PROD):
-        # C4PROD pairs across: |a1*b2|b1*a2|c1*d2|d1*c2|.
-        pairs = ((0, 0), (1, 1), (2, 2), (3, 3)) if op is Opcode.D4PROD \
-            else ((0, 1), (1, 0), (2, 3), (3, 2))
-        return [("(%s * %s) >> 15" % (a[x], b[y]), _CLAMP_HI) for x, y in pairs]
+    if op in _PROD_PAIRS:
+        return [("(%s * %s) >> 15" % (a[x], b[y]), _clamp_of(r))
+                for (x, y), r in zip(_PROD_PAIRS[op], raw)]
     raise CodegenUnsupported("no lane template for %s" % op.value)  # pragma: no cover
 
 
@@ -494,10 +659,11 @@ def _emit_lanes(lines: List[str], ind: str, op: Opcode, a, b,
 
 
 def _emit_clamp(lines: List[str], ind: str, name: str, clamp: int) -> None:
-    """Saturate the lane held in *name* in place."""
-    if clamp != _CLAMP_NONE:
+    """Saturate the lane held in *name* in place at the ends *clamp*
+    names."""
+    if clamp & _CLAMP_HI:
         lines.append(ind + "if %s > 32767:" % name)
         lines.append(ind + "    %s = 32767" % name)
-    if clamp == _CLAMP_BOTH:
-        lines.append(ind + "elif %s < -32768:" % name)
+    if clamp & _CLAMP_LO:
+        lines.append(ind + "%s %s < -32768:" % ("elif" if clamp & _CLAMP_HI else "if", name))
         lines.append(ind + "    %s = -32768" % name)

@@ -137,11 +137,11 @@ class Core:
 
         The scratchpad holds *image* with idle banks; the central,
         predicate and local register files, the CGA out-latches and the
-        VLIW scoreboards are cleared; the I$ is warmed by fetching every
-        bundle in pc order (steady-state measurement), with the tracer
-        held off so warm-up leaves no events.  The statistics then
-        restart at zero, so after the run ``stats.take()`` is the
-        region's.  Configuration DMA is not replayed; its accounting
+        VLIW scoreboards are cleared; the I$ holds the tags fetching
+        every bundle in pc order would leave (steady-state measurement;
+        :meth:`InstructionCache.warm`, which counts nothing and emits no
+        trace events).  The statistics then restart at zero, so after
+        the run ``stats.take()`` is the region's.  Configuration DMA is not replayed; its accounting
         never enters a region's statistics.
 
         A reset discards everything a run leaves behind, a faulted
@@ -155,6 +155,10 @@ class Core:
         program object misses them and the same object keeps them
         warm.
         """
+        # A run fetches only its own program's bundles, so the I$ lines
+        # holding a tag are those of the program run since the last
+        # reset (or construction).
+        stale_bundles = len(self.program.bundles)
         self.program = program
         self.vliw.bundles = program.bundles
         scratchpad = self.scratchpad
@@ -170,21 +174,11 @@ class Core:
         self.cga._out_latch[:] = [0] * len(self.cga._out_latch)
         self.vliw._reg_ready.clear()
         self.vliw._pred_ready.clear()
-        icache = self.icache
-        icache._tags[:] = [None] * icache.n_lines
+        self.icache.warm(len(program.bundles), stale_bundles)
         self.cycle = 0
         self.pc = 0
         self.halted = False
         self.kernel_log.clear()
-        tracer = self.tracer
-        was_enabled = tracer.enabled
-        tracer.enabled = False
-        try:
-            fetch = icache.fetch
-            for pc in range(len(program.bundles)):
-                fetch(pc)
-        finally:
-            tracer.enabled = was_enabled
         self.stats.clear()
 
     def load_configuration(self, stall_core: bool = False) -> int:

@@ -78,6 +78,25 @@ class InstructionCache:
         """Invalidate all lines (reset behaviour)."""
         self._tags = [None] * self.n_lines
 
+    def warm(self, n_bundles: int, stale_bundles: int) -> None:
+        """Set the tags :meth:`flush` followed by :meth:`fetch` of
+        bundles ``0 .. n_bundles-1`` in pc order leaves, without counting
+        those fetches and without rebuilding every line: only the lines
+        of bundles ``0 .. stale_bundles-1`` may hold a tag now (what the
+        caller fetched since the last flush or warm-up), so only those
+        lines are invalidated.  The tag list is updated in place."""
+        n, per = self.n_lines, self.bundles_per_line
+        lines = -(-n_bundles // per)
+        tags = self._tags
+        if lines >= n:
+            # Line index i last holds line address lines-1-((lines-1-i) % n).
+            tags[:] = [(lines - 1 - i) // n for i in range(n)]
+            return
+        stale = min(-(-stale_bundles // per), n)
+        if stale > lines:
+            tags[lines:stale] = [None] * (stale - lines)
+        tags[:lines] = [0] * lines
+
     @property
     def hit_rate(self) -> float:
         """Fraction of fetches that hit."""

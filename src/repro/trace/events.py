@@ -41,6 +41,11 @@ class StallCause(str, Enum):
     #: The core waited for CGA configuration contexts over DMA.
     DMA_CONFIG = "dma_config"
 
+    #: The C-level identity hash (see ``OpGroup.__hash__``): the
+    #: ``stall_causes`` Counters hash a cause per update.  Look causes
+    #: up by member, not by their string value.
+    __hash__ = object.__hash__
+
 
 #: Order used by reports when listing all causes.
 ALL_STALL_CAUSES = tuple(StallCause)

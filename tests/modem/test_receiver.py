@@ -145,3 +145,39 @@ class TestSyncRegionReadsAdcStream:
         tail = work0[352 - ltf_guess : window_end - ltf_guess + 1]
         assert len(tail) == window_end - 351 and np.all(tail != 0)
         assert float(np.mean(out.bits != case.bits)) <= self.BER_READING_ZEROS
+
+
+def _unpack_bits_loop(receiver, image):
+    """The per-label loop the vectorised ``SimReceiver._unpack_bits``
+    replaced: the oracle it is compared with."""
+    from repro.isa.bits import split_lanes
+    from repro.phy.params import DATA_SYMBOLS
+
+    bits = []
+    for sym in range(DATA_SYMBOLS):
+        base = receiver.mem.LBUF0 if sym == 0 else receiver.mem.LBUF1
+        labels = {}
+        for ci, bin_ in enumerate(receiver.compact_bins):
+            word = int.from_bytes(image[base + 8 * ci: base + 8 * ci + 8], "little")
+            labels[bin_] = split_lanes(word)
+        for stream in range(receiver.params.n_streams):
+            for bin_ in receiver.params.data_carriers:
+                for lane in (labels[bin_][2 * stream], labels[bin_][2 * stream + 1]):
+                    bits.extend((lane >> shift) & 1 for shift in (2, 1, 0))
+    return np.array(bits, dtype=np.int64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unpack_bits_matches_the_label_loop(seed):
+    """On random label images (any 16-bit lane, negative ones included)
+    the vectorised unpacking returns the loop's bits, dtype and order."""
+    from repro.modem.receiver import SimReceiver
+
+    receiver = SimReceiver()
+    rng = np.random.default_rng(seed)
+    image = bytearray(rng.integers(0, 256, size=DEFAULT_MAP.LBUF1 + 1024, dtype=np.uint8))
+    want = _unpack_bits_loop(receiver, image)
+    got = receiver._unpack_bits(image)
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert (np.frombuffer(bytes(image[DEFAULT_MAP.LBUF0:DEFAULT_MAP.LBUF0 + 448]), "<i2") < 0).any()

@@ -56,21 +56,23 @@ class TestPacketValidation:
 
 class TestTracerRobustness:
     def test_tracer_reenabled_after_setup_fault(self, monkeypatch):
-        """A fault inside the untraced setup window (``Core.reset``'s I$
-        warm-up) must not leave the caller's tracer disabled.  A traced
-        lane runs alone, so its fault is final: no replay warms again."""
+        """A fault inside ``Core.reset``'s I$ warm-up must not leave the
+        caller's tracer disabled: the warm-up sets the tags directly
+        (no fetch, so no trace event) and never turns the tracer off.  A
+        traced lane runs alone, so its fault is final: no replay warms
+        again."""
         tracer = Tracer(capacity=1024, enabled=True)
         runtime = ModemRuntime(tracer=tracer)
         warmups = []
 
-        def boom(self, pc, cycle=0):
+        def boom(self, n_bundles, stale_bundles):
             warmups.append(tracer.enabled)
             raise RuntimeError("I$ warm-up fault")
 
-        monkeypatch.setattr(InstructionCache, "fetch", boom)
+        monkeypatch.setattr(InstructionCache, "warm", boom)
         rx = np.zeros((2, 400), dtype=np.complex128)
         with pytest.raises(RuntimeError, match="I\\$ warm-up fault"):
             runtime.run_packet(rx)
-        assert warmups == [False]
+        assert warmups == [True]
         assert tracer.enabled is True
         assert runtime.fallbacks == 1

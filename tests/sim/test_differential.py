@@ -28,6 +28,7 @@ from repro.arch import paper_core
 from repro.arch.resources import MemorySpec
 from repro.compiler.linker import ProgramLinker
 from repro.isa import Imm, Instruction, Opcode, PredReg, Reg
+from repro.isa.opcodes import latency_of
 from repro.kernels.fshift import build_fshift_pair_dfg, phasor_pair_table_words
 from repro.kernels.xcorr import build_xcorr_dfg
 from repro.phy.fixed import quantize_complex
@@ -43,6 +44,7 @@ from repro.sim import (
 )
 from repro.sim.batch import BatchProgramRunner
 from repro.sim.cga import CgaFault
+from repro.sim.icache import InstructionCache
 from repro.sim.memory import MemoryError_
 from repro.sim.program import DstKind, Preload, SrcKind
 from repro.sim.stats import _COUNTER_FIELDS, _SCALAR_FIELDS, ActivityStats
@@ -613,16 +615,19 @@ def _loop(source):
 
 def _assert_lanes_stay_scalar(body):
     """Inside the loop no value converts or is packed into or unpacked
-    from a tuple, except the four lanes of an 8-byte load or store."""
+    from a tuple, except the four lanes of an 8-byte load or store and
+    the two of a 4-byte one."""
     import re
 
     for line in body:
         assert "_U4(" not in line and "_P4(" not in line and "_P8(" not in line, line
         target = line.split(" = ")[0]
         if ", " in target and " = " in line:
-            assert re.fullmatch(r"(\w+, ){3}\w+ = _L4\(M, addr\)", line), line
-        if "_S4(" in line:
-            assert re.fullmatch(r"_S4\(M, addr(, [\w()-]+){4}\)", line), line
+            assert re.fullmatch(r"(\w+, ){3}\w+ = _L4\(M, addr\)|\w+, \w+ = _L2\(M, addr\)",
+                                line), line
+        if "_S4(" in line or "_S2(" in line:
+            assert re.fullmatch(r"_S4\(M, addr(, [\w()-]+){4}\)|_S2\(M, addr(, [\w()-]+){2}\)",
+                                line), line
 
 
 def test_fft_stage_routes_moves_without_saturating_adds():
@@ -632,9 +637,12 @@ def test_fft_stage_routes_moves_without_saturating_adds():
     moves are resolved while generating), and neither do the lane
     selects of its twiddle multiplies (``c4and`` with ``MASK_EVEN`` /
     ``MASK_ODD``) or the ``c4add`` merging two selected values, whose
-    lanes are all re-pointed; each issue site of any other ``c4add``/
-    ``c4sub`` saturates each of its four lane locals in place, and the
-    loop converts nothing."""
+    lanes are all re-pointed.  A ``c4add``/``c4sub`` feeding a select
+    computes only the two lanes the mask keeps; one adding two ``>> 1``
+    lanes or their negations (the second-level butterflies) never
+    saturates; every other
+    lane it computes saturates in place, at both ends.  The loop
+    converts nothing."""
     import re
 
     from repro.kernels.fft import build_radix4_stage_dfg, twiddled_stages
@@ -666,6 +674,13 @@ def test_fft_stage_routes_moves_without_saturating_adds():
         named = re.compile(r"x%d(v\d+)?(_\d)? = " % rec.oid)
         return any(named.match(line) for line in lines)
 
+    def halved(lane):
+        """Is the lane local *lane* assigned only ``<lane> >> 1`` or the
+        negation of such a lane?"""
+        defs = [line.split(" = ")[1] for line in lines if line.startswith(lane + " = ")]
+        return defs and all(re.fullmatch(r"\S+ >> 1", x) or (x[0] == "-" and halved(x[1:]))
+                            for x in defs)
+
     moves = [rec for rec in gen.ops if rec.identity]
     selects = [rec for rec in gen.ops if rec.op.opcode is Opcode.C4AND]
     addsub = [rec for rec in gen.ops
@@ -673,7 +688,7 @@ def test_fft_stage_routes_moves_without_saturating_adds():
     assert moves and selects and addsub
     for rec in moves + selects:
         assert not assigned(rec), rec.oid
-    saturating = []
+    saturating, halves, selected = [], [], []
     for rec in addsub:
         sign = "+" if rec.op.opcode is Opcode.C4ADD else "-"
         sums = [line for line in lines
@@ -681,19 +696,210 @@ def test_fft_stage_routes_moves_without_saturating_adds():
         if not sums:
             assert not assigned(rec), rec.oid  # a merge of two selects
             continue
-        saturating.append(rec)
-        assert len(sums) == 4 * issue_sites(rec), rec.oid
+        computed = {line.split(" = ")[0][-1] for line in sums}
+        assert len(sums) == len(computed) * issue_sites(rec), rec.oid
+        if computed != {"0", "1", "2", "3"}:
+            assert computed in ({"0", "2"}, {"1", "3"}), (rec.oid, computed)
+            selected.append(rec)
+        operands = {x for line in sums for x in line.split(" = ")[1].split(" %s " % sign)}
+        if all(halved(x) for x in operands):
+            halves.append(rec)
+        else:
+            saturating.append(rec)
         for line in sums:
             name = line.split(" = ")[0]
             at = lines.index(line)
-            assert lines[at + 1:at + 5] == [
-                "if %s > 32767:" % name, "%s = 32767" % name,
-                "elif %s < -32768:" % name, "%s = -32768" % name], line
-    # One merge per twiddle multiply, each of two selects.
-    assert 2 * (len(addsub) - len(saturating)) == len(selects)
+            clamp = ["if %s > 32767:" % name, "%s = 32767" % name,
+                     "elif %s < -32768:" % name, "%s = -32768" % name]
+            if rec in halves:
+                assert lines[at + 1] not in clamp, line
+            else:
+                assert lines[at + 1:at + 5] == clamp, line
+    # One merge per twiddle multiply, each of two selects, each reading
+    # the two lanes one product difference or sum computes.
+    assert 2 * (len(addsub) - len(saturating) - len(halves)) == len(selects) == len(selected)
+    assert len(halves) == 4 and not set(halves) & set(selected)
     assert sum(line.endswith(" < -32768:") for line in lines) \
-        == 4 * sum(issue_sites(rec) for rec in saturating) == 4 * 56
+        == sum((2 if rec in selected else 4) * issue_sites(rec) for rec in saturating) \
+        == 4 * 28
     _assert_lanes_stay_scalar(body)
+
+
+def test_masked_lanes_emit_no_statement():
+    """A ``c4prod``/``d4prod`` whose result only a ``c4and`` with
+    ``MASK_EVEN`` (or ``MASK_ODD``) reads computes only the lanes the
+    mask keeps: in the steady loop no statement assigns a lane the mask
+    drops, not even its clamp, and the kernel runs bit-identically on
+    every tier."""
+    import re
+
+    from repro.kernels.common import MASK_EVEN, MASK_ODD
+
+    for opcode, mask, kept in ((Opcode.D4PROD, MASK_EVEN, "02"), (Opcode.C4PROD, MASK_ODD, "13")):
+        c0 = {
+            0: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(0xF8), SrcSel.imm(8))),
+            1: CgaOp(opcode=Opcode.LD_Q, srcs=(SrcSel.wire(0), SrcSel.imm(0)), stage=1),
+            5: CgaOp(opcode=opcode, srcs=(SrcSel.wire(1), SrcSel.wire(1)), stage=2),
+            6: CgaOp(opcode=Opcode.C4AND, srcs=(SrcSel.wire(5), SrcSel.imm(mask)), stage=3),
+            2: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.self_().with_init(0), SrcSel.wire(6)),
+                     dsts=(DstSel(DstKind.CDRF, 10, last_iteration_only=True),), stage=4),
+        }
+        kernel = CgaKernel(name="masked_product", ii=1, stage_count=5,
+                           contexts=[CgaContext(ops=c0)], trip_count=12)
+        gen, source = _generated(kernel, 12)
+        (prod,) = [rec for rec in gen.ops if rec.op.opcode is opcode]
+        product = r"^\s*x%d(?:v\d+)?_(\d) = \(" % prod.oid
+        lanes = re.findall(product, source, re.M)
+        _lo, _end, _unroll, body = _loop(source)
+        in_loop = re.findall(product, "\n".join(body), re.M)
+        assert in_loop and set(in_loop) == set(kept), in_loop
+        # Only the last product, which the out-latch write-back at
+        # kernel exit reads, computes the lanes the mask drops.
+        assert sorted(x for x in lanes if x not in kept) == sorted(set("0123") - set(kept))
+        # Every lane of a loaded word can be -32768, so a product of
+        # two clamps at its upper end only; one of the latch's initial
+        # 0 (read before the first load commits) never clamps.
+        lines = [line.strip() for line in source.splitlines()]
+        for at, line in enumerate(lines):
+            m = re.fullmatch(r"(x%d(?:v\d+)?_\d) = \((\S+) \* (\S+)\) >> 15" % prod.oid, line)
+            if m:
+                name, x, y = m.groups()
+                clamps = lines[at + 1] == "if %s > 32767:" % name
+                assert clamps == ((x, y) != ("0", "0")), line
+        assert not re.search(r"x%d(?:v\d+)?_\d < -32768" % prod.oid, source)
+        mem = [(0x100 + 8 * i, (0x8000_7FFF_8000_C001 * (i + 1)) & (2**64 - 1), 8)
+               for i in range(16)]
+        run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}), mem=mem)
+
+
+# ----------------------------------------------------------------------
+# Lane ranges: a lane clamps only where its interval can cross int16
+# ----------------------------------------------------------------------
+
+#: The saturating and narrowing lane ops a clamp proof reasons about.
+RANGE_OPCODES = (Opcode.D4PROD, Opcode.C4PROD, Opcode.C4NEGB, Opcode.C4SHIFTR,
+                 Opcode.C4SHIFTL, Opcode.C4ADD, Opcode.C4SUB)
+
+#: Lanes at int16's ends and around the points a shift or a q15
+#: product carries them to.
+_EDGE_LANE = st.sampled_from([0x8000, 0x7FFF, 0x8001, 0xFFFF, 0, 1, 0x4000, 0xC000])
+_EDGE_WORD = st.lists(_EDGE_LANE, min_size=4, max_size=4).map(
+    lambda lanes: sum(lane << (16 * i) for i, lane in enumerate(lanes)))
+
+#: The FUs of a chain, each wired to the next, to FU2 (the store) and,
+#: the first, to FU1 (the load).
+_CHAIN_FUS = (5, 6, 7, 10)
+
+
+def k_lane_chain(steps, imms, trip, tail="st_q"):
+    """A load, a chain of SIMD ops and a consumer of its end, one op per
+    FU at II 1.  FU0 steps the address, FU1 loads an 8-byte word from
+    it; step *k* of *steps* ``(opcode, source)`` runs on
+    ``_CHAIN_FUS[k]`` and reads the previous op's value (the load's,
+    first) and, as its second operand, per *source*: that value again
+    (``"prev"``), the load (``"load"``), its own previous result from
+    ``imms[k]`` (``"self"``, a recurrence), a pooled immediate
+    ``imms[k]`` (``"imm"``) or, for a shift, a baked amount
+    ``imms[k] & 15``.  Each op issues once the value it reads has
+    committed.  FU2 stores the chain's end in 8 bytes (*tail*
+    ``"st_q"``) or 4 (``"st_i"``, lanes 0 and 1), or adds it to a
+    scalar it writes to CDRF r10 (``"add"``, its low 32 bits)."""
+    ops = {
+        0: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(0xF8), SrcSel.imm(8))),
+        1: CgaOp(opcode=Opcode.LD_Q, srcs=(SrcSel.wire(0), SrcSel.imm(0)), stage=1),
+    }
+    prev, stage = 1, 1 + latency_of(Opcode.LD_Q)
+    for k, (opcode, source) in enumerate(steps):
+        fu = _CHAIN_FUS[k]
+        srcs = (SrcSel.wire(prev),)
+        if opcode is not Opcode.C4NEGB:
+            srcs += ({"prev": SrcSel.wire(prev), "load": SrcSel.wire(1),
+                      "self": SrcSel.self_().with_init(imms[k]),
+                      "imm": SrcSel.imm(imms[k])}[source],)
+        ops[fu] = CgaOp(opcode=opcode, srcs=srcs, stage=stage)
+        prev, stage = fu, stage + latency_of(opcode)
+    if tail == "add":
+        ops[2] = CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.wire(prev), SrcSel.imm(0x1234_5678)),
+                       dsts=(DstSel(DstKind.CDRF, 10),), stage=stage)
+    else:
+        ops[2] = CgaOp(opcode=Opcode.ST_Q if tail == "st_q" else Opcode.ST_I,
+                       srcs=(SrcSel.wire(0), SrcSel.imm(0x400), SrcSel.wire(prev)), stage=stage)
+    return CgaKernel(name="lane_chain", ii=1, stage_count=stage + 1,
+                     contexts=[CgaContext(ops=ops)], trip_count=trip)
+
+
+_STEP = st.tuples(st.sampled_from(RANGE_OPCODES),
+                  st.sampled_from(["prev", "self", "imm", "load"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    steps=st.lists(_STEP, min_size=1, max_size=len(_CHAIN_FUS)),
+    imms=st.lists(_EDGE_WORD, min_size=len(_CHAIN_FUS), max_size=len(_CHAIN_FUS)),
+    words=st.lists(_EDGE_WORD, min_size=12, max_size=12),
+    trip=st.integers(1, 9),
+    tail=st.sampled_from(["st_q", "st_i", "add"]),
+)
+def test_lane_range_chains_differential(steps, imms, words, trip, tail):
+    """Chains of q15 products, negations, shifts, adds and subs over
+    lanes at int16's ends, whose clamps the generator keeps only where
+    a lane's interval can cross int16 and whose lanes it computes only
+    where something reads them, land bit-identical to the reference
+    tier: registers, memory, bank clocks and stats."""
+    steps = [(op, "prev" if src == "load" and k else src) for k, (op, src) in enumerate(steps)]
+    kernel = k_lane_chain(steps, imms, trip, tail)
+    _generated(kernel, trip)  # generated, not refused to the reference loop
+    mem = [(0x100 + 8 * i, words[i % len(words)], 8) for i in range(trip + 1)]
+    run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}), mem=mem)
+
+
+def k_scalar_reads_lanes(trip):
+    """FU5's ``c4add`` of a loaded word and a constant is read only by
+    FU2's scalar ``add`` (in context 1, after it commits), which FU2
+    stores in 4 bytes next iteration; FU5's own ``add`` in context 1
+    overwrites its latch before kernel exit.  So only the low 32 bits
+    of the ``c4add``, lanes 0 and 1, are ever read."""
+    c0 = {
+        0: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(0xF8), SrcSel.imm(8))),
+        1: CgaOp(opcode=Opcode.LD_Q, srcs=(SrcSel.wire(0), SrcSel.imm(0)), stage=1),
+        5: CgaOp(opcode=Opcode.C4ADD, srcs=(SrcSel.wire(1), SrcSel.imm(0x7FFF_8000_7FFF_8001)),
+                 stage=4),
+        2: CgaOp(opcode=Opcode.ST_I, srcs=(SrcSel.wire(0), SrcSel.imm(0x400), SrcSel.self_()),
+                 stage=5),
+    }
+    c1 = {
+        5: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.self_().with_init(3), SrcSel.imm(5))),
+        2: CgaOp(opcode=Opcode.ADD, srcs=(SrcSel.wire(5), SrcSel.imm(0x1234_5678)),
+                 dsts=(DstSel(DstKind.CDRF, 10),), stage=4),
+    }
+    return CgaKernel(name="scalar_reads_lanes", ii=2, stage_count=6,
+                     contexts=[CgaContext(ops=c0), CgaContext(ops=c1)], trip_count=trip)
+
+
+@pytest.mark.parametrize("trip", [1, 2, 7, 20])
+def test_scalar_reader_of_lanes_computes_two_lanes(trip):
+    """A SIMD value only a scalar op reads is computed in lanes 0 and 1
+    alone, which the scalar op joins into the 32 bits it reads, and
+    the kernel runs bit-identically on every tier.  FU5's own ``add``
+    is a recurrence nothing else reads and emits nothing."""
+    import re
+
+    kernel = k_scalar_reads_lanes(trip)
+    gen, source = _generated(kernel, trip)
+    (add,) = [rec for rec in gen.ops if rec.op.opcode is Opcode.C4ADD]
+    computed = r"^\s*x%d(?:v\d+)?_(\d) = \S+ \+ " % add.oid
+    lanes = re.findall(computed, source, re.M)
+    # The last sum is in FU5's latch at kernel exit, whose write-back
+    # reads every lane; no other sum computes lanes 2 and 3.
+    assert sorted(lanes).count("2") == sorted(lanes).count("3") == 1, lanes
+    loop = _loop(source)
+    if loop is not None:
+        assert set(re.findall(computed, "\n".join(loop[3]), re.M)) == {"0", "1"}
+    assert re.search(r"\(\(x%d(?:v\d+)?_0 & 65535\) \| \(\(x%d(?:v\d+)?_1 & 65535\) << 16\)\)"
+                     % (add.oid, add.oid), source)
+    mem = [(0x100 + 8 * i, (0x8000_7FFF_0001_FFFF * (i + 3)) & (2**64 - 1), 8)
+           for i in range(trip + 8)]
+    run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}), mem=mem)
 
 
 def k_form_boundaries(trip):
@@ -1410,6 +1616,13 @@ def test_reset_core_runs_like_a_fresh_core(interpreter):
     assert any(used.scratchpad._bank_next_free) and used.kernel_log
     assert used.vliw._reg_ready.get(2, 0) > 1 and used.vliw._pred_ready.get(1, 0) > 1
     used.reset(program_b, image)
+    # The reset's I$ holds the tags a flushed cache fetching B's bundles
+    # in order holds, and counts none of those fetches.
+    looped = InstructionCache(arch.icache, miss_penalty=arch.icache_miss_penalty)
+    for pc in range(len(program_b.bundles)):
+        looped.fetch(pc)
+    assert used.icache._tags == looped._tags
+    assert used.stats.icache_hits == used.stats.icache_misses == 0
     before = used.stats.snapshot()
     used.run()
     used_delta = used.stats.delta_since(before)
@@ -1421,6 +1634,7 @@ def test_reset_core_runs_like_a_fresh_core(interpreter):
     before = fresh.stats.snapshot()
     fresh.run()
     assert_same_state(fresh, used)
+    assert used.icache._tags == fresh.icache._tags
     assert_same_stats(fresh.stats.delta_since(before), used_delta)
 
 

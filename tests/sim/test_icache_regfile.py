@@ -46,6 +46,29 @@ class TestInstructionCache:
         assert ic.fetch(3) == 0
         assert ic.fetch(4) == 8
 
+    @pytest.mark.parametrize("per", [1, 3])
+    @pytest.mark.parametrize("stale", [0, 5, 16, 40, 70])
+    @pytest.mark.parametrize("n_bundles", [0, 1, 7, 16, 17, 47, 48, 100])
+    def test_warm_equals_the_fetch_loop(self, n_bundles, stale, per):
+        """``warm`` leaves the tags a flush and an in-order fetch of
+        every bundle leave, from a cache whose first *stale* bundles
+        were fetched in any order, and counts nothing."""
+        spec = MemorySpec("icache", words=16, width=128)
+        warmed = InstructionCache(spec, 8, bundles_per_line=per)
+        looped = InstructionCache(spec, 8, bundles_per_line=per)
+        for pc in list(range(stale))[::-1] + list(range(0, stale, 3)):
+            warmed.fetch(pc)
+        counters = (warmed.stats.icache_hits, warmed.stats.icache_misses)
+        warmed.warm(n_bundles, stale)
+        for pc in range(n_bundles):
+            looped.fetch(pc)
+        assert warmed._tags == looped._tags
+        assert (warmed.stats.icache_hits, warmed.stats.icache_misses) == counters
+        # The same list object: generated code holds it.
+        tags = warmed._tags
+        warmed.warm(3, n_bundles)
+        assert warmed._tags is tags
+
     def test_flush_invalidates(self):
         ic = make_icache()
         ic.fetch(5)

@@ -191,3 +191,51 @@ def test_divide_templates_arbitrary_words(a, b):
 
     for op in (Opcode.DIV, Opcode.DIV_U):
         assert DIV_FNS[op](a, b) == execute(op, [a, b])
+
+
+def _interval(draw):
+    """An int16 interval, often pinned at an end or a single value."""
+    ends = st.one_of(st.sampled_from([-32768, -32767, -16384, -1, 0, 1, 16383, 32767]),
+                     st.integers(-32768, 32767))
+    lo, hi = sorted((draw(ends), draw(ends)))
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=st.sampled_from(SIMD_OPS), data=st.data())
+def test_lane_intervals_bound_every_result(op, data):
+    """For operands whose lanes lie in given intervals, every result lane
+    lies in :func:`_lane_result` of :func:`_lane_raw`, and the template
+    built with those intervals, which clamps, wraps or tests for -32768
+    only where they say a lane can need it, computes the reference
+    result.  A shift's amount is a literal, as when baked."""
+    draw = data.draw
+    a_iv = tuple(_interval(draw) for _ in range(4))
+    b_iv = tuple(_interval(draw) for _ in range(4))
+    a = _word([draw(st.integers(lo, hi)) & 0xFFFF for lo, hi in a_iv])
+    amount = None
+    if op in SHIFTS:
+        amount = draw(st.integers(0, 15))
+        b = amount
+    else:
+        b = _word([draw(st.integers(lo, hi)) & 0xFFFF for lo, hi in b_iv])
+    raw = codegen._lane_raw(op, a_iv, None if op in SHIFTS + UNARY else b_iv, amount)
+    want = reference(op)(a, b)
+    lanes = [((want >> (16 * i)) & 0xFFFF ^ 0x8000) - 0x8000 for i in range(4)]
+    for lane, (lo, hi) in zip(lanes, codegen._lane_result(op, raw)):
+        assert lo <= lane <= hi, (op.value, lanes, raw)
+    lines = []
+    lane_exprs = codegen._lane_template(
+        lines, "    ", op, ("a0", "a1", "a2", "a3"),
+        str(amount) if op in SHIFTS else (None if op in UNARY else ("b0", "b1", "b2", "b3")),
+        64, raw)
+    body = []
+    for k, (expr, clamp) in enumerate(lane_exprs):
+        body.append("    r%d = %s" % (k, expr))
+        codegen._emit_clamp(body, "    ", "r%d" % k, clamp)
+    source = ("def f(a, b):\n    a0, a1, a2, a3 = _U4(_P8(a))\n    b0, b1, b2, b3 = _U4(_P8(b))\n"
+              + "\n".join(lines + body)
+              + "\n    return _fb(_P4(r0, r1, r2, r3), 'little')\n")
+    ns = codegen._base_namespace()
+    exec(compile(source, "<lane interval template %s>" % op.value, "exec"), ns)
+    assert ns["f"](a, b) == want, source

@@ -88,3 +88,53 @@ class TestStats:
         s.cga_ops = 950
         row = KernelProfile("fshift", s).row()
         assert row == {"kernel": "fshift", "mode": "CGA", "IPC": 9.5, "cycles": 100}
+
+
+def _worker_stats() -> ActivityStats:
+    """Statistics with every keyed counter filled, as a worker makes them."""
+    from repro.trace.events import StallCause
+
+    stats = ActivityStats()
+    for fu, op in ((0, Opcode.C4ADD), (3, Opcode.LD_Q), (3, Opcode.ADD), (5, Opcode.C4PROD)):
+        stats.count_op(fu, op, in_cga=True)
+    stats.count_op(0, Opcode.ADD, in_cga=False)
+    stats.add_stall(StallCause.BANK_CONFLICT, 4)
+    stats.add_stall(StallCause.ICACHE_MISS, 8)
+    stats.cga_cycles = 40
+    stats.vliw_cycles = 12
+    return stats
+
+
+def _send_worker_stats(conn) -> None:
+    conn.send(_worker_stats())
+    conn.close()
+
+
+def test_stats_pickled_across_a_worker_pipe_merge_and_render_the_same():
+    """``OpGroup`` and ``StallCause`` hash by identity; statistics a
+    worker process pickles through a pipe unpickle to the same members,
+    so they merge into this process's counters and render exactly as
+    statistics made here."""
+    import multiprocessing
+
+    from repro.isa.opcodes import OpGroup
+    from repro.trace.events import StallCause
+    from repro.trace.export import prometheus_text
+
+    assert OpGroup.__hash__ is object.__hash__ and StallCause.__hash__ is object.__hash__
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    worker = ctx.Process(target=_send_worker_stats, args=(theirs,))
+    worker.start()
+    received = ours.recv()
+    worker.join(timeout=30)
+    assert worker.exitcode == 0
+    assert received.op_groups[OpGroup.SIMD2] == _worker_stats().op_groups[OpGroup.SIMD2] > 0
+    assert received.stall_causes[StallCause.ICACHE_MISS] == 8
+    merged, local = _worker_stats(), _worker_stats()
+    merged.merge(received)
+    local.merge(_worker_stats())
+    assert merged.as_dict() == local.as_dict()
+    assert merged.stall_breakdown() == local.stall_breakdown()
+    assert prometheus_text(merged) == prometheus_text(local)
+    assert set(merged.op_groups) == set(local.op_groups)

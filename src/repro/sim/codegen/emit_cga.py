@@ -546,7 +546,10 @@ class _CgaGen(CgaSchedule):
                         b = _DEAD_LANES
                     else:
                         b = self._lanes(lines, ind, reads[1], "z%d" % rec.oid, keep | set(a))
-                raw, result = self.lane_raw.get(self.ev, (None, None))
+                # A predicated op logs no write: ``self.ev`` is the next
+                # op's event, whose intervals are not this op's.
+                raw, result = ((None, None) if op.pred is not None
+                               else self.lane_raw.get(self.ev, (None, None)))
                 exprs = _lane_template(lines, ind, op.opcode, a, b, self.word_bits, raw)
                 # A lane nothing reads is not computed; one whose interval
                 # is a single value is that literal.

@@ -460,7 +460,10 @@ def _lane_raw(op: Opcode, a, b=None, amount: Optional[int] = None) -> tuple:
             corners = [p * q for p in a[x] for q in b[y]]
             lanes.append((min(corners) >> 15, max(corners) >> 15))
         return tuple(lanes)
-    return tuple(_LANE_WISE_RAW[op](x, y) for x, y in zip(a, b))
+    rule = _LANE_WISE_RAW.get(op)
+    if rule is None:  # xor, max and min stay in int16
+        return _FULL
+    return tuple(rule(x, y) for x, y in zip(a, b))
 
 
 def _and_raw(x, y):
@@ -468,11 +471,7 @@ def _and_raw(x, y):
         return (0, 0)
     if y == (-1, -1):
         return x
-    if x == (-1, -1):
-        return y
-    if x[0] >= 0 or y[0] >= 0:  # clearing bits of a non-negative lane
-        return (0, min(r[1] for r in (x, y) if r[0] >= 0))
-    return _I16
+    return y if x == (-1, -1) else _I16
 
 
 def _or_raw(x, y):
@@ -481,18 +480,13 @@ def _or_raw(x, y):
     return x if y == (0, 0) else (y if x == (0, 0) else _I16)
 
 
-def _xor_raw(x, y):
-    return x if y == (0, 0) else (y if x == (0, 0) else _I16)
-
-
+#: Lane-wise interval rules: add and sub by interval arithmetic, and
+#: the exact lanes of a mask (0 or -1) in ``and``/``or``.
 _LANE_WISE_RAW = {
     Opcode.C4ADD: lambda x, y: (x[0] + y[0], x[1] + y[1]),
     Opcode.C4SUB: lambda x, y: (x[0] - y[1], x[1] - y[0]),
     Opcode.C4AND: _and_raw,
     Opcode.C4OR: _or_raw,
-    Opcode.C4XOR: _xor_raw,
-    Opcode.C4MAX: lambda x, y: (max(x[0], y[0]), max(x[1], y[1])),
-    Opcode.C4MIN: lambda x, y: (min(x[0], y[0]), min(x[1], y[1])),
 }
 
 #: The operand lanes each result lane of a q15 product multiplies;

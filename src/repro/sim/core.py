@@ -155,10 +155,6 @@ class Core:
         program object misses them and the same object keeps them
         warm.
         """
-        # A run fetches only its own program's bundles, so the I$ lines
-        # holding a tag are those of the program run since the last
-        # reset (or construction).
-        stale_bundles = len(self.program.bundles)
         self.program = program
         self.vliw.bundles = program.bundles
         scratchpad = self.scratchpad
@@ -174,7 +170,7 @@ class Core:
         self.cga._out_latch[:] = [0] * len(self.cga._out_latch)
         self.vliw._reg_ready.clear()
         self.vliw._pred_ready.clear()
-        self.icache.warm(len(program.bundles), stale_bundles)
+        self.icache.warm(len(program.bundles))
         self.cycle = 0
         self.pc = 0
         self.halted = False

@@ -48,6 +48,9 @@ class InstructionCache:
         self.miss_penalty = miss_penalty
         self.bundles_per_line = bundles_per_line
         self._tags: List[Optional[int]] = [None] * self.n_lines
+        #: Lines ``0 .. _warm_lines-1`` are all that may hold a tag
+        #: (see :meth:`warm`); any line may before the first warm-up.
+        self._warm_lines = self.n_lines
         self.stats = stats if stats is not None else ActivityStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
@@ -77,25 +80,29 @@ class InstructionCache:
     def flush(self) -> None:
         """Invalidate all lines (reset behaviour)."""
         self._tags = [None] * self.n_lines
+        self._warm_lines = self.n_lines
 
-    def warm(self, n_bundles: int, stale_bundles: int) -> None:
+    def warm(self, n_bundles: int) -> None:
         """Set the tags :meth:`flush` followed by :meth:`fetch` of
         bundles ``0 .. n_bundles-1`` in pc order leaves, without counting
-        those fetches and without rebuilding every line: only the lines
-        of bundles ``0 .. stale_bundles-1`` may hold a tag now (what the
-        caller fetched since the last flush or warm-up), so only those
-        lines are invalidated.  The tag list is updated in place."""
+        those fetches and without rebuilding every line.  Between two
+        warm-ups a core fetches only the bundles of the program the
+        first one warmed, so only that warm-up's lines may hold a tag
+        and only those are invalidated.  The tag list is updated in
+        place."""
         n, per = self.n_lines, self.bundles_per_line
         lines = -(-n_bundles // per)
         tags = self._tags
         if lines >= n:
             # Line index i last holds line address lines-1-((lines-1-i) % n).
             tags[:] = [(lines - 1 - i) // n for i in range(n)]
+            self._warm_lines = n
             return
-        stale = min(-(-stale_bundles // per), n)
+        stale = self._warm_lines
         if stale > lines:
             tags[lines:stale] = [None] * (stale - lines)
         tags[:lines] = [0] * lines
+        self._warm_lines = lines
 
     @property
     def hit_rate(self) -> float:

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 
-class StallCause(str, Enum):
+class StallCause(Enum):
     """Why the core lost a cycle (the paper's stall sources)."""
 
     #: L1 bank contention froze the array / lengthened a load beyond
@@ -42,8 +42,9 @@ class StallCause(str, Enum):
     DMA_CONFIG = "dma_config"
 
     #: The C-level identity hash (see ``OpGroup.__hash__``): the
-    #: ``stall_causes`` Counters hash a cause per update.  Look causes
-    #: up by member, not by their string value.
+    #: ``stall_causes`` Counters hash a cause per update.  A cause is
+    #: not its string value (no ``str`` mixin), so equality agrees
+    #: with the hash; reports key causes by ``.value``.
     __hash__ = object.__hash__
 
 

@@ -65,7 +65,7 @@ class TestTracerRobustness:
         runtime = ModemRuntime(tracer=tracer)
         warmups = []
 
-        def boom(self, n_bundles, stale_bundles):
+        def boom(self, n_bundles):
             warmups.append(tracer.enabled)
             raise RuntimeError("I$ warm-up fault")
 

@@ -853,6 +853,83 @@ def test_lane_range_chains_differential(steps, imms, words, trip, tail):
     run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}), mem=mem)
 
 
+#: Unpredicated SIMD ops that read no location (CDRF r22 or a phi, and
+#: a baked immediate) and whose lane intervals are narrow: the
+#: ``(opcode, second operand)`` of FU2 in :func:`k_predicated_then_narrow`.
+_NARROW_NEXT = (
+    (Opcode.C4SHIFTR, SrcSel.imm(15)),  # lanes in [-1, 0]
+    (Opcode.C4AND, SrcSel.imm(0)),  # lanes exactly 0
+    (Opcode.C4AND, SrcSel.imm(0xFFFF_0000_FFFF_0000)),  # lanes 0 and 2 exactly 0
+    (Opcode.C4NEGB, None),  # lanes never -32768
+    (Opcode.C4ADD, SrcSel.imm(0xFFFF_FFFF_FFFF_FFFF)),  # lanes never above 32766
+    (Opcode.C4SUB, SrcSel.imm(0xFFFF_FFFF_FFFF_FFFF)),  # lanes never below -32767
+)
+
+#: 64-bit words whose lanes are each -32768 or 32767.
+_END_WORD = st.lists(st.sampled_from([0x8000, 0x7FFF]), min_size=4, max_size=4).map(
+    lambda lanes: sum(lane << (16 * i) for i, lane in enumerate(lanes)))
+
+
+def k_predicated_then_narrow(pred_op, next_op, second, phi, pred_negate, trip):
+    """FU1's *pred_op*, predicated on FU5's toggling latch, of CDRF r20
+    and r21 into CDRF r10, issued just before FU2's unpredicated
+    *next_op* of CDRF r22 (or, *phi*, its own previous result from
+    ``0x8000_7FFF_8000_7FFF``) and *second* into CDRF r11.  FU0's
+    ``c4sub`` of r22 and r20 (into its latch) is a saturating op
+    whatever *next_op* is.  A predicated op logs no write, so this checks it
+    clamps by its own operands' lanes, not by FU2's narrow ones."""
+    first = SrcSel.self_().with_init(0x8000_7FFF_8000_7FFF) if phi else SrcSel.cdrf(22)
+    ops0 = {
+        0: CgaOp(opcode=Opcode.C4SUB, srcs=(SrcSel.cdrf(22), SrcSel.cdrf(20))),
+        5: CgaOp(opcode=Opcode.XOR, srcs=(SrcSel.self_().with_init(1), SrcSel.imm(1))),
+    }
+    ops1 = {
+        1: CgaOp(opcode=pred_op, srcs=(SrcSel.cdrf(20), SrcSel.cdrf(21)),
+                 dsts=(DstSel(DstKind.CDRF, 10),), pred=SrcSel.wire(5),
+                 pred_negate=pred_negate, stage=1),
+        2: CgaOp(opcode=next_op, srcs=(first,) if second is None else (first, second),
+                 dsts=(DstSel(DstKind.CDRF, 11),), stage=1),
+    }
+    return CgaKernel(
+        name="predicated_then_narrow", ii=2, stage_count=2,
+        contexts=[CgaContext(ops=ops0), CgaContext(ops=ops1)], trip_count=trip,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pred_op=st.sampled_from((Opcode.C4ADD, Opcode.C4SUB, Opcode.C4PROD, Opcode.D4PROD)),
+    nxt=st.sampled_from(_NARROW_NEXT),
+    phi=st.booleans(),
+    pred_negate=st.booleans(),
+    ends=st.lists(_END_WORD, min_size=2, max_size=2),
+    other=_EDGE_WORD,
+    trip=st.integers(1, 5),
+)
+def test_predicated_lanes_clamp_by_their_own_operands(pred_op, nxt, phi, pred_negate, ends,
+                                                      other, trip):
+    """A predicated saturating op whose operand lanes sit at int16's
+    ends, issued just before an unpredicated SIMD op with narrow lane
+    intervals, lands bit-identical to the reference tier, bank clocks
+    and stats included."""
+    kernel = k_predicated_then_narrow(pred_op, *nxt, phi, pred_negate, trip)
+    _generated(kernel, trip)  # generated, not refused to the reference loop
+    pokes = list(zip((20, 21, 22), ends + [other]))
+    run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}), pokes=pokes)
+
+
+@pytest.mark.parametrize("nxt", _NARROW_NEXT)
+def test_predicated_lanes_saturate_next_to_a_narrow_op(nxt):
+    """The fixed case of the property above: ``32767 + 32767`` and
+    ``-32768 + -32768`` saturate in a predicated ``c4add`` whatever
+    narrow op issues just after it."""
+    kernel = k_predicated_then_narrow(Opcode.C4ADD, *nxt, False, True, 1)
+    word = 0x8000_7FFF_8000_7FFF
+    core = run_both(Program(bundles=enter_and_halt(), kernels={0: kernel}),
+                    pokes=[(20, word), (21, word), (22, word)])
+    assert core.cdrf.peek(10) == word
+
+
 def k_scalar_reads_lanes(trip):
     """FU5's ``c4add`` of a loaded word and a constant is read only by
     FU2's scalar ``add`` (in context 1, after it commits), which FU2
@@ -1636,6 +1713,28 @@ def test_reset_core_runs_like_a_fresh_core(interpreter):
     assert_same_state(fresh, used)
     assert used.icache._tags == fresh.icache._tags
     assert_same_stats(fresh.stats.delta_since(before), used_delta)
+
+
+@pytest.mark.parametrize("interpreter", ["compiled", "reference"])
+def test_reset_after_a_faulted_reset_warms_like_a_flush(interpreter):
+    """A reset that refuses its image has already taken the new program;
+    the next reset still clears every I$ line the longer program before
+    it filled."""
+    arch = paper_core()
+    long = Program(bundles=[
+        VliwBundle((Instruction(Opcode.ADD, srcs=(Imm(0), Imm(k)), dst=Reg(2)), None, None))
+        for k in range(9)
+    ] + [VliwBundle((Instruction(Opcode.HALT), None, None))])
+    short = Program(bundles=[VliwBundle((Instruction(Opcode.HALT), None, None))])
+    core = Core(arch, long, interpreter=interpreter)
+    core.run()
+    image = bytes(core.scratchpad._mem)
+    with pytest.raises(ValueError, match="image is"):
+        core.reset(short, image[:-1])
+    core.reset(short, image)
+    looped = InstructionCache(arch.icache, miss_penalty=arch.icache_miss_penalty)
+    looped.fetch(0)
+    assert core.icache._tags == looped._tags
 
 
 def test_compiled_core_with_tracer_runs_reference_tier():

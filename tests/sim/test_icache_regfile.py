@@ -52,22 +52,28 @@ class TestInstructionCache:
     def test_warm_equals_the_fetch_loop(self, n_bundles, stale, per):
         """``warm`` leaves the tags a flush and an in-order fetch of
         every bundle leave, from a cache whose first *stale* bundles
-        were fetched in any order, and counts nothing."""
+        were fetched in any order, and counts nothing; so does a second
+        warm-up after fetching only the first one's bundles."""
         spec = MemorySpec("icache", words=16, width=128)
         warmed = InstructionCache(spec, 8, bundles_per_line=per)
         looped = InstructionCache(spec, 8, bundles_per_line=per)
         for pc in list(range(stale))[::-1] + list(range(0, stale, 3)):
             warmed.fetch(pc)
         counters = (warmed.stats.icache_hits, warmed.stats.icache_misses)
-        warmed.warm(n_bundles, stale)
+        warmed.warm(n_bundles)
         for pc in range(n_bundles):
             looped.fetch(pc)
         assert warmed._tags == looped._tags
         assert (warmed.stats.icache_hits, warmed.stats.icache_misses) == counters
         # The same list object: generated code holds it.
         tags = warmed._tags
-        warmed.warm(3, n_bundles)
-        assert warmed._tags is tags
+        for pc in range(n_bundles)[::-2]:
+            warmed.fetch(pc)
+        warmed.warm(3)
+        looped.flush()
+        for pc in range(3):
+            looped.fetch(pc)
+        assert warmed._tags is tags and warmed._tags == looped._tags
 
     def test_flush_invalidates(self):
         ic = make_icache()

@@ -96,3 +96,12 @@ def test_stall_cause_values_are_stable():
         "interlock",
         "dma_config",
     ]
+
+
+def test_stall_cause_is_not_its_string_value():
+    """Causes hash by identity, so they must not equal their string
+    values either: a lookup by value misses consistently."""
+    counts = {StallCause.ICACHE_MISS: 3}
+    assert StallCause.ICACHE_MISS != "icache_miss"
+    assert "icache_miss" not in counts and counts.get("icache_miss") is None
+    assert counts[StallCause("icache_miss")] == 3
